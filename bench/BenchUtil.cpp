@@ -97,71 +97,6 @@ Measurement isp::measureWorkload(const WorkloadInfo &Workload,
   return Out;
 }
 
-Measurement isp::measureWorkloadMulti(const WorkloadInfo &Workload,
-                                      const WorkloadParams &Params,
-                                      const std::vector<std::string> &ToolNames,
-                                      unsigned Repeats,
-                                      unsigned ParallelWorkers,
-                                      MachineOptions MachineOpts) {
-  Measurement Out;
-  std::string Error;
-  std::optional<Program> Prog = compileWorkload(Workload, Params, &Error);
-  if (!Prog) {
-    Out.Error = Error;
-    return Out;
-  }
-
-  Out.Seconds = 1e100;
-  for (unsigned Rep = 0; Rep == 0 || Rep < Repeats; ++Rep) {
-    std::vector<std::unique_ptr<Tool>> Tools;
-    for (const std::string &Name : ToolNames) {
-      std::unique_ptr<Tool> T = makeEvaluatedTool(Name);
-      if (!T) {
-        Out.Error = "unknown tool '" + Name + "'";
-        return Out;
-      }
-      Tools.push_back(std::move(T));
-    }
-    EventDispatcher Dispatcher;
-    for (auto &T : Tools)
-      Dispatcher.addTool(T.get());
-    if (ParallelWorkers > 0)
-      Dispatcher.setParallelWorkers(ParallelWorkers);
-    Machine M(*Prog, &Dispatcher, MachineOpts);
-
-    auto Start = std::chrono::steady_clock::now();
-    RunResult R = M.run();
-    auto End = std::chrono::steady_clock::now();
-    if (!R.Ok) {
-      Out.Error = R.Error;
-      return Out;
-    }
-    double Seconds = std::chrono::duration<double>(End - Start).count();
-    if (Seconds < Out.Seconds) {
-      Out.Seconds = Seconds;
-      Out.Stats = R.Stats;
-      Out.GuestBytes = R.Stats.GuestMemoryBytes;
-      Out.ToolBytes = 0;
-      for (auto &T : Tools)
-        Out.ToolBytes += T->memoryFootprintBytes();
-      Out.EventsEmitted = Dispatcher.enqueuedEvents();
-      Out.EventsDelivered = Dispatcher.deliveredEvents();
-      Out.AccessMerges = Dispatcher.accessMerges();
-      Out.BbFolds = Dispatcher.bbFolds();
-      Out.FlushesCapacity =
-          Dispatcher.flushCount(EventDispatcher::FlushCause::Capacity);
-      Out.FlushesExplicit =
-          Dispatcher.flushCount(EventDispatcher::FlushCause::Explicit);
-      Out.FlushesFinish =
-          Dispatcher.flushCount(EventDispatcher::FlushCause::Finish);
-    }
-    if (Rep + 1 >= Repeats)
-      break;
-  }
-  Out.Ok = true;
-  return Out;
-}
-
 std::vector<std::string> isp::workloadsInSuite(const std::string &Suite) {
   std::vector<std::string> Names;
   for (const WorkloadInfo &W : allWorkloads())
@@ -276,66 +211,6 @@ std::string isp::writeHotpathReport(unsigned Repeats) {
     return "";
   }
 
-  // Parallel tool fan-out sweep: the heaviest realistic tool stack
-  // (both profilers plus memcheck and callgrind) under serial delivery
-  // and under 1/2/4 dispatcher workers. The interesting number is
-  // delivered events/sec vs the serial row: with several tools the
-  // callback work dominates the publish cost, so extra workers should
-  // show a real speedup.
-  const std::vector<std::string> FanoutTools = {"aprof-trms", "aprof-rms",
-                                                "memcheck", "callgrind"};
-  // A larger instance than the per-tool configs: thread spawn and
-  // per-batch handoff are fixed costs, so the fan-out comparison needs
-  // enough batches to amortize them. Overlap needs real cores — the
-  // recorded hardware_concurrency says how to read the speedup column
-  // (on a single-core host the best possible outcome is ~1.0).
-  WorkloadParams FanoutParams = Params;
-  FanoutParams.Size = 96;
-  std::fprintf(F,
-               "  \"parallel_fanout\": {\n"
-               "    \"size\": %llu,\n"
-               "    \"hardware_concurrency\": %u,\n"
-               "    \"tools\": [",
-               static_cast<unsigned long long>(FanoutParams.Size),
-               std::thread::hardware_concurrency());
-  for (size_t I = 0; I != FanoutTools.size(); ++I)
-    std::fprintf(F, "%s\"%s\"", I ? ", " : "", FanoutTools[I].c_str());
-  std::fprintf(F, "],\n    \"rows\": [");
-
-  const unsigned WorkerCounts[] = {0, 1, 2, 4};
-  double SerialSeconds = 0;
-  First = true;
-  for (unsigned Workers : WorkerCounts) {
-    Measurement M =
-        measureWorkloadMulti(*W, FanoutParams, FanoutTools, Repeats, Workers);
-    if (!M.Ok) {
-      std::fprintf(stderr, "hotpath report: fan-out run (%u workers) "
-                           "failed: %s\n",
-                   Workers, M.Error.c_str());
-      std::fclose(F);
-      return "";
-    }
-    if (Workers == 0)
-      SerialSeconds = M.Seconds;
-    std::fprintf(
-        F,
-        "%s\n"
-        "      {\n"
-        "        \"parallel_workers\": %u,\n"
-        "        \"seconds\": %.6f,\n"
-        "        \"events_delivered\": %llu,\n"
-        "        \"delivered_events_per_sec\": %.0f,\n"
-        "        \"speedup_vs_serial\": %.3f\n"
-        "      }",
-        First ? "" : ",", Workers, M.Seconds,
-        static_cast<unsigned long long>(M.EventsDelivered),
-        M.Seconds > 0 ? static_cast<double>(M.EventsDelivered) / M.Seconds
-                      : 0.0,
-        M.Seconds > 0 && SerialSeconds > 0 ? SerialSeconds / M.Seconds : 0.0);
-    First = false;
-  }
-  std::fprintf(F, "\n    ]\n  },\n");
-
   // Streaming record/replay: bounded writer memory and reader
   // throughput vs the in-memory recording path.
   if (!writeStreamingSection(F, Repeats)) {
@@ -346,13 +221,6 @@ std::string isp::writeHotpathReport(unsigned Repeats) {
   // Parallel shard-partitioned replay: serial aprof-trms stream replay
   // vs the epoch-barrier engine at 1/2/4 workers.
   if (!writeParallelReplaySection(F, Repeats)) {
-    std::fclose(F);
-    return "";
-  }
-
-  // Batch-capacity sweep: how the pending-batch size moves hot-path
-  // throughput and flush frequency.
-  if (!writeBatchCapacitySection(F, Repeats)) {
     std::fclose(F);
     return "";
   }
@@ -972,80 +840,6 @@ bool isp::writeParallelReplaySection(FILE *F, unsigned Repeats) {
   }
   std::fprintf(F, "\n    ]\n  },\n");
   std::remove(StreamPath.c_str());
-  return true;
-}
-
-bool isp::writeBatchCapacitySection(FILE *F, unsigned Repeats) {
-  const WorkloadInfo *W = findWorkload("md");
-  if (!W) {
-    std::fprintf(stderr, "hotpath report: workload 'md' not registered\n");
-    return false;
-  }
-  WorkloadParams Params;
-  Params.Threads = 4;
-  Params.Size = 48;
-  std::string Error;
-  std::optional<Program> Prog = compileWorkload(*W, Params, &Error);
-  if (!Prog) {
-    std::fprintf(stderr, "hotpath report: %s\n", Error.c_str());
-    return false;
-  }
-
-  std::fprintf(F, "  \"batch_capacity\": [");
-  const size_t Capacities[] = {64, 256, 1024, 4096};
-  bool First = true;
-  for (size_t Capacity : Capacities) {
-    double BestSeconds = 1e100;
-    uint64_t Delivered = 0, FlushesCapacity = 0, TotalFlushes = 0;
-    for (unsigned Rep = 0; Rep == 0 || Rep < Repeats; ++Rep) {
-      std::unique_ptr<Tool> T = makeTool("aprof-trms");
-      EventDispatcher Dispatcher;
-      Dispatcher.addTool(T.get());
-      if (!Dispatcher.setBatchCapacity(Capacity)) {
-        std::fprintf(stderr, "hotpath report: capacity %zu rejected\n",
-                     Capacity);
-        return false;
-      }
-      Machine M(*Prog, &Dispatcher);
-      auto Start = std::chrono::steady_clock::now();
-      RunResult R = M.run();
-      auto End = std::chrono::steady_clock::now();
-      if (!R.Ok) {
-        std::fprintf(stderr, "hotpath report: batch-capacity run failed: "
-                             "%s\n",
-                     R.Error.c_str());
-        return false;
-      }
-      double Seconds = std::chrono::duration<double>(End - Start).count();
-      if (Seconds < BestSeconds) {
-        BestSeconds = Seconds;
-        Delivered = Dispatcher.deliveredEvents();
-        FlushesCapacity =
-            Dispatcher.flushCount(EventDispatcher::FlushCause::Capacity);
-        TotalFlushes = Dispatcher.totalFlushes();
-      }
-      if (Rep + 1 >= Repeats)
-        break;
-    }
-    std::fprintf(
-        F,
-        "%s\n"
-        "    {\n"
-        "      \"capacity\": %zu,\n"
-        "      \"seconds\": %.6f,\n"
-        "      \"delivered_events_per_sec\": %.0f,\n"
-        "      \"flushes_capacity\": %llu,\n"
-        "      \"avg_batch_fill\": %.1f\n"
-        "    }",
-        First ? "" : ",", Capacity, BestSeconds,
-        BestSeconds > 0 ? static_cast<double>(Delivered) / BestSeconds : 0.0,
-        static_cast<unsigned long long>(FlushesCapacity),
-        TotalFlushes ? static_cast<double>(Delivered) /
-                           static_cast<double>(TotalFlushes)
-                     : 0.0);
-    First = false;
-  }
-  std::fprintf(F, "\n  ],\n");
   return true;
 }
 

@@ -74,17 +74,6 @@ Measurement measureWorkload(const WorkloadInfo &Workload,
                             unsigned Repeats = 1,
                             MachineOptions MachineOpts = MachineOptions());
 
-/// Like measureWorkload, but attaches every tool in \p ToolNames to one
-/// dispatcher. \p ParallelWorkers > 0 turns on parallel tool fan-out
-/// with that many worker threads; 0 keeps serial in-line delivery.
-/// ToolBytes sums all tools' footprints; Profile/Symbols stay empty.
-Measurement measureWorkloadMulti(const WorkloadInfo &Workload,
-                                 const WorkloadParams &Params,
-                                 const std::vector<std::string> &ToolNames,
-                                 unsigned Repeats = 1,
-                                 unsigned ParallelWorkers = 0,
-                                 MachineOptions MachineOpts = MachineOptions());
-
 /// Names of the workloads in a suite, in registry order.
 std::vector<std::string> workloadsInSuite(const std::string &Suite);
 
@@ -97,11 +86,8 @@ void printBanner(const std::string &Title);
 /// Measures the event-pipeline hot path on a representative workload
 /// under nulgrind (instrumentation-only baseline), aprof-rms, and
 /// aprof-trms, and writes machine-readable per-config timings, event
-/// counts, and events/sec to bench_out/BENCH_hotpath.json. Also sweeps
-/// a four-tool set (aprof-trms, aprof-rms, memcheck, callgrind) over
-/// serial delivery and parallel fan-out with 1/2/4 workers, reporting
-/// events/sec and speedup vs serial per worker count. Returns the path
-/// written, or "" on failure.
+/// counts, and events/sec to bench_out/BENCH_hotpath.json. Returns the
+/// path written, or "" on failure.
 std::string writeHotpathReport(unsigned Repeats = 5);
 
 /// Writes the "interp_dispatch" object of BENCH_hotpath.json into \p F:
@@ -139,12 +125,6 @@ bool writeStreamingSection(FILE *F, unsigned Repeats);
 /// because the speedup column is only meaningful on a multi-core host.
 /// Returns false (after a diagnostic) on failure.
 bool writeParallelReplaySection(FILE *F, unsigned Repeats);
-
-/// Writes the "batch_capacity" array of BENCH_hotpath.json into \p F:
-/// the dispatcher hot path under aprof-trms swept over pending-batch
-/// capacities, reporting seconds, delivered events/sec, and flush
-/// counts per capacity. Returns false (after a diagnostic) on failure.
-bool writeBatchCapacitySection(FILE *F, unsigned Repeats);
 
 /// Writes the "collector" object of BENCH_hotpath.json into \p F:
 /// records several chunked streams of one workload, then measures the

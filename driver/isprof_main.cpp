@@ -83,9 +83,6 @@ int usage() {
       "\n"
       "common options:\n"
       "  --tools=a,b,c   comma-separated tool list (default aprof-trms)\n"
-      "  --parallel-tools[=N]  deliver event batches to tools from N\n"
-      "                  worker threads (default: auto); tools pinned to\n"
-      "                  the dispatch thread fall back to serial delivery\n"
       "  --record=PATH   (run) also record the event trace to PATH\n"
       "  --record-stream=PATH   (run, workload) stream the event trace\n"
       "                  to a chunked file as it happens: bounded memory\n"
@@ -102,8 +99,6 @@ int usage() {
       "  --shadow-shards=N      shard the aprof-trms global wts shadow\n"
       "                  by address range (power of two; default 1).\n"
       "                  Profiles are identical across shard counts\n"
-      "  --batch-capacity=N     dispatcher pending-batch size (power of\n"
-      "                  two in [16, 65536]; default 256)\n"
       "  --verify-bytecode  statically verify the compiled bytecode;\n"
       "                  refuse to run on failure\n"
       "  --lint          static lockset lint: report globals shared\n"
@@ -161,39 +156,6 @@ bool readFile(const std::string &Path, std::string &Out) {
   Buffer << Stream.rdbuf();
   Out = Buffer.str();
   return true;
-}
-
-/// Decodes --parallel-tools[=N]. Returns false (after printing a
-/// diagnostic) on a malformed value. On success *WorkersOut is -1 when
-/// the flag is absent, otherwise the worker count (0 = auto-size).
-bool parseParallelTools(const OptionParser &Options, int *WorkersOut) {
-  std::string V = Options.getString("parallel-tools");
-  if (V == "false") { // flag not given
-    *WorkersOut = -1;
-    return true;
-  }
-  if (V == "true" || V.empty()) { // bare --parallel-tools
-    *WorkersOut = 0;
-    return true;
-  }
-  char *End = nullptr;
-  long N = std::strtol(V.c_str(), &End, 10);
-  if (End == V.c_str() || *End != '\0' || N < 1 ||
-      N > static_cast<long>(EventDispatcher::MaxParallelWorkers)) {
-    std::fprintf(stderr,
-                 "isprof: invalid --parallel-tools value '%s' (expected a "
-                 "worker count in [1, %u])\n",
-                 V.c_str(), EventDispatcher::MaxParallelWorkers);
-    return false;
-  }
-  *WorkersOut = static_cast<int>(N);
-  return true;
-}
-
-/// Arms \p Dispatcher with the validated --parallel-tools request.
-void applyParallelTools(EventDispatcher &Dispatcher, int Workers) {
-  if (Workers >= 0)
-    Dispatcher.setParallelWorkers(static_cast<unsigned>(Workers));
 }
 
 /// The validated --replay-workers request. Explicit distinguishes the
@@ -291,18 +253,6 @@ bool parseShadowShards(const OptionParser &Options, ToolOptions *ToolOpts) {
                        ShardedShadow<uint64_t>::MaxShards, &N))
     return false;
   ToolOpts->ShadowShards = static_cast<unsigned>(N);
-  return true;
-}
-
-/// Decodes --batch-capacity and applies it to \p Dispatcher.
-bool applyBatchCapacity(const OptionParser &Options,
-                        EventDispatcher &Dispatcher) {
-  uint64_t N = EventDispatcher::DefaultBatchCapacity;
-  if (!parsePow2Option(Options, "batch-capacity",
-                       EventDispatcher::MinBatchCapacity,
-                       EventDispatcher::MaxBatchCapacity, &N))
-    return false;
-  Dispatcher.setBatchCapacity(static_cast<size_t>(N));
   return true;
 }
 
@@ -492,14 +442,8 @@ int commandRun(OptionParser &Options) {
   if (!parseMachineTuning(Options, &MachineOpts))
     return 2;
 
-  int ParallelWorkers = -1;
-  if (!parseParallelTools(Options, &ParallelWorkers))
-    return 2;
   EventDispatcher Dispatcher;
   Tools.attach(Dispatcher);
-  applyParallelTools(Dispatcher, ParallelWorkers);
-  if (!applyBatchCapacity(Options, Dispatcher))
-    return 2;
   std::string RecordPath = Options.getString("record");
   if (!RecordPath.empty())
     Dispatcher.enableRecording();
@@ -638,21 +582,17 @@ int commandReplay(OptionParser &Options) {
   ReplayWorkersRequest ReplayReq;
   if (!parseReplayWorkers(Options, &ReplayReq))
     return 2;
-  int ParallelWorkers = -1;
-  if (!parseParallelTools(Options, &ParallelWorkers))
-    return 2;
   // Parallel replay partitions the trms shadow state itself, so it
-  // applies only to chunked streams with exactly the aprof-trms tool
-  // and no tool-level fan-out. An explicit incompatible request is an
-  // error; the environment fallback silently stays serial.
+  // applies only to chunked streams with exactly the aprof-trms tool.
+  // An explicit incompatible request is an error; the environment
+  // fallback silently stays serial.
   bool ParallelEligible = !StreamPath.empty() &&
-                          Options.getString("tools") == "aprof-trms" &&
-                          ParallelWorkers < 0;
+                          Options.getString("tools") == "aprof-trms";
   if (ReplayReq.Workers > 0 && ReplayReq.Explicit && !ParallelEligible) {
     std::fprintf(stderr,
                  "isprof: --replay-workers requires a chunked stream "
-                 "(--replay-stream or a stream-format trace), "
-                 "--tools=aprof-trms, and no --parallel-tools\n");
+                 "(--replay-stream or a stream-format trace) and "
+                 "--tools=aprof-trms\n");
     return 2;
   }
   if (ReplayReq.Workers > 0 && ParallelEligible)
@@ -664,13 +604,11 @@ int commandReplay(OptionParser &Options) {
     return 2;
   EventDispatcher Dispatcher;
   Tools.attach(Dispatcher);
-  applyParallelTools(Dispatcher, ParallelWorkers);
-  if (!applyBatchCapacity(Options, Dispatcher))
-    return 2;
 
   if (!StreamPath.empty()) {
-    // Bounded-memory replay: pull one chunk at a time into a reused
-    // buffer and enqueue through the batching hot path.
+    // Bounded-memory replay: decode one chunk at a time and publish it
+    // to the tools as one batch; with pipelined delivery the tools
+    // consume chunk k on a worker while chunk k+1 is decoded here.
     TraceStreamReader Reader;
     if (!Reader.open(StreamPath)) {
       std::fprintf(stderr, "isprof: cannot read stream %s: %s\n",
@@ -688,11 +626,8 @@ int commandReplay(OptionParser &Options) {
       ErrorChunk = Reader.cursor();
       if (!Reader.nextChunk(Chunk))
         break;
-      EventStreamView View(Chunk);
-      for (EventRecord E; View.next(E);) {
-        Dispatcher.enqueue(E);
-        ++Replayed;
-      }
+      Replayed += Reader.chunkEvents(ErrorChunk);
+      Dispatcher.publishChunk(Chunk, Reader.chunkEvents(ErrorChunk));
     }
     bool ReadOk = Reader.error().empty();
     Dispatcher.finish();
@@ -718,7 +653,7 @@ int commandReplay(OptionParser &Options) {
     Symbols.intern(Name);
   Dispatcher.start(&Symbols);
   for (const EventRecord &E : Data.Events)
-    Dispatcher.dispatch(E);
+    Dispatcher.enqueue(E);
   Dispatcher.finish();
 
   std::printf("[replayed %zu events]\n\n", Data.Events.size());
@@ -807,14 +742,8 @@ int commandWorkload(OptionParser &Options) {
   if (!Tools.create(Options.getString("tools"), /*Contexts=*/false,
                     ToolOpts))
     return 2;
-  int ParallelWorkers = -1;
-  if (!parseParallelTools(Options, &ParallelWorkers))
-    return 2;
   EventDispatcher Dispatcher;
   Tools.attach(Dispatcher);
-  applyParallelTools(Dispatcher, ParallelWorkers);
-  if (!applyBatchCapacity(Options, Dispatcher))
-    return 2;
   std::string StreamPath = Options.getString("record-stream");
   TraceStreamWriter StreamWriter;
   if (!StreamPath.empty()) {
@@ -1124,10 +1053,6 @@ int runCommand(const std::string &Command, OptionParser &Options) {
 int main(int Argc, char **Argv) {
   OptionParser Options("isprof: input-sensitive profiling toolkit");
   Options.addOption("tools", "aprof-trms", "comma-separated tool list");
-  Options.addFlag("parallel-tools",
-                  "deliver event batches to tools from worker threads; "
-                  "--parallel-tools=N picks the worker count (default: "
-                  "auto). Reports are identical to serial delivery");
   Options.addOption("record", "", "record the event trace to this path");
   Options.addOption("record-stream", "",
                     "stream the event trace to this path as a chunked "
@@ -1143,9 +1068,6 @@ int main(int Argc, char **Argv) {
                     "shard the aprof-trms global wts shadow by address "
                     "range (power of two; 1 = unsharded). aprof-rms "
                     "keeps per-thread shadows only and is unaffected");
-  Options.addOption("batch-capacity", "256",
-                    "dispatcher pending-batch capacity (power of two "
-                    "in [16, 65536])");
   Options.addOption("html", "", "write an HTML profile report (needs an "
                                 "aprof tool in --tools)");
   Options.addFlag("contexts", "profile per calling context instead of "

@@ -33,7 +33,7 @@ std::string fileName(const std::string &Path) {
 
 } // namespace
 
-bool Collector::ingestOne(const std::string &Path) {
+bool Collector::ingestOne(const std::string &Path, unsigned ThreadBudget) {
   obs::LaneId Lane = obs::tracingEnabled()
                          ? obs::TraceLog::get().allocLane(
                                "stream: " + fileName(Path))
@@ -66,18 +66,15 @@ bool Collector::ingestOne(const std::string &Path) {
     TrmsProfilerOptions ProfOpts;
     ProfOpts.KeepActivationLog = true;
     TrmsProfiler Profiler(ProfOpts);
-    // Unfiltered ingest hands each decoded chunk straight to the
-    // profiler: a chunk decodes standalone and already holds the
-    // compacted stream. Filtered ingest edits the event sequence
-    // (Returns that close skipped frames are dropped), so it re-enqueues
-    // what it keeps through a dispatcher.
-    EventDispatcher Dispatcher;
-    if (UseFilter) {
-      Dispatcher.addTool(&Profiler);
-      Dispatcher.start(&Symbols);
-    } else {
-      Profiler.onStart(&Symbols);
-    }
+    // Unfiltered ingest publishes each decoded chunk as one batch: a
+    // chunk decodes standalone and already holds the compacted stream.
+    // Filtered ingest edits the event sequence (Returns that close
+    // skipped frames are dropped), so it re-enqueues what it keeps.
+    // Either way the profiler consumes on a worker while this thread
+    // decodes, if this stream's share of the host leaves one free.
+    EventDispatcher Dispatcher(ThreadBudget);
+    Dispatcher.addTool(&Profiler);
+    Dispatcher.start(&Symbols);
 
     // A chunk may be skipped only when (a) its routine mask proves no
     // filtered routine is called in it and (b) no filtered activation
@@ -157,7 +154,7 @@ bool Collector::ingestOne(const std::string &Path) {
       LocalRead += 1;
       LocalEvents += Reader.chunkEvents(ErrChunk);
       if (!UseFilter) {
-        Profiler.handleBatch(Chunk.data(), Chunk.size());
+        Dispatcher.publishChunk(Chunk, Reader.chunkEvents(ErrChunk));
         continue;
       }
       EventStreamView View(Chunk);
@@ -181,12 +178,10 @@ bool Collector::ingestOne(const std::string &Path) {
       }
     }
     Ok = Reader.error().empty();
-    // The run finishes even on error so the profiler (and dispatcher)
-    // drain cleanly; the partial database is simply never merged.
-    if (UseFilter)
-      Dispatcher.finish();
-    else
-      Profiler.onFinish();
+    // The run finishes even on error so the dispatcher joins its worker
+    // and the profiler drains cleanly; the partial database is simply
+    // never merged.
+    Dispatcher.finish();
 
     if (Ok) {
       std::set<std::string> Only(Opts.RoutineFilter.begin(),
@@ -220,28 +215,29 @@ size_t Collector::ingestFiles(const std::vector<std::string> &Files) {
   uint64_t Start = obs::nowNs();
 
   unsigned Workers = Opts.Workers;
-  if (Workers == 0) {
-    Workers = std::thread::hardware_concurrency();
-    if (Workers == 0)
-      Workers = 1;
-  }
+  if (Workers == 0)
+    Workers = EventDispatcher::hardwareThreads();
   Workers = std::clamp<unsigned>(
       Workers, 1,
       std::min<size_t>(CollectorOptions::MaxWorkers,
                        std::max<size_t>(Files.size(), 1)));
 
+  // Each ingest pipelines its stream (decode here, profile on a
+  // worker) only when its share of the host's threads holds both, i.e.
+  // while 2 x Workers <= hardware threads.
+  unsigned ThreadBudget = EventDispatcher::hardwareThreads() / Workers;
   if (Workers <= 1 || Files.size() <= 1) {
     for (const std::string &Path : Files)
-      ingestOne(Path);
+      ingestOne(Path, ThreadBudget);
   } else {
     std::atomic<size_t> Next{0};
     std::vector<std::thread> Pool;
     Pool.reserve(Workers);
     for (unsigned W = 0; W != Workers; ++W)
-      Pool.emplace_back([this, &Files, &Next] {
+      Pool.emplace_back([this, &Files, &Next, ThreadBudget] {
         for (size_t I = Next.fetch_add(1); I < Files.size();
              I = Next.fetch_add(1))
-          ingestOne(Files[I]);
+          ingestOne(Files[I], ThreadBudget);
       });
     for (std::thread &T : Pool)
       T.join();

@@ -8,9 +8,12 @@
 /// The collector's ingestion engine: many recorded ISPSTM streams —
 /// named explicitly or discovered in a spool directory — are replayed
 /// concurrently, each through its own aprof-trms profiler, and the
-/// per-stream results are folded into a shared FleetStore. A corrupt
-/// stream is reported (file + failing chunk, the stream reader's
-/// diagnostics) and contributes nothing; it never poisons the rollup.
+/// per-stream results are folded into a shared FleetStore. Each ingest
+/// pipelines its stream (decode on the ingest thread, profile on a
+/// dispatcher worker) while 2 x ingest workers <= hardware threads. A
+/// corrupt stream is reported (file + failing chunk, the stream
+/// reader's diagnostics) and contributes nothing; it never poisons the
+/// rollup.
 ///
 /// When a routine filter is set and a stream carries v2 activity
 /// bitmaps, chunks whose 64-bit routine mask provably excludes every
@@ -99,7 +102,9 @@ public:
   const std::vector<StreamIngestError> &errors() const { return Errors; }
 
 private:
-  bool ingestOne(const std::string &Path);
+  /// Ingests one stream through a dispatcher given \p ThreadBudget
+  /// hardware threads (its share of the host).
+  bool ingestOne(const std::string &Path, unsigned ThreadBudget);
 
   CollectorOptions Opts;
   FleetStore &Store;

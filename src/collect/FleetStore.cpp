@@ -96,17 +96,26 @@ void FleetStore::mergeDatabase(const std::string &Program,
                                const ProfileDatabase &Db,
                                const SymbolTable &Symbols,
                                const std::set<std::string> *Only) {
-  std::set<Key> Touched;
+  // Resolve each routine's rollup once, not once per activation: the
+  // log holds many activations of few routines. Rollup pointers are
+  // stable (std::map nodes), and two ids naming one routine share one.
+  std::map<RoutineId, RoutineRollup *> ById;
   for (const ActivationRecord &R : Db.log()) {
-    std::string Name = Symbols.routineName(R.Rtn);
-    if (Only && !Only->count(Name))
-      continue;
-    Key K{Program, Name};
-    Rollups[K].addActivation(R);
-    Touched.insert(std::move(K));
+    auto [It, New] = ById.try_emplace(R.Rtn, nullptr);
+    if (New) {
+      std::string Name = Symbols.routineName(R.Rtn);
+      if (!Only || Only->count(Name))
+        It->second = &Rollups[Key{Program, std::move(Name)}];
+    }
+    if (It->second)
+      It->second->addActivation(R);
   }
-  for (const Key &K : Touched)
-    Rollups[K].Streams += 1;
+  std::set<RoutineRollup *> Touched;
+  for (const auto &[Rtn, Rollup] : ById)
+    if (Rollup)
+      Touched.insert(Rollup);
+  for (RoutineRollup *Rollup : Touched)
+    Rollup->Streams += 1;
 }
 
 void FleetStore::merge(const FleetStore &Other) {

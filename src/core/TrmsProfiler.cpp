@@ -111,6 +111,8 @@ void TrmsProfilerT<ShadowT, WtsShadowT>::onThreadEnd(ThreadId Tid) {
   // spawn thousands of short-lived workers. Peak usage is kept for the
   // space-overhead reports.
   PeakFootprintBytes = std::max(PeakFootprintBytes, currentFootprintBytes());
+  EndedTsCacheHits += TS.Ts.cacheHits();
+  EndedTsCacheMisses += TS.Ts.cacheMisses();
   CurrentState = nullptr;
   Threads[Tid].reset();
 }
@@ -455,11 +457,20 @@ template <typename ShadowT, typename WtsShadowT> void TrmsProfilerT<ShadowT, Wts
   if (ISP_UNLIKELY(obs::statsEnabled())) {
     obs::Registry &R = obs::Registry::get();
     R.counter("profiler.renumbering_epochs").add(Renumberings);
-    // Global wts shadow only; the per-thread ts shadows are touched once
-    // per local access and have near-perfect locality by construction.
     R.counter("shadow.wts.chunks_allocated").add(Wts.chunksAllocated());
     R.counter("shadow.wts.cache_hits").add(Wts.cacheHits());
     R.counter("shadow.wts.cache_misses").add(Wts.cacheMisses());
+    // The per-thread ts shadows interleave globals, heap and stack
+    // chunks just like the wts; their tallies include threads that
+    // already ended (folded in by onThreadEnd).
+    uint64_t TsHits = EndedTsCacheHits, TsMisses = EndedTsCacheMisses;
+    for (const std::unique_ptr<ThreadState> &TS : Threads)
+      if (TS) {
+        TsHits += TS->Ts.cacheHits();
+        TsMisses += TS->Ts.cacheMisses();
+      }
+    R.counter("shadow.ts.cache_hits").add(TsHits);
+    R.counter("shadow.ts.cache_misses").add(TsMisses);
     if constexpr (requires(WtsShadowT &W) { W.setShardCount(1u); }) {
       R.gauge("shadow.wts.shards").noteMax(Wts.shardCount());
       R.counter("shadow.wts.shard_epochs").add(Wts.totalEpochs());

@@ -8,33 +8,29 @@
 
 #include "obs/Obs.h"
 
-#include <cstdlib>
+#include <atomic>
 
 using namespace isp;
 
-/// Worker request from the ISPROF_PARALLEL_TOOLS environment variable:
-/// -1 when unset/invalid, otherwise a worker count (0 = auto). Parsed
-/// once; the CI ThreadSanitizer job uses it to force parallel delivery
-/// through every dispatcher the test suite constructs.
-static int envParallelWorkers() {
-  static const int Cached = [] {
-    const char *V = std::getenv("ISPROF_PARALLEL_TOOLS");
-    if (!V || !*V)
-      return -1;
-    char *End = nullptr;
-    long N = std::strtol(V, &End, 10);
-    if (End == V || *End != '\0' || N < 0 ||
-        N > static_cast<long>(EventDispatcher::MaxParallelWorkers))
-      return -1;
-    return static_cast<int>(N);
-  }();
-  return Cached;
+/// Hardware threads a test pinned (0 = none); see pinHardwareThreads.
+static std::atomic<unsigned> PinnedHardwareThreads{0};
+
+unsigned EventDispatcher::hardwareThreads() {
+  unsigned Pinned = PinnedHardwareThreads.load(std::memory_order_relaxed);
+  if (Pinned != 0)
+    return Pinned;
+  unsigned Hw = std::thread::hardware_concurrency();
+  return Hw == 0 ? 1 : Hw;
+}
+
+void EventDispatcher::pinHardwareThreads(unsigned N) {
+  PinnedHardwareThreads.store(N, std::memory_order_relaxed);
 }
 
 EventDispatcher::~EventDispatcher() {
   // finish() normally joins; guard against early destruction (error
   // paths, tests) so worker threads never outlive the dispatcher.
-  if (ParallelActive)
+  if (PipelineActive)
     joinWorkers();
 }
 
@@ -55,15 +51,15 @@ void EventDispatcher::start(const SymbolTable *Symbols) {
   }
   for (Tool *T : Tools)
     T->onStart(Symbols);
-  int Request = RequestedWorkers >= 0 ? RequestedWorkers : envParallelWorkers();
-  if (Request >= 0 && !Tools.empty())
-    startParallel();
+  if (Pending.size() < BatchWords)
+    Pending.resize(BatchWords);
+  startPipeline();
 }
 
-void EventDispatcher::startParallel() {
+void EventDispatcher::startPipeline() {
   // Partition the registered tools by affinity. DispatchThread tools
-  // keep synchronous serial delivery; CoScheduled tools must share one
-  // worker; AnyWorker tools spread round-robin.
+  // keep synchronous delivery on the producer thread; CoScheduled tools
+  // must share one worker; AnyWorker tools spread round-robin.
   SerialToolIdx.clear();
   std::vector<size_t> CoScheduled, Spreadable;
   for (size_t I = 0; I != Tools.size(); ++I) {
@@ -79,21 +75,14 @@ void EventDispatcher::startParallel() {
       break;
     }
   }
-  // Schedulable units: the whole CoScheduled group is one unit.
-  size_t Units = Spreadable.size() + (CoScheduled.empty() ? 0 : 1);
-  if (Units == 0)
-    return; // every tool is pinned to the dispatch thread — stay serial
-
-  int Request = RequestedWorkers >= 0 ? RequestedWorkers : envParallelWorkers();
-  unsigned N = static_cast<unsigned>(Request);
-  if (N == 0) { // auto-size
-    unsigned Hw = std::thread::hardware_concurrency();
-    N = Hw == 0 ? 2 : Hw;
-  }
-  if (N > Units)
-    N = static_cast<unsigned>(Units);
-  if (N > MaxParallelWorkers)
-    N = MaxParallelWorkers;
+  // Schedulable units: the whole CoScheduled group is one unit, and so
+  // is the record sink.
+  size_t Units = Spreadable.size() + (CoScheduled.empty() ? 0 : 1) +
+                 (Sink ? 1 : 0);
+  unsigned N = workersFor(ThreadBudget, Units);
+  WorkerCountUsed = N;
+  if (N == 0)
+    return; // serial delivery
 
   Workers.clear();
   for (unsigned I = 0; I != N; ++I) {
@@ -103,19 +92,19 @@ void EventDispatcher::startParallel() {
           obs::TraceLog::get().allocLane("worker " + std::to_string(I));
     Workers.push_back(std::move(W));
   }
-  // The CoScheduled group shares worker 0; AnyWorker tools round-robin
-  // over the rest (wrapping back through 0 when the pool is small).
+  // The CoScheduled group shares worker 0; AnyWorker tools and then the
+  // sink round-robin over the rest (wrapping back through 0 when the
+  // pool is small).
   for (size_t I : CoScheduled)
     Workers[0]->ToolIdx.push_back(I);
   size_t Next = CoScheduled.empty() ? 0 : 1;
   for (size_t I : Spreadable)
     Workers[Next++ % N]->ToolIdx.push_back(I);
+  if (Sink)
+    Workers[Next % N]->FeedsSink = true;
 
-  Ring.clear();
-  Ring.resize(InitialRingSlots);
-  for (BatchSlot &Slot : Ring)
-    Slot.Words.reset(new Event[Capacity]);
-
+  Spare.reserve(RingSlots);
+  SlotsInUse = 0;
   PublishedSeq = 0;
   ShuttingDown = false;
   IdleWorkers = 0;
@@ -123,11 +112,7 @@ void EventDispatcher::startParallel() {
   BackpressureBlocks = 0;
   BackpressureWaitNs = 0;
   MaxQueueDepth = 0;
-  RingSlotsUsed = Ring.size();
-  RingGrowths = 0;
-  BlocksAtLastGrowth = 0;
-  WorkerCountUsed = N;
-  ParallelActive = true;
+  PipelineActive = true;
   for (auto &W : Workers)
     W->Thread = std::thread([this, WPtr = W.get()] { workerLoop(*WPtr); });
 }
@@ -155,10 +140,7 @@ void EventDispatcher::deliverTo(const std::vector<size_t> &Idx,
 
 void EventDispatcher::workerLoop(WorkerState &W) {
   for (;;) {
-    const Event *Words = nullptr;
-    size_t Count = 0;
-    size_t Records = 0;
-    uint64_t Seq = 0;
+    BatchSlot *Slot = nullptr;
     {
       std::unique_lock<std::mutex> Lock(ParMutex);
       while (!(PublishedSeq > W.NextSeq || ShuttingDown)) {
@@ -168,99 +150,73 @@ void EventDispatcher::workerLoop(WorkerState &W) {
       }
       if (PublishedSeq == W.NextSeq)
         return; // shutting down and fully drained
-      Seq = W.NextSeq;
-      BatchSlot &Slot = Ring[Seq % Ring.size()];
-      Words = Slot.Words.get();
-      Count = Slot.Count;
-      Records = Slot.Records;
+      Slot = &Ring[W.NextSeq % SlotsInUse];
     }
-    // Deliver outside the lock: the slot buffer is immutable until every
+    // Deliver outside the lock: the slot is immutable until every
     // worker (this one included) has marked it consumed.
     uint64_t SpanStart = obs::tracingEnabled() ? obs::nowNs() : 0;
-    deliverTo(W.ToolIdx, Words, Count, Records);
+    deliverTo(W.ToolIdx, Slot->Words.data(), Slot->Count, Slot->Records);
+    if (W.FeedsSink)
+      Sink->recordBatch(Slot->Words.data(), Slot->Count);
     if (obs::tracingEnabled())
       obs::TraceLog::get().completeSpan(W.Lane, "batch", "worker", SpanStart,
                                         obs::nowNs());
     {
       std::lock_guard<std::mutex> Lock(ParMutex);
       ++W.NextSeq;
-      if (--Ring[Seq % Ring.size()].Remaining == 0 && PublisherWaiting)
-        SlotFree.notify_one();
+      if (--Slot->Remaining == 0) {
+        Spare.push_back(std::move(Slot->Words));
+        if (PublisherWaiting)
+          SlotFree.notify_one();
+      }
     }
   }
 }
 
-void EventDispatcher::publishBatch(FlushCause Cause) {
+void EventDispatcher::handOff(std::vector<Event> &Buffer, size_t Count,
+                              size_t Records, FlushCause Cause,
+                              size_t Slots) {
   ++Flushes[static_cast<size_t>(Cause)];
   if (Recording)
-    Recorded.insert(Recorded.end(), Pending.get(),
-                    Pending.get() + PendingWords);
-  // Record sinks consume the batch on the dispatch thread, before the
-  // worker handoff swaps the buffer away — the sink sees exactly the
-  // stream the in-memory recorder would.
-  if (Sink)
-    Sink->recordBatch(Pending.get(), PendingWords);
+    Recorded.insert(Recorded.end(), Buffer.data(), Buffer.data() + Count);
   // DispatchThread tools keep the serial contract: synchronous delivery
-  // on the enqueue thread, before the batch is handed to the workers.
-  // (Tools are independent, so their order against worker tools is
-  // unobservable.)
+  // on the producer thread, before the batch is handed to the workers.
+  // (Consumers are independent, so their order against worker
+  // consumers is unobservable.)
   if (!SerialToolIdx.empty())
-    deliverTo(SerialToolIdx, Pending.get(), PendingWords, PendingRecords);
+    deliverTo(SerialToolIdx, Buffer.data(), Count, Records);
   bool WakeWorkers;
   {
     std::unique_lock<std::mutex> Lock(ParMutex);
-    size_t SlotIdx = PublishedSeq % Ring.size();
-    if (Ring[SlotIdx].Remaining != 0) {
-      // Backpressure: every slot is in flight.
+    if (SlotsInUse == 0)
+      SlotsInUse = Slots;
+    BatchSlot &Slot = Ring[PublishedSeq % SlotsInUse];
+    if (Slot.Remaining != 0) {
+      // Backpressure: block until the slowest worker frees this slot.
       ++BackpressureBlocks;
       uint64_t WaitStart = obs::nowNs();
       PublisherWaiting = true;
-      if (Ring.size() < MaxRingSlots &&
-          BackpressureBlocks - BlocksAtLastGrowth >= RingGrowthThreshold) {
-        // Adaptive growth: blocking keeps happening at this size, so
-        // double the ring. Resizing remaps every seq % size slot
-        // assignment, which is only safe with nothing in flight — wait
-        // for the workers to drain completely (a one-off stall, paid at
-        // most log2(Max/Initial) times per run), then resize under the
-        // lock.
-        SlotFree.wait(Lock, [&] {
-          uint64_t MinSeq = PublishedSeq;
-          for (const auto &W : Workers)
-            MinSeq = W->NextSeq < MinSeq ? W->NextSeq : MinSeq;
-          return MinSeq == PublishedSeq;
-        });
-        size_t NewSize = Ring.size() * 2;
-        if (NewSize > MaxRingSlots)
-          NewSize = MaxRingSlots;
-        size_t OldSize = Ring.size();
-        Ring.resize(NewSize);
-        for (size_t I = OldSize; I != NewSize; ++I)
-          Ring[I].Words.reset(new Event[Capacity]);
-        RingSlotsUsed = NewSize;
-        ++RingGrowths;
-        BlocksAtLastGrowth = BackpressureBlocks;
-        SlotIdx = PublishedSeq % Ring.size();
-      } else {
-        // Steady-state backpressure: block until the slowest worker
-        // frees this slot.
-        SlotFree.wait(Lock, [&] { return Ring[SlotIdx].Remaining == 0; });
-      }
+      SlotFree.wait(Lock, [&] { return Slot.Remaining == 0; });
       PublisherWaiting = false;
       BackpressureWaitNs += obs::nowNs() - WaitStart;
     }
-    // Double-buffer swap: the filled Pending buffer becomes the slot's
-    // batch; the slot's drained buffer becomes the next Pending.
-    BatchSlot &Slot = Ring[SlotIdx];
-    std::swap(Slot.Words, Pending);
-    Slot.Count = PendingWords;
-    Slot.Records = PendingRecords;
+    // The filled buffer moves into the slot; the producer continues in
+    // the most recently drained buffer (still warm in cache), and only
+    // allocates when every buffer is in flight.
+    Slot.Words = std::move(Buffer);
+    Buffer.clear();
+    if (!Spare.empty()) {
+      Buffer = std::move(Spare.back());
+      Spare.pop_back();
+    }
+    Slot.Count = Count;
+    Slot.Records = Records;
     Slot.Remaining = static_cast<unsigned>(Workers.size());
     ++PublishedSeq;
     uint64_t MinSeq = PublishedSeq;
     for (const auto &W : Workers)
-      MinSeq = W->NextSeq < MinSeq ? W->NextSeq : MinSeq;
-    uint64_t Depth = PublishedSeq - MinSeq;
-    MaxQueueDepth = Depth > MaxQueueDepth ? Depth : MaxQueueDepth;
+      MinSeq = std::min(MinSeq, W->NextSeq);
+    MaxQueueDepth = std::max(MaxQueueDepth, PublishedSeq - MinSeq);
     // Signal only parked workers: a worker that is busy (or runnable)
     // re-checks PublishedSeq under the lock before it ever waits, so
     // skipping the notify can't lose a wakeup.
@@ -268,13 +224,7 @@ void EventDispatcher::publishBatch(FlushCause Cause) {
   }
   if (WakeWorkers)
     WorkReady.notify_all();
-  ISP_STATS(obs::Registry::get()
-                .histogram("dispatcher.batch_fill")
-                .record(PendingWords));
-  DeliveredEvents += PendingRecords;
-  PendingWords = 0;
-  PendingRecords = 0;
-  Enc.reset();
+  DeliveredEvents += Records;
 }
 
 void EventDispatcher::joinWorkers() {
@@ -286,10 +236,12 @@ void EventDispatcher::joinWorkers() {
   for (auto &W : Workers)
     if (W->Thread.joinable())
       W->Thread.join();
-  ParallelActive = false;
+  PipelineActive = false;
   ShuttingDown = false;
   Workers.clear();
-  Ring.clear();
+  for (BatchSlot &Slot : Ring)
+    Slot = BatchSlot();
+  Spare.clear();
   SerialToolIdx.clear();
 }
 
@@ -311,25 +263,41 @@ void EventDispatcher::flushImpl(FlushCause Cause) {
   resetCompaction();
   if (PendingWords == 0)
     return;
-  if (ISP_UNLIKELY(ParallelActive)) {
-    publishBatch(Cause);
-    return;
+  ISP_STATS(obs::Registry::get()
+                .histogram("dispatcher.batch_fill")
+                .record(PendingWords));
+  if (PipelineActive) {
+    handOff(Pending, PendingWords, PendingRecords, Cause, RingSlots);
+    // The handoff left a drained buffer here, or none when every buffer
+    // was in flight; after the final flush, start() sizes it if the
+    // dispatcher runs again.
+    if (Cause != FlushCause::Finish && Pending.size() < BatchWords)
+      Pending.resize(BatchWords);
+  } else {
+    deliverSerial(Pending.data(), PendingWords, PendingRecords, Cause);
   }
+  PendingWords = 0;
+  PendingRecords = 0;
+  Enc.reset();
+}
+
+void EventDispatcher::deliverSerial(const Event *Words, size_t Count,
+                                    size_t Records, FlushCause Cause) {
   ++Flushes[static_cast<size_t>(Cause)];
   if (Recording)
-    Recorded.insert(Recorded.end(), Pending.get(), Pending.get() + PendingWords);
+    Recorded.insert(Recorded.end(), Words, Words + Count);
   if (ISP_UNLIKELY(Sink != nullptr))
-    Sink->recordBatch(Pending.get(), PendingWords);
+    Sink->recordBatch(Words, Count);
   // The observed path times each tool's callback (and records timeline
-  // spans); the default path is the PR-1 hot loop, untouched.
+  // spans); the default path is the plain loop.
   bool Observe = obs::statsEnabled() || obs::tracingEnabled();
   if (ISP_UNLIKELY(Observe) && ToolObs.size() == Tools.size()) {
     uint64_t FlushStart = obs::nowNs();
     for (size_t I = 0; I != Tools.size(); ++I) {
       uint64_t Start = obs::nowNs();
-      Tools[I]->handleBatch(Pending.get(), PendingWords);
+      Tools[I]->handleBatch(Words, Count);
       uint64_t End = obs::nowNs();
-      ToolObs[I].Events += PendingRecords;
+      ToolObs[I].Events += Records;
       ToolObs[I].CallbackNs += End - Start;
       if (obs::tracingEnabled())
         obs::TraceLog::get().completeSpan(ToolObs[I].Lane, "handleBatch",
@@ -339,17 +307,24 @@ void EventDispatcher::flushImpl(FlushCause Cause) {
       obs::TraceLog::get().completeSpan(DispatcherLane,
                                         flushCauseName(Cause), "dispatcher",
                                         FlushStart, obs::nowNs());
-    ISP_STATS(obs::Registry::get()
-                  .histogram("dispatcher.batch_fill")
-                  .record(PendingWords));
   } else {
     for (Tool *T : Tools)
-      T->handleBatch(Pending.get(), PendingWords);
+      T->handleBatch(Words, Count);
   }
-  DeliveredEvents += PendingRecords;
-  PendingWords = 0;
-  PendingRecords = 0;
-  Enc.reset();
+  DeliveredEvents += Records;
+}
+
+void EventDispatcher::publishChunk(std::vector<Event> &Words,
+                                   size_t Records) {
+  flushImpl(FlushCause::Explicit);
+  EnqueuedEvents += Records;
+  if (Words.empty())
+    return;
+  if (PipelineActive)
+    handOff(Words, Words.size(), Records, FlushCause::Explicit,
+            ChunkSlots);
+  else
+    deliverSerial(Words.data(), Words.size(), Records, FlushCause::Explicit);
 }
 
 void EventDispatcher::publishStats() const {
@@ -370,8 +345,6 @@ void EventDispatcher::publishStats() const {
     R.counter("dispatcher.parallel.backpressure_wait_ns")
         .add(BackpressureWaitNs);
     R.gauge("dispatcher.parallel.max_queue_depth").noteMax(MaxQueueDepth);
-    R.gauge("dispatcher.parallel.ring_slots").noteMax(RingSlotsUsed);
-    R.counter("dispatcher.parallel.ring_growths").add(RingGrowths);
   }
   for (size_t I = 0; I != ToolObs.size(); ++I) {
     const ToolObsState &S = ToolObs[I];
@@ -387,7 +360,7 @@ void EventDispatcher::finish() {
   flushImpl(FlushCause::Finish);
   // Join point: drain every worker queue before any tool's onFinish —
   // the join also publishes all worker-side writes to this thread.
-  if (ParallelActive)
+  if (PipelineActive)
     joinWorkers();
   for (Tool *T : Tools)
     T->onFinish();

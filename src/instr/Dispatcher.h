@@ -53,25 +53,33 @@
 /// first event's time, so times stay strictly increasing); replaying it
 /// is equivalent by construction.
 ///
-/// **Parallel tool fan-out.** Batches are immutable once flushed, so
-/// independent tools can consume them from worker threads
-/// (setParallelWorkers / --parallel-tools). Flushed batches are
-/// published into a bounded ring of batch slots; each registered tool
-/// is assigned one fixed worker and consumes every batch in publication
-/// order there, preserving Tool.h's no-reentrancy guarantee. The
-/// pending array is double-buffered through the ring — publication
-/// swaps the filled buffer into a drained slot and takes that slot's
-/// buffer back, so the enqueue hot path keeps filling while workers
-/// drain. When every slot is still in flight the publisher blocks
-/// (backpressure, bounded memory under slow tools). Tools declare where
-/// they may run via Tool::threadAffinity(): DispatchThread tools are
-/// delivered synchronously on the enqueue thread (serial fallback),
-/// CoScheduled tools share worker 0, AnyWorker tools are spread
-/// round-robin. finish() is the join point: it publishes the final
-/// partial batch, drains every worker queue, joins the workers, and
-/// only then calls onFinish(). Each tool observes exactly the batch
-/// sequence serial mode would deliver, so profiles are identical to
-/// serial delivery; serial mode itself takes none of these paths.
+/// **Pipelined delivery.** Batches are immutable once flushed, so the
+/// consumers can take them on a worker thread while the producer — the
+/// VM, or a stream decoder — fills the next batch. This is the default
+/// whenever the dispatcher's thread budget (hardwareThreads(), unless a
+/// collector hands it a share) is at least two and some consumer may run
+/// on a worker: workersFor() gives one worker per schedulable unit, up
+/// to budget - 1. Tools declare where they may run via
+/// Tool::threadAffinity(): DispatchThread tools are delivered
+/// synchronously on the producer thread, the CoScheduled group is one
+/// unit (worker 0), every AnyWorker tool is a unit, and the record sink
+/// is one more unit. Each consumer therefore sees every batch in
+/// publication order on one fixed thread, preserving Tool.h's
+/// no-reentrancy guarantee, and observes exactly the batch sequence
+/// serial delivery would give it: profiles and recorded streams are
+/// identical either way.
+///
+/// Flushed batches enter a fixed ring of RingSlots slots by buffer move —
+/// the filled Pending buffer moves into a free slot and the most
+/// recently drained buffer becomes the next Pending — so no batch is
+/// copied, and buffers are allocated only as deep as the pipeline runs.
+/// A stream consumer publishes each decoded chunk as one batch the same
+/// way (publishChunk), using only ChunkSlots ring slots, so the worker
+/// consumes one chunk while the caller decodes the next. When every slot in use
+/// is still being consumed the producer blocks (backpressure), so
+/// in-flight memory stays bounded. finish() is the join point: it
+/// publishes the final partial batch, drains and joins the workers, and
+/// only then calls onFinish().
 ///
 //===----------------------------------------------------------------------===//
 
@@ -82,6 +90,7 @@
 #include "obs/TraceLog.h"
 #include "trace/Event.h"
 
+#include <algorithm>
 #include <condition_variable>
 #include <cstdint>
 #include <cstring>
@@ -98,53 +107,63 @@ class SymbolTable;
 /// Fans events out to registered tools. Tools are not owned.
 class EventDispatcher {
 public:
-  /// Default pending-batch capacity in stream words; a flush is forced
-  /// when fewer than Event::MaxWordsPerRecord free words remain. Large
-  /// enough to amortize delivery, small enough to stay cache-resident.
-  /// Tunable per dispatcher via setBatchCapacity (--batch-capacity in
-  /// the driver).
-  static constexpr size_t DefaultBatchCapacity = 256;
-  /// Valid setBatchCapacity range (powers of two only, so the sweep
-  /// benchmark and the driver flag share one validation rule).
-  static constexpr size_t MinBatchCapacity = 16;
-  static constexpr size_t MaxBatchCapacity = 65536;
-
-  /// Initial number of in-flight batch slots in parallel mode. Bounds
-  /// the publisher's lead over the slowest worker (backpressure) and
-  /// the memory pinned in undrained batches. When backpressure trips
-  /// repeatedly the ring grows adaptively, doubling up to MaxRingSlots
-  /// (see publishBatch); ringSlots() reports the size in use.
-  static constexpr size_t InitialRingSlots = 8;
-  static constexpr size_t MaxRingSlots = 64;
-  /// Backpressure blocks tolerated since the last resize before the
-  /// ring doubles again.
-  static constexpr uint64_t RingGrowthThreshold = 4;
-
-  /// Upper bound on --parallel-tools worker counts (sanity, not tuning).
-  static constexpr unsigned MaxParallelWorkers = 64;
+  /// Pending-batch size in stream words; a flush is forced when fewer
+  /// than Event::MaxWordsPerRecord free words remain. At 4,096 words a
+  /// kdtree run hands off ~700 batches rather than the ~11,000 a
+  /// 256-word batch needs, which is what lets the pipeline pay.
+  static constexpr size_t BatchWords = 4096;
+  /// Slots of the pipeline ring: the producer's lead over the slowest
+  /// worker. 8 x 4,096 words (512 KiB) bounds live in-flight memory.
+  static constexpr size_t RingSlots = 8;
+  /// Ring slots a stream consumer uses: the worker consumes one chunk
+  /// while the caller decodes the next, so at most two decoded chunks
+  /// (~250 KiB each at the default chunk size) are held at once. A
+  /// second slot measured no faster, even with the host oversubscribed,
+  /// and costs one more chunk of peak memory.
+  static constexpr size_t ChunkSlots = 1;
 
   /// Why a (non-empty) batch was delivered. Capacity is the steady
-  /// state; Explicit covers dispatch()-forced order preservation and
-  /// manual flush() calls; Finish is the end-of-run drain. The
-  /// distribution is the tuning signal for BatchCapacity (see
-  /// ROADMAP's hot-path follow-ups).
+  /// state; Explicit covers manual flush() calls and published chunks;
+  /// Finish is the end-of-run drain.
   enum class FlushCause : uint8_t { Capacity, Explicit, Finish };
   static constexpr size_t NumFlushCauses = 3;
 
   /// Consumer of recorded batches, for sinks that stream the compacted
   /// event stream somewhere (e.g. TraceStreamWriter writing chunked
   /// trace files) instead of accumulating it in the Recorded vector.
-  /// Batches arrive on the dispatch thread, in delivery order, as
+  /// Batches arrive in delivery order, on the producer thread when
+  /// delivery is serial and on one fixed worker when it is pipelined, as
   /// packed word runs that decode standalone (fresh decoder per batch),
   /// exactly as the in-memory recorder would append them — so a sink
-  /// observes a byte-identical stream.
+  /// observes a byte-identical stream either way. A sink's state is
+  /// only safe to read once finish() has returned.
   class RecordSink {
   public:
     virtual ~RecordSink() = default;
     virtual void recordBatch(const Event *Words, size_t Count) = 0;
   };
 
+  /// \p ThreadBudget is the hardware threads this dispatcher may keep
+  /// busy, producer included; delivery is pipelined only when it is at
+  /// least two. The collector gives each concurrent ingest its share.
+  explicit EventDispatcher(unsigned ThreadBudget = hardwareThreads())
+      : ThreadBudget(ThreadBudget) {}
   ~EventDispatcher();
+
+  /// std::thread::hardware_concurrency() (at least 1), unless a test
+  /// pinned it with pinHardwareThreads.
+  static unsigned hardwareThreads();
+  /// Test seam: dispatchers constructed afterwards see \p N hardware
+  /// threads (1 forces serial delivery); 0 unpins.
+  static void pinHardwareThreads(unsigned N);
+  /// The engage rule: workers for \p Units schedulable consumers within
+  /// \p Budget hardware threads (one stays with the producer); 0 means
+  /// serial delivery.
+  static unsigned workersFor(unsigned Budget, size_t Units) {
+    if (Budget < 2 || Units == 0)
+      return 0;
+    return static_cast<unsigned>(std::min<size_t>(Units, Budget - 1));
+  }
 
   /// Registers \p T; tools receive events in registration order.
   void addTool(Tool *T) { Tools.push_back(T); }
@@ -154,49 +173,16 @@ public:
   /// owned and must outlive the run.
   void setRecordSink(RecordSink *S) { Sink = S; }
 
-  /// Resizes the pending batch. \p N must be a power of two in
-  /// [MinBatchCapacity, MaxBatchCapacity]; returns false (leaving the
-  /// capacity unchanged) otherwise or when events are already buffered —
-  /// call before the run starts.
-  bool setBatchCapacity(size_t N) {
-    if (N < MinBatchCapacity || N > MaxBatchCapacity || (N & (N - 1)) != 0 ||
-        PendingWords != 0 || ParallelActive)
-      return false;
-    Capacity = N;
-    Pending.reset(new Event[Capacity]);
-    return true;
-  }
-  size_t batchCapacity() const { return Capacity; }
-
-  /// Requests parallel tool fan-out with \p N workers (0 = auto-size to
-  /// the eligible tool count, capped at the hardware concurrency). Must
-  /// be called before start(). Parallel delivery actually engages only
-  /// when at least one registered tool's affinity permits a worker;
-  /// otherwise the dispatcher silently stays serial. When never called,
-  /// the ISPROF_PARALLEL_TOOLS environment variable (a worker count; 0 =
-  /// auto) supplies the request — the CI ThreadSanitizer job uses it to
-  /// force parallel delivery through the whole test suite.
-  void setParallelWorkers(unsigned N) {
-    RequestedWorkers = static_cast<int>(N > MaxParallelWorkers
-                                            ? MaxParallelWorkers
-                                            : N);
-  }
-
   /// True while worker threads are consuming batches (between start()
-  /// and finish() in an engaged parallel run).
-  bool parallelActive() const { return ParallelActive; }
-  /// Workers used by the current/most recent parallel run (0 = serial).
-  unsigned parallelWorkersUsed() const { return WorkerCountUsed; }
-  /// Times the publisher blocked because every ring slot was in flight.
+  /// and finish() in a pipelined run).
+  bool pipelineActive() const { return PipelineActive; }
+  /// Workers used by the current/most recent run (0 = serial).
+  unsigned workersUsed() const { return WorkerCountUsed; }
+  /// Times the producer blocked because every ring slot was in flight.
   uint64_t backpressureBlocks() const { return BackpressureBlocks; }
-  /// Peak number of published-but-undrained batches.
+  /// Peak number of published-but-unconsumed batches (never more than
+  /// RingSlots).
   uint64_t maxQueueDepth() const { return MaxQueueDepth; }
-  /// Ring size used by the current/most recent parallel run (the
-  /// adaptive growth's final answer; InitialRingSlots if it never grew,
-  /// 0 if parallel mode never engaged).
-  size_t ringSlots() const { return RingSlotsUsed; }
-  /// Times the ring doubled under repeated backpressure.
-  uint64_t ringGrowths() const { return RingGrowths; }
 
   /// Enables recording of every dispatched event. The recorded stream is
   /// the *compacted* stream — replaying it is equivalent by
@@ -241,7 +227,7 @@ public:
               }
               ++AccessMerges;
               if (ISP_UNLIKELY(PendingWords + Event::MaxWordsPerRecord >
-                               Capacity))
+                               BatchWords))
                 flushImpl(FlushCause::Capacity);
               return;
             }
@@ -271,7 +257,7 @@ public:
       BbRun = {true, E.Tid, LastMain};
     PendingWords += N;
     ++PendingRecords;
-    if (ISP_UNLIKELY(PendingWords + Event::MaxWordsPerRecord > Capacity))
+    if (ISP_UNLIKELY(PendingWords + Event::MaxWordsPerRecord > BatchWords))
       flushImpl(FlushCause::Capacity);
   }
 
@@ -279,20 +265,14 @@ public:
   /// and empties it.
   void flush() { flushImpl(FlushCause::Explicit); }
 
-  /// Dispatches one event to all tools immediately, after flushing any
-  /// pending batch so order is preserved. Kept for replay loops and
-  /// tests that need per-event delivery: the event goes out as its own
-  /// single-event batch (synchronously in serial mode; published like
-  /// any other batch in parallel mode, where finish() remains the only
-  /// join point).
-  void dispatch(const EventRecord &E) {
-    if (PendingWords != 0)
-      flushImpl(FlushCause::Explicit);
-    ++EnqueuedEvents;
-    PendingWords = Enc.encode(E, Pending.get());
-    PendingRecords = 1;
-    flushImpl(FlushCause::Explicit);
-  }
+  /// Delivers \p Words — a decoded trace-stream chunk of \p Records
+  /// events that decodes standalone — as one batch, after flushing any
+  /// pending batch so order is preserved. Nothing is re-enqueued or
+  /// recompacted. When pipelined the chunk's buffer moves into a ring
+  /// slot and \p Words comes back holding a drained buffer (or none) to
+  /// decode the next chunk into; at most ChunkSlots chunks wait for the
+  /// worker.
+  void publishChunk(std::vector<Event> &Words, size_t Records);
 
   //===--- Block-compiler seam (vm/BlockCompiler.h) ----------------------===//
 
@@ -331,7 +311,7 @@ public:
   /// contract, so a run that does not fit falls back to the per-event
   /// path, which rolls the batch at exactly the point it always would.
   bool runFits(size_t Words) const {
-    return PendingWords + Words + Event::MaxWordsPerRecord <= Capacity;
+    return PendingWords + Words + Event::MaxWordsPerRecord <= BatchWords;
   }
 
   /// True when times [FirstTime, LastTime] extend the batch's time base
@@ -433,7 +413,7 @@ public:
       Enc.noteAppended(T0 + R.LastMainOff);
     }
     PendingRecords += Records;
-    if (ISP_UNLIKELY(PendingWords + Event::MaxWordsPerRecord > Capacity))
+    if (ISP_UNLIKELY(PendingWords + Event::MaxWordsPerRecord > BatchWords))
       flushImpl(FlushCause::Capacity);
   }
 
@@ -441,8 +421,8 @@ public:
   /// skips event construction entirely otherwise ("native" runs).
   bool isActive() const { return Recording || Sink != nullptr || !Tools.empty(); }
 
-  /// Events accepted by enqueue()/dispatch() — i.e. what the substrate
-  /// emitted, before compaction.
+  /// Events accepted by enqueue() and publishChunk() — i.e. what the
+  /// substrate emitted, before compaction.
   uint64_t enqueuedEvents() const { return EnqueuedEvents; }
   /// Events actually delivered to tools after compaction; together with
   /// enqueuedEvents this gives the compaction ratio the benchmark
@@ -500,22 +480,24 @@ private:
     obs::LaneId Lane = 0;
   };
 
-  /// One slot of the parallel batch ring. The word buffer rotates with
-  /// the Pending array: publication swaps the filled Pending buffer in
-  /// and takes the slot's drained buffer back, so no batch is ever
-  /// copied. Remaining counts the workers that have not yet consumed
-  /// the slot; the publisher reuses a slot only at zero.
+  /// One slot of the pipeline ring. Publication moves the producer's
+  /// filled buffer in, so no batch is ever copied; the last worker to
+  /// consume the slot moves the buffer on to Spare. Remaining counts the
+  /// workers that have not yet consumed the slot; the producer reuses a
+  /// slot only at zero.
   struct BatchSlot {
-    std::unique_ptr<Event[]> Words;
+    std::vector<Event> Words;
     size_t Count = 0;
     size_t Records = 0;
     unsigned Remaining = 0;
   };
 
-  /// A worker thread and its fixed tool assignment (indices into Tools).
+  /// A worker thread and its fixed consumers: indices into Tools, and
+  /// whether it also feeds the record sink.
   struct WorkerState {
     std::thread Thread;
     std::vector<size_t> ToolIdx;
+    bool FeedsSink = false;
     /// Next batch sequence number this worker will consume. Guarded by
     /// ParMutex.
     uint64_t NextSeq = 0;
@@ -528,15 +510,19 @@ private:
   }
 
   void flushImpl(FlushCause Cause);
+  /// Serial delivery of one batch to every consumer, on this thread.
+  void deliverSerial(const Event *Words, size_t Count, size_t Records,
+                     FlushCause Cause);
 
-  /// Partitions tools by affinity, sizes the worker pool, allocates the
-  /// batch ring, and spawns the workers. Leaves ParallelActive false
-  /// when no registered tool may run on a worker.
-  void startParallel();
-  /// Parallel-mode flush body: delivers to DispatchThread tools
-  /// synchronously, then publishes the pending buffer into the ring
-  /// (blocking while all slots are in flight).
-  void publishBatch(FlushCause Cause);
+  /// Partitions the consumers by affinity, sizes the worker pool with
+  /// workersFor(), and spawns the workers. Leaves PipelineActive false
+  /// (serial delivery) when the rule gives no worker.
+  void startPipeline();
+  /// Pipelined delivery of one batch: records it, delivers it to the
+  /// DispatchThread tools, then swaps \p Buffer into the next of the
+  /// first \p Slots ring slots (blocking while that slot is in flight).
+  void handOff(std::vector<Event> &Buffer, size_t Count, size_t Records,
+               FlushCause Cause, size_t Slots);
   /// Signals shutdown, drains every worker queue, joins the threads.
   void joinWorkers();
   void workerLoop(WorkerState &W);
@@ -553,10 +539,9 @@ private:
   void publishStats() const;
 
   std::vector<Tool *> Tools;
-  /// Pending batch of packed words, sized Capacity (enqueue flushes
-  /// when fewer than MaxWordsPerRecord free words remain).
-  size_t Capacity = DefaultBatchCapacity;
-  std::unique_ptr<Event[]> Pending{new Event[DefaultBatchCapacity]};
+  /// Pending batch of packed words, at least BatchWords long (enqueue
+  /// flushes when fewer than MaxWordsPerRecord free words remain).
+  std::vector<Event> Pending = std::vector<Event>(BatchWords);
   size_t PendingWords = 0;
   /// Logical events among the pending words (delivery accounting).
   size_t PendingRecords = 0;
@@ -583,25 +568,30 @@ private:
   std::vector<ToolObsState> ToolObs;
   obs::LaneId DispatcherLane = 0;
 
-  //===--- Parallel fan-out state (untouched in serial mode) -------------===//
+  //===--- Pipeline state (untouched by serial delivery) -----------------===//
 
-  /// -1 = never requested (environment may still force it); >= 0 = the
-  /// worker count passed to setParallelWorkers (0 = auto).
-  int RequestedWorkers = -1;
-  bool ParallelActive = false;
+  unsigned ThreadBudget;
+  bool PipelineActive = false;
   unsigned WorkerCountUsed = 0;
   std::vector<std::unique_ptr<WorkerState>> Workers;
-  /// Tools pinned to the dispatch thread (serial-delivery fallback).
+  /// Tools pinned to the producer thread.
   std::vector<size_t> SerialToolIdx;
-  std::vector<BatchSlot> Ring;
-  /// Batches published so far; slot = seq % Ring.size(). Guarded by
+  BatchSlot Ring[RingSlots];
+  /// Drained buffers, most recent last. The producer takes its next
+  /// buffer from here, so buffers are allocated only as deep as the
+  /// pipeline actually runs (at most one per slot, plus the producer's).
+  /// Guarded by ParMutex.
+  std::vector<std::vector<Event>> Spare;
+  /// Ring slots this run uses: RingSlots for enqueued batches,
+  /// ChunkSlots for published chunks. Fixed by the first handoff
+  /// (0 before it), so the seq -> slot mapping never changes under a
+  /// worker. Guarded by ParMutex.
+  size_t SlotsInUse = 0;
+  /// Batches published so far; slot = seq % SlotsInUse. Guarded by
   /// ParMutex together with ShuttingDown and the slot/worker cursors.
-  /// Ring.size() only changes while every slot is drained and the
-  /// publisher holds ParMutex (see the adaptive-growth path), so the
-  /// modulo mapping never rebinds an in-flight batch.
   uint64_t PublishedSeq = 0;
   bool ShuttingDown = false;
-  /// Workers currently parked in a WorkReady wait / publisher parked in
+  /// Workers currently parked in a WorkReady wait / producer parked in
   /// a SlotFree wait. Guarded by ParMutex; lets each side skip the
   /// condvar signal (a futex syscall per batch) when nobody is waiting.
   unsigned IdleWorkers = 0;
@@ -612,12 +602,6 @@ private:
   uint64_t BackpressureBlocks = 0;
   uint64_t BackpressureWaitNs = 0;
   uint64_t MaxQueueDepth = 0;
-  /// Adaptive ring sizing: current size survives joinWorkers (so stats
-  /// can report it), growth count, and the block tally at the last
-  /// resize (growth triggers on RingGrowthThreshold new blocks).
-  size_t RingSlotsUsed = 0;
-  uint64_t RingGrowths = 0;
-  uint64_t BlocksAtLastGrowth = 0;
 };
 
 /// Replays \p Events into \p T, bracketed by onStart/onFinish.

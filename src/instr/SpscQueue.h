@@ -5,9 +5,9 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// A bounded single-producer/single-consumer ring, the reusable core of
-/// the double-buffered dispatch ring from the parallel tool fan-out: one
-/// producer thread pushes fixed-size items, one consumer thread drains
+/// A bounded single-producer/single-consumer ring, the same idea as the
+/// dispatcher's pipeline ring in reusable form: one producer thread
+/// pushes fixed-size items, one consumer thread drains
 /// them in batches, and a full ring blocks the producer (backpressure)
 /// instead of growing — so total queue memory is a hard constant no
 /// matter how far the producer runs ahead.

@@ -27,15 +27,15 @@ namespace isp {
 
 class SymbolTable;
 
-/// Where a tool's callbacks may run when the dispatcher operates in
-/// parallel fan-out mode (see Dispatcher.h). Whatever the mode, the
+/// Where a tool's callbacks may run when the dispatcher pipelines
+/// delivery (see Dispatcher.h). Whatever the delivery, the
 /// no-reentrancy guarantee holds: every tool consumes its batches in
 /// publication order on exactly one thread, so no callback is ever
 /// reentered and no tool needs internal locking.
 enum class ToolAffinity : uint8_t {
-  /// Callbacks must run on the thread that enqueues events (the VM /
-  /// replay thread). The dispatcher falls back to synchronous serial
-  /// delivery for such tools. This is the conservative default: a tool
+  /// Callbacks must run on the thread that produces events (the VM /
+  /// replay thread). The dispatcher delivers to such tools
+  /// synchronously there. This is the conservative default: a tool
   /// that has not audited its thread confinement never silently runs on
   /// a worker.
   DispatchThread,
@@ -59,9 +59,9 @@ class Tool {
 public:
   virtual ~Tool();
 
-  /// Declares where this tool's callbacks may run under parallel tool
-  /// fan-out. Defaults to DispatchThread (serial delivery) so unaudited
-  /// tools stay safe; every shipped tool overrides it.
+  /// Declares where this tool's callbacks may run under pipelined
+  /// delivery. Defaults to DispatchThread (the producer thread) so
+  /// unaudited tools stay safe; every shipped tool overrides it.
   virtual ToolAffinity threadAffinity() const {
     return ToolAffinity::DispatchThread;
   }

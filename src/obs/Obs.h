@@ -21,8 +21,8 @@
 ///     publish points, so the interpreter loop never pays even the
 ///     branch.
 ///  2. **Honest under the serialized scheduler.** Guest threads are
-///     serialized, but the dispatcher's parallel tool fan-out bumps
-///     tool-side counters from worker threads; all registry metrics are
+///     serialized, but pipelined delivery bumps tool-side counters
+///     from dispatcher worker threads; all registry metrics are
 ///     therefore relaxed atomics — unsynchronized visibility is
 ///     acceptable for statistics, torn counts are not. Per-tool tallies
 ///     (events delivered, callback time) stay plain integers because a
@@ -36,7 +36,7 @@
 /// segments — "machine.instructions", "dispatcher.access_merges",
 /// "shadow.wts.cache_hits", "tool.aprof-trms.callback_ns". Durations are
 /// counters in nanoseconds with an "_ns" suffix; sizes are gauges in
-/// bytes with a "_bytes" suffix. Parallel fan-out publishes under
+/// bytes with a "_bytes" suffix. Pipelined delivery publishes under
 /// "dispatcher.parallel.*": the worker count, the
 /// blocked-on-backpressure counter ("backpressure_blocks" plus the
 /// nanoseconds spent blocked), and the peak batch-queue depth.

@@ -11,8 +11,8 @@
 /// thread — spans are the scheduler slices that thread ran, named after
 /// the function on top of its stack — plus dedicated lanes for the
 /// dispatcher (flush spans, tagged with their cause) and for each
-/// registered tool (per-flush callback spans). Under parallel tool
-/// fan-out each dispatcher worker gets its own lane ("worker N") whose
+/// registered tool (per-flush callback spans). Under pipelined
+/// delivery each dispatcher worker gets its own lane ("worker N") whose
 /// spans cover one batch-slot consumption; tool callback spans are then
 /// emitted from the worker that owns the tool (the recorder itself is
 /// mutex-protected, so lanes interleave safely).

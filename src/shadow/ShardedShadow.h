@@ -9,9 +9,9 @@
 /// ThreeLevelShadow shards by address range: chunk key → shard, i.e.
 /// shard = (A >> OffsetBits) & (ShardCount - 1). Every 512-cell chunk
 /// belongs to exactly one shard, so the range primitives still resolve
-/// each chunk once per span and the one-entry chunk cache inside each
-/// shard keeps its hit rate (consecutive accesses within a chunk land
-/// on the same shard).
+/// each chunk once per span, and each shard's chunk cache serves the
+/// chunks routed to it (every access to a chunk lands on the same
+/// shard, so a chunk is cached in one place only).
 ///
 /// This is the groundwork ROADMAP names for a parallel-replay mode: the
 /// global wts shadow sharded by address range, with per-shard
@@ -181,9 +181,9 @@ public:
   // The router state (Shards base pointer, Mask) is immutable between
   // setShardCount calls, so concurrent threads may operate on DISTINCT
   // shards without locking: get/set/forRange/fillRange on addresses of
-  // shard i touch only Shards[i] — including its mutable one-entry
-  // chunk cache, which is why the partition must be by shard, never by
-  // address within a shard. The combined views (forEachNonZero, stats)
+  // shard i touch only Shards[i] — including its mutable chunk cache,
+  // which is why the partition must be by shard, never by address
+  // within a shard. The combined views (forEachNonZero, stats)
   // and setShardCount still require exclusive access.
 
   /// Direct access to inner shard \p I, for callers that partition work

@@ -78,6 +78,12 @@ using RoutineId = uint32_t;
 /// 64-bit guest cell per address, matching Definition 1's "memory cells".
 using Addr = uint64_t;
 
+/// The highest guest cell address. The guest address space (vm/Bytecode.h
+/// lays out globals, heap and thread stacks below it) is 2^27 cells, and
+/// the shadow memories (shadow/ShadowMemory.h) cover exactly that range,
+/// so trace readers reject events that address past it.
+inline constexpr Addr MaxGuestAddress = (Addr(1) << 27) - 1;
+
 /// Identifies a synchronization object (semaphore or mutex).
 using SyncId = uint32_t;
 
@@ -108,6 +114,26 @@ enum class EventKind : uint8_t {
 
 /// Returns a printable name for \p Kind.
 const char *eventKindName(EventKind Kind);
+
+/// True when an event of \p Kind with arguments \p Arg0, \p Arg1 stays
+/// inside the guest address space: cells [Arg0, Arg0 + Arg1) of an
+/// access or allocation (checked so the sum cannot wrap), the address
+/// of a Free. Other kinds carry no address.
+inline bool eventAddressesInRange(EventKind Kind, uint64_t Arg0,
+                                  uint64_t Arg1) {
+  switch (Kind) {
+  case EventKind::Read:
+  case EventKind::Write:
+  case EventKind::KernelRead:
+  case EventKind::KernelWrite:
+  case EventKind::Alloc:
+    return Arg0 <= MaxGuestAddress && Arg1 <= MaxGuestAddress + 1 - Arg0;
+  case EventKind::Free:
+    return Arg0 <= MaxGuestAddress;
+  default:
+    return true;
+  }
+}
 
 /// A single decoded trace event. \c Time is the per-thread logical
 /// timestamp used by the merger to interleave thread-specific traces;

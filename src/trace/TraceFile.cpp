@@ -207,6 +207,8 @@ bool deserializeCompressed(const std::string &Bytes, TraceData &Data) {
         static_cast<int64_t>(LastArg0[KindByte]) + unzigzag(Arg0Delta));
     E.Arg0 = LastArg0[KindByte];
     E.Arg1 = Arg1;
+    if (!eventAddressesInRange(E.Kind, E.Arg0, E.Arg1))
+      return false;
     Data.Events.push_back(E);
   }
   return Pos == Bytes.size();
@@ -290,6 +292,8 @@ bool isp::deserializeTrace(const std::string &Bytes, TraceData &Data) {
     if (KindByte > static_cast<unsigned char>(EventKind::ThreadSwitch))
       return false;
     E.Kind = static_cast<EventKind>(KindByte);
+    if (!eventAddressesInRange(E.Kind, E.Arg0, E.Arg1))
+      return false;
     Data.Events.push_back(E);
   }
   return R.atEnd();

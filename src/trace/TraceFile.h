@@ -42,8 +42,9 @@ enum class TraceFormat { Raw, Compressed };
 bool writeTraceFile(const std::string &Path, const TraceData &Data,
                     TraceFormat Format = TraceFormat::Compressed);
 
-/// Reads a trace from \p Path into \p Data. Returns false on I/O failure
-/// or a malformed/mismatched header.
+/// Reads a trace from \p Path into \p Data. Returns false on I/O failure,
+/// a malformed/mismatched header, or an event addressing past the guest
+/// address space (eventAddressesInRange).
 bool readTraceFile(const std::string &Path, TraceData &Data);
 
 /// In-memory round trip used by tests and by tools that pipe traces

@@ -621,6 +621,8 @@ bool TraceStreamReader::readChunk(size_t I, std::vector<Event> &Out) {
     uint64_t &Arg0 = LastArg0[KindByte];
     Arg0 = static_cast<uint64_t>(static_cast<int64_t>(Arg0) +
                                  unzigzag(Arg0Delta));
+    if (!eventAddressesInRange(static_cast<EventKind>(KindByte), Arg0, Arg1))
+      return Corrupt("corrupt chunk: address out of range");
     if (Out.size() - Words < Event::MaxWordsPerRecord)
       Out.resize(Words + Event::MaxWordsPerRecord + (EventCount - N - 1));
     EventRecord E{static_cast<EventKind>(KindByte), static_cast<ThreadId>(Tid),
@@ -677,13 +679,16 @@ bool isp::isTraceStreamFile(const std::string &Path) {
 
 bool isp::replayTraceStream(TraceStreamReader &Reader, Tool &T,
                             const SymbolTable *Symbols) {
-  T.onStart(Symbols);
+  EventDispatcher Dispatcher;
+  Dispatcher.addTool(&T);
+  Dispatcher.start(Symbols);
   std::vector<Event> Chunk;
   Reader.seek(0);
   while (Reader.nextChunk(Chunk))
-    T.handleBatch(Chunk.data(), Chunk.size());
-  // onFinish runs either way so partial results are well-formed even
-  // when a mid-stream chunk is corrupt.
-  T.onFinish();
+    Dispatcher.publishChunk(Chunk, Reader.chunkEvents(Reader.cursor() - 1));
+  // finish() runs either way — joining the worker and calling onFinish —
+  // so partial results are well-formed even when a mid-stream chunk is
+  // corrupt.
+  Dispatcher.finish();
   return Reader.error().empty();
 }

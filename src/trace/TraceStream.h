@@ -63,8 +63,8 @@
 /// reader decodes each record's varints straight into packed words in
 /// the caller's vector (with a single bounds check per record whenever
 /// a worst-case record still fits the payload). A decoded chunk is the
-/// compacted stream and decodes standalone, so replay passes it to the
-/// tool as one batch.
+/// compacted stream and decodes standalone, so replay publishes it to
+/// the tool as one batch.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -217,9 +217,10 @@ private:
 /// length. Chunk-level random access (seek) goes through the index.
 ///
 /// Every malformed input — truncated chunk, corrupt footer, overlong
-/// varint, chunk length past EOF — is rejected with a diagnostic in
-/// error(); no input crashes the reader or makes it allocate beyond
-/// what the actual payload bytes can back.
+/// varint, chunk length past EOF, an access past the guest address
+/// space (MaxGuestAddress) — is rejected with a diagnostic in error();
+/// no input crashes the reader or a consumer's shadow memory, or makes
+/// the reader allocate beyond what the actual payload bytes can back.
 class TraceStreamReader {
 public:
   TraceStreamReader() = default;
@@ -315,12 +316,14 @@ private:
 /// driver auto-detect stream files next to the monolithic formats.
 bool isTraceStreamFile(const std::string &Path);
 
-/// Replays \p Reader's full stream into \p T, pulling one chunk at a
-/// time into a reused buffer and passing each decoded chunk to
-/// Tool::handleBatch: a chunk decodes standalone and already holds the
-/// compacted stream the live tools saw, so nothing is re-enqueued.
-/// Returns false on a read error (Reader.error() explains); the tool
-/// still sees onFinish so partial results are well-formed.
+/// Replays \p Reader's full stream into \p T: the calling thread
+/// decodes one chunk at a time and publishes each as one batch
+/// (EventDispatcher::publishChunk), so \p T consumes chunk k on a worker
+/// while chunk k+1 is decoded whenever delivery is pipelined. A chunk
+/// decodes standalone and already holds the compacted stream the live
+/// tools saw, so nothing is re-enqueued. Returns false on a read error
+/// (Reader.error() explains); the tool still sees onFinish so partial
+/// results are well-formed.
 bool replayTraceStream(TraceStreamReader &Reader, Tool &T,
                        const SymbolTable *Symbols = nullptr);
 

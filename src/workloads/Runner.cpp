@@ -63,9 +63,7 @@ RunResult isp::runWorkloadNative(const WorkloadInfo &Workload,
 ProfiledRun isp::profileWorkload(const WorkloadInfo &Workload,
                                  const WorkloadParams &Params,
                                  TrmsProfilerOptions ProfOpts,
-                                 MachineOptions MachineOpts,
-                                 unsigned ParallelToolWorkers,
-                                 size_t BatchCapacity) {
+                                 MachineOptions MachineOpts) {
   ProfiledRun Out;
   std::string Error;
   std::optional<Program> Prog = compileWorkload(Workload, Params, &Error);
@@ -78,10 +76,6 @@ ProfiledRun isp::profileWorkload(const WorkloadInfo &Workload,
   auto RunWith = [&](auto &Profiler) {
     EventDispatcher Dispatcher;
     Dispatcher.addTool(&Profiler);
-    if (BatchCapacity != 0)
-      Dispatcher.setBatchCapacity(BatchCapacity);
-    if (ParallelToolWorkers > 0)
-      Dispatcher.setParallelWorkers(ParallelToolWorkers);
     Machine M(*Prog, &Dispatcher, MachineOpts);
     {
       obs::ScopedTimer Timer(phaseCounter("runner.execute_ns"));

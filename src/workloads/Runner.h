@@ -43,17 +43,12 @@ RunResult runWorkloadNative(const WorkloadInfo &Workload,
                             MachineOptions MachineOpts = MachineOptions());
 
 /// Runs \p Workload under aprof-trms and returns profile + symbols.
-/// \p ParallelToolWorkers > 0 delivers event batches from that many
-/// dispatcher worker threads (the profile is identical to serial
-/// delivery; 0 keeps the default in-line dispatch).
-/// ProfOpts.ShadowShards > 1 selects the sharded-wts profiler, and
-/// \p BatchCapacity overrides the dispatcher's pending-batch size
-/// (0 = default); both leave the profile byte-identical.
+/// ProfOpts.ShadowShards > 1 selects the sharded-wts profiler, which
+/// leaves the profile byte-identical.
 ProfiledRun
 profileWorkload(const WorkloadInfo &Workload, const WorkloadParams &Params,
                 TrmsProfilerOptions ProfOpts = TrmsProfilerOptions(),
-                MachineOptions MachineOpts = MachineOptions(),
-                unsigned ParallelToolWorkers = 0, size_t BatchCapacity = 0);
+                MachineOptions MachineOpts = MachineOptions());
 
 } // namespace isp
 

@@ -8,10 +8,13 @@
 // identity (concurrent multi-stream ingestion equals merging per-stream
 // results serially, property-tested over synthetic traces), differential
 // views (diff of a store against itself is empty; genuine growth changes
-// are flagged), corrupt-stream isolation, and routine-filtered chunk
-// skipping on v2 activity bitmaps.
+// are flagged), corrupt-stream isolation, routine-filtered chunk
+// skipping on v2 activity bitmaps, and the equality of pipelined and
+// serial ingest.
 //
 //===----------------------------------------------------------------------===//
+
+#include "PinnedThreads.h"
 
 #include "collect/Collector.h"
 #include "collect/FleetStore.h"
@@ -95,6 +98,14 @@ std::string tempStream(const std::string &Name) {
   return ::testing::TempDir() + "isprof_collect_" + Name + ".strm";
 }
 
+/// Names for the synthetic generator's routine ids: "r0", "r1", ...
+std::vector<std::pair<RoutineId, std::string>> syntheticRoutines() {
+  std::vector<std::pair<RoutineId, std::string>> Routines;
+  for (RoutineId Id = 0; Id != SyntheticTraceOptions().NumRoutines; ++Id)
+    Routines.emplace_back(Id, "r" + std::to_string(Id));
+  return Routines;
+}
+
 /// Writes one synthetic trace as a chunked stream; returns its path.
 std::string writeSyntheticStream(const std::string &Name, uint64_t Seed,
                                  uint64_t Operations = 3000,
@@ -106,7 +117,7 @@ std::string writeSyntheticStream(const std::string &Name, uint64_t Seed,
   TraceStreamWriter Writer;
   TraceStreamOptions Opts;
   Opts.ChunkBytes = ChunkBytes;
-  EXPECT_TRUE(Writer.open(Path, {}, Opts)) << Writer.error();
+  EXPECT_TRUE(Writer.open(Path, syntheticRoutines(), Opts)) << Writer.error();
   for (const EventRecord &E : generateSyntheticTrace(Gen))
     Writer.append(E);
   EXPECT_TRUE(Writer.close()) << Writer.error();
@@ -274,6 +285,60 @@ TEST(Collector, CorruptStreamIsReportedAndDoesNotPoisonTheRollup) {
 
   for (const std::string &P : All)
     std::remove(P.c_str());
+}
+
+TEST(Collector, OutOfRangeAddressIsReportedAndLeavesTheRollupUntouched) {
+  // A mid-stream chunk with a read past the guest address space: the
+  // collector names the file, the chunk and the reason — for unfiltered
+  // and filtered ingest, pipelined or not — and the store keeps exactly
+  // what it held before.
+  std::string Good = writeSyntheticStream("range_good", 4);
+  std::string Bad = tempStream("range_bad");
+  size_t BadChunk = 0;
+  {
+    SyntheticTraceOptions Gen;
+    Gen.NumOperations = 3000;
+    Gen.Seed = 8;
+    std::vector<EventRecord> Events = generateSyntheticTrace(Gen);
+    TraceStreamWriter Writer;
+    TraceStreamOptions Opts;
+    Opts.ChunkBytes = 4096;
+    ASSERT_TRUE(Writer.open(Bad, syntheticRoutines(), Opts))
+        << Writer.error();
+    for (size_t I = 0; I != Events.size(); ++I) {
+      Writer.append(Events[I]);
+      if (I == Events.size() / 2) {
+        BadChunk = Writer.chunksWritten();
+        Writer.append(EventRecord::read(Events[I].Tid, Events[I].Time,
+                                        uint64_t(0x10000000000)));
+      }
+    }
+    ASSERT_TRUE(Writer.close()) << Writer.error();
+    ASSERT_GT(BadChunk, 0u);
+    ASSERT_LT(BadChunk + 1, Writer.chunksWritten());
+  }
+
+  for (unsigned Hw : {1u, 4u})
+    for (bool Filtered : {false, true}) {
+      PinnedThreads Pin(Hw);
+      CollectorOptions Opts;
+      Opts.Workers = 1;
+      if (Filtered)
+        Opts.RoutineFilter = {"r0", "r1"};
+      FleetStore Store;
+      Collector C(Opts, Store);
+      ASSERT_EQ(C.ingestFiles({Good}), 1u);
+      FleetStore Before = Store;
+      EXPECT_EQ(C.ingestFiles({Bad}), 0u);
+      ASSERT_EQ(C.errors().size(), 1u);
+      EXPECT_EQ(C.errors()[0].File, Bad);
+      EXPECT_EQ(C.errors()[0].Chunk, BadChunk);
+      EXPECT_EQ(C.errors()[0].Message, "corrupt chunk: address out of range");
+      EXPECT_EQ(Store, Before) << (Filtered ? "filtered" : "unfiltered")
+                               << ", " << Hw << " threads";
+    }
+  std::remove(Good.c_str());
+  std::remove(Bad.c_str());
 }
 
 //===----------------------------------------------------------------------===//
@@ -495,6 +560,36 @@ TEST(Collector, LegacyV2StreamsStillSkipAndDocumentTheUndercount) {
 //===----------------------------------------------------------------------===//
 // Rendering and spool scanning
 //===----------------------------------------------------------------------===//
+
+TEST(Collector, PipelinedIngestEqualsSerial) {
+  // One hardware thread ingests serially; four pipeline each stream
+  // (decode here, profile on a worker), filtered or not. The stores
+  // must be equal.
+  std::vector<std::string> Paths;
+  for (uint64_t Seed : {61u, 62u})
+    Paths.push_back(writeSyntheticStream("pipelined_" + std::to_string(Seed),
+                                         Seed, 6000));
+  uint64_t SetupRms = 0, SetupCost = 0;
+  Paths.push_back(
+      writePhasedStream("pipelined_phased", 200, &SetupRms, &SetupCost));
+  for (std::vector<std::string> Filter :
+       {std::vector<std::string>{}, std::vector<std::string>{"setup", "r1"}}) {
+    FleetStore Stores[2];
+    for (unsigned Hw : {1u, 4u}) {
+      PinnedThreads Pin(Hw);
+      CollectorOptions Opts;
+      Opts.Workers = 1;
+      Opts.RoutineFilter = Filter;
+      Collector C(Opts, Stores[Hw == 4]);
+      EXPECT_EQ(C.ingestFiles(Paths), Paths.size());
+      EXPECT_TRUE(C.errors().empty());
+    }
+    EXPECT_GT(Stores[0].routineCount(), 0u);
+    EXPECT_EQ(Stores[1], Stores[0]) << Filter.size() << " filtered routines";
+  }
+  for (const std::string &P : Paths)
+    std::remove(P.c_str());
+}
 
 TEST(FleetStore, RenderRollupAndCurveNameTheRoutines) {
   SymbolTable Syms;

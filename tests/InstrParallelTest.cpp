@@ -1,20 +1,23 @@
-//===- tests/InstrParallelTest.cpp - Parallel tool fan-out ----------------------===//
+//===- tests/InstrParallelTest.cpp - Pipelined delivery ------------------------===//
 //
 // Part of the isprof project, under the Apache License v2.0.
 //
 //===----------------------------------------------------------------------===//
 //
-// The dispatcher's parallel tool fan-out (setParallelWorkers /
-// --parallel-tools) promises three things, and these tests hold it to
-// them: (1) every tool observes exactly the batch sequence serial
-// delivery would give it, so reports and profiles are byte-identical;
-// (2) each tool's callbacks run on one fixed thread chosen by its
-// declared affinity — DispatchThread on the enqueue thread, worker
-// tools on exactly one worker; (3) finish() is a real join: after it
-// returns, every event has been consumed and the compaction identity
-// holds on the dispatcher's plain counters.
+// Pipelined delivery — the default whenever a dispatcher sees two or
+// more hardware threads — promises three things, and these tests hold
+// it to them: (1) every consumer observes exactly the batch sequence
+// serial delivery would give it, so reports, profiles and recorded
+// streams are byte-identical; (2) each consumer runs on one fixed thread
+// chosen by its declared affinity — DispatchThread tools on the producer
+// thread, worker tools and the record sink on exactly one worker; (3)
+// finish() is a real join: after it returns, every event has been
+// consumed and the compaction identity holds. Tests pin the hardware
+// thread count (PinnedThreads.h) so both deliveries run on any host.
 //
 //===----------------------------------------------------------------------===//
+
+#include "PinnedThreads.h"
 
 #include "core/RmsProfiler.h"
 #include "core/TrmsProfiler.h"
@@ -49,13 +52,15 @@ std::vector<EventRecord> makeTrace(uint64_t Operations, uint64_t Seed,
   return generateSyntheticTrace(Gen);
 }
 
-/// Runs \p Events through a dispatcher over freshly created \p ToolNames
-/// and returns each tool's rendered report. \p Workers == 0 keeps serial
-/// delivery; > 0 requests parallel fan-out.
+/// Runs \p Events through a dispatcher that sees \p HardwareThreads
+/// threads (1 = serial delivery) over freshly created \p ToolNames and
+/// returns each tool's rendered report. \p FlushEvery > 0 forces a
+/// flush after every that many events, moving the batch boundaries.
 std::vector<std::string> reportsForRun(const std::vector<EventRecord> &Events,
                                        const std::vector<std::string> &ToolNames,
-                                       unsigned Workers,
-                                       size_t BatchCapacity = 0) {
+                                       unsigned HardwareThreads,
+                                       size_t FlushEvery = 0) {
+  PinnedThreads Pin(HardwareThreads);
   std::vector<std::unique_ptr<Tool>> Tools;
   for (const std::string &Name : ToolNames) {
     Tools.push_back(makeTool(Name));
@@ -64,14 +69,13 @@ std::vector<std::string> reportsForRun(const std::vector<EventRecord> &Events,
   EventDispatcher Dispatcher;
   for (auto &T : Tools)
     Dispatcher.addTool(T.get());
-  if (BatchCapacity != 0) {
-    EXPECT_TRUE(Dispatcher.setBatchCapacity(BatchCapacity));
-  }
-  if (Workers > 0)
-    Dispatcher.setParallelWorkers(Workers);
   Dispatcher.start(nullptr);
-  for (const EventRecord &E : Events)
-    Dispatcher.enqueue(E);
+  EXPECT_EQ(Dispatcher.pipelineActive(), HardwareThreads >= 2);
+  for (size_t I = 0; I != Events.size(); ++I) {
+    Dispatcher.enqueue(Events[I]);
+    if (FlushEvery != 0 && (I + 1) % FlushEvery == 0)
+      Dispatcher.flush();
+  }
   Dispatcher.finish();
   std::vector<std::string> Reports;
   for (auto &T : Tools)
@@ -129,7 +133,7 @@ private:
 };
 
 /// An AnyWorker tool that naps every 256 reads — slow enough for the
-/// publisher to lap the batch ring and hit backpressure.
+/// producer to lap the batch ring and hit backpressure.
 class SlowTool : public Tool {
 public:
   ToolAffinity threadAffinity() const override {
@@ -146,11 +150,23 @@ private:
   uint64_t Reads = 0;
 };
 
+/// A record sink that keeps every batch it is handed and the threads it
+/// ran on.
+class CapturingSink : public EventDispatcher::RecordSink {
+public:
+  void recordBatch(const Event *Words, size_t Count) override {
+    this->Words.insert(this->Words.end(), Words, Words + Count);
+    Threads.insert(std::this_thread::get_id());
+  }
+  std::vector<Event> Words;
+  std::set<std::thread::id> Threads;
+};
+
 //===----------------------------------------------------------------------===//
-// Affinity declarations
+// Affinity declarations and the engage rule
 //===----------------------------------------------------------------------===//
 
-TEST(ParallelFanout, RegistryToolsDeclareExpectedAffinities) {
+TEST(Pipeline, RegistryToolsDeclareExpectedAffinities) {
   // The profiler family shares global shadow state across instances, so
   // it must stay co-scheduled on one worker.
   for (const char *Name : {"aprof-trms", "aprof-rms", "aprof-trms-naive"}) {
@@ -171,119 +187,191 @@ TEST(ParallelFanout, RegistryToolsDeclareExpectedAffinities) {
             ToolAffinity::DispatchThread);
 }
 
+TEST(Pipeline, EngageRuleNeedsASecondThreadAndAWorkerConsumer) {
+  // One hardware thread, or nothing a worker may consume: serial.
+  EXPECT_EQ(EventDispatcher::workersFor(1, 1), 0u);
+  EXPECT_EQ(EventDispatcher::workersFor(1, 5), 0u);
+  EXPECT_EQ(EventDispatcher::workersFor(0, 3), 0u);
+  EXPECT_EQ(EventDispatcher::workersFor(4, 0), 0u);
+  // Otherwise one worker per unit, leaving one thread to the producer.
+  EXPECT_EQ(EventDispatcher::workersFor(2, 1), 1u);
+  EXPECT_EQ(EventDispatcher::workersFor(2, 3), 1u);
+  EXPECT_EQ(EventDispatcher::workersFor(4, 2), 2u);
+  EXPECT_EQ(EventDispatcher::workersFor(4, 5), 3u);
+
+  // The dispatcher applies it to the hardware threads it sees.
+  for (unsigned Hw : {1u, 2u, 4u}) {
+    PinnedThreads Pin(Hw);
+    NulTool T;
+    EventDispatcher D;
+    D.addTool(&T);
+    D.start(nullptr);
+    EXPECT_EQ(D.pipelineActive(), Hw >= 2) << Hw;
+    EXPECT_EQ(D.workersUsed(), Hw >= 2 ? 1u : 0u) << Hw;
+    D.enqueue(EventRecord::read(0, 1, 8));
+    D.finish();
+    EXPECT_FALSE(D.pipelineActive());
+    EXPECT_EQ(T.eventsSeen(), 1u);
+  }
+  // An explicit budget overrides what the host reports.
+  NulTool T;
+  EventDispatcher Serial(/*ThreadBudget=*/1);
+  Serial.addTool(&T);
+  Serial.start(nullptr);
+  EXPECT_FALSE(Serial.pipelineActive());
+  Serial.finish();
+}
+
 //===----------------------------------------------------------------------===//
-// Parallel == serial, observationally
+// Pipelined == serial, observationally
 //===----------------------------------------------------------------------===//
 
-TEST(ParallelFanout, ReportsMatchSerialOnSyntheticTrace) {
+TEST(Pipeline, ReportsMatchSerialOnSyntheticTrace) {
   const std::vector<std::string> ToolNames = {"aprof-trms", "aprof-rms",
                                               "memcheck", "callgrind"};
   std::vector<EventRecord> Events = makeTrace(20000, 31);
-  std::vector<std::string> Serial = reportsForRun(Events, ToolNames, 0);
-  for (unsigned Workers : {1u, 2u, 4u}) {
-    std::vector<std::string> Parallel =
-        reportsForRun(Events, ToolNames, Workers);
-    ASSERT_EQ(Parallel.size(), Serial.size());
+  std::vector<std::string> Serial = reportsForRun(Events, ToolNames, 1);
+  for (unsigned Hw : {2u, 3u, 8u}) {
+    std::vector<std::string> Pipelined = reportsForRun(Events, ToolNames, Hw);
+    ASSERT_EQ(Pipelined.size(), Serial.size());
     for (size_t I = 0; I != Serial.size(); ++I)
-      EXPECT_EQ(Parallel[I], Serial[I])
-          << ToolNames[I] << " diverged with " << Workers << " workers";
+      EXPECT_EQ(Pipelined[I], Serial[I])
+          << ToolNames[I] << " diverged with " << Hw << " hardware threads";
   }
 }
 
-TEST(ParallelFanout, ReportsMatchSerialOnCompiledWorkload) {
+TEST(Pipeline, EveryRegistryToolMatchesReplayOnCompiledWorkload) {
+  // Live pipelined delivery of a 4-thread guest against the reference:
+  // the recorded (compacted) stream replayed event by event into a
+  // fresh tool.
   const WorkloadInfo *W = findWorkload("md");
   ASSERT_NE(W, nullptr);
   WorkloadParams Params;
-  Params.Threads = 2;
-  Params.Size = 12;
+  Params.Threads = 4;
+  Params.Size = 16;
   std::optional<Program> Prog = compileWorkload(*W, Params);
   ASSERT_TRUE(Prog.has_value());
 
-  const std::vector<std::string> ToolNames = {"aprof-trms", "aprof-rms",
-                                              "memcheck", "callgrind"};
-  auto RunOnce = [&](unsigned Workers) {
-    std::vector<std::unique_ptr<Tool>> Tools;
-    for (const std::string &Name : ToolNames)
-      Tools.push_back(makeTool(Name));
-    EventDispatcher Dispatcher;
-    for (auto &T : Tools)
-      Dispatcher.addTool(T.get());
-    if (Workers > 0)
-      Dispatcher.setParallelWorkers(Workers);
-    Machine M(*Prog, &Dispatcher, MachineOptions());
-    RunResult R = M.run();
-    EXPECT_TRUE(R.Ok) << R.Error;
-    std::vector<std::string> Reports;
-    for (auto &T : Tools)
-      Reports.push_back(renderToolReport(*T, &Prog->Symbols));
-    return Reports;
-  };
+  std::vector<EventRecord> Recorded;
+  {
+    EventDispatcher Recorder(/*ThreadBudget=*/1);
+    Recorder.enableRecording();
+    Machine M(*Prog, &Recorder, MachineOptions());
+    ASSERT_TRUE(M.run().Ok);
+    Recorded = Recorder.decodedRecordedEvents();
+  }
 
-  std::vector<std::string> Serial = RunOnce(0);
-  std::vector<std::string> Parallel = RunOnce(2);
-  ASSERT_EQ(Parallel.size(), Serial.size());
-  for (size_t I = 0; I != Serial.size(); ++I)
-    EXPECT_EQ(Parallel[I], Serial[I]) << ToolNames[I];
+  PinnedThreads Pin(4);
+  std::vector<std::unique_ptr<Tool>> Live;
+  EventDispatcher Dispatcher;
+  for (const std::string &Name : allToolNames()) {
+    Live.push_back(makeTool(Name));
+    ASSERT_NE(Live.back(), nullptr) << Name;
+    Dispatcher.addTool(Live.back().get());
+  }
+  Machine M(*Prog, &Dispatcher, MachineOptions());
+  RunResult R = M.run();
+  ASSERT_TRUE(R.Ok) << R.Error;
+  EXPECT_EQ(Dispatcher.workersUsed(), 3u);
+
+  for (size_t I = 0; I != Live.size(); ++I) {
+    const std::string &Name = allToolNames()[I];
+    std::unique_ptr<Tool> Reference = makeTool(Name);
+    replayTrace(Recorded, *Reference, &Prog->Symbols);
+    EXPECT_EQ(renderToolReport(*Live[I], &Prog->Symbols),
+              renderToolReport(*Reference, &Prog->Symbols))
+        << Name;
+  }
 }
 
-TEST(ParallelFanout, CallbackOrderAndContentMatchSerial) {
+TEST(Pipeline, CallbackOrderAndContentMatchSerial) {
   std::vector<EventRecord> Events = makeTrace(8000, 32);
-  RecordingTool Serial(ToolAffinity::AnyWorker);
-  {
-    EventDispatcher D;
-    D.addTool(&Serial);
-    D.start(nullptr);
-    for (const EventRecord &E : Events)
-      D.enqueue(E);
-    D.finish();
-  }
-  RecordingTool Parallel(ToolAffinity::AnyWorker);
-  {
-    EventDispatcher D;
-    D.addTool(&Parallel);
-    D.setParallelWorkers(2);
-    D.start(nullptr);
-    EXPECT_TRUE(D.parallelActive());
-    for (const EventRecord &E : Events)
-      D.enqueue(E);
-    D.finish();
-    EXPECT_FALSE(D.parallelActive());
-  }
-  EXPECT_EQ(Parallel.entries(), Serial.entries());
-}
-
-TEST(ParallelFanout, DispatchPathMatchesSerial) {
-  // dispatch() delivers per-event; in parallel mode each event becomes
-  // its own published batch. Content and order must not change.
-  std::vector<EventRecord> Events = makeTrace(2000, 33);
-  auto RunOnce = [&](unsigned Workers) {
+  auto RunOnce = [&](unsigned Hw) {
+    PinnedThreads Pin(Hw);
     RecordingTool T(ToolAffinity::AnyWorker);
     EventDispatcher D;
     D.addTool(&T);
-    if (Workers > 0)
-      D.setParallelWorkers(Workers);
     D.start(nullptr);
+    EXPECT_EQ(D.pipelineActive(), Hw >= 2);
     for (const EventRecord &E : Events)
-      D.dispatch(E);
+      D.enqueue(E);
     D.finish();
+    EXPECT_FALSE(D.pipelineActive());
     return T.entries();
   };
-  EXPECT_EQ(RunOnce(2), RunOnce(0));
+  EXPECT_EQ(RunOnce(2), RunOnce(1));
+}
+
+TEST(Pipeline, ReportsAreIdenticalAcrossFlushPoints) {
+  // Batch boundaries move where access runs stop merging, but every
+  // tool is compaction-invariant — so the reports must be
+  // byte-identical wherever the batches are cut, serial or pipelined.
+  const std::vector<std::string> ToolNames = {"aprof-trms", "aprof-rms",
+                                              "memcheck", "callgrind"};
+  std::vector<EventRecord> Events = makeTrace(20000, 41);
+  std::vector<std::string> Baseline = reportsForRun(Events, ToolNames, 1);
+  for (unsigned Hw : {1u, 4u})
+    for (size_t FlushEvery : {size_t(1), size_t(7), size_t(300)}) {
+      std::vector<std::string> Reports =
+          reportsForRun(Events, ToolNames, Hw, FlushEvery);
+      ASSERT_EQ(Reports.size(), Baseline.size());
+      for (size_t I = 0; I != Baseline.size(); ++I)
+        EXPECT_EQ(Reports[I], Baseline[I])
+            << ToolNames[I] << " diverged flushing every " << FlushEvery
+            << " events with " << Hw << " hardware threads";
+    }
+}
+
+TEST(Pipeline, PublishedChunksArriveExactlyAsDecoded) {
+  // publishChunk hands a decoded stream chunk over as one batch,
+  // neither re-enqueued nor recompacted: the consumer must see exactly
+  // the chunks' events, in order.
+  std::vector<EventRecord> Events = makeTrace(6000, 42);
+  std::vector<std::vector<Event>> Chunks;
+  std::vector<size_t> ChunkRecords;
+  for (size_t At = 0; At < Events.size(); At += 700) {
+    std::vector<EventRecord> Part(
+        Events.begin() + At,
+        Events.begin() + std::min(Events.size(), At + 700));
+    Chunks.push_back(encodeEventStream(Part));
+    ChunkRecords.push_back(Part.size());
+  }
+  RecordingTool Reference(ToolAffinity::AnyWorker);
+  replayTrace(Events, Reference);
+  for (unsigned Hw : {1u, 2u}) {
+    PinnedThreads Pin(Hw);
+    SlowTool Slow;
+    RecordingTool T(ToolAffinity::AnyWorker);
+    EventDispatcher D;
+    D.addTool(&T);
+    D.addTool(&Slow);
+    D.start(nullptr);
+    for (size_t I = 0; I != Chunks.size(); ++I) {
+      std::vector<Event> Chunk = Chunks[I];
+      D.publishChunk(Chunk, ChunkRecords[I]);
+    }
+    D.finish();
+    EXPECT_EQ(T.entries(), Reference.entries()) << Hw;
+    EXPECT_EQ(D.enqueuedEvents(), Events.size());
+    EXPECT_EQ(D.deliveredEvents(), Events.size());
+    // One chunk is consumed while the next is decoded.
+    EXPECT_LE(D.maxQueueDepth(), EventDispatcher::ChunkSlots);
+  }
 }
 
 //===----------------------------------------------------------------------===//
 // Thread placement
 //===----------------------------------------------------------------------===//
 
-TEST(ParallelFanout, DispatchThreadToolStaysOnEnqueueThread) {
+TEST(Pipeline, DispatchThreadToolStaysOnProducerThread) {
+  PinnedThreads Pin(4);
   RecordingTool Pinned(ToolAffinity::DispatchThread);
-  NulTool Spread; // AnyWorker, so parallel mode actually engages
+  NulTool Spread; // AnyWorker, so the pipeline actually engages
   EventDispatcher D;
   D.addTool(&Pinned);
   D.addTool(&Spread);
-  D.setParallelWorkers(2);
   D.start(nullptr);
-  ASSERT_TRUE(D.parallelActive());
+  ASSERT_TRUE(D.pipelineActive());
   for (const EventRecord &E : makeTrace(4000, 34))
     D.enqueue(E);
   D.finish();
@@ -291,42 +379,42 @@ TEST(ParallelFanout, DispatchThreadToolStaysOnEnqueueThread) {
   EXPECT_EQ(*Pinned.threads().begin(), std::this_thread::get_id());
 }
 
-TEST(ParallelFanout, AnyWorkerToolRunsOnOneWorkerThread) {
+TEST(Pipeline, AnyWorkerToolRunsOnOneWorkerThread) {
+  PinnedThreads Pin(4);
   RecordingTool Spread(ToolAffinity::AnyWorker);
   EventDispatcher D;
   D.addTool(&Spread);
-  D.setParallelWorkers(2);
   D.start(nullptr);
-  ASSERT_TRUE(D.parallelActive());
+  ASSERT_TRUE(D.pipelineActive());
   for (const EventRecord &E : makeTrace(4000, 35))
     D.enqueue(E);
   D.finish();
-  // One fixed consumer thread, and never the enqueue thread.
+  // One fixed consumer thread, and never the producer thread.
   ASSERT_EQ(Spread.threads().size(), 1u);
   EXPECT_NE(*Spread.threads().begin(), std::this_thread::get_id());
 }
 
-TEST(ParallelFanout, WorkerCountClampsToEligibleTools) {
-  // One spreadable tool can use at most one worker, however many were
-  // requested.
+TEST(Pipeline, WorkerCountClampsToEligibleConsumers) {
+  // One spreadable tool can use at most one worker, however many
+  // hardware threads there are.
+  PinnedThreads Pin(64);
   NulTool T;
   EventDispatcher D;
   D.addTool(&T);
-  D.setParallelWorkers(64);
   D.start(nullptr);
-  ASSERT_TRUE(D.parallelActive());
-  EXPECT_EQ(D.parallelWorkersUsed(), 1u);
+  ASSERT_TRUE(D.pipelineActive());
+  EXPECT_EQ(D.workersUsed(), 1u);
   D.finish();
 }
 
-TEST(ParallelFanout, StaysSerialWithOnlyDispatchThreadTools) {
+TEST(Pipeline, StaysSerialWithOnlyDispatchThreadTools) {
+  PinnedThreads Pin(4);
   RecordingTool Pinned(ToolAffinity::DispatchThread);
   EventDispatcher D;
   D.addTool(&Pinned);
-  D.setParallelWorkers(4);
   D.start(nullptr);
-  EXPECT_FALSE(D.parallelActive());
-  EXPECT_EQ(D.parallelWorkersUsed(), 0u);
+  EXPECT_FALSE(D.pipelineActive());
+  EXPECT_EQ(D.workersUsed(), 0u);
   for (const EventRecord &E : makeTrace(1000, 36))
     D.enqueue(E);
   D.finish();
@@ -334,18 +422,44 @@ TEST(ParallelFanout, StaysSerialWithOnlyDispatchThreadTools) {
   EXPECT_EQ(*Pinned.threads().begin(), std::this_thread::get_id());
 }
 
+TEST(Pipeline, RecordSinkIsOneMoreWorkerConsumer) {
+  // The sink alone engages the pipeline, consumes on one worker, and
+  // sees exactly the words serial delivery hands it.
+  std::vector<EventRecord> Events = makeTrace(12000, 38);
+  auto Capture = [&](unsigned Hw, CapturingSink &Sink) {
+    PinnedThreads Pin(Hw);
+    EventDispatcher D;
+    D.setRecordSink(&Sink);
+    D.enableRecording();
+    D.start(nullptr);
+    EXPECT_EQ(D.pipelineActive(), Hw >= 2);
+    for (const EventRecord &E : Events)
+      D.enqueue(E);
+    D.finish();
+    EXPECT_EQ(Sink.Words.size(), D.recordedEvents().size());
+  };
+  CapturingSink Serial, Pipelined;
+  Capture(1, Serial);
+  Capture(3, Pipelined);
+  ASSERT_EQ(Pipelined.Words.size(), Serial.Words.size());
+  for (size_t I = 0; I != Serial.Words.size(); ++I)
+    ASSERT_TRUE(Pipelined.Words[I] == Serial.Words[I]) << "word " << I;
+  ASSERT_EQ(Pipelined.Threads.size(), 1u);
+  EXPECT_NE(*Pipelined.Threads.begin(), std::this_thread::get_id());
+}
+
 //===----------------------------------------------------------------------===//
 // Join, counters, backpressure
 //===----------------------------------------------------------------------===//
 
-TEST(ParallelFanout, CompactionIdentityHoldsAfterFinish) {
+TEST(Pipeline, CompactionIdentityHoldsAfterFinish) {
+  PinnedThreads Pin(4);
   std::vector<EventRecord> Events = makeTrace(12000, 37);
   NulTool A;
   auto B = makeTool("memcheck");
   EventDispatcher D;
   D.addTool(&A);
   D.addTool(B.get());
-  D.setParallelWorkers(2);
   D.start(nullptr);
   for (const EventRecord &E : Events)
     D.enqueue(E);
@@ -353,97 +467,27 @@ TEST(ParallelFanout, CompactionIdentityHoldsAfterFinish) {
   EXPECT_EQ(D.enqueuedEvents(),
             D.deliveredEvents() + D.accessMerges() + D.bbFolds());
   EXPECT_EQ(D.enqueuedEvents(), Events.size());
+  EXPECT_EQ(A.eventsSeen(), D.deliveredEvents());
 }
 
-TEST(ParallelFanout, BackpressureBoundsThePublisher) {
+TEST(Pipeline, RingNeverExceedsItsFixedBound) {
+  PinnedThreads Pin(2);
   SlowTool Slow;
   EventDispatcher D;
   D.addTool(&Slow);
-  D.setParallelWorkers(1);
   D.start(nullptr);
-  ASSERT_TRUE(D.parallelActive());
-  // Dense, non-mergeable reads: every 256 fill a batch, and the slow
-  // consumer drains far behind the publisher's pace.
-  const uint64_t NumReads = 24 * EventDispatcher::DefaultBatchCapacity;
+  ASSERT_TRUE(D.pipelineActive());
+  // Dense, non-mergeable reads: the slow consumer drains far behind the
+  // producer, which must block rather than grow the ring.
+  const uint64_t NumReads = 3 * EventDispatcher::RingSlots *
+                            EventDispatcher::BatchWords;
   for (uint64_t I = 0; I != NumReads; ++I)
     D.enqueue(EventRecord::read(0, I + 1, 8 * I));
   D.finish();
   EXPECT_GT(D.backpressureBlocks(), 0u);
-  EXPECT_LE(D.maxQueueDepth(), D.ringSlots());
-  EXPECT_GE(D.ringSlots(), EventDispatcher::InitialRingSlots);
-  EXPECT_LE(D.ringSlots(), EventDispatcher::MaxRingSlots);
+  EXPECT_LE(D.maxQueueDepth(), EventDispatcher::RingSlots);
   // The join delivered everything despite the blocking.
   EXPECT_EQ(Slow.reads(), NumReads);
-}
-
-TEST(ParallelFanout, RingGrowsUnderSustainedBackpressure) {
-  // A publisher lapping a slow consumer for long enough must trip the
-  // adaptive growth: repeated backpressure doubles the ring (up to
-  // MaxRingSlots), trading bounded extra memory for fewer stalls —
-  // without losing or reordering a single event.
-  SlowTool Slow;
-  EventDispatcher D;
-  D.addTool(&Slow);
-  D.setParallelWorkers(1);
-  D.start(nullptr);
-  ASSERT_TRUE(D.parallelActive());
-  const uint64_t NumReads = 96 * EventDispatcher::DefaultBatchCapacity;
-  for (uint64_t I = 0; I != NumReads; ++I)
-    D.enqueue(EventRecord::read(0, I + 1, 8 * I));
-  D.finish();
-  EXPECT_GE(D.backpressureBlocks(), EventDispatcher::RingGrowthThreshold);
-  EXPECT_GE(D.ringGrowths(), 1u);
-  EXPECT_GT(D.ringSlots(), EventDispatcher::InitialRingSlots);
-  EXPECT_LE(D.ringSlots(), EventDispatcher::MaxRingSlots);
-  EXPECT_EQ(Slow.reads(), NumReads);
-}
-
-//===----------------------------------------------------------------------===//
-// Runtime batch capacity
-//===----------------------------------------------------------------------===//
-
-TEST(BatchCapacity, ValidatesAndReportsCapacity) {
-  EventDispatcher D;
-  EXPECT_EQ(D.batchCapacity(), EventDispatcher::DefaultBatchCapacity);
-  // Out of range or not a power of two: refused, capacity unchanged.
-  for (size_t Bad : {size_t(0), size_t(8), size_t(100), size_t(131072)}) {
-    EXPECT_FALSE(D.setBatchCapacity(Bad)) << Bad;
-    EXPECT_EQ(D.batchCapacity(), EventDispatcher::DefaultBatchCapacity);
-  }
-  EXPECT_TRUE(D.setBatchCapacity(EventDispatcher::MinBatchCapacity));
-  EXPECT_TRUE(D.setBatchCapacity(EventDispatcher::MaxBatchCapacity));
-  EXPECT_TRUE(D.setBatchCapacity(1024));
-  EXPECT_EQ(D.batchCapacity(), 1024u);
-  // Once events are buffered the resize is refused (it would drop them).
-  NulTool T;
-  D.addTool(&T);
-  D.start(nullptr);
-  D.enqueue(EventRecord::read(0, 1, 8));
-  EXPECT_FALSE(D.setBatchCapacity(256));
-  EXPECT_EQ(D.batchCapacity(), 1024u);
-  D.finish();
-}
-
-TEST(BatchCapacity, ReportsAreIdenticalAcrossCapacities) {
-  // Batch capacity moves flush boundaries (and with them where access
-  // runs stop merging), but every tool is compaction-invariant — so the
-  // rendered reports must be byte-identical at every legal capacity.
-  const std::vector<std::string> ToolNames = {"aprof-trms", "aprof-rms",
-                                              "memcheck", "callgrind"};
-  std::vector<EventRecord> Events = makeTrace(20000, 41);
-  std::vector<std::string> Baseline = reportsForRun(Events, ToolNames, 0);
-  for (size_t Capacity : {size_t(16), size_t(1024), size_t(65536)}) {
-    std::vector<std::string> Reports =
-        reportsForRun(Events, ToolNames, 0, Capacity);
-    ASSERT_EQ(Reports.size(), Baseline.size());
-    for (size_t I = 0; I != Baseline.size(); ++I)
-      EXPECT_EQ(Reports[I], Baseline[I])
-          << ToolNames[I] << " diverged at capacity " << Capacity;
-  }
-  // And in parallel mode, capacity and worker count compose cleanly.
-  std::vector<std::string> Parallel = reportsForRun(Events, ToolNames, 2, 64);
-  for (size_t I = 0; I != Baseline.size(); ++I)
-    EXPECT_EQ(Parallel[I], Baseline[I]) << ToolNames[I];
 }
 
 //===----------------------------------------------------------------------===//

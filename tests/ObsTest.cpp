@@ -228,10 +228,14 @@ TEST(ObsDispatcher, FlushCausesAndCompactionIdentity) {
   D.addTool(&Tool);
   D.start(nullptr);
 
-  // 600 non-adjacent reads: no merges, so the pending batch fills twice
-  // (capacity 256) leaving 88 events buffered.
+  // Non-adjacent reads of one word each: no merges, and a batch flushes
+  // once it holds BatchWords - MaxWordsPerRecord + 1 words, so this
+  // fills it twice and leaves 88 events buffered.
+  const uint64_t PerBatch =
+      EventDispatcher::BatchWords - Event::MaxWordsPerRecord + 1;
+  const uint64_t Reads = 2 * PerBatch + 88;
   uint64_t Time = 0;
-  for (Addr A = 0; A != 600; ++A)
+  for (Addr A = 0; A != Reads; ++A)
     D.enqueue(readAt(1, ++Time, 2 * A));
   EXPECT_EQ(D.flushCount(EventDispatcher::FlushCause::Capacity), 2u);
 
@@ -260,9 +264,9 @@ TEST(ObsDispatcher, FlushCausesAndCompactionIdentity) {
   // into a buffered one or was delivered.
   EXPECT_EQ(D.enqueuedEvents(),
             D.deliveredEvents() + D.accessMerges() + D.bbFolds());
-  EXPECT_EQ(D.enqueuedEvents(), 605u);
-  EXPECT_EQ(D.deliveredEvents(), 602u);
-  EXPECT_EQ(Tool.eventsSeen(), 602u);
+  EXPECT_EQ(D.enqueuedEvents(), Reads + 5);
+  EXPECT_EQ(D.deliveredEvents(), Reads + 2);
+  EXPECT_EQ(Tool.eventsSeen(), Reads + 2);
 }
 
 TEST(ObsDispatcher, LiveRunIdentityWithStatsOn) {
@@ -302,6 +306,44 @@ TEST(ObsDispatcher, LiveRunIdentityWithStatsOn) {
             D.totalFlushes());
 
   obs::setStatsEnabled(false);
+}
+
+TEST(ObsShadow, WtsAndTsChunkCachesPublishTallies) {
+  // Both shadow caches report hits and misses; the ts tallies include
+  // the workers, whose shadows are released when they end.
+  obs::setStatsEnabled(true);
+  obs::Registry::get().reset();
+  TrmsProfiler Profiler;
+  EventDispatcher D;
+  D.addTool(&Profiler);
+  RunResult R = compileAndRun(R"(
+    var table[64];
+    fn work(n) {
+      var local[16];
+      for (var i = 0; i < n; i = i + 1) {
+        local[i % 16] = table[i % 64] + i;
+        table[(i * 7) % 64] = local[(i * 3) % 16];
+      }
+      return local[1];
+    }
+    fn main() {
+      var a = spawn work(300);
+      var b = spawn work(300);
+      return join(a) + join(b) + work(100);
+    })",
+                              &D);
+  obs::setStatsEnabled(false);
+  ASSERT_TRUE(R.Ok) << R.Error;
+  std::map<std::string, uint64_t> C = obs::Registry::get().counterValues();
+  for (const char *Shadow : {"shadow.wts", "shadow.ts"}) {
+    std::string Hits = std::string(Shadow) + ".cache_hits";
+    std::string Misses = std::string(Shadow) + ".cache_misses";
+    ASSERT_TRUE(C.count(Hits) && C.count(Misses)) << Shadow;
+    EXPECT_GT(C.at(Misses), 0u) << Shadow;
+    // Globals and three threads' stacks are a handful of chunks, so
+    // the cache serves nearly every lookup.
+    EXPECT_GT(C.at(Hits), 20 * C.at(Misses)) << Shadow;
+  }
 }
 
 //===----------------------------------------------------------------------===//

@@ -13,6 +13,7 @@
 
 #include <iterator>
 #include <map>
+#include <set>
 
 using namespace isp;
 
@@ -150,6 +151,76 @@ TEST(ThreeLevelShadow, ClearInvalidatesChunkCache) {
   EXPECT_EQ(Shadow.bytesAllocated(), 0u);
   Shadow.set(123, 6);
   EXPECT_EQ(Shadow.get(123), 6u);
+}
+
+TEST(ShadowProperty, CollidingChunksMatchDenseAcrossClear) {
+  // Chunks that share one cache slot evict each other on every switch;
+  // every access must still see the right chunk, before and after
+  // clear() empties the cache.
+  using Shadow = ThreeLevelShadow<uint64_t>;
+  std::vector<Addr> Bases;
+  for (Addr Key = 0; Bases.size() != 12; ++Key)
+    if (Shadow::cacheSlotOf(Key * Shadow::ChunkCells) ==
+        Shadow::cacheSlotOf(0))
+      Bases.push_back(Key * Shadow::ChunkCells);
+  ASSERT_LE(Bases.back(), Shadow::MaxAddress);
+
+  Shadow Three;
+  DenseShadow<uint64_t> Dense;
+  Rng R(29);
+  for (int Round = 0; Round != 3; ++Round) {
+    for (int I = 0; I != 6000; ++I) {
+      Addr A = Bases[R.nextBelow(Bases.size())] +
+               R.nextBelow(Shadow::ChunkCells);
+      switch (R.nextBelow(4)) {
+      case 0: {
+        uint64_t V = R.next() | 1;
+        Three.set(A, V);
+        Dense.set(A, V);
+        break;
+      }
+      case 1:
+        ++Three.cell(A);
+        ++Dense.cell(A);
+        break;
+      case 2: {
+        uint64_t Cells = 1 + R.nextBelow(2 * Shadow::ChunkCells);
+        if (A + Cells - 1 > Shadow::MaxAddress)
+          break;
+        uint64_t V = R.next() | 1;
+        Three.fillRange(A, Cells, V);
+        Dense.fillRange(A, Cells, V);
+        break;
+      }
+      default:
+        ASSERT_EQ(Three.get(A), Dense.get(A)) << "round " << Round;
+      }
+    }
+    for (Addr Base : Bases)
+      for (Addr Off = 0; Off < Shadow::ChunkCells; Off += 37)
+        ASSERT_EQ(Three.get(Base + Off), Dense.get(Base + Off));
+    Three.clear();
+    Dense.clear();
+  }
+}
+
+TEST(ThreeLevelShadow, ChunkCacheHoldsInterleavedRegions) {
+  // A guest thread alternates between globals, the heap and its stack;
+  // once each chunk is cached, the alternation must not miss again.
+  using Shadow = ThreeLevelShadow<uint64_t>;
+  const Addr Regions[] = {16, Addr(1) << 22, (Addr(1) << 24) + (Addr(3) << 17)};
+  std::set<size_t> Slots;
+  for (Addr A : Regions)
+    Slots.insert(Shadow::cacheSlotOf(A));
+  ASSERT_EQ(Slots.size(), 3u) << "the three regions must not collide";
+  obs::setStatsEnabled(true);
+  Shadow S;
+  for (int I = 0; I != 1000; ++I)
+    for (Addr A : Regions)
+      ++S.cell(A + I % 64);
+  obs::setStatsEnabled(false);
+  EXPECT_EQ(S.cacheMisses(), 3u);
+  EXPECT_EQ(S.cacheHits(), 2997u);
 }
 
 TEST(DenseShadow, ClearResetsAccounting) {

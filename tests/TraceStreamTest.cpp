@@ -12,19 +12,24 @@
 //    chunk-level seek relies on;
 //  - the dispatcher RecordSink hook observes a stream byte-identical to
 //    the in-memory Recorded vector, and replaying a stream gives every
-//    tool the report in-memory replay gives;
+//    tool the report in-memory replay gives, with serial and with
+//    pipelined delivery;
 //  - writer memory (peakBufferedBytes) is bounded by one chunk no matter
 //    how many events stream through;
 //  - the file bytes match hashes pinned from the original writer;
 //  - adversarial inputs — truncated chunks, corrupt footer index,
-//    overlong varints, invalid kinds and thread ids inside a chunk (on
-//    both the fast and the bounds-checked decode path), chunk lengths
-//    past EOF — are rejected with a diagnostic, never crash, never
-//    allocate beyond what the actual payload bytes can back.
+//    overlong varints, invalid kinds, thread ids and guest addresses
+//    inside a chunk (on both the fast and the bounds-checked decode
+//    path), chunk lengths past EOF — are rejected with a diagnostic,
+//    never crash, never allocate beyond what the actual payload bytes
+//    can back.
 //
 //===----------------------------------------------------------------------===//
 
+#include "PinnedThreads.h"
+
 #include "core/TrmsProfiler.h"
+#include "tools/NulTool.h"
 #include "tools/ToolRegistry.h"
 #include "trace/Synthetic.h"
 #include "trace/TraceStream.h"
@@ -241,36 +246,42 @@ TEST(TraceStream, StreamedReplayMatchesInMemoryProfile) {
     std::string Path = tempPath("isprof_stream_profile.strm");
     writeStream(Path, Events, {}, SmallChunks);
 
-    for (const std::string &Name : allToolNames()) {
-      std::unique_ptr<Tool> InMemory = makeTool(Name);
-      std::unique_ptr<Tool> Streamed = makeTool(Name);
-      replayTraceBatched(Events, *InMemory);
+    // One hardware thread replays serially; four publish each chunk to
+    // the tool on a worker while the next one is decoded.
+    for (unsigned Hw : {1u, 4u}) {
+      for (const std::string &Name : allToolNames()) {
+        std::unique_ptr<Tool> InMemory = makeTool(Name);
+        std::unique_ptr<Tool> Streamed = makeTool(Name);
+        replayTraceBatched(Events, *InMemory);
+        TraceStreamReader Reader;
+        ASSERT_TRUE(Reader.open(Path)) << Reader.error();
+        ASSERT_GT(Reader.chunkCount(), 100u);
+        PinnedThreads Pin(Hw);
+        ASSERT_TRUE(replayTraceStream(Reader, *Streamed)) << Reader.error();
+        EXPECT_EQ(renderToolReport(*Streamed, nullptr),
+                  renderToolReport(*InMemory, nullptr))
+            << Name << ", seed " << Seed << ", " << Hw << " threads";
+      }
+
+      TrmsProfilerOptions ProfOpts;
+      ProfOpts.KeepActivationLog = true;
+      TrmsProfiler InMemory(ProfOpts);
+      replayTraceBatched(Events, InMemory);
+
       TraceStreamReader Reader;
       ASSERT_TRUE(Reader.open(Path)) << Reader.error();
-      ASSERT_GT(Reader.chunkCount(), 100u);
-      ASSERT_TRUE(replayTraceStream(Reader, *Streamed)) << Reader.error();
-      EXPECT_EQ(renderToolReport(*Streamed, nullptr),
-                renderToolReport(*InMemory, nullptr))
-          << Name << ", seed " << Seed;
+      TrmsProfiler Streamed(ProfOpts);
+      PinnedThreads Pin(Hw);
+      ASSERT_TRUE(replayTraceStream(Reader, Streamed)) << Reader.error();
+
+      const ProfileDatabase &A = InMemory.database();
+      const ProfileDatabase &B = Streamed.database();
+      ASSERT_EQ(A.log().size(), B.log().size());
+      for (size_t I = 0; I != A.log().size(); ++I)
+        ASSERT_EQ(A.log()[I], B.log()[I]) << "activation " << I;
+      EXPECT_EQ(A.GlobalReads, B.GlobalReads);
+      EXPECT_EQ(A.GlobalInducedThread, B.GlobalInducedThread);
     }
-
-    TrmsProfilerOptions ProfOpts;
-    ProfOpts.KeepActivationLog = true;
-    TrmsProfiler InMemory(ProfOpts);
-    replayTraceBatched(Events, InMemory);
-
-    TraceStreamReader Reader;
-    ASSERT_TRUE(Reader.open(Path)) << Reader.error();
-    TrmsProfiler Streamed(ProfOpts);
-    ASSERT_TRUE(replayTraceStream(Reader, Streamed)) << Reader.error();
-
-    const ProfileDatabase &A = InMemory.database();
-    const ProfileDatabase &B = Streamed.database();
-    ASSERT_EQ(A.log().size(), B.log().size());
-    for (size_t I = 0; I != A.log().size(); ++I)
-      ASSERT_EQ(A.log()[I], B.log()[I]) << "activation " << I;
-    EXPECT_EQ(A.GlobalReads, B.GlobalReads);
-    EXPECT_EQ(A.GlobalInducedThread, B.GlobalInducedThread);
     std::remove(Path.c_str());
   }
 }
@@ -339,37 +350,46 @@ TEST(TraceStreamGolden, FileBytesMatchPinnedHashes) {
       {false, size_t(1) << 16, 1, 0x66b939efe71d2b19ULL},
       {false, 256, 3, 0xfac476f5f2621c3dULL},
       {false, 256, 1, 0x0b75a25095196a80ULL},
-      {true, size_t(1) << 16, 3, 0xe58659d4caa2ec39ULL},
-      {true, size_t(1) << 16, 1, 0x2158b985a689e55bULL},
-      {true, 256, 3, 0x8833f3646ca18edcULL},
-      {true, 256, 1, 0x138c2bab432d9b52ULL},
+      // Through a sink the stream is the dispatcher's compacted one, so
+      // these also pin where 4,096-word batches stop access runs from
+      // merging (taken from the serial writer at that batch size).
+      {true, size_t(1) << 16, 3, 0xc7dce962919cd026ULL},
+      {true, size_t(1) << 16, 1, 0xecbfaaa1649f0488ULL},
+      {true, 256, 3, 0xfba7b50d64350fb7ULL},
+      {true, 256, 1, 0xc4097acefdacad75ULL},
   };
   std::string Path = tempPath("isprof_stream_golden.strm");
-  for (const Case &C : Cases) {
-    TraceStreamOptions Opts;
-    Opts.ChunkBytes = C.ChunkBytes;
-    Opts.FormatVersion = C.Version;
-    TraceStreamWriter Writer;
-    ASSERT_TRUE(Writer.open(Path, Routines, Opts)) << Writer.error();
-    if (C.ViaSink) {
-      EventDispatcher Dispatcher;
-      Dispatcher.setRecordSink(&Writer);
-      Dispatcher.start(nullptr);
-      for (const EventRecord &E : Events)
-        Dispatcher.enqueue(E);
-      Dispatcher.finish();
-    } else {
-      for (const EventRecord &E : Events)
-        Writer.append(E);
+  // The sink writes on the producer thread with one hardware thread and
+  // on a pipeline worker with two; the bytes must not care.
+  for (unsigned Hw : {1u, 2u})
+    for (const Case &C : Cases) {
+      TraceStreamOptions Opts;
+      Opts.ChunkBytes = C.ChunkBytes;
+      Opts.FormatVersion = C.Version;
+      TraceStreamWriter Writer;
+      ASSERT_TRUE(Writer.open(Path, Routines, Opts)) << Writer.error();
+      if (C.ViaSink) {
+        PinnedThreads Pin(Hw);
+        EventDispatcher Dispatcher;
+        Dispatcher.setRecordSink(&Writer);
+        Dispatcher.start(nullptr);
+        EXPECT_EQ(Dispatcher.pipelineActive(), Hw >= 2);
+        for (const EventRecord &E : Events)
+          Dispatcher.enqueue(E);
+        Dispatcher.finish();
+      } else {
+        for (const EventRecord &E : Events)
+          Writer.append(E);
+      }
+      ASSERT_TRUE(Writer.close()) << Writer.error();
+      EXPECT_GT(Writer.chunksWritten(), C.ChunkBytes == 256 ? 100u : 1u);
+      uint64_t Hash = fnv1a(readFile(Path));
+      EXPECT_EQ(Hash, C.Hash) << std::hex << "actual 0x" << Hash
+                              << (C.ViaSink ? " via sink" : " via append")
+                              << std::dec << ", " << C.ChunkBytes
+                              << "-byte chunks, v" << C.Version << ", "
+                              << Hw << " threads";
     }
-    ASSERT_TRUE(Writer.close()) << Writer.error();
-    EXPECT_GT(Writer.chunksWritten(), C.ChunkBytes == 256 ? 100u : 1u);
-    uint64_t Hash = fnv1a(readFile(Path));
-    EXPECT_EQ(Hash, C.Hash) << std::hex << "actual 0x" << Hash
-                            << (C.ViaSink ? " via sink" : " via append")
-                            << std::dec << ", " << C.ChunkBytes
-                            << "-byte chunks, v" << C.Version;
-  }
   std::remove(Path.c_str());
 }
 
@@ -533,6 +553,94 @@ TEST(TraceStreamHardening, RejectsInvalidKindAndThreadId) {
   for (int I = 0; I != 3; ++I)
     appendVarint(BigTid, 0);
   expectOnBothDecodePaths(BigTid, "corrupt chunk: thread id out of range");
+}
+
+/// Zigzag encoding of \p V's delta from the per-chunk Arg0 predictor,
+/// which starts at 0.
+uint64_t zigzagFromZero(uint64_t V) {
+  return (V << 1) ^ static_cast<uint64_t>(static_cast<int64_t>(V) >> 63);
+}
+
+/// One encoded event of \p Kind with the given address arguments.
+std::string encodedEvent(EventKind Kind, uint64_t Arg0, uint64_t Arg1) {
+  std::string Out;
+  Out.push_back(static_cast<char>(Kind));
+  appendVarint(Out, 0); // tid
+  appendVarint(Out, 1); // time delta
+  appendVarint(Out, zigzagFromZero(Arg0));
+  appendVarint(Out, Arg1);
+  return Out;
+}
+
+TEST(TraceStreamHardening, RejectsAddressesPastTheGuestSpace) {
+  // An access the shadow memories cannot hold must end in a diagnostic,
+  // not in the shadow's assert, for every addressing kind.
+  const Addr Max = MaxGuestAddress;
+  const std::string OutOfRange = "corrupt chunk: address out of range";
+  expectOnBothDecodePaths(
+      encodedEvent(EventKind::Read, uint64_t(0x10000000000), 1), OutOfRange);
+  expectOnBothDecodePaths(encodedEvent(EventKind::Write, Max, 2), OutOfRange);
+  expectOnBothDecodePaths(encodedEvent(EventKind::KernelRead, Max + 1, 0),
+                          OutOfRange);
+  expectOnBothDecodePaths(encodedEvent(EventKind::KernelWrite, 0, Max + 2),
+                          OutOfRange);
+  expectOnBothDecodePaths(encodedEvent(EventKind::Alloc, 16, Max), OutOfRange);
+  expectOnBothDecodePaths(encodedEvent(EventKind::Free, Max + 1, 0),
+                          OutOfRange);
+  // A range whose end wraps 2^64 back into the address space.
+  expectOnBothDecodePaths(encodedEvent(EventKind::Read, ~uint64_t(0), 2),
+                          OutOfRange);
+  expectOnBothDecodePaths(
+      encodedEvent(EventKind::Write, uint64_t(1) << 63, uint64_t(1) << 63),
+      OutOfRange);
+  // The last cell, the whole space, and a Free's ignored count pass.
+  expectOnBothDecodePaths(encodedEvent(EventKind::Read, Max, 1), "");
+  expectOnBothDecodePaths(encodedEvent(EventKind::Write, 0, Max + 1), "");
+  expectOnBothDecodePaths(encodedEvent(EventKind::Free, Max, ~uint64_t(0)),
+                          "");
+}
+
+TEST(TraceStreamHardening, CorruptChunkUnderPipelinedReplayIsReported) {
+  // A mid-stream chunk addressing past the guest space: the pipelined
+  // replay stops there with the chunk's diagnostic, the worker is
+  // joined, and the tool saw exactly the chunks before it.
+  std::vector<EventRecord> Events = makeTrace(3000, 24);
+  TraceStreamOptions SmallChunks;
+  SmallChunks.ChunkBytes = 1024;
+  std::string Path = tempPath("isprof_stream_pipelined_bad.strm");
+  TraceStreamWriter Writer;
+  ASSERT_TRUE(Writer.open(Path, {}, SmallChunks));
+  for (size_t I = 0; I != Events.size(); ++I) {
+    Writer.append(Events[I]);
+    if (I == Events.size() / 2)
+      Writer.append(EventRecord::read(Events[I].Tid, Events[I].Time,
+                                      uint64_t(0x10000000000)));
+  }
+  ASSERT_TRUE(Writer.close()) << Writer.error();
+
+  TraceStreamReader Reader;
+  ASSERT_TRUE(Reader.open(Path)) << Reader.error();
+  size_t BadChunk = Reader.chunkCount();
+  uint64_t EventsBefore = 0;
+  std::vector<EventRecord> Chunk;
+  for (size_t I = 0; I != Reader.chunkCount(); ++I) {
+    if (!Reader.readChunk(I, Chunk)) {
+      BadChunk = I;
+      break;
+    }
+    EventsBefore += Chunk.size();
+  }
+  ASSERT_GT(BadChunk, 0u);
+  ASSERT_LT(BadChunk + 1, Reader.chunkCount());
+
+  PinnedThreads Pin(4);
+  NulTool Tool;
+  ASSERT_TRUE(Reader.open(Path)) << Reader.error();
+  EXPECT_FALSE(replayTraceStream(Reader, Tool));
+  EXPECT_EQ(Reader.error(), "corrupt chunk: address out of range");
+  EXPECT_EQ(Reader.cursor() - 1, BadChunk);
+  EXPECT_EQ(Tool.eventsSeen(), EventsBefore);
+  std::remove(Path.c_str());
 }
 
 TEST(TraceStreamHardening, RejectsChunkLengthPastEOF) {

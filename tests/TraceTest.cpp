@@ -590,16 +590,16 @@ TEST(TraceCodecHardening, BitFlipFuzzNeverCrashes) {
 }
 
 TEST(TraceCodecHardening, ExtremeFieldValuesRoundTrip) {
+  // Arguments that carry no guest address may take any 64-bit value.
   TraceData Data;
   Data.Routines = {{UINT32_MAX, "edge"}};
   EventRecord E;
-  E.Kind = EventKind::Write;
+  E.Kind = EventKind::Return;
   E.Tid = UINT32_MAX;
   E.Time = UINT64_MAX - 1;
   E.Arg0 = UINT64_MAX;
   E.Arg1 = UINT64_MAX;
   EventRecord E2 = E;
-  E2.Kind = EventKind::Read;
   E2.Time = UINT64_MAX;
   E2.Arg0 = 0; // forces a maximal negative zigzag delta
   Data.Events = {E, E2};
@@ -610,6 +610,37 @@ TEST(TraceCodecHardening, ExtremeFieldValuesRoundTrip) {
     EXPECT_EQ(Back.Routines, Data.Routines);
     EXPECT_EQ(Back.Events, Data.Events);
   }
+}
+
+TEST(TraceCodecHardening, RejectsAddressesPastTheGuestSpace) {
+  // Memory events must stay inside the shadowable guest space; a range
+  // check that could wrap would let [2^64 - 1, +2) through.
+  const Addr Max = MaxGuestAddress;
+  struct Case {
+    EventKind Kind;
+    uint64_t Arg0, Arg1;
+    bool Ok;
+  };
+  const Case Cases[] = {
+      {EventKind::Read, Max, 1, true},
+      {EventKind::Read, Max, 2, false},
+      {EventKind::Write, 0, Max + 1, true},
+      {EventKind::Write, 0, Max + 2, false},
+      {EventKind::KernelRead, Max + 1, 0, false},
+      {EventKind::KernelWrite, uint64_t(1) << 40, 1, false},
+      {EventKind::Alloc, 16, ~uint64_t(0), false},
+      {EventKind::Read, ~uint64_t(0), 2, false},
+      {EventKind::Free, Max, ~uint64_t(0), true},
+      {EventKind::Free, Max + 1, 0, false},
+  };
+  for (const Case &C : Cases)
+    for (TraceFormat Format : {TraceFormat::Raw, TraceFormat::Compressed}) {
+      TraceData Data;
+      Data.Events = {{C.Kind, 0, 1, C.Arg0, C.Arg1}};
+      TraceData Back;
+      EXPECT_EQ(deserializeTrace(serializeTrace(Data, Format), Back), C.Ok)
+          << eventKindName(C.Kind) << " " << C.Arg0 << " +" << C.Arg1;
+    }
 }
 
 } // namespace

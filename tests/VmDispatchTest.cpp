@@ -31,12 +31,9 @@ struct RunCapture {
   RunResult Result;
 };
 
-RunCapture runWith(const Program &Prog, MachineOptions Opts,
-                   size_t BatchCapacity = 0) {
+RunCapture runWith(const Program &Prog, MachineOptions Opts) {
   RunCapture Out;
   EventDispatcher Dispatcher;
-  if (BatchCapacity != 0)
-    Dispatcher.setBatchCapacity(BatchCapacity);
   Dispatcher.enableRecording();
   Machine M(Prog, &Dispatcher, Opts);
   Out.Result = M.run();
@@ -75,8 +72,7 @@ void expectEquivalent(const RunCapture &A, const RunCapture &B,
 /// can also assert engagement. With \p ExpectOk false the guest is
 /// expected to fail, identically, in every mode.
 RunCapture checkAllModes(const std::string &Source, bool Optimize = false,
-                         uint64_t SliceLength = 150,
-                         size_t BatchCapacity = 0, bool ExpectOk = true) {
+                         uint64_t SliceLength = 150, bool ExpectOk = true) {
   DiagnosticEngine Diags;
   std::optional<Program> Prog = compileProgram(Source, Diags);
   EXPECT_TRUE(Prog.has_value()) << Diags.render();
@@ -104,7 +100,7 @@ RunCapture checkAllModes(const std::string &Source, bool Optimize = false,
     MachineOptions Opts = Base;
     Opts.Dispatch = C.Dispatch;
     Opts.BlockCompile = C.BlockCompile;
-    RunCapture Capture = runWith(*Prog, Opts, BatchCapacity);
+    RunCapture Capture = runWith(*Prog, Opts);
     EXPECT_EQ(Capture.Result.Ok, ExpectOk)
         << C.Name << ": " << Capture.Result.Error;
     if (C.BlockCompile)
@@ -185,12 +181,18 @@ TEST(DispatchEquivalence, MultiThreadedGuestAcrossSliceLengths) {
   checkAllModes(Source, /*Optimize=*/true, /*SliceLength=*/150);
 }
 
-TEST(DispatchEquivalence, TinyBatchCapacityKeepsFlushTimingExact) {
-  // With a 16-word batch, templated runs frequently do not fit the
-  // pending batch; the fast path must fall back rather than flush
-  // early, keeping batch boundaries — and the recorded words — exact.
-  checkAllModes(StraightLineHeavySource, /*Optimize=*/false,
-                /*SliceLength=*/150, /*BatchCapacity=*/16);
+TEST(DispatchEquivalence, LongRunKeepsFlushTimingExactAcrossBatches) {
+  // A run long enough to fill many batches: templated runs regularly
+  // meet a nearly full batch, and the fast path must fall back rather
+  // than flush early, keeping batch boundaries — and the recorded words
+  // — exact.
+  std::string Source = StraightLineHeavySource;
+  size_t At = Source.find("i < 200");
+  ASSERT_NE(At, std::string::npos);
+  Source.replace(At, 7, "i < 6000");
+  RunCapture Block = checkAllModes(Source);
+  EXPECT_GT(Block.Words.size(), 8 * EventDispatcher::BatchWords)
+      << "the run must span many batches";
 }
 
 TEST(DispatchEquivalence, IndirectAndBuiltinGuest) {
@@ -238,7 +240,7 @@ TEST(DispatchEquivalence, DivideByZeroMidRunFailsIdentically) {
     })";
   RunCapture Block =
       checkAllModes(Source, /*Optimize=*/false, /*SliceLength=*/150,
-                    /*BatchCapacity=*/0, /*ExpectOk=*/false);
+                    /*ExpectOk=*/false);
   EXPECT_GT(Block.Result.Stats.CompiledBlockRuns, 0u)
       << "the failing run must have engaged the fast path";
 }
@@ -260,7 +262,7 @@ TEST(DispatchEquivalence, InvalidIndirectAddressMidRunFailsIdentically) {
     })";
   RunCapture Block =
       checkAllModes(Source, /*Optimize=*/false, /*SliceLength=*/150,
-                    /*BatchCapacity=*/0, /*ExpectOk=*/false);
+                    /*ExpectOk=*/false);
   EXPECT_GT(Block.Result.Stats.CompiledBlockRuns, 0u)
       << "the failing run must have engaged the fast path";
 }
