@@ -11,6 +11,7 @@
 #include "instr/SymbolTable.h"
 #include "obs/Obs.h"
 #include "obs/TraceLog.h"
+#include "trace/CallStacks.h"
 #include "trace/TraceStream.h"
 
 #include <algorithm>
@@ -30,6 +31,61 @@ std::string fileLabel(const std::string &Path) {
 std::string fileName(const std::string &Path) {
   return std::filesystem::path(Path).filename().string();
 }
+
+/// Forwarding state of a routine-filtered ingest: the Calls forwarded
+/// to the profiler per thread, and how many filtered activations are
+/// open among them.
+struct ForwardedCalls {
+  CallStacks Stacks;
+  uint64_t InFlight = 0;
+  /// Mask bits of the filtered routines (bit `Id & 63`) and their ids.
+  uint64_t FilterMask = 0;
+  std::set<uint64_t> MatchedIds;
+
+  bool matches(uint64_t Rtn) const {
+    return ((FilterMask >> (Rtn & 63)) & 1) != 0 && MatchedIds.count(Rtn);
+  }
+
+  /// Tracks the Calls and Returns of a decoded chunk and drops, in
+  /// place, the words of every Return that closes no forwarded Call: the
+  /// frames a skipped chunk opened. Returns the number of Returns
+  /// dropped. No tool rebuilds event times (Tool::handleBatch), so the
+  /// words after a dropped Return need no time-base fix-up.
+  size_t forward(std::vector<Event> &Words) {
+    Event *W = Words.data();
+    const size_t N = Words.size();
+    size_t Kept = 0, Dropped = 0;
+    for (size_t I = 0; I != N;) {
+      const Event &M = W[I];
+      size_t Len = !M.isEscape() && M.hasFollow() && I + 1 != N ? 2 : 1;
+      bool Keep = true;
+      if (!M.isEscape() && (M.kind() == EventKind::Call ||
+                            M.kind() == EventKind::Return)) {
+        ThreadId Tid = M.inlineTid();
+        if (Len == 2 && W[I + 1].TimeLow != 0)
+          Tid = W[I + 1].TimeLow;
+        if (M.kind() == EventKind::Call) {
+          Stacks.call(Tid, M.Arg);
+          if (matches(M.Arg))
+            InFlight += 1;
+        } else if (!Stacks.popMatching(Tid, M.Arg)) {
+          Keep = false;
+          Dropped += 1;
+        } else if (matches(M.Arg) && InFlight > 0) {
+          InFlight -= 1;
+        }
+      }
+      if (Keep) {
+        if (Kept != I)
+          std::copy(W + I, W + I + Len, W + Kept);
+        Kept += Len;
+      }
+      I += Len;
+    }
+    Words.resize(Kept);
+    return Dropped;
+  }
+};
 
 } // namespace
 
@@ -53,24 +109,22 @@ bool Collector::ingestOne(const std::string &Path, unsigned ThreadBudget) {
     // this stream's id space. Zero with a non-empty filter means no
     // filtered routine exists here at all — every chunk is skippable.
     bool UseFilter = !Opts.RoutineFilter.empty();
-    uint64_t FilterMask = 0;
-    std::set<uint64_t> MatchedIds;
+    ForwardedCalls Forwarded;
     if (UseFilter)
       for (const auto &[Id, Name] : Reader.routines())
         if (std::find(Opts.RoutineFilter.begin(), Opts.RoutineFilter.end(),
                       Name) != Opts.RoutineFilter.end()) {
-          FilterMask |= uint64_t(1) << (Id & 63);
-          MatchedIds.insert(Id);
+          Forwarded.FilterMask |= uint64_t(1) << (Id & 63);
+          Forwarded.MatchedIds.insert(Id);
         }
 
     TrmsProfilerOptions ProfOpts;
     ProfOpts.KeepActivationLog = true;
     TrmsProfiler Profiler(ProfOpts);
-    // Unfiltered ingest publishes each decoded chunk as one batch: a
-    // chunk decodes standalone and already holds the compacted stream.
-    // Filtered ingest edits the event sequence (Returns that close
-    // skipped frames are dropped), so it re-enqueues what it keeps.
-    // Either way the profiler consumes on a worker while this thread
+    // Each decoded chunk is published as one batch: a chunk decodes
+    // standalone and already holds the compacted stream. Filtered ingest
+    // first drops, in place, the words of Returns that close skipped
+    // frames. The profiler consumes on a worker while this thread
     // decodes, if this stream's share of the host leaves one free.
     EventDispatcher Dispatcher(ThreadBudget);
     Dispatcher.addTool(&Profiler);
@@ -99,7 +153,7 @@ bool Collector::ingestOne(const std::string &Path, unsigned ThreadBudget) {
     //
     // Skipping tears holes in the call stack: a skipped chunk may open
     // frames whose Returns land in decoded chunks. The per-thread
-    // shadow stack below tracks only the calls actually forwarded; a
+    // stacks of Forwarded track only the calls actually forwarded; a
     // Return that does not match the forwarded top must close a frame
     // opened in a skipped chunk (traces are well-nested per thread, and
     // no frame opened in a skipped chunk can close inside a filtered
@@ -118,7 +172,7 @@ bool Collector::ingestOne(const std::string &Path, unsigned ThreadBudget) {
       ShardActivityMask Acc = {};
       for (size_t C = N; C-- > 0;) {
         SuffixTargets[C] = Acc;
-        if ((Reader.chunkRoutineMask(C) & FilterMask) != 0) {
+        if ((Reader.chunkRoutineMask(C) & Forwarded.FilterMask) != 0) {
           const ShardActivityMask &S = Reader.chunkShardMask(C);
           for (size_t W = 0; W != Acc.size(); ++W)
             Acc[W] |= S[W];
@@ -136,14 +190,12 @@ bool Collector::ingestOne(const std::string &Path, unsigned ThreadBudget) {
       return true;
     };
 
-    uint64_t InFlight = 0;
-    std::vector<std::vector<uint64_t>> Stacks;
     std::vector<Event> Chunk;
     while (true) {
       ErrChunk = Reader.cursor();
-      if (UseFilter && Reader.hasActivityMasks() && InFlight == 0 &&
+      if (UseFilter && Reader.hasActivityMasks() && Forwarded.InFlight == 0 &&
           ErrChunk < Reader.chunkCount() &&
-          (Reader.chunkRoutineMask(ErrChunk) & FilterMask) == 0 &&
+          (Reader.chunkRoutineMask(ErrChunk) & Forwarded.FilterMask) == 0 &&
           WritesNothingRetained(ErrChunk)) {
         Reader.seek(ErrChunk + 1);
         LocalSkipped += 1;
@@ -152,30 +204,11 @@ bool Collector::ingestOne(const std::string &Path, unsigned ThreadBudget) {
       if (!Reader.nextChunk(Chunk))
         break;
       LocalRead += 1;
-      LocalEvents += Reader.chunkEvents(ErrChunk);
-      if (!UseFilter) {
-        Dispatcher.publishChunk(Chunk, Reader.chunkEvents(ErrChunk));
-        continue;
-      }
-      EventStreamView View(Chunk);
-      for (EventRecord E; View.next(E);) {
-        if (E.Kind == EventKind::Call) {
-          if (E.Tid >= Stacks.size())
-            Stacks.resize(static_cast<size_t>(E.Tid) + 1);
-          Stacks[E.Tid].push_back(E.Arg0);
-          if (MatchedIds.count(E.Arg0))
-            InFlight += 1;
-        } else if (E.Kind == EventKind::Return) {
-          std::vector<uint64_t> *S =
-              E.Tid < Stacks.size() ? &Stacks[E.Tid] : nullptr;
-          if (!S || S->empty() || S->back() != E.Arg0)
-            continue; // closes a frame opened in a skipped chunk
-          S->pop_back();
-          if (MatchedIds.count(E.Arg0) && InFlight > 0)
-            InFlight -= 1;
-        }
-        Dispatcher.enqueue(E);
-      }
+      uint64_t Events = Reader.chunkEvents(ErrChunk);
+      LocalEvents += Events;
+      if (UseFilter)
+        Events -= Forwarded.forward(Chunk);
+      Dispatcher.publishChunk(Chunk, Events);
     }
     Ok = Reader.error().empty();
     // The run finishes even on error so the dispatcher joins its worker

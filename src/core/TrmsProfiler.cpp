@@ -44,6 +44,12 @@ void TrmsProfilerT<ShadowT, WtsShadowT>::onStart(const SymbolTable *Symbols) {
 }
 
 template <typename ShadowT, typename WtsShadowT>
+void TrmsProfilerT<ShadowT, WtsShadowT>::handleBatch(const Event *Words,
+                                                     size_t Count) {
+  walkBatch(*this, Words, Count);
+}
+
+template <typename ShadowT, typename WtsShadowT>
 typename TrmsProfilerT<ShadowT, WtsShadowT>::ThreadState &
 TrmsProfilerT<ShadowT, WtsShadowT>::stateSlow(ThreadId Tid) {
   if (Tid >= Threads.size())
@@ -196,6 +202,14 @@ void TrmsProfilerT<ShadowT, WtsShadowT>::onRead(ThreadId Tid, Addr A, uint64_t C
   Frame &Top = TS.Stack.back();
   const uint64_t CountNow = Count;
   TS.Ts.forRange(A, Cells, [&](Addr Address, uint64_t &TsCell) {
+    // Redundancy suppression: a cell this thread already accessed at the
+    // current counter value changes no state. Every wts is at most the
+    // counter and so is the top frame's ts, so with ts == count neither
+    // first-access test below can fire, and the store would rewrite the
+    // cell with its own value. Renumbering restarts the counter above
+    // every renumbered stamp, so only a stamp taken since then can match.
+    if (TsCell == CountNow)
+      return;
     uint64_t WPacked = Wts.get(Address);
     uint64_t WTime = wtsTime(WPacked);
 
@@ -369,6 +383,8 @@ void TrmsProfilerT<ShadowT, WtsShadowT>::replayApplyMemOp(
   // smaller indices) can never reallocate it under this reference.
   TrmsReplayDeltas::FrameDelta &TopD = D.frame(Op.Tid, TopIndex);
   TS.Ts.forRange(A, Cells, [&](Addr Address, uint64_t &TsCell) {
+    if (TsCell == CountNow)
+      return; // as in onRead: the access changes no state
     uint64_t WPacked = Wts.get(Address);
     uint64_t WTime = wtsTime(WPacked);
 

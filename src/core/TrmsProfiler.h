@@ -126,10 +126,14 @@ struct TrmsReplayDeltas {
 /// keep the plain layout. Use the TrmsProfiler alias for the paper's
 /// configuration and ShardedTrmsProfiler for the sharded wts.
 template <typename ShadowT, typename WtsShadowT = ShadowT>
-class TrmsProfilerT : public Tool {
+class TrmsProfilerT final : public Tool {
 public:
   explicit TrmsProfilerT(TrmsProfilerOptions Opts = TrmsProfilerOptions());
   ~TrmsProfilerT() override;
+
+  /// Walks the batch as this type, so every callback below is called
+  /// directly (defined beside them, where they can inline).
+  void handleBatch(const Event *Words, size_t Count) override;
 
   void onStart(const SymbolTable *Symbols) override;
   void onFinish() override;

@@ -101,10 +101,9 @@ public:
   /// relying on RTTI.)
   virtual class ProfileDatabase *profileDatabase() { return nullptr; }
 
-  /// Dispatches one decoded trace event to the matching callback.
-  /// Defined inline so the decode switch disappears into the batch loop
-  /// below — the per-event cost of a batch is then one predicted switch
-  /// plus the virtual callback itself.
+  /// Dispatches one decoded trace event to the matching callback: the
+  /// per-event reference form, used by replayTrace, parallel replay and
+  /// the tests that check the batch walk against it.
   void handleEvent(const EventRecord &E) {
     switch (E.Kind) {
     case EventKind::ThreadStart:
@@ -159,17 +158,100 @@ public:
     ISP_UNREACHABLE("unknown event kind");
   }
 
-  /// Dispatches a batch of \p Count packed stream words in order,
-  /// decoding as it goes. A batch is a flushed dispatcher batch or a
-  /// decoded trace-stream chunk; either decodes standalone.
-  /// Non-virtual on purpose: batched delivery is a substrate
-  /// optimization (one call per flush instead of one per event), not a
-  /// semantic extension point — a batch is always observationally
-  /// identical to dispatching its decoded events one by one.
-  void handleBatch(const Event *Words, size_t Count) {
-    EventStreamView V(Words, Count);
-    for (EventRecord E; V.next(E);)
-      handleEvent(E);
+  /// Dispatches a batch of \p Count packed stream words in order. A
+  /// batch is a flushed dispatcher batch or a decoded trace-stream chunk;
+  /// either decodes standalone. Every tool sees exactly the callbacks
+  /// that decoding the words and calling handleEvent on each record
+  /// would give it. The default body is walkBatch over Tool, so each
+  /// callback is a virtual call; a `final` tool overrides this with the
+  /// one line `walkBatch(*this, Words, Count)`, which instantiates the
+  /// walk for its own type and so calls (and can inline) its callbacks
+  /// directly.
+  virtual void handleBatch(const Event *Words, size_t Count) {
+    walkBatch(*this, Words, Count);
+  }
+
+protected:
+  /// The one walk over packed words behind every handleBatch. It skips
+  /// time-base escape words and never rebuilds an event's time (no
+  /// callback takes one), reads the second argument and a spilled
+  /// thread id from a follow-on word, and stops at a record whose
+  /// follow-on word is cut off by the end of the batch — exactly the
+  /// records EventDecoder yields. \p ToolT is the static type the
+  /// callbacks are called through.
+  template <typename ToolT>
+  ISP_ALWAYS_INLINE static void walkBatch(ToolT &T, const Event *Words,
+                                          size_t Count) {
+    const Event *W = Words;
+    const Event *const End = Words + Count;
+    while (W != End) {
+      const Event &M = *W++;
+      if (M.isEscape())
+        continue;
+      const EventKind K = M.kind();
+      ThreadId Tid = M.inlineTid();
+      uint64_t Second = eventSecondaryDefault(K);
+      if (M.hasFollow()) {
+        if (W == End)
+          return; // the record's follow-on word is cut off
+        Second = W->Arg;
+        if (W->TimeLow != 0)
+          Tid = W->TimeLow;
+        ++W;
+      }
+      switch (K) {
+      case EventKind::ThreadStart:
+        T.onThreadStart(Tid, static_cast<ThreadId>(M.Arg));
+        continue;
+      case EventKind::ThreadEnd:
+        T.onThreadEnd(Tid);
+        continue;
+      case EventKind::Call:
+        T.onCall(Tid, static_cast<RoutineId>(M.Arg));
+        continue;
+      case EventKind::Return:
+        T.onReturn(Tid, static_cast<RoutineId>(M.Arg));
+        continue;
+      case EventKind::BasicBlock:
+        // The main word carries a block's count (see trace/Event.h).
+        T.onBasicBlock(Tid, M.Arg);
+        continue;
+      case EventKind::Read:
+        T.onRead(Tid, M.Arg, Second);
+        continue;
+      case EventKind::Write:
+        T.onWrite(Tid, M.Arg, Second);
+        continue;
+      case EventKind::KernelRead:
+        T.onKernelRead(Tid, M.Arg, Second);
+        continue;
+      case EventKind::KernelWrite:
+        T.onKernelWrite(Tid, M.Arg, Second);
+        continue;
+      case EventKind::SyncAcquire:
+        T.onSyncAcquire(Tid, static_cast<SyncId>(M.Arg), Second != 0);
+        continue;
+      case EventKind::SyncRelease:
+        T.onSyncRelease(Tid, static_cast<SyncId>(M.Arg), Second != 0);
+        continue;
+      case EventKind::ThreadCreate:
+        T.onThreadCreate(Tid, static_cast<ThreadId>(M.Arg));
+        continue;
+      case EventKind::ThreadJoin:
+        T.onThreadJoin(Tid, static_cast<ThreadId>(M.Arg));
+        continue;
+      case EventKind::Alloc:
+        T.onAlloc(Tid, M.Arg, Second);
+        continue;
+      case EventKind::Free:
+        T.onFree(Tid, M.Arg);
+        continue;
+      case EventKind::ThreadSwitch:
+        T.onThreadSwitch(static_cast<ThreadId>(M.Arg));
+        continue;
+      }
+      ISP_UNREACHABLE("unknown event kind");
+    }
   }
 };
 

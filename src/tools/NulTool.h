@@ -21,9 +21,12 @@
 
 namespace isp {
 
-class NulTool : public Tool {
+class NulTool final : public Tool {
 public:
   std::string name() const override { return "nulgrind"; }
+  void handleBatch(const Event *Words, size_t Count) override {
+    walkBatch(*this, Words, Count);
+  }
   /// One private counter; safe on any fixed worker.
   ToolAffinity threadAffinity() const override {
     return ToolAffinity::AnyWorker;

@@ -6,6 +6,8 @@
 
 #include "trace/TraceFile.h"
 
+#include "trace/CallStacks.h"
+
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
@@ -243,10 +245,18 @@ std::string isp::serializeTrace(const TraceData &Data, TraceFormat Format) {
                                            : serializeRaw(Data);
 }
 
-bool isp::deserializeTrace(const std::string &Bytes, TraceData &Data) {
-  if (Bytes.size() >= sizeof(MagicV2) &&
-      std::memcmp(Bytes.data(), MagicV2, sizeof(MagicV2)) == 0)
-    return deserializeCompressed(Bytes, Data);
+/// True when every Return closes its thread's innermost open Call (or
+/// finds no open Call): the nesting the profilers assert on.
+static bool callsWellNested(const std::vector<EventRecord> &Events) {
+  CallStacks Nesting;
+  for (const EventRecord &E : Events)
+    if (CallStacks::movesStacks(E.Kind) &&
+        !Nesting.noteEvent(E.Kind, E.Tid, E.Arg0))
+      return false;
+  return true;
+}
+
+static bool deserializeRaw(const std::string &Bytes, TraceData &Data) {
   ByteReader R(Bytes.data(), Bytes.size());
   char Header[8];
   if (!R.readBytes(Header, sizeof(Header)) ||
@@ -297,6 +307,14 @@ bool isp::deserializeTrace(const std::string &Bytes, TraceData &Data) {
     Data.Events.push_back(E);
   }
   return R.atEnd();
+}
+
+bool isp::deserializeTrace(const std::string &Bytes, TraceData &Data) {
+  bool Compressed = Bytes.size() >= sizeof(MagicV2) &&
+                    std::memcmp(Bytes.data(), MagicV2, sizeof(MagicV2)) == 0;
+  return (Compressed ? deserializeCompressed(Bytes, Data)
+                     : deserializeRaw(Bytes, Data)) &&
+         callsWellNested(Data.Events);
 }
 
 bool isp::writeTraceFile(const std::string &Path, const TraceData &Data,

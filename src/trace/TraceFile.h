@@ -43,8 +43,9 @@ bool writeTraceFile(const std::string &Path, const TraceData &Data,
                     TraceFormat Format = TraceFormat::Compressed);
 
 /// Reads a trace from \p Path into \p Data. Returns false on I/O failure,
-/// a malformed/mismatched header, or an event addressing past the guest
-/// address space (eventAddressesInRange).
+/// a malformed/mismatched header, an event addressing past the guest
+/// address space (eventAddressesInRange), or a Return that does not close
+/// its thread's innermost open Call (trace/CallStacks.h).
 bool readTraceFile(const std::string &Path, TraceData &Data);
 
 /// In-memory round trip used by tests and by tools that pipe traces

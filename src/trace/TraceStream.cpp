@@ -407,6 +407,8 @@ bool TraceStreamReader::open(const std::string &Path) {
   FooterOffset = 0;
   Version = 0;
   Cursor = 0;
+  Nesting.clear();
+  NestingNext = 0;
   File = std::fopen(Path.c_str(), "rb");
   if (!File)
     return fail("cannot open '" + Path + "'");
@@ -582,6 +584,12 @@ bool TraceStreamReader::readChunk(size_t I, std::vector<Event> &Out) {
     return Corrupt("corrupt chunk: event count exceeds payload bytes");
   if (EventCount != Meta.Events)
     return Corrupt("corrupt chunk: event count disagrees with footer index");
+  // Chunk 0 starts a new in-order pass; any chunk but the pass's next
+  // ends nesting checks for it.
+  if (I == 0)
+    Nesting.clear();
+  bool CheckNesting = I == 0 || I == NestingNext;
+  NestingNext = CheckNesting ? I + 1 : NoNestingPass;
   // Per-chunk delta state: every chunk decodes from a clean slate —
   // both the on-disk delta codec and the packed word encoder, so each
   // chunk's word run also decodes standalone.
@@ -623,6 +631,11 @@ bool TraceStreamReader::readChunk(size_t I, std::vector<Event> &Out) {
                                  unzigzag(Arg0Delta));
     if (!eventAddressesInRange(static_cast<EventKind>(KindByte), Arg0, Arg1))
       return Corrupt("corrupt chunk: address out of range");
+    if (ISP_UNLIKELY(CheckNesting && CallStacks::movesStacks(
+                                         static_cast<EventKind>(KindByte))) &&
+        !Nesting.noteEvent(static_cast<EventKind>(KindByte),
+                           static_cast<ThreadId>(Tid), Arg0))
+      return Corrupt("corrupt chunk: mismatched return");
     if (Out.size() - Words < Event::MaxWordsPerRecord)
       Out.resize(Words + Event::MaxWordsPerRecord + (EventCount - N - 1));
     EventRecord E{static_cast<EventKind>(KindByte), static_cast<ThreadId>(Tid),

@@ -72,6 +72,7 @@
 #define ISPROF_TRACE_TRACESTREAM_H
 
 #include "instr/Dispatcher.h"
+#include "trace/CallStacks.h"
 #include "trace/Event.h"
 #include "trace/TraceFile.h"
 
@@ -221,6 +222,13 @@ private:
 /// space (MaxGuestAddress) — is rejected with a diagnostic in error();
 /// no input crashes the reader or a consumer's shadow memory, or makes
 /// the reader allocate beyond what the actual payload bytes can back.
+///
+/// While chunks are read in order from the first, the reader also checks
+/// call nesting per thread (CallStacks): a Return that does not close
+/// its thread's innermost open Call is "corrupt chunk: mismatched
+/// return". Reading any chunk but the next turns the check off until
+/// chunk 0 is read again, since a pass that skips chunks (filtered
+/// collect) tears frames on purpose.
 class TraceStreamReader {
 public:
   TraceStreamReader() = default;
@@ -306,6 +314,11 @@ private:
   uint64_t FooterOffset = 0;
   unsigned Version = 0;
   size_t Cursor = 0;
+  /// Open Calls of the in-order pass, and the chunk that continues it;
+  /// NoNestingPass once the pass has read out of order.
+  CallStacks Nesting;
+  static constexpr size_t NoNestingPass = ~size_t(0);
+  size_t NestingNext = 0;
   /// Reused raw-payload buffer (readChunk decodes out of it).
   std::string Payload;
   /// Reused packed scratch backing the wide readChunk overload.

@@ -8,9 +8,10 @@
 // identity (concurrent multi-stream ingestion equals merging per-stream
 // results serially, property-tested over synthetic traces), differential
 // views (diff of a store against itself is empty; genuine growth changes
-// are flagged), corrupt-stream isolation, routine-filtered chunk
-// skipping on v2 activity bitmaps, and the equality of pipelined and
-// serial ingest.
+// are flagged), corrupt-stream isolation (including a Return that breaks
+// call nesting), routine-filtered chunk skipping on v2 activity bitmaps,
+// filtered ingest that skips nothing agreeing with unfiltered ingest,
+// and the equality of pipelined and serial ingest.
 //
 //===----------------------------------------------------------------------===//
 
@@ -341,6 +342,67 @@ TEST(Collector, OutOfRangeAddressIsReportedAndLeavesTheRollupUntouched) {
   std::remove(Bad.c_str());
 }
 
+TEST(Collector, MismatchedReturnIsReportedAndLeavesTheRollupUntouched) {
+  // A Return in a mid-stream chunk that closes another routine than its
+  // thread's innermost open Call: the profilers assert on it, so the
+  // reader's nesting check must stop the ingest first — unfiltered, and
+  // filtered by every routine (no chunk can be skipped, so the chunks
+  // are read in order and the check stays on) — naming the file and the
+  // chunk, with the store exactly as it was.
+  std::string Good = writeSyntheticStream("nesting_good", 4);
+  std::string Bad = tempStream("nesting_bad");
+  size_t BadChunk = 0;
+  {
+    SyntheticTraceOptions Gen;
+    Gen.NumOperations = 3000;
+    Gen.Seed = 8;
+    std::vector<EventRecord> Events = generateSyntheticTrace(Gen);
+    TraceStreamWriter Writer;
+    TraceStreamOptions Opts;
+    Opts.ChunkBytes = 4096;
+    ASSERT_TRUE(Writer.open(Bad, syntheticRoutines(), Opts))
+        << Writer.error();
+    for (size_t I = 0; I != Events.size(); ++I) {
+      Writer.append(Events[I]);
+      if (I == Events.size() / 2) {
+        const EventRecord &E = Events[I];
+        Writer.append(EventRecord::call(E.Tid, E.Time, 0));
+        BadChunk = Writer.chunksWritten();
+        Writer.append(EventRecord::ret(E.Tid, E.Time, 1, 0));
+      }
+    }
+    ASSERT_TRUE(Writer.close()) << Writer.error();
+    ASSERT_GT(BadChunk, 0u);
+    ASSERT_LT(BadChunk + 1, Writer.chunksWritten());
+  }
+  std::vector<std::string> EveryRoutine;
+  for (const auto &[Id, Name] : syntheticRoutines())
+    EveryRoutine.push_back(Name);
+
+  for (unsigned Hw : {1u, 4u})
+    for (bool Filtered : {false, true}) {
+      PinnedThreads Pin(Hw);
+      CollectorOptions Opts;
+      Opts.Workers = 1;
+      if (Filtered)
+        Opts.RoutineFilter = EveryRoutine;
+      FleetStore Store;
+      Collector C(Opts, Store);
+      ASSERT_EQ(C.ingestFiles({Good}), 1u);
+      FleetStore Before = Store;
+      EXPECT_EQ(C.ingestFiles({Bad}), 0u);
+      ASSERT_EQ(C.errors().size(), 1u);
+      EXPECT_EQ(C.errors()[0].File, Bad);
+      EXPECT_EQ(C.errors()[0].Chunk, BadChunk);
+      EXPECT_EQ(C.errors()[0].Message, "corrupt chunk: mismatched return");
+      EXPECT_EQ(C.totals().ChunksSkipped, 0u);
+      EXPECT_EQ(Store, Before) << (Filtered ? "filtered" : "unfiltered")
+                               << ", " << Hw << " threads";
+    }
+  std::remove(Good.c_str());
+  std::remove(Bad.c_str());
+}
+
 //===----------------------------------------------------------------------===//
 // Routine-filtered chunk skipping
 //===----------------------------------------------------------------------===//
@@ -560,6 +622,37 @@ TEST(Collector, LegacyV2StreamsStillSkipAndDocumentTheUndercount) {
 //===----------------------------------------------------------------------===//
 // Rendering and spool scanning
 //===----------------------------------------------------------------------===//
+
+TEST(Collector, FilterThatSkipsNothingEqualsUnfilteredIngest) {
+  // When the filter skips no chunk, filtered ingest publishes exactly
+  // the chunks unfiltered ingest publishes, so the filtered routines'
+  // rollups must be equal, serial and pipelined.
+  std::vector<std::string> Paths;
+  for (uint64_t Seed : {71u, 72u})
+    Paths.push_back(writeSyntheticStream("noskip_" + std::to_string(Seed),
+                                         Seed, 6000));
+  const std::vector<std::string> Filter = {"r1", "r3"};
+  for (unsigned Hw : {1u, 4u}) {
+    PinnedThreads Pin(Hw);
+    FleetStore Full, Filtered;
+    CollectorOptions FullOpts, FilterOpts;
+    FullOpts.Workers = FilterOpts.Workers = 1;
+    FilterOpts.RoutineFilter = Filter;
+    Collector CF(FullOpts, Full), CS(FilterOpts, Filtered);
+    ASSERT_EQ(CF.ingestFiles(Paths), Paths.size());
+    ASSERT_EQ(CS.ingestFiles(Paths), Paths.size());
+    ASSERT_EQ(CS.totals().ChunksSkipped, 0u);
+    ASSERT_EQ(CS.totals().ChunksRead, CF.totals().ChunksRead);
+    ASSERT_EQ(Filtered.routineCount(), Filter.size() * Paths.size());
+    for (const auto &[Key, Rollup] : Filtered.rollups()) {
+      ASSERT_TRUE(Full.rollups().count(Key)) << Key.Routine;
+      EXPECT_EQ(Rollup, Full.rollups().at(Key))
+          << Key.Program << "/" << Key.Routine << ", " << Hw << " threads";
+    }
+  }
+  for (const std::string &P : Paths)
+    std::remove(P.c_str());
+}
 
 TEST(Collector, PipelinedIngestEqualsSerial) {
   // One hardware thread ingests serially; four pipeline each stream

@@ -16,6 +16,9 @@
 //      three-level shadow give identical results.
 //  P4. Inequality 1: trms >= rms for every activation.
 //  P5. Determinism: running twice gives identical databases.
+//  P6. Delivery transparency: the profiler fed through batched delivery
+//      (compaction, the packed-word walk, its redundancy skip) matches
+//      the per-event oracle, also under a tiny counter limit.
 //
 //===----------------------------------------------------------------------===//
 
@@ -83,6 +86,32 @@ TEST_P(TrmsPropertyTest, MatchesNaiveOracle) {
   EXPECT_EQ(Fast.GlobalInducedExternal, Naive.GlobalInducedExternal);
   EXPECT_EQ(Fast.GlobalPlainFirstAccesses, Naive.GlobalPlainFirstAccesses);
   EXPECT_EQ(Fast.GlobalReads, Naive.GlobalReads);
+}
+
+TEST_P(TrmsPropertyTest, BatchedDeliveryMatchesNaiveOracle) {
+  std::vector<EventRecord> Trace = makeTrace();
+  NaiveProfilerOptions NaiveOpts;
+  ProfileDatabase Naive =
+      profileTrace<NaiveTrmsProfiler>(Trace, NaiveOpts);
+
+  for (uint64_t Limit : {TrmsProfilerOptions().CounterLimit, uint64_t(256)}) {
+    TrmsProfilerOptions Opts;
+    Opts.CounterLimit = Limit;
+    Opts.KeepActivationLog = true;
+    TrmsProfiler Batched(Opts);
+    replayTraceBatched(Trace, Batched);
+    const ProfileDatabase &Fast = Batched.database();
+    if (Limit == 256)
+      EXPECT_GT(Batched.renumberings(), 0u);
+    ASSERT_EQ(Fast.log().size(), Naive.log().size()) << "limit " << Limit;
+    for (size_t I = 0; I != Fast.log().size(); ++I)
+      ASSERT_EQ(Fast.log()[I], Naive.log()[I])
+          << "activation " << I << ", limit " << Limit;
+    EXPECT_EQ(Fast.GlobalInducedThread, Naive.GlobalInducedThread);
+    EXPECT_EQ(Fast.GlobalInducedExternal, Naive.GlobalInducedExternal);
+    EXPECT_EQ(Fast.GlobalPlainFirstAccesses, Naive.GlobalPlainFirstAccesses);
+    EXPECT_EQ(Fast.GlobalReads, Naive.GlobalReads);
+  }
 }
 
 TEST_P(TrmsPropertyTest, RenumberingIsTransparent) {

@@ -531,6 +531,55 @@ TEST(Driver, OutOfRangeAddressEndsInDiagnostic) {
   std::remove(TracePath.c_str());
 }
 
+TEST(Driver, MismatchedReturnEndsInDiagnostic) {
+  // ThreadStart(0); Call(0, a); Read(0, 100); Return(0, b); ThreadEnd(0):
+  // the Return closes another routine than the innermost open Call,
+  // which the profilers assert on. Replay under each profiler, parallel
+  // and multi-tool replay, and collect (unfiltered, and filtered on a
+  // routine the stream calls) stop with the chunk's diagnostic and exit
+  // 1; the monolithic trace reader refuses the same trace.
+  std::vector<isp::EventRecord> Events = {
+      isp::EventRecord::threadStart(0, 1, 0), isp::EventRecord::call(0, 2, 1),
+      isp::EventRecord::read(0, 3, 100), isp::EventRecord::ret(0, 4, 2, 0),
+      isp::EventRecord::threadEnd(0, 5)};
+  std::vector<std::pair<isp::RoutineId, std::string>> Routines = {
+      {1, "a"}, {2, "b"}};
+  std::string Path = ::testing::TempDir() + "isprof_driver_nesting.strm";
+  isp::TraceStreamWriter Writer;
+  ASSERT_TRUE(Writer.open(Path, Routines)) << Writer.error();
+  for (const isp::EventRecord &E : Events)
+    Writer.append(E);
+  ASSERT_TRUE(Writer.close()) << Writer.error();
+  const std::string Expected = "chunk 0: corrupt chunk: mismatched return";
+
+  for (std::string Args :
+       {"replay " + Path + " --tools=aprof-trms",
+        "replay " + Path + " --tools=aprof-rms",
+        "replay " + Path + " --tools=aprof-trms --replay-workers=2",
+        "replay " + Path + " --tools=aprof-trms,aprof-rms,nulgrind",
+        "collect " + Path, "collect " + Path + " --routine=a"}) {
+    CommandResult R = runDriver(Args);
+    EXPECT_EQ(R.ExitCode, 1) << Args << ": " << R.Output;
+    EXPECT_NE(R.Output.find(Path), std::string::npos) << Args;
+    EXPECT_NE(R.Output.find(Expected), std::string::npos)
+        << Args << ": " << R.Output;
+  }
+
+  std::string TracePath = ::testing::TempDir() + "isprof_driver_nesting.bin";
+  isp::TraceData Data;
+  Data.Routines = Routines;
+  Data.Events = Events;
+  ASSERT_TRUE(isp::writeTraceFile(TracePath, Data));
+  for (const char *Tools : {"aprof-trms", "aprof-rms"}) {
+    CommandResult R = runDriver("replay " + TracePath + " --tools=" + Tools);
+    EXPECT_EQ(R.ExitCode, 1) << R.Output;
+    EXPECT_NE(R.Output.find("cannot read trace"), std::string::npos)
+        << R.Output;
+  }
+  std::remove(Path.c_str());
+  std::remove(TracePath.c_str());
+}
+
 TEST(Driver, ErrorsAreClean) {
   EXPECT_NE(runDriver("run /nonexistent.mini").ExitCode, 0);
   EXPECT_NE(runDriver("frobnicate").ExitCode, 0);

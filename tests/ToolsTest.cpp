@@ -6,7 +6,8 @@
 //
 // The memcheck/callgrind/helgrind analogues, exercised end-to-end by
 // running guest programs with the defects (or their absence) the tools
-// exist to detect.
+// exist to detect, and the batch walk every tool is driven through
+// (Tool::handleBatch) against the per-event reference.
 //
 //===----------------------------------------------------------------------===//
 
@@ -20,6 +21,9 @@
 #include "vm/Machine.h"
 
 #include <gtest/gtest.h>
+
+#include <random>
+#include <tuple>
 
 using namespace isp;
 
@@ -609,6 +613,194 @@ TEST(Registry, RendersReportsForEveryTool) {
     std::string Report = renderToolReport(*T, nullptr);
     EXPECT_FALSE(Report.empty()) << Name;
   }
+}
+
+//===----------------------------------------------------------------------===//
+// The batch walk (Tool::handleBatch)
+//===----------------------------------------------------------------------===//
+
+/// Records every callback with its arguments. Its handleBatch is the
+/// default walk, which calls each callback virtually.
+class RecordingTool : public Tool {
+public:
+  using Entry = std::tuple<char, uint64_t, uint64_t, uint64_t>;
+  std::vector<Entry> Entries;
+
+  std::string name() const override { return "recording"; }
+  void onThreadStart(ThreadId Tid, ThreadId Parent) override {
+    note('S', Tid, Parent);
+  }
+  void onThreadEnd(ThreadId Tid) override { note('E', Tid); }
+  void onThreadSwitch(ThreadId Incoming) override { note('X', Incoming); }
+  void onCall(ThreadId Tid, RoutineId Rtn) override { note('C', Tid, Rtn); }
+  void onReturn(ThreadId Tid, RoutineId Rtn) override { note('R', Tid, Rtn); }
+  void onBasicBlock(ThreadId Tid, uint64_t Count) override {
+    note('B', Tid, Count);
+  }
+  void onRead(ThreadId Tid, Addr A, uint64_t Cells) override {
+    note('r', Tid, A, Cells);
+  }
+  void onWrite(ThreadId Tid, Addr A, uint64_t Cells) override {
+    note('w', Tid, A, Cells);
+  }
+  void onKernelRead(ThreadId Tid, Addr A, uint64_t Cells) override {
+    note('k', Tid, A, Cells);
+  }
+  void onKernelWrite(ThreadId Tid, Addr A, uint64_t Cells) override {
+    note('K', Tid, A, Cells);
+  }
+  void onSyncAcquire(ThreadId Tid, SyncId Id, bool IsLock) override {
+    note('a', Tid, Id, IsLock);
+  }
+  void onSyncRelease(ThreadId Tid, SyncId Id, bool IsLock) override {
+    note('l', Tid, Id, IsLock);
+  }
+  void onThreadCreate(ThreadId Tid, ThreadId Child) override {
+    note('c', Tid, Child);
+  }
+  void onThreadJoin(ThreadId Tid, ThreadId Child) override {
+    note('j', Tid, Child);
+  }
+  void onAlloc(ThreadId Tid, Addr A, uint64_t Cells) override {
+    note('m', Tid, A, Cells);
+  }
+  void onFree(ThreadId Tid, Addr A) override { note('f', Tid, A); }
+
+private:
+  void note(char Kind, uint64_t A, uint64_t B = 0, uint64_t C = 0) {
+    Entries.emplace_back(Kind, A, B, C);
+  }
+};
+
+/// The same tool walked as its own `final` type, as TrmsProfilerT and
+/// NulTool are: every callback is called directly.
+class FinalRecordingTool final : public RecordingTool {
+public:
+  void handleBatch(const Event *Words, size_t Count) override {
+    walkBatch(*this, Words, Count);
+  }
+};
+
+/// A random packed word sequence mixing every word form: main words of
+/// every kind (with and without a follow-on), time-base escapes (some
+/// with stray kind and tid bits), follow-ons that spill a thread id above
+/// 2^24, standalone follow-on words, and sometimes a main word whose
+/// follow-on is cut off by the end.
+std::vector<Event> randomWords(std::mt19937_64 &Rng) {
+  std::vector<Event> Words;
+  size_t N = 1 + Rng() % 64;
+  auto randomTid = [&]() -> ThreadId {
+    switch (Rng() % 3) {
+    case 0:
+      return static_cast<ThreadId>(Rng() % 4);
+    case 1:
+      return static_cast<ThreadId>(Rng() % (Event::MaxInlineTid + 1));
+    default:
+      return Event::MaxInlineTid;
+    }
+  };
+  for (size_t I = 0; I != N; ++I) {
+    Event W;
+    W.TimeLow = static_cast<uint32_t>(Rng());
+    W.Arg = Rng() % 4 ? Rng() % 4096 : Rng();
+    uint32_t Kind = static_cast<uint32_t>(Rng() % 16);
+    switch (Rng() % 8) {
+    case 0: // time-base escape
+      W.Meta = Event::SpecialBit | (Rng() % 2 ? Kind : 0) |
+               (Rng() % 2 ? randomTid() << Event::TidShift : 0);
+      Words.push_back(W);
+      break;
+    case 1: // standalone follow-on word
+      W.Meta = Event::SpecialBit | Event::FollowBit |
+               (Rng() % 2 ? Kind : 0);
+      W.TimeLow = Rng() % 2 ? 0 : static_cast<uint32_t>(Rng());
+      Words.push_back(W);
+      break;
+    default: { // main word, maybe with a follow-on
+      bool Follow = Rng() % 3 == 0;
+      W.Meta = Kind | (Follow ? Event::FollowBit : 0) |
+               (randomTid() << Event::TidShift);
+      Words.push_back(W);
+      if (Follow) {
+        Event F;
+        F.Meta = Event::SpecialBit | Event::FollowBit;
+        // A nonzero TimeLow spills the full thread id.
+        F.TimeLow = Rng() % 2 ? 0
+                              : Event::MaxInlineTid + 1 +
+                                    static_cast<uint32_t>(Rng() % 1000);
+        F.Arg = Rng() % 2 ? Rng() % 64 : Rng();
+        Words.push_back(F);
+      }
+      break;
+    }
+    }
+  }
+  if (Rng() % 4 == 0) {
+    Event Cut; // a record whose follow-on never arrives
+    Cut.Meta = static_cast<uint32_t>(EventKind::Read) | Event::FollowBit;
+    Cut.Arg = 7;
+    Words.push_back(Cut);
+  }
+  return Words;
+}
+
+TEST(ToolWalk, MatchesPerEventDeliveryOnRandomWords) {
+  // The walk must give every tool exactly the callbacks that decoding
+  // the words (EventStreamView) and calling handleEvent on each record
+  // gives it — through the default walk, through a final override, and
+  // for NulTool's event count.
+  std::mt19937_64 Rng(20261017);
+  for (int Round = 0; Round != 2000; ++Round) {
+    std::vector<Event> Words = randomWords(Rng);
+    RecordingTool Reference;
+    EventStreamView View(Words);
+    size_t Records = 0;
+    for (EventRecord E; View.next(E); ++Records)
+      Reference.handleEvent(E);
+
+    RecordingTool Default;
+    FinalRecordingTool Final;
+    NulTool Nul;
+    for (Tool *T : std::initializer_list<Tool *>{&Default, &Final, &Nul})
+      T->handleBatch(Words.data(), Words.size());
+    ASSERT_EQ(Default.Entries, Reference.Entries) << "round " << Round;
+    ASSERT_EQ(Final.Entries, Reference.Entries) << "round " << Round;
+    ASSERT_EQ(Nul.eventsSeen(), Records) << "round " << Round;
+  }
+}
+
+TEST(ToolWalk, EncodedRecordsRoundTripThroughTheWalk) {
+  // Records the encoder produces — escapes for 64-bit times, follow-ons
+  // for non-default second arguments and spilled thread ids, BasicBlock
+  // counts in the main word — reach the callbacks unchanged.
+  std::vector<EventRecord> Records = {
+      EventRecord::threadStart(0, 1, 0),
+      EventRecord::call(0, 2, 7),
+      EventRecord::basicBlock(0, 3, 41),
+      EventRecord::read(0, 4, 100),
+      EventRecord::read(0, 5, 200, 9),
+      EventRecord::write(Event::MaxInlineTid + 5, 6, 300),
+      EventRecord::kernelWrite(3, uint64_t(1) << 33, 400, 2),
+      EventRecord::syncAcquire(3, (uint64_t(1) << 33) + 1, 5, true),
+      EventRecord::syncRelease(3, (uint64_t(2) << 33), 5, false),
+      EventRecord::alloc(1, (uint64_t(2) << 33) + 1, 64, 16),
+      EventRecord::free(1, (uint64_t(2) << 33) + 2, 64),
+      EventRecord::ret(0, (uint64_t(2) << 33) + 3, 7, 12),
+      EventRecord::threadEnd(0, (uint64_t(2) << 33) + 4),
+  };
+  std::vector<Event> Words = encodeEventStream(Records);
+  RecordingTool Reference, Default;
+  FinalRecordingTool Final;
+  for (const EventRecord &E : Records)
+    Reference.handleEvent(E);
+  Default.handleBatch(Words.data(), Words.size());
+  Final.handleBatch(Words.data(), Words.size());
+  EXPECT_EQ(Default.Entries, Reference.Entries);
+  EXPECT_EQ(Final.Entries, Reference.Entries);
+  ASSERT_EQ(Reference.Entries.size(), Records.size());
+  EXPECT_EQ(Reference.Entries[2], RecordingTool::Entry('B', 0, 41, 0));
+  EXPECT_EQ(Reference.Entries[5],
+            RecordingTool::Entry('w', Event::MaxInlineTid + 5, 300, 1));
 }
 
 } // namespace

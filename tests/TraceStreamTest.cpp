@@ -20,7 +20,8 @@
 //  - adversarial inputs — truncated chunks, corrupt footer index,
 //    overlong varints, invalid kinds, thread ids and guest addresses
 //    inside a chunk (on both the fast and the bounds-checked decode
-//    path), chunk lengths past EOF — are rejected with a diagnostic,
+//    path), chunk lengths past EOF, and a Return that breaks call
+//    nesting in a stream read in order — are rejected with a diagnostic,
 //    never crash, never allocate beyond what the actual payload bytes
 //    can back.
 //
@@ -33,6 +34,8 @@
 #include "tools/ToolRegistry.h"
 #include "trace/Synthetic.h"
 #include "trace/TraceStream.h"
+#include "vm/Machine.h"
+#include "workloads/Runner.h"
 
 #include <gtest/gtest.h>
 
@@ -489,15 +492,16 @@ std::string probeStream(const std::string &Bytes, const char *Name) {
 /// record (41 bytes) still fits and one bounds check covers all four
 /// varints.
 void expectOnBothDecodePaths(const std::string &Hostile,
-                               const std::string &Diagnostic) {
+                               const std::string &Diagnostic,
+                               unsigned HostileEvents = 1) {
   for (unsigned Trailing : {0u, 9u}) {
     std::string Payload;
-    appendVarint(Payload, 1 + Trailing);
+    appendVarint(Payload, HostileEvents + Trailing);
     Payload += Hostile;
     for (unsigned I = 0; I != Trailing; ++I)
       appendEvent(Payload);
     StreamBuilder B;
-    B.addChunk(Payload, 1 + Trailing);
+    B.addChunk(Payload, HostileEvents + Trailing);
     std::string Diag = probeStream(B.finish(), "isprof_stream_hostile.strm");
     EXPECT_EQ(Diag, Diagnostic) << "with " << Trailing << " valid events after";
   }
@@ -561,11 +565,13 @@ uint64_t zigzagFromZero(uint64_t V) {
   return (V << 1) ^ static_cast<uint64_t>(static_cast<int64_t>(V) >> 63);
 }
 
-/// One encoded event of \p Kind with the given address arguments.
-std::string encodedEvent(EventKind Kind, uint64_t Arg0, uint64_t Arg1) {
+/// One encoded event of \p Kind with the given arguments, the first
+/// event of its kind in the chunk (Arg0 deltas start from zero).
+std::string encodedEvent(EventKind Kind, uint64_t Arg0, uint64_t Arg1,
+                         uint64_t Tid = 0) {
   std::string Out;
   Out.push_back(static_cast<char>(Kind));
-  appendVarint(Out, 0); // tid
+  appendVarint(Out, Tid);
   appendVarint(Out, 1); // time delta
   appendVarint(Out, zigzagFromZero(Arg0));
   appendVarint(Out, Arg1);
@@ -598,6 +604,116 @@ TEST(TraceStreamHardening, RejectsAddressesPastTheGuestSpace) {
   expectOnBothDecodePaths(encodedEvent(EventKind::Write, 0, Max + 1), "");
   expectOnBothDecodePaths(encodedEvent(EventKind::Free, Max, ~uint64_t(0)),
                           "");
+}
+
+TEST(TraceStreamHardening, RejectsMismatchedReturn) {
+  // A Return that closes another routine than its thread's innermost
+  // open Call (the profilers assert on one), on both decode paths.
+  const std::string Mismatch = "corrupt chunk: mismatched return";
+  std::string CallA = encodedEvent(EventKind::Call, 1, 0);
+  expectOnBothDecodePaths(CallA + encodedEvent(EventKind::Return, 2, 0),
+                          Mismatch, 2);
+  // Still legal: the matching Return, a Return with no open Call, a
+  // Return on another thread, and one after ThreadEnd closed the frames.
+  expectOnBothDecodePaths(CallA + encodedEvent(EventKind::Return, 1, 0), "",
+                          2);
+  expectOnBothDecodePaths(encodedEvent(EventKind::Return, 2, 0), "");
+  expectOnBothDecodePaths(CallA + encodedEvent(EventKind::Return, 2, 0, 1),
+                          "", 2);
+  expectOnBothDecodePaths(CallA + encodedEvent(EventKind::ThreadEnd, 0, 0) +
+                              encodedEvent(EventKind::Return, 2, 0),
+                          "", 3);
+  // Thread ids key the stacks without sizing any table.
+  expectOnBothDecodePaths(
+      encodedEvent(EventKind::Call, 1, 0, 4000000000u) +
+          encodedEvent(EventKind::Return, 2, 0, 4000000000u),
+      Mismatch, 2);
+}
+
+TEST(TraceStreamHardening, NestingIsCheckedAcrossChunksReadInOrder) {
+  // ThreadStart(0); Call(0, a); Read(0, 100); Return(0, b); ThreadEnd(0),
+  // one event per chunk. Read in order from chunk 0 — by nextChunk,
+  // readChunk or replay — the Return's chunk is rejected. Reading that
+  // chunk out of order turns the check off for the pass (a pass that
+  // skips chunks tears frames on purpose); reading chunk 0 starts a new,
+  // checked pass.
+  std::string Path = tempPath("isprof_stream_nesting.strm");
+  TraceStreamOptions OneEventChunks;
+  OneEventChunks.ChunkBytes = 1;
+  writeStream(Path,
+              {EventRecord::threadStart(0, 1, 0), EventRecord::call(0, 2, 1),
+               EventRecord::read(0, 3, 100), EventRecord::ret(0, 4, 2, 0),
+               EventRecord::threadEnd(0, 5)},
+              {{1, "a"}, {2, "b"}}, OneEventChunks);
+  const std::string Mismatch = "corrupt chunk: mismatched return";
+  {
+    TraceStreamReader Reader;
+    ASSERT_TRUE(Reader.open(Path)) << Reader.error();
+    ASSERT_EQ(Reader.chunkCount(), 5u);
+    std::vector<Event> Chunk;
+    size_t Read = 0;
+    while (Reader.nextChunk(Chunk))
+      ++Read;
+    EXPECT_EQ(Read, 3u);
+    EXPECT_EQ(Reader.error(), Mismatch);
+  }
+  {
+    TraceStreamReader Reader;
+    ASSERT_TRUE(Reader.open(Path)) << Reader.error();
+    std::vector<EventRecord> Chunk;
+    ASSERT_TRUE(Reader.readChunk(1, Chunk)) << Reader.error();
+    EXPECT_TRUE(Reader.readChunk(3, Chunk)) << Reader.error();
+    for (size_t I = 0; I != 3; ++I)
+      ASSERT_TRUE(Reader.readChunk(I, Chunk)) << Reader.error();
+    EXPECT_FALSE(Reader.readChunk(3, Chunk));
+    EXPECT_EQ(Reader.error(), Mismatch);
+  }
+  for (unsigned Hw : {1u, 4u}) {
+    PinnedThreads Pin(Hw);
+    TraceStreamReader Reader;
+    ASSERT_TRUE(Reader.open(Path)) << Reader.error();
+    TrmsProfiler Profiler;
+    EXPECT_FALSE(replayTraceStream(Reader, Profiler));
+    EXPECT_EQ(Reader.error(), Mismatch);
+  }
+  std::remove(Path.c_str());
+}
+
+TEST(TraceStreamHardening, VmRecordedStreamsReadClean) {
+  // Every stream the VM records is well nested, so the nesting check
+  // accepts it whole: workloads with nested calls, recursion and several
+  // threads whose frames ThreadEnd closes.
+  for (const char *Name : {"md", "kdtree", "dbserver", "sort_compare"}) {
+    const WorkloadInfo *Info = findWorkload(Name);
+    ASSERT_NE(Info, nullptr) << Name;
+    WorkloadParams Params;
+    Params.Threads = 4;
+    Params.Size = 24;
+    std::string Error;
+    std::optional<Program> Prog = compileWorkload(*Info, Params, &Error);
+    ASSERT_TRUE(Prog) << Name << ": " << Error;
+    std::string Path = tempPath("isprof_stream_vm.strm");
+    TraceStreamWriter Writer;
+    TraceStreamOptions SmallChunks;
+    SmallChunks.ChunkBytes = 512;
+    ASSERT_TRUE(Writer.open(Path, Prog->Symbols.entries(), SmallChunks))
+        << Writer.error();
+    EventDispatcher Dispatcher;
+    Dispatcher.setRecordSink(&Writer);
+    Machine M(*Prog, &Dispatcher);
+    RunResult Run = M.run();
+    ASSERT_TRUE(Run.Ok) << Name << ": " << Run.Error;
+    ASSERT_TRUE(Writer.close()) << Writer.error();
+
+    TraceStreamReader Reader;
+    ASSERT_TRUE(Reader.open(Path)) << Reader.error();
+    EXPECT_GT(Reader.chunkCount(), 1u) << Name;
+    std::vector<Event> Chunk;
+    while (Reader.nextChunk(Chunk)) {
+    }
+    EXPECT_EQ(Reader.error(), "") << Name;
+    std::remove(Path.c_str());
+  }
 }
 
 TEST(TraceStreamHardening, CorruptChunkUnderPipelinedReplayIsReported) {

@@ -175,6 +175,50 @@ TEST(TraceFile, RejectsCorruptInput) {
   EXPECT_FALSE(deserializeTrace(BadKind, Back));
 }
 
+TEST(TraceFile, RejectsMismatchedCallNesting) {
+  // The profilers assert on a Return that closes another routine than
+  // its thread's innermost open Call; both formats refuse such a trace.
+  // A Return with no open Call, a Return on another thread, and a Return
+  // after ThreadEnd closed the frames stay legal.
+  TraceData Bad;
+  Bad.Routines = {{1, "a"}, {2, "b"}};
+  Bad.Events = {EventRecord::threadStart(0, 1, 0), EventRecord::call(0, 2, 1),
+                EventRecord::read(0, 3, 100), EventRecord::ret(0, 4, 2, 0),
+                EventRecord::threadEnd(0, 5)};
+  TraceData Legal = Bad;
+  Legal.Events = {EventRecord::ret(0, 1, 2, 0),    EventRecord::call(0, 2, 1),
+                  EventRecord::ret(1, 3, 2, 0),    EventRecord::threadEnd(0, 4),
+                  EventRecord::ret(0, 5, 2, 0),    EventRecord::call(0, 6, 1),
+                  EventRecord::ret(0, 7, 1, 0)};
+  // Twenty nested activations (deeper than a stack's first allocation)
+  // with a ThreadStart in the middle, which moves no stack; then the
+  // same nest with its innermost Return naming the outer routine.
+  TraceData Deep = Legal, DeepBad = Legal;
+  Deep.Events.clear();
+  uint64_t Time = 1;
+  for (RoutineId R = 0; R != 20; ++R)
+    Deep.Events.push_back(EventRecord::call(3, Time++, R));
+  Deep.Events.push_back(EventRecord::threadStart(3, Time++, 0));
+  DeepBad.Events = Deep.Events;
+  DeepBad.Events.push_back(EventRecord::ret(3, Time, 0, 0));
+  for (RoutineId R = 20; R-- != 0;)
+    Deep.Events.push_back(EventRecord::ret(3, Time++, R, 0));
+  for (TraceFormat Format : {TraceFormat::Raw, TraceFormat::Compressed}) {
+    TraceData Back;
+    EXPECT_FALSE(deserializeTrace(serializeTrace(Bad, Format), Back));
+    EXPECT_FALSE(deserializeTrace(serializeTrace(DeepBad, Format), Back));
+    ASSERT_TRUE(deserializeTrace(serializeTrace(Legal, Format), Back));
+    EXPECT_EQ(Back.Events, Legal.Events);
+    ASSERT_TRUE(deserializeTrace(serializeTrace(Deep, Format), Back));
+    EXPECT_EQ(Back.Events, Deep.Events);
+  }
+  std::string Path = ::testing::TempDir() + "isprof_trace_nesting.bin";
+  ASSERT_TRUE(writeTraceFile(Path, Bad));
+  TraceData Back;
+  EXPECT_FALSE(readTraceFile(Path, Back));
+  std::remove(Path.c_str());
+}
+
 TEST(TraceFile, FileRoundTrip) {
   TraceData Data;
   Data.Routines = {{0, "f"}};
