@@ -9,7 +9,6 @@
 #include "collect/Collector.h"
 #include "collect/FleetStore.h"
 #include "instr/Dispatcher.h"
-#include "replay/ParallelReplay.h"
 #include "tools/ToolRegistry.h"
 #include "trace/TraceStream.h"
 #include "vm/Compiler.h"
@@ -19,7 +18,6 @@
 #include <chrono>
 #include <cmath>
 #include <cstdio>
-#include <thread>
 #include <sys/stat.h>
 
 using namespace isp;
@@ -214,13 +212,6 @@ std::string isp::writeHotpathReport(unsigned Repeats) {
   // Streaming record/replay: bounded writer memory and reader
   // throughput vs the in-memory recording path.
   if (!writeStreamingSection(F, Repeats)) {
-    std::fclose(F);
-    return "";
-  }
-
-  // Parallel shard-partitioned replay: serial aprof-trms stream replay
-  // vs the epoch-barrier engine at 1/2/4 workers.
-  if (!writeParallelReplaySection(F, Repeats)) {
     std::fclose(F);
     return "";
   }
@@ -710,136 +701,6 @@ bool isp::writeStreamingSection(FILE *F, unsigned Repeats) {
       Rows[0].InMemoryBytes ? static_cast<double>(Rows[1].InMemoryBytes) /
                                   static_cast<double>(Rows[0].InMemoryBytes)
                             : 0.0);
-  return true;
-}
-
-bool isp::writeParallelReplaySection(FILE *F, unsigned Repeats) {
-  const WorkloadInfo *W = findWorkload("md");
-  if (!W) {
-    std::fprintf(stderr, "hotpath report: workload 'md' not registered\n");
-    return false;
-  }
-  WorkloadParams Params;
-  Params.Threads = 4;
-  Params.Size = 96;
-  std::string Error;
-  std::optional<Program> Prog = compileWorkload(*W, Params, &Error);
-  if (!Prog) {
-    std::fprintf(stderr, "hotpath report: %s\n", Error.c_str());
-    return false;
-  }
-
-  std::string StreamPath = benchOutputPath("parallel_replay_probe.strm");
-  TraceStreamWriter Writer;
-  if (!Writer.open(StreamPath, Prog->Symbols.entries())) {
-    std::fprintf(stderr, "hotpath report: %s\n", Writer.error().c_str());
-    return false;
-  }
-  EventDispatcher Recorder;
-  Recorder.enableRecording();
-  Recorder.setRecordSink(&Writer);
-  Machine M(*Prog, &Recorder);
-  RunResult Run = M.run();
-  if (!Run.Ok || !Writer.close()) {
-    std::fprintf(stderr, "hotpath report: parallel replay record failed: %s\n",
-                 Run.Ok ? Writer.error().c_str() : Run.Error.c_str());
-    return false;
-  }
-  uint64_t Events = Writer.eventsWritten();
-
-  // Serial baseline: the production streaming replay of aprof-trms.
-  const unsigned Shards = 16;
-  double SerialSeconds = 1e100;
-  std::string SerialReport;
-  for (unsigned Rep = 0; Rep == 0 || Rep < Repeats; ++Rep) {
-    TrmsProfiler Profiler;
-    TraceStreamReader Reader;
-    if (!Reader.open(StreamPath)) {
-      std::fprintf(stderr, "hotpath report: %s\n", Reader.error().c_str());
-      return false;
-    }
-    auto Start = std::chrono::steady_clock::now();
-    bool Ok = replayTraceStream(Reader, Profiler);
-    auto End = std::chrono::steady_clock::now();
-    if (!Ok) {
-      std::fprintf(stderr, "hotpath report: serial replay failed: %s\n",
-                   Reader.error().c_str());
-      return false;
-    }
-    SerialSeconds = std::min(
-        SerialSeconds, std::chrono::duration<double>(End - Start).count());
-    if (SerialReport.empty())
-      SerialReport = renderToolReport(Profiler, nullptr);
-    if (Rep + 1 >= Repeats)
-      break;
-  }
-
-  std::fprintf(F,
-               "  \"parallel_replay\": {\n"
-               "    \"workload\": \"md\",\n"
-               "    \"size\": %llu,\n"
-               "    \"shards\": %u,\n"
-               "    \"hardware_concurrency\": %u,\n"
-               "    \"events\": %llu,\n"
-               "    \"serial_seconds\": %.6f,\n"
-               "    \"serial_events_per_sec\": %.0f,\n"
-               "    \"rows\": [",
-               static_cast<unsigned long long>(Params.Size), Shards,
-               std::thread::hardware_concurrency(),
-               static_cast<unsigned long long>(Events), SerialSeconds,
-               SerialSeconds > 0 ? static_cast<double>(Events) / SerialSeconds
-                                 : 0.0);
-
-  const unsigned WorkerCounts[] = {1, 2, 4};
-  bool First = true;
-  for (unsigned Workers : WorkerCounts) {
-    double Seconds = 1e100;
-    bool Matches = true;
-    for (unsigned Rep = 0; Rep == 0 || Rep < Repeats; ++Rep) {
-      TrmsProfilerOptions Opts;
-      Opts.ShadowShards = Shards;
-      ParallelReplayProfiler Profiler(Opts);
-      TraceStreamReader Reader;
-      if (!Reader.open(StreamPath)) {
-        std::fprintf(stderr, "hotpath report: %s\n", Reader.error().c_str());
-        return false;
-      }
-      ParallelReplayOptions ReplayOpts;
-      ReplayOpts.Workers = Workers;
-      auto Start = std::chrono::steady_clock::now();
-      bool Ok = parallelReplayStream(Reader, Profiler, nullptr, ReplayOpts);
-      auto End = std::chrono::steady_clock::now();
-      if (!Ok) {
-        std::fprintf(stderr,
-                     "hotpath report: parallel replay (%u workers) "
-                     "failed: %s\n",
-                     Workers, Reader.error().c_str());
-        return false;
-      }
-      Seconds = std::min(Seconds,
-                         std::chrono::duration<double>(End - Start).count());
-      Matches = Matches && renderToolReport(Profiler, nullptr) == SerialReport;
-      if (Rep + 1 >= Repeats)
-        break;
-    }
-    std::fprintf(
-        F,
-        "%s\n"
-        "      {\n"
-        "        \"workers\": %u,\n"
-        "        \"seconds\": %.6f,\n"
-        "        \"events_per_sec\": %.0f,\n"
-        "        \"speedup_vs_serial\": %.3f,\n"
-        "        \"report_matches_serial\": %s\n"
-        "      }",
-        First ? "" : ",", Workers, Seconds,
-        Seconds > 0 ? static_cast<double>(Events) / Seconds : 0.0,
-        Seconds > 0 && SerialSeconds > 0 ? SerialSeconds / Seconds : 0.0,
-        Matches ? "true" : "false");
-    First = false;
-  }
-  std::fprintf(F, "\n    ]\n  },\n");
-  std::remove(StreamPath.c_str());
   return true;
 }
 

@@ -116,16 +116,6 @@ bool writeQuietIndirectSection(FILE *F, unsigned Repeats);
 /// in-memory reader. Returns false (after a diagnostic) on failure.
 bool writeStreamingSection(FILE *F, unsigned Repeats);
 
-/// Writes the "parallel_replay" object of BENCH_hotpath.json into \p F:
-/// records a workload into a chunked stream, replays it serially under
-/// aprof-trms, then through the shard-partitioned parallel replay
-/// engine at 1/2/4 workers, reporting events/sec and speedup vs serial
-/// per worker count plus whether every parallel report was
-/// byte-identical to the serial one. hardware_concurrency is recorded
-/// because the speedup column is only meaningful on a multi-core host.
-/// Returns false (after a diagnostic) on failure.
-bool writeParallelReplaySection(FILE *F, unsigned Repeats);
-
 /// Writes the "collector" object of BENCH_hotpath.json into \p F:
 /// records several chunked streams of one workload, then measures the
 /// fleet collector's concurrent ingest throughput (streams/sec and

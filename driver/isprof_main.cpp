@@ -33,10 +33,8 @@
 #include "instr/Dispatcher.h"
 #include "obs/Obs.h"
 #include "obs/TraceLog.h"
-#include "replay/ParallelReplay.h"
 #include "support/CommandLine.h"
 #include "support/Format.h"
-#include "shadow/ShardedShadow.h"
 #include "tools/ToolRegistry.h"
 #include "trace/TraceFile.h"
 #include "trace/TraceStream.h"
@@ -90,15 +88,6 @@ int usage() {
       "  --replay-stream=PATH   (replay) replay a chunked stream file\n"
       "                  chunk by chunk (bounded memory); plain replay\n"
       "                  also auto-detects stream files by magic\n"
-      "  --replay-workers=N     (replay, streams, --tools=aprof-trms\n"
-      "                  only) partition shadow updates across N worker\n"
-      "                  threads with epoch-barrier coordination; the\n"
-      "                  report is byte-identical to serial replay.\n"
-      "                  0 = serial; env ISPROF_REPLAY_WORKERS engages\n"
-      "                  the same mode when the flag is absent\n"
-      "  --shadow-shards=N      shard the aprof-trms global wts shadow\n"
-      "                  by address range (power of two; default 1).\n"
-      "                  Profiles are identical across shard counts\n"
       "  --verify-bytecode  statically verify the compiled bytecode;\n"
       "                  refuse to run on failure\n"
       "  --lint          static lockset lint: report globals shared\n"
@@ -158,46 +147,6 @@ bool readFile(const std::string &Path, std::string &Out) {
   return true;
 }
 
-/// The validated --replay-workers request. Explicit distinguishes the
-/// command-line flag (incompatible configurations are hard errors) from
-/// the ISPROF_REPLAY_WORKERS environment fallback (which engages only
-/// when the replay is eligible, so a suite-wide export — the TSan CI
-/// job — cannot break monolithic-trace or multi-tool invocations).
-struct ReplayWorkersRequest {
-  unsigned Workers = 0;
-  bool Explicit = false;
-};
-
-/// Decodes --replay-workers / ISPROF_REPLAY_WORKERS. Returns false
-/// (after printing a diagnostic) on a malformed explicit value.
-bool parseReplayWorkers(const OptionParser &Options,
-                        ReplayWorkersRequest *Out) {
-  std::string V = Options.getString("replay-workers");
-  if (V.empty()) {
-    if (const char *Env = std::getenv("ISPROF_REPLAY_WORKERS")) {
-      char *End = nullptr;
-      long N = std::strtol(Env, &End, 10);
-      if (End != Env && *End == '\0' && N >= 0 &&
-          N <= static_cast<long>(ParallelReplayOptions::MaxWorkers))
-        Out->Workers = static_cast<unsigned>(N);
-    }
-    return true;
-  }
-  char *End = nullptr;
-  long N = std::strtol(V.c_str(), &End, 10);
-  if (End == V.c_str() || *End != '\0' || N < 0 ||
-      N > static_cast<long>(ParallelReplayOptions::MaxWorkers)) {
-    std::fprintf(stderr,
-                 "isprof: invalid --replay-workers value '%s' (expected a "
-                 "worker count in [0, %u])\n",
-                 V.c_str(), ParallelReplayOptions::MaxWorkers);
-    return false;
-  }
-  Out->Workers = static_cast<unsigned>(N);
-  Out->Explicit = true;
-  return true;
-}
-
 /// Decodes --dispatch and --block-compile into \p Opts. Returns false
 /// (after printing a diagnostic) on an unknown mode. A threaded request
 /// on a build without computed-goto support degrades to the switch loop
@@ -225,44 +174,23 @@ bool parseMachineTuning(const OptionParser &Options, MachineOptions *Opts) {
   return true;
 }
 
-/// Decodes a power-of-two numeric option in [\p Min, \p Max]. Returns
-/// false (after printing a diagnostic) on a malformed or out-of-range
-/// value; the option's default must itself be valid.
-bool parsePow2Option(const OptionParser &Options, const char *Name,
-                     uint64_t Min, uint64_t Max, uint64_t *Out) {
-  std::string V = Options.getString(Name);
+/// Decodes --stream-chunk-bytes (a power of two in [1 KiB, 1 MiB]) into
+/// \p StreamOpts. Returns false (after printing a diagnostic) on a
+/// malformed or out-of-range value.
+bool parseStreamChunkBytes(const OptionParser &Options,
+                           TraceStreamOptions *StreamOpts) {
+  constexpr unsigned long long Min = 1024, Max = 1 << 20;
+  std::string V = Options.getString("stream-chunk-bytes");
   char *End = nullptr;
   unsigned long long N = std::strtoull(V.c_str(), &End, 10);
   if (End == V.c_str() || *End != '\0' || N < Min || N > Max ||
       (N & (N - 1)) != 0) {
     std::fprintf(stderr,
-                 "isprof: invalid --%s value '%s' (expected a power of "
-                 "two in [%llu, %llu])\n",
-                 Name, V.c_str(), static_cast<unsigned long long>(Min),
-                 static_cast<unsigned long long>(Max));
+                 "isprof: invalid --stream-chunk-bytes value '%s' (expected "
+                 "a power of two in [%llu, %llu])\n",
+                 V.c_str(), Min, Max);
     return false;
   }
-  *Out = N;
-  return true;
-}
-
-/// Decodes --shadow-shards into \p ToolOpts.
-bool parseShadowShards(const OptionParser &Options, ToolOptions *ToolOpts) {
-  uint64_t N = 1;
-  if (!parsePow2Option(Options, "shadow-shards", 1,
-                       ShardedShadow<uint64_t>::MaxShards, &N))
-    return false;
-  ToolOpts->ShadowShards = static_cast<unsigned>(N);
-  return true;
-}
-
-/// Decodes --stream-chunk-bytes into \p StreamOpts.
-bool parseStreamChunkBytes(const OptionParser &Options,
-                           TraceStreamOptions *StreamOpts) {
-  uint64_t N = TraceStreamOptions().ChunkBytes;
-  if (!parsePow2Option(Options, "stream-chunk-bytes", 1024, uint64_t(1) << 20,
-                       &N))
-    return false;
   StreamOpts->ChunkBytes = static_cast<size_t>(N);
   return true;
 }
@@ -302,12 +230,10 @@ struct ToolSet {
 
   /// Creates every requested tool; returns false on an unknown name.
   /// With \p Contexts set, each tool is wrapped in a ContextAdapter so
-  /// profiles are keyed by full call paths. \p ToolOpts carries the
-  /// construction knobs (--shadow-shards).
-  bool create(const std::string &Csv, bool Contexts = false,
-              ToolOptions ToolOpts = ToolOptions()) {
+  /// profiles are keyed by full call paths.
+  bool create(const std::string &Csv, bool Contexts = false) {
     for (const std::string &Name : splitList(Csv)) {
-      std::unique_ptr<Tool> T = makeTool(Name, ToolOpts);
+      std::unique_ptr<Tool> T = makeTool(Name);
       if (!T) {
         std::fprintf(stderr, "isprof: unknown tool '%s'; known tools:",
                      Name.c_str());
@@ -428,12 +354,8 @@ int commandRun(OptionParser &Options) {
   if (int Code = runStaticChecks(*Prog, Options))
     return Code;
 
-  ToolOptions ToolOpts;
-  if (!parseShadowShards(Options, &ToolOpts))
-    return 2;
   ToolSet Tools;
-  if (!Tools.create(Options.getString("tools"), Options.getFlag("contexts"),
-                    ToolOpts))
+  if (!Tools.create(Options.getString("tools"), Options.getFlag("contexts")))
     return 2;
 
   MachineOptions MachineOpts;
@@ -511,53 +433,6 @@ int commandRun(OptionParser &Options) {
   return 0;
 }
 
-/// Parallel stream replay (--replay-workers=N): the shard-partitioned
-/// engine with epoch barriers, producing a report byte-identical to the
-/// serial path.
-int replayStreamParallel(const std::string &StreamPath,
-                         const ToolOptions &ToolOpts, unsigned Workers) {
-  TraceStreamReader Reader;
-  if (!Reader.open(StreamPath)) {
-    std::fprintf(stderr, "isprof: cannot read stream %s: %s\n",
-                 StreamPath.c_str(), Reader.error().c_str());
-    return 1;
-  }
-  SymbolTable Symbols;
-  for (const auto &[Id, Name] : Reader.routines())
-    Symbols.intern(Name);
-
-  TrmsProfilerOptions ProfOpts;
-  ProfOpts.ShadowShards = ToolOpts.ShadowShards;
-  if (ProfOpts.ShadowShards <= 1) {
-    // --shadow-shards left at its default: auto-size so each worker
-    // owns several shards (profiles are identical across shard counts,
-    // so this only affects load balance).
-    unsigned Shards = 1;
-    while (Shards < 4 * Workers && Shards < 64)
-      Shards <<= 1;
-    ProfOpts.ShadowShards = Shards;
-  }
-  ParallelReplayProfiler Profiler(ProfOpts);
-
-  ParallelReplayOptions ReplayOpts;
-  ReplayOpts.Workers = Workers;
-  uint64_t Replayed = 0;
-  bool Ok = parallelReplayStream(Reader, Profiler, &Symbols, ReplayOpts,
-                                 /*StatsOut=*/nullptr, &Replayed);
-  if (!Ok) {
-    std::fprintf(stderr, "isprof: stream %s: chunk %zu: %s\n",
-                 StreamPath.c_str(),
-                 Reader.cursor() == 0 ? size_t(0) : Reader.cursor() - 1,
-                 Reader.error().c_str());
-    return 1;
-  }
-  std::printf("[replayed %s events from %zu chunk(s)]\n\n",
-              formatWithCommas(Replayed).c_str(), Reader.chunkCount());
-  std::printf("--- %s ---\n%s\n", Profiler.name().c_str(),
-              renderToolReport(Profiler, &Symbols).c_str());
-  return 0;
-}
-
 int commandReplay(OptionParser &Options) {
   // --replay-stream names a chunked stream explicitly; a positional
   // trace that carries the stream magic is streamed too, so `isprof
@@ -576,31 +451,8 @@ int commandReplay(OptionParser &Options) {
     }
   }
 
-  ToolOptions ToolOpts;
-  if (!parseShadowShards(Options, &ToolOpts))
-    return 2;
-  ReplayWorkersRequest ReplayReq;
-  if (!parseReplayWorkers(Options, &ReplayReq))
-    return 2;
-  // Parallel replay partitions the trms shadow state itself, so it
-  // applies only to chunked streams with exactly the aprof-trms tool.
-  // An explicit incompatible request is an error; the environment
-  // fallback silently stays serial.
-  bool ParallelEligible = !StreamPath.empty() &&
-                          Options.getString("tools") == "aprof-trms";
-  if (ReplayReq.Workers > 0 && ReplayReq.Explicit && !ParallelEligible) {
-    std::fprintf(stderr,
-                 "isprof: --replay-workers requires a chunked stream "
-                 "(--replay-stream or a stream-format trace) and "
-                 "--tools=aprof-trms\n");
-    return 2;
-  }
-  if (ReplayReq.Workers > 0 && ParallelEligible)
-    return replayStreamParallel(StreamPath, ToolOpts, ReplayReq.Workers);
-
   ToolSet Tools;
-  if (!Tools.create(Options.getString("tools"), /*Contexts=*/false,
-                    ToolOpts))
+  if (!Tools.create(Options.getString("tools")))
     return 2;
   EventDispatcher Dispatcher;
   Tools.attach(Dispatcher);
@@ -735,12 +587,8 @@ int commandWorkload(OptionParser &Options) {
     optimizeProgram(*Prog);
   if (int Code = runStaticChecks(*Prog, Options))
     return Code;
-  ToolOptions ToolOpts;
-  if (!parseShadowShards(Options, &ToolOpts))
-    return 2;
   ToolSet Tools;
-  if (!Tools.create(Options.getString("tools"), /*Contexts=*/false,
-                    ToolOpts))
+  if (!Tools.create(Options.getString("tools")))
     return 2;
   EventDispatcher Dispatcher;
   Tools.attach(Dispatcher);
@@ -1057,17 +905,9 @@ int main(int Argc, char **Argv) {
   Options.addOption("record-stream", "",
                     "stream the event trace to this path as a chunked "
                     "file while the guest runs (bounded memory)");
-  Options.addOption("replay-workers", "",
-                    "(replay) partition stream replay across N shadow-"
-                    "shard workers (streams + --tools=aprof-trms only; "
-                    "0 = serial)");
   Options.addOption("replay-stream", "",
                     "(replay) replay this chunked stream file chunk by "
                     "chunk (bounded memory)");
-  Options.addOption("shadow-shards", "1",
-                    "shard the aprof-trms global wts shadow by address "
-                    "range (power of two; 1 = unsharded). aprof-rms "
-                    "keeps per-thread shadows only and is unaffected");
   Options.addOption("html", "", "write an HTML profile report (needs an "
                                 "aprof tool in --tools)");
   Options.addFlag("contexts", "profile per calling context instead of "

@@ -26,59 +26,47 @@ inline bool wtsKernel(uint64_t Packed) { return (Packed & 1) != 0; }
 
 } // namespace
 
-template <typename ShadowT, typename WtsShadowT>
-TrmsProfilerT<ShadowT, WtsShadowT>::TrmsProfilerT(TrmsProfilerOptions Opts)
+template <typename ShadowT>
+TrmsProfilerT<ShadowT>::TrmsProfilerT(TrmsProfilerOptions Opts)
     : Options(Opts) {
   Database.setKeepLog(Options.KeepActivationLog);
-  // Shard the global wts when the shadow type supports it (ShadowShards
-  // is validated upstream; an invalid count falls back to one shard).
-  if constexpr (requires(WtsShadowT &W) { W.setShardCount(1u); })
-    Wts.setShardCount(Options.ShadowShards);
 }
 
-template <typename ShadowT, typename WtsShadowT> TrmsProfilerT<ShadowT, WtsShadowT>::~TrmsProfilerT() = default;
+template <typename ShadowT> TrmsProfilerT<ShadowT>::~TrmsProfilerT() = default;
 
-template <typename ShadowT, typename WtsShadowT>
-void TrmsProfilerT<ShadowT, WtsShadowT>::onStart(const SymbolTable *Symbols) {
+template <typename ShadowT>
+void TrmsProfilerT<ShadowT>::onStart(const SymbolTable *Symbols) {
   (void)Symbols;
 }
 
-template <typename ShadowT, typename WtsShadowT>
-void TrmsProfilerT<ShadowT, WtsShadowT>::handleBatch(const Event *Words,
-                                                     size_t Count) {
+template <typename ShadowT>
+void TrmsProfilerT<ShadowT>::handleBatch(const Event *Words, size_t Count) {
   walkBatch(*this, Words, Count);
 }
 
-template <typename ShadowT, typename WtsShadowT>
-typename TrmsProfilerT<ShadowT, WtsShadowT>::ThreadState &
-TrmsProfilerT<ShadowT, WtsShadowT>::stateSlow(ThreadId Tid) {
+template <typename ShadowT>
+typename TrmsProfilerT<ShadowT>::ThreadState &
+TrmsProfilerT<ShadowT>::stateSlow(ThreadId Tid) {
   if (Tid >= Threads.size())
     Threads.resize(static_cast<size_t>(Tid) + 1);
   std::unique_ptr<ThreadState> &Slot = Threads[Tid];
-  if (!Slot) {
+  if (!Slot)
     Slot = std::make_unique<ThreadState>();
-    // Mirror the wts sharding on the per-thread ts when the shadow type
-    // supports it (the ParallelReplayProfiler configuration): parallel
-    // replay routes ops by shard, and both shadows a worker touches
-    // must agree on which shard an address belongs to.
-    if constexpr (requires(ShadowT &S) { S.setShardCount(1u); })
-      Slot->Ts.setShardCount(Options.ShadowShards);
-  }
   if (HaveCurrentTid && CurrentTid == Tid)
     CurrentState = Slot.get();
   return *Slot;
 }
 
-template <typename ShadowT, typename WtsShadowT>
-typename TrmsProfilerT<ShadowT, WtsShadowT>::ThreadState &
-TrmsProfilerT<ShadowT, WtsShadowT>::state(ThreadId Tid) {
+template <typename ShadowT>
+typename TrmsProfilerT<ShadowT>::ThreadState &
+TrmsProfilerT<ShadowT>::state(ThreadId Tid) {
   if (CurrentState && HaveCurrentTid && CurrentTid == Tid)
     return *CurrentState;
   return stateSlow(Tid);
 }
 
-template <typename ShadowT, typename WtsShadowT>
-void TrmsProfilerT<ShadowT, WtsShadowT>::noteThread(ThreadId Tid) {
+template <typename ShadowT>
+void TrmsProfilerT<ShadowT>::noteThread(ThreadId Tid) {
   // The merged trace is serialized; a change of running thread is a
   // thread switch and bumps the global counter (Figure 11). Detecting
   // switches here (rather than relying on explicit ThreadSwitch events)
@@ -91,20 +79,20 @@ void TrmsProfilerT<ShadowT, WtsShadowT>::noteThread(ThreadId Tid) {
   bumpCount();
 }
 
-template <typename ShadowT, typename WtsShadowT> void TrmsProfilerT<ShadowT, WtsShadowT>::bumpCount() {
+template <typename ShadowT> void TrmsProfilerT<ShadowT>::bumpCount() {
   if (Count + 1 >= Options.CounterLimit)
     renumber();
   ++Count;
 }
 
-template <typename ShadowT, typename WtsShadowT>
-void TrmsProfilerT<ShadowT, WtsShadowT>::onThreadStart(ThreadId Tid, ThreadId Parent) {
+template <typename ShadowT>
+void TrmsProfilerT<ShadowT>::onThreadStart(ThreadId Tid, ThreadId Parent) {
   noteThread(Tid);
   state(Tid);
 }
 
-template <typename ShadowT, typename WtsShadowT>
-void TrmsProfilerT<ShadowT, WtsShadowT>::onThreadEnd(ThreadId Tid) {
+template <typename ShadowT>
+void TrmsProfilerT<ShadowT>::onThreadEnd(ThreadId Tid) {
   noteThread(Tid);
   ThreadState &TS = state(Tid);
   // Unwind any activations still pending when the thread dies, so their
@@ -123,8 +111,8 @@ void TrmsProfilerT<ShadowT, WtsShadowT>::onThreadEnd(ThreadId Tid) {
   Threads[Tid].reset();
 }
 
-template <typename ShadowT, typename WtsShadowT>
-void TrmsProfilerT<ShadowT, WtsShadowT>::onCall(ThreadId Tid, RoutineId Rtn) {
+template <typename ShadowT>
+void TrmsProfilerT<ShadowT>::onCall(ThreadId Tid, RoutineId Rtn) {
   noteThread(Tid);
   ThreadState &TS = state(Tid);
   bumpCount();
@@ -135,8 +123,8 @@ void TrmsProfilerT<ShadowT, WtsShadowT>::onCall(ThreadId Tid, RoutineId Rtn) {
   TS.Stack.push_back(F);
 }
 
-template <typename ShadowT, typename WtsShadowT>
-void TrmsProfilerT<ShadowT, WtsShadowT>::popFrame(ThreadId Tid, ThreadState &TS) {
+template <typename ShadowT>
+void TrmsProfilerT<ShadowT>::popFrame(ThreadId Tid, ThreadState &TS) {
   assert(!TS.Stack.empty() && "return with empty shadow stack");
   Frame Top = TS.Stack.back();
   TS.Stack.pop_back();
@@ -167,8 +155,8 @@ void TrmsProfilerT<ShadowT, WtsShadowT>::popFrame(ThreadId Tid, ThreadState &TS)
   }
 }
 
-template <typename ShadowT, typename WtsShadowT>
-void TrmsProfilerT<ShadowT, WtsShadowT>::onReturn(ThreadId Tid, RoutineId Rtn) {
+template <typename ShadowT>
+void TrmsProfilerT<ShadowT>::onReturn(ThreadId Tid, RoutineId Rtn) {
   noteThread(Tid);
   ThreadState &TS = state(Tid);
   if (TS.Stack.empty())
@@ -177,14 +165,14 @@ void TrmsProfilerT<ShadowT, WtsShadowT>::onReturn(ThreadId Tid, RoutineId Rtn) {
   popFrame(Tid, TS);
 }
 
-template <typename ShadowT, typename WtsShadowT>
-void TrmsProfilerT<ShadowT, WtsShadowT>::onBasicBlock(ThreadId Tid, uint64_t N) {
+template <typename ShadowT>
+void TrmsProfilerT<ShadowT>::onBasicBlock(ThreadId Tid, uint64_t N) {
   noteThread(Tid);
   state(Tid).BbCount += N;
 }
 
-template <typename ShadowT, typename WtsShadowT>
-void TrmsProfilerT<ShadowT, WtsShadowT>::onRead(ThreadId Tid, Addr A, uint64_t Cells) {
+template <typename ShadowT>
+void TrmsProfilerT<ShadowT>::onRead(ThreadId Tid, Addr A, uint64_t Cells) {
   noteThread(Tid);
   ThreadState &TS = state(Tid);
   Database.GlobalReads += Cells;
@@ -268,16 +256,16 @@ void TrmsProfilerT<ShadowT, WtsShadowT>::onRead(ThreadId Tid, Addr A, uint64_t C
   });
 }
 
-template <typename ShadowT, typename WtsShadowT>
-void TrmsProfilerT<ShadowT, WtsShadowT>::onWrite(ThreadId Tid, Addr A, uint64_t Cells) {
+template <typename ShadowT>
+void TrmsProfilerT<ShadowT>::onWrite(ThreadId Tid, Addr A, uint64_t Cells) {
   noteThread(Tid);
   ThreadState &TS = state(Tid);
   TS.Ts.fillRange(A, Cells, Count);
   Wts.fillRange(A, Cells, packWts(Count, /*Kernel=*/false));
 }
 
-template <typename ShadowT, typename WtsShadowT>
-void TrmsProfilerT<ShadowT, WtsShadowT>::onKernelRead(ThreadId Tid, Addr A,
+template <typename ShadowT>
+void TrmsProfilerT<ShadowT>::onKernelRead(ThreadId Tid, Addr A,
                                           uint64_t Cells) {
   // The OS reads guest memory to send it to a device; Figure 12 treats
   // this as a read performed by the thread, as if the system call were a
@@ -285,8 +273,8 @@ void TrmsProfilerT<ShadowT, WtsShadowT>::onKernelRead(ThreadId Tid, Addr A,
   onRead(Tid, A, Cells);
 }
 
-template <typename ShadowT, typename WtsShadowT>
-void TrmsProfilerT<ShadowT, WtsShadowT>::onKernelWrite(ThreadId Tid, Addr A,
+template <typename ShadowT>
+void TrmsProfilerT<ShadowT>::onKernelWrite(ThreadId Tid, Addr A,
                                            uint64_t Cells) {
   noteThread(Tid);
   // Figure 12: a buffer load from a device must not count as thread input
@@ -299,170 +287,7 @@ void TrmsProfilerT<ShadowT, WtsShadowT>::onKernelWrite(ThreadId Tid, Addr A,
   Wts.fillRange(A, Cells, packWts(Count, /*Kernel=*/true));
 }
 
-//===----------------------------------------------------------------------===//
-// Parallel-replay entry points
-//
-// onRead/onWrite/onKernelWrite split into a serial half (global counter
-// and tallies) and a shard-local half (shadow cells plus commutative
-// classification sums). The shard-local half below is a transcription
-// of the corresponding on* body with every update to shared state
-// replaced by a TrmsReplayDeltas increment; byte-identity of parallel
-// replay rests on these staying in lockstep with the serial handlers.
-//===----------------------------------------------------------------------===//
-
-template <typename ShadowT, typename WtsShadowT>
-unsigned TrmsProfilerT<ShadowT, WtsShadowT>::replayShardCount() const {
-  if constexpr (requires(const WtsShadowT &W) { W.shardCount(); })
-    return Wts.shardCount();
-  else
-    return 1;
-}
-
-template <typename ShadowT, typename WtsShadowT>
-size_t TrmsProfilerT<ShadowT, WtsShadowT>::replayShardOf(Addr A) const {
-  if constexpr (requires(const WtsShadowT &W) { W.shardOf(A); })
-    return Wts.shardOf(A);
-  else
-    return 0;
-}
-
-template <typename ShadowT, typename WtsShadowT>
-void TrmsProfilerT<ShadowT, WtsShadowT>::replayPrepareMemOp(const EventRecord &E,
-                                                            TrmsReplayOp &Op) {
-  noteThread(E.Tid);
-  ThreadState &TS = state(E.Tid);
-  Op.Tid = E.Tid;
-  Op.State = &TS;
-  switch (E.Kind) {
-  case EventKind::Read:
-  case EventKind::KernelRead:
-    Database.GlobalReads += E.Arg1;
-    Op.Kind = EventKind::Read;
-    break;
-  case EventKind::Write:
-    Op.Kind = EventKind::Write;
-    break;
-  case EventKind::KernelWrite:
-    bumpCount();
-    Op.Kind = EventKind::KernelWrite;
-    break;
-  default:
-    assert(false && "not a memory event");
-    break;
-  }
-  Op.Count = Count;
-}
-
-template <typename ShadowT, typename WtsShadowT>
-void TrmsProfilerT<ShadowT, WtsShadowT>::replayApplyMemOp(
-    const TrmsReplayOp &Op, Addr A, uint64_t Cells, TrmsReplayDeltas &D) {
-  ThreadState &TS = *static_cast<ThreadState *>(Op.State);
-  switch (Op.Kind) {
-  case EventKind::Write:
-    TS.Ts.fillRange(A, Cells, Op.Count);
-    Wts.fillRange(A, Cells, packWts(Op.Count, /*Kernel=*/false));
-    return;
-  case EventKind::KernelWrite:
-    Wts.fillRange(A, Cells, packWts(Op.Count, /*Kernel=*/true));
-    return;
-  default:
-    break;
-  }
-  // Read. The stack is frozen for the duration of the epoch, so frame
-  // timestamps can be read without synchronization; the frame partials
-  // themselves are NOT touched — increments go into D.
-  if (TS.Stack.empty()) {
-    TS.Ts.fillRange(A, Cells, Op.Count);
-    return;
-  }
-  const Frame &Top = TS.Stack.back();
-  const uint64_t CountNow = Op.Count;
-  const size_t TopIndex = TS.Stack.size() - 1;
-  // Resolve the top frame's delta first: it grows the Frames vector to
-  // its final size, so the ancestor lookups inside the loop (always at
-  // smaller indices) can never reallocate it under this reference.
-  TrmsReplayDeltas::FrameDelta &TopD = D.frame(Op.Tid, TopIndex);
-  TS.Ts.forRange(A, Cells, [&](Addr Address, uint64_t &TsCell) {
-    if (TsCell == CountNow)
-      return; // as in onRead: the access changes no state
-    uint64_t WPacked = Wts.get(Address);
-    uint64_t WTime = wtsTime(WPacked);
-
-    bool NeedAncestor = TsCell != 0 && TsCell < Top.Ts;
-    size_t AncestorIndex = 0;
-    bool HaveAncestor = false;
-    if (NeedAncestor) {
-      size_t Lo = 0, Hi = TS.Stack.size();
-      while (Lo < Hi) {
-        size_t Mid = Lo + (Hi - Lo) / 2;
-        if (TS.Stack[Mid].Ts <= TsCell)
-          Lo = Mid + 1;
-        else
-          Hi = Mid;
-      }
-      if (Lo > 0) {
-        AncestorIndex = Lo - 1;
-        HaveAncestor = true;
-      }
-    }
-
-    if (TsCell < Top.Ts) {
-      ++TopD.Rms;
-      if (HaveAncestor)
-        --D.frame(Op.Tid, AncestorIndex).Rms;
-    }
-
-    if (TsCell < WTime) {
-      ++TopD.Trms;
-      if (wtsKernel(WPacked)) {
-        ++TopD.InducedExternal;
-        ++D.InducedExternal;
-      } else {
-        ++TopD.InducedThread;
-        ++D.InducedThread;
-      }
-    } else if (TsCell < Top.Ts) {
-      ++TopD.Trms;
-      ++D.PlainFirstAccesses;
-      if (HaveAncestor)
-        --D.frame(Op.Tid, AncestorIndex).Trms;
-    }
-
-    TsCell = CountNow;
-  });
-}
-
-template <typename ShadowT, typename WtsShadowT>
-void TrmsProfilerT<ShadowT, WtsShadowT>::replayMergeDeltas(
-    TrmsReplayDeltas &D) {
-  for (ThreadId Tid = 0; Tid != D.Threads.size(); ++Tid) {
-    typename TrmsReplayDeltas::ThreadDeltas &TD = D.Threads[Tid];
-    if (TD.DirtyFrames.empty())
-      continue;
-    assert(Tid < Threads.size() && Threads[Tid] &&
-           "deltas for a thread with no live state");
-    ThreadState &TS = *Threads[Tid];
-    for (uint32_t Index : TD.DirtyFrames) {
-      assert(Index < TS.Stack.size() && "delta for a popped frame");
-      TrmsReplayDeltas::FrameDelta &FD = TD.Frames[Index];
-      Frame &F = TS.Stack[Index];
-      F.PartialTrms += FD.Trms;
-      F.PartialRms += FD.Rms;
-      F.PartialInducedThread += FD.InducedThread;
-      F.PartialInducedExternal += FD.InducedExternal;
-      FD = {};
-    }
-    TD.DirtyFrames.clear();
-  }
-  Database.GlobalInducedThread += D.InducedThread;
-  Database.GlobalInducedExternal += D.InducedExternal;
-  Database.GlobalPlainFirstAccesses += D.PlainFirstAccesses;
-  D.InducedThread = 0;
-  D.InducedExternal = 0;
-  D.PlainFirstAccesses = 0;
-}
-
-template <typename ShadowT, typename WtsShadowT> void TrmsProfilerT<ShadowT, WtsShadowT>::onFinish() {
+template <typename ShadowT> void TrmsProfilerT<ShadowT>::onFinish() {
   for (ThreadId Tid = 0; Tid != Threads.size(); ++Tid) {
     ThreadState *TS = Threads[Tid].get();
     if (!TS)
@@ -487,21 +312,17 @@ template <typename ShadowT, typename WtsShadowT> void TrmsProfilerT<ShadowT, Wts
       }
     R.counter("shadow.ts.cache_hits").add(TsHits);
     R.counter("shadow.ts.cache_misses").add(TsMisses);
-    if constexpr (requires(WtsShadowT &W) { W.setShardCount(1u); }) {
-      R.gauge("shadow.wts.shards").noteMax(Wts.shardCount());
-      R.counter("shadow.wts.shard_epochs").add(Wts.totalEpochs());
-    }
     R.gauge("profiler.peak_footprint_bytes").noteMax(memoryFootprintBytes());
   }
 }
 
-template <typename ShadowT, typename WtsShadowT>
-uint64_t TrmsProfilerT<ShadowT, WtsShadowT>::memoryFootprintBytes() const {
+template <typename ShadowT>
+uint64_t TrmsProfilerT<ShadowT>::memoryFootprintBytes() const {
   return std::max(PeakFootprintBytes, currentFootprintBytes());
 }
 
-template <typename ShadowT, typename WtsShadowT>
-uint64_t TrmsProfilerT<ShadowT, WtsShadowT>::currentFootprintBytes() const {
+template <typename ShadowT>
+uint64_t TrmsProfilerT<ShadowT>::currentFootprintBytes() const {
   uint64_t Total = Wts.totalBytes();
   for (const std::unique_ptr<ThreadState> &TS : Threads) {
     if (!TS)
@@ -518,7 +339,7 @@ uint64_t TrmsProfilerT<ShadowT, WtsShadowT>::currentFootprintBytes() const {
   return Total;
 }
 
-template <typename ShadowT, typename WtsShadowT> void TrmsProfilerT<ShadowT, WtsShadowT>::renumber() {
+template <typename ShadowT> void TrmsProfilerT<ShadowT>::renumber() {
   ++Renumberings;
 
   // Collect the timestamps of all pending activations across all threads
@@ -573,18 +394,12 @@ template <typename ShadowT, typename WtsShadowT> void TrmsProfilerT<ShadowT, Wts
   }
 
   // 2. Global write timestamps: wts lands at 3q+1, above activation q
-  // and below activation q+1. A sharded wts sweeps shard by shard
-  // through renumberNonZero, which bumps the per-shard epoch counters —
-  // the bookkeeping a future parallel renumberer will rely on.
-  auto RewriteWts = [&](Addr Address, uint64_t &WCell) {
+  // and below activation q+1.
+  Wts.forEachNonZero([&](Addr Address, uint64_t &WCell) {
     (void)Address;
     uint64_t Q = rankOf(wtsTime(WCell));
     WCell = packWts(3 * Q + 1, wtsKernel(WCell));
-  };
-  if constexpr (requires(WtsShadowT &W) { W.setShardCount(1u); })
-    Wts.renumberNonZero(RewriteWts);
-  else
-    Wts.forEachNonZero(RewriteWts);
+  });
 
   // 3. Activation timestamps, in rank order.
   for (std::unique_ptr<ThreadState> &TS : Threads) {
@@ -605,8 +420,4 @@ template <typename ShadowT, typename WtsShadowT> void TrmsProfilerT<ShadowT, Wts
 namespace isp {
 template class TrmsProfilerT<ThreeLevelShadow<uint64_t>>;
 template class TrmsProfilerT<DenseShadow<uint64_t>>;
-template class TrmsProfilerT<ThreeLevelShadow<uint64_t>,
-                             ShardedShadow<uint64_t>>;
-template class TrmsProfilerT<ShardedShadow<uint64_t>,
-                             ShardedShadow<uint64_t>>;
 } // namespace isp

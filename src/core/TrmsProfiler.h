@@ -38,7 +38,6 @@
 #include "core/ProfileData.h"
 #include "instr/Tool.h"
 #include "shadow/ShadowMemory.h"
-#include "shadow/ShardedShadow.h"
 
 #include <memory>
 #include <string>
@@ -54,78 +53,12 @@ struct TrmsProfilerOptions {
   uint64_t CounterLimit = uint64_t(1) << 32;
   /// Retain every ActivationRecord (for tests and raw dumps).
   bool KeepActivationLog = false;
-  /// Shard count for the global wts shadow (power of two; meaningful
-  /// only when the wts shadow type is sharded — ShardedTrmsProfiler /
-  /// --shadow-shards). 1 keeps the single-shard layout.
-  unsigned ShadowShards = 1;
-};
-
-/// One memory operation prepared by the serial step of parallel replay
-/// (replay/ParallelReplay.h) for application on a worker thread. The
-/// serial step runs replayPrepareMemOp — which performs every update
-/// that touches global profiler state (thread switch bookkeeping, the
-/// counter bump of a kernel write, global read tallies) and stamps the
-/// resulting counter value — and the shard-local remainder
-/// (replayApplyMemOp) can then run on any thread that owns the shadow
-/// shards the address range maps to.
-struct TrmsReplayOp {
-  /// Read, Write, or KernelWrite (kernel reads normalize to Read).
-  EventKind Kind = EventKind::Read;
-  ThreadId Tid = 0;
-  /// Global counter value observed after the serial half ran.
-  uint64_t Count = 0;
-  /// The owning thread's state. A pointer, not a Tid: the thread table
-  /// may grow (invalidating indices-to-come, not existing entries)
-  /// between the prepare and the apply.
-  void *State = nullptr;
-};
-
-/// Per-worker accumulator for the classification side effects of
-/// replayApplyMemOp. Everything in here is a commutative sum, so any
-/// interleaving of shard-local applies produces the same totals; the
-/// serial step folds them into the real frames and database counters at
-/// each epoch barrier (replayMergeDeltas), before any Return can pop a
-/// frame the deltas target. Treat the contents as opaque.
-struct TrmsReplayDeltas {
-  struct FrameDelta {
-    int64_t Trms = 0;
-    int64_t Rms = 0;
-    uint64_t InducedThread = 0;
-    uint64_t InducedExternal = 0;
-    bool Dirty = false;
-  };
-  struct ThreadDeltas {
-    std::vector<FrameDelta> Frames;
-    /// Indices of dirty entries in Frames, so merging skips clean ones.
-    std::vector<uint32_t> DirtyFrames;
-  };
-  std::vector<ThreadDeltas> Threads;
-  uint64_t InducedThread = 0;
-  uint64_t InducedExternal = 0;
-  uint64_t PlainFirstAccesses = 0;
-
-  FrameDelta &frame(ThreadId Tid, size_t FrameIndex) {
-    if (Tid >= Threads.size())
-      Threads.resize(Tid + 1);
-    ThreadDeltas &TD = Threads[Tid];
-    if (FrameIndex >= TD.Frames.size())
-      TD.Frames.resize(FrameIndex + 1);
-    FrameDelta &FD = TD.Frames[FrameIndex];
-    if (!FD.Dirty) {
-      FD.Dirty = true;
-      TD.DirtyFrames.push_back(static_cast<uint32_t>(FrameIndex));
-    }
-    return FD;
-  }
 };
 
 /// The profiler, parameterized over the shadow-memory implementation so
 /// the three-level-table vs dense-map ablation can run the identical
-/// algorithm, and separately over the global wts shadow type so the wts
-/// can be range-sharded (ShardedShadow) while the per-thread ts shadows
-/// keep the plain layout. Use the TrmsProfiler alias for the paper's
-/// configuration and ShardedTrmsProfiler for the sharded wts.
-template <typename ShadowT, typename WtsShadowT = ShadowT>
+/// algorithm. Use the TrmsProfiler alias for the paper's configuration.
+template <typename ShadowT>
 class TrmsProfilerT final : public Tool {
 public:
   explicit TrmsProfilerT(TrmsProfilerOptions Opts = TrmsProfilerOptions());
@@ -166,37 +99,6 @@ public:
 
   /// Current value of the global timestamp counter (for tests).
   uint64_t counterValue() const { return Count; }
-
-  //===--- Parallel-replay entry points (replay/ParallelReplay.h) -----===//
-  //
-  // Contract: between two epoch barriers the engine guarantees that (a)
-  // no Call/Return/ThreadEnd event runs, so every shadow stack is
-  // frozen and workers may read frame timestamps lock-free, (b) no
-  // renumbering can trigger (replayMayRenumber gates every event), and
-  // (c) each worker only applies ops whose address ranges map to shadow
-  // shards it exclusively owns, on both the global wts and the
-  // per-thread ts — which requires the doubly-sharded
-  // ParallelReplayProfiler instantiation.
-
-  /// Shard count of the shadows (1 for unsharded instantiations).
-  unsigned replayShardCount() const;
-  /// Shard that \p A's shadow cell lives in.
-  size_t replayShardOf(Addr A) const;
-  /// True when the next event could trigger a Figure 13 renumbering
-  /// (conservative: no single event bumps the counter more than twice).
-  bool replayMayRenumber() const { return Count + 3 >= Options.CounterLimit; }
-  /// Serial half of a memory event: thread-switch bookkeeping, global
-  /// counter/tally updates, and the op stamp. \p E must be a Read,
-  /// Write, KernelRead, or KernelWrite.
-  void replayPrepareMemOp(const EventRecord &E, TrmsReplayOp &Op);
-  /// Shard-local half: applies \p Op to cells [A, A + Cells), folding
-  /// classification side effects into \p D instead of shared state.
-  /// Safe to run concurrently with other applies on disjoint shards.
-  void replayApplyMemOp(const TrmsReplayOp &Op, Addr A, uint64_t Cells,
-                        TrmsReplayDeltas &D);
-  /// Folds (and resets) \p D into the real frames and database tallies.
-  /// Serial step only, with all workers drained.
-  void replayMergeDeltas(TrmsReplayDeltas &D);
 
 private:
   /// One pending activation on a thread's shadow run-time stack.
@@ -249,7 +151,7 @@ private:
 
   TrmsProfilerOptions Options;
   /// Global write-timestamp shadow; cells pack (time << 1) | kernelBit.
-  WtsShadowT Wts;
+  ShadowT Wts;
   uint64_t Count = 1;
   /// Flat thread table keyed by ThreadId; dead threads leave null slots.
   std::vector<std::unique_ptr<ThreadState>> Threads;
@@ -270,23 +172,9 @@ private:
 
 using TrmsProfiler = TrmsProfilerT<ThreeLevelShadow<uint64_t>>;
 using DenseTrmsProfiler = TrmsProfilerT<DenseShadow<uint64_t>>;
-/// Per-thread ts shadows stay plain; the global wts is range-sharded
-/// (TrmsProfilerOptions::ShadowShards selects the shard count).
-using ShardedTrmsProfiler =
-    TrmsProfilerT<ThreeLevelShadow<uint64_t>, ShardedShadow<uint64_t>>;
-/// Both the per-thread ts shadows and the global wts range-sharded with
-/// the same shard count — the configuration parallel replay requires,
-/// so every shadow write of a memory op stays inside the shard the op
-/// was routed by (replay/ParallelReplay.h).
-using ParallelReplayProfiler =
-    TrmsProfilerT<ShardedShadow<uint64_t>, ShardedShadow<uint64_t>>;
 
 extern template class TrmsProfilerT<ThreeLevelShadow<uint64_t>>;
 extern template class TrmsProfilerT<DenseShadow<uint64_t>>;
-extern template class TrmsProfilerT<ThreeLevelShadow<uint64_t>,
-                                    ShardedShadow<uint64_t>>;
-extern template class TrmsProfilerT<ShardedShadow<uint64_t>,
-                                    ShardedShadow<uint64_t>>;
 
 } // namespace isp
 

@@ -102,8 +102,8 @@ public:
   virtual class ProfileDatabase *profileDatabase() { return nullptr; }
 
   /// Dispatches one decoded trace event to the matching callback: the
-  /// per-event reference form, used by replayTrace, parallel replay and
-  /// the tests that check the batch walk against it.
+  /// per-event reference form, used by replayTrace and the tests that
+  /// check the batch walk against it.
   void handleEvent(const EventRecord &E) {
     switch (E.Kind) {
     case EventKind::ThreadStart:

@@ -12,14 +12,11 @@
 
 #include "shadow/ShadowMemory.h"
 
-#include "shadow/ShardedShadow.h"
-
 namespace isp {
 
 template class ThreeLevelShadow<uint64_t>;
 template class ThreeLevelShadow<uint32_t>;
 template class ThreeLevelShadow<uint8_t>;
 template class DenseShadow<uint64_t>;
-template class ShardedShadow<uint64_t>;
 
 } // namespace isp

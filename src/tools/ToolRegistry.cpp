@@ -37,11 +37,6 @@ bool isp::knownToolName(const std::string &Name) {
 }
 
 std::unique_ptr<Tool> isp::makeTool(const std::string &Name) {
-  return makeTool(Name, ToolOptions());
-}
-
-std::unique_ptr<Tool> isp::makeTool(const std::string &Name,
-                                    const ToolOptions &Opts) {
   if (Name == "nulgrind")
     return std::make_unique<NulTool>();
   if (Name == "memcheck")
@@ -56,14 +51,8 @@ std::unique_ptr<Tool> isp::makeTool(const std::string &Name,
     return std::make_unique<CctTool>();
   if (Name == "aprof-rms")
     return std::make_unique<RmsProfiler>();
-  if (Name == "aprof-trms") {
-    if (Opts.ShadowShards > 1) {
-      TrmsProfilerOptions ProfOpts;
-      ProfOpts.ShadowShards = Opts.ShadowShards;
-      return std::make_unique<ShardedTrmsProfiler>(ProfOpts);
-    }
+  if (Name == "aprof-trms")
     return std::make_unique<TrmsProfiler>();
-  }
   if (Name == "aprof-trms-naive")
     return std::make_unique<NaiveTrmsProfiler>();
   return nullptr;

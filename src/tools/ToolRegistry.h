@@ -27,21 +27,9 @@ namespace isp {
 
 class SymbolTable;
 
-/// Tool-construction knobs shared by every surface that builds tools
-/// (driver, workload runner, benches).
-struct ToolOptions {
-  /// Shard count for the aprof-trms global wts shadow (power of two;
-  /// 1 = the plain single-shard profiler). Other tools ignore it.
-  unsigned ShadowShards = 1;
-};
-
 /// Creates a fresh tool by name; null for "native" or unknown names
 /// (check knownToolName first to distinguish).
 std::unique_ptr<Tool> makeTool(const std::string &Name);
-/// Same, honoring \p Opts (e.g. "aprof-trms" with ShadowShards > 1
-/// builds the sharded-wts profiler; reports stay byte-identical).
-std::unique_ptr<Tool> makeTool(const std::string &Name,
-                               const ToolOptions &Opts);
 
 /// True when \p Name names a creatable tool or "native".
 bool knownToolName(const std::string &Name);

@@ -33,17 +33,16 @@
 /// can seek to any chunk — and a truncated file is detected immediately
 /// rather than half-replayed.
 ///
-/// The v2 activity masks are per-chunk Bloom-style summaries consumed by
-/// the parallel replay engine (replay/ParallelReplay.h): the routine
-/// mask sets bit `RoutineId & 63` for every Call in the chunk, and the
-/// 256-bit shard mask sets bit `(Addr >> ActivityChunkShift) & 255` for
-/// every shadow chunk a memory access touches. The shard geometry
-/// mirrors the shadow-memory layout (ThreeLevelShadow::OffsetBits /
-/// ShardedShadow::MaxShards) and is stored at maximum resolution, so one
-/// recorded mask folds down to any configured shard count. Masks are
-/// advisory: they can only suppress per-chunk bookkeeping for provably
-/// untouched shards, never change what is replayed, so a corrupt mask
-/// cannot corrupt results. v1 streams read back with all-ones masks.
+/// The v2 activity masks are per-chunk Bloom-style summaries: the
+/// routine mask sets bit `RoutineId & 63` for every Call in the chunk,
+/// and the 256-bit shard mask sets bit `(Addr >> ActivityChunkShift) &
+/// 255` for every shadow chunk a memory access touches. Only the
+/// collector's routine-filtered ingest reads the masks, and it trusts
+/// them: it skips, without decoding, every chunk whose masks rule out
+/// the filtered routines, so a corrupt mask can silently drop
+/// activations from a filtered rollup (no footer checksum guards the
+/// masks). Unfiltered replay and collect never read them. v1 streams
+/// read back with all-ones masks.
 ///
 /// The v3 written-shard mask records the shard slots touched by
 /// *mutating* events (Write, KernelWrite, Alloc). The
@@ -92,9 +91,9 @@ class Tool;
 
 /// Shadow-chunk key geometry for the v2 activity masks. A memory address
 /// maps to shadow chunk key `Addr >> ActivityChunkShift`; the mask
-/// records `key & (ActivityShardSlots - 1)`. These mirror
-/// ThreeLevelShadow::OffsetBits and ShardedShadow::MaxShards (statically
-/// asserted where both headers meet, in the parallel replay engine).
+/// records `key & (ActivityShardSlots - 1)`. Both constants are part of
+/// the stream format: changing either changes what every recorded mask
+/// means.
 inline constexpr unsigned ActivityChunkShift = 9;
 inline constexpr unsigned ActivityShardSlots = 256;
 

@@ -71,25 +71,15 @@ ProfiledRun isp::profileWorkload(const WorkloadInfo &Workload,
     Out.Run.Error = Error;
     return Out;
   }
-  // The sharded and plain profilers run the identical algorithm; only
-  // the wts layout differs, so either fills the same ProfiledRun.
-  auto RunWith = [&](auto &Profiler) {
-    EventDispatcher Dispatcher;
-    Dispatcher.addTool(&Profiler);
-    Machine M(*Prog, &Dispatcher, MachineOpts);
-    {
-      obs::ScopedTimer Timer(phaseCounter("runner.execute_ns"));
-      Out.Run = M.run();
-    }
-    Out.Profile = Profiler.takeDatabase();
-  };
-  if (ProfOpts.ShadowShards > 1) {
-    ShardedTrmsProfiler Profiler(ProfOpts);
-    RunWith(Profiler);
-  } else {
-    TrmsProfiler Profiler(ProfOpts);
-    RunWith(Profiler);
+  TrmsProfiler Profiler(ProfOpts);
+  EventDispatcher Dispatcher;
+  Dispatcher.addTool(&Profiler);
+  Machine M(*Prog, &Dispatcher, MachineOpts);
+  {
+    obs::ScopedTimer Timer(phaseCounter("runner.execute_ns"));
+    Out.Run = M.run();
   }
+  Out.Profile = Profiler.takeDatabase();
   Out.Symbols = Prog->Symbols;
   return Out;
 }

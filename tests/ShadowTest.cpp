@@ -6,7 +6,6 @@
 
 #include "shadow/ShadowMemory.h"
 
-#include "shadow/ShardedShadow.h"
 #include "support/Random.h"
 
 #include <gtest/gtest.h>
@@ -271,131 +270,6 @@ TEST(DenseShadow, FootprintGrowsWithPopulation) {
   for (Addr A = 0; A != 10000; ++A)
     Dense.set(A * 7, A + 1);
   EXPECT_GT(Dense.bytesAllocated(), Empty + 10000 * sizeof(uint64_t));
-}
-
-//===----------------------------------------------------------------------===//
-// Sharded shadow: every shard count must be observationally identical
-// to the single global shadow
-//===----------------------------------------------------------------------===//
-
-TEST(ShardedShadow, ValidatesShardCount) {
-  ShardedShadow<uint64_t> Shadow;
-  EXPECT_EQ(Shadow.shardCount(), 1u);
-  EXPECT_FALSE(Shadow.setShardCount(0));
-  EXPECT_FALSE(Shadow.setShardCount(3));
-  EXPECT_FALSE(Shadow.setShardCount(ShardedShadow<uint64_t>::MaxShards * 2));
-  EXPECT_EQ(Shadow.shardCount(), 1u);
-  EXPECT_TRUE(Shadow.setShardCount(16));
-  EXPECT_EQ(Shadow.shardCount(), 16u);
-}
-
-TEST(ShardedShadow, RoutesByChunkKey) {
-  ShardedShadow<uint64_t> Shadow;
-  ASSERT_TRUE(Shadow.setShardCount(4));
-  constexpr Addr Chunk = ShardedShadow<uint64_t>::ChunkCells;
-  // All cells of one chunk land on one shard; consecutive chunks rotate.
-  EXPECT_EQ(Shadow.shardOf(0), Shadow.shardOf(Chunk - 1));
-  EXPECT_EQ(Shadow.shardOf(Chunk), 1u);
-  EXPECT_EQ(Shadow.shardOf(2 * Chunk), 2u);
-  EXPECT_EQ(Shadow.shardOf(4 * Chunk), 0u);
-}
-
-/// Drives a sharded shadow and a plain ThreeLevelShadow through the same
-/// random mix of point ops and boundary-crossing range ops, then demands
-/// identical contents, identical range-visit results, and matching reset
-/// accounting. Run for each shard count the driver flag accepts.
-void checkShardedMatchesGlobal(unsigned ShardCount) {
-  ShardedShadow<uint64_t> Sharded;
-  ASSERT_TRUE(Sharded.setShardCount(ShardCount));
-  ThreeLevelShadow<uint64_t> Global;
-  Rng R(31 + ShardCount);
-
-  constexpr Addr Chunk = ThreeLevelShadow<uint64_t>::ChunkCells;
-  constexpr Addr L2Span = Chunk << ThreeLevelShadow<uint64_t>::L2Bits;
-  const Addr Bases[] = {0,          Chunk - 3,      5 * Chunk - 1,
-                        L2Span - 7, 3 * L2Span - 2, (Addr(1) << 25) - 5};
-
-  for (int Step = 0; Step != 500; ++Step) {
-    Addr A = Bases[R.nextBelow(std::size(Bases))] + R.nextBelow(16);
-    switch (R.nextBelow(4)) {
-    case 0: {
-      uint64_t V = R.next() | 1;
-      Sharded.set(A, V);
-      Global.set(A, V);
-      break;
-    }
-    case 1:
-      EXPECT_EQ(Sharded.get(A), Global.get(A)) << "step " << Step;
-      break;
-    case 2: {
-      uint64_t Cells = 1 + R.nextBelow(3 * Chunk);
-      uint64_t V = R.next() | 1;
-      Sharded.fillRange(A, Cells, V);
-      Global.fillRange(A, Cells, V);
-      break;
-    }
-    default: {
-      uint64_t Cells = 1 + R.nextBelow(3 * Chunk);
-      uint64_t ShardedMix = 0, GlobalMix = 0;
-      Sharded.forRange(A, Cells, [&](Addr At, uint64_t &V) {
-        ShardedMix ^= V + At;
-        V = At + 1;
-      });
-      Global.forRange(A, Cells, [&](Addr At, uint64_t &V) {
-        GlobalMix ^= V + At;
-        V = At + 1;
-      });
-      EXPECT_EQ(ShardedMix, GlobalMix) << "step " << Step;
-      break;
-    }
-    }
-  }
-
-  // The full iterate views must agree cell for cell. The sharded
-  // enumeration is not globally address-sorted, so compare as maps.
-  std::map<Addr, uint64_t> FromSharded, FromGlobal;
-  Sharded.forEachNonZero([&](Addr A, uint64_t &V) { FromSharded[A] = V; });
-  Global.forEachNonZero([&](Addr A, uint64_t &V) { FromGlobal[A] = V; });
-  EXPECT_EQ(FromSharded, FromGlobal);
-  EXPECT_GT(FromSharded.size(), 0u);
-
-  // renumberNonZero is forEachNonZero plus one epoch bump per shard.
-  uint64_t EpochsBefore = Sharded.totalEpochs();
-  std::map<Addr, uint64_t> FromRenumber;
-  Sharded.renumberNonZero([&](Addr A, uint64_t &V) { FromRenumber[A] = V; });
-  EXPECT_EQ(FromRenumber, FromGlobal);
-  EXPECT_EQ(Sharded.totalEpochs(), EpochsBefore + ShardCount);
-  for (size_t I = 0; I != ShardCount; ++I)
-    EXPECT_EQ(Sharded.shardEpoch(I), 1u);
-
-  // Reset accounting: clear() releases every shard's storage while the
-  // shard count and the lifetime tallies (allocation counts, epochs)
-  // survive, matching the single-shadow semantics.
-  EXPECT_GT(Sharded.bytesAllocated(), 0u);
-  uint64_t LifetimeChunks = Sharded.chunksAllocated();
-  EXPECT_GT(LifetimeChunks, 0u);
-  Sharded.clear();
-  EXPECT_EQ(Sharded.bytesAllocated(), 0u);
-  EXPECT_EQ(Sharded.chunksAllocated(), LifetimeChunks);
-  EXPECT_EQ(Sharded.shardCount(), ShardCount);
-  EXPECT_EQ(Sharded.totalEpochs(), EpochsBefore + ShardCount);
-  size_t Visited = 0;
-  Sharded.forEachNonZero([&](Addr, uint64_t &) { ++Visited; });
-  EXPECT_EQ(Visited, 0u);
-  for (auto &[A, V] : FromGlobal)
-    EXPECT_EQ(Sharded.get(A), 0u) << "address " << A;
-}
-
-TEST(ShardedShadowProperty, OneShardMatchesGlobal) {
-  checkShardedMatchesGlobal(1);
-}
-
-TEST(ShardedShadowProperty, FourShardsMatchGlobal) {
-  checkShardedMatchesGlobal(4);
-}
-
-TEST(ShardedShadowProperty, SixteenShardsMatchGlobal) {
-  checkShardedMatchesGlobal(16);
 }
 
 TEST(ShadowSpace, ThreeLevelWinsOnClusteredAddresses) {

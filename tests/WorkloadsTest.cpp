@@ -256,34 +256,4 @@ TEST(PaperClaims, ThreadCountLeavesResultsUnchanged) {
   }
 }
 
-TEST(ShardedProfiling, ShardCountLeavesWorkloadProfilesByteIdentical) {
-  // The sharded wts shadow must be invisible in the results: rendered
-  // profiles for multithreaded workloads are byte-identical at every
-  // shard count (the driver's --shadow-shards contract).
-  for (const char *Name : {"producer_consumer", "dbserver"}) {
-    const WorkloadInfo *W = findWorkload(Name);
-    ASSERT_NE(W, nullptr);
-    WorkloadParams P;
-    P.Threads = 4;
-    P.Size = 32;
-
-    TrmsProfilerOptions Baseline;
-    ProfiledRun Global = profileWorkload(*W, P, Baseline);
-    ASSERT_TRUE(Global.Run.Ok) << Name << ": " << Global.Run.Error;
-    std::string GlobalReport =
-        renderRunSummary(Global.Profile, &Global.Symbols);
-
-    for (unsigned Shards : {4u, 16u}) {
-      TrmsProfilerOptions Opts;
-      Opts.ShadowShards = Shards;
-      ProfiledRun Sharded = profileWorkload(*W, P, Opts);
-      ASSERT_TRUE(Sharded.Run.Ok) << Name << ": " << Sharded.Run.Error;
-      EXPECT_EQ(Sharded.Run.Output, Global.Run.Output) << Name;
-      EXPECT_EQ(renderRunSummary(Sharded.Profile, &Sharded.Symbols),
-                GlobalReport)
-          << Name << " at " << Shards << " shards";
-    }
-  }
-}
-
 } // namespace
