@@ -6,17 +6,11 @@
 
 #include "BenchUtil.h"
 
-#include "collect/Collector.h"
-#include "collect/FleetStore.h"
 #include "instr/Dispatcher.h"
 #include "tools/ToolRegistry.h"
-#include "trace/TraceStream.h"
-#include "vm/Compiler.h"
-#include "vm/Optimizer.h"
 #include "workloads/Runner.h"
 
 #include <chrono>
-#include <cmath>
 #include <cstdio>
 #include <sys/stat.h>
 
@@ -106,736 +100,6 @@ std::vector<std::string> isp::workloadsInSuite(const std::string &Suite) {
 std::string isp::benchOutputPath(const std::string &Name) {
   ::mkdir("bench_out", 0755);
   return "bench_out/" + Name;
-}
-
-std::string isp::writeHotpathReport(unsigned Repeats) {
-  const WorkloadInfo *W = findWorkload("md");
-  if (!W) {
-    std::fprintf(stderr, "hotpath report: workload 'md' not registered\n");
-    return "";
-  }
-  WorkloadParams Params;
-  Params.Threads = 4;
-  Params.Size = 48;
-
-  Measurement Native = measureWorkload(*W, Params, "native", Repeats);
-  if (!Native.Ok) {
-    std::fprintf(stderr, "hotpath report: native run failed: %s\n",
-                 Native.Error.c_str());
-    return "";
-  }
-
-  std::string Path = benchOutputPath("BENCH_hotpath.json");
-  FILE *F = std::fopen(Path.c_str(), "w");
-  if (!F) {
-    std::fprintf(stderr, "hotpath report: cannot open %s\n", Path.c_str());
-    return "";
-  }
-
-  std::fprintf(F,
-               "{\n"
-               "  \"workload\": \"md\",\n"
-               "  \"threads\": %u,\n"
-               "  \"size\": %llu,\n"
-               "  \"repeats\": %u,\n"
-               "  \"native_seconds\": %.6f,\n"
-               "  \"configs\": [",
-               Params.Threads,
-               static_cast<unsigned long long>(Params.Size), Repeats,
-               Native.Seconds);
-
-  const char *Configs[] = {"nulgrind", "aprof-rms", "aprof-trms"};
-  bool First = true;
-  for (const char *ToolName : Configs) {
-    Measurement M = measureWorkload(*W, Params, ToolName, Repeats);
-    if (!M.Ok) {
-      std::fprintf(stderr, "hotpath report: %s run failed: %s\n", ToolName,
-                   M.Error.c_str());
-      std::fclose(F);
-      return "";
-    }
-    double Compaction =
-        M.EventsDelivered
-            ? static_cast<double>(M.EventsEmitted) /
-                  static_cast<double>(M.EventsDelivered)
-            : 0.0;
-    uint64_t TotalFlushes =
-        M.FlushesCapacity + M.FlushesExplicit + M.FlushesFinish;
-    std::fprintf(
-        F,
-        "%s\n"
-        "    {\n"
-        "      \"tool\": \"%s\",\n"
-        "      \"seconds\": %.6f,\n"
-        "      \"slowdown_vs_native\": %.3f,\n"
-        "      \"events_emitted\": %llu,\n"
-        "      \"events_delivered\": %llu,\n"
-        "      \"compaction_ratio\": %.3f,\n"
-        "      \"access_merges\": %llu,\n"
-        "      \"bb_folds\": %llu,\n"
-        "      \"quiet_suppressed\": %llu,\n"
-        "      \"quiet_window_aborts\": %llu,\n"
-        "      \"flushes_capacity\": %llu,\n"
-        "      \"flushes_finish\": %llu,\n"
-        "      \"avg_batch_fill\": %.1f,\n"
-        "      \"delivered_events_per_sec\": %.0f,\n"
-        "      \"emitted_events_per_sec\": %.0f\n"
-        "    }",
-        First ? "" : ",", ToolName, M.Seconds,
-        Native.Seconds > 0 ? M.Seconds / Native.Seconds : 0.0,
-        static_cast<unsigned long long>(M.EventsEmitted),
-        static_cast<unsigned long long>(M.EventsDelivered), Compaction,
-        static_cast<unsigned long long>(M.AccessMerges),
-        static_cast<unsigned long long>(M.BbFolds),
-        static_cast<unsigned long long>(M.Stats.QuietEventsSuppressed),
-        static_cast<unsigned long long>(M.Stats.QuietWindowAborts),
-        static_cast<unsigned long long>(M.FlushesCapacity),
-        static_cast<unsigned long long>(M.FlushesFinish),
-        TotalFlushes ? static_cast<double>(M.EventsDelivered) /
-                           static_cast<double>(TotalFlushes)
-                     : 0.0,
-        M.Seconds > 0 ? static_cast<double>(M.EventsDelivered) / M.Seconds
-                      : 0.0,
-        M.Seconds > 0 ? static_cast<double>(M.EventsEmitted) / M.Seconds
-                      : 0.0);
-    First = false;
-  }
-  std::fprintf(F, "\n  ],\n");
-
-  // Interpreter wall-clock: switch vs threaded dispatch vs the block
-  // compiler, under the full aprof-trms pipeline.
-  if (!writeInterpDispatchSection(F, Repeats)) {
-    std::fclose(F);
-    return "";
-  }
-
-  // Streaming record/replay: bounded writer memory and reader
-  // throughput vs the in-memory recording path.
-  if (!writeStreamingSection(F, Repeats)) {
-    std::fclose(F);
-    return "";
-  }
-
-  // Fleet collector: concurrent multi-stream ingest throughput and the
-  // routine-filtered chunk-skip ratio over the v2 activity bitmaps.
-  if (!writeCollectorSection(F, Repeats)) {
-    std::fclose(F);
-    return "";
-  }
-
-  // Quiet-indirect suppression: the alias-analysis-driven quiet marks on
-  // LoadIndirect/StoreIndirect (src/analysis). Run the *same* optimized
-  // program twice under aprof-trms — marks honored vs marks stripped —
-  // so the instruction streams and scheduling are identical and the
-  // event-count delta is exactly the suppression win. sort_compare is
-  // the indirect-heavy workload the pass bites on (repeated a[i]/a[j]
-  // reads inside one comparison window).
-  if (!writeQuietIndirectSection(F, Repeats)) {
-    std::fclose(F);
-    return "";
-  }
-
-  std::fprintf(F, "}\n");
-  std::fclose(F);
-  return Path;
-}
-
-bool isp::writeInterpDispatchSection(FILE *F, unsigned Repeats) {
-  // The bench guest set: the high-static-coverage workloads where the
-  // block compiler can engage on most of the instruction stream, plus
-  // md as the hybrid (indirect-heavy) representative. Sizes are small
-  // enough for CI smoke, large enough for stable minima.
-  struct GuestSpec {
-    const char *Name;
-    uint64_t Size;
-  };
-  const GuestSpec Guests[] = {
-      {"md", 64}, {"smithwa", 96}, {"applu331", 96}, {"kdtree", 96}};
-
-  // "switch" (no block compile) is the pre-refactor fused loop: the
-  // baseline every speedup ratio is measured against. nulgrind keeps
-  // tool callback cost out of the comparison — this section measures
-  // the interpreter + dispatcher substrate, the per-tool section above
-  // covers full-pipeline slowdowns.
-  struct Config {
-    const char *Name;
-    bool Native;
-    DispatchMode Dispatch;
-    bool BlockCompile;
-  };
-  const Config Configs[] = {
-      {"native", true, DispatchMode::Auto, false},
-      {"switch", false, DispatchMode::Switch, false},
-      {"threaded", false, DispatchMode::Threaded, false},
-      {"switch+block", false, DispatchMode::Switch, true},
-      {"threaded+block", false, DispatchMode::Threaded, true},
-  };
-  constexpr size_t NumConfigs = sizeof(Configs) / sizeof(Configs[0]);
-
-  std::fprintf(F,
-               "  \"interp_dispatch\": {\n"
-               "    \"tool\": \"nulgrind\",\n"
-               "    \"threads\": 4,\n"
-               "    \"threaded_dispatch_available\": %s,\n"
-               "    \"workloads\": [",
-               ThreadedDispatchAvailable ? "true" : "false");
-
-  double GeomeanLogSum = 0;
-  size_t GeomeanCount = 0;
-  bool FirstGuest = true;
-  for (const GuestSpec &G : Guests) {
-    const WorkloadInfo *W = findWorkload(G.Name);
-    if (!W) {
-      std::fprintf(stderr, "hotpath report: workload '%s' not registered\n",
-                   G.Name);
-      return false;
-    }
-    WorkloadParams Params;
-    Params.Threads = 4;
-    Params.Size = G.Size;
-    std::string Error;
-    std::optional<Program> Prog = compileWorkload(*W, Params, &Error);
-    if (!Prog) {
-      std::fprintf(stderr, "hotpath report: %s\n", Error.c_str());
-      return false;
-    }
-
-    // Interleave the configs round-robin and keep per-config minima:
-    // sequential blocks of repeats confound config differences with
-    // machine drift, round-robin minima cancel it.
-    struct Best {
-      double Seconds = 1e100;
-      RunStats Stats;
-      uint64_t EventsEmitted = 0;
-      uint64_t EventsDelivered = 0;
-    };
-    Best Bests[NumConfigs];
-    for (unsigned Round = 0; Round == 0 || Round < Repeats; ++Round) {
-      for (size_t CI = 0; CI != NumConfigs; ++CI) {
-        const Config &C = Configs[CI];
-        std::unique_ptr<Tool> ToolPtr =
-            C.Native ? nullptr : makeEvaluatedTool("nulgrind");
-        EventDispatcher Dispatcher;
-        if (ToolPtr)
-          Dispatcher.addTool(ToolPtr.get());
-        MachineOptions MachineOpts;
-        MachineOpts.Dispatch = C.Dispatch;
-        MachineOpts.BlockCompile = C.BlockCompile;
-        Machine M(*Prog, ToolPtr ? &Dispatcher : nullptr, MachineOpts);
-        auto Start = std::chrono::steady_clock::now();
-        RunResult R = M.run();
-        auto End = std::chrono::steady_clock::now();
-        if (!R.Ok) {
-          std::fprintf(stderr, "hotpath report: %s/%s interp run failed: %s\n",
-                       G.Name, C.Name, R.Error.c_str());
-          return false;
-        }
-        double Seconds = std::chrono::duration<double>(End - Start).count();
-        if (Seconds < Bests[CI].Seconds) {
-          Bests[CI].Seconds = Seconds;
-          Bests[CI].Stats = R.Stats;
-          Bests[CI].EventsEmitted = ToolPtr ? Dispatcher.enqueuedEvents() : 0;
-          Bests[CI].EventsDelivered =
-              ToolPtr ? Dispatcher.deliveredEvents() : 0;
-        }
-      }
-    }
-
-    const double SwitchSeconds = Bests[1].Seconds;
-    std::fprintf(F,
-                 "%s\n"
-                 "      {\n"
-                 "        \"workload\": \"%s\",\n"
-                 "        \"size\": %llu,\n"
-                 "        \"rows\": [",
-                 FirstGuest ? "" : ",", G.Name,
-                 static_cast<unsigned long long>(G.Size));
-    FirstGuest = false;
-    for (size_t CI = 0; CI != NumConfigs; ++CI) {
-      const Config &C = Configs[CI];
-      const Best &B = Bests[CI];
-      double Coverage =
-          B.Stats.Instructions
-              ? static_cast<double>(B.Stats.CompiledBlockInstrs) /
-                    static_cast<double>(B.Stats.Instructions)
-              : 0.0;
-      std::fprintf(
-          F,
-          "%s\n"
-          "          {\n"
-          "            \"config\": \"%s\",\n"
-          "            \"seconds\": %.6f,\n"
-          "            \"instructions_per_sec\": %.0f,\n"
-          "            \"emitted_events_per_sec\": %.0f,\n"
-          "            \"delivered_events_per_sec\": %.0f,\n"
-          "            \"compiled_block_runs\": %llu,\n"
-          "            \"block_instr_coverage\": %.3f,\n"
-          "            \"speedup_vs_switch\": %.3f\n"
-          "          }",
-          CI == 0 ? "" : ",", C.Name, B.Seconds,
-          B.Seconds > 0
-              ? static_cast<double>(B.Stats.Instructions) / B.Seconds
-              : 0.0,
-          B.Seconds > 0 ? static_cast<double>(B.EventsEmitted) / B.Seconds
-                        : 0.0,
-          B.Seconds > 0 ? static_cast<double>(B.EventsDelivered) / B.Seconds
-                        : 0.0,
-          static_cast<unsigned long long>(B.Stats.CompiledBlockRuns), Coverage,
-          B.Seconds > 0 && SwitchSeconds > 0 && !C.Native
-              ? SwitchSeconds / B.Seconds
-              : 0.0);
-    }
-    std::fprintf(F, "\n        ]\n      }");
-    if (Bests[NumConfigs - 1].Seconds > 0 && SwitchSeconds > 0) {
-      GeomeanLogSum += std::log(SwitchSeconds / Bests[NumConfigs - 1].Seconds);
-      ++GeomeanCount;
-    }
-  }
-  std::fprintf(F,
-               "\n    ],\n"
-               "    \"geomean_threaded_block_vs_switch\": %.3f\n"
-               "  },\n",
-               GeomeanCount ? std::exp(GeomeanLogSum /
-                                       static_cast<double>(GeomeanCount))
-                            : 0.0);
-  return true;
-}
-
-bool isp::writeQuietIndirectSection(FILE *F, unsigned Repeats) {
-  const WorkloadInfo *W = findWorkload("sort_compare");
-  if (!W) {
-    std::fprintf(stderr, "hotpath report: workload 'sort_compare' not "
-                         "registered\n");
-    return false;
-  }
-  WorkloadParams Params;
-  Params.Threads = 3;
-  Params.Size = 96;
-  std::string Error;
-  std::optional<Program> Prog = compileWorkload(*W, Params, &Error);
-  if (!Prog) {
-    std::fprintf(stderr, "hotpath report: %s\n", Error.c_str());
-    return false;
-  }
-  OptimizerStats Opt = optimizeProgram(*Prog);
-
-  Program Stripped = *Prog;
-  for (Function &Fn : Stripped.Functions)
-    for (Instr &I : Fn.Code)
-      switch (I.Opcode) {
-      case Op::LoadLocal:
-      case Op::StoreLocal:
-      case Op::LoadGlobal:
-      case Op::StoreGlobal:
-      case Op::LoadIndirect:
-      case Op::StoreIndirect:
-        I.B = 0;
-        break;
-      default:
-        break;
-      }
-
-  struct Row {
-    double Seconds = 1e100;
-    uint64_t Emitted = 0;
-    RunStats Stats;
-  };
-  auto measure = [&](const Program &P, Row &Out) {
-    for (unsigned Rep = 0; Rep == 0 || Rep < Repeats; ++Rep) {
-      std::unique_ptr<Tool> T = makeTool("aprof-trms");
-      EventDispatcher Dispatcher;
-      Dispatcher.addTool(T.get());
-      Machine M(P, &Dispatcher);
-      auto Start = std::chrono::steady_clock::now();
-      RunResult R = M.run();
-      auto End = std::chrono::steady_clock::now();
-      if (!R.Ok) {
-        std::fprintf(stderr, "hotpath report: quiet-indirect run "
-                             "failed: %s\n",
-                     R.Error.c_str());
-        return false;
-      }
-      double Seconds = std::chrono::duration<double>(End - Start).count();
-      if (Seconds < Out.Seconds) {
-        Out.Seconds = Seconds;
-        Out.Emitted = Dispatcher.enqueuedEvents();
-        Out.Stats = R.Stats;
-      }
-      if (Rep + 1 >= Repeats)
-        break;
-    }
-    return true;
-  };
-
-  Row Marked, Plain;
-  if (!measure(*Prog, Marked) || !measure(Stripped, Plain))
-    return false;
-
-  uint64_t IndirectAccesses = Marked.Stats.MemReads +
-                              Marked.Stats.MemWrites; // upper bound base
-  std::fprintf(
-      F,
-      "  \"quiet_indirect\": {\n"
-      "    \"workload\": \"sort_compare\",\n"
-      "    \"threads\": %u,\n"
-      "    \"size\": %llu,\n"
-      "    \"static_marks_total\": %u,\n"
-      "    \"static_marks_indirect\": %u,\n"
-      "    \"suppressed_events\": %llu,\n"
-      "    \"suppressed_indirect_events\": %llu,\n"
-      "    \"window_aborts\": %llu,\n"
-      "    \"suppression_hit_rate\": %.4f,\n"
-      "    \"events_emitted_marked\": %llu,\n"
-      "    \"events_emitted_stripped\": %llu,\n"
-      "    \"event_reduction\": %.4f,\n"
-      "    \"seconds_marked\": %.6f,\n"
-      "    \"seconds_stripped\": %.6f,\n"
-      "    \"emitted_events_per_sec_marked\": %.0f,\n"
-      "    \"emitted_events_per_sec_stripped\": %.0f\n"
-      "  }\n",
-      Params.Threads, static_cast<unsigned long long>(Params.Size),
-      Opt.QuietAccessesMarked, Opt.QuietIndirectMarked,
-      static_cast<unsigned long long>(Marked.Stats.QuietEventsSuppressed),
-      static_cast<unsigned long long>(
-          Marked.Stats.QuietIndirectSuppressed),
-      static_cast<unsigned long long>(Marked.Stats.QuietWindowAborts),
-      IndirectAccesses
-          ? static_cast<double>(Marked.Stats.QuietEventsSuppressed) /
-                static_cast<double>(IndirectAccesses)
-          : 0.0,
-      static_cast<unsigned long long>(Marked.Emitted),
-      static_cast<unsigned long long>(Plain.Emitted),
-      Plain.Emitted ? 1.0 - static_cast<double>(Marked.Emitted) /
-                                static_cast<double>(Plain.Emitted)
-                    : 0.0,
-      Marked.Seconds, Plain.Seconds,
-      Marked.Seconds > 0
-          ? static_cast<double>(Marked.Emitted) / Marked.Seconds
-          : 0.0,
-      Plain.Seconds > 0
-          ? static_cast<double>(Plain.Emitted) / Plain.Seconds
-          : 0.0);
-
-  // Per-workload mark census: optimize virgin bytecode once per
-  // workload (compileWorkload would pre-optimize and hide the counts)
-  // and record how many indirect marks the window pass plus the
-  // range/covered-read certificate recover. CI asserts md and dedup
-  // stay nonzero — they have no window-provable indirect site, so a
-  // zero there means the interprocedural analysis regressed.
-  std::fprintf(F, "  ,\n  \"quiet_indirect_marks\": {\n");
-  const char *Names[] = {"sort_compare", "md", "dedup"};
-  for (unsigned I = 0; I != 3; ++I) {
-    const WorkloadInfo *MW = findWorkload(Names[I]);
-    if (!MW) {
-      std::fprintf(stderr, "hotpath report: workload '%s' not "
-                           "registered\n",
-                   Names[I]);
-      return false;
-    }
-    DiagnosticEngine Diags;
-    std::optional<Program> Raw =
-        compileProgram(MW->MakeSource(Params), Diags);
-    if (!Raw) {
-      std::fprintf(stderr, "hotpath report: %s failed to compile\n",
-                   Names[I]);
-      return false;
-    }
-    OptimizerStats S = optimizeProgram(*Raw);
-    std::fprintf(F,
-                 "    \"%s\": {\"indirect\": %u, \"range\": %u}%s\n",
-                 Names[I], S.QuietIndirectMarked, S.RangeQuietMarked,
-                 I + 1 != 3 ? "," : "");
-  }
-  std::fprintf(F, "  }\n");
-  return true;
-}
-
-bool isp::writeStreamingSection(FILE *F, unsigned Repeats) {
-  const WorkloadInfo *W = findWorkload("md");
-  if (!W) {
-    std::fprintf(stderr, "hotpath report: workload 'md' not registered\n");
-    return false;
-  }
-
-  struct Row {
-    uint64_t Size = 0;
-    uint64_t Events = 0;
-    uint64_t FileBytes = 0;
-    uint64_t Chunks = 0;
-    uint64_t PeakBuffered = 0;
-    uint64_t InMemoryBytes = 0;
-    double StreamReplaySeconds = 1e100;
-    double InMemoryReplaySeconds = 1e100;
-  };
-
-  // The small and large instances must differ by >=10x recorded events
-  // so "writer memory stays flat" is a claim about real growth.
-  const uint64_t Sizes[2] = {12, 96};
-  Row Rows[2];
-  std::string StreamPath = benchOutputPath("stream_probe.strm");
-
-  for (int I = 0; I != 2; ++I) {
-    Row &R = Rows[I];
-    R.Size = Sizes[I];
-    WorkloadParams Params;
-    Params.Threads = 4;
-    Params.Size = Sizes[I];
-    std::string Error;
-    std::optional<Program> Prog = compileWorkload(*W, Params, &Error);
-    if (!Prog) {
-      std::fprintf(stderr, "hotpath report: %s\n", Error.c_str());
-      return false;
-    }
-
-    // One recording run feeding both sinks: the chunked stream writer
-    // and the in-memory Recorded vector it replaces.
-    TraceStreamWriter Writer;
-    if (!Writer.open(StreamPath, Prog->Symbols.entries())) {
-      std::fprintf(stderr, "hotpath report: %s\n", Writer.error().c_str());
-      return false;
-    }
-    EventDispatcher Recorder;
-    Recorder.enableRecording();
-    Recorder.setRecordSink(&Writer);
-    Machine M(*Prog, &Recorder);
-    RunResult Run = M.run(); // run() brackets the dispatcher start/finish
-    if (!Run.Ok || !Writer.close()) {
-      std::fprintf(stderr, "hotpath report: streaming record failed: %s\n",
-                   Run.Ok ? Writer.error().c_str() : Run.Error.c_str());
-      return false;
-    }
-    std::vector<EventRecord> Recorded = Recorder.takeRecordedEvents();
-    R.Events = Writer.eventsWritten();
-    R.FileBytes = Writer.bytesWritten();
-    R.Chunks = Writer.chunksWritten();
-    R.PeakBuffered = Writer.peakBufferedBytes();
-    R.InMemoryBytes = Recorded.size() * sizeof(EventRecord);
-
-    // Replay throughput, best of Repeats: the chunk-at-a-time streaming
-    // reader vs handing the resident vector to the same batched
-    // dispatcher path.
-    for (unsigned Rep = 0; Rep == 0 || Rep < Repeats; ++Rep) {
-      std::unique_ptr<Tool> T = makeTool("nulgrind");
-      TraceStreamReader Reader;
-      if (!Reader.open(StreamPath)) {
-        std::fprintf(stderr, "hotpath report: %s\n", Reader.error().c_str());
-        return false;
-      }
-      auto Start = std::chrono::steady_clock::now();
-      bool Ok = replayTraceStream(Reader, *T);
-      auto End = std::chrono::steady_clock::now();
-      if (!Ok) {
-        std::fprintf(stderr, "hotpath report: stream replay failed: %s\n",
-                     Reader.error().c_str());
-        return false;
-      }
-      R.StreamReplaySeconds = std::min(
-          R.StreamReplaySeconds,
-          std::chrono::duration<double>(End - Start).count());
-      if (Rep + 1 >= Repeats)
-        break;
-    }
-    for (unsigned Rep = 0; Rep == 0 || Rep < Repeats; ++Rep) {
-      std::unique_ptr<Tool> T = makeTool("nulgrind");
-      auto Start = std::chrono::steady_clock::now();
-      replayTraceBatched(Recorded, *T);
-      auto End = std::chrono::steady_clock::now();
-      R.InMemoryReplaySeconds = std::min(
-          R.InMemoryReplaySeconds,
-          std::chrono::duration<double>(End - Start).count());
-      if (Rep + 1 >= Repeats)
-        break;
-    }
-  }
-  std::remove(StreamPath.c_str());
-
-  std::fprintf(F, "  \"streaming\": {\n"
-                  "    \"workload\": \"md\",\n"
-                  "    \"threads\": 4,\n"
-                  "    \"rows\": [");
-  for (int I = 0; I != 2; ++I) {
-    const Row &R = Rows[I];
-    std::fprintf(
-        F,
-        "%s\n"
-        "      {\n"
-        "        \"size\": %llu,\n"
-        "        \"events_recorded\": %llu,\n"
-        "        \"chunks\": %llu,\n"
-        "        \"stream_file_bytes\": %llu,\n"
-        "        \"writer_peak_buffered_bytes\": %llu,\n"
-        "        \"in_memory_recording_bytes\": %llu,\n"
-        "        \"stream_replay_events_per_sec\": %.0f,\n"
-        "        \"in_memory_replay_events_per_sec\": %.0f\n"
-        "      }",
-        I ? "," : "", static_cast<unsigned long long>(R.Size),
-        static_cast<unsigned long long>(R.Events),
-        static_cast<unsigned long long>(R.Chunks),
-        static_cast<unsigned long long>(R.FileBytes),
-        static_cast<unsigned long long>(R.PeakBuffered),
-        static_cast<unsigned long long>(R.InMemoryBytes),
-        R.StreamReplaySeconds > 0
-            ? static_cast<double>(R.Events) / R.StreamReplaySeconds
-            : 0.0,
-        R.InMemoryReplaySeconds > 0
-            ? static_cast<double>(R.Events) / R.InMemoryReplaySeconds
-            : 0.0);
-  }
-  // The punchline ratios: event growth vs the growth of each recorder's
-  // variable memory. The in-memory vector's growth tracks the event
-  // growth; the stream writer's stays far below it, capped by one chunk
-  // (ChunkBytes + one encoded event) no matter how long the run.
-  std::fprintf(
-      F,
-      "\n    ],\n"
-      "    \"event_growth\": %.2f,\n"
-      "    \"writer_peak_buffered_growth\": %.2f,\n"
-      "    \"in_memory_recording_growth\": %.2f\n"
-      "  },\n",
-      Rows[0].Events ? static_cast<double>(Rows[1].Events) /
-                           static_cast<double>(Rows[0].Events)
-                     : 0.0,
-      Rows[0].PeakBuffered ? static_cast<double>(Rows[1].PeakBuffered) /
-                                 static_cast<double>(Rows[0].PeakBuffered)
-                           : 0.0,
-      Rows[0].InMemoryBytes ? static_cast<double>(Rows[1].InMemoryBytes) /
-                                  static_cast<double>(Rows[0].InMemoryBytes)
-                            : 0.0);
-  return true;
-}
-
-bool isp::writeCollectorSection(FILE *F, unsigned Repeats) {
-  // kdtree has the phase structure the chunk-skip gate needs: the
-  // build phase's short tree_insert activations cluster in the leading
-  // chunks, so a tree_insert-filtered ingest can prove the query-phase
-  // chunks irrelevant from the footer bitmaps alone. (Long-lived
-  // routines like each thread's root can never be skipped — their
-  // frames stay open across the whole stream.)
-  const WorkloadInfo *W = findWorkload("kdtree");
-  if (!W) {
-    std::fprintf(stderr, "hotpath report: workload 'kdtree' not "
-                         "registered\n");
-    return false;
-  }
-  WorkloadParams Params;
-  Params.Threads = 4;
-  Params.Size = 32;
-  std::string Error;
-  std::optional<Program> Prog = compileWorkload(*W, Params, &Error);
-  if (!Prog) {
-    std::fprintf(stderr, "hotpath report: %s\n", Error.c_str());
-    return false;
-  }
-
-  // Small chunks so the filtered pass has enough chunk granularity for
-  // the footer bitmaps to bite.
-  const unsigned NumStreams = 3;
-  TraceStreamOptions StreamOpts;
-  StreamOpts.ChunkBytes = 4096;
-  std::vector<std::string> Paths;
-  uint64_t EventsRecorded = 0;
-  for (unsigned I = 0; I != NumStreams; ++I) {
-    std::string Path = benchOutputPath("collector_probe_" +
-                                       std::to_string(I) + ".strm");
-    TraceStreamWriter Writer;
-    if (!Writer.open(Path, Prog->Symbols.entries(), StreamOpts)) {
-      std::fprintf(stderr, "hotpath report: %s\n", Writer.error().c_str());
-      return false;
-    }
-    EventDispatcher Recorder;
-    Recorder.enableRecording();
-    Recorder.setRecordSink(&Writer);
-    Machine M(*Prog, &Recorder);
-    RunResult Run = M.run();
-    if (!Run.Ok || !Writer.close()) {
-      std::fprintf(stderr, "hotpath report: collector record failed: %s\n",
-                   Run.Ok ? Writer.error().c_str() : Run.Error.c_str());
-      return false;
-    }
-    EventsRecorded += Writer.eventsWritten();
-    Paths.push_back(Path);
-  }
-
-  // The filtered pass is the fleet use case ("where did the build
-  // phase get slow?") where the v2 bitmaps pay.
-  const std::string FilterRoutine = "tree_insert";
-
-  struct Pass {
-    double Seconds = 1e100;
-    collect::CollectorTotals Totals;
-    size_t Routines = 0;
-  };
-  auto ingest = [&](const std::vector<std::string> &Filter, Pass &Out) {
-    for (unsigned Rep = 0; Rep == 0 || Rep < Repeats; ++Rep) {
-      collect::FleetStore Store;
-      collect::CollectorOptions Opts;
-      Opts.Workers = NumStreams;
-      Opts.RoutineFilter = Filter;
-      collect::Collector C(Opts, Store);
-      auto Start = std::chrono::steady_clock::now();
-      size_t Ok = C.ingestFiles(Paths);
-      auto End = std::chrono::steady_clock::now();
-      if (Ok != Paths.size()) {
-        std::fprintf(stderr, "hotpath report: collector ingest failed: %s\n",
-                     C.errors().empty() ? "unknown"
-                                        : C.errors()[0].Message.c_str());
-        return false;
-      }
-      double Seconds = std::chrono::duration<double>(End - Start).count();
-      if (Seconds < Out.Seconds) {
-        Out.Seconds = Seconds;
-        Out.Totals = C.totals();
-        Out.Routines = Store.routineCount();
-      }
-      if (Rep + 1 >= Repeats)
-        break;
-    }
-    return true;
-  };
-
-  Pass Full, Filtered;
-  if (!ingest({}, Full) || !ingest({FilterRoutine}, Filtered))
-    return false;
-  for (const std::string &Path : Paths)
-    std::remove(Path.c_str());
-
-  uint64_t FilteredChunks =
-      Filtered.Totals.ChunksRead + Filtered.Totals.ChunksSkipped;
-  std::fprintf(
-      F,
-      "  \"collector\": {\n"
-      "    \"workload\": \"kdtree\",\n"
-      "    \"streams\": %u,\n"
-      "    \"chunk_bytes\": %zu,\n"
-      "    \"ingest_workers\": %u,\n"
-      "    \"events_recorded\": %llu,\n"
-      "    \"seconds\": %.6f,\n"
-      "    \"streams_per_sec\": %.2f,\n"
-      "    \"events_per_sec\": %.0f,\n"
-      "    \"merge_ns\": %llu,\n"
-      "    \"store_routines\": %zu,\n"
-      "    \"filter_routine\": \"%s\",\n"
-      "    \"filtered_seconds\": %.6f,\n"
-      "    \"filtered_chunks_read\": %llu,\n"
-      "    \"filtered_chunks_skipped\": %llu,\n"
-      "    \"chunks_skipped_ratio\": %.4f,\n"
-      "    \"filtered_streams_per_sec\": %.2f\n"
-      "  },\n",
-      NumStreams, StreamOpts.ChunkBytes, NumStreams,
-      static_cast<unsigned long long>(EventsRecorded), Full.Seconds,
-      Full.Seconds > 0 ? NumStreams / Full.Seconds : 0.0,
-      Full.Seconds > 0
-          ? static_cast<double>(Full.Totals.Events) / Full.Seconds
-          : 0.0,
-      static_cast<unsigned long long>(Full.Totals.MergeNs), Full.Routines,
-      FilterRoutine.c_str(), Filtered.Seconds,
-      static_cast<unsigned long long>(Filtered.Totals.ChunksRead),
-      static_cast<unsigned long long>(Filtered.Totals.ChunksSkipped),
-      FilteredChunks ? static_cast<double>(Filtered.Totals.ChunksSkipped) /
-                           static_cast<double>(FilteredChunks)
-                     : 0.0,
-      Filtered.Seconds > 0 ? NumStreams / Filtered.Seconds : 0.0);
-  return true;
 }
 
 void isp::printBanner(const std::string &Title) {

@@ -21,7 +21,6 @@
 #include "vm/Machine.h"
 #include "workloads/Workload.h"
 
-#include <cstdio>
 #include <memory>
 #include <string>
 #include <vector>
@@ -82,48 +81,6 @@ std::string benchOutputPath(const std::string &Name);
 
 /// Prints a banner for a reproduced table/figure.
 void printBanner(const std::string &Title);
-
-/// Measures the event-pipeline hot path on a representative workload
-/// under nulgrind (instrumentation-only baseline), aprof-rms, and
-/// aprof-trms, and writes machine-readable per-config timings, event
-/// counts, and events/sec to bench_out/BENCH_hotpath.json. Returns the
-/// path written, or "" on failure.
-std::string writeHotpathReport(unsigned Repeats = 5);
-
-/// Writes the "interp_dispatch" object of BENCH_hotpath.json into \p F:
-/// wall-clock interpreter rows for the full aprof-trms pipeline under
-/// switch dispatch, threaded dispatch, and the block compiler (both
-/// dispatch modes), each with seconds, slowdown vs native, emitted
-/// events/sec, and speedup vs the switch baseline — the numbers the
-/// hot-path-v2 acceptance gate (threaded+block >= 1.3x switch) and the
-/// bench-smoke CI assert (threaded >= switch) read. Returns false
-/// (after a diagnostic) on failure.
-bool writeInterpDispatchSection(FILE *F, unsigned Repeats);
-
-/// Writes the "quiet_indirect" object of BENCH_hotpath.json into \p F:
-/// static quiet-mark counts from the alias-driven optimizer pass,
-/// runtime suppression tallies, and the marked-vs-stripped event-count
-/// and events/sec delta on the same optimized program. Returns false
-/// (after printing a diagnostic) on failure.
-bool writeQuietIndirectSection(FILE *F, unsigned Repeats);
-
-/// Writes the "streaming" object of BENCH_hotpath.json into \p F:
-/// records the same workload at a small and a >=10x-larger event count
-/// through the chunked stream writer, reporting file bytes, the
-/// writer's peak buffered bytes (which must stay flat — the
-/// bounded-memory claim) against the in-memory recording vector's
-/// growth, and replay events/sec for the streaming reader vs the
-/// in-memory reader. Returns false (after a diagnostic) on failure.
-bool writeStreamingSection(FILE *F, unsigned Repeats);
-
-/// Writes the "collector" object of BENCH_hotpath.json into \p F:
-/// records several chunked streams of one workload, then measures the
-/// fleet collector's concurrent ingest throughput (streams/sec and
-/// events/sec into one rollup store) and a routine-filtered pass over
-/// the same streams, reporting the footer-bitmap chunk-skip ratio for
-/// the rarest-active routine. Returns false (after a diagnostic) on
-/// failure.
-bool writeCollectorSection(FILE *F, unsigned Repeats);
 
 } // namespace isp
 

@@ -28,9 +28,6 @@
 
 #include <benchmark/benchmark.h>
 
-#include <cstdio>
-#include <cstdlib>
-
 using namespace isp;
 
 //===----------------------------------------------------------------------===//
@@ -276,28 +273,4 @@ static void BM_TraceDeserializeCompressed(benchmark::State &State) {
 }
 BENCHMARK(BM_TraceDeserializeCompressed);
 
-// Custom main: after the microbenchmarks run, emit the machine-readable
-// hot-path report (events/sec under nulgrind, aprof-rms, aprof-trms) to
-// bench_out/BENCH_hotpath.json. Use --benchmark_filter to narrow or skip
-// the google-benchmark suites; the report is always written.
-int main(int argc, char **argv) {
-  ::benchmark::Initialize(&argc, argv);
-  if (::benchmark::ReportUnrecognizedArguments(argc, argv))
-    return 1;
-  ::benchmark::RunSpecifiedBenchmarks();
-  ::benchmark::Shutdown();
-  // ISPROF_BENCH_REPEATS trims the best-of-N timing loops (CI smoke
-  // runs use 1); the default stays the statistically steadier 5.
-  unsigned Repeats = 5;
-  if (const char *Env = std::getenv("ISPROF_BENCH_REPEATS")) {
-    char *End = nullptr;
-    long N = std::strtol(Env, &End, 10);
-    if (End != Env && *End == '\0' && N > 0 && N <= 100)
-      Repeats = static_cast<unsigned>(N);
-  }
-  std::string Path = writeHotpathReport(Repeats);
-  if (Path.empty())
-    return 1;
-  std::printf("hot-path report written to %s\n", Path.c_str());
-  return 0;
-}
+BENCHMARK_MAIN();

@@ -46,11 +46,13 @@
 #include "workloads/Runner.h"
 
 #include <algorithm>
+#include <charconv>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <limits>
 #include <memory>
 #include <set>
 #include <sstream>
@@ -102,12 +104,6 @@ int usage() {
       "                  ; noescape comments from the static analysis\n"
       "  --slice=N       scheduler quantum in instructions (default 150)\n"
       "  --seed=N        guest rand()/device seed (default 42)\n"
-      "  --dispatch=MODE interpreter dispatch: auto (default), switch,\n"
-      "                  or threaded (computed gotos; GCC/Clang builds).\n"
-      "                  Profiles are identical across modes\n"
-      "  --block-compile (run, workload) execute straight-line blocks\n"
-      "                  from pre-compacted event templates; profiles\n"
-      "                  are identical with or without\n"
       "  --threads=N --size=N   (workload) parameters\n"
       "  --stats=json|csv|off   dump pipeline self-metrics (default off)\n"
       "  --stats-out=PATH       write --stats output to PATH, not stdout\n"
@@ -147,31 +143,42 @@ bool readFile(const std::string &Path, std::string &Out) {
   return true;
 }
 
-/// Decodes --dispatch and --block-compile into \p Opts. Returns false
-/// (after printing a diagnostic) on an unknown mode. A threaded request
-/// on a build without computed-goto support degrades to the switch loop
-/// with a warning — the two loops are semantically identical.
-bool parseMachineTuning(const OptionParser &Options, MachineOptions *Opts) {
-  std::string V = Options.getString("dispatch");
-  if (V == "auto") {
-    Opts->Dispatch = DispatchMode::Auto;
-  } else if (V == "switch") {
-    Opts->Dispatch = DispatchMode::Switch;
-  } else if (V == "threaded") {
-    if (!ThreadedDispatchAvailable)
-      std::fprintf(stderr,
-                   "isprof: warning: threaded dispatch is not available in "
-                   "this build; using the switch interpreter\n");
-    Opts->Dispatch = DispatchMode::Threaded;
-  } else {
-    std::fprintf(stderr,
-                 "isprof: invalid --dispatch value '%s' (expected auto, "
-                 "switch, or threaded)\n",
-                 V.c_str());
-    return false;
-  }
-  Opts->BlockCompile = Options.getFlag("block-compile");
+/// Prints the diagnostic for a malformed --\p Name value and returns
+/// false, so callers can `return invalidOption(...)`.
+bool invalidOption(const OptionParser &Options, const char *Name,
+                   const std::string &Expected) {
+  std::fprintf(stderr, "isprof: invalid --%s value '%s' (expected %s)\n",
+               Name, Options.getString(Name).c_str(), Expected.c_str());
+  return false;
+}
+
+/// Reads --\p Name as a decimal integer in [\p Min, \p Max] into \p Out.
+/// Anything else (empty, trailing text, out of range) is reported with
+/// invalidOption and returns false; callers then exit 2.
+template <typename T>
+bool parseIntOption(const OptionParser &Options, const char *Name,
+                    int64_t Min, int64_t Max, const std::string &Expected,
+                    T *Out) {
+  std::string V = Options.getString(Name);
+  int64_t N = 0;
+  auto [End, Ec] = std::from_chars(V.data(), V.data() + V.size(), N);
+  if (V.empty() || Ec != std::errc() || End != V.data() + V.size() ||
+      N < Min || N > Max)
+    return invalidOption(Options, Name, Expected);
+  *Out = static_cast<T>(N);
   return true;
+}
+
+constexpr int64_t MaxInt64 = std::numeric_limits<int64_t>::max();
+constexpr int64_t MaxUnsigned = std::numeric_limits<unsigned>::max();
+
+/// Decodes --slice and --seed into \p Opts. A zero slice would never
+/// let a guest thread make progress.
+bool parseMachineOptions(const OptionParser &Options, MachineOptions *Opts) {
+  return parseIntOption(Options, "slice", 1, MaxInt64,
+                        "an instruction count >= 1", &Opts->SliceLength) &&
+         parseIntOption(Options, "seed", 0, MaxInt64, "a seed >= 0",
+                        &Opts->Seed);
 }
 
 /// Decodes --stream-chunk-bytes (a power of two in [1 KiB, 1 MiB]) into
@@ -179,19 +186,14 @@ bool parseMachineTuning(const OptionParser &Options, MachineOptions *Opts) {
 /// malformed or out-of-range value.
 bool parseStreamChunkBytes(const OptionParser &Options,
                            TraceStreamOptions *StreamOpts) {
-  constexpr unsigned long long Min = 1024, Max = 1 << 20;
-  std::string V = Options.getString("stream-chunk-bytes");
-  char *End = nullptr;
-  unsigned long long N = std::strtoull(V.c_str(), &End, 10);
-  if (End == V.c_str() || *End != '\0' || N < Min || N > Max ||
-      (N & (N - 1)) != 0) {
-    std::fprintf(stderr,
-                 "isprof: invalid --stream-chunk-bytes value '%s' (expected "
-                 "a power of two in [%llu, %llu])\n",
-                 V.c_str(), Min, Max);
+  const char *Expected = "a power of two in [1024, 1048576]";
+  size_t N = 0;
+  if (!parseIntOption(Options, "stream-chunk-bytes", 1024, 1 << 20, Expected,
+                      &N))
     return false;
-  }
-  StreamOpts->ChunkBytes = static_cast<size_t>(N);
+  if ((N & (N - 1)) != 0)
+    return invalidOption(Options, "stream-chunk-bytes", Expected);
+  StreamOpts->ChunkBytes = N;
   return true;
 }
 
@@ -359,9 +361,7 @@ int commandRun(OptionParser &Options) {
     return 2;
 
   MachineOptions MachineOpts;
-  MachineOpts.SliceLength = static_cast<uint64_t>(Options.getInt("slice"));
-  MachineOpts.Seed = static_cast<uint64_t>(Options.getInt("seed"));
-  if (!parseMachineTuning(Options, &MachineOpts))
+  if (!parseMachineOptions(Options, &MachineOpts))
     return 2;
 
   EventDispatcher Dispatcher;
@@ -574,8 +574,11 @@ int commandWorkload(OptionParser &Options) {
     return 1;
   }
   WorkloadParams Params;
-  Params.Threads = static_cast<unsigned>(Options.getInt("threads"));
-  Params.Size = static_cast<uint64_t>(Options.getInt("size"));
+  if (!parseIntOption(Options, "threads", 1, MaxUnsigned,
+                      "a thread count >= 1", &Params.Threads) ||
+      !parseIntOption(Options, "size", 0, MaxInt64, "a size >= 0",
+                      &Params.Size))
+    return 2;
 
   std::string Error;
   std::optional<Program> Prog = compileWorkload(*W, Params, &Error);
@@ -606,9 +609,7 @@ int commandWorkload(OptionParser &Options) {
     Dispatcher.setRecordSink(&StreamWriter);
   }
   MachineOptions MachineOpts;
-  MachineOpts.SliceLength = static_cast<uint64_t>(Options.getInt("slice"));
-  MachineOpts.Seed = static_cast<uint64_t>(Options.getInt("seed"));
-  if (!parseMachineTuning(Options, &MachineOpts))
+  if (!parseMachineOptions(Options, &MachineOpts))
     return 2;
   Machine M(*Prog, &Dispatcher, MachineOpts);
   RunResult Result = M.run();
@@ -709,34 +710,16 @@ void reportIngestErrors(const collect::Collector &C, size_t From) {
 bool parseCollectOptions(const OptionParser &Options,
                          collect::CollectorOptions *Opts, unsigned *WatchMs,
                          unsigned *TopN) {
-  std::string V = Options.getString("ingest-workers");
-  char *End = nullptr;
-  long N = std::strtol(V.c_str(), &End, 10);
-  if (End == V.c_str() || *End != '\0' || N < 0 ||
-      N > static_cast<long>(collect::CollectorOptions::MaxWorkers)) {
-    std::fprintf(stderr,
-                 "isprof: invalid --ingest-workers value '%s' (expected a "
-                 "worker count in [0, %u])\n",
-                 V.c_str(), collect::CollectorOptions::MaxWorkers);
-    return false;
-  }
-  Opts->Workers = static_cast<unsigned>(N);
+  constexpr unsigned MaxWorkers = collect::CollectorOptions::MaxWorkers;
   Opts->RoutineFilter = splitList(Options.getString("routine"));
   Opts->ProgramLabel = Options.getString("program");
-  long Watch = Options.getInt("watch");
-  if (Watch < 0) {
-    std::fprintf(stderr, "isprof: invalid --watch value (expected a "
-                         "non-negative millisecond count)\n");
-    return false;
-  }
-  *WatchMs = static_cast<unsigned>(Watch);
-  long Top = Options.getInt("top");
-  if (Top < 1) {
-    std::fprintf(stderr, "isprof: invalid --top value (expected >= 1)\n");
-    return false;
-  }
-  *TopN = static_cast<unsigned>(Top);
-  return true;
+  return parseIntOption(Options, "ingest-workers", 0, MaxWorkers,
+                        formatString("a worker count in [0, %u]", MaxWorkers),
+                        &Opts->Workers) &&
+         parseIntOption(Options, "watch", 0, MaxUnsigned,
+                        "a non-negative millisecond count", WatchMs) &&
+         parseIntOption(Options, "top", 1, MaxUnsigned, "a row count >= 1",
+                        TopN);
 }
 
 /// `isprof collect --diff A B`: ingests both stream sets (each a file
@@ -936,14 +919,6 @@ int main(int Argc, char **Argv) {
                     "its static growth classes against the rollup");
   Options.addOption("slice", "150", "scheduler quantum (instructions)");
   Options.addOption("seed", "42", "guest rand()/device seed");
-  Options.addOption("dispatch", "auto",
-                    "interpreter dispatch: auto, switch, or threaded "
-                    "(computed gotos; needs a GCC/Clang build). Profiles "
-                    "are identical across modes");
-  Options.addFlag("block-compile",
-                  "(run, workload) execute straight-line basic blocks "
-                  "from pre-compacted event templates. Profiles are "
-                  "identical with or without");
   Options.addOption("threads", "4", "workload thread count");
   Options.addOption("size", "64", "workload problem scale");
   Options.addOption("stats", "off",
@@ -998,24 +973,16 @@ int main(int Argc, char **Argv) {
     obs::TraceLog::get().enable();
 
   std::string StatsOut = Options.getString("stats-out");
-  std::string StatsIntervalStr = Options.getString("stats-interval");
   unsigned StatsIntervalMs = 0;
-  if (!StatsIntervalStr.empty()) {
-    char *End = nullptr;
-    long N = std::strtol(StatsIntervalStr.c_str(), &End, 10);
-    if (End == StatsIntervalStr.c_str() || *End != '\0' || N < 1) {
-      std::fprintf(stderr,
-                   "isprof: invalid --stats-interval value '%s' (expected "
-                   "a positive millisecond count)\n",
-                   StatsIntervalStr.c_str());
+  if (!Options.getString("stats-interval").empty()) {
+    if (!parseIntOption(Options, "stats-interval", 1, MaxUnsigned,
+                        "a positive millisecond count", &StatsIntervalMs))
       return 2;
-    }
     if (StatsMode != "json" || StatsOut.empty()) {
       std::fprintf(stderr, "isprof: --stats-interval requires --stats=json "
                            "and --stats-out=PATH\n");
       return 2;
     }
-    StatsIntervalMs = static_cast<unsigned>(N);
   }
   obs::StatsHeartbeat Heartbeat;
   if (StatsIntervalMs != 0 &&

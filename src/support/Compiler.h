@@ -59,34 +59,4 @@ namespace isp {
 #define ISP_ALWAYS_INLINE inline
 #endif
 
-/// Keeps a large-but-cool function out of its hot callers: inlining the
-/// block-compile fast path into the interpreter loops bloats their
-/// frames enough to slow the per-instruction dispatch itself.
-#if defined(__GNUC__) || defined(__clang__)
-#define ISP_NOINLINE __attribute__((noinline))
-#else
-#define ISP_NOINLINE
-#endif
-
-/// Error/abort paths reached at most once per run: compiled for size
-/// and laid out away from the hot text so they cost nothing until hit.
-#if defined(__GNUC__) || defined(__clang__)
-#define ISP_COLD __attribute__((cold, noinline))
-#else
-#define ISP_COLD
-#endif
-
-/// Computed-goto threaded dispatch for the interpreter: the per-pc
-/// label tables need the GNU "labels as values" extension (GCC and
-/// Clang). Build with -DISP_FORCE_SWITCH_DISPATCH to compile out the
-/// threaded variant and exercise the portable switch loop even on
-/// compilers that support the extension — the CI matrix covers that
-/// configuration.
-#if !defined(ISP_FORCE_SWITCH_DISPATCH) && \
-    (defined(__GNUC__) || defined(__clang__))
-#define ISP_DISPATCH_THREADED 1
-#else
-#define ISP_DISPATCH_THREADED 0
-#endif
-
 #endif // ISPROF_SUPPORT_COMPILER_H

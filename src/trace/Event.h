@@ -237,28 +237,6 @@ struct Event {
 
 static_assert(sizeof(Event) == 16, "stream words must be packed 16 bytes");
 
-/// One pre-encoded word of a compacted run template (the block
-/// compiler's unit; spliced by EventDispatcher::spliceTemplateRun).
-/// Word carries the static bits — kind, flags, static address or count
-/// — with the thread id and TimeLow left zero. At splice time the
-/// executing thread's id, the absolute low time, and (for
-/// frame-relative addresses) the frame base are patched in through two
-/// masks, so the patch is three branch-free ALU ops per word:
-///
-///     Meta    = Word.Meta    | (TidBits            & MainMask)
-///     TimeLow = Word.TimeLow + ((Time0 + TimeOff)  & MainMask)
-///     Arg     = Word.Arg     + (FrameBase          & FrameMask)
-///
-/// MainMask is all-ones on main words and zero on follow-on words
-/// (which take neither a tid nor a time); FrameMask is all-ones
-/// exactly when Arg is a frame-relative stack address.
-struct TemplateWord {
-  Event Word;
-  uint32_t TimeOff = 0;   ///< event-time offset from the run's entry time
-  uint32_t MainMask = 0;  ///< ~0u on main words, 0 on follow-ons
-  uint64_t FrameMask = 0; ///< ~0ull when Arg needs the frame base added
-};
-
 /// Arg1 value a kind carries when no follow-on word is present: memory
 /// accesses default to one cell, everything else to zero.
 constexpr uint64_t eventSecondaryDefault(EventKind K) {
@@ -324,17 +302,6 @@ public:
   void reset() {
     Epoch = 0;
     PrevLow = 0;
-  }
-
-  uint64_t epoch() const { return Epoch; }
-  uint32_t prevLow() const { return PrevLow; }
-  /// Synchronizes the time state after externally produced main words
-  /// ending at absolute time \p LastTime — used by the block compiler's
-  /// bulk template append, which patches main words directly into the
-  /// batch buffer.
-  void noteAppended(uint64_t LastTime) {
-    Epoch = LastTime >> 32;
-    PrevLow = static_cast<uint32_t>(LastTime);
   }
 
 private:

@@ -80,7 +80,7 @@ enum class Op : uint8_t {
   Return
 };
 
-/// X-macro over every opcode, in enum order. The threaded interpreter
+/// X-macro over every opcode, in enum order. The interpreter loop
 /// builds its computed-goto label table from this list (one label per
 /// opcode, indexed by the enum value), so the list and the enum must
 /// stay in lockstep; the static_asserts below turn a reordering of
@@ -108,6 +108,35 @@ ISP_FOR_EACH_OPCODE(ISP_OP_ORDER_CHECK)
 
 /// Number of Op enumerators.
 inline constexpr unsigned NumOpcodes = detail::OpListSize;
+
+/// Guest integer arithmetic wraps modulo 2^64. The host computes it in
+/// unsigned arithmetic, which C++ defines, so no guest value reaches
+/// signed-overflow undefined behaviour; the interpreter and the
+/// optimizer's constant folding share these so both agree.
+inline int64_t guestAdd(int64_t Lhs, int64_t Rhs) {
+  return static_cast<int64_t>(static_cast<uint64_t>(Lhs) +
+                              static_cast<uint64_t>(Rhs));
+}
+inline int64_t guestSub(int64_t Lhs, int64_t Rhs) {
+  return static_cast<int64_t>(static_cast<uint64_t>(Lhs) -
+                              static_cast<uint64_t>(Rhs));
+}
+inline int64_t guestMul(int64_t Lhs, int64_t Rhs) {
+  return static_cast<int64_t>(static_cast<uint64_t>(Lhs) *
+                              static_cast<uint64_t>(Rhs));
+}
+inline int64_t guestNeg(int64_t Operand) {
+  return static_cast<int64_t>(0 - static_cast<uint64_t>(Operand));
+}
+/// Division and remainder truncate toward zero. A divisor of -1 takes
+/// the wrapping path, since INT64_MIN / -1 traps on x86. Callers reject
+/// a zero divisor first.
+inline int64_t guestDiv(int64_t Lhs, int64_t Rhs) {
+  return Rhs == -1 ? guestNeg(Lhs) : Lhs / Rhs;
+}
+inline int64_t guestMod(int64_t Lhs, int64_t Rhs) {
+  return Rhs == -1 ? 0 : Lhs % Rhs;
+}
 
 /// Builtin routines provided by the VM runtime.
 enum class Builtin : uint8_t {

@@ -27,19 +27,19 @@ namespace {
 std::optional<int64_t> foldBinary(Op Opcode, int64_t Lhs, int64_t Rhs) {
   switch (Opcode) {
   case Op::Add:
-    return Lhs + Rhs;
+    return guestAdd(Lhs, Rhs);
   case Op::Sub:
-    return Lhs - Rhs;
+    return guestSub(Lhs, Rhs);
   case Op::Mul:
-    return Lhs * Rhs;
+    return guestMul(Lhs, Rhs);
   case Op::Div:
     if (Rhs == 0)
       return std::nullopt;
-    return Lhs / Rhs;
+    return guestDiv(Lhs, Rhs);
   case Op::Mod:
     if (Rhs == 0)
       return std::nullopt;
-    return Lhs % Rhs;
+    return guestMod(Lhs, Rhs);
   case Op::Lt:
     return Lhs < Rhs ? 1 : 0;
   case Op::Le:
@@ -60,7 +60,7 @@ std::optional<int64_t> foldBinary(Op Opcode, int64_t Lhs, int64_t Rhs) {
 std::optional<int64_t> foldUnary(Op Opcode, int64_t Operand) {
   switch (Opcode) {
   case Op::Neg:
-    return -Operand;
+    return guestNeg(Operand);
   case Op::Not:
     return Operand == 0 ? 1 : 0;
   case Op::ToBool:

@@ -274,18 +274,47 @@ TEST(Driver, MultiToolReportsMatchSingleToolRuns) {
 }
 
 TEST(Driver, DeliveryTuningFlagsAreGone) {
-  // Delivery is pipelined by default with one fixed batch size, and
-  // replay is serial within a stream; the old tuning flags are unknown
-  // options now. The last two are spelled in pieces so that searching
-  // the tree for them finds no live use.
+  // Delivery is pipelined by default with one fixed batch size, replay
+  // is serial within a stream, and the VM has one interpreter loop; the
+  // old tuning flags are unknown options now. The last four are spelled
+  // in pieces so that searching the tree for them finds no live use.
   std::string Args = "run " + guest("quickstart.mini");
   for (const char *Flag :
        {" --parallel-tools", " --parallel-tools=2", " --batch-capacity=4096",
-        " --replay" "-workers=2", " --shadow" "-shards=4"}) {
+        " --replay" "-workers=2", " --shadow" "-shards=4",
+        " --dis" "patch=switch", " --block" "-compile"}) {
     CommandResult R = runDriver(Args + Flag);
     EXPECT_EQ(R.ExitCode, 2) << Flag;
     EXPECT_NE(R.Output.find("unknown option"), std::string::npos)
         << Flag << ": " << R.Output;
+  }
+}
+
+TEST(Driver, IntegerOptionsRejectBadValues) {
+  // Each value once hung the scheduler (a zero slice), crashed the
+  // workload setup (zero or negative threads), or was read as 0.
+  struct Case {
+    std::string Args;
+    const char *Diagnostic;
+  };
+  std::string Run = "run " + guest("quickstart.mini");
+  const Case Cases[] = {
+      {Run + " --slice=0", "invalid --slice value '0'"},
+      {Run + " --slice=abc", "invalid --slice value 'abc'"},
+      {Run + " --seed=abc", "invalid --seed value 'abc'"},
+      {"workload md --threads=0", "invalid --threads value '0'"},
+      {"workload md --threads=abc", "invalid --threads value 'abc'"},
+      {"workload md --threads=-3", "invalid --threads value '-3'"},
+      {"workload md --size=abc", "invalid --size value 'abc'"},
+      {"workload md --seed=abc", "invalid --seed value 'abc'"},
+      {"collect --top=abc x.strm", "invalid --top value 'abc'"},
+      {"collect --watch=-1 x.strm", "invalid --watch value '-1'"},
+  };
+  for (const Case &C : Cases) {
+    CommandResult R = runDriver(C.Args);
+    EXPECT_EQ(R.ExitCode, 2) << C.Args << ": " << R.Output;
+    EXPECT_NE(R.Output.find(C.Diagnostic), std::string::npos)
+        << C.Args << ": " << R.Output;
   }
 }
 

@@ -9,6 +9,8 @@
 #include "instr/Dispatcher.h"
 #include "tools/NulTool.h"
 #include "vm/Compiler.h"
+#include "vm/Diag.h"
+#include "vm/Optimizer.h"
 
 #include <gtest/gtest.h>
 
@@ -679,6 +681,36 @@ TEST(MachineEdge, ModuloOfNegativeOperands) {
   EXPECT_EQ(runOutput("fn main() { print(-7 % 3); print(7 % -3); "
                       "return 0; }"),
             "-1\n1\n");
+}
+
+TEST(MachineEdge, ArithmeticWrapsAndNeverTraps) {
+  // Guest integers wrap modulo 2^64, interpreted and constant-folded
+  // alike; INT64_MIN / -1 once killed the whole process with SIGFPE.
+  const char *Source = R"(
+    fn main() {
+      var m = 0 - 9223372036854775807 - 1;
+      var d = 0 - 1;
+      print(m * 3);
+      print(0 - m);
+      print(-m);
+      print(m % d);
+      print(m / d);
+      print((0 - 9223372036854775807 - 1) / (0 - 1));
+      return 0;
+    })";
+  const char *Min = "-9223372036854775808\n";
+  std::string Expected = std::string(Min) + Min + Min + "0\n" + Min + Min;
+  for (bool Optimize : {false, true}) {
+    DiagnosticEngine Diags;
+    std::optional<Program> Prog = compileProgram(Source, Diags);
+    ASSERT_TRUE(Prog.has_value()) << Diags.render();
+    if (Optimize)
+      optimizeProgram(*Prog);
+    Machine M(*Prog, nullptr);
+    RunResult R = M.run();
+    EXPECT_TRUE(R.Ok) << R.Error;
+    EXPECT_EQ(R.Output, Expected) << (Optimize ? "optimized" : "plain");
+  }
 }
 
 } // namespace
