@@ -221,56 +221,4 @@ static void BM_GuestCompilation(benchmark::State &State) {
 }
 BENCHMARK(BM_GuestCompilation);
 
-//===----------------------------------------------------------------------===//
-// Trace serialization formats
-//===----------------------------------------------------------------------===//
-
-#include "trace/TraceFile.h"
-
-static TraceData makeTraceData() {
-  TraceData Data;
-  Data.Routines = {{0, "main"}, {1, "worker"}};
-  Data.Events = generateSyntheticTrace(mixFor(4));
-  return Data;
-}
-
-static void BM_TraceSerializeRaw(benchmark::State &State) {
-  TraceData Data = makeTraceData();
-  for (auto _ : State) {
-    std::string Bytes = serializeTrace(Data, TraceFormat::Raw);
-    benchmark::DoNotOptimize(Bytes.size());
-  }
-  State.SetItemsProcessed(State.iterations() *
-                          static_cast<int64_t>(Data.Events.size()));
-}
-BENCHMARK(BM_TraceSerializeRaw);
-
-static void BM_TraceSerializeCompressed(benchmark::State &State) {
-  TraceData Data = makeTraceData();
-  size_t Raw = serializeTrace(Data, TraceFormat::Raw).size();
-  size_t Compressed = serializeTrace(Data, TraceFormat::Compressed).size();
-  for (auto _ : State) {
-    std::string Bytes = serializeTrace(Data, TraceFormat::Compressed);
-    benchmark::DoNotOptimize(Bytes.size());
-  }
-  State.SetItemsProcessed(State.iterations() *
-                          static_cast<int64_t>(Data.Events.size()));
-  State.counters["compression"] =
-      static_cast<double>(Raw) / static_cast<double>(Compressed);
-}
-BENCHMARK(BM_TraceSerializeCompressed);
-
-static void BM_TraceDeserializeCompressed(benchmark::State &State) {
-  TraceData Data = makeTraceData();
-  std::string Bytes = serializeTrace(Data, TraceFormat::Compressed);
-  for (auto _ : State) {
-    TraceData Back;
-    bool Ok = deserializeTrace(Bytes, Back);
-    benchmark::DoNotOptimize(Ok);
-  }
-  State.SetItemsProcessed(State.iterations() *
-                          static_cast<int64_t>(Data.Events.size()));
-}
-BENCHMARK(BM_TraceDeserializeCompressed);
-
 BENCHMARK_MAIN();

@@ -7,8 +7,8 @@
 // The user-facing driver, mirroring how the paper's tool is invoked as
 // `valgrind --tool=aprof <program>`:
 //
-//   isprof run <prog.mini> [--tools=aprof-trms,...] [--record=trace.bin]
-//   isprof replay <trace.bin> [--tools=...]
+//   isprof run <prog.mini> [--tools=aprof-trms,...] [--record=run.strm]
+//   isprof replay <run.strm> [--tools=...]
 //   isprof check <prog.mini>
 //   isprof disasm <prog.mini>
 //   isprof workload <name> [--tools=...] [--threads=N] [--size=N]
@@ -17,7 +17,8 @@
 // `run` executes a guest-language program under any combination of the
 // registered analysis tools (aprof-trms, aprof-rms, helgrind, drd,
 // memcheck, callgrind, cct, nulgrind) in one pass, printing each tool's
-// report; --record also captures the event trace for offline replay.
+// report; --record also streams the event trace to a file for offline
+// replay.
 //
 //===----------------------------------------------------------------------===//
 
@@ -36,7 +37,6 @@
 #include "support/CommandLine.h"
 #include "support/Format.h"
 #include "tools/ToolRegistry.h"
-#include "trace/TraceFile.h"
 #include "trace/TraceStream.h"
 #include "vm/Compiler.h"
 #include "vm/Diag.h"
@@ -70,9 +70,9 @@ int usage() {
       "\n"
       "commands:\n"
       "  run <prog.mini>       compile and execute under analysis tools\n"
-      "  diff <base.bin> <new.bin>  compare two recorded traces'\n"
+      "  diff <base.strm> <new.strm>  compare two recorded streams'\n"
       "                        input-sensitive profiles (regressions)\n"
-      "  replay <trace.bin>    run analysis tools over a recorded trace\n"
+      "  replay <run.strm>     run analysis tools over a recorded stream\n"
       "  collect <stream...>   ingest many recorded streams concurrently\n"
       "                        into a fleet-level rollup; --diff A B\n"
       "                        compares two stream sets' rms curves\n"
@@ -83,13 +83,11 @@ int usage() {
       "\n"
       "common options:\n"
       "  --tools=a,b,c   comma-separated tool list (default aprof-trms)\n"
-      "  --record=PATH   (run) also record the event trace to PATH\n"
-      "  --record-stream=PATH   (run, workload) stream the event trace\n"
-      "                  to a chunked file as it happens: bounded memory\n"
+      "  --record=PATH   (run, workload) stream the event trace to a\n"
+      "                  chunked file as it happens: bounded memory\n"
       "                  regardless of trace length\n"
-      "  --replay-stream=PATH   (replay) replay a chunked stream file\n"
-      "                  chunk by chunk (bounded memory); plain replay\n"
-      "                  also auto-detects stream files by magic\n"
+      "  --optimize      (run, check, disasm) run the bytecode optimizer;\n"
+      "                  workloads always run optimized bytecode\n"
       "  --verify-bytecode  statically verify the compiled bytecode;\n"
       "                  refuse to run on failure\n"
       "  --lint          static lockset lint: report globals shared\n"
@@ -111,7 +109,7 @@ int usage() {
       "                  append a live JSONL stats snapshot to PATH.live\n"
       "                  every MS milliseconds while the command runs\n"
       "  --trace-out=PATH       write a chrome://tracing timeline to PATH\n"
-      "  --stream-chunk-bytes=N (--record-stream) target chunk payload\n"
+      "  --stream-chunk-bytes=N (--record) target chunk payload\n"
       "                  size (power of two in [1024, 1048576])\n"
       "\n"
       "collect options:\n"
@@ -120,7 +118,7 @@ int usage() {
       "                  new streams until DIR/collector.stop appears\n"
       "  --ingest-workers=N     concurrent ingestion threads (0 = auto)\n"
       "  --routine=a,b   restrict the rollup to these routines; chunks\n"
-      "                  their v2 activity bitmaps provably exclude are\n"
+      "                  their activity masks provably exclude are\n"
       "                  skipped without decoding\n"
       "  --program=NAME  program label for every stream (default: file\n"
       "                  stem)\n"
@@ -208,6 +206,74 @@ void publishStreamStats(const TraceStreamWriter &Writer) {
   R.counter("trace_stream.bytes_written").add(Writer.bytesWritten());
   R.gauge("trace_stream.peak_buffered_bytes")
       .noteMax(Writer.peakBufferedBytes());
+}
+
+/// --record=PATH for `run` and `workload`: the stream writer is the
+/// dispatcher's record sink, so the trace reaches disk chunk by chunk
+/// while the guest runs.
+class StreamRecording {
+public:
+  /// Opens the writer and attaches it to \p Dispatcher when --record is
+  /// set. Returns 0, or the exit code to stop with.
+  int start(const OptionParser &Options, const Program &Prog,
+            EventDispatcher &Dispatcher) {
+    Path = Options.getString("record");
+    if (Path.empty())
+      return 0;
+    TraceStreamOptions StreamOpts;
+    if (!parseStreamChunkBytes(Options, &StreamOpts))
+      return 2;
+    if (!Writer.open(Path, Prog.Symbols.entries(), StreamOpts)) {
+      std::fprintf(stderr, "isprof: %s\n", Writer.error().c_str());
+      return 1;
+    }
+    Dispatcher.setRecordSink(&Writer);
+    return 0;
+  }
+
+  /// Seals the stream after the run and prints its banner. Returns 0,
+  /// or 1 when any write failed.
+  int finish() {
+    if (Path.empty())
+      return 0;
+    if (!Writer.close()) {
+      std::fprintf(stderr, "isprof: %s\n", Writer.error().c_str());
+      return 1;
+    }
+    publishStreamStats(Writer);
+    std::printf("[stream: %s events in %s chunks -> %s (%s)]\n\n",
+                formatWithCommas(Writer.eventsWritten()).c_str(),
+                formatWithCommas(Writer.chunksWritten()).c_str(),
+                Path.c_str(), formatBytes(Writer.bytesWritten()).c_str());
+    return 0;
+  }
+
+private:
+  std::string Path;
+  TraceStreamWriter Writer;
+};
+
+/// Prints a stream read error in the one format replay, diff and collect
+/// share: the file, the failing chunk, the reader's diagnostic.
+void reportStreamError(const std::string &Path, size_t Chunk,
+                       const std::string &Message) {
+  std::fprintf(stderr, "isprof: stream %s: chunk %zu: %s\n", Path.c_str(),
+               Chunk, Message.c_str());
+}
+
+/// Opens the stream at \p Path and interns its routine names into
+/// \p Symbols; prints the reader's diagnostic and returns false when
+/// the file is not a valid stream.
+bool openStream(const std::string &Path, TraceStreamReader &Reader,
+                SymbolTable &Symbols) {
+  if (!Reader.open(Path)) {
+    std::fprintf(stderr, "isprof: cannot read stream %s: %s\n",
+                 Path.c_str(), Reader.error().c_str());
+    return false;
+  }
+  for (const auto &[Id, Name] : Reader.routines())
+    Symbols.intern(Name);
+  return true;
 }
 
 std::vector<std::string> splitList(const std::string &Csv) {
@@ -366,22 +432,9 @@ int commandRun(OptionParser &Options) {
 
   EventDispatcher Dispatcher;
   Tools.attach(Dispatcher);
-  std::string RecordPath = Options.getString("record");
-  if (!RecordPath.empty())
-    Dispatcher.enableRecording();
-  std::string StreamPath = Options.getString("record-stream");
-  TraceStreamWriter StreamWriter;
-  if (!StreamPath.empty()) {
-    TraceStreamOptions StreamOpts;
-    if (!parseStreamChunkBytes(Options, &StreamOpts))
-      return 2;
-    if (!StreamWriter.open(StreamPath, Prog->Symbols.entries(),
-                           StreamOpts)) {
-      std::fprintf(stderr, "isprof: %s\n", StreamWriter.error().c_str());
-      return 1;
-    }
-    Dispatcher.setRecordSink(&StreamWriter);
-  }
+  StreamRecording Recording;
+  if (int Code = Recording.start(Options, *Prog, Dispatcher))
+    return Code;
 
   Machine M(*Prog, &Dispatcher, MachineOpts);
   RunResult Result = M.run();
@@ -398,31 +451,8 @@ int commandRun(OptionParser &Options) {
               formatWithCommas(Result.Stats.Instructions).c_str(),
               formatWithCommas(Result.Stats.BasicBlocks).c_str(),
               static_cast<unsigned>(Result.Stats.ThreadsSpawned));
-
-  if (!RecordPath.empty()) {
-    TraceData Data;
-    Data.Routines = Prog->Symbols.entries();
-    Data.Events = Dispatcher.takeRecordedEvents();
-    if (!writeTraceFile(RecordPath, Data)) {
-      std::fprintf(stderr, "isprof: cannot write trace %s\n",
-                   RecordPath.c_str());
-      return 1;
-    }
-    std::printf("[trace: %zu events -> %s]\n\n", Data.Events.size(),
-                RecordPath.c_str());
-  }
-  if (!StreamPath.empty()) {
-    if (!StreamWriter.close()) {
-      std::fprintf(stderr, "isprof: %s\n", StreamWriter.error().c_str());
-      return 1;
-    }
-    publishStreamStats(StreamWriter);
-    std::printf("[stream: %s events in %s chunks -> %s (%s)]\n\n",
-                formatWithCommas(StreamWriter.eventsWritten()).c_str(),
-                formatWithCommas(StreamWriter.chunksWritten()).c_str(),
-                StreamPath.c_str(),
-                formatBytes(StreamWriter.bytesWritten()).c_str());
-  }
+  if (int Code = Recording.finish())
+    return Code;
 
   std::string HtmlPath = Options.getString("html");
   if (!HtmlPath.empty() && !Tools.writeHtml(HtmlPath, &Prog->Symbols))
@@ -434,81 +464,43 @@ int commandRun(OptionParser &Options) {
 }
 
 int commandReplay(OptionParser &Options) {
-  // --replay-stream names a chunked stream explicitly; a positional
-  // trace that carries the stream magic is streamed too, so `isprof
-  // replay file` works for either format.
-  std::string StreamPath = Options.getString("replay-stream");
-  std::string TracePath;
-  if (StreamPath.empty()) {
-    if (Options.positional().size() < 2) {
-      std::fprintf(stderr, "isprof replay: missing trace file\n");
-      return 2;
-    }
-    TracePath = Options.positional()[1];
-    if (isTraceStreamFile(TracePath)) {
-      StreamPath = TracePath;
-      TracePath.clear();
-    }
+  if (Options.positional().size() < 2) {
+    std::fprintf(stderr, "isprof replay: missing stream file\n");
+    return 2;
   }
-
+  const std::string &Path = Options.positional()[1];
   ToolSet Tools;
   if (!Tools.create(Options.getString("tools")))
     return 2;
+  TraceStreamReader Reader;
+  SymbolTable Symbols;
+  if (!openStream(Path, Reader, Symbols))
+    return 1;
+
+  // Bounded-memory replay: decode one chunk at a time and publish it to
+  // the tools as one batch; with pipelined delivery the tools consume
+  // chunk k on a worker while chunk k+1 is decoded here.
   EventDispatcher Dispatcher;
   Tools.attach(Dispatcher);
-
-  if (!StreamPath.empty()) {
-    // Bounded-memory replay: decode one chunk at a time and publish it
-    // to the tools as one batch; with pipelined delivery the tools
-    // consume chunk k on a worker while chunk k+1 is decoded here.
-    TraceStreamReader Reader;
-    if (!Reader.open(StreamPath)) {
-      std::fprintf(stderr, "isprof: cannot read stream %s: %s\n",
-                   StreamPath.c_str(), Reader.error().c_str());
-      return 1;
-    }
-    SymbolTable Symbols;
-    for (const auto &[Id, Name] : Reader.routines())
-      Symbols.intern(Name);
-    Dispatcher.start(&Symbols);
-    std::vector<Event> Chunk;
-    uint64_t Replayed = 0;
-    size_t ErrorChunk = 0;
-    while (true) {
-      ErrorChunk = Reader.cursor();
-      if (!Reader.nextChunk(Chunk))
-        break;
-      Replayed += Reader.chunkEvents(ErrorChunk);
-      Dispatcher.publishChunk(Chunk, Reader.chunkEvents(ErrorChunk));
-    }
-    bool ReadOk = Reader.error().empty();
-    Dispatcher.finish();
-    if (!ReadOk) {
-      std::fprintf(stderr, "isprof: stream %s: chunk %zu: %s\n",
-                   StreamPath.c_str(), ErrorChunk, Reader.error().c_str());
-      return 1;
-    }
-    std::printf("[replayed %s events from %zu chunk(s)]\n\n",
-                formatWithCommas(Replayed).c_str(), Reader.chunkCount());
-    Tools.printReports(&Symbols);
-    return 0;
+  Dispatcher.start(&Symbols);
+  std::vector<Event> Chunk;
+  uint64_t Replayed = 0;
+  size_t ErrorChunk = 0;
+  while (true) {
+    ErrorChunk = Reader.cursor();
+    if (!Reader.nextChunk(Chunk))
+      break;
+    Replayed += Reader.chunkEvents(ErrorChunk);
+    Dispatcher.publishChunk(Chunk, Reader.chunkEvents(ErrorChunk));
   }
-
-  TraceData Data;
-  if (!readTraceFile(TracePath, Data)) {
-    std::fprintf(stderr, "isprof: cannot read trace %s\n",
-                 TracePath.c_str());
+  bool ReadOk = Reader.error().empty();
+  Dispatcher.finish();
+  if (!ReadOk) {
+    reportStreamError(Path, ErrorChunk, Reader.error());
     return 1;
   }
-  SymbolTable Symbols;
-  for (const auto &[Id, Name] : Data.Routines)
-    Symbols.intern(Name);
-  Dispatcher.start(&Symbols);
-  for (const EventRecord &E : Data.Events)
-    Dispatcher.enqueue(E);
-  Dispatcher.finish();
-
-  std::printf("[replayed %zu events]\n\n", Data.Events.size());
+  std::printf("[replayed %s events from %zu chunk(s)]\n\n",
+              formatWithCommas(Replayed).c_str(), Reader.chunkCount());
   Tools.printReports(&Symbols);
   return 0;
 }
@@ -586,8 +578,8 @@ int commandWorkload(OptionParser &Options) {
     std::fputs(Error.c_str(), stderr);
     return 1;
   }
-  if (Options.getFlag("optimize"))
-    optimizeProgram(*Prog);
+  // compileWorkload already ran the optimizer, so --optimize has
+  // nothing left to do here.
   if (int Code = runStaticChecks(*Prog, Options))
     return Code;
   ToolSet Tools;
@@ -595,19 +587,9 @@ int commandWorkload(OptionParser &Options) {
     return 2;
   EventDispatcher Dispatcher;
   Tools.attach(Dispatcher);
-  std::string StreamPath = Options.getString("record-stream");
-  TraceStreamWriter StreamWriter;
-  if (!StreamPath.empty()) {
-    TraceStreamOptions StreamOpts;
-    if (!parseStreamChunkBytes(Options, &StreamOpts))
-      return 2;
-    if (!StreamWriter.open(StreamPath, Prog->Symbols.entries(),
-                           StreamOpts)) {
-      std::fprintf(stderr, "isprof: %s\n", StreamWriter.error().c_str());
-      return 1;
-    }
-    Dispatcher.setRecordSink(&StreamWriter);
-  }
+  StreamRecording Recording;
+  if (int Code = Recording.start(Options, *Prog, Dispatcher))
+    return Code;
   MachineOptions MachineOpts;
   if (!parseMachineOptions(Options, &MachineOpts))
     return 2;
@@ -622,18 +604,8 @@ int commandWorkload(OptionParser &Options) {
               Result.Output.c_str(), W->Name.c_str(),
               formatWithCommas(Result.Stats.Instructions).c_str(),
               static_cast<unsigned>(Result.Stats.ThreadsSpawned));
-  if (!StreamPath.empty()) {
-    if (!StreamWriter.close()) {
-      std::fprintf(stderr, "isprof: %s\n", StreamWriter.error().c_str());
-      return 1;
-    }
-    publishStreamStats(StreamWriter);
-    std::printf("[stream: %s events in %s chunks -> %s (%s)]\n\n",
-                formatWithCommas(StreamWriter.eventsWritten()).c_str(),
-                formatWithCommas(StreamWriter.chunksWritten()).c_str(),
-                StreamPath.c_str(),
-                formatBytes(StreamWriter.bytesWritten()).c_str());
-  }
+  if (int Code = Recording.finish())
+    return Code;
   std::string HtmlPath = Options.getString("html");
   if (!HtmlPath.empty() && !Tools.writeHtml(HtmlPath, &Prog->Symbols))
     return 1;
@@ -643,18 +615,18 @@ int commandWorkload(OptionParser &Options) {
   return 0;
 }
 
-/// Replays \p Path under aprof-trms; returns false on failure.
-bool profileTraceFile(const std::string &Path, ProfileDatabase &DbOut,
-                      SymbolTable &SymbolsOut) {
-  TraceData Data;
-  if (!readTraceFile(Path, Data)) {
-    std::fprintf(stderr, "isprof: cannot read trace %s\n", Path.c_str());
+/// Replays the stream at \p Path under aprof-trms; returns false after
+/// printing the reader's diagnostic.
+bool profileStream(const std::string &Path, ProfileDatabase &DbOut,
+                   SymbolTable &SymbolsOut) {
+  TraceStreamReader Reader;
+  if (!openStream(Path, Reader, SymbolsOut))
+    return false;
+  TrmsProfiler Profiler;
+  if (!replayTraceStream(Reader, Profiler, &SymbolsOut)) {
+    reportStreamError(Path, Reader.cursor() - 1, Reader.error());
     return false;
   }
-  for (const auto &[Id, Name] : Data.Routines)
-    SymbolsOut.intern(Name);
-  TrmsProfiler Profiler;
-  replayTrace(Data.Events, Profiler, &SymbolsOut);
   DbOut = Profiler.takeDatabase();
   return true;
 }
@@ -662,13 +634,13 @@ bool profileTraceFile(const std::string &Path, ProfileDatabase &DbOut,
 int commandDiff(OptionParser &Options) {
   if (Options.positional().size() < 3) {
     std::fprintf(stderr,
-                 "isprof diff: need a baseline and a candidate trace\n");
+                 "isprof diff: need a baseline and a candidate stream\n");
     return 2;
   }
   ProfileDatabase BaseDb, CandDb;
   SymbolTable BaseSyms, CandSyms;
-  if (!profileTraceFile(Options.positional()[1], BaseDb, BaseSyms) ||
-      !profileTraceFile(Options.positional()[2], CandDb, CandSyms))
+  if (!profileStream(Options.positional()[1], BaseDb, BaseSyms) ||
+      !profileStream(Options.positional()[2], CandDb, CandSyms))
     return 1;
   std::vector<RoutineDiff> Diffs =
       diffProfiles(BaseDb, BaseSyms, CandDb, CandSyms);
@@ -700,9 +672,7 @@ bool expandCollectInput(const std::string &Input,
 void reportIngestErrors(const collect::Collector &C, size_t From) {
   const std::vector<collect::StreamIngestError> &Errs = C.errors();
   for (size_t I = From; I != Errs.size(); ++I)
-    std::fprintf(stderr, "isprof: stream %s: chunk %zu: %s\n",
-                 Errs[I].File.c_str(), Errs[I].Chunk,
-                 Errs[I].Message.c_str());
+    reportStreamError(Errs[I].File, Errs[I].Chunk, Errs[I].Message);
 }
 
 /// Decodes the collect-specific numeric options. Returns false (after a
@@ -884,19 +854,16 @@ int runCommand(const std::string &Command, OptionParser &Options) {
 int main(int Argc, char **Argv) {
   OptionParser Options("isprof: input-sensitive profiling toolkit");
   Options.addOption("tools", "aprof-trms", "comma-separated tool list");
-  Options.addOption("record", "", "record the event trace to this path");
-  Options.addOption("record-stream", "",
+  Options.addOption("record", "",
                     "stream the event trace to this path as a chunked "
                     "file while the guest runs (bounded memory)");
-  Options.addOption("replay-stream", "",
-                    "(replay) replay this chunked stream file chunk by "
-                    "chunk (bounded memory)");
   Options.addOption("html", "", "write an HTML profile report (needs an "
                                 "aprof tool in --tools)");
   Options.addFlag("contexts", "profile per calling context instead of "
                               "per routine");
   Options.addFlag("optimize", "run the bytecode peephole optimizer "
-                              "(profiles are unaffected by design)");
+                              "(profiles are unaffected by design; "
+                              "workloads always run optimized)");
   Options.addFlag("verify-bytecode",
                   "run the static bytecode verifier (stack discipline, "
                   "jump targets, operand bounds) and refuse to run on "
@@ -929,7 +896,7 @@ int main(int Argc, char **Argv) {
                     "with --stats=json --stats-out=PATH: append a live "
                     "JSONL snapshot to PATH.live every N milliseconds");
   Options.addOption("stream-chunk-bytes", "65536",
-                    "(--record-stream) target chunk payload size in "
+                    "(--record) target chunk payload size in "
                     "bytes (power of two in [1024, 1048576])");
   Options.addOption("spool", "",
                     "(collect) also ingest every stream file in this "
@@ -941,7 +908,7 @@ int main(int Argc, char **Argv) {
                     "(collect) concurrent ingestion threads (0 = auto)");
   Options.addOption("routine", "",
                     "(collect) comma-separated routine filter; provably "
-                    "excluded chunks are skipped via v2 bitmaps");
+                    "excluded chunks are skipped via activity masks");
   Options.addOption("program", "",
                     "(collect) program label for ingested streams "
                     "(default: each file's stem)");

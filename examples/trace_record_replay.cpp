@@ -4,14 +4,14 @@
 //
 //===----------------------------------------------------------------------===//
 //
-// Record once, analyze many times: runs a workload while recording its
-// event trace to a binary file, then replays the file offline under
-// several independent analyses (aprof-trms, aprof-rms, the race
+// Record once, analyze many times: runs a workload while streaming its
+// event trace to a chunked stream file, then replays the file offline
+// under several independent analyses (aprof-trms, aprof-rms, the race
 // detector) and verifies the offline trms profile matches the live one.
 // This decoupling is what the trace model of Section 4 buys.
 //
 // Usage: ./build/examples/trace_record_replay [--workload=dedup]
-//                                             [--out=/tmp/isprof.trc]
+//                                             [--out=/tmp/isprof.strm]
 //
 //===----------------------------------------------------------------------===//
 
@@ -22,7 +22,7 @@
 #include "support/CommandLine.h"
 #include "support/Format.h"
 #include "tools/HelgrindTool.h"
-#include "trace/TraceFile.h"
+#include "trace/TraceStream.h"
 #include "vm/Machine.h"
 #include "workloads/Runner.h"
 
@@ -36,7 +36,7 @@ int main(int Argc, char **Argv) {
   Options.addOption("workload", "dedup", "workload name (see registry)");
   Options.addOption("threads", "4", "worker threads");
   Options.addOption("size", "48", "workload scale");
-  Options.addOption("out", "/tmp/isprof_example.trc", "trace file path");
+  Options.addOption("out", "/tmp/isprof_example.strm", "stream file path");
   if (!Options.parse(Argc, Argv))
     return 1;
 
@@ -63,40 +63,50 @@ int main(int Argc, char **Argv) {
   TrmsProfilerOptions ProfOpts;
   ProfOpts.KeepActivationLog = true;
   TrmsProfiler Live(ProfOpts);
+  std::string Path = Options.getString("out");
+  TraceStreamWriter Writer;
+  if (!Writer.open(Path, Prog->Symbols.entries())) {
+    std::fprintf(stderr, "%s\n", Writer.error().c_str());
+    return 1;
+  }
   EventDispatcher Dispatcher;
   Dispatcher.addTool(&Live);
-  Dispatcher.enableRecording();
+  Dispatcher.setRecordSink(&Writer);
   Machine M(*Prog, &Dispatcher);
   RunResult Run = M.run();
   if (!Run.Ok) {
     std::fprintf(stderr, "guest failed: %s\n", Run.Error.c_str());
     return 1;
   }
-
-  TraceData Data;
-  Data.Routines = Prog->Symbols.entries();
-  Data.Events = Dispatcher.takeRecordedEvents();
-  std::string Path = Options.getString("out");
-  if (!writeTraceFile(Path, Data)) {
-    std::fprintf(stderr, "cannot write %s\n", Path.c_str());
+  if (!Writer.close()) {
+    std::fprintf(stderr, "%s\n", Writer.error().c_str());
     return 1;
   }
-  std::printf("recorded %zu events from '%s' to %s (%s)\n\n",
-              Data.Events.size(), W->Name.c_str(), Path.c_str(),
-              formatBytes(serializeTrace(Data).size()).c_str());
+  std::printf("recorded %llu events from '%s' to %s (%s)\n\n",
+              static_cast<unsigned long long>(Writer.eventsWritten()),
+              W->Name.c_str(), Path.c_str(),
+              formatBytes(Writer.bytesWritten()).c_str());
 
-  // --- Replay offline under three analyses. ---
-  TraceData Loaded;
-  if (!readTraceFile(Path, Loaded)) {
-    std::fprintf(stderr, "cannot read back %s\n", Path.c_str());
+  // --- Replay offline under three analyses, one chunk at a time. ---
+  TraceStreamReader Reader;
+  if (!Reader.open(Path)) {
+    std::fprintf(stderr, "cannot read back %s: %s\n", Path.c_str(),
+                 Reader.error().c_str());
     return 1;
   }
   SymbolTable Symbols;
-  for (const auto &[Id, Name] : Loaded.Routines)
+  for (const auto &[Id, Name] : Reader.routines())
     Symbols.intern(Name);
 
   TrmsProfiler Offline(ProfOpts);
-  replayTrace(Loaded.Events, Offline, &Symbols);
+  RmsProfiler Rms;
+  HelgrindTool Races;
+  for (Tool *T : std::initializer_list<Tool *>{&Offline, &Rms, &Races})
+    if (!replayTraceStream(Reader, *T, &Symbols)) {
+      std::fprintf(stderr, "cannot replay %s: %s\n", Path.c_str(),
+                   Reader.error().c_str());
+      return 1;
+    }
   bool Identical = Offline.database().log() == Live.database().log();
   std::printf("offline trms profile %s the live profile (%llu "
               "activations)\n",
@@ -104,10 +114,6 @@ int main(int Argc, char **Argv) {
               static_cast<unsigned long long>(
                   Offline.database().totalActivations()));
 
-  RmsProfiler Rms;
-  replayTrace(Loaded.Events, Rms, &Symbols);
-  HelgrindTool Races;
-  replayTrace(Loaded.Events, Races, &Symbols);
   std::printf("offline aprof-rms saw %llu activations; helgrind reports "
               "%llu race(s)\n\n",
               static_cast<unsigned long long>(

@@ -139,17 +139,15 @@ bool Collector::ingestOne(const std::string &Path, unsigned ThreadBudget) {
     // (c) closes the trms undercount: a chunk passing (a) and (b) may
     // still *write* a cell that a later filtered activation reads for
     // the first time — dropping the write loses the shadow-timestamp
-    // history that makes that read an induced first-access. On v3
-    // streams each chunk carries a written-shard mask, and SuffixTargets
-    // below holds, per chunk, the union of the shard-activity masks of
-    // every *later* chunk containing a filtered Call (a backward suffix
-    // pass over the index). A chunk whose written shards miss every
-    // such target shard cannot feed any retained activation's trms, so
-    // skipping it is exact up to one residual corner: an activation's
-    // continuation chunks (after its Call chunk, mask-invisible) may
-    // read shards no matching chunk touches; those reads can still
-    // undercount. Pre-v3 streams carry no written masks and keep the
-    // legacy skip rule (a)+(b) with its documented approximation.
+    // history that makes that read an induced first-access. Each chunk
+    // carries a written-shard mask, and SuffixTargets below holds, per
+    // chunk, the union of the shard-activity masks of every *later*
+    // chunk containing a filtered Call (a backward suffix pass over the
+    // index). A chunk whose written shards miss every such target shard
+    // cannot feed any retained activation's trms, so skipping it is
+    // exact up to one residual corner: an activation's continuation
+    // chunks (after its Call chunk, mask-invisible) may read shards no
+    // matching chunk touches; those reads can still undercount.
     //
     // Skipping tears holes in the call stack: a skipped chunk may open
     // frames whose Returns land in decoded chunks. The per-thread
@@ -164,9 +162,8 @@ bool Collector::ingestOne(const std::string &Path, unsigned ThreadBudget) {
     // stay exact: cost is a within-activation basic-block delta and rms
     // counts only accesses inside the activation window, which is
     // always fully decoded.
-    bool WriteAware = UseFilter && Reader.hasWrittenMasks();
     std::vector<ShardActivityMask> SuffixTargets;
-    if (WriteAware) {
+    if (UseFilter) {
       size_t N = Reader.chunkCount();
       SuffixTargets.resize(N);
       ShardActivityMask Acc = {};
@@ -180,8 +177,6 @@ bool Collector::ingestOne(const std::string &Path, unsigned ThreadBudget) {
       }
     }
     auto WritesNothingRetained = [&](size_t C) {
-      if (!WriteAware)
-        return true; // pre-v3: legacy rule, documented approximation
       const ShardActivityMask &W = Reader.chunkWrittenMask(C);
       const ShardActivityMask &T = SuffixTargets[C];
       for (size_t I = 0; I != W.size(); ++I)
@@ -193,7 +188,7 @@ bool Collector::ingestOne(const std::string &Path, unsigned ThreadBudget) {
     std::vector<Event> Chunk;
     while (true) {
       ErrChunk = Reader.cursor();
-      if (UseFilter && Reader.hasActivityMasks() && Forwarded.InFlight == 0 &&
+      if (UseFilter && Forwarded.InFlight == 0 &&
           ErrChunk < Reader.chunkCount() &&
           (Reader.chunkRoutineMask(ErrChunk) & Forwarded.FilterMask) == 0 &&
           WritesNothingRetained(ErrChunk)) {

@@ -15,27 +15,23 @@
 /// reader's diagnostics) and contributes nothing; it never poisons the
 /// rollup.
 ///
-/// When a routine filter is set and a stream carries v2 activity
-/// bitmaps, chunks whose 64-bit routine mask provably excludes every
-/// filtered routine are skipped without decoding — but only while no
-/// filtered activation is in flight, so everything between a filtered
-/// Call and its Return always replays. A per-thread shadow stack of
-/// forwarded calls reconciles the holes skipping tears in the stream:
-/// Returns that close frames opened inside skipped chunks are dropped
-/// before dispatch, keeping the replayed call stack consistent and the
-/// filtered routines' rms and cost exact. On v3 streams the per-chunk
-/// written-shard masks close the historical trms undercount: a chunk is
-/// only skipped when, additionally, none of its written shards appears
-/// in any later filtered-Call chunk's activity mask (a backward
-/// suffix-union over the index), so the shadow-timestamp history behind
-/// every retained induced first-access is preserved — up to one
-/// residual corner where an activation's mask-invisible continuation
-/// chunks read shards no filtered-Call chunk touches. On v2 streams
-/// (no written masks) the legacy rule applies and filtered trms may
-/// undercount induced first-accesses whose inducing write sat in a
-/// skipped chunk (documented approximation; unfiltered ingestion is
-/// always exact). v1 streams carry no masks and are always fully
-/// decoded.
+/// When a routine filter is set, chunks whose 64-bit routine mask
+/// provably excludes every filtered routine are skipped without
+/// decoding — but only while no filtered activation is in flight, so
+/// everything between a filtered Call and its Return always replays. A
+/// per-thread shadow stack of forwarded calls reconciles the holes
+/// skipping tears in the stream: Returns that close frames opened inside
+/// skipped chunks are dropped before dispatch, keeping the replayed call
+/// stack consistent and the filtered routines' rms and cost exact. The
+/// per-chunk written-shard masks keep trms exact too: a chunk is only
+/// skipped when, additionally, none of its written shards appears in any
+/// later filtered-Call chunk's activity mask (a backward suffix-union
+/// over the index), so the shadow-timestamp history behind every
+/// retained induced first-access is preserved — up to one residual
+/// corner where an activation's mask-invisible continuation chunks read
+/// shards no filtered-Call chunk touches. The masks are covered by the
+/// stream's metadata checksum, so a mask altered on disk fails the
+/// stream instead of silently dropping activations.
 ///
 /// Observability: the `collector.*` metric family (streams, chunks
 /// read/skipped, decode errors, merge time, store size) and one
@@ -62,7 +58,7 @@ struct CollectorOptions {
   unsigned Workers = 0;
   static constexpr unsigned MaxWorkers = 64;
   /// Restrict the rollup to these routine names (and skip provably
-  /// excluded chunks on v2 streams). Empty ingests everything.
+  /// excluded chunks). Empty ingests everything.
   std::vector<std::string> RoutineFilter;
   /// Program label for every ingested stream; empty labels each stream
   /// by its file stem ("spool/md-3.strm" -> "md-3").
@@ -81,7 +77,7 @@ struct CollectorTotals {
   uint64_t Streams = 0;       ///< ingested and merged successfully
   uint64_t StreamsFailed = 0; ///< reported and skipped
   uint64_t ChunksRead = 0;
-  uint64_t ChunksSkipped = 0; ///< excluded via v2 routine bitmaps
+  uint64_t ChunksSkipped = 0; ///< excluded via the activity masks
   uint64_t Events = 0;
   uint64_t MergeNs = 0;  ///< wall time inside store merges
   uint64_t IngestNs = 0; ///< wall time of the whole ingestFiles call
@@ -114,9 +110,11 @@ private:
   std::mutex Mutex;
 };
 
-/// Chunked stream files directly inside \p Dir (identified by magic,
-/// any extension), sorted by name for determinism. Returns an empty
-/// list and sets \p Error when the directory cannot be read.
+/// Chunked stream files directly inside \p Dir (identified by the magic
+/// prefix every stream version shares, any extension), sorted by name
+/// for determinism. A stream of a version the reader does not accept is
+/// listed, so ingesting it fails loudly. Returns an empty list and sets
+/// \p Error when the directory cannot be read.
 std::vector<std::string> scanSpoolDir(const std::string &Dir,
                                       std::string *Error);
 

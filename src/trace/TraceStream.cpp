@@ -14,34 +14,16 @@
 
 using namespace isp;
 
-static const char StreamMagicV1[8] = {'I', 'S', 'P', 'S', 'T', 'M', '0', '1'};
-static const char StreamMagicV2[8] = {'I', 'S', 'P', 'S', 'T', 'M', '0', '2'};
-static const char StreamMagicV3[8] = {'I', 'S', 'P', 'S', 'T', 'M', '0', '3'};
+static const char StreamMagic[8] = {'I', 'S', 'P', 'S', 'T', 'M', '0', '4'};
 static const char TrailerMagic[8] = {'I', 'S', 'P', 'S', 'T', 'M', 'I', 'X'};
 
-/// Bytes 0..6 shared by every version's magic ("ISPSTM0").
-static constexpr size_t MagicBytes = sizeof(StreamMagicV1);
+static constexpr size_t MagicBytes = sizeof(StreamMagic);
+/// Bytes 0..6 of the magic ("ISPSTM0"), shared by every version.
+static constexpr size_t MagicPrefixBytes = MagicBytes - 1;
 
-/// Decodes the version digit of an 8-byte magic; 0 when not a stream.
-static unsigned streamVersionOf(const char *Head) {
-  if (std::memcmp(Head, StreamMagicV1, MagicBytes - 1) != 0)
-    return 0;
-  if (Head[MagicBytes - 1] == '1')
-    return 1;
-  if (Head[MagicBytes - 1] == '2')
-    return 2;
-  if (Head[MagicBytes - 1] == '3')
-    return 3;
-  return 0;
-}
-
-static const char *streamMagicFor(unsigned Version) {
-  return Version == 1 ? StreamMagicV1
-                      : (Version == 2 ? StreamMagicV2 : StreamMagicV3);
-}
-
-/// Trailer: u64 footer offset + magic, always the last 16 file bytes.
-static constexpr size_t TrailerBytes = 8 + sizeof(TrailerMagic);
+/// Trailer: u64 footer offset, u64 checksum and the trailer magic,
+/// always the last 24 file bytes.
+static constexpr size_t TrailerBytes = 8 + 8 + sizeof(TrailerMagic);
 
 namespace {
 
@@ -50,7 +32,7 @@ constexpr size_t MaxVarintBytes = 10;
 /// Longest encoded event: the kind byte and four varints.
 constexpr size_t MaxEncodedEventBytes = 1 + 4 * MaxVarintBytes;
 
-/// Unsigned LEB128 append (the TraceFile.cpp v2 convention).
+/// Unsigned LEB128 append.
 void writeVarint(std::string &Out, uint64_t V) {
   while (V >= 0x80) {
     Out.push_back(static_cast<char>((V & 0x7f) | 0x80));
@@ -113,6 +95,19 @@ uint64_t zigzag(int64_t V) {
 }
 int64_t unzigzag(uint64_t V) {
   return static_cast<int64_t>(V >> 1) ^ -static_cast<int64_t>(V & 1);
+}
+
+/// The 64-bit FNV-1a hash of no bytes.
+constexpr uint64_t FnvOffsetBasis = 0xcbf29ce484222325ULL;
+
+/// 64-bit FNV-1a over \p Size bytes at \p Data, continued from \p Hash.
+uint64_t fnv1a(uint64_t Hash, const void *Data, size_t Size) {
+  const auto *P = static_cast<const unsigned char *>(Data);
+  for (size_t I = 0; I != Size; ++I) {
+    Hash ^= P[I];
+    Hash *= 0x100000001b3ULL;
+  }
+  return Hash;
 }
 
 void appendU64(std::string &Out, uint64_t V) {
@@ -183,21 +178,14 @@ bool TraceStreamWriter::open(
     Failed = true;
     return false;
   }
-  if (Options.FormatVersion < 1 || Options.FormatVersion > 3) {
-    Error = "unsupported trace stream format version";
-    Failed = true;
-    std::fclose(File);
-    File = nullptr;
-    return false;
-  }
-  std::string Header;
-  Header.append(streamMagicFor(Options.FormatVersion), MagicBytes);
+  std::string Header(StreamMagic, MagicBytes);
   writeVarint(Header, Routines.size());
   for (const auto &[Id, Name] : Routines) {
     writeVarint(Header, Id);
     writeVarint(Header, Name.size());
     Header.append(Name);
   }
+  MetaHash = fnv1a(FnvOffsetBasis, Header.data(), Header.size());
   writeRaw(Header.data(), Header.size());
   return !Failed;
 }
@@ -269,8 +257,7 @@ ISP_ALWAYS_INLINE void TraceStreamWriter::put(const EventRecord &E) {
     return;
   if (ChunkEvents == 0)
     ChunkFirstTime = E.Time;
-  if (Options.FormatVersion >= 2)
-    noteActivity(E.Kind, E.Arg0, E.Arg1);
+  noteActivity(E.Kind, E.Arg0, E.Arg1);
   // The buffer always has room for one more worst-case record: it seals
   // as soon as the events reach ChunkBytes.
   uint8_t K = static_cast<uint8_t>(E.Kind);
@@ -354,16 +341,15 @@ bool TraceStreamWriter::close() {
     writeVarint(Footer, Meta.Offset);
     writeVarint(Footer, Meta.Events);
     writeVarint(Footer, Meta.FirstTime);
-    if (Options.FormatVersion >= 2) {
-      writeVarint(Footer, Meta.RoutineMask);
-      for (uint64_t Word : Meta.ShardMask)
-        writeVarint(Footer, Word);
-    }
-    if (Options.FormatVersion >= 3)
-      for (uint64_t Word : Meta.WrittenMask)
-        writeVarint(Footer, Word);
+    writeVarint(Footer, Meta.RoutineMask);
+    for (uint64_t Word : Meta.ShardMask)
+      writeVarint(Footer, Word);
+    for (uint64_t Word : Meta.WrittenMask)
+      writeVarint(Footer, Word);
   }
   appendU64(Footer, FooterOffset);
+  uint64_t Checksum = fnv1a(MetaHash, Footer.data(), Footer.size());
+  appendU64(Footer, Checksum);
   Footer.append(TrailerMagic, sizeof(TrailerMagic));
   writeRaw(Footer.data(), Footer.size());
   // fclose flushes stdio's buffer; a full disk surfaces here, not in
@@ -405,7 +391,6 @@ bool TraceStreamReader::open(const std::string &Path) {
   Chunks.clear();
   TotalEvents = 0;
   FooterOffset = 0;
-  Version = 0;
   Cursor = 0;
   Nesting.clear();
   NestingNext = 0;
@@ -423,27 +408,32 @@ bool TraceStreamReader::open(const std::string &Path) {
 
   char Head[MagicBytes];
   if (std::fseek(File, 0, SEEK_SET) != 0 ||
-      std::fread(Head, 1, sizeof(Head), File) != sizeof(Head))
+      std::fread(Head, 1, sizeof(Head), File) != sizeof(Head) ||
+      std::memcmp(Head, StreamMagic, MagicPrefixBytes) != 0)
     return fail("not a trace stream: bad magic");
-  Version = streamVersionOf(Head);
-  if (Version == 0)
-    return fail("not a trace stream: bad magic or unsupported version");
+  char Version = Head[MagicPrefixBytes];
+  if (Version != StreamMagic[MagicPrefixBytes]) {
+    if (Version < '0' || Version > '9')
+      return fail("not a trace stream: bad magic");
+    return fail(std::string("unsupported trace stream version ") + Version);
+  }
 
-  // Trailer: the last 16 bytes locate the footer index.
+  // Trailer: the last 24 bytes locate the footer index and hold the
+  // checksum.
   unsigned char Trailer[TrailerBytes];
   if (std::fseek(File, static_cast<long>(FileSize - TrailerBytes),
                  SEEK_SET) != 0 ||
       std::fread(Trailer, 1, TrailerBytes, File) != TrailerBytes)
     return fail("truncated trace stream: missing trailer");
-  if (std::memcmp(Trailer + 8, TrailerMagic, sizeof(TrailerMagic)) != 0)
+  if (std::memcmp(Trailer + 16, TrailerMagic, sizeof(TrailerMagic)) != 0)
     return fail("truncated trace stream: bad trailer magic");
   FooterOffset = decodeU64(Trailer);
   if (FooterOffset < MagicBytes ||
       FooterOffset > FileSize - TrailerBytes)
     return fail("corrupt footer offset");
 
-  // Footer index: chunk count, then (offset, events, first time) per
-  // chunk. Counts are clamped to what the footer bytes can encode
+  // Footer index: chunk count, then (offset, events, first time, masks)
+  // per chunk. Counts are clamped to what the footer bytes can encode
   // before anything is reserved.
   size_t FooterLen = static_cast<size_t>(FileSize - TrailerBytes - FooterOffset);
   std::string Footer(FooterLen, '\0');
@@ -454,10 +444,9 @@ bool TraceStreamReader::open(const std::string &Path) {
   uint64_t ChunkCount = 0;
   if (!readVarint(Footer, Pos, ChunkCount))
     return fail("corrupt footer: bad chunk count");
-  // Each index entry is at least three one-byte varints (v2 adds the
-  // routine mask and four shard-mask words, v3 four more written-mask
-  // words, one byte minimum each).
-  size_t MinEntryBytes = Version >= 3 ? 12 : (Version >= 2 ? 8 : 3);
+  // Each index entry is at least twelve one-byte varints: offset,
+  // events, first time, the routine mask and eight mask words.
+  constexpr size_t MinEntryBytes = 12;
   if (ChunkCount > (Footer.size() - Pos) / MinEntryBytes)
     return fail("corrupt footer: chunk count exceeds index bytes");
   Chunks.reserve(ChunkCount);
@@ -468,30 +457,15 @@ bool TraceStreamReader::open(const std::string &Path) {
         !readVarint(Footer, Pos, Meta.Events) ||
         !readVarint(Footer, Pos, Meta.FirstTime))
       return fail("corrupt footer: truncated index entry");
-    if (Version >= 2) {
-      bool MasksOk = readVarint(Footer, Pos, Meta.RoutineMask);
-      for (uint64_t &Word : Meta.ShardMask)
-        MasksOk = MasksOk && readVarint(Footer, Pos, Word);
-      if (!MasksOk)
-        return fail("corrupt footer: truncated activity masks");
-    } else {
-      // v1 carries no activity masks; report "everything may be
-      // active" so mask-driven skipping is a no-op, never wrong.
-      Meta.RoutineMask = ~uint64_t(0);
-      Meta.ShardMask.fill(~uint64_t(0));
-    }
-    if (Version >= 3) {
-      bool MasksOk = true;
-      for (uint64_t &Word : Meta.WrittenMask)
-        MasksOk = MasksOk && readVarint(Footer, Pos, Word);
-      if (!MasksOk)
-        return fail("corrupt footer: truncated written masks");
-    } else {
-      // Pre-v3 indexes don't say what a chunk writes; report
-      // "everything may be written" so write-aware skipping stays
-      // sound (it just never skips on old streams).
-      Meta.WrittenMask.fill(~uint64_t(0));
-    }
+    bool MasksOk = readVarint(Footer, Pos, Meta.RoutineMask);
+    for (uint64_t &Word : Meta.ShardMask)
+      MasksOk = MasksOk && readVarint(Footer, Pos, Word);
+    if (!MasksOk)
+      return fail("corrupt footer: truncated activity masks");
+    for (uint64_t &Word : Meta.WrittenMask)
+      MasksOk = MasksOk && readVarint(Footer, Pos, Word);
+    if (!MasksOk)
+      return fail("corrupt footer: truncated written masks");
     // Offsets must be in order, past the header (and every earlier
     // chunk), and leave room for the chunk's own length prefix.
     if (Meta.Offset < PrevEnd || Meta.Offset + 4 > FooterOffset)
@@ -532,6 +506,15 @@ bool TraceStreamReader::open(const std::string &Path) {
   }
   if (Pos != Header.size())
     return fail("corrupt routine table: trailing bytes");
+
+  // The metadata parsed; the checksum tells whether it is what the
+  // writer wrote.
+  uint64_t Checksum = fnv1a(FnvOffsetBasis, Head, MagicBytes);
+  Checksum = fnv1a(Checksum, Header.data(), Header.size());
+  Checksum = fnv1a(Checksum, Footer.data(), Footer.size());
+  Checksum = fnv1a(Checksum, Trailer, 8);
+  if (Checksum != decodeU64(Trailer + 8))
+    return fail("corrupt stream metadata: checksum mismatch");
   return true;
 }
 
@@ -683,9 +666,9 @@ bool isp::isTraceStreamFile(const std::string &Path) {
   std::FILE *File = std::fopen(Path.c_str(), "rb");
   if (!File)
     return false;
-  char Head[MagicBytes];
+  char Head[MagicPrefixBytes];
   bool Ok = std::fread(Head, 1, sizeof(Head), File) == sizeof(Head) &&
-            streamVersionOf(Head) != 0;
+            std::memcmp(Head, StreamMagic, MagicPrefixBytes) == 0;
   std::fclose(File);
   return Ok;
 }

@@ -5,55 +5,53 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// Bounded-memory trace recording and replay: the delta/varint event
-/// codec of TraceFile.h layered on an incremental, chunked file writer,
-/// so recording a long run never materializes the whole event vector and
-/// replaying one never loads more than a single chunk.
+/// Bounded-memory trace recording and replay: a delta/varint event codec
+/// layered on an incremental, chunked file writer, so recording a long
+/// run never materializes the whole event vector and replaying one never
+/// loads more than a single chunk. This is isprof's one trace format.
 ///
-/// Stream layout (magic "ISPSTM03"; readers also accept v2 "ISPSTM02"
-/// and v1 "ISPSTM01"):
+/// Stream layout (magic "ISPSTM04"):
 ///
 ///   header  : magic | varint routine count
 ///             | routines (varint id, varint name length, name bytes)
 ///   chunk*  : u32 payload length | payload
-///   payload : varint event count | packed events (the v2 delta/varint
-///             encoding, with the delta state RESET at each chunk start,
-///             so every chunk decodes independently — the property that
-///             makes chunk-level seek possible)
+///   payload : varint event count | events, each a kind byte and four
+///             varints (tid, time delta, zigzag Arg0 delta against the
+///             chunk's last event of the same kind, Arg1), with the delta
+///             state RESET at each chunk start, so every chunk decodes
+///             independently — the property that makes chunk-level seek
+///             possible
 ///   footer  : varint chunk count
 ///             | per chunk (varint file offset, varint event count,
-///               varint first event time,
-///               [v2+] varint routine-activity mask,
-///               [v2+] 4 x varint shard-activity mask words,
-///               [v3+] 4 x varint written-shard mask words)
-///   trailer : u64 footer offset | magic "ISPSTMIX"
+///               varint first event time, varint routine-activity mask,
+///               4 x varint shard-activity mask words,
+///               4 x varint written-shard mask words)
+///   trailer : u64 footer offset | u64 checksum | magic "ISPSTMIX"
 ///
 /// The footer index is written last (the writer knows chunk offsets only
 /// after the fact) and found through the fixed-size trailer, so a reader
 /// can seek to any chunk — and a truncated file is detected immediately
 /// rather than half-replayed.
 ///
-/// The v2 activity masks are per-chunk Bloom-style summaries: the
-/// routine mask sets bit `RoutineId & 63` for every Call in the chunk,
-/// and the 256-bit shard mask sets bit `(Addr >> ActivityChunkShift) &
-/// 255` for every shadow chunk a memory access touches. Only the
-/// collector's routine-filtered ingest reads the masks, and it trusts
-/// them: it skips, without decoding, every chunk whose masks rule out
-/// the filtered routines, so a corrupt mask can silently drop
-/// activations from a filtered rollup (no footer checksum guards the
-/// masks). Unfiltered replay and collect never read them. v1 streams
-/// read back with all-ones masks.
+/// The checksum is a 64-bit FNV-1a over the header, the footer index and
+/// the footer offset: every byte open() trusts without decoding a chunk.
+/// open() verifies it after the structural checks pass, so metadata that
+/// parses but was altered — a cleared mask bit, a renamed routine — is
+/// "corrupt stream metadata: checksum mismatch". Chunk payloads are not
+/// hashed; the reader's structural checks are their only guard. The
+/// checksum detects damage, not forgery: anyone can recompute it.
 ///
-/// The v3 written-shard mask records the shard slots touched by
-/// *mutating* events (Write, KernelWrite, Alloc). The
-/// collector's routine-filtered ingest consults it before skipping a
-/// chunk: a chunk containing no filtered routine may still *write*
-/// memory that a later, matching chunk reads, and dropping that write
-/// would undercount trms — the written mask makes "this chunk cannot
-/// induce any retained read" checkable per chunk (collect/Collector.cpp
-/// has the suffix-union argument). v1/v2 streams read back with
-/// all-ones written masks, so consumers that filter unconditionally
-/// simply never skip on old streams (hasWrittenMasks() distinguishes).
+/// The activity masks are per-chunk Bloom-style summaries: the routine
+/// mask sets bit `RoutineId & 63` for every Call in the chunk, and the
+/// 256-bit shard mask sets bit `(Addr >> ActivityChunkShift) & 255` for
+/// every shadow chunk a memory access touches. The written-shard mask
+/// records the shard slots touched by *mutating* events (Write,
+/// KernelWrite, Alloc). Only the collector's routine-filtered ingest
+/// reads the masks: it skips, undecoded, a chunk whose routine mask
+/// rules out the filtered routines and whose written mask shows it
+/// cannot induce any retained read (collect/Collector.cpp has the
+/// suffix-union argument). Unfiltered replay and collect never read
+/// them.
 ///
 /// In memory, a decoded chunk is a run of packed 16-byte stream words
 /// (trace/Event.h), the form the dispatcher hands its tools. Both codec
@@ -73,7 +71,6 @@
 #include "instr/Dispatcher.h"
 #include "trace/CallStacks.h"
 #include "trace/Event.h"
-#include "trace/TraceFile.h"
 
 #include <algorithm>
 #include <array>
@@ -89,7 +86,7 @@ namespace isp {
 class SymbolTable;
 class Tool;
 
-/// Shadow-chunk key geometry for the v2 activity masks. A memory address
+/// Shadow-chunk key geometry for the activity masks. A memory address
 /// maps to shadow chunk key `Addr >> ActivityChunkShift`; the mask
 /// records `key & (ActivityShardSlots - 1)`. Both constants are part of
 /// the stream format: changing either changes what every recorded mask
@@ -108,11 +105,6 @@ struct TraceStreamOptions {
   /// chunks comfortably cache-resident while amortizing per-chunk
   /// overhead (header, footer entry, one fwrite) over ~10k events.
   size_t ChunkBytes = size_t(1) << 16;
-  /// Stream format version to emit: 3 (default) writes activity masks
-  /// plus the per-chunk written-shard masks, 2 omits the written masks,
-  /// 1 writes the legacy mask-less index (compatibility tests).
-  /// Anything else fails open().
-  unsigned FormatVersion = 3;
 };
 
 /// Incremental trace writer: events stream to disk chunk by chunk as
@@ -180,7 +172,7 @@ private:
   /// append and recordBatch, defined (and inlined into both) in
   /// TraceStream.cpp.
   inline void put(const EventRecord &E);
-  /// Folds one record into the open chunk's activity masks (v2+).
+  /// Folds one record into the open chunk's activity masks.
   inline void noteActivity(EventKind Kind, uint64_t Arg0, uint64_t Arg1);
   void sealChunk();
   void writeRaw(const void *Data, size_t Size);
@@ -196,8 +188,7 @@ private:
   std::vector<ChunkMeta> Chunks;
   uint64_t ChunkEvents = 0;
   uint64_t ChunkFirstTime = 0;
-  /// Activity accumulated for the open chunk (v2+ output only; the
-  /// written mask is emitted only at v3+).
+  /// Activity accumulated for the open chunk.
   uint64_t ChunkRoutineMask = 0;
   ShardActivityMask ChunkShardMask = {};
   ShardActivityMask ChunkWrittenMask = {};
@@ -208,6 +199,8 @@ private:
   uint64_t EventsWritten = 0;
   uint64_t BytesWritten = 0;
   uint64_t PeakBufferedBytes = 0;
+  /// FNV-1a state over the bytes the trailer checksum covers.
+  uint64_t MetaHash = 0;
   bool Failed = false;
 };
 
@@ -235,7 +228,8 @@ public:
   TraceStreamReader(const TraceStreamReader &) = delete;
   TraceStreamReader &operator=(const TraceStreamReader &) = delete;
 
-  /// Opens \p Path, validating the header, trailer, and footer index.
+  /// Opens \p Path, validating the header, trailer, and footer index,
+  /// then the checksum over them.
   bool open(const std::string &Path);
 
   const std::string &error() const { return Error; }
@@ -250,15 +244,6 @@ public:
   uint64_t chunkEvents(size_t I) const { return Chunks[I].Events; }
   uint64_t chunkFirstTime(size_t I) const { return Chunks[I].FirstTime; }
 
-  /// Format version of the open stream (1, 2, or 3).
-  unsigned formatVersion() const { return Version; }
-  /// True when the index carries real per-chunk activity masks (v2+).
-  /// For v1 streams the mask accessors return all-ones, so consumers
-  /// can filter unconditionally and v1 simply never skips anything.
-  bool hasActivityMasks() const { return Version >= 2; }
-  /// True when the index carries real per-chunk written-shard masks
-  /// (v3+). v1/v2 report all-ones written masks (fail-open).
-  bool hasWrittenMasks() const { return Version >= 3; }
   /// Routine-activity mask of chunk \p I: bit `RoutineId & 63` is set
   /// for every Call the chunk contains.
   uint64_t chunkRoutineMask(size_t I) const { return Chunks[I].RoutineMask; }
@@ -311,7 +296,6 @@ private:
   std::vector<ChunkMeta> Chunks;
   uint64_t TotalEvents = 0;
   uint64_t FooterOffset = 0;
-  unsigned Version = 0;
   size_t Cursor = 0;
   /// Open Calls of the in-order pass, and the chunk that continues it;
   /// NoNestingPass once the pass has read out of order.
@@ -324,8 +308,10 @@ private:
   std::vector<Event> PackedScratch;
 };
 
-/// True when \p Path starts with the chunked-stream magic; lets the
-/// driver auto-detect stream files next to the monolithic formats.
+/// True when \p Path starts with "ISPSTM0", the prefix every stream
+/// version's magic shares. A spool scan selects files by it, so a file
+/// of a version the reader does not accept is opened and rejected with
+/// a diagnostic instead of silently dropping out of the scan.
 bool isTraceStreamFile(const std::string &Path);
 
 /// Replays \p Reader's full stream into \p T: the calling thread

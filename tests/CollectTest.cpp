@@ -9,7 +9,7 @@
 // results serially, property-tested over synthetic traces), differential
 // views (diff of a store against itself is empty; genuine growth changes
 // are flagged), corrupt-stream isolation (including a Return that breaks
-// call nesting), routine-filtered chunk skipping on v2 activity bitmaps,
+// call nesting), routine-filtered chunk skipping on the activity masks,
 // filtered ingest that skips nothing agreeing with unfiltered ingest,
 // and the equality of pipelined and serial ingest.
 //
@@ -494,16 +494,15 @@ TEST(Collector, RoutineFilterSkipsProvablyExcludedChunks) {
   std::remove(Path.c_str());
 }
 
-/// A stream whose inducing write sits in a chunk the legacy skip rule
-/// drops: routine 1 ("probe", the filter target) reads cell X in two
+/// A stream whose inducing write sits in a chunk with no filtered Call:
+/// routine 1 ("probe", the filter target) reads cell X in two
 /// well-separated activations; between them a KernelWrite to X lands in
 /// a chunk full of unrelated "noise" activity (no probe call, no probe
-/// activation in flight). Dropping that chunk loses the kernel write
-/// timestamp, so probe's second read of X degrades from an induced
-/// external first-access to a plain one — the trms undercount the v3
-/// written-shard masks exist to close.
-std::string writeInducedWriteStream(const std::string &Name,
-                                    unsigned Version) {
+/// activation in flight). Dropping that chunk would lose the kernel
+/// write timestamp, so probe's second read of X would degrade from an
+/// induced external first-access to a plain one — the trms undercount
+/// the written-shard masks exist to close.
+std::string writeInducedWriteStream(const std::string &Name) {
   constexpr uint64_t X = 5000; // shard key 9 — disjoint from noise below
   std::vector<std::pair<RoutineId, std::string>> Routines = {
       {0, "root"}, {1, "probe"}, {2, "noise"}};
@@ -511,7 +510,6 @@ std::string writeInducedWriteStream(const std::string &Name,
   TraceStreamWriter Writer;
   TraceStreamOptions Opts;
   Opts.ChunkBytes = 1024;
-  Opts.FormatVersion = Version;
   EXPECT_TRUE(Writer.open(Path, Routines, Opts)) << Writer.error();
 
   uint64_t T = 1;
@@ -557,7 +555,7 @@ std::string writeInducedWriteStream(const std::string &Name,
 }
 
 TEST(Collector, WrittenMasksKeepInducedInputExactUnderFiltering) {
-  std::string Path = writeInducedWriteStream("induced_v3", /*Version=*/3);
+  std::string Path = writeInducedWriteStream("induced");
 
   // Ground truth: decode everything.
   FleetStore Full;
@@ -570,9 +568,9 @@ TEST(Collector, WrittenMasksKeepInducedInputExactUnderFiltering) {
   ASSERT_EQ(Truth.InducedExternal, 1u)
       << "the kernel write makes probe's second read an induced access";
 
-  // Filtered ingest on the v3 stream: the inducing chunk's written mask
-  // intersects the later probe chunk's shard activity, so it is
-  // decoded; the post-probe tail still skips. The probe rollup must be
+  // Filtered ingest: the inducing chunk's written mask intersects the
+  // later probe chunk's shard activity, so it is decoded; the
+  // post-probe tail still skips. The probe rollup must be
   // exact — including the induced classification.
   FleetStore Filtered;
   CollectorOptions FilterOpts;
@@ -583,38 +581,6 @@ TEST(Collector, WrittenMasksKeepInducedInputExactUnderFiltering) {
       << "masks must not degrade to decoding everything";
   ASSERT_EQ(Filtered.routineCount(), 1u);
   EXPECT_EQ(Filtered.rollups().at(ProbeKey), Truth);
-
-  std::remove(Path.c_str());
-}
-
-TEST(Collector, LegacyV2StreamsStillSkipAndDocumentTheUndercount) {
-  // The same trace written at v2 has no written masks: the legacy rule
-  // drops the inducing chunk, and the induced-external unit silently
-  // degrades to a plain first-access. This pins down the exact failure
-  // the v3 masks close (total trms stays right — only the induced
-  // classification is at risk under rule (a)+(b)).
-  std::string Path = writeInducedWriteStream("induced_v2", /*Version=*/2);
-
-  FleetStore Full;
-  Collector CF(CollectorOptions{}, Full);
-  ASSERT_EQ(CF.ingestFiles({Path}), 1u);
-  FleetStore::Key ProbeKey{Full.rollups().begin()->first.Program, "probe"};
-  const RoutineRollup &Truth = Full.rollups().at(ProbeKey);
-  ASSERT_EQ(Truth.InducedExternal, 1u);
-
-  FleetStore Filtered;
-  CollectorOptions FilterOpts;
-  FilterOpts.RoutineFilter = {"probe"};
-  Collector C(FilterOpts, Filtered);
-  ASSERT_EQ(C.ingestFiles({Path}), 1u);
-  EXPECT_GT(C.totals().ChunksSkipped, 0u);
-  const RoutineRollup &Legacy = Filtered.rollups().at(ProbeKey);
-  EXPECT_EQ(Legacy.Activations, Truth.Activations);
-  EXPECT_EQ(Legacy.SumRms, Truth.SumRms);
-  EXPECT_EQ(Legacy.SumTrms, Truth.SumTrms);
-  EXPECT_EQ(Legacy.InducedExternal, 0u)
-      << "legacy streams lose the induced classification when the "
-         "inducing write's chunk is skipped";
 
   std::remove(Path.c_str());
 }
@@ -718,26 +684,41 @@ TEST(Collector, SpoolScanFindsOnlyStreamFilesSorted) {
 
   SyntheticTraceOptions Gen;
   Gen.NumOperations = 200;
-  for (const char *Name : {"b.strm", "a.strm"}) {
+  for (const char *Name : {"b.strm", "a.strm", "old.bin"}) {
     TraceStreamWriter Writer;
     ASSERT_TRUE(Writer.open(Dir + "/" + Name, {}, {}));
     for (const EventRecord &E : generateSyntheticTrace(Gen))
       Writer.append(E);
     ASSERT_TRUE(Writer.close());
   }
-  // A non-stream file is ignored (magic check, not extension).
+  // A non-stream file is ignored (magic check, not extension). A stream
+  // of another version ("ISPSTM03", as an older writer wrote it) is
+  // listed, so ingesting the spool names it as a failed stream instead
+  // of leaving it out.
   {
     FILE *F = std::fopen((Dir + "/notes.strm").c_str(), "w");
     std::fputs("not a stream\n", F);
+    std::fclose(F);
+    F = std::fopen((Dir + "/old.bin").c_str(), "r+");
+    std::fseek(F, 7, SEEK_SET);
+    std::fputc('3', F);
     std::fclose(F);
   }
 
   std::string Error;
   std::vector<std::string> Found = scanSpoolDir(Dir, &Error);
   EXPECT_TRUE(Error.empty());
-  ASSERT_EQ(Found.size(), 2u);
+  ASSERT_EQ(Found.size(), 3u);
   EXPECT_EQ(Found[0], Dir + "/a.strm");
   EXPECT_EQ(Found[1], Dir + "/b.strm");
+  EXPECT_EQ(Found[2], Dir + "/old.bin");
+
+  FleetStore Store;
+  Collector C(CollectorOptions{}, Store);
+  EXPECT_EQ(C.ingestFiles(Found), 2u);
+  ASSERT_EQ(C.errors().size(), 1u);
+  EXPECT_EQ(C.errors()[0].File, Dir + "/old.bin");
+  EXPECT_EQ(C.errors()[0].Message, "unsupported trace stream version 3");
 
   EXPECT_TRUE(scanSpoolDir(Dir + "/missing", &Error).empty());
   EXPECT_FALSE(Error.empty());

@@ -10,11 +10,11 @@
 //
 //===----------------------------------------------------------------------===//
 
-#include "trace/TraceFile.h"
 #include "trace/TraceStream.h"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>
@@ -93,7 +93,7 @@ TEST(Driver, MemcheckFindsPlantedErrors) {
 }
 
 TEST(Driver, RecordReplayRoundTrip) {
-  std::string TracePath = ::testing::TempDir() + "isprof_driver_trace.bin";
+  std::string TracePath = ::testing::TempDir() + "isprof_driver_trace.strm";
   CommandResult Record = runDriver("run " + guest("stream.mini") +
                                    " --record=" + TracePath);
   EXPECT_EQ(Record.ExitCode, 0) << Record.Output;
@@ -252,6 +252,43 @@ TEST(Driver, WorkloadCommand) {
   CommandResult R = runDriver("workload producer_consumer --size=32");
   EXPECT_EQ(R.ExitCode, 0) << R.Output;
   EXPECT_NE(R.Output.find("consumer"), std::string::npos);
+
+  // --record streams a workload's trace too.
+  std::string Path = ::testing::TempDir() + "isprof_driver_workload.strm";
+  CommandResult Record =
+      runDriver("workload producer_consumer --size=32 --record=" + Path);
+  EXPECT_EQ(Record.ExitCode, 0) << Record.Output;
+  EXPECT_NE(Record.Output.find("[stream:"), std::string::npos)
+      << Record.Output;
+  CommandResult Replay = runDriver("replay " + Path);
+  EXPECT_EQ(Replay.ExitCode, 0) << Replay.Output;
+  EXPECT_NE(Replay.Output.find("consumer"), std::string::npos);
+  std::remove(Path.c_str());
+}
+
+/// The optimizer.* counter lines of a --stats=json file.
+std::vector<std::string> optimizerCounters(const std::string &StatsPath) {
+  std::ifstream Stats(StatsPath);
+  std::vector<std::string> Lines;
+  for (std::string Line; std::getline(Stats, Line);)
+    if (Line.find("\"optimizer.") != std::string::npos)
+      Lines.push_back(Line);
+  return Lines;
+}
+
+TEST(Driver, WorkloadOptimizesOnce) {
+  // Workloads always run optimized bytecode; --optimize must not run the
+  // optimizer a second time (which doubled every optimizer counter).
+  std::string Plain = ::testing::TempDir() + "isprof_opt_plain.json";
+  std::string Flagged = ::testing::TempDir() + "isprof_opt_flagged.json";
+  std::string Args = "workload kdtree --size=64 --stats=json --stats-out=";
+  ASSERT_EQ(runDriver(Args + Plain).ExitCode, 0);
+  ASSERT_EQ(runDriver(Args + Flagged + " --optimize").ExitCode, 0);
+  std::vector<std::string> Once = optimizerCounters(Plain);
+  EXPECT_GE(Once.size(), 5u);
+  EXPECT_EQ(optimizerCounters(Flagged), Once);
+  std::remove(Plain.c_str());
+  std::remove(Flagged.c_str());
 }
 
 TEST(Driver, MultiToolReportsMatchSingleToolRuns) {
@@ -275,14 +312,16 @@ TEST(Driver, MultiToolReportsMatchSingleToolRuns) {
 
 TEST(Driver, DeliveryTuningFlagsAreGone) {
   // Delivery is pipelined by default with one fixed batch size, replay
-  // is serial within a stream, and the VM has one interpreter loop; the
-  // old tuning flags are unknown options now. The last four are spelled
-  // in pieces so that searching the tree for them finds no live use.
+  // is serial within a stream, the VM has one interpreter loop, and
+  // --record and replay take the one stream format; the old flags are
+  // unknown options now. The last six are spelled in pieces so that
+  // searching the tree for them finds no live use.
   std::string Args = "run " + guest("quickstart.mini");
   for (const char *Flag :
        {" --parallel-tools", " --parallel-tools=2", " --batch-capacity=4096",
         " --replay" "-workers=2", " --shadow" "-shards=4",
-        " --dis" "patch=switch", " --block" "-compile"}) {
+        " --dis" "patch=switch", " --block" "-compile",
+        " --record" "-stream=/dev/null", " --replay" "-stream=/dev/null"}) {
     CommandResult R = runDriver(Args + Flag);
     EXPECT_EQ(R.ExitCode, 2) << Flag;
     EXPECT_NE(R.Output.find("unknown option"), std::string::npos)
@@ -331,28 +370,23 @@ TEST(Driver, StreamRecordReplayRoundTrip) {
   std::string Args = "run " + guest("stream.mini") + " --tools=aprof-trms";
   CommandResult Direct = runDriver(Args);
   ASSERT_EQ(Direct.ExitCode, 0) << Direct.Output;
-  CommandResult Record = runDriver(Args + " --record-stream=" + StreamPath);
+  CommandResult Record = runDriver(Args + " --record=" + StreamPath);
   ASSERT_EQ(Record.ExitCode, 0) << Record.Output;
   EXPECT_NE(Record.Output.find("[stream:"), std::string::npos);
   EXPECT_EQ(Section(Record.Output), Section(Direct.Output));
 
-  // Explicit flag and positional auto-detection both replay the stream.
-  for (std::string ReplayArgs :
-       {"replay --replay-stream=" + StreamPath + " --tools=aprof-trms",
-        "replay " + StreamPath + " --tools=aprof-trms"}) {
-    CommandResult Replay = runDriver(ReplayArgs);
-    ASSERT_EQ(Replay.ExitCode, 0) << Replay.Output;
-    EXPECT_NE(Replay.Output.find("[replayed"), std::string::npos);
-    EXPECT_EQ(Section(Replay.Output), Section(Direct.Output)) << ReplayArgs;
-  }
+  CommandResult Replay =
+      runDriver("replay " + StreamPath + " --tools=aprof-trms");
+  ASSERT_EQ(Replay.ExitCode, 0) << Replay.Output;
+  EXPECT_NE(Replay.Output.find("[replayed"), std::string::npos);
+  EXPECT_EQ(Section(Replay.Output), Section(Direct.Output));
   std::remove(StreamPath.c_str());
 }
 
 TEST(Driver, StreamingFlagsRejectBadValues) {
   std::string StreamPath = ::testing::TempDir() + "isprof_chunk_bytes.strm";
   std::string Args = "run " + guest("quickstart.mini") +
-                     " --record-stream=" + StreamPath +
-                     " --stream-chunk-bytes=";
+                     " --record=" + StreamPath + " --stream-chunk-bytes=";
   for (const char *Value : {"0", "1536", "2097152", "bogus"}) {
     CommandResult R = runDriver(Args + Value);
     EXPECT_EQ(R.ExitCode, 2) << Value;
@@ -365,7 +399,7 @@ TEST(Driver, StreamingFlagsRejectBadValues) {
   std::string BadPath = ::testing::TempDir() + "isprof_bad_stream.strm";
   {
     std::ofstream Bad(BadPath, std::ios::binary);
-    Bad << "ISPSTM01 this is not a valid stream tail";
+    Bad << "ISPSTM04 this is not a valid stream tail";
   }
   CommandResult R = runDriver("replay " + BadPath + " --tools=aprof-trms");
   EXPECT_NE(R.ExitCode, 0);
@@ -426,10 +460,9 @@ TEST(Driver, ReplayStreamErrorNamesChunk) {
 
 TEST(Driver, OutOfRangeAddressEndsInDiagnostic) {
   // A read past the guest address space in chunk 1: every consumer of
-  // the stream — replay, the multi-tool replay loop, collect — stops
-  // with the chunk's diagnostic and exit 1 instead of the shadow
-  // memory's assert; the monolithic trace reader refuses the same
-  // event.
+  // the stream — replay, the multi-tool replay loop, diff, collect —
+  // stops with the chunk's diagnostic and exit 1 instead of the shadow
+  // memory's assert.
   std::vector<isp::EventRecord> Events;
   uint64_t Time = 1;
   Events.push_back(isp::EventRecord::threadStart(0, Time++, 0));
@@ -464,34 +497,24 @@ TEST(Driver, OutOfRangeAddressEndsInDiagnostic) {
   for (std::string Args :
        {"replay " + Path + " --tools=aprof-trms",
         "replay " + Path + " --tools=aprof-trms,memcheck,nulgrind",
-        "collect " + Path, "collect " + Path + " --routine=work"}) {
+        "diff " + Path + " " + Path, "collect " + Path,
+        "collect " + Path + " --routine=work"}) {
     CommandResult R = runDriver(Args);
     EXPECT_EQ(R.ExitCode, 1) << Args << ": " << R.Output;
     EXPECT_NE(R.Output.find(Path), std::string::npos) << Args;
     EXPECT_NE(R.Output.find(Expected), std::string::npos)
         << Args << ": " << R.Output;
   }
-
-  std::string TracePath = ::testing::TempDir() + "isprof_driver_range.bin";
-  isp::TraceData Data;
-  Data.Routines = {{1, "work"}};
-  Data.Events = Events;
-  ASSERT_TRUE(isp::writeTraceFile(TracePath, Data));
-  CommandResult R = runDriver("replay " + TracePath + " --tools=aprof-trms");
-  EXPECT_EQ(R.ExitCode, 1) << R.Output;
-  EXPECT_NE(R.Output.find("cannot read trace"), std::string::npos)
-      << R.Output;
   std::remove(Path.c_str());
-  std::remove(TracePath.c_str());
 }
 
 TEST(Driver, MismatchedReturnEndsInDiagnostic) {
   // ThreadStart(0); Call(0, a); Read(0, 100); Return(0, b); ThreadEnd(0):
   // the Return closes another routine than the innermost open Call,
   // which the profilers assert on. Replay under each profiler,
-  // multi-tool replay, and collect (unfiltered, and filtered on a
+  // multi-tool replay, diff, and collect (unfiltered, and filtered on a
   // routine the stream calls) stop with the chunk's diagnostic and exit
-  // 1; the monolithic trace reader refuses the same trace.
+  // 1.
   std::vector<isp::EventRecord> Events = {
       isp::EventRecord::threadStart(0, 1, 0), isp::EventRecord::call(0, 2, 1),
       isp::EventRecord::read(0, 3, 100), isp::EventRecord::ret(0, 4, 2, 0),
@@ -510,27 +533,15 @@ TEST(Driver, MismatchedReturnEndsInDiagnostic) {
        {"replay " + Path + " --tools=aprof-trms",
         "replay " + Path + " --tools=aprof-rms",
         "replay " + Path + " --tools=aprof-trms,aprof-rms,nulgrind",
-        "collect " + Path, "collect " + Path + " --routine=a"}) {
+        "diff " + Path + " " + Path, "collect " + Path,
+        "collect " + Path + " --routine=a"}) {
     CommandResult R = runDriver(Args);
     EXPECT_EQ(R.ExitCode, 1) << Args << ": " << R.Output;
     EXPECT_NE(R.Output.find(Path), std::string::npos) << Args;
     EXPECT_NE(R.Output.find(Expected), std::string::npos)
         << Args << ": " << R.Output;
   }
-
-  std::string TracePath = ::testing::TempDir() + "isprof_driver_nesting.bin";
-  isp::TraceData Data;
-  Data.Routines = Routines;
-  Data.Events = Events;
-  ASSERT_TRUE(isp::writeTraceFile(TracePath, Data));
-  for (const char *Tools : {"aprof-trms", "aprof-rms"}) {
-    CommandResult R = runDriver("replay " + TracePath + " --tools=" + Tools);
-    EXPECT_EQ(R.ExitCode, 1) << R.Output;
-    EXPECT_NE(R.Output.find("cannot read trace"), std::string::npos)
-        << R.Output;
-  }
   std::remove(Path.c_str());
-  std::remove(TracePath.c_str());
 }
 
 TEST(Driver, ErrorsAreClean) {
@@ -576,8 +587,8 @@ TEST(Driver, DiffDetectsPlantedRegression) {
          "for (var i = 0; i < n; i = i + 1) { a[i] = i; } "
          "print(scan(a, n)); } return 0; }\n";
   }
-  std::string T1 = Dir + "isprof_diff_v1.trc";
-  std::string T2 = Dir + "isprof_diff_v2.trc";
+  std::string T1 = Dir + "isprof_diff_v1.strm";
+  std::string T2 = Dir + "isprof_diff_v2.strm";
   ASSERT_EQ(runDriver("run " + V1 + " --record=" + T1).ExitCode, 0);
   ASSERT_EQ(runDriver("run " + V2 + " --record=" + T2).ExitCode, 0);
 
@@ -598,8 +609,8 @@ TEST(Driver, DiffDetectsPlantedRegression) {
 /// Records \p Guest as a chunked stream at \p Path; returns success.
 bool recordStream(const std::string &Guest, const std::string &Path,
                   const std::string &Extra = "") {
-  return runDriver("run " + Guest + " --tools=aprof-trms --record-stream=" +
-                   Path + Extra)
+  return runDriver("run " + Guest + " --tools=aprof-trms --record=" + Path +
+                   Extra)
              .ExitCode == 0;
 }
 
@@ -705,7 +716,7 @@ TEST(Driver, CollectCorruptStreamIsNamedAndIsolated) {
 TEST(Driver, CollectRoutineFilterSkipsChunks) {
   // phased.mini: setup touches the table once, then work dominates the
   // stream. Small chunks + a setup-only filter make most chunks
-  // provably irrelevant via the v2 activity bitmap.
+  // provably irrelevant via their activity masks.
   std::string Path = ::testing::TempDir() + "isprof_collect_phased.strm";
   ASSERT_TRUE(recordStream(guest("phased.mini"), Path,
                            " --stream-chunk-bytes=1024"));
@@ -719,6 +730,113 @@ TEST(Driver, CollectRoutineFilterSkipsChunks) {
   ASSERT_NE(At, std::string::npos) << R.Output;
   EXPECT_EQ(R.Output.find(", 0 skipped"), std::string::npos) << R.Output;
   std::remove(Path.c_str());
+}
+
+/// Unsigned LEB128 at \p Pos of \p Bytes; advances \p Pos.
+uint64_t readVarint(const std::string &Bytes, size_t &Pos) {
+  uint64_t V = 0;
+  for (unsigned Shift = 0;; Shift += 7) {
+    uint8_t Byte = static_cast<uint8_t>(Bytes[Pos++]);
+    V |= static_cast<uint64_t>(Byte & 0x7f) << Shift;
+    if (!(Byte & 0x80))
+      return V;
+  }
+}
+
+/// Unsigned LEB128 append.
+void appendVarint(std::string &Out, uint64_t V) {
+  for (; V >= 0x80; V >>= 7)
+    Out.push_back(static_cast<char>((V & 0x7f) | 0x80));
+  Out.push_back(static_cast<char>(V));
+}
+
+TEST(Driver, TamperedStreamMetadataEndsInDiagnostic) {
+  // Stream metadata altered on disk, with the checksum left as it was:
+  // (a) routine `work`'s mask bit cleared in every chunk that calls it,
+  // with those chunks' written masks zeroed — without the checksum,
+  // filtered collect skips every chunk and reports 0 activations; (b)
+  // `work` moved to another id of the same encoded length. Every
+  // consumer refuses both, naming the file.
+  std::string Path = ::testing::TempDir() + "isprof_tamper.strm";
+  ASSERT_TRUE(recordStream(guest("phased.mini"), Path,
+                           " --stream-chunk-bytes=1024"));
+  std::string Bytes;
+  {
+    std::ifstream In(Path, std::ios::binary);
+    std::ostringstream Buffer;
+    Buffer << In.rdbuf();
+    Bytes = Buffer.str();
+  }
+  // Routine table: find work's id and where it is stored.
+  size_t Pos = 8, WorkIdAt = 0;
+  uint64_t WorkId = 0;
+  for (uint64_t N = readVarint(Bytes, Pos); N != 0; --N) {
+    size_t IdAt = Pos;
+    uint64_t Id = readVarint(Bytes, Pos);
+    uint64_t Len = readVarint(Bytes, Pos);
+    if (Bytes.substr(Pos, Len) == "work") {
+      WorkIdAt = IdAt;
+      WorkId = Id;
+    }
+    Pos += Len;
+  }
+  ASSERT_NE(WorkIdAt, 0u);
+  ASSERT_LT(WorkId, 64u);
+
+  // (a): re-encode the footer index with the masks cleared; the trailer
+  // (footer offset, checksum, magic) stays as recorded.
+  size_t FooterOffset = 0;
+  for (int I = 0; I != 8; ++I)
+    FooterOffset |= static_cast<size_t>(static_cast<unsigned char>(
+                        Bytes[Bytes.size() - 24 + I]))
+                    << (8 * I);
+  Pos = FooterOffset;
+  uint64_t Chunks = readVarint(Bytes, Pos);
+  std::string Footer;
+  appendVarint(Footer, Chunks);
+  unsigned Cleared = 0;
+  for (uint64_t C = 0; C != Chunks; ++C) {
+    uint64_t Fields[12];
+    for (uint64_t &F : Fields)
+      F = readVarint(Bytes, Pos);
+    if ((Fields[3] >> WorkId) & 1) {
+      Fields[3] &= ~(uint64_t(1) << WorkId);
+      std::fill(Fields + 8, Fields + 12, 0);
+      ++Cleared;
+    }
+    for (uint64_t F : Fields)
+      appendVarint(Footer, F);
+  }
+  ASSERT_GT(Cleared, 0u);
+  std::string Unmasked = Path + ".unmasked";
+  std::string Moved = Path + ".moved";
+  {
+    std::ofstream Out(Unmasked, std::ios::binary);
+    Out << Bytes.substr(0, FooterOffset) << Footer
+        << Bytes.substr(Bytes.size() - 24);
+  }
+  // (b): another one-byte id for work.
+  std::string MovedBytes = Bytes;
+  MovedBytes[WorkIdAt] = static_cast<char>(WorkId ^ 0x40);
+  {
+    std::ofstream Out(Moved, std::ios::binary);
+    Out << MovedBytes;
+  }
+
+  ASSERT_EQ(runDriver("collect --routine=work " + Path).ExitCode, 0);
+  for (const std::string &Bad : {Unmasked, Moved})
+    for (std::string Args :
+         {"collect --routine=work " + Bad, "collect " + Bad, "replay " + Bad,
+          "diff " + Path + " " + Bad}) {
+      CommandResult R = runDriver(Args);
+      EXPECT_EQ(R.ExitCode, 1) << Args << ": " << R.Output;
+      EXPECT_NE(R.Output.find(Bad + ": "), std::string::npos)
+          << Args << ": " << R.Output;
+      EXPECT_NE(R.Output.find("checksum mismatch"), std::string::npos)
+          << Args << ": " << R.Output;
+    }
+  for (const std::string &P : {Path, Unmasked, Moved})
+    std::remove(P.c_str());
 }
 
 TEST(Driver, CollectRejectsBadInvocations) {

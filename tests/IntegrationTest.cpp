@@ -6,7 +6,6 @@
 //
 // End-to-end flows across module boundaries:
 //  - live VM profiling == record-then-replay profiling,
-//  - trace files survive serialization with identical profiles,
 //  - per-thread splitting + timestamped merging (Section 4's offline
 //    pipeline) reproduces the profile for any tie-break policy,
 //  - the complete VM -> trms -> metrics -> report pipeline emits sane
@@ -19,7 +18,6 @@
 #include "core/TrmsProfiler.h"
 #include "instr/Dispatcher.h"
 #include "trace/Synthetic.h"
-#include "trace/TraceFile.h"
 #include "trace/TraceMerger.h"
 #include "vm/Compiler.h"
 #include "vm/Machine.h"
@@ -108,23 +106,6 @@ TEST(Integration, LiveEqualsRecordedReplay) {
   ASSERT_FALSE(Trace.empty());
   auto Replayed = replayProfile(Trace);
   EXPECT_EQ(Live, Replayed);
-}
-
-TEST(Integration, TraceFileRoundTripPreservesProfile) {
-  DiagnosticEngine Diags;
-  auto Prog = compileProgram(PipelineSource, Diags);
-  ASSERT_TRUE(Prog.has_value());
-
-  std::vector<EventRecord> Trace;
-  auto Live = liveProfile(*Prog, &Trace);
-
-  TraceData Data;
-  Data.Routines = Prog->Symbols.entries();
-  Data.Events = std::move(Trace);
-  std::string Bytes = serializeTrace(Data);
-  TraceData Back;
-  ASSERT_TRUE(deserializeTrace(Bytes, Back));
-  EXPECT_EQ(replayProfile(Back.Events), Live);
 }
 
 TEST(Integration, SplitMergeReplayMatchesForAllPolicies) {

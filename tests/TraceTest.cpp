@@ -1,4 +1,4 @@
-//===- tests/TraceTest.cpp - Trace model, merger, serialization ----------------===//
+//===- tests/TraceTest.cpp - Trace model, merger, packed events ----------------===//
 //
 // Part of the isprof project, under the Apache License v2.0.
 //
@@ -6,12 +6,10 @@
 
 #include "trace/Event.h"
 #include "trace/Synthetic.h"
-#include "trace/TraceFile.h"
 #include "trace/TraceMerger.h"
 
 #include <gtest/gtest.h>
 
-#include <cstdio>
 #include <map>
 #include <random>
 
@@ -138,97 +136,6 @@ TEST(TraceMerger, VerifyCatchesBadInput) {
   std::vector<std::vector<EventRecord>> Good(1);
   Good[0] = {EventRecord::read(0, 4, 1), EventRecord::read(0, 4, 2)};
   EXPECT_TRUE(verifyThreadTraces(Good));
-}
-
-//===----------------------------------------------------------------------===//
-// Serialization
-//===----------------------------------------------------------------------===//
-
-TEST(TraceFile, InMemoryRoundTrip) {
-  TraceData Data;
-  Data.Routines = {{0, "main"}, {1, "worker"}};
-  SyntheticTraceOptions Gen;
-  Gen.NumOperations = 500;
-  Gen.Seed = 3;
-  Data.Events = generateSyntheticTrace(Gen);
-
-  std::string Bytes = serializeTrace(Data);
-  TraceData Back;
-  ASSERT_TRUE(deserializeTrace(Bytes, Back));
-  EXPECT_EQ(Back.Routines, Data.Routines);
-  EXPECT_EQ(Back.Events, Data.Events);
-}
-
-TEST(TraceFile, RejectsCorruptInput) {
-  TraceData Data;
-  Data.Events = {EventRecord::read(0, 1, 1)};
-  std::string Bytes = serializeTrace(Data);
-
-  TraceData Back;
-  EXPECT_FALSE(deserializeTrace("not a trace", Back));
-  EXPECT_FALSE(deserializeTrace(Bytes.substr(0, Bytes.size() - 3), Back));
-  std::string BadMagic = Bytes;
-  BadMagic[0] = 'X';
-  EXPECT_FALSE(deserializeTrace(BadMagic, Back));
-  std::string BadKind = Bytes;
-  BadKind[8 + 4 + 8] = 120; // event kind byte out of range
-  EXPECT_FALSE(deserializeTrace(BadKind, Back));
-}
-
-TEST(TraceFile, RejectsMismatchedCallNesting) {
-  // The profilers assert on a Return that closes another routine than
-  // its thread's innermost open Call; both formats refuse such a trace.
-  // A Return with no open Call, a Return on another thread, and a Return
-  // after ThreadEnd closed the frames stay legal.
-  TraceData Bad;
-  Bad.Routines = {{1, "a"}, {2, "b"}};
-  Bad.Events = {EventRecord::threadStart(0, 1, 0), EventRecord::call(0, 2, 1),
-                EventRecord::read(0, 3, 100), EventRecord::ret(0, 4, 2, 0),
-                EventRecord::threadEnd(0, 5)};
-  TraceData Legal = Bad;
-  Legal.Events = {EventRecord::ret(0, 1, 2, 0),    EventRecord::call(0, 2, 1),
-                  EventRecord::ret(1, 3, 2, 0),    EventRecord::threadEnd(0, 4),
-                  EventRecord::ret(0, 5, 2, 0),    EventRecord::call(0, 6, 1),
-                  EventRecord::ret(0, 7, 1, 0)};
-  // Twenty nested activations (deeper than a stack's first allocation)
-  // with a ThreadStart in the middle, which moves no stack; then the
-  // same nest with its innermost Return naming the outer routine.
-  TraceData Deep = Legal, DeepBad = Legal;
-  Deep.Events.clear();
-  uint64_t Time = 1;
-  for (RoutineId R = 0; R != 20; ++R)
-    Deep.Events.push_back(EventRecord::call(3, Time++, R));
-  Deep.Events.push_back(EventRecord::threadStart(3, Time++, 0));
-  DeepBad.Events = Deep.Events;
-  DeepBad.Events.push_back(EventRecord::ret(3, Time, 0, 0));
-  for (RoutineId R = 20; R-- != 0;)
-    Deep.Events.push_back(EventRecord::ret(3, Time++, R, 0));
-  for (TraceFormat Format : {TraceFormat::Raw, TraceFormat::Compressed}) {
-    TraceData Back;
-    EXPECT_FALSE(deserializeTrace(serializeTrace(Bad, Format), Back));
-    EXPECT_FALSE(deserializeTrace(serializeTrace(DeepBad, Format), Back));
-    ASSERT_TRUE(deserializeTrace(serializeTrace(Legal, Format), Back));
-    EXPECT_EQ(Back.Events, Legal.Events);
-    ASSERT_TRUE(deserializeTrace(serializeTrace(Deep, Format), Back));
-    EXPECT_EQ(Back.Events, Deep.Events);
-  }
-  std::string Path = ::testing::TempDir() + "isprof_trace_nesting.bin";
-  ASSERT_TRUE(writeTraceFile(Path, Bad));
-  TraceData Back;
-  EXPECT_FALSE(readTraceFile(Path, Back));
-  std::remove(Path.c_str());
-}
-
-TEST(TraceFile, FileRoundTrip) {
-  TraceData Data;
-  Data.Routines = {{0, "f"}};
-  Data.Events = {EventRecord::call(0, 1, 0), EventRecord::ret(0, 2, 0, 0)};
-  std::string Path = ::testing::TempDir() + "isprof_trace_test.bin";
-  ASSERT_TRUE(writeTraceFile(Path, Data));
-  TraceData Back;
-  ASSERT_TRUE(readTraceFile(Path, Back));
-  EXPECT_EQ(Back.Events, Data.Events);
-  std::remove(Path.c_str());
 }
 
 //===----------------------------------------------------------------------===//
@@ -386,305 +293,6 @@ TEST(PackedEvent, FollowOnWordFuzz) {
   EventRecord Back;
   ASSERT_EQ(Dec.decode(W, 2, Back), 2u);
   EXPECT_EQ(Back, Big);
-}
-
-} // namespace
-
-//===----------------------------------------------------------------------===//
-// Compressed (v2) trace format
-//===----------------------------------------------------------------------===//
-
-namespace {
-
-TraceData makeSampleTrace(uint64_t Operations, uint64_t Seed) {
-  TraceData Data;
-  Data.Routines = {{0, "main"}, {1, "worker"}, {2, "very_long_routine_name"}};
-  SyntheticTraceOptions Gen;
-  Gen.NumThreads = 4;
-  Gen.NumOperations = Operations;
-  Gen.Seed = Seed;
-  Data.Events = generateSyntheticTrace(Gen);
-  return Data;
-}
-
-TEST(TraceFileV2, RoundTripsExactly) {
-  TraceData Data = makeSampleTrace(4000, 9);
-  std::string Bytes = serializeTrace(Data, TraceFormat::Compressed);
-  TraceData Back;
-  ASSERT_TRUE(deserializeTrace(Bytes, Back));
-  EXPECT_EQ(Back.Routines, Data.Routines);
-  EXPECT_EQ(Back.Events, Data.Events);
-}
-
-TEST(TraceFileV2, SubstantiallySmallerThanRaw) {
-  TraceData Data = makeSampleTrace(20000, 10);
-  size_t Raw = serializeTrace(Data, TraceFormat::Raw).size();
-  size_t Compressed =
-      serializeTrace(Data, TraceFormat::Compressed).size();
-  EXPECT_LT(Compressed * 3, Raw)
-      << "raw " << Raw << " vs compressed " << Compressed;
-}
-
-TEST(TraceFileV2, RejectsCorruptInput) {
-  TraceData Data = makeSampleTrace(100, 11);
-  std::string Bytes = serializeTrace(Data, TraceFormat::Compressed);
-  TraceData Back;
-  EXPECT_FALSE(
-      deserializeTrace(Bytes.substr(0, Bytes.size() - 2), Back));
-  std::string Grown = Bytes + "x";
-  EXPECT_FALSE(deserializeTrace(Grown, Back));
-  std::string BadKind = Bytes;
-  // Find the first event's kind byte and corrupt it. The header is
-  // magic + varints, so corrupt a byte late in the stream instead and
-  // accept either failure or a changed payload — the contract is "never
-  // crash, never silently accept truncation".
-  BadKind[BadKind.size() / 2] = static_cast<char>(0xff);
-  TraceData Whatever;
-  (void)deserializeTrace(BadKind, Whatever);
-}
-
-TEST(TraceFileV2, FileRoundTripDefaultsToCompressed) {
-  TraceData Data = makeSampleTrace(500, 12);
-  std::string Path = ::testing::TempDir() + "isprof_trace_v2.bin";
-  ASSERT_TRUE(writeTraceFile(Path, Data)); // default: compressed
-  TraceData Back;
-  ASSERT_TRUE(readTraceFile(Path, Back));
-  EXPECT_EQ(Back.Events, Data.Events);
-  std::remove(Path.c_str());
-}
-
-TEST(TraceFileV2, BothFormatsInteroperate) {
-  TraceData Data = makeSampleTrace(800, 13);
-  for (TraceFormat Format : {TraceFormat::Raw, TraceFormat::Compressed}) {
-    std::string Bytes = serializeTrace(Data, Format);
-    TraceData Back;
-    ASSERT_TRUE(deserializeTrace(Bytes, Back));
-    EXPECT_EQ(Back.Events, Data.Events);
-  }
-}
-
-//===----------------------------------------------------------------------===//
-// Codec hardening: adversarial inputs must be rejected, never trusted
-//===----------------------------------------------------------------------===//
-
-/// Unsigned LEB128 append, mirroring the writer, for hand-building
-/// hostile streams.
-void appendVarint(std::string &Out, uint64_t V) {
-  while (V >= 0x80) {
-    Out.push_back(static_cast<char>((V & 0x7f) | 0x80));
-    V >>= 7;
-  }
-  Out.push_back(static_cast<char>(V));
-}
-
-std::string v2Header() { return std::string("ISPTRC02", 8); }
-
-/// A syntactically complete v2 event: kind 0 plus four varints.
-void appendEvent(std::string &Out, uint64_t Tid, uint64_t TimeDelta,
-                 uint64_t Arg0Zigzag, uint64_t Arg1) {
-  Out.push_back(0); // smallest valid kind
-  appendVarint(Out, Tid);
-  appendVarint(Out, TimeDelta);
-  appendVarint(Out, Arg0Zigzag);
-  appendVarint(Out, Arg1);
-}
-
-TEST(TraceCodecHardening, RejectsOverlongVarint) {
-  // Eleven continuation bytes: more than any uint64 can need.
-  std::string Bytes = v2Header();
-  for (int I = 0; I != 11; ++I)
-    Bytes.push_back(static_cast<char>(0x81));
-  Bytes.push_back(0x00);
-  TraceData Back;
-  EXPECT_FALSE(deserializeTrace(Bytes, Back));
-
-  // Ten bytes, but the tenth carries a payload bit past bit 63 — the
-  // classic overlong encoding that used to wrap silently.
-  std::string Wrap = v2Header();
-  for (int I = 0; I != 9; ++I)
-    Wrap.push_back(static_cast<char>(0x80));
-  Wrap.push_back(0x02); // bit 64
-  EXPECT_FALSE(deserializeTrace(Wrap, Back));
-
-  // A continuation bit on the tenth byte is just as overlong.
-  std::string Cont = v2Header();
-  for (int I = 0; I != 10; ++I)
-    Cont.push_back(static_cast<char>(0x80));
-  Cont.push_back(0x00);
-  EXPECT_FALSE(deserializeTrace(Cont, Back));
-}
-
-TEST(TraceCodecHardening, AcceptsMaximalTenByteVarint) {
-  // UINT64_MAX encodes as nine 0xff bytes plus 0x01 — legal, and must
-  // keep working after the overlong rejection. Exercised through a real
-  // event: TimeDelta = UINT64_MAX.
-  std::string Bytes = v2Header();
-  appendVarint(Bytes, 0); // routines
-  appendVarint(Bytes, 1); // events
-  Bytes.push_back(0);
-  appendVarint(Bytes, 7); // tid
-  for (int I = 0; I != 9; ++I)
-    Bytes.push_back(static_cast<char>(0xff));
-  Bytes.push_back(0x01);  // time delta = UINT64_MAX
-  appendVarint(Bytes, 0); // arg0 zigzag
-  appendVarint(Bytes, 0); // arg1
-  TraceData Back;
-  ASSERT_TRUE(deserializeTrace(Bytes, Back));
-  ASSERT_EQ(Back.Events.size(), 1u);
-  EXPECT_EQ(Back.Events[0].Time, UINT64_MAX);
-  EXPECT_EQ(Back.Events[0].Tid, 7u);
-}
-
-TEST(TraceCodecHardening, RejectsOversizedThreadId) {
-  // ThreadId is 32-bit; a Tid of 2^32 must fail loudly instead of
-  // truncating to 0.
-  std::string Bytes = v2Header();
-  appendVarint(Bytes, 0); // routines
-  appendVarint(Bytes, 1); // events
-  appendEvent(Bytes, uint64_t(1) << 32, 1, 0, 0);
-  TraceData Back;
-  EXPECT_FALSE(deserializeTrace(Bytes, Back));
-
-  // The largest representable Tid stays accepted.
-  std::string Ok = v2Header();
-  appendVarint(Ok, 0);
-  appendVarint(Ok, 1);
-  appendEvent(Ok, UINT32_MAX, 1, 0, 0);
-  ASSERT_TRUE(deserializeTrace(Ok, Back));
-  ASSERT_EQ(Back.Events.size(), 1u);
-  EXPECT_EQ(Back.Events[0].Tid, UINT32_MAX);
-}
-
-TEST(TraceCodecHardening, RejectsOversizedRoutineId) {
-  std::string Bytes = v2Header();
-  appendVarint(Bytes, 1);                 // one routine
-  appendVarint(Bytes, uint64_t(1) << 33); // id > UINT32_MAX
-  appendVarint(Bytes, 1);                 // name length
-  Bytes.push_back('f');
-  appendVarint(Bytes, 0); // events
-  TraceData Back;
-  EXPECT_FALSE(deserializeTrace(Bytes, Back));
-}
-
-TEST(TraceCodecHardening, RejectsHugeEventCountWithoutAllocating) {
-  // An EventCount of 2^60 over a few payload bytes must be rejected
-  // before Events.reserve() tries to honour it. (If the clamp were
-  // missing this test would OOM, not just fail.)
-  std::string V2 = v2Header();
-  appendVarint(V2, 0);              // routines
-  appendVarint(V2, uint64_t(1) << 60);
-  appendEvent(V2, 0, 1, 0, 0);      // one real event, not 2^60
-  TraceData Back;
-  EXPECT_FALSE(deserializeTrace(V2, Back));
-
-  std::string Raw("ISPTRC01", 8);
-  for (int I = 0; I != 4; ++I)
-    Raw.push_back(0); // routine count u32 = 0
-  uint64_t Count = uint64_t(1) << 60;
-  for (int I = 0; I != 8; ++I)
-    Raw.push_back(static_cast<char>((Count >> (8 * I)) & 0xff));
-  Raw.append(29, '\0'); // one event's worth of payload
-  EXPECT_FALSE(deserializeTrace(Raw, Back));
-}
-
-TEST(TraceCodecHardening, RejectsHugeRoutineCountAndLength) {
-  std::string V2 = v2Header();
-  appendVarint(V2, uint64_t(1) << 50); // routine count nothing can back
-  TraceData Back;
-  EXPECT_FALSE(deserializeTrace(V2, Back));
-
-  // Raw format: a routine whose claimed name length exceeds the file.
-  std::string Raw("ISPTRC01", 8);
-  Raw.push_back(1);
-  Raw.append(3, '\0'); // routine count u32 = 1
-  Raw.append(4, '\0'); // id = 0
-  Raw.append(4, static_cast<char>(0xff)); // length = UINT32_MAX
-  Raw.append("abc", 3);
-  EXPECT_FALSE(deserializeTrace(Raw, Back));
-}
-
-TEST(TraceCodecHardening, TruncationFuzzNeverCrashes) {
-  TraceData Data = makeSampleTrace(300, 21);
-  for (TraceFormat Format : {TraceFormat::Raw, TraceFormat::Compressed}) {
-    std::string Bytes = serializeTrace(Data, Format);
-    for (size_t Len = 0; Len < Bytes.size(); Len += 7) {
-      TraceData Back;
-      // Every proper prefix is missing bytes the header promises.
-      EXPECT_FALSE(deserializeTrace(Bytes.substr(0, Len), Back))
-          << "prefix of length " << Len << " accepted";
-    }
-  }
-}
-
-TEST(TraceCodecHardening, BitFlipFuzzNeverCrashes) {
-  TraceData Data = makeSampleTrace(200, 22);
-  for (TraceFormat Format : {TraceFormat::Raw, TraceFormat::Compressed}) {
-    std::string Bytes = serializeTrace(Data, Format);
-    for (size_t Pos = 0; Pos < Bytes.size(); Pos += 3) {
-      for (int Bit : {0, 3, 7}) {
-        std::string Mutated = Bytes;
-        Mutated[Pos] = static_cast<char>(Mutated[Pos] ^ (1 << Bit));
-        TraceData Back;
-        // Acceptance is fine when the flip lands in a payload byte; the
-        // contract is no crash, no unbounded allocation.
-        (void)deserializeTrace(Mutated, Back);
-      }
-    }
-  }
-}
-
-TEST(TraceCodecHardening, ExtremeFieldValuesRoundTrip) {
-  // Arguments that carry no guest address may take any 64-bit value.
-  TraceData Data;
-  Data.Routines = {{UINT32_MAX, "edge"}};
-  EventRecord E;
-  E.Kind = EventKind::Return;
-  E.Tid = UINT32_MAX;
-  E.Time = UINT64_MAX - 1;
-  E.Arg0 = UINT64_MAX;
-  E.Arg1 = UINT64_MAX;
-  EventRecord E2 = E;
-  E2.Time = UINT64_MAX;
-  E2.Arg0 = 0; // forces a maximal negative zigzag delta
-  Data.Events = {E, E2};
-  for (TraceFormat Format : {TraceFormat::Raw, TraceFormat::Compressed}) {
-    std::string Bytes = serializeTrace(Data, Format);
-    TraceData Back;
-    ASSERT_TRUE(deserializeTrace(Bytes, Back));
-    EXPECT_EQ(Back.Routines, Data.Routines);
-    EXPECT_EQ(Back.Events, Data.Events);
-  }
-}
-
-TEST(TraceCodecHardening, RejectsAddressesPastTheGuestSpace) {
-  // Memory events must stay inside the shadowable guest space; a range
-  // check that could wrap would let [2^64 - 1, +2) through.
-  const Addr Max = MaxGuestAddress;
-  struct Case {
-    EventKind Kind;
-    uint64_t Arg0, Arg1;
-    bool Ok;
-  };
-  const Case Cases[] = {
-      {EventKind::Read, Max, 1, true},
-      {EventKind::Read, Max, 2, false},
-      {EventKind::Write, 0, Max + 1, true},
-      {EventKind::Write, 0, Max + 2, false},
-      {EventKind::KernelRead, Max + 1, 0, false},
-      {EventKind::KernelWrite, uint64_t(1) << 40, 1, false},
-      {EventKind::Alloc, 16, ~uint64_t(0), false},
-      {EventKind::Read, ~uint64_t(0), 2, false},
-      {EventKind::Free, Max, ~uint64_t(0), true},
-      {EventKind::Free, Max + 1, 0, false},
-  };
-  for (const Case &C : Cases)
-    for (TraceFormat Format : {TraceFormat::Raw, TraceFormat::Compressed}) {
-      TraceData Data;
-      Data.Events = {{C.Kind, 0, 1, C.Arg0, C.Arg1}};
-      TraceData Back;
-      EXPECT_EQ(deserializeTrace(serializeTrace(Data, Format), Back), C.Ok)
-          << eventKindName(C.Kind) << " " << C.Arg0 << " +" << C.Arg1;
-    }
 }
 
 } // namespace
