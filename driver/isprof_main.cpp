@@ -262,8 +262,9 @@ void reportStreamError(const std::string &Path, size_t Chunk,
 }
 
 /// Opens the stream at \p Path and interns its routine names into
-/// \p Symbols; prints the reader's diagnostic and returns false when
-/// the file is not a valid stream.
+/// \p Symbols in id order (the reader refuses repeated names, so each
+/// name gets its recorded id); prints the reader's diagnostic and
+/// returns false when the file is not a valid stream.
 bool openStream(const std::string &Path, TraceStreamReader &Reader,
                 SymbolTable &Symbols) {
   if (!Reader.open(Path)) {
@@ -271,7 +272,7 @@ bool openStream(const std::string &Path, TraceStreamReader &Reader,
                  Path.c_str(), Reader.error().c_str());
     return false;
   }
-  for (const auto &[Id, Name] : Reader.routines())
+  for (const std::string &Name : Reader.routines())
     Symbols.intern(Name);
   return true;
 }

@@ -95,7 +95,7 @@ int main(int Argc, char **Argv) {
     return 1;
   }
   SymbolTable Symbols;
-  for (const auto &[Id, Name] : Reader.routines())
+  for (const std::string &Name : Reader.routines())
     Symbols.intern(Name);
 
   TrmsProfiler Offline(ProfOpts);

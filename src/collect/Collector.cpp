@@ -49,26 +49,21 @@ struct ForwardedCalls {
   /// Tracks the Calls and Returns of a decoded chunk and drops, in
   /// place, the words of every Return that closes no forwarded Call: the
   /// frames a skipped chunk opened. Returns the number of Returns
-  /// dropped. No tool rebuilds event times (Tool::handleBatch), so the
-  /// words after a dropped Return need no time-base fix-up.
+  /// dropped.
   size_t forward(std::vector<Event> &Words) {
     Event *W = Words.data();
     const size_t N = Words.size();
     size_t Kept = 0, Dropped = 0;
     for (size_t I = 0; I != N;) {
       const Event &M = W[I];
-      size_t Len = !M.isEscape() && M.hasFollow() && I + 1 != N ? 2 : 1;
+      size_t Len = M.hasFollow() && I + 1 != N ? 2 : 1;
       bool Keep = true;
-      if (!M.isEscape() && (M.kind() == EventKind::Call ||
-                            M.kind() == EventKind::Return)) {
-        ThreadId Tid = M.inlineTid();
-        if (Len == 2 && W[I + 1].TimeLow != 0)
-          Tid = W[I + 1].TimeLow;
-        if (M.kind() == EventKind::Call) {
-          Stacks.call(Tid, M.Arg);
-          if (matches(M.Arg))
-            InFlight += 1;
-        } else if (!Stacks.popMatching(Tid, M.Arg)) {
+      if (M.kind() == EventKind::Call) {
+        Stacks.call(M.Tid, M.Arg);
+        if (matches(M.Arg))
+          InFlight += 1;
+      } else if (M.kind() == EventKind::Return) {
+        if (!Stacks.popMatching(M.Tid, M.Arg)) {
           Keep = false;
           Dropped += 1;
         } else if (matches(M.Arg) && InFlight > 0) {
@@ -101,8 +96,10 @@ bool Collector::ingestOne(const std::string &Path, unsigned ThreadBudget) {
   size_t ErrChunk = 0;
   bool Ok = Reader.open(Path);
   if (Ok) {
+    // Routine ids are table positions, and the reader refuses repeated
+    // names, so interning in order reproduces every id.
     SymbolTable Symbols;
-    for (const auto &[Id, Name] : Reader.routines())
+    for (const std::string &Name : Reader.routines())
       Symbols.intern(Name);
 
     // Advisory chunk filter: OR of the filtered routines' mask bits in
@@ -111,12 +108,13 @@ bool Collector::ingestOne(const std::string &Path, unsigned ThreadBudget) {
     bool UseFilter = !Opts.RoutineFilter.empty();
     ForwardedCalls Forwarded;
     if (UseFilter)
-      for (const auto &[Id, Name] : Reader.routines())
-        if (std::find(Opts.RoutineFilter.begin(), Opts.RoutineFilter.end(),
-                      Name) != Opts.RoutineFilter.end()) {
+      for (const std::string &Name : Opts.RoutineFilter) {
+        RoutineId Id = Symbols.lookup(Name);
+        if (Id != ~0u) {
           Forwarded.FilterMask |= uint64_t(1) << (Id & 63);
           Forwarded.MatchedIds.insert(Id);
         }
+      }
 
     TrmsProfilerOptions ProfOpts;
     ProfOpts.KeepActivationLog = true;

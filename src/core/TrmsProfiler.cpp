@@ -68,9 +68,8 @@ TrmsProfilerT<ShadowT>::state(ThreadId Tid) {
 template <typename ShadowT>
 void TrmsProfilerT<ShadowT>::noteThread(ThreadId Tid) {
   // The merged trace is serialized; a change of running thread is a
-  // thread switch and bumps the global counter (Figure 11). Detecting
-  // switches here (rather than relying on explicit ThreadSwitch events)
-  // keeps the profiler correct on traces that omit them.
+  // thread switch and bumps the global counter (Figure 11). Traces
+  // carry no switch records: the change of tid is the switch.
   if (HaveCurrentTid && CurrentTid == Tid)
     return;
   CurrentTid = Tid;

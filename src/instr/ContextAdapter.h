@@ -52,9 +52,6 @@ public:
     Inner.onThreadStart(Tid, Parent);
   }
   void onThreadEnd(ThreadId Tid) override;
-  void onThreadSwitch(ThreadId Incoming) override {
-    Inner.onThreadSwitch(Incoming);
-  }
   void onCall(ThreadId Tid, RoutineId Rtn) override;
   void onReturn(ThreadId Tid, RoutineId Rtn) override;
   void onBasicBlock(ThreadId Tid, uint64_t Count) override {

@@ -278,7 +278,6 @@ void EventDispatcher::flushImpl(FlushCause Cause) {
   }
   PendingWords = 0;
   PendingRecords = 0;
-  Enc.reset();
 }
 
 void EventDispatcher::deliverSerial(const Event *Words, size_t Count,

@@ -26,13 +26,17 @@
 ///    observationally identical to the run of single-cell events it
 ///    replaces for every tool.
 ///  - a BasicBlock folds into the thread's still-open basic-block event
-///    even across interleaved reads and writes (cost events carry only
-///    a count, and no tool orders accesses against block costs between
-///    two calls). The open block is closed by Call and Return — the
-///    points where cost attribution changes — and by every barrier.
+///    even across interleaved reads and writes, the thread's own or
+///    another thread's (cost events carry only a count, and no tool
+///    orders accesses against block costs between two calls). The open
+///    block is closed by Call and Return — the points where cost
+///    attribution changes — and by every barrier. A count folded past
+///    another thread's accesses can remove a change of thread, where
+///    the profilers bump their counter (Figure 11), but no event is
+///    stamped at that bump, so later stamps shift without reordering.
 ///
-/// Everything else — thread lifecycle and switches, kernel ops, sync —
-/// is a compaction barrier: it closes the open basic-block run (and, by
+/// Everything else — thread lifecycle, kernel ops, sync — is a
+/// compaction barrier: it closes the open basic-block run (and, by
 /// sitting between them in the buffer, breaks access adjacency), but it
 /// does *not* force delivery. Batches are delivered only when the
 /// fixed-size buffer fills, keeping flush frequency independent of the
@@ -40,18 +44,12 @@
 /// sequence, so tools observe barriers at the right position either
 /// way.
 ///
-/// In the packed form a logical event occupies one to three words (a
-/// rare time-base escape, the main word, an optional follow-on carrying
-/// a non-default second argument); the batch flushes when fewer than
-/// MaxWordsPerRecord free slots remain, so an enqueue never overruns
-/// the buffer. The word-level encoder state resets at every flush, so
-/// each delivered batch decodes standalone — and because times are
-/// non-decreasing, the concatenated recorded stream decodes with one
-/// continuous decoder too.
-///
-/// The recorded stream is the compacted stream (merged events keep the
-/// first event's time, so times stay strictly increasing); replaying it
-/// is equivalent by construction.
+/// In the packed form a logical event occupies one or two words (the
+/// main word and an optional follow-on carrying a non-default second
+/// argument); the batch flushes when fewer than MaxWordsPerRecord free
+/// slots remain, so an enqueue never overruns the buffer. Each delivered
+/// batch decodes standalone. The recorded stream is the compacted
+/// stream; replaying it is equivalent by construction.
 ///
 /// **Pipelined delivery.** Batches are immutable once flushed, so the
 /// consumers can take them on a worker thread while the producer — the
@@ -204,33 +202,26 @@ public:
     switch (E.Kind) {
     case EventKind::Read:
     case EventKind::Write:
-      if (HaveLastMain && E.Tid <= Event::MaxInlineTid) {
+      if (HaveLastMain) {
         Event &M = Pending[LastMain];
-        if (M.kind() == E.Kind && M.inlineTid() == E.Tid) {
+        if (M.kind() == E.Kind && M.Tid == E.Tid) {
           bool Follow = M.hasFollow();
-          // A nonzero follow-on TimeLow means the buffered event's real
-          // tid lives there (spilled >24-bit id): don't merge into it.
-          if (!Follow || Pending[LastMain + 1].TimeLow == 0) {
-            uint64_t Cells = Follow ? Pending[LastMain + 1].Arg : 1;
-            if (M.Arg + Cells == E.Arg0) {
-              // The merged event keeps the first event's time; only the
-              // cell count grows (growing 1 -> 2 cells materializes the
-              // follow-on word right behind the main word).
-              if (Follow) {
-                Pending[LastMain + 1].Arg = Cells + E.Arg1;
-              } else {
-                M.Meta |= Event::FollowBit;
-                Event &FW = Pending[PendingWords++];
-                FW.Meta = Event::SpecialBit | Event::FollowBit;
-                FW.TimeLow = 0;
-                FW.Arg = Cells + E.Arg1;
-              }
-              ++AccessMerges;
-              if (ISP_UNLIKELY(PendingWords + Event::MaxWordsPerRecord >
-                               BatchWords))
-                flushImpl(FlushCause::Capacity);
-              return;
+          uint64_t Cells = Follow ? Pending[LastMain + 1].Arg : 1;
+          if (M.Arg + Cells == E.Arg0) {
+            // Only the cell count grows (growing 1 -> 2 cells
+            // materializes the follow-on word right behind the main
+            // word).
+            if (Follow) {
+              Pending[LastMain + 1].Arg = Cells + E.Arg1;
+            } else {
+              M.Meta |= Event::FollowBit;
+              Pending[PendingWords++] = {0, 0, Cells + E.Arg1};
             }
+            ++AccessMerges;
+            if (ISP_UNLIKELY(PendingWords + Event::MaxWordsPerRecord >
+                             BatchWords))
+              flushImpl(FlushCause::Capacity);
+            return;
           }
         }
       }
@@ -244,14 +235,13 @@ public:
       break;
     default:
       // Calls/returns (cost attribution boundaries) and the rare
-      // scheduling/kernel/sync kinds: close the open basic-block event.
+      // thread/kernel/sync kinds: close the open basic-block event.
       // Their presence in the buffer breaks access adjacency by itself.
       BbRun.Active = false;
       break;
     }
-    size_t MainOff = 0;
-    size_t N = Enc.encode(E, &Pending[PendingWords], MainOff);
-    LastMain = static_cast<uint32_t>(PendingWords + MainOff);
+    size_t N = encodeEvent(E, &Pending[PendingWords]);
+    LastMain = static_cast<uint32_t>(PendingWords);
     HaveLastMain = true;
     if (E.Kind == EventKind::BasicBlock)
       BbRun = {true, E.Tid, LastMain};
@@ -406,9 +396,6 @@ private:
   /// valid only while HaveLastMain.
   uint32_t LastMain = 0;
   bool HaveLastMain = false;
-  /// Word-level encoder time state; resets at every flush so each batch
-  /// decodes standalone.
-  EventEncoder Enc;
   std::vector<Event> Recorded;
   RecordSink *Sink = nullptr;
   bool Recording = false;

@@ -74,7 +74,6 @@ public:
 
   virtual void onThreadStart(ThreadId Tid, ThreadId Parent) {}
   virtual void onThreadEnd(ThreadId Tid) {}
-  virtual void onThreadSwitch(ThreadId Incoming) {}
   virtual void onCall(ThreadId Tid, RoutineId Rtn) {}
   virtual void onReturn(ThreadId Tid, RoutineId Rtn) {}
   virtual void onBasicBlock(ThreadId Tid, uint64_t Count) {}
@@ -151,9 +150,6 @@ public:
     case EventKind::Free:
       onFree(E.Tid, E.Arg0);
       return;
-    case EventKind::ThreadSwitch:
-      onThreadSwitch(static_cast<ThreadId>(E.Arg0));
-      return;
     }
     ISP_UNREACHABLE("unknown event kind");
   }
@@ -172,13 +168,12 @@ public:
   }
 
 protected:
-  /// The one walk over packed words behind every handleBatch. It skips
-  /// time-base escape words and never rebuilds an event's time (no
-  /// callback takes one), reads the second argument and a spilled
-  /// thread id from a follow-on word, and stops at a record whose
-  /// follow-on word is cut off by the end of the batch — exactly the
-  /// records EventDecoder yields. \p ToolT is the static type the
-  /// callbacks are called through.
+  /// The one walk over packed words behind every handleBatch. It steps
+  /// over main/follow-on pairs, reads the second argument from a
+  /// follow-on word, and stops at a record whose follow-on word is cut
+  /// off by the end of the batch — exactly the records decodeEvent
+  /// yields. \p ToolT is the static type the callbacks are called
+  /// through.
   template <typename ToolT>
   ISP_ALWAYS_INLINE static void walkBatch(ToolT &T, const Event *Words,
                                           size_t Count) {
@@ -186,17 +181,13 @@ protected:
     const Event *const End = Words + Count;
     while (W != End) {
       const Event &M = *W++;
-      if (M.isEscape())
-        continue;
       const EventKind K = M.kind();
-      ThreadId Tid = M.inlineTid();
+      const ThreadId Tid = M.Tid;
       uint64_t Second = eventSecondaryDefault(K);
       if (M.hasFollow()) {
         if (W == End)
           return; // the record's follow-on word is cut off
         Second = W->Arg;
-        if (W->TimeLow != 0)
-          Tid = W->TimeLow;
         ++W;
       }
       switch (K) {
@@ -245,9 +236,6 @@ protected:
         continue;
       case EventKind::Free:
         T.onFree(Tid, M.Arg);
-        continue;
-      case EventKind::ThreadSwitch:
-        T.onThreadSwitch(static_cast<ThreadId>(M.Arg));
         continue;
       }
       ISP_UNREACHABLE("unknown event kind");

@@ -36,7 +36,6 @@ public:
 
   void onThreadStart(ThreadId, ThreadId) override { ++Events; }
   void onThreadEnd(ThreadId) override { ++Events; }
-  void onThreadSwitch(ThreadId) override { ++Events; }
   void onCall(ThreadId, RoutineId) override { ++Events; }
   void onReturn(ThreadId, RoutineId) override { ++Events; }
   void onBasicBlock(ThreadId, uint64_t) override { ++Events; }

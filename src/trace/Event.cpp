@@ -42,8 +42,6 @@ const char *isp::eventKindName(EventKind Kind) {
     return "Alloc";
   case EventKind::Free:
     return "Free";
-  case EventKind::ThreadSwitch:
-    return "ThreadSwitch";
   }
   ISP_UNREACHABLE("unknown event kind");
 }
@@ -52,10 +50,9 @@ std::vector<Event>
 isp::encodeEventStream(const std::vector<EventRecord> &Records) {
   std::vector<Event> Words;
   Words.reserve(Records.size());
-  EventEncoder Enc;
   Event Buf[Event::MaxWordsPerRecord];
   for (const EventRecord &E : Records) {
-    size_t N = Enc.encode(E, Buf);
+    size_t N = encodeEvent(E, Buf);
     Words.insert(Words.end(), Buf, Buf + N);
   }
   return Words;
@@ -79,8 +76,10 @@ isp::decodeEventStream(const std::vector<Event> &Words) {
 
 size_t isp::packedEventCount(const Event *Words, size_t Count) {
   size_t Records = 0;
-  for (size_t I = 0; I != Count; ++I)
-    if (!Words[I].isSpecial())
-      ++Records;
+  for (size_t I = 0; I != Count; I += Words[I].hasFollow() ? 2 : 1) {
+    if (Words[I].hasFollow() && I + 1 == Count)
+      break; // the follow-on word is cut off
+    ++Records;
+  }
   return Records;
 }

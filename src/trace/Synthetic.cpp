@@ -32,9 +32,6 @@ isp::generateSyntheticTrace(const SyntheticTraceOptions &Opts) {
   std::vector<EventRecord> Trace;
   Trace.reserve(Opts.NumOperations + Opts.NumThreads * 4);
 
-  uint64_t Clock = 0;
-  auto now = [&Clock] { return ++Clock; };
-
   std::vector<ThreadState> Threads(Opts.NumThreads);
   // Shared pool occupies [0, SharedAddresses); thread T's private pool
   // occupies [SharedAddresses + T*PrivateAddresses, ...).
@@ -50,10 +47,10 @@ isp::generateSyntheticTrace(const SyntheticTraceOptions &Opts) {
   // Start all threads eagerly; thread 0 is its own parent by convention.
   for (ThreadId Tid = 0; Tid != Opts.NumThreads; ++Tid) {
     Threads[Tid].Started = true;
-    Trace.push_back(EventRecord::threadStart(Tid, now(), Tid == 0 ? 0 : 0));
+    Trace.push_back(EventRecord::threadStart(Tid, 0));
     RoutineId Root = static_cast<RoutineId>(R.nextBelow(Opts.NumRoutines));
     Threads[Tid].CallStack.push_back(Root);
-    Trace.push_back(EventRecord::call(Tid, now(), Root));
+    Trace.push_back(EventRecord::call(Tid, Root));
   }
 
   for (uint64_t Op = 0; Op != Opts.NumOperations; ++Op) {
@@ -76,25 +73,25 @@ isp::generateSyntheticTrace(const SyntheticTraceOptions &Opts) {
         RoutineId Rtn =
             static_cast<RoutineId>(R.nextBelow(Opts.NumRoutines));
         TS.CallStack.push_back(Rtn);
-        Trace.push_back(EventRecord::call(Tid, now(), Rtn));
+        Trace.push_back(EventRecord::call(Tid, Rtn));
       }
     } else if (Dice < ReturnEdge) {
       // Keep the root activation alive until the final unwind.
       if (TS.CallStack.size() > 1) {
         RoutineId Rtn = TS.CallStack.back();
         TS.CallStack.pop_back();
-        Trace.push_back(EventRecord::ret(Tid, now(), Rtn, 0));
+        Trace.push_back(EventRecord::ret(Tid, Rtn, 0));
       }
     } else if (Dice < WriteEdge) {
-      Trace.push_back(EventRecord::write(Tid, now(), pickAddress(Tid)));
+      Trace.push_back(EventRecord::write(Tid, pickAddress(Tid)));
     } else if (Dice < KrEdge) {
-      Trace.push_back(EventRecord::kernelRead(Tid, now(), pickAddress(Tid)));
+      Trace.push_back(EventRecord::kernelRead(Tid, pickAddress(Tid)));
     } else if (Dice < KwEdge) {
-      Trace.push_back(EventRecord::kernelWrite(Tid, now(), pickAddress(Tid)));
+      Trace.push_back(EventRecord::kernelWrite(Tid, pickAddress(Tid)));
     } else if (Dice < BbEdge) {
-      Trace.push_back(EventRecord::basicBlock(Tid, now()));
+      Trace.push_back(EventRecord::basicBlock(Tid));
     } else {
-      Trace.push_back(EventRecord::read(Tid, now(), pickAddress(Tid)));
+      Trace.push_back(EventRecord::read(Tid, pickAddress(Tid)));
     }
   }
 
@@ -104,23 +101,20 @@ isp::generateSyntheticTrace(const SyntheticTraceOptions &Opts) {
     while (!TS.CallStack.empty()) {
       RoutineId Rtn = TS.CallStack.back();
       TS.CallStack.pop_back();
-      Trace.push_back(EventRecord::ret(Tid, now(), Rtn, 0));
+      Trace.push_back(EventRecord::ret(Tid, Rtn, 0));
     }
     TS.Finished = true;
-    Trace.push_back(EventRecord::threadEnd(Tid, now()));
+    Trace.push_back(EventRecord::threadEnd(Tid));
   }
   return Trace;
 }
 
-std::vector<std::vector<EventRecord>>
+std::vector<std::vector<TimedEvent>>
 isp::splitByThread(const std::vector<EventRecord> &Trace) {
-  std::map<ThreadId, std::vector<EventRecord>> ByThread;
-  for (const EventRecord &E : Trace) {
-    if (E.Kind == EventKind::ThreadSwitch)
-      continue;
-    ByThread[E.Tid].push_back(E);
-  }
-  std::vector<std::vector<EventRecord>> Result;
+  std::map<ThreadId, std::vector<TimedEvent>> ByThread;
+  for (size_t I = 0; I != Trace.size(); ++I)
+    ByThread[Trace[I].Tid].push_back({I, Trace[I]});
+  std::vector<std::vector<TimedEvent>> Result;
   Result.reserve(ByThread.size());
   for (auto &[Tid, Events] : ByThread)
     Result.push_back(std::move(Events));

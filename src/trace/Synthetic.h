@@ -18,6 +18,7 @@
 #define ISPROF_TRACE_SYNTHETIC_H
 
 #include "trace/Event.h"
+#include "trace/TraceMerger.h"
 
 #include <vector>
 
@@ -49,13 +50,15 @@ struct SyntheticTraceOptions {
 /// Generates one totally ordered multithreaded trace. Every thread begins
 /// with ThreadStart + a root routine Call and ends with the matching
 /// unwinding Returns and ThreadEnd; memory operations only occur inside
-/// at least one activation. EventRecord times are unique and strictly
-/// increasing, so splitByThread() + mergeTraces() reproduces the trace.
+/// at least one activation.
 std::vector<EventRecord> generateSyntheticTrace(const SyntheticTraceOptions &Opts);
 
-/// Splits a merged trace into per-thread traces (dropping ThreadSwitch
-/// pseudo-events), suitable for feeding back into mergeTraces().
-std::vector<std::vector<EventRecord>> splitByThread(const std::vector<EventRecord> &Trace);
+/// Splits a merged trace into per-thread traces, suitable for feeding
+/// back into mergeTraces(). Each record's time is its position in
+/// \p Trace, so the times are unique and mergeTraces() reproduces the
+/// trace under any tie-break policy.
+std::vector<std::vector<TimedEvent>>
+splitByThread(const std::vector<EventRecord> &Trace);
 
 } // namespace isp
 

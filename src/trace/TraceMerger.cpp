@@ -14,14 +14,14 @@
 using namespace isp;
 
 bool isp::verifyThreadTraces(
-    const std::vector<std::vector<EventRecord>> &ThreadTraces) {
+    const std::vector<std::vector<TimedEvent>> &ThreadTraces) {
   for (const auto &Trace : ThreadTraces) {
     if (Trace.empty())
       continue;
-    ThreadId Tid = Trace.front().Tid;
+    ThreadId Tid = Trace.front().Record.Tid;
     uint64_t LastTime = 0;
-    for (const EventRecord &E : Trace) {
-      if (E.Tid != Tid)
+    for (const TimedEvent &E : Trace) {
+      if (E.Record.Tid != Tid)
         return false;
       if (E.Time < LastTime)
         return false;
@@ -32,7 +32,7 @@ bool isp::verifyThreadTraces(
 }
 
 std::vector<EventRecord>
-isp::mergeTraces(const std::vector<std::vector<EventRecord>> &ThreadTraces,
+isp::mergeTraces(const std::vector<std::vector<TimedEvent>> &ThreadTraces,
                  const TraceMergeOptions &Options) {
   assert(verifyThreadTraces(ThreadTraces) &&
          "per-thread traces must be time-sorted and single-threaded");
@@ -43,12 +43,10 @@ isp::mergeTraces(const std::vector<std::vector<EventRecord>> &ThreadTraces,
     Remaining += Trace.size();
 
   std::vector<EventRecord> Merged;
-  Merged.reserve(Remaining + Remaining / 4);
+  Merged.reserve(Remaining);
 
   Rng TieRng(Options.Seed);
   size_t RoundRobinNext = 0;
-  ThreadId LastTid = 0;
-  bool HaveLastTid = false;
 
   std::vector<size_t> Tied;
   while (Remaining != 0) {
@@ -76,8 +74,8 @@ isp::mergeTraces(const std::vector<std::vector<EventRecord>> &ThreadTraces,
       case TieBreakPolicy::ByThreadId:
         // Tied is already in input order; choose the lowest thread id.
         for (size_t I : Tied)
-          if (ThreadTraces[I][Cursor[I]].Tid <
-              ThreadTraces[Chosen][Cursor[Chosen]].Tid)
+          if (ThreadTraces[I][Cursor[I]].Record.Tid <
+              ThreadTraces[Chosen][Cursor[Chosen]].Record.Tid)
             Chosen = I;
         break;
       case TieBreakPolicy::RoundRobin: {
@@ -92,12 +90,7 @@ isp::mergeTraces(const std::vector<std::vector<EventRecord>> &ThreadTraces,
       }
     }
 
-    const EventRecord &E = ThreadTraces[Chosen][Cursor[Chosen]];
-    if (Options.InsertThreadSwitches && HaveLastTid && E.Tid != LastTid)
-      Merged.push_back({EventKind::ThreadSwitch, E.Tid, E.Time, E.Tid, 0});
-    Merged.push_back(E);
-    LastTid = E.Tid;
-    HaveLastTid = true;
+    Merged.push_back(ThreadTraces[Chosen][Cursor[Chosen]].Record);
     ++Cursor[Chosen];
     --Remaining;
   }

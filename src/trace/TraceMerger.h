@@ -7,10 +7,15 @@
 /// \file
 /// Merges per-thread event traces into one totally ordered execution
 /// trace, exactly as the paper's Section 4 prescribes: events are
-/// interleaved by timestamp; ties between threads are broken arbitrarily
-/// (we expose deterministic and seeded-random tie-break policies so tests
-/// can assert schedule-independence); and ThreadSwitch events are inserted
-/// between any two consecutive operations of different threads.
+/// interleaved by timestamp, and ties between threads are broken
+/// arbitrarily (we expose deterministic and seeded-random tie-break
+/// policies so tests can assert schedule-independence). A thread switch
+/// is any two consecutive events of different threads; the merged trace
+/// marks it with nothing else.
+///
+/// Events carry no time of their own (trace/Event.h): a per-thread trace
+/// pairs each record with the time that orders it, and the merged trace
+/// is the order itself.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -37,21 +42,26 @@ enum class TieBreakPolicy {
 struct TraceMergeOptions {
   TieBreakPolicy Policy = TieBreakPolicy::ByThreadId;
   uint64_t Seed = 0;
-  /// Insert ThreadSwitch pseudo-events between operations of different
-  /// threads (Section 4's switchThread events).
-  bool InsertThreadSwitches = true;
 };
 
-/// Merges \p ThreadTraces (each sorted by EventRecord::Time, each from a single
+/// One event of a per-thread trace and the time that orders it against
+/// the other threads' events.
+struct TimedEvent {
+  uint64_t Time = 0;
+  EventRecord Record;
+};
+
+/// Merges \p ThreadTraces (each sorted by time, each from a single
 /// thread) into one totally ordered trace. Asserts in debug builds if a
 /// per-thread trace is not time-sorted or mixes thread ids.
 std::vector<EventRecord>
-mergeTraces(const std::vector<std::vector<EventRecord>> &ThreadTraces,
+mergeTraces(const std::vector<std::vector<TimedEvent>> &ThreadTraces,
             const TraceMergeOptions &Options = TraceMergeOptions());
 
 /// Verifies the per-thread invariants mergeTraces relies on; returns true
 /// when every input trace is non-decreasing in time and single-threaded.
-bool verifyThreadTraces(const std::vector<std::vector<EventRecord>> &ThreadTraces);
+bool verifyThreadTraces(
+    const std::vector<std::vector<TimedEvent>> &ThreadTraces);
 
 } // namespace isp
 

@@ -11,10 +11,12 @@
 
 #include <algorithm>
 #include <cstring>
+#include <string_view>
+#include <unordered_set>
 
 using namespace isp;
 
-static const char StreamMagic[8] = {'I', 'S', 'P', 'S', 'T', 'M', '0', '4'};
+static const char StreamMagic[8] = {'I', 'S', 'P', 'S', 'T', 'M', '0', '5'};
 static const char TrailerMagic[8] = {'I', 'S', 'P', 'S', 'T', 'M', 'I', 'X'};
 
 static constexpr size_t MagicBytes = sizeof(StreamMagic);
@@ -29,8 +31,10 @@ namespace {
 
 /// Longest LEB128 encoding of a uint64.
 constexpr size_t MaxVarintBytes = 10;
-/// Longest encoded event: the kind byte and four varints.
-constexpr size_t MaxEncodedEventBytes = 1 + 4 * MaxVarintBytes;
+/// Longest encoded event: the kind byte and three varints.
+constexpr size_t MaxEncodedEventBytes = 1 + 3 * MaxVarintBytes;
+/// Shortest encoded event: the kind byte and three one-byte varints.
+constexpr size_t MinEncodedEventBytes = 4;
 
 /// Unsigned LEB128 append.
 void writeVarint(std::string &Out, uint64_t V) {
@@ -148,7 +152,7 @@ bool TraceStreamWriter::open(
     TraceStreamOptions Opts) {
   if (File)
     std::fclose(File);
-  File = std::fopen(Path.c_str(), "wb");
+  File = nullptr;
   Options = Opts;
   // A chunk's payload length is a u32: the event count plus events up
   // to one worst-case record past ChunkBytes must fit it.
@@ -163,8 +167,6 @@ bool TraceStreamWriter::open(
   Error.clear();
   Chunks.clear();
   ChunkEvents = 0;
-  ChunkFirstTime = 0;
-  LastTime = 0;
   std::memset(LastArg0, 0, sizeof(LastArg0));
   EventsWritten = 0;
   BytesWritten = 0;
@@ -173,17 +175,25 @@ bool TraceStreamWriter::open(
   ChunkRoutineMask = 0;
   ChunkShardMask = {};
   ChunkWrittenMask = {};
+  // The header records names only: a routine's id is its position.
+  std::string Header(StreamMagic, MagicBytes);
+  writeVarint(Header, Routines.size());
+  for (size_t I = 0; I != Routines.size(); ++I) {
+    const auto &[Id, Name] = Routines[I];
+    if (Id != I) {
+      Error = "routine '" + Name + "' has id " + std::to_string(Id) +
+              ", not its table position " + std::to_string(I);
+      Failed = true;
+      return false;
+    }
+    writeVarint(Header, Name.size());
+    Header.append(Name);
+  }
+  File = std::fopen(Path.c_str(), "wb");
   if (!File) {
     Error = "cannot open '" + Path + "' for writing";
     Failed = true;
     return false;
-  }
-  std::string Header(StreamMagic, MagicBytes);
-  writeVarint(Header, Routines.size());
-  for (const auto &[Id, Name] : Routines) {
-    writeVarint(Header, Id);
-    writeVarint(Header, Name.size());
-    Header.append(Name);
   }
   MetaHash = fnv1a(FnvOffsetBasis, Header.data(), Header.size());
   writeRaw(Header.data(), Header.size());
@@ -255,8 +265,6 @@ ISP_ALWAYS_INLINE void TraceStreamWriter::noteActivity(EventKind Kind,
 ISP_ALWAYS_INLINE void TraceStreamWriter::put(const EventRecord &E) {
   if (Failed || !File)
     return;
-  if (ChunkEvents == 0)
-    ChunkFirstTime = E.Time;
   noteActivity(E.Kind, E.Arg0, E.Arg1);
   // The buffer always has room for one more worst-case record: it seals
   // as soon as the events reach ChunkBytes.
@@ -265,11 +273,9 @@ ISP_ALWAYS_INLINE void TraceStreamWriter::put(const EventRecord &E) {
   unsigned char *P = Buffer.get() + Used;
   *P++ = K;
   P = putVarint(P, E.Tid);
-  P = putVarint(P, E.Time - LastTime);
   P = putVarint(P, zigzag(static_cast<int64_t>(E.Arg0) -
                           static_cast<int64_t>(PrevArg0)));
   P = putVarint(P, E.Arg1);
-  LastTime = E.Time;
   PrevArg0 = E.Arg0;
   Used = static_cast<size_t>(P - Buffer.get());
   ++ChunkEvents;
@@ -281,12 +287,11 @@ ISP_ALWAYS_INLINE void TraceStreamWriter::put(const EventRecord &E) {
 void TraceStreamWriter::append(const EventRecord &E) { put(E); }
 
 void TraceStreamWriter::recordBatch(const Event *Words, size_t Count) {
-  // Every flushed batch decodes standalone, so a fresh decoder walks the
-  // words; decode and put() inline into one loop.
-  EventDecoder Decoder;
+  // Every flushed batch decodes standalone; decode and put() inline into
+  // one loop.
   EventRecord E;
   for (size_t Pos = 0; Pos != Count;) {
-    size_t N = Decoder.decode(Words + Pos, Count - Pos, E);
+    size_t N = decodeEvent(Words + Pos, Count - Pos, E);
     if (N == 0)
       return;
     put(E);
@@ -300,7 +305,6 @@ void TraceStreamWriter::sealChunk() {
   ChunkMeta Meta;
   Meta.Offset = BytesWritten;
   Meta.Events = ChunkEvents;
-  Meta.FirstTime = ChunkFirstTime;
   Meta.RoutineMask = ChunkRoutineMask;
   Meta.ShardMask = ChunkShardMask;
   Meta.WrittenMask = ChunkWrittenMask;
@@ -320,13 +324,11 @@ void TraceStreamWriter::sealChunk() {
   Chunks.push_back(Meta);
   Used = ChunkHeadRoom;
   ChunkEvents = 0;
-  ChunkFirstTime = 0;
   ChunkRoutineMask = 0;
   ChunkShardMask = {};
   ChunkWrittenMask = {};
   // Reset the delta state: each chunk decodes independently, which is
   // what makes chunk-level seek possible.
-  LastTime = 0;
   std::memset(LastArg0, 0, sizeof(LastArg0));
 }
 
@@ -340,7 +342,6 @@ bool TraceStreamWriter::close() {
   for (const ChunkMeta &Meta : Chunks) {
     writeVarint(Footer, Meta.Offset);
     writeVarint(Footer, Meta.Events);
-    writeVarint(Footer, Meta.FirstTime);
     writeVarint(Footer, Meta.RoutineMask);
     for (uint64_t Word : Meta.ShardMask)
       writeVarint(Footer, Word);
@@ -432,8 +433,7 @@ bool TraceStreamReader::open(const std::string &Path) {
       FooterOffset > FileSize - TrailerBytes)
     return fail("corrupt footer offset");
 
-  // Footer index: chunk count, then (offset, events, first time, masks)
-  // per chunk. Counts are clamped to what the footer bytes can encode
+  // Footer index: chunk count, then (offset, events, masks) per chunk. Counts are clamped to what the footer bytes can encode
   // before anything is reserved.
   size_t FooterLen = static_cast<size_t>(FileSize - TrailerBytes - FooterOffset);
   std::string Footer(FooterLen, '\0');
@@ -444,9 +444,9 @@ bool TraceStreamReader::open(const std::string &Path) {
   uint64_t ChunkCount = 0;
   if (!readVarint(Footer, Pos, ChunkCount))
     return fail("corrupt footer: bad chunk count");
-  // Each index entry is at least twelve one-byte varints: offset,
-  // events, first time, the routine mask and eight mask words.
-  constexpr size_t MinEntryBytes = 12;
+  // Each index entry is at least eleven one-byte varints: offset,
+  // events, the routine mask and eight mask words.
+  constexpr size_t MinEntryBytes = 11;
   if (ChunkCount > (Footer.size() - Pos) / MinEntryBytes)
     return fail("corrupt footer: chunk count exceeds index bytes");
   Chunks.reserve(ChunkCount);
@@ -454,8 +454,7 @@ bool TraceStreamReader::open(const std::string &Path) {
   for (uint64_t I = 0; I != ChunkCount; ++I) {
     ChunkMeta Meta;
     if (!readVarint(Footer, Pos, Meta.Offset) ||
-        !readVarint(Footer, Pos, Meta.Events) ||
-        !readVarint(Footer, Pos, Meta.FirstTime))
+        !readVarint(Footer, Pos, Meta.Events))
       return fail("corrupt footer: truncated index entry");
     bool MasksOk = readVarint(Footer, Pos, Meta.RoutineMask);
     for (uint64_t &Word : Meta.ShardMask)
@@ -489,19 +488,20 @@ bool TraceStreamReader::open(const std::string &Path) {
   uint64_t RoutineCount = 0;
   if (!readVarint(Header, Pos, RoutineCount))
     return fail("corrupt routine table: bad count");
-  // Each routine needs at least two bytes (id + length varints).
-  if (RoutineCount > (Header.size() - Pos) / 2)
+  // Each routine needs at least its one-byte length varint.
+  if (RoutineCount > Header.size() - Pos)
     return fail("corrupt routine table: count exceeds header bytes");
   Routines.reserve(RoutineCount);
+  // A routine's id is its position, so a repeated name would shift the
+  // ids of every later routine when a reader interns the names.
+  std::unordered_set<std::string_view> Seen;
   for (uint64_t I = 0; I != RoutineCount; ++I) {
-    uint64_t Id = 0, Len = 0;
-    if (!readVarint(Header, Pos, Id) || !readVarint(Header, Pos, Len) ||
-        Header.size() - Pos < Len)
+    uint64_t Len = 0;
+    if (!readVarint(Header, Pos, Len) || Header.size() - Pos < Len)
       return fail("corrupt routine table: truncated entry");
-    if (Id > UINT32_MAX)
-      return fail("corrupt routine table: routine id out of range");
-    Routines.emplace_back(static_cast<RoutineId>(Id),
-                          Header.substr(Pos, Len));
+    if (!Seen.insert(std::string_view(Header).substr(Pos, Len)).second)
+      return fail("corrupt routine table: duplicate name");
+    Routines.push_back(Header.substr(Pos, Len));
     Pos += Len;
   }
   if (Pos != Header.size())
@@ -516,16 +516,6 @@ bool TraceStreamReader::open(const std::string &Path) {
   if (Checksum != decodeU64(Trailer + 8))
     return fail("corrupt stream metadata: checksum mismatch");
   return true;
-}
-
-size_t TraceStreamReader::chunkIndexForTime(uint64_t Time) const {
-  size_t Lo = 0;
-  for (size_t I = 0; I != Chunks.size(); ++I) {
-    if (Chunks[I].FirstTime > Time)
-      break;
-    Lo = I;
-  }
-  return Lo;
 }
 
 bool TraceStreamReader::readChunk(size_t I, std::vector<Event> &Out) {
@@ -560,10 +550,10 @@ bool TraceStreamReader::readChunk(size_t I, std::vector<Event> &Out) {
   uint64_t EventCount = 0;
   if (!readVarint(Payload, Pos, EventCount))
     return Corrupt("corrupt chunk: bad event count");
-  // The smallest encoded event is five bytes; clamp the declared count
-  // to what the payload can hold before sizing Out, and cross-check it
-  // against the footer index so the two can never disagree silently.
-  if (EventCount > (Payload.size() - Pos) / 5)
+  // Clamp the declared count to what the payload can hold before sizing
+  // Out, and cross-check it against the footer index so the two can
+  // never disagree silently.
+  if (EventCount > (Payload.size() - Pos) / MinEncodedEventBytes)
     return Corrupt("corrupt chunk: event count exceeds payload bytes");
   if (EventCount != Meta.Events)
     return Corrupt("corrupt chunk: event count disagrees with footer index");
@@ -573,12 +563,8 @@ bool TraceStreamReader::readChunk(size_t I, std::vector<Event> &Out) {
     Nesting.clear();
   bool CheckNesting = I == 0 || I == NestingNext;
   NestingNext = CheckNesting ? I + 1 : NoNestingPass;
-  // Per-chunk delta state: every chunk decodes from a clean slate —
-  // both the on-disk delta codec and the packed word encoder, so each
-  // chunk's word run also decodes standalone.
-  uint64_t LastTime = 0;
+  // Per-chunk delta state: every chunk decodes from a clean slate.
   uint64_t LastArg0[Event::KindMask + 1] = {};
-  EventEncoder Enc;
   // Words are encoded straight into Out. Out keeps the size the last
   // call left it as scratch: growing value-initializes only the new
   // tail, and it is trimmed to the decoded words at the end.
@@ -589,26 +575,23 @@ bool TraceStreamReader::readChunk(size_t I, std::vector<Event> &Out) {
     if (Pos >= Size)
       return Corrupt("corrupt chunk: truncated event");
     uint8_t KindByte = Bytes[Pos++];
-    if (KindByte > static_cast<uint8_t>(EventKind::ThreadSwitch))
+    if (KindByte > static_cast<uint8_t>(EventKind::Free))
       return Corrupt("corrupt chunk: invalid event kind");
-    uint64_t Tid = 0, TimeDelta = 0, Arg0Delta = 0, Arg1 = 0;
-    // While four worst-case varints still fit the payload, one bounds
+    uint64_t Tid = 0, Arg0Delta = 0, Arg1 = 0;
+    // While three worst-case varints still fit the payload, one bounds
     // check covers them all; the last few records take the checked path.
     bool VarintsOk =
-        Size - Pos >= 4 * MaxVarintBytes
+        Size - Pos >= 3 * MaxVarintBytes
             ? readVarintUnchecked(Bytes, Pos, Tid) &&
-                  readVarintUnchecked(Bytes, Pos, TimeDelta) &&
                   readVarintUnchecked(Bytes, Pos, Arg0Delta) &&
                   readVarintUnchecked(Bytes, Pos, Arg1)
             : readVarint(Payload, Pos, Tid) &&
-                  readVarint(Payload, Pos, TimeDelta) &&
                   readVarint(Payload, Pos, Arg0Delta) &&
                   readVarint(Payload, Pos, Arg1);
     if (!VarintsOk)
       return Corrupt("corrupt chunk: bad event varint");
-    if (Tid > UINT32_MAX)
+    if (Tid > MaxThreadId)
       return Corrupt("corrupt chunk: thread id out of range");
-    LastTime += TimeDelta;
     uint64_t &Arg0 = LastArg0[KindByte];
     Arg0 = static_cast<uint64_t>(static_cast<int64_t>(Arg0) +
                                  unzigzag(Arg0Delta));
@@ -621,9 +604,9 @@ bool TraceStreamReader::readChunk(size_t I, std::vector<Event> &Out) {
       return Corrupt("corrupt chunk: mismatched return");
     if (Out.size() - Words < Event::MaxWordsPerRecord)
       Out.resize(Words + Event::MaxWordsPerRecord + (EventCount - N - 1));
-    EventRecord E{static_cast<EventKind>(KindByte), static_cast<ThreadId>(Tid),
-                  LastTime, Arg0, Arg1};
-    Words += Enc.encode(E, Out.data() + Words);
+    EventRecord E{static_cast<EventKind>(KindByte),
+                  static_cast<ThreadId>(Tid), Arg0, Arg1};
+    Words += encodeEvent(E, Out.data() + Words);
   }
   if (Pos != Size)
     return Corrupt("corrupt chunk: trailing payload bytes");

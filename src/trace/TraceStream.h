@@ -10,23 +10,26 @@
 /// run never materializes the whole event vector and replaying one never
 /// loads more than a single chunk. This is isprof's one trace format.
 ///
-/// Stream layout (magic "ISPSTM04"):
+/// Stream layout (magic "ISPSTM05"):
 ///
 ///   header  : magic | varint routine count
-///             | routines (varint id, varint name length, name bytes)
+///             | routine names in id order (varint length, name bytes):
+///               a routine's id is its position, and no name repeats
 ///   chunk*  : u32 payload length | payload
-///   payload : varint event count | events, each a kind byte and four
-///             varints (tid, time delta, zigzag Arg0 delta against the
-///             chunk's last event of the same kind, Arg1), with the delta
-///             state RESET at each chunk start, so every chunk decodes
-///             independently — the property that makes chunk-level seek
-///             possible
+///   payload : varint event count | events, each a kind byte and three
+///             varints (tid, zigzag Arg0 delta against the chunk's last
+///             event of the same kind, Arg1), with the delta state RESET
+///             at each chunk start, so every chunk decodes independently
+///             — the property that makes chunk-level seek possible
 ///   footer  : varint chunk count
 ///             | per chunk (varint file offset, varint event count,
-///               varint first event time, varint routine-activity mask,
+///               varint routine-activity mask,
 ///               4 x varint shard-activity mask words,
 ///               4 x varint written-shard mask words)
 ///   trailer : u64 footer offset | u64 checksum | magic "ISPSTMIX"
+///
+/// Events carry no time (trace/Event.h): a stream is the serialized
+/// trace, so its order is the order of execution.
 ///
 /// The footer index is written last (the writer knows chunk offsets only
 /// after the fact) and found through the fixed-size trailer, so a reader
@@ -118,8 +121,9 @@ public:
   TraceStreamWriter(const TraceStreamWriter &) = delete;
   TraceStreamWriter &operator=(const TraceStreamWriter &) = delete;
 
-  /// Creates \p Path and writes the header. Returns false on I/O
-  /// failure (error() explains).
+  /// Creates \p Path and writes the header. \p Routines must be dense,
+  /// each id its position, as SymbolTable::entries() gives them. Returns
+  /// false on I/O failure or a sparse routine table (error() explains).
   bool open(const std::string &Path,
             const std::vector<std::pair<RoutineId, std::string>> &Routines,
             TraceStreamOptions Opts = TraceStreamOptions());
@@ -157,7 +161,6 @@ private:
   struct ChunkMeta {
     uint64_t Offset = 0;
     uint64_t Events = 0;
-    uint64_t FirstTime = 0;
     uint64_t RoutineMask = 0;
     ShardActivityMask ShardMask = {};
     ShardActivityMask WrittenMask = {};
@@ -187,14 +190,12 @@ private:
   std::string Error;
   std::vector<ChunkMeta> Chunks;
   uint64_t ChunkEvents = 0;
-  uint64_t ChunkFirstTime = 0;
   /// Activity accumulated for the open chunk.
   uint64_t ChunkRoutineMask = 0;
   ShardActivityMask ChunkShardMask = {};
   ShardActivityMask ChunkWrittenMask = {};
   /// Per-chunk delta state (reset when a chunk is sealed), one Arg0
   /// predictor per encodable kind value.
-  uint64_t LastTime = 0;
   uint64_t LastArg0[Event::KindMask + 1] = {};
   uint64_t EventsWritten = 0;
   uint64_t BytesWritten = 0;
@@ -211,7 +212,8 @@ private:
 ///
 /// Every malformed input — truncated chunk, corrupt footer, overlong
 /// varint, chunk length past EOF, an access past the guest address
-/// space (MaxGuestAddress) — is rejected with a diagnostic in error();
+/// space (MaxGuestAddress), a thread id past MaxThreadId, a repeated
+/// routine name — is rejected with a diagnostic in error();
 /// no input crashes the reader or a consumer's shadow memory, or makes
 /// the reader allocate beyond what the actual payload bytes can back.
 ///
@@ -233,16 +235,13 @@ public:
   bool open(const std::string &Path);
 
   const std::string &error() const { return Error; }
-  const std::vector<std::pair<RoutineId, std::string>> &routines() const {
-    return Routines;
-  }
+  /// Routine names in id order: routine I is named routines()[I].
+  const std::vector<std::string> &routines() const { return Routines; }
   size_t chunkCount() const { return Chunks.size(); }
   /// Total events across all chunks, from the footer index (no decode).
   uint64_t eventCount() const { return TotalEvents; }
-  /// Per-chunk metadata from the index: event count and the timestamp
-  /// of the chunk's first event (the seek key for time-based lookup).
+  /// Event count of chunk \p I, from the index.
   uint64_t chunkEvents(size_t I) const { return Chunks[I].Events; }
-  uint64_t chunkFirstTime(size_t I) const { return Chunks[I].FirstTime; }
 
   /// Routine-activity mask of chunk \p I: bit `RoutineId & 63` is set
   /// for every Call the chunk contains.
@@ -256,11 +255,6 @@ public:
   const ShardActivityMask &chunkWrittenMask(size_t I) const {
     return Chunks[I].WrittenMask;
   }
-
-  /// Index of the last chunk whose first event time is <= \p Time (0 if
-  /// Time predates every chunk) — chunk-level seek for resuming replay
-  /// mid-stream.
-  size_t chunkIndexForTime(uint64_t Time) const;
 
   /// Decodes chunk \p I into packed stream words, replacing \p Out's
   /// contents (its storage is reused across calls). Each chunk's word
@@ -282,7 +276,6 @@ private:
   struct ChunkMeta {
     uint64_t Offset = 0;
     uint64_t Events = 0;
-    uint64_t FirstTime = 0;
     uint64_t RoutineMask = 0;
     ShardActivityMask ShardMask = {};
     ShardActivityMask WrittenMask = {};
@@ -292,7 +285,7 @@ private:
 
   std::FILE *File = nullptr;
   std::string Error;
-  std::vector<std::pair<RoutineId, std::string>> Routines;
+  std::vector<std::string> Routines;
   std::vector<ChunkMeta> Chunks;
   uint64_t TotalEvents = 0;
   uint64_t FooterOffset = 0;

@@ -84,7 +84,7 @@ ISP_ALWAYS_INLINE bool Machine::memRead(ThreadCtx &T, Addr A, int64_t &Value,
   }
   ++Stats.MemReads;
   if (TraceActive && Emit)
-    Events->enqueue(EventRecord::read(T.Id, now(), A));
+    Events->enqueue(EventRecord::read(T.Id, A));
   return true;
 }
 
@@ -103,7 +103,7 @@ ISP_ALWAYS_INLINE bool Machine::memWrite(ThreadCtx &T, Addr A, int64_t Value,
   }
   ++Stats.MemWrites;
   if (TraceActive && Emit)
-    Events->enqueue(EventRecord::write(T.Id, now(), A));
+    Events->enqueue(EventRecord::write(T.Id, A));
   return true;
 }
 
@@ -164,7 +164,7 @@ ISP_ALWAYS_INLINE bool Machine::pushFrame(ThreadCtx &T, const Function *Fn,
   F.SavedSp = T.Sp;
   T.Sp = FrameBase + Fn->NumLocals;
   if (TraceActive)
-    Events->enqueue(EventRecord::call(T.Id, now(), Fn->Id));
+    Events->enqueue(EventRecord::call(T.Id, Fn->Id));
   T.Frames.push_back(F);
   return true;
 }
@@ -172,7 +172,7 @@ ISP_ALWAYS_INLINE bool Machine::pushFrame(ThreadCtx &T, const Function *Fn,
 void Machine::finishThread(ThreadCtx &T, int64_t Result) {
   T.State = ThreadStateKind::Finished;
   T.Result = Result;
-  emitEvent(EventRecord::threadEnd(T.Id, now()));
+  emitEvent(EventRecord::threadEnd(T.Id));
   if (T.Id == 0) {
     MainReturned = true;
     MainResult = Result;
@@ -240,14 +240,13 @@ bool Machine::handleBuiltin(ThreadCtx &T, Builtin B, unsigned NumArgs) {
     HeapNext += static_cast<uint64_t>(Args[0]);
     Heap.resize(HeapNext, 0);
     Stats.HeapCellsAllocated += static_cast<uint64_t>(Args[0]);
-    emitEvent(EventRecord::alloc(T.Id, now(), Base,
-                           static_cast<uint64_t>(Args[0])));
+    emitEvent(EventRecord::alloc(T.Id, Base, static_cast<uint64_t>(Args[0])));
     T.Operands.push_back(static_cast<int64_t>(Base));
     return true;
   }
 
   case Builtin::Free:
-    emitEvent(EventRecord::free(T.Id, now(), static_cast<Addr>(Args[0])));
+    emitEvent(EventRecord::free(T.Id, static_cast<Addr>(Args[0])));
     T.Operands.push_back(0);
     return true;
 
@@ -261,8 +260,8 @@ bool Machine::handleBuiltin(ThreadCtx &T, Builtin B, unsigned NumArgs) {
       if (!rawWrite(static_cast<Addr>(Buf + I), Device.readValue(Fd)))
         return true;
     if (N > 0)
-      emitEvent(EventRecord::kernelWrite(T.Id, now(), static_cast<Addr>(Buf),
-                                   static_cast<uint64_t>(N)));
+      emitEvent(EventRecord::kernelWrite(T.Id, static_cast<Addr>(Buf),
+                                         static_cast<uint64_t>(N)));
     T.Operands.push_back(N);
     return true;
   }
@@ -280,8 +279,8 @@ bool Machine::handleBuiltin(ThreadCtx &T, Builtin B, unsigned NumArgs) {
       Device.writeValue(Fd, V);
     }
     if (N > 0)
-      emitEvent(EventRecord::kernelRead(T.Id, now(), static_cast<Addr>(Buf),
-                                  static_cast<uint64_t>(N)));
+      emitEvent(EventRecord::kernelRead(T.Id, static_cast<Addr>(Buf),
+                                        static_cast<uint64_t>(N)));
     T.Operands.push_back(N);
     return true;
   }
@@ -308,8 +307,8 @@ bool Machine::handleBuiltin(ThreadCtx &T, Builtin B, unsigned NumArgs) {
       return block(ThreadStateKind::BlockedSem);
     }
     --Semaphores[Id].Count;
-    emitEvent(EventRecord::syncAcquire(T.Id, now(), static_cast<SyncId>(Id),
-                                 Semaphores[Id].IsLock));
+    emitEvent(EventRecord::syncAcquire(T.Id, static_cast<SyncId>(Id),
+                                       Semaphores[Id].IsLock));
     T.Operands.push_back(0);
     return true;
   }
@@ -322,8 +321,8 @@ bool Machine::handleBuiltin(ThreadCtx &T, Builtin B, unsigned NumArgs) {
       return true;
     }
     ++Semaphores[Id].Count;
-    emitEvent(EventRecord::syncRelease(T.Id, now(), static_cast<SyncId>(Id),
-                                 Semaphores[Id].IsLock));
+    emitEvent(EventRecord::syncRelease(T.Id, static_cast<SyncId>(Id),
+                                       Semaphores[Id].IsLock));
     wakeSemWaiters(static_cast<SyncId>(Id));
     T.Operands.push_back(0);
     return true;
@@ -340,7 +339,7 @@ bool Machine::handleBuiltin(ThreadCtx &T, Builtin B, unsigned NumArgs) {
       T.WaitTid = static_cast<ThreadId>(Target);
       return block(ThreadStateKind::BlockedJoin);
     }
-    emitEvent(EventRecord::threadJoin(T.Id, now(), Joinee.Id));
+    emitEvent(EventRecord::threadJoin(T.Id, Joinee.Id));
     T.Operands.push_back(Joinee.Result);
     return true;
   }
@@ -451,7 +450,7 @@ Lbl_Nop:
 Lbl_BasicBlock:
   ++Stats.BasicBlocks;
   if (TraceActive)
-    Events->enqueue(EventRecord::basicBlock(T.Id, now()));
+    Events->enqueue(EventRecord::basicBlock(T.Id));
   ISP_NEXT
 
 Lbl_PushConst:
@@ -655,7 +654,7 @@ Lbl_Spawn: {
   for (size_t J = 0; J != NumArgs; ++J)
     if (!memWrite(T, Child.StackBase + J, ArgScratch[J]))
       return !Failed;
-  emitEvent(EventRecord::threadCreate(T.Id, now(), Child.Id));
+  emitEvent(EventRecord::threadCreate(T.Id, Child.Id));
   T.Operands.push_back(Child.Id);
   WindowInterrupted = false;
   ISP_NEXT
@@ -665,7 +664,7 @@ Lbl_Return: {
   int64_t Result = popValue(T.Operands);
   Frame Completed = T.Frames.back();
   if (TraceActive)
-    Events->enqueue(EventRecord::ret(T.Id, now(), Completed.Fn->Id, 0));
+    Events->enqueue(EventRecord::ret(T.Id, Completed.Fn->Id, 0));
   T.Frames.pop_back();
   T.Sp = Completed.SavedSp;
   T.Operands.resize(Completed.OperandBase);
@@ -738,7 +737,6 @@ RunResult Machine::run() {
     ThreadCtx &T = *Next;
     if (HaveLastRunning && LastRunning != T.Id) {
       ++Stats.ThreadSwitches;
-      emitEvent({EventKind::ThreadSwitch, T.Id, now(), T.Id, 0});
       // The incoming thread may resume mid-window; suspend quiet marks
       // until it passes a window-breaking instruction.
       WindowInterrupted = true;
@@ -755,7 +753,7 @@ RunResult Machine::run() {
         obs::TraceLog::get().instant(static_cast<obs::LaneId>(T.Id),
                                      "thread_start", "guest", obs::nowNs());
       }
-      emitEvent(EventRecord::threadStart(T.Id, now(), T.Parent));
+      emitEvent(EventRecord::threadStart(T.Id, T.Parent));
       // Spawn arguments were already written into the entry frame cells
       // by the parent; main has none.
       if (!pushFrame(T, T.EntryFn, /*Args=*/nullptr, /*NumArgs=*/0))

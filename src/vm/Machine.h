@@ -144,7 +144,6 @@ private:
     if (TraceActive)
       Events->enqueue(E);
   }
-  uint64_t now() { return ++EventTime; }
 
   /// Tallies one execution of a quiet-marked access (\p MarkBit != 0)
   /// and returns the Emit flag for memRead/memWrite: suppressed when the
@@ -213,7 +212,6 @@ private:
   std::deque<ThreadCtx> ThreadList;
   std::vector<Semaphore> Semaphores;
 
-  uint64_t EventTime = 0;
   bool TraceActive = false;
   bool YieldRequested = false;
   /// True while the running thread may have been scheduled *into* the

@@ -310,8 +310,7 @@ TEST(Collector, OutOfRangeAddressIsReportedAndLeavesTheRollupUntouched) {
       Writer.append(Events[I]);
       if (I == Events.size() / 2) {
         BadChunk = Writer.chunksWritten();
-        Writer.append(EventRecord::read(Events[I].Tid, Events[I].Time,
-                                        uint64_t(0x10000000000)));
+        Writer.append(EventRecord::read(Events[I].Tid, uint64_t(1) << 40));
       }
     }
     ASSERT_TRUE(Writer.close()) << Writer.error();
@@ -366,9 +365,9 @@ TEST(Collector, MismatchedReturnIsReportedAndLeavesTheRollupUntouched) {
       Writer.append(Events[I]);
       if (I == Events.size() / 2) {
         const EventRecord &E = Events[I];
-        Writer.append(EventRecord::call(E.Tid, E.Time, 0));
+        Writer.append(EventRecord::call(E.Tid, 0));
         BadChunk = Writer.chunksWritten();
-        Writer.append(EventRecord::ret(E.Tid, E.Time, 1, 0));
+        Writer.append(EventRecord::ret(E.Tid, 1, 0));
       }
     }
     ASSERT_TRUE(Writer.close()) << Writer.error();
@@ -421,15 +420,8 @@ std::string writePhasedStream(const std::string &Name, unsigned WorkCalls,
   Opts.ChunkBytes = 1024;
   EXPECT_TRUE(Writer.open(Path, Routines, Opts)) << Writer.error();
 
-  uint64_t T = 1;
   auto emit = [&](EventKind K, uint64_t Arg0, uint64_t Arg1 = 0) {
-    EventRecord E;
-    E.Kind = K;
-    E.Tid = 0;
-    E.Time = T++;
-    E.Arg0 = Arg0;
-    E.Arg1 = Arg1;
-    Writer.append(E);
+    Writer.append({K, 0, Arg0, Arg1});
   };
 
   emit(EventKind::ThreadStart, 0);
@@ -512,15 +504,8 @@ std::string writeInducedWriteStream(const std::string &Name) {
   Opts.ChunkBytes = 1024;
   EXPECT_TRUE(Writer.open(Path, Routines, Opts)) << Writer.error();
 
-  uint64_t T = 1;
   auto emit = [&](EventKind K, uint64_t Arg0, uint64_t Arg1 = 0) {
-    EventRecord E;
-    E.Kind = K;
-    E.Tid = 0;
-    E.Time = T++;
-    E.Arg0 = Arg0;
-    E.Arg1 = Arg1;
-    Writer.append(E);
+    Writer.append({K, 0, Arg0, Arg1});
   };
   auto noiseBurst = [&](unsigned Calls) {
     for (unsigned I = 0; I != Calls; ++I) {

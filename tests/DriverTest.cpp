@@ -399,7 +399,7 @@ TEST(Driver, StreamingFlagsRejectBadValues) {
   std::string BadPath = ::testing::TempDir() + "isprof_bad_stream.strm";
   {
     std::ofstream Bad(BadPath, std::ios::binary);
-    Bad << "ISPSTM04 this is not a valid stream tail";
+    Bad << "ISPSTM05 this is not a valid stream tail";
   }
   CommandResult R = runDriver("replay " + BadPath + " --tools=aprof-trms");
   EXPECT_NE(R.ExitCode, 0);
@@ -409,20 +409,20 @@ TEST(Driver, StreamingFlagsRejectBadValues) {
 TEST(Driver, ReplayStreamErrorNamesChunk) {
   // A decode failure mid-stream names the failing chunk.
   std::vector<isp::EventRecord> Events;
-  uint64_t Time = 1;
-  Events.push_back(isp::EventRecord::threadStart(0, Time++, 0));
-  Events.push_back(isp::EventRecord::call(0, Time++, 1));
+  Events.push_back(isp::EventRecord::threadStart(0, 0));
+  Events.push_back(isp::EventRecord::call(0, 1));
   for (unsigned I = 0; I != 400; ++I) {
-    Events.push_back(isp::EventRecord::write(0, Time++, I, 1));
-    Events.push_back(isp::EventRecord::read(0, Time++, I, 1));
+    Events.push_back(isp::EventRecord::write(0, I, 1));
+    Events.push_back(isp::EventRecord::read(0, I, 1));
   }
-  Events.push_back(isp::EventRecord::ret(0, Time++, 1, 0));
-  Events.push_back(isp::EventRecord::threadEnd(0, Time++));
+  Events.push_back(isp::EventRecord::ret(0, 1, 0));
+  Events.push_back(isp::EventRecord::threadEnd(0));
   std::string Path = ::testing::TempDir() + "isprof_driver_badchunk.strm";
   isp::TraceStreamOptions Opts;
   Opts.ChunkBytes = 256;
   isp::TraceStreamWriter Writer;
-  ASSERT_TRUE(Writer.open(Path, {{1, "work"}}, Opts)) << Writer.error();
+  ASSERT_TRUE(Writer.open(Path, {{0, "main"}, {1, "work"}}, Opts))
+      << Writer.error();
   for (const isp::EventRecord &E : Events)
     Writer.append(E);
   ASSERT_TRUE(Writer.close()) << Writer.error();
@@ -436,7 +436,7 @@ TEST(Driver, ReplayStreamErrorNamesChunk) {
     Buffer << In.rdbuf();
     Bytes = Buffer.str();
   }
-  size_t Header = 8 + 1 + (1 + 1 + 4); // magic, count, id + len + "work"
+  size_t Header = 8 + 1 + (1 + 4) + (1 + 4); // magic, count, two names
   uint32_t Len0 = 0;
   for (int I = 0; I != 4; ++I)
     Len0 |= static_cast<uint32_t>(
@@ -464,21 +464,20 @@ TEST(Driver, OutOfRangeAddressEndsInDiagnostic) {
   // stops with the chunk's diagnostic and exit 1 instead of the shadow
   // memory's assert.
   std::vector<isp::EventRecord> Events;
-  uint64_t Time = 1;
-  Events.push_back(isp::EventRecord::threadStart(0, Time++, 0));
-  Events.push_back(isp::EventRecord::call(0, Time++, 1));
-  for (unsigned I = 0; I != 100; ++I)
-    Events.push_back(isp::EventRecord::write(0, Time++, I, 1));
-  Events.push_back(
-      isp::EventRecord::read(0, Time++, uint64_t(0x10000000000), 1));
-  Events.push_back(isp::EventRecord::ret(0, Time++, 1, 0));
-  Events.push_back(isp::EventRecord::threadEnd(0, Time++));
+  Events.push_back(isp::EventRecord::threadStart(0, 0));
+  Events.push_back(isp::EventRecord::call(0, 1));
+  for (unsigned I = 0; I != 125; ++I)
+    Events.push_back(isp::EventRecord::write(0, I, 1));
+  Events.push_back(isp::EventRecord::read(0, uint64_t(0x10000000000), 1));
+  Events.push_back(isp::EventRecord::ret(0, 1, 0));
+  Events.push_back(isp::EventRecord::threadEnd(0));
 
   std::string Path = ::testing::TempDir() + "isprof_driver_range.strm";
   isp::TraceStreamOptions Opts;
   Opts.ChunkBytes = 256;
   isp::TraceStreamWriter Writer;
-  ASSERT_TRUE(Writer.open(Path, {{1, "work"}}, Opts)) << Writer.error();
+  ASSERT_TRUE(Writer.open(Path, {{0, "main"}, {1, "work"}}, Opts))
+      << Writer.error();
   for (const isp::EventRecord &E : Events)
     Writer.append(E);
   ASSERT_TRUE(Writer.close()) << Writer.error();
@@ -516,11 +515,11 @@ TEST(Driver, MismatchedReturnEndsInDiagnostic) {
   // routine the stream calls) stop with the chunk's diagnostic and exit
   // 1.
   std::vector<isp::EventRecord> Events = {
-      isp::EventRecord::threadStart(0, 1, 0), isp::EventRecord::call(0, 2, 1),
-      isp::EventRecord::read(0, 3, 100), isp::EventRecord::ret(0, 4, 2, 0),
-      isp::EventRecord::threadEnd(0, 5)};
+      isp::EventRecord::threadStart(0, 0), isp::EventRecord::call(0, 1),
+      isp::EventRecord::read(0, 100), isp::EventRecord::ret(0, 2, 0),
+      isp::EventRecord::threadEnd(0)};
   std::vector<std::pair<isp::RoutineId, std::string>> Routines = {
-      {1, "a"}, {2, "b"}};
+      {0, "main"}, {1, "a"}, {2, "b"}};
   std::string Path = ::testing::TempDir() + "isprof_driver_nesting.strm";
   isp::TraceStreamWriter Writer;
   ASSERT_TRUE(Writer.open(Path, Routines)) << Writer.error();
@@ -539,6 +538,68 @@ TEST(Driver, MismatchedReturnEndsInDiagnostic) {
     EXPECT_EQ(R.ExitCode, 1) << Args << ": " << R.Output;
     EXPECT_NE(R.Output.find(Path), std::string::npos) << Args;
     EXPECT_NE(R.Output.find(Expected), std::string::npos)
+        << Args << ": " << R.Output;
+  }
+  std::remove(Path.c_str());
+}
+
+/// Writes \p Events as a stream at \p Path with the routine table
+/// \p Routines.
+void writeStream(
+    const std::string &Path, const std::vector<isp::EventRecord> &Events,
+    const std::vector<std::pair<isp::RoutineId, std::string>> &Routines) {
+  isp::TraceStreamWriter Writer;
+  ASSERT_TRUE(Writer.open(Path, Routines)) << Writer.error();
+  for (const isp::EventRecord &E : Events)
+    Writer.append(E);
+  ASSERT_TRUE(Writer.close()) << Writer.error();
+}
+
+TEST(Driver, HugeThreadIdEndsInDiagnostic) {
+  // A well-nested stream whose thread id is 4,000,000,000. The tools
+  // size per-thread tables by id, so the reader bounds ids
+  // (MaxThreadId): replay under each of them, and collect, stop with
+  // the chunk's diagnostic and exit 1 instead of allocating tables for
+  // four billion threads.
+  const isp::ThreadId Tid = 4000000000u;
+  std::string Path = ::testing::TempDir() + "isprof_driver_bigtid.strm";
+  writeStream(Path,
+              {isp::EventRecord::threadStart(Tid, 0),
+               isp::EventRecord::call(Tid, 0), isp::EventRecord::read(Tid, 100),
+               isp::EventRecord::ret(Tid, 0, 0),
+               isp::EventRecord::threadEnd(Tid)},
+              {{0, "work"}});
+  const std::string Expected =
+      "chunk 0: corrupt chunk: thread id out of range";
+  for (std::string Args : {"replay " + Path + " --tools=aprof-trms",
+                           "replay " + Path + " --tools=aprof-rms",
+                           "replay " + Path + " --tools=helgrind",
+                           "collect " + Path}) {
+    CommandResult R = runDriver(Args);
+    EXPECT_EQ(R.ExitCode, 1) << Args << ": " << R.Output;
+    EXPECT_NE(R.Output.find(Expected), std::string::npos)
+        << Args << ": " << R.Output;
+  }
+  std::remove(Path.c_str());
+}
+
+TEST(Driver, RepeatedRoutineNameEndsInDiagnostic) {
+  // Routine ids are positions in the table, and the driver interns the
+  // names in order: in {0: "main", 1: "main", 2: "work"} the repeat
+  // would give work id 1, so its activations would print as routine#2.
+  // The reader refuses the table instead.
+  std::string Path = ::testing::TempDir() + "isprof_driver_dupname.strm";
+  writeStream(Path,
+              {isp::EventRecord::threadStart(0, 0), isp::EventRecord::call(0, 2),
+               isp::EventRecord::read(0, 100), isp::EventRecord::ret(0, 2, 0),
+               isp::EventRecord::threadEnd(0)},
+              {{0, "main"}, {1, "main"}, {2, "work"}});
+  for (std::string Args : {"replay " + Path + " --tools=aprof-rms",
+                           "collect " + Path + " --routine=work"}) {
+    CommandResult R = runDriver(Args);
+    EXPECT_EQ(R.ExitCode, 1) << Args << ": " << R.Output;
+    EXPECT_NE(R.Output.find("corrupt routine table: duplicate name"),
+              std::string::npos)
         << Args << ": " << R.Output;
   }
   std::remove(Path.c_str());
@@ -755,8 +816,8 @@ TEST(Driver, TamperedStreamMetadataEndsInDiagnostic) {
   // (a) routine `work`'s mask bit cleared in every chunk that calls it,
   // with those chunks' written masks zeroed — without the checksum,
   // filtered collect skips every chunk and reports 0 activations; (b)
-  // `work` moved to another id of the same encoded length. Every
-  // consumer refuses both, naming the file.
+  // `work` moved to another id, by swapping its name with `main`'s.
+  // Every consumer refuses both, naming the file.
   std::string Path = ::testing::TempDir() + "isprof_tamper.strm";
   ASSERT_TRUE(recordStream(guest("phased.mini"), Path,
                            " --stream-chunk-bytes=1024"));
@@ -767,20 +828,22 @@ TEST(Driver, TamperedStreamMetadataEndsInDiagnostic) {
     Buffer << In.rdbuf();
     Bytes = Buffer.str();
   }
-  // Routine table: find work's id and where it is stored.
-  size_t Pos = 8, WorkIdAt = 0;
+  // Routine table: names in id order; find where main and work are.
+  size_t Pos = 8, MainAt = 0, WorkAt = 0;
   uint64_t WorkId = 0;
-  for (uint64_t N = readVarint(Bytes, Pos); N != 0; --N) {
-    size_t IdAt = Pos;
-    uint64_t Id = readVarint(Bytes, Pos);
+  uint64_t Count = readVarint(Bytes, Pos);
+  for (uint64_t Id = 0; Id != Count; ++Id) {
     uint64_t Len = readVarint(Bytes, Pos);
+    if (Bytes.substr(Pos, Len) == "main")
+      MainAt = Pos;
     if (Bytes.substr(Pos, Len) == "work") {
-      WorkIdAt = IdAt;
+      WorkAt = Pos;
       WorkId = Id;
     }
     Pos += Len;
   }
-  ASSERT_NE(WorkIdAt, 0u);
+  ASSERT_NE(MainAt, 0u);
+  ASSERT_NE(WorkAt, 0u);
   ASSERT_LT(WorkId, 64u);
 
   // (a): re-encode the footer index with the masks cleared; the trailer
@@ -796,12 +859,13 @@ TEST(Driver, TamperedStreamMetadataEndsInDiagnostic) {
   appendVarint(Footer, Chunks);
   unsigned Cleared = 0;
   for (uint64_t C = 0; C != Chunks; ++C) {
-    uint64_t Fields[12];
+    // Offset, events, routine mask, 4 shard and 4 written mask words.
+    uint64_t Fields[11];
     for (uint64_t &F : Fields)
       F = readVarint(Bytes, Pos);
-    if ((Fields[3] >> WorkId) & 1) {
-      Fields[3] &= ~(uint64_t(1) << WorkId);
-      std::fill(Fields + 8, Fields + 12, 0);
+    if ((Fields[2] >> WorkId) & 1) {
+      Fields[2] &= ~(uint64_t(1) << WorkId);
+      std::fill(Fields + 7, Fields + 11, 0);
       ++Cleared;
     }
     for (uint64_t F : Fields)
@@ -815,9 +879,10 @@ TEST(Driver, TamperedStreamMetadataEndsInDiagnostic) {
     Out << Bytes.substr(0, FooterOffset) << Footer
         << Bytes.substr(Bytes.size() - 24);
   }
-  // (b): another one-byte id for work.
+  // (b): main and work trade places, and so ids.
   std::string MovedBytes = Bytes;
-  MovedBytes[WorkIdAt] = static_cast<char>(WorkId ^ 0x40);
+  MovedBytes.replace(MainAt, 4, "work");
+  MovedBytes.replace(WorkAt, 4, "main");
   {
     std::ofstream Out(Moved, std::ios::binary);
     Out << MovedBytes;

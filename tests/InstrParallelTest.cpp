@@ -207,7 +207,7 @@ TEST(Pipeline, EngageRuleNeedsASecondThreadAndAWorkerConsumer) {
     D.start(nullptr);
     EXPECT_EQ(D.pipelineActive(), Hw >= 2) << Hw;
     EXPECT_EQ(D.workersUsed(), Hw >= 2 ? 1u : 0u) << Hw;
-    D.enqueue(EventRecord::read(0, 1, 8));
+    D.enqueue(EventRecord::read(0, 8));
     D.finish();
     EXPECT_FALSE(D.pipelineActive());
     EXPECT_EQ(T.eventsSeen(), 1u);
@@ -481,7 +481,7 @@ TEST(Pipeline, RingNeverExceedsItsFixedBound) {
   const uint64_t NumReads = 3 * EventDispatcher::RingSlots *
                             EventDispatcher::BatchWords;
   for (uint64_t I = 0; I != NumReads; ++I)
-    D.enqueue(EventRecord::read(0, I + 1, 8 * I));
+    D.enqueue(EventRecord::read(0, 8 * I));
   D.finish();
   EXPECT_GT(D.backpressureBlocks(), 0u);
   EXPECT_LE(D.maxQueueDepth(), EventDispatcher::RingSlots);

@@ -118,8 +118,9 @@ TEST(Integration, SplitMergeReplayMatchesForAllPolicies) {
   auto PerThread = splitByThread(Trace);
   EXPECT_GE(PerThread.size(), 3u);
 
-  // VM event times are unique, so no ties exist and every policy must
-  // reconstruct the same total order (hence the same profile).
+  // splitByThread times each record by its position, so no ties exist
+  // and every policy must reconstruct the same total order (hence the
+  // same profile).
   for (TieBreakPolicy Policy :
        {TieBreakPolicy::ByThreadId, TieBreakPolicy::RoundRobin,
         TieBreakPolicy::SeededRandom}) {
@@ -139,11 +140,11 @@ TEST(Integration, MergedSyntheticTracesTieBreakConsistency) {
   Gen.NumThreads = 4;
   Gen.NumOperations = 4000;
   Gen.Seed = 23;
-  std::vector<EventRecord> Base = generateSyntheticTrace(Gen);
-  // Collapse timestamps to create many cross-thread ties.
-  for (EventRecord &E : Base)
-    E.Time = (E.Time + 2) / 3;
-  auto PerThread = splitByThread(Base);
+  auto PerThread = splitByThread(generateSyntheticTrace(Gen));
+  // Collapse the split's times to create many cross-thread ties.
+  for (auto &Trace : PerThread)
+    for (TimedEvent &E : Trace)
+      E.Time /= 3;
   ASSERT_TRUE(verifyThreadTraces(PerThread));
 
   for (uint64_t Seed : {1u, 2u, 3u}) {

@@ -217,10 +217,6 @@ TEST(ObsTrace, RecordsAndRendersTimeline) {
 // Dispatcher accounting
 //===----------------------------------------------------------------------===//
 
-EventRecord readAt(ThreadId Tid, uint64_t Time, Addr A) {
-  return {EventKind::Read, Tid, Time, static_cast<uint64_t>(A), 1};
-}
-
 TEST(ObsDispatcher, FlushCausesAndCompactionIdentity) {
   NulTool Tool;
   EventDispatcher D;
@@ -233,9 +229,8 @@ TEST(ObsDispatcher, FlushCausesAndCompactionIdentity) {
   const uint64_t PerBatch =
       EventDispatcher::BatchWords - Event::MaxWordsPerRecord + 1;
   const uint64_t Reads = 2 * PerBatch + 88;
-  uint64_t Time = 0;
   for (Addr A = 0; A != Reads; ++A)
-    D.enqueue(readAt(1, ++Time, 2 * A));
+    D.enqueue(EventRecord::read(1, 2 * A));
   EXPECT_EQ(D.flushCount(EventDispatcher::FlushCause::Capacity), 2u);
 
   // Manual flush of the non-empty remainder counts as Explicit.
@@ -247,11 +242,11 @@ TEST(ObsDispatcher, FlushCausesAndCompactionIdentity) {
 
   // Three adjacent reads merge into the first; two basic blocks on the
   // same thread fold into one.
-  D.enqueue(readAt(1, ++Time, 5000));
-  D.enqueue(readAt(1, ++Time, 5001));
-  D.enqueue(readAt(1, ++Time, 5002));
-  D.enqueue({EventKind::BasicBlock, 1, ++Time, 0, 10});
-  D.enqueue({EventKind::BasicBlock, 1, ++Time, 0, 20});
+  D.enqueue(EventRecord::read(1, 5000));
+  D.enqueue(EventRecord::read(1, 5001));
+  D.enqueue(EventRecord::read(1, 5002));
+  D.enqueue(EventRecord::basicBlock(1, 10));
+  D.enqueue(EventRecord::basicBlock(1, 20));
   EXPECT_EQ(D.accessMerges(), 2u);
   EXPECT_EQ(D.bbFolds(), 1u);
 

@@ -22,52 +22,50 @@
 
 namespace isp {
 
-/// Builds totally ordered traces with automatic timestamps.
+/// Builds totally ordered traces.
 class TraceBuilder {
 public:
   TraceBuilder &start(ThreadId Tid, ThreadId Parent = 0) {
-    Events.push_back(EventRecord::threadStart(Tid, next(), Parent));
+    Events.push_back(EventRecord::threadStart(Tid, Parent));
     return *this;
   }
   TraceBuilder &end(ThreadId Tid) {
-    Events.push_back(EventRecord::threadEnd(Tid, next()));
+    Events.push_back(EventRecord::threadEnd(Tid));
     return *this;
   }
   TraceBuilder &call(ThreadId Tid, RoutineId Rtn) {
-    Events.push_back(EventRecord::call(Tid, next(), Rtn));
+    Events.push_back(EventRecord::call(Tid, Rtn));
     return *this;
   }
   TraceBuilder &ret(ThreadId Tid, RoutineId Rtn) {
-    Events.push_back(EventRecord::ret(Tid, next(), Rtn, 0));
+    Events.push_back(EventRecord::ret(Tid, Rtn, 0));
     return *this;
   }
   TraceBuilder &read(ThreadId Tid, Addr A, uint64_t Cells = 1) {
-    Events.push_back(EventRecord::read(Tid, next(), A, Cells));
+    Events.push_back(EventRecord::read(Tid, A, Cells));
     return *this;
   }
   TraceBuilder &write(ThreadId Tid, Addr A, uint64_t Cells = 1) {
-    Events.push_back(EventRecord::write(Tid, next(), A, Cells));
+    Events.push_back(EventRecord::write(Tid, A, Cells));
     return *this;
   }
   TraceBuilder &kernelRead(ThreadId Tid, Addr A, uint64_t Cells = 1) {
-    Events.push_back(EventRecord::kernelRead(Tid, next(), A, Cells));
+    Events.push_back(EventRecord::kernelRead(Tid, A, Cells));
     return *this;
   }
   TraceBuilder &kernelWrite(ThreadId Tid, Addr A, uint64_t Cells = 1) {
-    Events.push_back(EventRecord::kernelWrite(Tid, next(), A, Cells));
+    Events.push_back(EventRecord::kernelWrite(Tid, A, Cells));
     return *this;
   }
   TraceBuilder &bb(ThreadId Tid, uint64_t Count = 1) {
-    Events.push_back(EventRecord::basicBlock(Tid, next(), Count));
+    Events.push_back(EventRecord::basicBlock(Tid, Count));
     return *this;
   }
 
   const std::vector<EventRecord> &events() const { return Events; }
 
 private:
-  uint64_t next() { return ++Clock; }
   std::vector<EventRecord> Events;
-  uint64_t Clock = 0;
 };
 
 /// Runs \p ProfilerT over \p Events with activation logging and returns

@@ -631,7 +631,6 @@ public:
     note('S', Tid, Parent);
   }
   void onThreadEnd(ThreadId Tid) override { note('E', Tid); }
-  void onThreadSwitch(ThreadId Incoming) override { note('X', Incoming); }
   void onCall(ThreadId Tid, RoutineId Rtn) override { note('C', Tid, Rtn); }
   void onReturn(ThreadId Tid, RoutineId Rtn) override { note('R', Tid, Rtn); }
   void onBasicBlock(ThreadId Tid, uint64_t Count) override {
@@ -681,66 +680,27 @@ public:
   }
 };
 
-/// A random packed word sequence mixing every word form: main words of
-/// every kind (with and without a follow-on), time-base escapes (some
-/// with stray kind and tid bits), follow-ons that spill a thread id above
-/// 2^24, standalone follow-on words, and sometimes a main word whose
-/// follow-on is cut off by the end.
+/// A random packed word sequence: main words of every kind, with and
+/// without a follow-on, over the full thread id range, and sometimes a
+/// main word whose follow-on is cut off by the end.
 std::vector<Event> randomWords(std::mt19937_64 &Rng) {
   std::vector<Event> Words;
   size_t N = 1 + Rng() % 64;
-  auto randomTid = [&]() -> ThreadId {
-    switch (Rng() % 3) {
-    case 0:
-      return static_cast<ThreadId>(Rng() % 4);
-    case 1:
-      return static_cast<ThreadId>(Rng() % (Event::MaxInlineTid + 1));
-    default:
-      return Event::MaxInlineTid;
-    }
-  };
+  const unsigned Kinds = static_cast<unsigned>(EventKind::Free) + 1;
   for (size_t I = 0; I != N; ++I) {
+    bool Follow = Rng() % 3 == 0;
     Event W;
-    W.TimeLow = static_cast<uint32_t>(Rng());
+    W.Meta = static_cast<uint32_t>(Rng() % Kinds) |
+             (Follow ? Event::FollowBit : 0);
+    W.Tid = static_cast<ThreadId>(Rng() % 2 ? Rng() % 4 : Rng());
     W.Arg = Rng() % 4 ? Rng() % 4096 : Rng();
-    uint32_t Kind = static_cast<uint32_t>(Rng() % 16);
-    switch (Rng() % 8) {
-    case 0: // time-base escape
-      W.Meta = Event::SpecialBit | (Rng() % 2 ? Kind : 0) |
-               (Rng() % 2 ? randomTid() << Event::TidShift : 0);
-      Words.push_back(W);
-      break;
-    case 1: // standalone follow-on word
-      W.Meta = Event::SpecialBit | Event::FollowBit |
-               (Rng() % 2 ? Kind : 0);
-      W.TimeLow = Rng() % 2 ? 0 : static_cast<uint32_t>(Rng());
-      Words.push_back(W);
-      break;
-    default: { // main word, maybe with a follow-on
-      bool Follow = Rng() % 3 == 0;
-      W.Meta = Kind | (Follow ? Event::FollowBit : 0) |
-               (randomTid() << Event::TidShift);
-      Words.push_back(W);
-      if (Follow) {
-        Event F;
-        F.Meta = Event::SpecialBit | Event::FollowBit;
-        // A nonzero TimeLow spills the full thread id.
-        F.TimeLow = Rng() % 2 ? 0
-                              : Event::MaxInlineTid + 1 +
-                                    static_cast<uint32_t>(Rng() % 1000);
-        F.Arg = Rng() % 2 ? Rng() % 64 : Rng();
-        Words.push_back(F);
-      }
-      break;
-    }
-    }
+    Words.push_back(W);
+    if (Follow)
+      Words.push_back({0, 0, Rng() % 2 ? Rng() % 64 : Rng()});
   }
-  if (Rng() % 4 == 0) {
-    Event Cut; // a record whose follow-on never arrives
-    Cut.Meta = static_cast<uint32_t>(EventKind::Read) | Event::FollowBit;
-    Cut.Arg = 7;
-    Words.push_back(Cut);
-  }
+  if (Rng() % 4 == 0) // a record whose follow-on never arrives
+    Words.push_back(
+        {static_cast<uint32_t>(EventKind::Read) | Event::FollowBit, 0, 7});
   return Words;
 }
 
@@ -770,23 +730,23 @@ TEST(ToolWalk, MatchesPerEventDeliveryOnRandomWords) {
 }
 
 TEST(ToolWalk, EncodedRecordsRoundTripThroughTheWalk) {
-  // Records the encoder produces — escapes for 64-bit times, follow-ons
-  // for non-default second arguments and spilled thread ids, BasicBlock
-  // counts in the main word — reach the callbacks unchanged.
+  // Records the encoder produces — follow-ons for non-default second
+  // arguments, BasicBlock counts in the main word, the largest thread
+  // id — reach the callbacks unchanged.
   std::vector<EventRecord> Records = {
-      EventRecord::threadStart(0, 1, 0),
-      EventRecord::call(0, 2, 7),
-      EventRecord::basicBlock(0, 3, 41),
-      EventRecord::read(0, 4, 100),
-      EventRecord::read(0, 5, 200, 9),
-      EventRecord::write(Event::MaxInlineTid + 5, 6, 300),
-      EventRecord::kernelWrite(3, uint64_t(1) << 33, 400, 2),
-      EventRecord::syncAcquire(3, (uint64_t(1) << 33) + 1, 5, true),
-      EventRecord::syncRelease(3, (uint64_t(2) << 33), 5, false),
-      EventRecord::alloc(1, (uint64_t(2) << 33) + 1, 64, 16),
-      EventRecord::free(1, (uint64_t(2) << 33) + 2, 64),
-      EventRecord::ret(0, (uint64_t(2) << 33) + 3, 7, 12),
-      EventRecord::threadEnd(0, (uint64_t(2) << 33) + 4),
+      EventRecord::threadStart(0, 0),
+      EventRecord::call(0, 7),
+      EventRecord::basicBlock(0, 41),
+      EventRecord::read(0, 100),
+      EventRecord::read(0, 200, 9),
+      EventRecord::write(MaxThreadId, 300),
+      EventRecord::kernelWrite(3, 400, 2),
+      EventRecord::syncAcquire(3, 5, true),
+      EventRecord::syncRelease(3, 5, false),
+      EventRecord::alloc(1, 64, 16),
+      EventRecord::free(1, 64),
+      EventRecord::ret(0, 7, 12),
+      EventRecord::threadEnd(0),
   };
   std::vector<Event> Words = encodeEventStream(Records);
   RecordingTool Reference, Default;
@@ -800,7 +760,7 @@ TEST(ToolWalk, EncodedRecordsRoundTripThroughTheWalk) {
   ASSERT_EQ(Reference.Entries.size(), Records.size());
   EXPECT_EQ(Reference.Entries[2], RecordingTool::Entry('B', 0, 41, 0));
   EXPECT_EQ(Reference.Entries[5],
-            RecordingTool::Entry('w', Event::MaxInlineTid + 5, 300, 1));
+            RecordingTool::Entry('w', MaxThreadId, 300, 1));
 }
 
 } // namespace

@@ -16,9 +16,10 @@
 //    pipelined delivery;
 //  - writer memory (peakBufferedBytes) is bounded by one chunk no matter
 //    how many events stream through;
-//  - the file bytes match hashes pinned from the original writer;
+//  - the file bytes match pinned hashes, and the writer refuses a
+//    routine table whose ids are not their positions;
 //  - adversarial inputs — truncated chunks, corrupt footer index or
-//    routine table, overlong varints, invalid kinds, thread ids and guest
+//    routine table (a repeated name among them), overlong varints, invalid kinds, thread ids and guest
 //    addresses inside a chunk (on both the fast and the bounds-checked
 //    decode path), chunk lengths past EOF, and a Return that breaks call
 //    nesting in a stream read in order — are rejected with a diagnostic,
@@ -53,6 +54,15 @@ using namespace isp;
 namespace {
 
 using RoutineTable = std::vector<std::pair<RoutineId, std::string>>;
+
+/// The names of \p Routines in order: what a reader reports for a table
+/// whose ids are its positions.
+std::vector<std::string> namesOf(const RoutineTable &Routines) {
+  std::vector<std::string> Names;
+  for (const auto &[Id, Name] : Routines)
+    Names.push_back(Name);
+  return Names;
+}
 
 std::string tempPath(const char *Name) {
   return ::testing::TempDir() + Name;
@@ -106,13 +116,13 @@ std::vector<EventRecord> readAll(TraceStreamReader &Reader) {
 
 TEST(TraceStream, RoundTripsExactly) {
   std::vector<EventRecord> Events = makeTrace(3000, 7);
-  RoutineTable Routines = {{0, "main"}, {1, "worker"}, {9, "long_name_rtn"}};
+  RoutineTable Routines = {{0, "main"}, {1, "worker"}, {2, "long_name_rtn"}};
   std::string Path = tempPath("isprof_stream_roundtrip.strm");
   writeStream(Path, Events, Routines);
 
   TraceStreamReader Reader;
   ASSERT_TRUE(Reader.open(Path)) << Reader.error();
-  EXPECT_EQ(Reader.routines(), Routines);
+  EXPECT_EQ(Reader.routines(), namesOf(Routines));
   EXPECT_EQ(Reader.eventCount(), Events.size());
   EXPECT_EQ(readAll(Reader), Events);
   EXPECT_TRUE(Reader.error().empty()) << Reader.error();
@@ -139,7 +149,6 @@ TEST(TraceStream, ChunksDecodeIndependently) {
   for (size_t I = 0; I != Reader.chunkCount(); ++I) {
     ASSERT_TRUE(Reader.readChunk(I, InOrder[I])) << Reader.error();
     EXPECT_EQ(InOrder[I].size(), Reader.chunkEvents(I));
-    EXPECT_EQ(InOrder[I].front().Time, Reader.chunkFirstTime(I));
     IndexedEvents += Reader.chunkEvents(I);
   }
   EXPECT_EQ(IndexedEvents, Events.size());
@@ -168,12 +177,6 @@ TEST(TraceStream, SeekResumesMidStream) {
   ASSERT_TRUE(Reader.open(Path)) << Reader.error();
   ASSERT_GT(Reader.chunkCount(), 2u);
 
-  // chunkIndexForTime finds the last chunk starting at or before Time.
-  EXPECT_EQ(Reader.chunkIndexForTime(0), 0u);
-  EXPECT_EQ(Reader.chunkIndexForTime(UINT64_MAX), Reader.chunkCount() - 1);
-  for (size_t I = 0; I != Reader.chunkCount(); ++I)
-    EXPECT_EQ(Reader.chunkIndexForTime(Reader.chunkFirstTime(I)), I);
-
   // Replay resumed from a mid-stream chunk yields exactly the tail.
   size_t Mid = Reader.chunkCount() / 2;
   uint64_t Skipped = 0;
@@ -191,7 +194,7 @@ TEST(TraceStream, SeekResumesMidStream) {
 }
 
 TEST(TraceStream, EmptyStreamIsValid) {
-  RoutineTable Routines = {{3, "only"}};
+  RoutineTable Routines = {{0, "only"}};
   std::string Path = tempPath("isprof_stream_empty.strm");
   writeStream(Path, {}, Routines);
 
@@ -199,11 +202,27 @@ TEST(TraceStream, EmptyStreamIsValid) {
   ASSERT_TRUE(Reader.open(Path)) << Reader.error();
   EXPECT_EQ(Reader.chunkCount(), 0u);
   EXPECT_EQ(Reader.eventCount(), 0u);
-  EXPECT_EQ(Reader.routines(), Routines);
+  EXPECT_EQ(Reader.routines(), namesOf(Routines));
   std::vector<EventRecord> Chunk;
   EXPECT_FALSE(Reader.nextChunk(Chunk));
   EXPECT_TRUE(Reader.error().empty()) << Reader.error();
   std::remove(Path.c_str());
+}
+
+TEST(TraceStream, WriterRefusesSparseRoutineTable) {
+  // A routine's id is its position in the header, so a table whose ids
+  // are not 0..n-1 cannot be written: the writer says so, creates no
+  // file, and reports the failure again at close().
+  std::string Path = tempPath("isprof_stream_sparse.strm");
+  std::remove(Path.c_str());
+  TraceStreamWriter Writer;
+  EXPECT_FALSE(Writer.open(Path, {{5, "five"}, {9, "nine"}}));
+  EXPECT_EQ(Writer.error(),
+            "routine 'five' has id 5, not its table position 0");
+  EXPECT_FALSE(Writer.isOpen());
+  EXPECT_FALSE(std::ifstream(Path).good());
+  Writer.append(EventRecord::threadStart(0, 0));
+  EXPECT_FALSE(Writer.close());
 }
 
 //===----------------------------------------------------------------------===//
@@ -243,10 +262,10 @@ TEST(TraceStream, StreamedReplayMatchesInMemoryProfile) {
   // replayTraceStream, which hands each decoded chunk to the tool as one
   // batch, gives every tool the report batched in-memory replay of the
   // identical event sequence gives. The in-memory dispatcher merges
-  // access runs that the stream delivers unmerged, and 256-byte chunks
+  // access runs that the stream delivers unmerged, and 192-byte chunks
   // cut many of those runs at a chunk boundary.
   TraceStreamOptions SmallChunks;
-  SmallChunks.ChunkBytes = 256;
+  SmallChunks.ChunkBytes = 192;
   for (uint64_t Seed : {11u, 12u}) {
     std::vector<EventRecord> Events = makeTrace(5000, Seed);
     std::string Path = tempPath("isprof_stream_profile.strm");
@@ -298,7 +317,7 @@ TEST(TraceStream, WriterMemoryIsBoundedByOneChunk) {
   // plus at most one encoded event — independent of stream length.
   TraceStreamOptions Opts;
   Opts.ChunkBytes = 1024;
-  const uint64_t MaxEncodedEvent = 1 + 4 * 10; // kind byte + four varints
+  const uint64_t MaxEncodedEvent = 1 + 3 * 10; // kind byte + three varints
   for (uint64_t Operations : {1000u, 10000u}) {
     std::vector<EventRecord> Events = makeTrace(Operations, 13);
     std::string Path = tempPath("isprof_stream_bounded.strm");
@@ -346,22 +365,18 @@ uint64_t bodyHash(const std::string &Bytes) {
 TEST(TraceStreamGolden, FileBytesMatchPinnedHashes) {
   // Streams outlive the binary that wrote them, and their size is a
   // benchmark metric, so the writer's output is pinned byte for byte,
-  // twice: the body hash covers the routine table and the chunks, and
-  // was taken from files the writer produced before the format gained
-  // its checksum (and, before that, its one-pass rewrite), so it proves
-  // no event byte moved; the file hash covers everything, magic and
-  // trailer included. The trace ends with events that need the rare
-  // encodings: a time past 2^32 (a time-base escape word in a batch), a
-  // thread id past 24 bits (a follow-on word), large and decreasing
-  // addresses (long zigzag deltas).
+  // twice: the body hash covers the routine table and the chunks, so it
+  // proves no event byte moved; the file hash covers everything, magic
+  // and trailer included. Both were taken from the ISPSTM05 writer. The
+  // trace ends with events that need the rare encodings: the largest
+  // thread id, large and decreasing addresses (long zigzag deltas).
   std::vector<EventRecord> Events = makeTrace(20000, 23);
-  uint64_t T = Events.back().Time + (uint64_t(1) << 32);
-  ThreadId BigTid = ThreadId(1) << 25;
-  Events.push_back(EventRecord::threadStart(BigTid, T, 0));
-  Events.push_back(EventRecord::write(BigTid, T + 1, uint64_t(1) << 40, 3));
-  Events.push_back(EventRecord::read(BigTid, T + 2, 17));
-  Events.push_back(EventRecord::ret(BigTid, T + 3, 2, ~uint64_t(0)));
-  Events.push_back(EventRecord::threadEnd(BigTid, T + 4));
+  ThreadId BigTid = MaxThreadId;
+  Events.push_back(EventRecord::threadStart(BigTid, 0));
+  Events.push_back(EventRecord::write(BigTid, uint64_t(1) << 40, 3));
+  Events.push_back(EventRecord::read(BigTid, 17));
+  Events.push_back(EventRecord::ret(BigTid, 2, ~uint64_t(0)));
+  Events.push_back(EventRecord::threadEnd(BigTid));
   const RoutineTable Routines = {{0, "main"}, {1, "worker"}, {2, "ret"}};
 
   struct Case {
@@ -371,13 +386,13 @@ TEST(TraceStreamGolden, FileBytesMatchPinnedHashes) {
     uint64_t FileHash;
   };
   const Case Cases[] = {
-      {false, size_t(1) << 16, 0x92f76bde3c7f9053ULL, 0x74bf1e95bc575fabULL},
-      {false, 256, 0xd03f06246fb99857ULL, 0xb20d87e0f074c336ULL},
+      {false, size_t(1) << 16, 0x008234c54e6ce480ULL, 0xf33ab3088f8acb20ULL},
+      {false, 256, 0xd226fbd41008eb6cULL, 0xed9ec73b091ce194ULL},
       // Through a sink the stream is the dispatcher's compacted one, so
       // these also pin where 4,096-word batches stop access runs from
       // merging (taken from the serial writer at that batch size).
-      {true, size_t(1) << 16, 0xe78495be1543f99fULL, 0xdd3286d0da76071cULL},
-      {true, 256, 0x0bb6da80678396adULL, 0xcda5b1c88d91982bULL},
+      {true, size_t(1) << 16, 0x0b43a2ea378cbd29ULL, 0x5b581e63d9cd1318ULL},
+      {true, 256, 0x7f5f379390538593ULL, 0x917ea470215b98e1ULL},
   };
   std::string Path = tempPath("isprof_stream_golden.strm");
   // The sink writes on the producer thread with one hardware thread and
@@ -447,20 +462,19 @@ void appendU64(std::string &Out, uint64_t V) {
 struct StreamBuilder {
   std::string Bytes;
   struct IndexEntry {
-    uint64_t Offset, Events, FirstTime;
+    uint64_t Offset, Events;
   };
   std::vector<IndexEntry> Index;
   /// Footer entries carry all-ones routine, shard and written masks;
-  /// without, each entry stops after its first time.
+  /// without, each entry stops after its event count.
   bool WithMasks = true;
 
   /// \p RoutineTable defaults to an empty table (a zero count).
   explicit StreamBuilder(const std::string &RoutineTable = std::string(1, '\0'))
-      : Bytes("ISPSTM04" + RoutineTable) {}
+      : Bytes("ISPSTM05" + RoutineTable) {}
   /// Appends a chunk; \p Events is what the footer index will claim.
-  void addChunk(const std::string &Payload, uint64_t Events,
-                uint64_t FirstTime = 1) {
-    Index.push_back({Bytes.size(), Events, FirstTime});
+  void addChunk(const std::string &Payload, uint64_t Events) {
+    Index.push_back({Bytes.size(), Events});
     appendU32(Bytes, static_cast<uint32_t>(Payload.size()));
     Bytes += Payload;
   }
@@ -471,7 +485,6 @@ struct StreamBuilder {
     for (const IndexEntry &E : Index) {
       appendVarint(Footer, E.Offset);
       appendVarint(Footer, E.Events);
-      appendVarint(Footer, E.FirstTime);
       for (int Word = 0; WithMasks && Word != 9; ++Word)
         appendVarint(Footer, ~uint64_t(0));
     }
@@ -492,11 +505,10 @@ struct StreamBuilder {
 };
 
 /// One well-formed encoded event for hand-built payloads.
-void appendEvent(std::string &Out, uint64_t Tid = 0, uint64_t TimeDelta = 1,
-                 uint64_t Arg0Zigzag = 0, uint64_t Arg1 = 0) {
+void appendEvent(std::string &Out, uint64_t Tid = 0, uint64_t Arg0Zigzag = 0,
+                 uint64_t Arg1 = 0) {
   Out.push_back(0); // smallest valid kind
   appendVarint(Out, Tid);
-  appendVarint(Out, TimeDelta);
   appendVarint(Out, Arg0Zigzag);
   appendVarint(Out, Arg1);
 }
@@ -525,8 +537,8 @@ std::string probeStream(const std::string &Bytes, const char *Name) {
 /// Probes one encoded event in both of the reader's decode paths and
 /// expects \p Diagnostic ("" for accepted) from each: once as the payload's
 /// last event, where the varints go through the bounds-checked decoder,
-/// and once followed by 45 bytes of valid events, where a worst-case
-/// record (41 bytes) still fits and one bounds check covers all four
+/// and once followed by 36 bytes of valid events, where a worst-case
+/// record (31 bytes) still fits and one bounds check covers all three
 /// varints.
 void expectOnBothDecodePaths(const std::string &Hostile,
                                const std::string &Diagnostic,
@@ -545,7 +557,7 @@ void expectOnBothDecodePaths(const std::string &Hostile,
 }
 
 TEST(TraceStreamHardening, RejectsOverlongVarintInsideChunk) {
-  // A time-delta varint with eleven continuation bytes: more than any
+  // An Arg0-delta varint with eleven continuation bytes: more than any
   // uint64 can need. The chunk framing is valid, so only the in-chunk
   // varint decoder can catch it.
   std::string Overlong;
@@ -553,8 +565,7 @@ TEST(TraceStreamHardening, RejectsOverlongVarintInsideChunk) {
   appendVarint(Overlong, 0); // tid
   for (int I = 0; I != 11; ++I)
     Overlong.push_back(static_cast<char>(0x81));
-  Overlong.push_back(0x00);  // the overlong time delta
-  appendVarint(Overlong, 0); // arg0
+  Overlong.push_back(0x00);  // the overlong Arg0 delta
   appendVarint(Overlong, 0); // arg1
   expectOnBothDecodePaths(Overlong, "corrupt chunk: bad event varint");
 
@@ -566,7 +577,6 @@ TEST(TraceStreamHardening, RejectsOverlongVarintInsideChunk) {
     Wrap.push_back(static_cast<char>(0x80));
   Wrap.push_back(0x02); // bit 64
   appendVarint(Wrap, 0);
-  appendVarint(Wrap, 0);
   expectOnBothDecodePaths(Wrap, "corrupt chunk: bad event varint");
 
   // The largest value ten bytes may hold is accepted on both paths.
@@ -575,25 +585,33 @@ TEST(TraceStreamHardening, RejectsOverlongVarintInsideChunk) {
   appendVarint(Max, 0);
   appendVarint(Max, ~uint64_t(0));
   appendVarint(Max, 0);
-  appendVarint(Max, 0);
   expectOnBothDecodePaths(Max, "");
 }
 
 TEST(TraceStreamHardening, RejectsInvalidKindAndThreadId) {
   // One past the last event kind.
   std::string BadKind;
-  BadKind.push_back(static_cast<char>(EventKind::ThreadSwitch) + 1);
-  for (int I = 0; I != 4; ++I)
+  BadKind.push_back(static_cast<char>(EventKind::Free) + 1);
+  for (int I = 0; I != 3; ++I)
     appendVarint(BadKind, 0);
   expectOnBothDecodePaths(BadKind, "corrupt chunk: invalid event kind");
 
-  // A thread id one past UINT32_MAX: a valid varint, an invalid id.
-  std::string BigTid;
-  BigTid.push_back(0);
-  appendVarint(BigTid, uint64_t(UINT32_MAX) + 1);
-  for (int I = 0; I != 3; ++I)
-    appendVarint(BigTid, 0);
-  expectOnBothDecodePaths(BigTid, "corrupt chunk: thread id out of range");
+  // Thread ids one past MaxThreadId (which tools size per-thread tables
+  // by) and one past UINT32_MAX: valid varints, invalid ids.
+  for (uint64_t Tid : {uint64_t(MaxThreadId) + 1, uint64_t(UINT32_MAX) + 1}) {
+    std::string BigTid;
+    BigTid.push_back(0);
+    appendVarint(BigTid, Tid);
+    for (int I = 0; I != 2; ++I)
+      appendVarint(BigTid, 0);
+    expectOnBothDecodePaths(BigTid, "corrupt chunk: thread id out of range");
+  }
+  std::string MaxTid;
+  MaxTid.push_back(0);
+  appendVarint(MaxTid, MaxThreadId);
+  for (int I = 0; I != 2; ++I)
+    appendVarint(MaxTid, 0);
+  expectOnBothDecodePaths(MaxTid, "");
 }
 
 /// Zigzag encoding of \p V's delta from the per-chunk Arg0 predictor,
@@ -609,7 +627,6 @@ std::string encodedEvent(EventKind Kind, uint64_t Arg0, uint64_t Arg1,
   std::string Out;
   Out.push_back(static_cast<char>(Kind));
   appendVarint(Out, Tid);
-  appendVarint(Out, 1); // time delta
   appendVarint(Out, zigzagFromZero(Arg0));
   appendVarint(Out, Arg1);
   return Out;
@@ -660,24 +677,23 @@ TEST(TraceStreamHardening, RejectsMismatchedReturn) {
   expectOnBothDecodePaths(CallA + encodedEvent(EventKind::ThreadEnd, 0, 0) +
                               encodedEvent(EventKind::Return, 2, 0),
                           "", 3);
-  // Thread ids key the stacks without sizing any table.
+  // The largest thread id keys the stacks without sizing any table.
   expectOnBothDecodePaths(
-      encodedEvent(EventKind::Call, 1, 0, 4000000000u) +
-          encodedEvent(EventKind::Return, 2, 0, 4000000000u),
+      encodedEvent(EventKind::Call, 1, 0, MaxThreadId) +
+          encodedEvent(EventKind::Return, 2, 0, MaxThreadId),
       Mismatch, 2);
 
   // Twenty nested activations (deeper than a stack's first allocation)
   // with a ThreadStart in the middle, which moves no stack; then the
   // same nest with its innermost Return naming the outer routine.
   std::vector<EventRecord> Deep;
-  uint64_t Time = 1;
   for (RoutineId R = 0; R != 20; ++R)
-    Deep.push_back(EventRecord::call(3, Time++, R));
-  Deep.push_back(EventRecord::threadStart(3, Time++, 0));
+    Deep.push_back(EventRecord::call(3, R));
+  Deep.push_back(EventRecord::threadStart(3, 0));
   std::vector<EventRecord> DeepBad = Deep;
-  DeepBad.push_back(EventRecord::ret(3, Time, 0, 0));
+  DeepBad.push_back(EventRecord::ret(3, 0, 0));
   for (RoutineId R = 20; R-- != 0;)
-    Deep.push_back(EventRecord::ret(3, Time++, R, 0));
+    Deep.push_back(EventRecord::ret(3, R, 0));
   std::string Path = tempPath("isprof_stream_deep.strm");
   for (const auto &[Events, Diagnostic] :
        {std::pair(Deep, std::string()), std::pair(DeepBad, Mismatch)}) {
@@ -699,10 +715,10 @@ TEST(TraceStreamHardening, NestingIsCheckedAcrossChunksReadInOrder) {
   TraceStreamOptions OneEventChunks;
   OneEventChunks.ChunkBytes = 1;
   writeStream(Path,
-              {EventRecord::threadStart(0, 1, 0), EventRecord::call(0, 2, 1),
-               EventRecord::read(0, 3, 100), EventRecord::ret(0, 4, 2, 0),
-               EventRecord::threadEnd(0, 5)},
-              {{1, "a"}, {2, "b"}}, OneEventChunks);
+              {EventRecord::threadStart(0, 0), EventRecord::call(0, 1),
+               EventRecord::read(0, 100), EventRecord::ret(0, 2, 0),
+               EventRecord::threadEnd(0)},
+              {{0, "main"}, {1, "a"}, {2, "b"}}, OneEventChunks);
   const std::string Mismatch = "corrupt chunk: mismatched return";
   {
     TraceStreamReader Reader;
@@ -787,8 +803,7 @@ TEST(TraceStreamHardening, CorruptChunkUnderPipelinedReplayIsReported) {
   for (size_t I = 0; I != Events.size(); ++I) {
     Writer.append(Events[I]);
     if (I == Events.size() / 2)
-      Writer.append(EventRecord::read(Events[I].Tid, Events[I].Time,
-                                      uint64_t(0x10000000000)));
+      Writer.append(EventRecord::read(Events[I].Tid, uint64_t(0x10000000000)));
   }
   ASSERT_TRUE(Writer.close()) << Writer.error();
 
@@ -843,8 +858,8 @@ TEST(TraceStreamHardening, RejectsEventCountDisagreement) {
   // must refuse rather than trust either side.
   std::string Payload;
   appendVarint(Payload, 2);
-  appendEvent(Payload, 0, 1);
-  appendEvent(Payload, 0, 1);
+  appendEvent(Payload);
+  appendEvent(Payload);
   StreamBuilder B;
   B.addChunk(Payload, /*Events=*/1);
   std::string Diag = probeStream(B.finish(), "isprof_stream_disagree.strm");
@@ -907,29 +922,30 @@ TEST(TraceStreamHardening, RejectsCorruptTrailer) {
 
 TEST(TraceStreamHardening, AlteredMetadataFailsTheChecksum) {
   // Metadata that still parses but was changed on disk: a routine
-  // renamed in place, a routine id moved, and a Call's routine-mask bit
-  // cleared (what filtered collect would otherwise trust to skip the
-  // chunk). Each is refused at open() by the checksum.
+  // renamed in place, two routines swapped (which moves both ids), and
+  // a Call's routine-mask bit cleared (what filtered collect would
+  // otherwise trust to skip the chunk). Each is refused at open() by
+  // the checksum.
   std::vector<EventRecord> Events = {
-      EventRecord::threadStart(0, 1, 0), EventRecord::call(0, 2, 1),
-      EventRecord::read(0, 3, 100), EventRecord::ret(0, 4, 1, 0),
-      EventRecord::threadEnd(0, 5)};
+      EventRecord::threadStart(0, 0), EventRecord::call(0, 1),
+      EventRecord::read(0, 100), EventRecord::ret(0, 1, 0),
+      EventRecord::threadEnd(0)};
   std::string Path = tempPath("isprof_stream_altered.strm");
-  writeStream(Path, Events, {{1, "work"}});
+  writeStream(Path, Events, {{0, "main"}, {1, "work"}});
   std::string Bytes = readFile(Path);
   std::remove(Path.c_str());
   ASSERT_EQ(probeStream(Bytes, "isprof_stream_altered.strm"), "");
-  // Header: magic, count 1, id 1, length 4, "work"; the footer starts
-  // with count 1, offset 15, 5 events, first time 1, routine mask 2.
-  ASSERT_EQ(Bytes.substr(8, 7), std::string("\x01\x01\x04work", 7));
+  // Header: magic, count 2, length 4, "main", length 4, "work"; the
+  // footer starts with count 1, offset 19, 5 events, routine mask 2.
+  ASSERT_EQ(Bytes.substr(8, 11), std::string("\x02\x04main\x04work", 11));
   uint64_t Footer = footerOffsetOf(Bytes);
-  ASSERT_EQ(Bytes.substr(Footer, 5), std::string("\x01\x0f\x05\x01\x02", 5));
+  ASSERT_EQ(Bytes.substr(Footer, 4), std::string("\x01\x13\x05\x02", 4));
 
-  std::string Renamed = Bytes, Moved = Bytes, Unmasked = Bytes;
-  Renamed[11] = 'W';
-  Moved[9] = 9;
-  Unmasked[Footer + 4] = 0;
-  for (const std::string &Altered : {Renamed, Moved, Unmasked})
+  std::string Renamed = Bytes, Swapped = Bytes, Unmasked = Bytes;
+  Renamed[15] = 'W';
+  Swapped.replace(9, 10, std::string("\x04work\x04main", 10));
+  Unmasked[Footer + 3] = 0;
+  for (const std::string &Altered : {Renamed, Swapped, Unmasked})
     EXPECT_EQ(probeStream(Altered, "isprof_stream_altered.strm"),
               "corrupt stream metadata: checksum mismatch");
 }
@@ -941,26 +957,27 @@ TEST(TraceStreamHardening, RejectsHostileRoutineTable) {
     std::string Table;
     const char *Diagnostic;
   };
-  std::string HugeCount, BigId, LongName, Trailing;
+  std::string HugeCount, LongName, Trailing, Duplicate;
   appendVarint(HugeCount, uint64_t(1) << 50);
   HugeCount += "ab";
-  appendVarint(BigId, 1);
-  appendVarint(BigId, uint64_t(1) << 33);
-  appendVarint(BigId, 1);
-  BigId += "f";
   appendVarint(LongName, 1);
-  appendVarint(LongName, 0);
   appendVarint(LongName, 100);
   LongName += "abc";
   appendVarint(Trailing, 1);
-  appendVarint(Trailing, 0);
   appendVarint(Trailing, 1);
   Trailing += "fx";
+  // {0: "main", 1: "main", 2: "work"}: interning the names in order
+  // would give "work" id 1, so the repeat is refused.
+  appendVarint(Duplicate, 3);
+  for (const char *Name : {"main", "main", "work"}) {
+    appendVarint(Duplicate, 4);
+    Duplicate += Name;
+  }
   const Case Cases[] = {
       {HugeCount, "corrupt routine table: count exceeds header bytes"},
-      {BigId, "corrupt routine table: routine id out of range"},
       {LongName, "corrupt routine table: truncated entry"},
       {Trailing, "corrupt routine table: trailing bytes"},
+      {Duplicate, "corrupt routine table: duplicate name"},
   };
   for (const Case &C : Cases) {
     std::string Payload;
@@ -975,24 +992,19 @@ TEST(TraceStreamHardening, RejectsHostileRoutineTable) {
 
 TEST(TraceStreamHardening, ExtremeFieldValuesRoundTrip) {
   // Fields that carry no guest address may take any value their width
-  // allows: the largest routine id and thread id, times at the top of
-  // the 64-bit range, and Return arguments of UINT64_MAX followed by an
-  // Arg0 of 0, which forces the largest negative zigzag delta.
-  EventRecord E;
-  E.Kind = EventKind::Return;
-  E.Tid = UINT32_MAX;
-  E.Time = UINT64_MAX - 1;
+  // allows, and the thread id any value up to MaxThreadId: the largest
+  // thread id, and Return arguments of UINT64_MAX followed by an Arg0 of
+  // 0, which forces the largest negative zigzag delta.
+  EventRecord E = EventRecord::ret(MaxThreadId, 0, UINT64_MAX);
   E.Arg0 = UINT64_MAX;
-  E.Arg1 = UINT64_MAX;
   EventRecord E2 = E;
-  E2.Time = UINT64_MAX;
   E2.Arg0 = 0;
-  const RoutineTable Routines = {{UINT32_MAX, "edge"}};
+  const RoutineTable Routines = {{0, "edge"}};
   std::string Path = tempPath("isprof_stream_extreme.strm");
   writeStream(Path, {E, E2}, Routines);
   TraceStreamReader Reader;
   ASSERT_TRUE(Reader.open(Path)) << Reader.error();
-  EXPECT_EQ(Reader.routines(), Routines);
+  EXPECT_EQ(Reader.routines(), namesOf(Routines));
   ASSERT_EQ(Reader.chunkCount(), 1u);
   std::vector<EventRecord> Chunk;
   ASSERT_TRUE(Reader.readChunk(0, Chunk)) << Reader.error();
@@ -1045,13 +1057,13 @@ TEST(TraceStreamHardening, CorruptFooterIndexFuzz) {
   TraceStreamOptions Opts;
   Opts.ChunkBytes = 256;
   std::string Path = tempPath("isprof_stream_footersrc.strm");
-  writeStream(Path, Events, {{0, "main"}, {7, "worker"}}, Opts);
+  writeStream(Path, Events, {{0, "main"}, {1, "worker"}}, Opts);
   TraceStreamReader Source;
   ASSERT_TRUE(Source.open(Path)) << Source.error();
   std::string Bytes = readFile(Path);
   std::remove(Path.c_str());
   ASSERT_GT(Source.chunkCount(), 10u);
-  size_t HeaderEnd = 8 + 1 + (1 + 1 + 4) + (1 + 1 + 6);
+  size_t HeaderEnd = 8 + 1 + (1 + 4) + (1 + 6);
   ASSERT_EQ(Bytes.substr(HeaderEnd - 6, 6), "worker");
 
   std::string MutPath = tempPath("isprof_stream_footermut.strm");
@@ -1084,7 +1096,7 @@ TEST(TraceStreamHardening, BitFlipFuzzNeverCrashes) {
   writeStream(Path, Events, {{0, "main"}}, Opts);
   std::string Bytes = readFile(Path);
   std::remove(Path.c_str());
-  size_t HeaderEnd = 8 + 1 + (1 + 1 + 4);
+  size_t HeaderEnd = 8 + 1 + (1 + 4);
   ASSERT_EQ(Bytes.substr(HeaderEnd - 4, 4), "main");
 
   std::string MutPath = tempPath("isprof_stream_flip.strm");
@@ -1114,12 +1126,12 @@ TEST(TraceStreamV2, ActivityMasksRoundTrip) {
   // One chunk: routine 3 called, memory confined to shadow-chunk keys
   // 0 and 5. The footer masks must name exactly those.
   std::vector<EventRecord> Events;
-  Events.push_back(EventRecord::threadStart(0, 1, 0));
-  Events.push_back(EventRecord::call(0, 2, 3));
-  Events.push_back(EventRecord::write(0, 3, 16, 4));        // key 0
-  Events.push_back(EventRecord::read(0, 4, 5 * 512 + 7, 2)); // key 5
-  Events.push_back(EventRecord::ret(0, 5, 3, 0));
-  Events.push_back(EventRecord::threadEnd(0, 6));
+  Events.push_back(EventRecord::threadStart(0, 0));
+  Events.push_back(EventRecord::call(0, 3));
+  Events.push_back(EventRecord::write(0, 16, 4));        // key 0
+  Events.push_back(EventRecord::read(0, 5 * 512 + 7, 2)); // key 5
+  Events.push_back(EventRecord::ret(0, 3, 0));
+  Events.push_back(EventRecord::threadEnd(0));
   std::string Path = tempPath("isprof_stream_v2masks.strm");
   writeStream(Path, Events, {});
 
@@ -1146,9 +1158,9 @@ TEST(TraceStreamV2, WideRangeSaturatesShardMask) {
   // A single access spanning more shadow chunks than there are mask
   // slots degrades to the all-ones superset rather than wrapping.
   std::vector<EventRecord> Events;
-  Events.push_back(EventRecord::threadStart(0, 1, 0));
-  Events.push_back(EventRecord::write(0, 2, 0, 300 * 512));
-  Events.push_back(EventRecord::threadEnd(0, 3));
+  Events.push_back(EventRecord::threadStart(0, 0));
+  Events.push_back(EventRecord::write(0, 0, 300 * 512));
+  Events.push_back(EventRecord::threadEnd(0));
   std::string Path = tempPath("isprof_stream_v2wide.strm");
   writeStream(Path, Events, {});
 
@@ -1167,8 +1179,8 @@ TEST(TraceStreamV2, UnknownVersionsRejected) {
   std::string Path = tempPath("isprof_stream_version.strm");
   writeStream(Path, Events, {});
   std::string Bytes = readFile(Path);
-  ASSERT_EQ(Bytes.substr(0, 8), "ISPSTM04");
-  for (char Version : {'1', '2', '3', '5'}) {
+  ASSERT_EQ(Bytes.substr(0, 8), "ISPSTM05");
+  for (char Version : {'1', '2', '3', '4', '6'}) {
     Bytes[7] = Version;
     writeFile(Path, Bytes);
     TraceStreamReader Reader;
@@ -1188,9 +1200,9 @@ TEST(TraceStreamV2, TruncatedMasksRejected) {
   std::string Payload;
   appendVarint(Payload, 1);
   appendEvent(Payload);
-  // The huge FirstTime makes the mask-less entry wide enough to pass
+  // The huge event count makes the mask-less entry wide enough to pass
   // the footer size clamp, so the mask read itself is what trips.
-  Builder.addChunk(Payload, 1, /*FirstTime=*/~uint64_t(0));
+  Builder.addChunk(Payload, /*Events=*/~uint64_t(0));
   std::string Diag = probeStream(Builder.finish(), "isprof_stream_v2trunc.strm");
   EXPECT_NE(Diag.find("truncated activity masks"), std::string::npos) << Diag;
 }

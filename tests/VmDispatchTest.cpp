@@ -5,13 +5,12 @@
 //===----------------------------------------------------------------------===//
 //
 // The interpreter loop against pinned values. For each guest the test
-// pins a 64-bit FNV-1a hash of the recorded packed event words, the
-// run's instruction, block, access and quiet-mark tallies, and what the
-// guest observes: success, exit code, output and diagnostic. The values
-// were recorded from the interpreter before the block compiler and the
-// switch loop were deleted, when all of those engines still agreed word
-// for word. A change to event content, compaction, or flush timing
-// shows up as a hash mismatch.
+// pins a 64-bit FNV-1a hash of the recorded events (each decoded
+// record's kind, tid and two arguments, so the pin names event content,
+// not the packed word layout), the run's instruction, block, access and
+// quiet-mark tallies, and what the guest observes: success, exit code,
+// output and diagnostic. A change to event content, compaction, or
+// flush timing shows up as a hash mismatch.
 //
 //===----------------------------------------------------------------------===//
 
@@ -54,9 +53,9 @@ RunCapture runGuest(const std::string &Source, bool Optimize = false,
   return Out;
 }
 
-/// 64-bit FNV-1a over the little-endian bytes of \p Words (the hash
-/// TraceStreamGolden pins stream files with).
-uint64_t hashWords(const std::vector<Event> &Words) {
+/// 64-bit FNV-1a over the little-endian bytes of each record \p Words
+/// decodes to: its kind, tid, Arg0 and Arg1.
+uint64_t hashRecords(const std::vector<Event> &Words) {
   uint64_t Hash = 0xcbf29ce484222325ULL;
   auto Mix = [&Hash](uint64_t Value, unsigned Bytes) {
     for (unsigned I = 0; I != Bytes; ++I) {
@@ -64,16 +63,18 @@ uint64_t hashWords(const std::vector<Event> &Words) {
       Hash *= 0x100000001b3ULL;
     }
   };
-  for (const Event &W : Words) {
-    Mix(W.Meta, 4);
-    Mix(W.TimeLow, 4);
-    Mix(W.Arg, 8);
+  EventStreamView V(Words);
+  for (EventRecord E; V.next(E);) {
+    Mix(static_cast<uint8_t>(E.Kind), 1);
+    Mix(E.Tid, 4);
+    Mix(E.Arg0, 8);
+    Mix(E.Arg1, 8);
   }
   return Hash;
 }
 
 struct Pinned {
-  uint64_t WordsHash;
+  uint64_t RecordsHash;
   uint64_t Instructions;
   uint64_t BasicBlocks;
   uint64_t MemReads;
@@ -88,9 +89,10 @@ struct Pinned {
 };
 
 void expectPinned(const RunCapture &C, const Pinned &P) {
-  uint64_t Hash = hashWords(C.Words);
-  EXPECT_EQ(Hash, P.WordsHash) << std::hex << "actual 0x" << Hash << std::dec
-                               << " over " << C.Words.size() << " words";
+  uint64_t Hash = hashRecords(C.Words);
+  EXPECT_EQ(Hash, P.RecordsHash) << std::hex << "actual 0x" << Hash
+                                 << std::dec << " over " << C.Words.size()
+                                 << " words";
   const RunStats &S = C.Result.Stats;
   EXPECT_EQ(S.Instructions, P.Instructions);
   EXPECT_EQ(S.BasicBlocks, P.BasicBlocks);
@@ -128,15 +130,15 @@ const char *StraightLineHeavySource = R"(
 
 TEST(InterpreterLoop, StraightLineGuest) {
   expectPinned(runGuest(StraightLineHeavySource),
-               {0x27262ff9d44bf764ULL, 7817, 403, 3002, 1603, 0, 0, 0, true, -93,
+               {0x4ab1beed759a347bULL, 7817, 403, 3002, 1603, 0, 0, 0, true, -93,
                 "", ""});
 }
 
 TEST(InterpreterLoop, QuietMarkedGuest) {
   // The optimizer's quiet marks suppress statically redundant events
-  // (no event word, no time tick).
+  // (no event word).
   expectPinned(runGuest(StraightLineHeavySource, /*Optimize=*/true),
-               {0x58402d68bf2cfd93ULL, 7817, 403, 3002, 1603, 1598, 0, 2, true,
+               {0x0787d83860b3b97fULL, 7817, 403, 3002, 1603, 1598, 0, 2, true,
                 -93, "", ""});
 }
 
@@ -165,16 +167,16 @@ TEST(InterpreterLoop, MultiThreadedGuestAtShortAndLongSlices) {
   // Short slices maximize thread switches (WindowInterrupted churn and
   // mid-window budget exhaustion); the default exercises long runs.
   expectPinned(runGuest(Source, /*Optimize=*/true, /*SliceLength=*/7),
-               {0xa96b34ab7503776eULL, 3566, 135, 1637, 516, 98, 0, 778, true,
+               {0xa0dd8ebaa43d39aeULL, 3566, 135, 1637, 516, 98, 0, 778, true,
                 691, "", ""});
   expectPinned(runGuest(Source, /*Optimize=*/true, /*SliceLength=*/150),
-               {0xb8eb982f91599cefULL, 3566, 135, 1637, 516, 789, 0, 87, true,
+               {0x14c9c856925990efULL, 3566, 135, 1637, 516, 789, 0, 87, true,
                 691, "", ""});
 }
 
 TEST(InterpreterLoop, LongRunSpansManyBatches) {
   // Many batch boundaries: the pinned hash covers where each batch
-  // stops access runs from merging and restarts the encoder.
+  // stops access runs from merging.
   std::string Source = StraightLineHeavySource;
   size_t At = Source.find("i < 200");
   ASSERT_NE(At, std::string::npos);
@@ -182,7 +184,7 @@ TEST(InterpreterLoop, LongRunSpansManyBatches) {
   RunCapture C = runGuest(Source);
   EXPECT_GT(C.Words.size(), 8 * EventDispatcher::BatchWords)
       << "the run must span many batches";
-  expectPinned(C, {0xfb07c31ab34cf4beULL, 234017, 12003, 90002, 48003, 0, 0, 0,
+  expectPinned(C, {0x343316f2cbfa509cULL, 234017, 12003, 90002, 48003, 0, 0, 0,
                    true, 59, "", ""});
 }
 
@@ -208,7 +210,7 @@ TEST(InterpreterLoop, IndirectAndBuiltinGuest) {
       return n + v + buf[3];
     })";
   expectPinned(runGuest(Source, /*Optimize=*/true),
-               {0xb11cba5011602b76ULL, 239, 16, 96, 30, 49, 0, 0, true, 63, "",
+               {0xda0ff1c1dfdc0785ULL, 239, 16, 96, 30, 49, 0, 0, true, 63, "",
                 ""});
 }
 
@@ -226,7 +228,7 @@ TEST(InterpreterLoop, DivideByZeroFailsWithDiagnostic) {
       return acc;
     })";
   expectPinned(runGuest(Source),
-               {0xc573807c6a3ca080ULL, 70, 5, 15, 8, 0, 0, 0, false, 0, "",
+               {0x53223ae0af851233ULL, 70, 5, 15, 8, 0, 0, 0, false, 0, "",
                 "division by zero"});
 }
 
@@ -244,7 +246,7 @@ TEST(InterpreterLoop, InvalidIndirectAddressFailsWithDiagnostic) {
       return acc;
     })";
   expectPinned(runGuest(Source),
-               {0xb325497c3ee47859ULL, 34, 3, 10, 4, 0, 0, 0, false, 0, "",
+               {0x55f0855b27591342ULL, 34, 3, 10, 4, 0, 0, 0, false, 0, "",
                 "invalid memory access at address 67"});
 }
 
