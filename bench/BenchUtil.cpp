@@ -89,6 +89,12 @@ Measurement isp::measureWorkload(const WorkloadInfo &Workload,
   return Out;
 }
 
+void isp::walkWords(const std::vector<Event> &Words, Tool &T) {
+  T.onStart(nullptr);
+  T.handleBatch(Words.data(), Words.size());
+  T.onFinish();
+}
+
 std::vector<std::string> isp::workloadsInSuite(const std::string &Suite) {
   std::vector<std::string> Names;
   for (const WorkloadInfo &W : allWorkloads())

@@ -73,6 +73,11 @@ Measurement measureWorkload(const WorkloadInfo &Workload,
                             unsigned Repeats = 1,
                             MachineOptions MachineOpts = MachineOptions());
 
+/// Hands \p Words to \p T as one batch, bracketed by onStart/onFinish:
+/// the profiler microbenchmarks time a tool's walk on a trace encoded
+/// once, outside the timing.
+void walkWords(const std::vector<Event> &Words, Tool &T);
+
 /// Names of the workloads in a suite, in registry order.
 std::vector<std::string> workloadsInSuite(const std::string &Suite);
 

@@ -37,10 +37,10 @@ using namespace isp;
 
 namespace {
 
-template <typename ProfilerT>
-double timeReplay(const std::vector<EventRecord> &Trace, ProfilerT &Profiler) {
+/// Seconds walkWords takes to hand \p Words to \p T.
+double timeReplay(const std::vector<Event> &Words, Tool &T) {
   auto Start = std::chrono::steady_clock::now();
-  replayTrace(Trace, Profiler);
+  walkWords(Words, T);
   auto End = std::chrono::steady_clock::now();
   return std::chrono::duration<double>(End - Start).count();
 }
@@ -62,11 +62,12 @@ void ablationNaiveVsTimestamping() {
       Gen.PrivateAddresses = 128;
       Gen.Seed = 1234 + Threads * 7 + Depth;
       std::vector<EventRecord> Trace = generateSyntheticTrace(Gen);
+      std::vector<Event> Words = encodeEventStream(Trace);
 
       NaiveTrmsProfiler Naive;
-      double NaiveSecs = timeReplay(Trace, Naive);
+      double NaiveSecs = timeReplay(Words, Naive);
       TrmsProfiler Fast;
-      double FastSecs = timeReplay(Trace, Fast);
+      double FastSecs = timeReplay(Words, Fast);
 
       double PerEvent = 1e9 / static_cast<double>(Trace.size());
       Table.addRow({std::to_string(Threads), std::to_string(Depth),
@@ -97,11 +98,12 @@ void ablationShadowLayout() {
     Gen.PrivateAddresses = 64 * Spread;
     Gen.Seed = 99 + Spread;
     std::vector<EventRecord> Trace = generateSyntheticTrace(Gen);
+    std::vector<Event> Words = encodeEventStream(Trace);
 
     TrmsProfiler ThreeLevel;
-    double ThreeSecs = timeReplay(Trace, ThreeLevel);
+    double ThreeSecs = timeReplay(Words, ThreeLevel);
     DenseTrmsProfiler Dense;
-    double DenseSecs = timeReplay(Trace, Dense);
+    double DenseSecs = timeReplay(Words, Dense);
 
     double PerEvent = 1e9 / static_cast<double>(Trace.size());
     Table.addRow({formatString("%ux", Spread),
@@ -123,7 +125,7 @@ void ablationRenumbering() {
   Gen.NumThreads = 4;
   Gen.NumOperations = 150000;
   Gen.Seed = 31;
-  std::vector<EventRecord> Trace = generateSyntheticTrace(Gen);
+  std::vector<Event> Words = encodeEventStream(generateSyntheticTrace(Gen));
 
   TextTable Table;
   Table.setHeader({"counter limit", "renumberings", "seconds",
@@ -133,7 +135,7 @@ void ablationRenumbering() {
     TrmsProfilerOptions Opts;
     Opts.CounterLimit = uint64_t(1) << LimitLog;
     TrmsProfiler Profiler(Opts);
-    double Secs = timeReplay(Trace, Profiler);
+    double Secs = timeReplay(Words, Profiler);
     if (LimitLog == 32)
       Baseline = Secs;
     Table.addRow({formatString("2^%llu",

@@ -300,7 +300,7 @@ struct ToolSet {
   /// Creates every requested tool; returns false on an unknown name.
   /// With \p Contexts set, each tool is wrapped in a ContextAdapter so
   /// profiles are keyed by full call paths.
-  bool create(const std::string &Csv, bool Contexts = false) {
+  bool create(const std::string &Csv, bool Contexts) {
     for (const std::string &Name : splitList(Csv)) {
       std::unique_ptr<Tool> T = makeTool(Name);
       if (!T) {
@@ -471,7 +471,7 @@ int commandReplay(OptionParser &Options) {
   }
   const std::string &Path = Options.positional()[1];
   ToolSet Tools;
-  if (!Tools.create(Options.getString("tools")))
+  if (!Tools.create(Options.getString("tools"), Options.getFlag("contexts")))
     return 2;
   TraceStreamReader Reader;
   SymbolTable Symbols;
@@ -584,7 +584,7 @@ int commandWorkload(OptionParser &Options) {
   if (int Code = runStaticChecks(*Prog, Options))
     return Code;
   ToolSet Tools;
-  if (!Tools.create(Options.getString("tools")))
+  if (!Tools.create(Options.getString("tools"), Options.getFlag("contexts")))
     return 2;
   EventDispatcher Dispatcher;
   Tools.attach(Dispatcher);
@@ -860,8 +860,8 @@ int main(int Argc, char **Argv) {
                     "file while the guest runs (bounded memory)");
   Options.addOption("html", "", "write an HTML profile report (needs an "
                                 "aprof tool in --tools)");
-  Options.addFlag("contexts", "profile per calling context instead of "
-                              "per routine");
+  Options.addFlag("contexts", "(run, workload, replay) profile per "
+                              "calling context instead of per routine");
   Options.addFlag("optimize", "run the bytecode peephole optimizer "
                               "(profiles are unaffected by design; "
                               "workloads always run optimized)");

@@ -9,8 +9,9 @@
 // implementation with a tiny manual instrumentation layer (call/return
 // plus reads/writes keyed by node identity) and lets aprof-trms infer
 // the empirical cost curves — O(log n) per lookup, O(n) per full sweep —
-// without the VM in the loop. It is the pattern a Pin/DynamoRIO frontend
-// would automate.
+// without the VM in the loop. The layer feeds an EventDispatcher exactly
+// as the VM does (start, enqueue, finish): it is the pattern a
+// Pin/DynamoRIO frontend would automate.
 //
 // Usage: ./build/examples/native_instrumentation [--keys=N]
 //
@@ -18,6 +19,7 @@
 
 #include "core/Report.h"
 #include "core/TrmsProfiler.h"
+#include "instr/Dispatcher.h"
 #include "instr/SymbolTable.h"
 #include "support/CommandLine.h"
 #include "support/Random.h"
@@ -31,26 +33,35 @@ using namespace isp;
 namespace {
 
 /// Minimal manual instrumentation layer: scoped routine activations and
-/// tagged memory accesses feeding a Tool directly.
+/// tagged memory accesses, enqueued to a dispatcher that delivers them
+/// to a Tool in batches.
 class Instrumentation {
 public:
-  explicit Instrumentation(Tool &T) : T(T) { T.onThreadStart(0, 0); }
+  explicit Instrumentation(Tool &T) {
+    Dispatcher.addTool(&T);
+    Dispatcher.start(nullptr);
+    Dispatcher.enqueue(EventRecord::threadStart(0, 0));
+  }
   ~Instrumentation() {
-    T.onThreadEnd(0);
-    T.onFinish();
+    Dispatcher.enqueue(EventRecord::threadEnd(0));
+    Dispatcher.finish();
   }
 
   RoutineId routine(const std::string &Name) { return Symbols.intern(Name); }
   const SymbolTable &symbols() const { return Symbols; }
 
-  void call(RoutineId Rtn) { T.onCall(0, Rtn); }
+  void call(RoutineId Rtn) { Dispatcher.enqueue(EventRecord::call(0, Rtn)); }
   void ret(RoutineId Rtn) {
-    T.onBasicBlock(0, 1); // at least one block per activation
-    T.onReturn(0, Rtn);
+    block(); // at least one block per activation
+    Dispatcher.enqueue(EventRecord::ret(0, Rtn, 0));
   }
-  void read(const void *P) { T.onRead(0, addressOf(P), 1); }
-  void write(const void *P) { T.onWrite(0, addressOf(P), 1); }
-  void block() { T.onBasicBlock(0, 1); }
+  void read(const void *P) {
+    Dispatcher.enqueue(EventRecord::read(0, addressOf(P)));
+  }
+  void write(const void *P) {
+    Dispatcher.enqueue(EventRecord::write(0, addressOf(P)));
+  }
+  void block() { Dispatcher.enqueue(EventRecord::basicBlock(0)); }
 
 private:
   /// Host pointers are interned into a compact cell address space (raw
@@ -62,7 +73,7 @@ private:
     return It->second;
   }
 
-  Tool &T;
+  EventDispatcher Dispatcher;
   SymbolTable Symbols;
   std::unordered_map<const void *, Addr> AddressMap;
   Addr NextAddress = 1;

@@ -195,3 +195,6 @@ uint64_t NaiveTrmsProfiler::memoryFootprintBytes() const {
   Total += LastWrites.size() * (PerSetEntry + sizeof(LastWrite));
   return Total;
 }
+
+// The batch walk, where it can inline the callbacks above.
+template class isp::ToolImpl<NaiveTrmsProfiler>;

@@ -41,22 +41,22 @@ struct NaiveProfilerOptions {
   bool KeepActivationLog = false;
 };
 
-class NaiveTrmsProfiler : public Tool {
+class NaiveTrmsProfiler : public ToolImpl<NaiveTrmsProfiler> {
 public:
   explicit NaiveTrmsProfiler(
       NaiveProfilerOptions Opts = NaiveProfilerOptions());
   ~NaiveTrmsProfiler() override;
 
   void onFinish() override;
-  void onThreadStart(ThreadId Tid, ThreadId Parent) override;
-  void onThreadEnd(ThreadId Tid) override;
-  void onCall(ThreadId Tid, RoutineId Rtn) override;
-  void onReturn(ThreadId Tid, RoutineId Rtn) override;
-  void onBasicBlock(ThreadId Tid, uint64_t Count) override;
-  void onRead(ThreadId Tid, Addr A, uint64_t Cells) override;
-  void onWrite(ThreadId Tid, Addr A, uint64_t Cells) override;
-  void onKernelRead(ThreadId Tid, Addr A, uint64_t Cells) override;
-  void onKernelWrite(ThreadId Tid, Addr A, uint64_t Cells) override;
+  void onThreadStart(ThreadId Tid, ThreadId Parent);
+  void onThreadEnd(ThreadId Tid);
+  void onCall(ThreadId Tid, RoutineId Rtn);
+  void onReturn(ThreadId Tid, RoutineId Rtn);
+  void onBasicBlock(ThreadId Tid, uint64_t Count);
+  void onRead(ThreadId Tid, Addr A, uint64_t Cells);
+  void onWrite(ThreadId Tid, Addr A, uint64_t Cells);
+  void onKernelRead(ThreadId Tid, Addr A, uint64_t Cells);
+  void onKernelWrite(ThreadId Tid, Addr A, uint64_t Cells);
 
   std::string name() const override { return "aprof-trms-naive"; }
   /// Co-scheduled with the other profilers (shared global-shadow
@@ -124,6 +124,9 @@ private:
   void noteThread(ThreadId Tid);
   ProfileDatabase Database;
 };
+
+/// The batch walk is instantiated in NaiveProfiler.cpp, beside the callbacks.
+extern template class ToolImpl<NaiveTrmsProfiler>;
 
 } // namespace isp
 

@@ -180,3 +180,6 @@ uint64_t RmsProfiler::currentFootprintBytes() const {
              sizeof(RoutineProfile);
   return Total;
 }
+
+// The batch walk, where it can inline the callbacks above.
+template class isp::ToolImpl<RmsProfiler>;

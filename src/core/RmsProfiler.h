@@ -36,20 +36,20 @@ struct RmsProfilerOptions {
   bool KeepActivationLog = false;
 };
 
-class RmsProfiler : public Tool {
+class RmsProfiler : public ToolImpl<RmsProfiler> {
 public:
   explicit RmsProfiler(RmsProfilerOptions Opts = RmsProfilerOptions());
   ~RmsProfiler() override;
 
   void onFinish() override;
-  void onThreadStart(ThreadId Tid, ThreadId Parent) override;
-  void onThreadEnd(ThreadId Tid) override;
-  void onCall(ThreadId Tid, RoutineId Rtn) override;
-  void onReturn(ThreadId Tid, RoutineId Rtn) override;
-  void onBasicBlock(ThreadId Tid, uint64_t Count) override;
-  void onRead(ThreadId Tid, Addr A, uint64_t Cells) override;
-  void onWrite(ThreadId Tid, Addr A, uint64_t Cells) override;
-  void onKernelRead(ThreadId Tid, Addr A, uint64_t Cells) override;
+  void onThreadStart(ThreadId Tid, ThreadId Parent);
+  void onThreadEnd(ThreadId Tid);
+  void onCall(ThreadId Tid, RoutineId Rtn);
+  void onReturn(ThreadId Tid, RoutineId Rtn);
+  void onBasicBlock(ThreadId Tid, uint64_t Count);
+  void onRead(ThreadId Tid, Addr A, uint64_t Cells);
+  void onWrite(ThreadId Tid, Addr A, uint64_t Cells);
+  void onKernelRead(ThreadId Tid, Addr A, uint64_t Cells);
   // Kernel writes are invisible to the rms metric: buffer loads do not
   // touch the thread-local timestamps, and there is no global shadow.
 
@@ -102,6 +102,9 @@ private:
   /// Peak footprint: thread shadows are freed when their thread ends.
   uint64_t PeakFootprintBytes = 0;
 };
+
+/// The batch walk is instantiated in RmsProfiler.cpp, beside the callbacks.
+extern template class ToolImpl<RmsProfiler>;
 
 } // namespace isp
 

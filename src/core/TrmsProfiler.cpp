@@ -40,11 +40,6 @@ void TrmsProfilerT<ShadowT>::onStart(const SymbolTable *Symbols) {
 }
 
 template <typename ShadowT>
-void TrmsProfilerT<ShadowT>::handleBatch(const Event *Words, size_t Count) {
-  walkBatch(*this, Words, Count);
-}
-
-template <typename ShadowT>
 typename TrmsProfilerT<ShadowT>::ThreadState &
 TrmsProfilerT<ShadowT>::stateSlow(ThreadId Tid) {
   if (Tid >= Threads.size())
@@ -419,4 +414,7 @@ template <typename ShadowT> void TrmsProfilerT<ShadowT>::renumber() {
 namespace isp {
 template class TrmsProfilerT<ThreeLevelShadow<uint64_t>>;
 template class TrmsProfilerT<DenseShadow<uint64_t>>;
+// The batch walks, where they can inline the callbacks above.
+template class ToolImpl<TrmsProfiler>;
+template class ToolImpl<DenseTrmsProfiler>;
 } // namespace isp

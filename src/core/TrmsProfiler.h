@@ -59,26 +59,22 @@ struct TrmsProfilerOptions {
 /// the three-level-table vs dense-map ablation can run the identical
 /// algorithm. Use the TrmsProfiler alias for the paper's configuration.
 template <typename ShadowT>
-class TrmsProfilerT final : public Tool {
+class TrmsProfilerT final : public ToolImpl<TrmsProfilerT<ShadowT>> {
 public:
   explicit TrmsProfilerT(TrmsProfilerOptions Opts = TrmsProfilerOptions());
   ~TrmsProfilerT() override;
 
-  /// Walks the batch as this type, so every callback below is called
-  /// directly (defined beside them, where they can inline).
-  void handleBatch(const Event *Words, size_t Count) override;
-
   void onStart(const SymbolTable *Symbols) override;
   void onFinish() override;
-  void onThreadStart(ThreadId Tid, ThreadId Parent) override;
-  void onThreadEnd(ThreadId Tid) override;
-  void onCall(ThreadId Tid, RoutineId Rtn) override;
-  void onReturn(ThreadId Tid, RoutineId Rtn) override;
-  void onBasicBlock(ThreadId Tid, uint64_t Count) override;
-  void onRead(ThreadId Tid, Addr A, uint64_t Cells) override;
-  void onWrite(ThreadId Tid, Addr A, uint64_t Cells) override;
-  void onKernelRead(ThreadId Tid, Addr A, uint64_t Cells) override;
-  void onKernelWrite(ThreadId Tid, Addr A, uint64_t Cells) override;
+  void onThreadStart(ThreadId Tid, ThreadId Parent);
+  void onThreadEnd(ThreadId Tid);
+  void onCall(ThreadId Tid, RoutineId Rtn);
+  void onReturn(ThreadId Tid, RoutineId Rtn);
+  void onBasicBlock(ThreadId Tid, uint64_t Count);
+  void onRead(ThreadId Tid, Addr A, uint64_t Cells);
+  void onWrite(ThreadId Tid, Addr A, uint64_t Cells);
+  void onKernelRead(ThreadId Tid, Addr A, uint64_t Cells);
+  void onKernelWrite(ThreadId Tid, Addr A, uint64_t Cells);
 
   std::string name() const override { return "aprof-trms"; }
   /// The profiler keeps per-thread shadows but shares the global wts
@@ -175,6 +171,10 @@ using DenseTrmsProfiler = TrmsProfilerT<DenseShadow<uint64_t>>;
 
 extern template class TrmsProfilerT<ThreeLevelShadow<uint64_t>>;
 extern template class TrmsProfilerT<DenseShadow<uint64_t>>;
+/// The batch walks are instantiated in TrmsProfiler.cpp, beside the
+/// callbacks.
+extern template class ToolImpl<TrmsProfiler>;
+extern template class ToolImpl<DenseTrmsProfiler>;
 
 } // namespace isp
 

@@ -46,34 +46,54 @@ uint32_t ContextAdapter::childOf(uint32_t Parent, RoutineId Rtn) {
   return It->second;
 }
 
-void ContextAdapter::onCall(ThreadId Tid, RoutineId Rtn) {
-  std::vector<uint32_t> &Stack = Stacks[Tid];
-  uint32_t Parent = Stack.empty() ? 0 : Stack.back();
-  uint32_t Child = childOf(Parent, Rtn);
-  Stack.push_back(Child);
-  Inner.onCall(Tid, Nodes[Child].ContextId);
-}
-
-void ContextAdapter::onReturn(ThreadId Tid, RoutineId Rtn) {
-  std::vector<uint32_t> &Stack = Stacks[Tid];
-  if (Stack.empty())
-    return;
-  uint32_t Top = Stack.back();
-  Stack.pop_back();
-  Inner.onReturn(Tid, Nodes[Top].ContextId);
-}
-
-void ContextAdapter::onThreadEnd(ThreadId Tid) {
-  // Unwind in sync with the inner tool's own unwinding, keeping the
-  // Return routine ids consistent.
-  std::vector<uint32_t> &Stack = Stacks[Tid];
-  while (!Stack.empty()) {
-    uint32_t Top = Stack.back();
-    Stack.pop_back();
-    Inner.onReturn(Tid, Nodes[Top].ContextId);
+void ContextAdapter::handleBatch(const Event *Words, size_t Count) {
+  Rewritten.clear();
+  const Event *W = Words;
+  const Event *const End = Words + Count;
+  while (W != End) {
+    const Event &M = *W;
+    const size_t Len = M.hasFollow() ? 2 : 1;
+    if (static_cast<size_t>(End - W) < Len)
+      break; // the record's follow-on word is cut off
+    W += Len;
+    switch (M.kind()) {
+    case EventKind::Call: {
+      std::vector<uint32_t> &Stack = Stacks[M.Tid];
+      uint32_t Parent = Stack.empty() ? 0 : Stack.back();
+      Stack.push_back(childOf(Parent, static_cast<RoutineId>(M.Arg)));
+      Rewritten.push_back({M.Meta, M.Tid, Nodes[Stack.back()].ContextId});
+      break;
+    }
+    case EventKind::Return: {
+      std::vector<uint32_t> &Stack = Stacks[M.Tid];
+      if (Stack.empty())
+        continue;
+      Rewritten.push_back({M.Meta, M.Tid, Nodes[Stack.back()].ContextId});
+      Stack.pop_back();
+      break;
+    }
+    case EventKind::ThreadEnd: {
+      // Unwind in sync with the inner tool's own unwinding, keeping the
+      // Return routine ids consistent.
+      auto It = Stacks.find(M.Tid);
+      if (It != Stacks.end()) {
+        for (auto Frame = It->second.rbegin(); Frame != It->second.rend();
+             ++Frame)
+          Rewritten.push_back({static_cast<uint32_t>(EventKind::Return),
+                               M.Tid, Nodes[*Frame].ContextId});
+        Stacks.erase(It);
+      }
+      Rewritten.push_back(M);
+      break;
+    }
+    default:
+      Rewritten.push_back(M);
+      break;
+    }
+    if (Len == 2)
+      Rewritten.push_back(W[-1]); // the follow-on word, unchanged
   }
-  Inner.onThreadEnd(Tid);
-  Stacks.erase(Tid);
+  Inner.handleBatch(Rewritten.data(), Rewritten.size());
 }
 
 uint64_t ContextAdapter::memoryFootprintBytes() const {

@@ -6,13 +6,14 @@
 ///
 /// \file
 /// Upgrades any routine-level analysis to calling-context sensitivity by
-/// event rewriting: the adapter sits between the substrate and an inner
+/// word rewriting: the adapter sits between the substrate and an inner
 /// Tool, interning each distinct call path as a fresh pseudo-routine id
-/// ("main > dispatch_query > mysql_select") and forwarding Call/Return
-/// events with the context id substituted. An input-sensitive profiler
-/// behind the adapter therefore produces *per-context* cost-vs-input
-/// plots — the context-sensitive profiles the paper's related work
-/// contrasts with — without the profiler knowing anything changed.
+/// ("main > dispatch_query > mysql_select") and handing the inner tool
+/// each batch with the context id in place of every Call's and Return's
+/// routine id. An input-sensitive profiler behind the adapter therefore
+/// produces *per-context* cost-vs-input plots — the context-sensitive
+/// profiles the paper's related work contrasts with — without the
+/// profiler knowing anything changed.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -30,7 +31,7 @@ namespace isp {
 
 class ContextAdapter : public Tool {
 public:
-  /// \p Inner receives the rewritten events. Not owned.
+  /// \p Inner receives the rewritten batches. Not owned.
   explicit ContextAdapter(Tool &Inner) : Inner(Inner) {}
 
   std::string name() const override {
@@ -48,43 +49,17 @@ public:
 
   void onStart(const SymbolTable *Symbols) override;
   void onFinish() override { Inner.onFinish(); }
-  void onThreadStart(ThreadId Tid, ThreadId Parent) override {
-    Inner.onThreadStart(Tid, Parent);
-  }
-  void onThreadEnd(ThreadId Tid) override;
-  void onCall(ThreadId Tid, RoutineId Rtn) override;
-  void onReturn(ThreadId Tid, RoutineId Rtn) override;
-  void onBasicBlock(ThreadId Tid, uint64_t Count) override {
-    Inner.onBasicBlock(Tid, Count);
-  }
-  void onRead(ThreadId Tid, Addr A, uint64_t Cells) override {
-    Inner.onRead(Tid, A, Cells);
-  }
-  void onWrite(ThreadId Tid, Addr A, uint64_t Cells) override {
-    Inner.onWrite(Tid, A, Cells);
-  }
-  void onKernelRead(ThreadId Tid, Addr A, uint64_t Cells) override {
-    Inner.onKernelRead(Tid, A, Cells);
-  }
-  void onKernelWrite(ThreadId Tid, Addr A, uint64_t Cells) override {
-    Inner.onKernelWrite(Tid, A, Cells);
-  }
-  void onSyncAcquire(ThreadId Tid, SyncId Id, bool IsLock) override {
-    Inner.onSyncAcquire(Tid, Id, IsLock);
-  }
-  void onSyncRelease(ThreadId Tid, SyncId Id, bool IsLock) override {
-    Inner.onSyncRelease(Tid, Id, IsLock);
-  }
-  void onThreadCreate(ThreadId Tid, ThreadId Child) override {
-    Inner.onThreadCreate(Tid, Child);
-  }
-  void onThreadJoin(ThreadId Tid, ThreadId Child) override {
-    Inner.onThreadJoin(Tid, Child);
-  }
-  void onAlloc(ThreadId Tid, Addr A, uint64_t Cells) override {
-    Inner.onAlloc(Tid, A, Cells);
-  }
-  void onFree(ThreadId Tid, Addr A) override { Inner.onFree(Tid, A); }
+  /// Copies the batch into a reused buffer, rewriting it on the way,
+  /// and hands the copy to the inner tool:
+  ///  - a Call's or Return's routine id becomes its context id;
+  ///  - a Return that meets an empty context stack is dropped;
+  ///  - a ThreadEnd is preceded by a Return for each frame still open on
+  ///    its thread, innermost first, so the inner tool's own unwinding
+  ///    sees context ids;
+  ///  - every other word, follow-on words included, is copied unchanged.
+  /// A record whose follow-on word is cut off ends the copy, as it ends
+  /// the walk.
+  void handleBatch(const Event *Words, size_t Count) override;
 
   /// The synthesized symbol table mapping context ids to path names.
   /// Use this (not the program's) when rendering the inner tool's
@@ -107,6 +82,8 @@ private:
   std::string pathName(uint32_t NodeIndex) const;
 
   Tool &Inner;
+  /// The rewritten batch, reused across batches.
+  std::vector<Event> Rewritten;
   const SymbolTable *ProgramSymbols = nullptr;
   SymbolTable ContextSymbols;
   std::vector<Node> Nodes{Node{}};

@@ -1,4 +1,4 @@
-//===- instr/Dispatcher.cpp - Event fan-out and trace replay --------------===//
+//===- instr/Dispatcher.cpp - Event fan-out and batch delivery ------------===//
 //
 // Part of the isprof project, under the Apache License v2.0.
 //
@@ -57,16 +57,11 @@ void EventDispatcher::start(const SymbolTable *Symbols) {
 }
 
 void EventDispatcher::startPipeline() {
-  // Partition the registered tools by affinity. DispatchThread tools
-  // keep synchronous delivery on the producer thread; CoScheduled tools
-  // must share one worker; AnyWorker tools spread round-robin.
-  SerialToolIdx.clear();
+  // Partition the registered tools by affinity. CoScheduled tools must
+  // share one worker; AnyWorker tools spread round-robin.
   std::vector<size_t> CoScheduled, Spreadable;
   for (size_t I = 0; I != Tools.size(); ++I) {
     switch (Tools[I]->threadAffinity()) {
-    case ToolAffinity::DispatchThread:
-      SerialToolIdx.push_back(I);
-      break;
     case ToolAffinity::CoScheduled:
       CoScheduled.push_back(I);
       break;
@@ -177,14 +172,6 @@ void EventDispatcher::handOff(std::vector<Event> &Buffer, size_t Count,
                               size_t Records, FlushCause Cause,
                               size_t Slots) {
   ++Flushes[static_cast<size_t>(Cause)];
-  if (Recording)
-    Recorded.insert(Recorded.end(), Buffer.data(), Buffer.data() + Count);
-  // DispatchThread tools keep the serial contract: synchronous delivery
-  // on the producer thread, before the batch is handed to the workers.
-  // (Consumers are independent, so their order against worker
-  // consumers is unobservable.)
-  if (!SerialToolIdx.empty())
-    deliverTo(SerialToolIdx, Buffer.data(), Count, Records);
   bool WakeWorkers;
   {
     std::unique_lock<std::mutex> Lock(ParMutex);
@@ -242,7 +229,6 @@ void EventDispatcher::joinWorkers() {
   for (BatchSlot &Slot : Ring)
     Slot = BatchSlot();
   Spare.clear();
-  SerialToolIdx.clear();
 }
 
 static const char *flushCauseName(EventDispatcher::FlushCause Cause) {
@@ -283,8 +269,6 @@ void EventDispatcher::flushImpl(FlushCause Cause) {
 void EventDispatcher::deliverSerial(const Event *Words, size_t Count,
                                     size_t Records, FlushCause Cause) {
   ++Flushes[static_cast<size_t>(Cause)];
-  if (Recording)
-    Recorded.insert(Recorded.end(), Words, Words + Count);
   if (ISP_UNLIKELY(Sink != nullptr))
     Sink->recordBatch(Words, Count);
   // The observed path times each tool's callback (and records timeline
@@ -364,22 +348,4 @@ void EventDispatcher::finish() {
   for (Tool *T : Tools)
     T->onFinish();
   ISP_STATS(publishStats());
-}
-
-void isp::replayTrace(const std::vector<EventRecord> &Events, Tool &T,
-                      const SymbolTable *Symbols) {
-  T.onStart(Symbols);
-  for (const EventRecord &E : Events)
-    T.handleEvent(E);
-  T.onFinish();
-}
-
-void isp::replayTraceBatched(const std::vector<EventRecord> &Events, Tool &T,
-                             const SymbolTable *Symbols) {
-  EventDispatcher Dispatcher;
-  Dispatcher.addTool(&T);
-  Dispatcher.start(Symbols);
-  for (const EventRecord &E : Events)
-    Dispatcher.enqueue(E);
-  Dispatcher.finish();
 }

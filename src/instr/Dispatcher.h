@@ -1,4 +1,4 @@
-//===- instr/Dispatcher.h - Event fan-out and trace replay ------*- C++ -*-===//
+//===- instr/Dispatcher.h - Event fan-out and batch delivery ----*- C++ -*-===//
 //
 // Part of the isprof project, under the Apache License v2.0.
 //
@@ -6,10 +6,10 @@
 ///
 /// \file
 /// EventDispatcher fans substrate events out to any number of registered
-/// Tools (and optionally records them into a trace buffer); replayTrace
-/// drives a Tool from a recorded trace. Together these decouple analyses
-/// from how the event stream was produced — live VM execution, a trace
-/// file, or a synthetic generator.
+/// Tools, and to an optional record sink that streams them to a trace
+/// file. It is the one way a tool gets events: the live VM enqueues them
+/// one at a time, and a stream replay publishes whole decoded chunks, so
+/// analyses do not depend on how the event stream was produced.
 ///
 /// The hot path is enqueue(): events accumulate in a pending batch of
 /// packed 16-byte stream words (trace/Event.h) that is delivered to the
@@ -55,17 +55,15 @@
 /// consumers can take them on a worker thread while the producer — the
 /// VM, or a stream decoder — fills the next batch. This is the default
 /// whenever the dispatcher's thread budget (hardwareThreads(), unless a
-/// collector hands it a share) is at least two and some consumer may run
-/// on a worker: workersFor() gives one worker per schedulable unit, up
-/// to budget - 1. Tools declare where they may run via
-/// Tool::threadAffinity(): DispatchThread tools are delivered
-/// synchronously on the producer thread, the CoScheduled group is one
-/// unit (worker 0), every AnyWorker tool is a unit, and the record sink
-/// is one more unit. Each consumer therefore sees every batch in
-/// publication order on one fixed thread, preserving Tool.h's
-/// no-reentrancy guarantee, and observes exactly the batch sequence
-/// serial delivery would give it: profiles and recorded streams are
-/// identical either way.
+/// collector hands it a share) is at least two and a tool or a record
+/// sink is attached: workersFor() gives one worker per schedulable unit,
+/// up to budget - 1. Tools declare where they may run via
+/// Tool::threadAffinity(): the CoScheduled group is one unit (worker 0),
+/// every AnyWorker tool is a unit, and the record sink is one more unit.
+/// Each consumer therefore sees every batch in publication order on one
+/// fixed thread, preserving Tool.h's no-reentrancy guarantee, and
+/// observes exactly the batch sequence serial delivery would give it:
+/// profiles and recorded streams are identical either way.
 ///
 /// Flushed batches enter a fixed ring of RingSlots slots by buffer move —
 /// the filled Pending buffer moves into a free slot and the most
@@ -128,13 +126,12 @@ public:
 
   /// Consumer of recorded batches, for sinks that stream the compacted
   /// event stream somewhere (e.g. TraceStreamWriter writing chunked
-  /// trace files) instead of accumulating it in the Recorded vector.
-  /// Batches arrive in delivery order, on the producer thread when
-  /// delivery is serial and on one fixed worker when it is pipelined, as
-  /// packed word runs that decode standalone (fresh decoder per batch),
-  /// exactly as the in-memory recorder would append them — so a sink
-  /// observes a byte-identical stream either way. A sink's state is
-  /// only safe to read once finish() has returned.
+  /// trace files). Batches arrive in delivery order, on the producer
+  /// thread when delivery is serial and on one fixed worker when it is
+  /// pipelined, as packed word runs that decode standalone (fresh
+  /// decoder per batch) — so a sink observes a byte-identical stream
+  /// either way. A sink's state is only safe to read once finish() has
+  /// returned.
   class RecordSink {
   public:
     virtual ~RecordSink() = default;
@@ -166,9 +163,8 @@ public:
   /// Registers \p T; tools receive events in registration order.
   void addTool(Tool *T) { Tools.push_back(T); }
 
-  /// Streams every recorded batch to \p S instead of (or alongside) the
-  /// in-memory Recorded vector. Pass nullptr to detach. The sink is not
-  /// owned and must outlive the run.
+  /// Streams every delivered batch to \p S. Pass nullptr to detach. The
+  /// sink is not owned and must outlive the run.
   void setRecordSink(RecordSink *S) { Sink = S; }
 
   /// True while worker threads are consuming batches (between start()
@@ -181,11 +177,6 @@ public:
   /// Peak number of published-but-unconsumed batches (never more than
   /// RingSlots).
   uint64_t maxQueueDepth() const { return MaxQueueDepth; }
-
-  /// Enables recording of every dispatched event. The recorded stream is
-  /// the *compacted* stream — replaying it is equivalent by
-  /// construction.
-  void enableRecording() { Recording = true; }
 
   /// Signals the start of a run. Forwards to Tool::onStart.
   void start(const SymbolTable *Symbols);
@@ -251,8 +242,8 @@ public:
       flushImpl(FlushCause::Capacity);
   }
 
-  /// Delivers the pending batch to every tool (and the recording buffer)
-  /// and empties it.
+  /// Delivers the pending batch to every tool (and the record sink) and
+  /// empties it.
   void flush() { flushImpl(FlushCause::Explicit); }
 
   /// Delivers \p Words — a decoded trace-stream chunk of \p Records
@@ -264,9 +255,9 @@ public:
   /// worker.
   void publishChunk(std::vector<Event> &Words, size_t Records);
 
-  /// True when at least one tool is registered or recording is on; the VM
-  /// skips event construction entirely otherwise ("native" runs).
-  bool isActive() const { return Recording || Sink != nullptr || !Tools.empty(); }
+  /// True when a tool or a record sink is attached; the VM skips event
+  /// construction entirely otherwise ("native" runs).
+  bool isActive() const { return Sink != nullptr || !Tools.empty(); }
 
   /// Events accepted by enqueue() and publishChunk() — i.e. what the
   /// substrate emitted, before compaction.
@@ -290,23 +281,6 @@ public:
   }
   uint64_t totalFlushes() const {
     return Flushes[0] + Flushes[1] + Flushes[2];
-  }
-
-  /// The recorded stream as packed words (what sinks and chunk files
-  /// hold). Decode with decodeEventStream / EventStreamView.
-  const std::vector<Event> &recordedEvents() const { return Recorded; }
-  /// Decoded copy of the recorded stream (convenience for consumers
-  /// that want wide records; the packed buffer stays intact).
-  std::vector<EventRecord> decodedRecordedEvents() const {
-    return decodeEventStream(Recorded);
-  }
-  /// Decodes and returns the recorded stream, releasing the packed
-  /// buffer.
-  std::vector<EventRecord> takeRecordedEvents() {
-    std::vector<EventRecord> Out = decodeEventStream(Recorded);
-    Recorded.clear();
-    Recorded.shrink_to_fit();
-    return Out;
   }
 
 private:
@@ -365,9 +339,9 @@ private:
   /// workersFor(), and spawns the workers. Leaves PipelineActive false
   /// (serial delivery) when the rule gives no worker.
   void startPipeline();
-  /// Pipelined delivery of one batch: records it, delivers it to the
-  /// DispatchThread tools, then swaps \p Buffer into the next of the
-  /// first \p Slots ring slots (blocking while that slot is in flight).
+  /// Pipelined delivery of one batch: swaps \p Buffer into the next of
+  /// the first \p Slots ring slots (blocking while that slot is in
+  /// flight).
   void handOff(std::vector<Event> &Buffer, size_t Count, size_t Records,
                FlushCause Cause, size_t Slots);
   /// Signals shutdown, drains every worker queue, joins the threads.
@@ -396,9 +370,7 @@ private:
   /// valid only while HaveLastMain.
   uint32_t LastMain = 0;
   bool HaveLastMain = false;
-  std::vector<Event> Recorded;
   RecordSink *Sink = nullptr;
-  bool Recording = false;
   BbRunState BbRun;
   uint64_t EnqueuedEvents = 0;
   uint64_t DeliveredEvents = 0;
@@ -418,8 +390,6 @@ private:
   bool PipelineActive = false;
   unsigned WorkerCountUsed = 0;
   std::vector<std::unique_ptr<WorkerState>> Workers;
-  /// Tools pinned to the producer thread.
-  std::vector<size_t> SerialToolIdx;
   BatchSlot Ring[RingSlots];
   /// Drained buffers, most recent last. The producer takes its next
   /// buffer from here, so buffers are allocated only as deep as the
@@ -447,18 +417,6 @@ private:
   uint64_t BackpressureWaitNs = 0;
   uint64_t MaxQueueDepth = 0;
 };
-
-/// Replays \p Events into \p T, bracketed by onStart/onFinish.
-void replayTrace(const std::vector<EventRecord> &Events, Tool &T,
-                 const SymbolTable *Symbols = nullptr);
-
-/// Replays \p Events into \p T through a batching EventDispatcher —
-/// the same delivery path the live VM uses, including event compaction.
-/// Results are identical to replayTrace for every tool (the batched-
-/// equivalence tests assert this); the batched form is faster on
-/// access-dense traces.
-void replayTraceBatched(const std::vector<EventRecord> &Events, Tool &T,
-                        const SymbolTable *Symbols = nullptr);
 
 } // namespace isp
 

@@ -1,4 +1,4 @@
-//===- instr/Tool.cpp - Analysis tool callback interface --------------------===//
+//===- instr/Tool.cpp - Analysis tool interface ------------------------------===//
 //
 // Part of the isprof project, under the Apache License v2.0.
 //
@@ -8,5 +8,5 @@
 
 using namespace isp;
 
-// Anchors the vtable; event dispatch lives inline in the header.
+// Anchors the vtable; the batch walk lives in the header.
 Tool::~Tool() = default;

@@ -95,3 +95,6 @@ std::string CallgrindTool::renderReport(const SymbolTable *Symbols,
                   formatWithCommas(Cost.InclusiveBlocks)});
   return Table.render();
 }
+
+// The batch walk, where it can inline the callbacks above.
+template class isp::ToolImpl<CallgrindTool>;

@@ -24,7 +24,7 @@
 
 namespace isp {
 
-class CallgrindTool : public Tool {
+class CallgrindTool : public ToolImpl<CallgrindTool> {
 public:
   struct RoutineCost {
     uint64_t Calls = 0;
@@ -40,10 +40,10 @@ public:
   }
   uint64_t memoryFootprintBytes() const override;
 
-  void onCall(ThreadId Tid, RoutineId Rtn) override;
-  void onReturn(ThreadId Tid, RoutineId Rtn) override;
-  void onBasicBlock(ThreadId Tid, uint64_t Count) override;
-  void onThreadEnd(ThreadId Tid) override;
+  void onCall(ThreadId Tid, RoutineId Rtn);
+  void onReturn(ThreadId Tid, RoutineId Rtn);
+  void onBasicBlock(ThreadId Tid, uint64_t Count);
+  void onThreadEnd(ThreadId Tid);
   void onFinish() override;
 
   const std::map<RoutineId, RoutineCost> &routineCosts() const {
@@ -82,6 +82,9 @@ private:
   std::map<RoutineId, RoutineCost> Costs;
   std::map<std::pair<RoutineId, RoutineId>, uint64_t> Edges;
 };
+
+/// The batch walk is instantiated in CallgrindTool.cpp, beside the callbacks.
+extern template class ToolImpl<CallgrindTool>;
 
 } // namespace isp
 

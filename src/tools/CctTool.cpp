@@ -112,3 +112,6 @@ uint64_t CctTool::memoryFootprintBytes() const {
     Total += Stack.capacity() * sizeof(NodeIndex) + 48;
   return Total;
 }
+
+// The batch walk, where it can inline the callbacks above.
+template class isp::ToolImpl<CctTool>;

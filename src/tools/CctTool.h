@@ -30,7 +30,7 @@
 
 namespace isp {
 
-class CctTool : public Tool {
+class CctTool : public ToolImpl<CctTool> {
 public:
   /// Index into the node arena; 0 is the synthetic root.
   using NodeIndex = uint32_t;
@@ -55,10 +55,10 @@ public:
   }
   uint64_t memoryFootprintBytes() const override;
 
-  void onCall(ThreadId Tid, RoutineId Rtn) override;
-  void onReturn(ThreadId Tid, RoutineId Rtn) override;
-  void onBasicBlock(ThreadId Tid, uint64_t Count) override;
-  void onThreadEnd(ThreadId Tid) override;
+  void onCall(ThreadId Tid, RoutineId Rtn);
+  void onReturn(ThreadId Tid, RoutineId Rtn);
+  void onBasicBlock(ThreadId Tid, uint64_t Count);
+  void onThreadEnd(ThreadId Tid);
   void onFinish() override;
 
   /// Total number of distinct calling contexts observed (excl. root).
@@ -83,6 +83,9 @@ private:
   /// Per-thread context stack (top = current context).
   std::map<ThreadId, std::vector<NodeIndex>> Stacks;
 };
+
+/// The batch walk is instantiated in CctTool.cpp, beside the callbacks.
+extern template class ToolImpl<CctTool>;
 
 } // namespace isp
 

@@ -146,3 +146,6 @@ std::string DrdTool::renderReport(const SymbolTable *Symbols) const {
                         static_cast<unsigned long long>(A));
   return Out;
 }
+
+// The batch walk, where it can inline the callbacks above.
+template class isp::ToolImpl<DrdTool>;

@@ -35,7 +35,7 @@
 
 namespace isp {
 
-class DrdTool : public Tool {
+class DrdTool : public ToolImpl<DrdTool> {
 public:
   std::string name() const override { return "drd"; }
   /// Vector-clock state and race reports are instance-private; safe on
@@ -45,11 +45,11 @@ public:
   }
   uint64_t memoryFootprintBytes() const override;
 
-  void onRead(ThreadId Tid, Addr A, uint64_t Cells) override;
-  void onWrite(ThreadId Tid, Addr A, uint64_t Cells) override;
-  void onKernelWrite(ThreadId Tid, Addr A, uint64_t Cells) override;
-  void onSyncAcquire(ThreadId Tid, SyncId Id, bool IsLock) override;
-  void onSyncRelease(ThreadId Tid, SyncId Id, bool IsLock) override;
+  void onRead(ThreadId Tid, Addr A, uint64_t Cells);
+  void onWrite(ThreadId Tid, Addr A, uint64_t Cells);
+  void onKernelWrite(ThreadId Tid, Addr A, uint64_t Cells);
+  void onSyncAcquire(ThreadId Tid, SyncId Id, bool IsLock);
+  void onSyncRelease(ThreadId Tid, SyncId Id, bool IsLock);
 
   uint64_t racesDetected() const { return RaceCount; }
   /// Addresses of the first reported races (bounded).
@@ -101,6 +101,9 @@ private:
   std::vector<Addr> RacyAddresses;
   static constexpr size_t MaxRecordedRaces = 64;
 };
+
+/// The batch walk is instantiated in DrdTool.cpp, beside the callbacks.
+extern template class ToolImpl<DrdTool>;
 
 } // namespace isp
 

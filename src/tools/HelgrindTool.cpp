@@ -146,3 +146,6 @@ std::string HelgrindTool::renderReport(const SymbolTable *Symbols) const {
         R.SecondWasWrite ? "write" : "read");
   return Out;
 }
+
+// The batch walk, where it can inline the callbacks above.
+template class isp::ToolImpl<HelgrindTool>;

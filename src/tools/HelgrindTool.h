@@ -43,7 +43,7 @@ struct RaceReport {
   bool SecondWasWrite = false;
 };
 
-class HelgrindTool : public Tool {
+class HelgrindTool : public ToolImpl<HelgrindTool> {
 public:
   std::string name() const override { return "helgrind"; }
   /// Lockset state and race reports are instance-private; safe on any
@@ -53,15 +53,15 @@ public:
   }
   uint64_t memoryFootprintBytes() const override;
 
-  void onThreadStart(ThreadId Tid, ThreadId Parent) override;
-  void onThreadEnd(ThreadId Tid) override;
-  void onThreadCreate(ThreadId Tid, ThreadId Child) override;
-  void onThreadJoin(ThreadId Tid, ThreadId Child) override;
-  void onSyncAcquire(ThreadId Tid, SyncId Id, bool IsLock) override;
-  void onSyncRelease(ThreadId Tid, SyncId Id, bool IsLock) override;
-  void onRead(ThreadId Tid, Addr A, uint64_t Cells) override;
-  void onWrite(ThreadId Tid, Addr A, uint64_t Cells) override;
-  void onKernelWrite(ThreadId Tid, Addr A, uint64_t Cells) override;
+  void onThreadStart(ThreadId Tid, ThreadId Parent);
+  void onThreadEnd(ThreadId Tid);
+  void onThreadCreate(ThreadId Tid, ThreadId Child);
+  void onThreadJoin(ThreadId Tid, ThreadId Child);
+  void onSyncAcquire(ThreadId Tid, SyncId Id, bool IsLock);
+  void onSyncRelease(ThreadId Tid, SyncId Id, bool IsLock);
+  void onRead(ThreadId Tid, Addr A, uint64_t Cells);
+  void onWrite(ThreadId Tid, Addr A, uint64_t Cells);
+  void onKernelWrite(ThreadId Tid, Addr A, uint64_t Cells);
 
   uint64_t racesDetected() const { return RaceCount; }
   const std::vector<RaceReport> &races() const { return Races; }
@@ -97,6 +97,9 @@ private:
   uint64_t RaceCount = 0;
   static constexpr size_t MaxRecordedRaces = 64;
 };
+
+/// The batch walk is instantiated in HelgrindTool.cpp, beside the callbacks.
+extern template class ToolImpl<HelgrindTool>;
 
 } // namespace isp
 

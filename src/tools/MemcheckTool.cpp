@@ -132,3 +132,6 @@ std::string MemcheckTool::renderReport(const SymbolTable *Symbols) const {
                         static_cast<unsigned long long>(E.Cells));
   return Out;
 }
+
+// The batch walk, where it can inline the callbacks above.
+template class isp::ToolImpl<MemcheckTool>;

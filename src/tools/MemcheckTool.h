@@ -45,7 +45,7 @@ struct MemError {
 
 const char *memErrorKindName(MemError::Kind Kind);
 
-class MemcheckTool : public Tool {
+class MemcheckTool : public ToolImpl<MemcheckTool> {
 public:
   std::string name() const override { return "memcheck"; }
   /// All analysis state (addressability/definedness shadows, the
@@ -56,12 +56,12 @@ public:
   }
   uint64_t memoryFootprintBytes() const override;
 
-  void onRead(ThreadId Tid, Addr A, uint64_t Cells) override;
-  void onWrite(ThreadId Tid, Addr A, uint64_t Cells) override;
-  void onKernelRead(ThreadId Tid, Addr A, uint64_t Cells) override;
-  void onKernelWrite(ThreadId Tid, Addr A, uint64_t Cells) override;
-  void onAlloc(ThreadId Tid, Addr A, uint64_t Cells) override;
-  void onFree(ThreadId Tid, Addr A) override;
+  void onRead(ThreadId Tid, Addr A, uint64_t Cells);
+  void onWrite(ThreadId Tid, Addr A, uint64_t Cells);
+  void onKernelRead(ThreadId Tid, Addr A, uint64_t Cells);
+  void onKernelWrite(ThreadId Tid, Addr A, uint64_t Cells);
+  void onAlloc(ThreadId Tid, Addr A, uint64_t Cells);
+  void onFree(ThreadId Tid, Addr A);
   void onFinish() override;
 
   const std::vector<MemError> &errors() const { return Errors; }
@@ -96,6 +96,9 @@ private:
   uint64_t LeakedCells = 0;
   static constexpr size_t MaxRecordedErrors = 64;
 };
+
+/// The batch walk is instantiated in MemcheckTool.cpp, beside the callbacks.
+extern template class ToolImpl<MemcheckTool>;
 
 } // namespace isp
 

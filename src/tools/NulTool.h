@@ -21,12 +21,9 @@
 
 namespace isp {
 
-class NulTool final : public Tool {
+class NulTool final : public ToolImpl<NulTool> {
 public:
   std::string name() const override { return "nulgrind"; }
-  void handleBatch(const Event *Words, size_t Count) override {
-    walkBatch(*this, Words, Count);
-  }
   /// One private counter; safe on any fixed worker.
   ToolAffinity threadAffinity() const override {
     return ToolAffinity::AnyWorker;
@@ -34,21 +31,21 @@ public:
 
   uint64_t eventsSeen() const { return Events; }
 
-  void onThreadStart(ThreadId, ThreadId) override { ++Events; }
-  void onThreadEnd(ThreadId) override { ++Events; }
-  void onCall(ThreadId, RoutineId) override { ++Events; }
-  void onReturn(ThreadId, RoutineId) override { ++Events; }
-  void onBasicBlock(ThreadId, uint64_t) override { ++Events; }
-  void onRead(ThreadId, Addr, uint64_t) override { ++Events; }
-  void onWrite(ThreadId, Addr, uint64_t) override { ++Events; }
-  void onKernelRead(ThreadId, Addr, uint64_t) override { ++Events; }
-  void onKernelWrite(ThreadId, Addr, uint64_t) override { ++Events; }
-  void onSyncAcquire(ThreadId, SyncId, bool) override { ++Events; }
-  void onSyncRelease(ThreadId, SyncId, bool) override { ++Events; }
-  void onThreadCreate(ThreadId, ThreadId) override { ++Events; }
-  void onThreadJoin(ThreadId, ThreadId) override { ++Events; }
-  void onAlloc(ThreadId, Addr, uint64_t) override { ++Events; }
-  void onFree(ThreadId, Addr) override { ++Events; }
+  void onThreadStart(ThreadId, ThreadId) { ++Events; }
+  void onThreadEnd(ThreadId) { ++Events; }
+  void onCall(ThreadId, RoutineId) { ++Events; }
+  void onReturn(ThreadId, RoutineId) { ++Events; }
+  void onBasicBlock(ThreadId, uint64_t) { ++Events; }
+  void onRead(ThreadId, Addr, uint64_t) { ++Events; }
+  void onWrite(ThreadId, Addr, uint64_t) { ++Events; }
+  void onKernelRead(ThreadId, Addr, uint64_t) { ++Events; }
+  void onKernelWrite(ThreadId, Addr, uint64_t) { ++Events; }
+  void onSyncAcquire(ThreadId, SyncId, bool) { ++Events; }
+  void onSyncRelease(ThreadId, SyncId, bool) { ++Events; }
+  void onThreadCreate(ThreadId, ThreadId) { ++Events; }
+  void onThreadJoin(ThreadId, ThreadId) { ++Events; }
+  void onAlloc(ThreadId, Addr, uint64_t) { ++Events; }
+  void onFree(ThreadId, Addr) { ++Events; }
 
 private:
   uint64_t Events = 0;

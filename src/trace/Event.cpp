@@ -62,9 +62,9 @@ std::vector<EventRecord> isp::decodeEventStream(const Event *Words,
                                                 size_t Count) {
   std::vector<EventRecord> Records;
   Records.reserve(Count);
-  EventStreamView V(Words, Count);
   EventRecord E;
-  while (V.next(E))
+  for (size_t Pos = 0, Used;
+       (Used = decodeEvent(Words + Pos, Count - Pos, E)) != 0; Pos += Used)
     Records.push_back(E);
   return Records;
 }

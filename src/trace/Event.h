@@ -258,42 +258,11 @@ inline size_t decodeEvent(const Event *W, size_t Avail, EventRecord &Out) {
   return W[0].hasFollow() ? 2 : 1;
 }
 
-/// Forward pass over a packed word sequence, yielding decoded records.
-/// Consumers that used to iterate a std::vector of wide records iterate
-/// one of these instead:
-///
-///     EventStreamView V(Chunk);
-///     for (EventRecord E; V.next(E);)
-///       process(E);
-class EventStreamView {
-public:
-  EventStreamView(const Event *Words, size_t Count)
-      : Words(Words), Count(Count) {}
-  explicit EventStreamView(const std::vector<Event> &V)
-      : Words(V.data()), Count(V.size()) {}
-
-  bool next(EventRecord &Out) {
-    if (Pos == Count)
-      return false;
-    size_t Used = decodeEvent(Words + Pos, Count - Pos, Out);
-    if (Used == 0) {
-      Pos = Count;
-      return false;
-    }
-    Pos += Used;
-    return true;
-  }
-
-private:
-  const Event *Words;
-  size_t Count;
-  size_t Pos = 0;
-};
-
 /// Encodes \p Records into a packed word stream.
 std::vector<Event> encodeEventStream(const std::vector<EventRecord> &Records);
 
-/// Decodes a packed word stream into records.
+/// Decodes a packed word stream into records, stopping at a record whose
+/// follow-on word is cut off.
 std::vector<EventRecord> decodeEventStream(const Event *Words, size_t Count);
 std::vector<EventRecord> decodeEventStream(const std::vector<Event> &Words);
 

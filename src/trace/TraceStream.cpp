@@ -614,29 +614,10 @@ bool TraceStreamReader::readChunk(size_t I, std::vector<Event> &Out) {
   return true;
 }
 
-bool TraceStreamReader::readChunk(size_t I, std::vector<EventRecord> &Out) {
-  Out.clear();
-  if (!readChunk(I, PackedScratch))
-    return false;
-  Out.reserve(packedEventCount(PackedScratch));
-  EventStreamView V(PackedScratch);
-  for (EventRecord E; V.next(E);)
-    Out.push_back(E);
-  return true;
-}
-
 bool TraceStreamReader::nextChunk(std::vector<Event> &Out) {
   if (Cursor >= Chunks.size()) {
     Out.clear();
     return false; // end of stream; error() stays empty
-  }
-  return readChunk(Cursor++, Out);
-}
-
-bool TraceStreamReader::nextChunk(std::vector<EventRecord> &Out) {
-  if (Cursor >= Chunks.size()) {
-    Out.clear();
-    return false;
   }
   return readChunk(Cursor++, Out);
 }

@@ -261,14 +261,11 @@ public:
   /// run decodes standalone. Returns false, with \p Out empty and a
   /// diagnostic in error(), on any malformed chunk.
   bool readChunk(size_t I, std::vector<Event> &Out);
-  /// Wide-record convenience overload (tests, offline analysis).
-  bool readChunk(size_t I, std::vector<EventRecord> &Out);
 
   /// Sequential cursor: decodes the next unread chunk into \p Out.
   /// Returns false at end of stream (error() empty) or on a malformed
   /// chunk (error() set). seek() repositions the cursor.
   bool nextChunk(std::vector<Event> &Out);
-  bool nextChunk(std::vector<EventRecord> &Out);
   void seek(size_t ChunkIndex) { Cursor = ChunkIndex; }
   size_t cursor() const { return Cursor; }
 
@@ -297,8 +294,6 @@ private:
   size_t NestingNext = 0;
   /// Reused raw-payload buffer (readChunk decodes out of it).
   std::string Payload;
-  /// Reused packed scratch backing the wide readChunk overload.
-  std::vector<Event> PackedScratch;
 };
 
 /// True when \p Path starts with "ISPSTM0", the prefix every stream

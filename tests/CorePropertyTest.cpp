@@ -99,7 +99,14 @@ TEST_P(TrmsPropertyTest, BatchedDeliveryMatchesNaiveOracle) {
     Opts.CounterLimit = Limit;
     Opts.KeepActivationLog = true;
     TrmsProfiler Batched(Opts);
-    replayTraceBatched(Trace, Batched);
+    // The live delivery path: compaction merges adjacent accesses and
+    // folds block counts before the batches reach the profiler.
+    EventDispatcher Dispatcher;
+    Dispatcher.addTool(&Batched);
+    Dispatcher.start(nullptr);
+    for (const EventRecord &E : Trace)
+      Dispatcher.enqueue(E);
+    Dispatcher.finish();
     const ProfileDatabase &Fast = Batched.database();
     if (Limit == 256)
       EXPECT_GT(Batched.renumberings(), 0u);
@@ -124,8 +131,8 @@ TEST_P(TrmsPropertyTest, RenumberingIsTransparent) {
   BigOpts.KeepActivationLog = true;
 
   TrmsProfiler Big(BigOpts), Tiny(TinyOpts);
-  replayTrace(Trace, Big);
-  replayTrace(Trace, Tiny);
+  walkTrace(Trace, Big);
+  walkTrace(Trace, Tiny);
 
   EXPECT_GT(Tiny.renumberings(), 0u);
   ASSERT_EQ(Big.database().log().size(), Tiny.database().log().size());

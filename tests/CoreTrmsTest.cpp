@@ -328,8 +328,8 @@ TEST(TrmsRenumbering, PreservesResultsUnderTinyCounter) {
   Tiny.CounterLimit = 64;
 
   TrmsProfiler BigProf(Big), TinyProf(Tiny);
-  replayTrace(Trace.events(), BigProf);
-  replayTrace(Trace.events(), TinyProf);
+  walkTrace(Trace.events(), BigProf);
+  walkTrace(Trace.events(), TinyProf);
 
   EXPECT_EQ(BigProf.renumberings(), 0u);
   EXPECT_GE(TinyProf.renumberings(), 2u);
@@ -342,8 +342,8 @@ TEST(TrmsRenumbering, PreservesResultsUnderTinyCounter) {
 
 // Batched delivery (the live VM's path: pending buffer, adjacent-access
 // merging, basic-block folding) must produce a ProfileDatabase
-// bit-identical to per-event delivery — including when a tiny counter
-// limit forces renumberings mid-batch. The trace interleaves three
+// bit-identical to walking the uncompacted records, one per event —
+// including when a tiny counter limit forces renumberings mid-batch. The trace interleaves three
 // threads with runs of adjacent single-cell accesses (so compaction
 // actually merges), basic-block costs, kernel writes, and nested calls.
 TEST(TrmsBatching, BatchedDeliveryMatchesPerEvent) {
@@ -375,8 +375,15 @@ TEST(TrmsBatching, BatchedDeliveryMatchesPerEvent) {
   Opts.CounterLimit = 48;
 
   TrmsProfiler PerEvent(Opts), Batched(Opts);
-  replayTrace(Trace.events(), PerEvent);
-  replayTraceBatched(Trace.events(), Batched);
+  walkTrace(Trace.events(), PerEvent);
+  EventDispatcher Dispatcher;
+  Dispatcher.addTool(&Batched);
+  Dispatcher.start(nullptr);
+  for (const EventRecord &E : Trace.events())
+    Dispatcher.enqueue(E);
+  Dispatcher.finish();
+  EXPECT_GT(Dispatcher.accessMerges(), 0u);
+  EXPECT_GT(Dispatcher.bbFolds(), 0u);
   EXPECT_GE(Batched.renumberings(), 2u);
 
   ASSERT_EQ(PerEvent.database().log().size(),
@@ -398,7 +405,7 @@ TEST(TrmsRenumbering, CounterRestartsLow) {
   TrmsProfilerOptions Opts;
   Opts.CounterLimit = 128;
   TrmsProfiler Prof(Opts);
-  replayTrace(Trace.events(), Prof);
+  walkTrace(Trace.events(), Prof);
   EXPECT_GT(Prof.renumberings(), 0u);
   EXPECT_LT(Prof.counterValue(), 128u);
 }
@@ -420,7 +427,7 @@ TEST(TrmsResources, ThreadShadowsReleasedAtThreadEnd) {
   for (Addr A = 0; A != 2000; ++A)
     Warmup.read(1, 5000 + A);
   Warmup.ret(1, F).end(1);
-  replayTrace(Warmup.events(), Prof);
+  walkTrace(Warmup.events(), Prof);
   uint64_t Peak = Prof.memoryFootprintBytes();
   EXPECT_GT(Peak, 2000u);
 
@@ -436,7 +443,7 @@ TEST(TrmsResources, ThreadShadowsReleasedAtThreadEnd) {
       Trace.read(Tid, 5000 + A);
     Trace.ret(Tid, F).end(Tid);
   }
-  replayTrace(Trace.events(), Many);
+  walkTrace(Trace.events(), Many);
   EXPECT_LT(Many.memoryFootprintBytes(), 8 * Peak)
       << "footprint scales with dead threads: shadows not released";
 }
@@ -486,13 +493,13 @@ TEST(TrmsRenumbering, ThreeWayCaseClassification) {
   Tiny.KeepActivationLog = true;
   Tiny.CounterLimit = 48; // fires inside the padding loop
   TrmsProfiler Prof(Tiny);
-  replayTrace(Trace.events(), Prof);
+  walkTrace(Trace.events(), Prof);
   ASSERT_GT(Prof.renumberings(), 0u);
 
   TrmsProfilerOptions Big;
   Big.KeepActivationLog = true;
   TrmsProfiler Reference(Big);
-  replayTrace(Trace.events(), Reference);
+  walkTrace(Trace.events(), Reference);
   ASSERT_EQ(Reference.renumberings(), 0u);
 
   // Identical classification with and without the renumbering.

@@ -383,6 +383,44 @@ TEST(Driver, StreamRecordReplayRoundTrip) {
   std::remove(StreamPath.c_str());
 }
 
+TEST(Driver, ContextsApplyToWorkloadAndReplay) {
+  // --contexts puts every tool behind a ContextAdapter under run,
+  // workload and replay alike, so profiles are keyed by call path.
+  CommandResult Workload = runDriver(
+      "workload kdtree --threads=2 --size=16 --tools=aprof-rms --contexts");
+  ASSERT_EQ(Workload.ExitCode, 0) << Workload.Output;
+  EXPECT_NE(Workload.Output.find("--- aprof-rms+contexts ---"),
+            std::string::npos)
+      << Workload.Output;
+  EXPECT_NE(Workload.Output.find("main > "), std::string::npos)
+      << Workload.Output;
+
+  // A stream recorded without the flag replays, with it, to the context
+  // profile of the live run.
+  auto Sections = [](const std::string &Output) {
+    size_t At = Output.find("--- aprof-rms+contexts ---");
+    EXPECT_NE(At, std::string::npos) << Output;
+    return At == std::string::npos ? std::string() : Output.substr(At);
+  };
+  std::string Path = ::testing::TempDir() + "isprof_driver_contexts.strm";
+  std::string Args =
+      "run " + guest("phased.mini") + " --tools=aprof-rms,aprof-trms";
+  CommandResult Record = runDriver(Args + " --record=" + Path);
+  ASSERT_EQ(Record.ExitCode, 0) << Record.Output;
+  CommandResult Live = runDriver(Args + " --contexts");
+  ASSERT_EQ(Live.ExitCode, 0) << Live.Output;
+  EXPECT_NE(Live.Output.find("--- aprof-trms+contexts ---"),
+            std::string::npos)
+      << Live.Output;
+  EXPECT_NE(Live.Output.find("main > work"), std::string::npos)
+      << Live.Output;
+  CommandResult Replay = runDriver("replay " + Path +
+                                   " --tools=aprof-rms,aprof-trms --contexts");
+  ASSERT_EQ(Replay.ExitCode, 0) << Replay.Output;
+  EXPECT_EQ(Sections(Replay.Output), Sections(Live.Output));
+  std::remove(Path.c_str());
+}
+
 TEST(Driver, StreamingFlagsRejectBadValues) {
   std::string StreamPath = ::testing::TempDir() + "isprof_chunk_bytes.strm";
   std::string Args = "run " + guest("quickstart.mini") +
@@ -486,7 +524,7 @@ TEST(Driver, OutOfRangeAddressEndsInDiagnostic) {
   isp::TraceStreamReader Reader;
   ASSERT_TRUE(Reader.open(Path)) << Reader.error();
   size_t BadChunk = 0;
-  std::vector<isp::EventRecord> Chunk;
+  std::vector<isp::Event> Chunk;
   while (Reader.readChunk(BadChunk, Chunk))
     ++BadChunk;
   ASSERT_EQ(Reader.error(), "corrupt chunk: address out of range");

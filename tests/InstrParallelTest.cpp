@@ -8,19 +8,21 @@
 // more hardware threads — promises three things, and these tests hold
 // it to them: (1) every consumer observes exactly the batch sequence
 // serial delivery would give it, so reports, profiles and recorded
-// streams are byte-identical; (2) each consumer runs on one fixed thread
-// chosen by its declared affinity — DispatchThread tools on the producer
-// thread, worker tools and the record sink on exactly one worker; (3)
-// finish() is a real join: after it returns, every event has been
-// consumed and the compaction identity holds. Tests pin the hardware
-// thread count (PinnedThreads.h) so both deliveries run on any host.
+// streams are byte-identical; (2) each consumer — every tool, whatever
+// affinity it declares, and the record sink — runs on exactly one
+// worker thread, never the producer's; (3) finish() is a real join:
+// after it returns, every event has been consumed and the compaction
+// identity holds. Tests pin the hardware thread count (PinnedThreads.h)
+// so both deliveries run on any host.
 //
 //===----------------------------------------------------------------------===//
 
 #include "PinnedThreads.h"
+#include "TestUtil.h"
 
 #include "core/RmsProfiler.h"
 #include "core/TrmsProfiler.h"
+#include "instr/ContextAdapter.h"
 #include "instr/Dispatcher.h"
 #include "tools/NulTool.h"
 #include "tools/ToolRegistry.h"
@@ -35,7 +37,6 @@
 #include <chrono>
 #include <set>
 #include <thread>
-#include <tuple>
 #include <vector>
 
 using namespace isp;
@@ -53,21 +54,31 @@ std::vector<EventRecord> makeTrace(uint64_t Operations, uint64_t Seed,
 
 /// Runs \p Events through a dispatcher that sees \p HardwareThreads
 /// threads (1 = serial delivery) over freshly created \p ToolNames and
-/// returns each tool's rendered report. \p FlushEvery > 0 forces a
-/// flush after every that many events, moving the batch boundaries.
+/// returns each tool's rendered report. A name ending in "+contexts"
+/// puts the named tool behind a ContextAdapter, as the driver's
+/// --contexts does. \p FlushEvery > 0 forces a flush after every that
+/// many events, moving the batch boundaries.
 std::vector<std::string> reportsForRun(const std::vector<EventRecord> &Events,
                                        const std::vector<std::string> &ToolNames,
                                        unsigned HardwareThreads,
                                        size_t FlushEvery = 0) {
+  static const std::string ContextsSuffix = "+contexts";
   PinnedThreads Pin(HardwareThreads);
   std::vector<std::unique_ptr<Tool>> Tools;
-  for (const std::string &Name : ToolNames) {
-    Tools.push_back(makeTool(Name));
-    EXPECT_NE(Tools.back(), nullptr) << Name;
-  }
+  std::vector<std::unique_ptr<ContextAdapter>> Adapters;
   EventDispatcher Dispatcher;
-  for (auto &T : Tools)
-    Dispatcher.addTool(T.get());
+  for (const std::string &Name : ToolNames) {
+    bool Contexts = Name.ends_with(ContextsSuffix);
+    Tools.push_back(makeTool(
+        Contexts ? Name.substr(0, Name.size() - ContextsSuffix.size())
+                 : Name));
+    EXPECT_NE(Tools.back(), nullptr) << Name;
+    Adapters.push_back(Contexts ? std::make_unique<ContextAdapter>(
+                                      *Tools.back())
+                                : nullptr);
+    Dispatcher.addTool(Adapters.back() ? Adapters.back().get()
+                                       : Tools.back().get());
+  }
   Dispatcher.start(nullptr);
   EXPECT_EQ(Dispatcher.pipelineActive(), HardwareThreads >= 2);
   for (size_t I = 0; I != Events.size(); ++I) {
@@ -77,69 +88,21 @@ std::vector<std::string> reportsForRun(const std::vector<EventRecord> &Events,
   }
   Dispatcher.finish();
   std::vector<std::string> Reports;
-  for (auto &T : Tools)
-    Reports.push_back(renderToolReport(*T, nullptr));
+  for (size_t I = 0; I != Tools.size(); ++I)
+    Reports.push_back(renderToolReport(
+        *Tools[I], Adapters[I] ? &Adapters[I]->contextSymbols() : nullptr));
   return Reports;
 }
 
-/// Records every callback's payload and the thread it ran on.
-class RecordingTool : public Tool {
-public:
-  explicit RecordingTool(ToolAffinity A) : Affinity(A) {}
-
-  ToolAffinity threadAffinity() const override { return Affinity; }
-  std::string name() const override { return "recording"; }
-
-  void onThreadStart(ThreadId Tid, ThreadId Parent) override {
-    note('S', Tid, Parent, 0);
-  }
-  void onThreadEnd(ThreadId Tid) override { note('E', Tid, 0, 0); }
-  void onCall(ThreadId Tid, RoutineId Rtn) override {
-    note('C', Tid, Rtn, 0);
-  }
-  void onReturn(ThreadId Tid, RoutineId Rtn) override {
-    note('R', Tid, Rtn, 0);
-  }
-  void onBasicBlock(ThreadId Tid, uint64_t Count) override {
-    note('B', Tid, Count, 0);
-  }
-  void onRead(ThreadId Tid, Addr A, uint64_t Cells) override {
-    note('r', Tid, A, Cells);
-  }
-  void onWrite(ThreadId Tid, Addr A, uint64_t Cells) override {
-    note('w', Tid, A, Cells);
-  }
-  void onKernelRead(ThreadId Tid, Addr A, uint64_t Cells) override {
-    note('k', Tid, A, Cells);
-  }
-  void onKernelWrite(ThreadId Tid, Addr A, uint64_t Cells) override {
-    note('K', Tid, A, Cells);
-  }
-
-  using Entry = std::tuple<char, uint64_t, uint64_t, uint64_t>;
-  const std::vector<Entry> &entries() const { return Entries; }
-  const std::set<std::thread::id> &threads() const { return Threads; }
-
-private:
-  void note(char Kind, uint64_t A, uint64_t B, uint64_t C) {
-    Entries.emplace_back(Kind, A, B, C);
-    Threads.insert(std::this_thread::get_id());
-  }
-
-  ToolAffinity Affinity;
-  std::vector<Entry> Entries;
-  std::set<std::thread::id> Threads;
-};
-
 /// An AnyWorker tool that naps every 256 reads — slow enough for the
 /// producer to lap the batch ring and hit backpressure.
-class SlowTool : public Tool {
+class SlowTool final : public ToolImpl<SlowTool> {
 public:
   ToolAffinity threadAffinity() const override {
     return ToolAffinity::AnyWorker;
   }
   std::string name() const override { return "slow"; }
-  void onRead(ThreadId, Addr, uint64_t) override {
+  void onRead(ThreadId, Addr, uint64_t) {
     if (++Reads % 256 == 0)
       std::this_thread::sleep_for(std::chrono::milliseconds(2));
   }
@@ -151,13 +114,12 @@ private:
 
 /// A record sink that keeps every batch it is handed and the threads it
 /// ran on.
-class CapturingSink : public EventDispatcher::RecordSink {
+class CapturingSink : public WordSink {
 public:
-  void recordBatch(const Event *Words, size_t Count) override {
-    this->Words.insert(this->Words.end(), Words, Words + Count);
+  void recordBatch(const Event *Batch, size_t Count) override {
+    WordSink::recordBatch(Batch, Count);
     Threads.insert(std::this_thread::get_id());
   }
-  std::vector<Event> Words;
   std::set<std::thread::id> Threads;
 };
 
@@ -180,10 +142,6 @@ TEST(Pipeline, RegistryToolsDeclareExpectedAffinities) {
     ASSERT_NE(T, nullptr) << Name;
     EXPECT_EQ(T->threadAffinity(), ToolAffinity::AnyWorker) << Name;
   }
-  // The base class stays conservative for unaudited tools.
-  RecordingTool Base(ToolAffinity::DispatchThread);
-  EXPECT_EQ(static_cast<Tool &>(Base).threadAffinity(),
-            ToolAffinity::DispatchThread);
 }
 
 TEST(Pipeline, EngageRuleNeedsASecondThreadAndAWorkerConsumer) {
@@ -241,7 +199,7 @@ TEST(Pipeline, ReportsMatchSerialOnSyntheticTrace) {
 
 TEST(Pipeline, EveryRegistryToolMatchesReplayOnCompiledWorkload) {
   // Live pipelined delivery of a 4-thread guest against the reference:
-  // the recorded (compacted) stream replayed event by event into a
+  // the recorded (compacted) stream walked, as one serial batch, by a
   // fresh tool.
   const WorkloadInfo *W = findWorkload("md");
   ASSERT_NE(W, nullptr);
@@ -253,11 +211,12 @@ TEST(Pipeline, EveryRegistryToolMatchesReplayOnCompiledWorkload) {
 
   std::vector<EventRecord> Recorded;
   {
+    WordSink Sink;
     EventDispatcher Recorder(/*ThreadBudget=*/1);
-    Recorder.enableRecording();
+    Recorder.setRecordSink(&Sink);
     Machine M(*Prog, &Recorder, MachineOptions());
     ASSERT_TRUE(M.run().Ok);
-    Recorded = Recorder.decodedRecordedEvents();
+    Recorded = decodeEventStream(Sink.Words);
   }
 
   PinnedThreads Pin(4);
@@ -276,7 +235,7 @@ TEST(Pipeline, EveryRegistryToolMatchesReplayOnCompiledWorkload) {
   for (size_t I = 0; I != Live.size(); ++I) {
     const std::string &Name = allToolNames()[I];
     std::unique_ptr<Tool> Reference = makeTool(Name);
-    replayTrace(Recorded, *Reference, &Prog->Symbols);
+    walkTrace(Recorded, *Reference, &Prog->Symbols);
     EXPECT_EQ(renderToolReport(*Live[I], &Prog->Symbols),
               renderToolReport(*Reference, &Prog->Symbols))
         << Name;
@@ -287,7 +246,7 @@ TEST(Pipeline, CallbackOrderAndContentMatchSerial) {
   std::vector<EventRecord> Events = makeTrace(8000, 32);
   auto RunOnce = [&](unsigned Hw) {
     PinnedThreads Pin(Hw);
-    RecordingTool T(ToolAffinity::AnyWorker);
+    RecordingTool T;
     EventDispatcher D;
     D.addTool(&T);
     D.start(nullptr);
@@ -296,7 +255,7 @@ TEST(Pipeline, CallbackOrderAndContentMatchSerial) {
       D.enqueue(E);
     D.finish();
     EXPECT_FALSE(D.pipelineActive());
-    return T.entries();
+    return T.Entries;
   };
   EXPECT_EQ(RunOnce(2), RunOnce(1));
 }
@@ -305,8 +264,11 @@ TEST(Pipeline, ReportsAreIdenticalAcrossFlushPoints) {
   // Batch boundaries move where access runs stop merging, but every
   // tool is compaction-invariant — so the reports must be
   // byte-identical wherever the batches are cut, serial or pipelined.
-  const std::vector<std::string> ToolNames = {"aprof-trms", "aprof-rms",
-                                              "memcheck", "callgrind"};
+  // The ContextAdapter rewrites each batch on its own, so a cut between
+  // a Call and its Return, or before a ThreadEnd, must not show either.
+  const std::vector<std::string> ToolNames = {
+      "aprof-trms", "aprof-rms", "memcheck", "callgrind",
+      "aprof-trms+contexts"};
   std::vector<EventRecord> Events = makeTrace(20000, 41);
   std::vector<std::string> Baseline = reportsForRun(Events, ToolNames, 1);
   for (unsigned Hw : {1u, 4u})
@@ -335,12 +297,12 @@ TEST(Pipeline, PublishedChunksArriveExactlyAsDecoded) {
     Chunks.push_back(encodeEventStream(Part));
     ChunkRecords.push_back(Part.size());
   }
-  RecordingTool Reference(ToolAffinity::AnyWorker);
-  replayTrace(Events, Reference);
+  RecordingTool Reference;
+  walkTrace(Events, Reference);
   for (unsigned Hw : {1u, 2u}) {
     PinnedThreads Pin(Hw);
     SlowTool Slow;
-    RecordingTool T(ToolAffinity::AnyWorker);
+    RecordingTool T;
     EventDispatcher D;
     D.addTool(&T);
     D.addTool(&Slow);
@@ -350,7 +312,7 @@ TEST(Pipeline, PublishedChunksArriveExactlyAsDecoded) {
       D.publishChunk(Chunk, ChunkRecords[I]);
     }
     D.finish();
-    EXPECT_EQ(T.entries(), Reference.entries()) << Hw;
+    EXPECT_EQ(T.Entries, Reference.Entries) << Hw;
     EXPECT_EQ(D.enqueuedEvents(), Events.size());
     EXPECT_EQ(D.deliveredEvents(), Events.size());
     // One chunk is consumed while the next is decoded.
@@ -362,25 +324,9 @@ TEST(Pipeline, PublishedChunksArriveExactlyAsDecoded) {
 // Thread placement
 //===----------------------------------------------------------------------===//
 
-TEST(Pipeline, DispatchThreadToolStaysOnProducerThread) {
-  PinnedThreads Pin(4);
-  RecordingTool Pinned(ToolAffinity::DispatchThread);
-  NulTool Spread; // AnyWorker, so the pipeline actually engages
-  EventDispatcher D;
-  D.addTool(&Pinned);
-  D.addTool(&Spread);
-  D.start(nullptr);
-  ASSERT_TRUE(D.pipelineActive());
-  for (const EventRecord &E : makeTrace(4000, 34))
-    D.enqueue(E);
-  D.finish();
-  ASSERT_EQ(Pinned.threads().size(), 1u);
-  EXPECT_EQ(*Pinned.threads().begin(), std::this_thread::get_id());
-}
-
 TEST(Pipeline, AnyWorkerToolRunsOnOneWorkerThread) {
   PinnedThreads Pin(4);
-  RecordingTool Spread(ToolAffinity::AnyWorker);
+  RecordingTool Spread;
   EventDispatcher D;
   D.addTool(&Spread);
   D.start(nullptr);
@@ -389,8 +335,8 @@ TEST(Pipeline, AnyWorkerToolRunsOnOneWorkerThread) {
     D.enqueue(E);
   D.finish();
   // One fixed consumer thread, and never the producer thread.
-  ASSERT_EQ(Spread.threads().size(), 1u);
-  EXPECT_NE(*Spread.threads().begin(), std::this_thread::get_id());
+  ASSERT_EQ(Spread.Threads.size(), 1u);
+  EXPECT_NE(*Spread.Threads.begin(), std::this_thread::get_id());
 }
 
 TEST(Pipeline, WorkerCountClampsToEligibleConsumers) {
@@ -406,21 +352,6 @@ TEST(Pipeline, WorkerCountClampsToEligibleConsumers) {
   D.finish();
 }
 
-TEST(Pipeline, StaysSerialWithOnlyDispatchThreadTools) {
-  PinnedThreads Pin(4);
-  RecordingTool Pinned(ToolAffinity::DispatchThread);
-  EventDispatcher D;
-  D.addTool(&Pinned);
-  D.start(nullptr);
-  EXPECT_FALSE(D.pipelineActive());
-  EXPECT_EQ(D.workersUsed(), 0u);
-  for (const EventRecord &E : makeTrace(1000, 36))
-    D.enqueue(E);
-  D.finish();
-  ASSERT_EQ(Pinned.threads().size(), 1u);
-  EXPECT_EQ(*Pinned.threads().begin(), std::this_thread::get_id());
-}
-
 TEST(Pipeline, RecordSinkIsOneMoreWorkerConsumer) {
   // The sink alone engages the pipeline, consumes on one worker, and
   // sees exactly the words serial delivery hands it.
@@ -429,13 +360,12 @@ TEST(Pipeline, RecordSinkIsOneMoreWorkerConsumer) {
     PinnedThreads Pin(Hw);
     EventDispatcher D;
     D.setRecordSink(&Sink);
-    D.enableRecording();
     D.start(nullptr);
     EXPECT_EQ(D.pipelineActive(), Hw >= 2);
     for (const EventRecord &E : Events)
       D.enqueue(E);
     D.finish();
-    EXPECT_EQ(Sink.Words.size(), D.recordedEvents().size());
+    EXPECT_EQ(packedEventCount(Sink.Words), D.deliveredEvents());
   };
   CapturingSink Serial, Pipelined;
   Capture(1, Serial);

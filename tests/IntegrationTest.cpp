@@ -13,6 +13,8 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "TestUtil.h"
+
 #include "core/Metrics.h"
 #include "core/Report.h"
 #include "core/TrmsProfiler.h"
@@ -75,15 +77,16 @@ std::vector<ActivationRecord> liveProfile(const Program &Prog,
   TrmsProfilerOptions Opts;
   Opts.KeepActivationLog = true;
   TrmsProfiler Profiler(Opts);
+  WordSink Sink;
   EventDispatcher Dispatcher;
   Dispatcher.addTool(&Profiler);
   if (TraceOut)
-    Dispatcher.enableRecording();
+    Dispatcher.setRecordSink(&Sink);
   Machine M(Prog, &Dispatcher);
   RunResult R = M.run();
   EXPECT_TRUE(R.Ok) << R.Error;
   if (TraceOut)
-    *TraceOut = Dispatcher.takeRecordedEvents();
+    *TraceOut = decodeEventStream(Sink.Words);
   return Profiler.database().log();
 }
 
@@ -92,7 +95,7 @@ replayProfile(const std::vector<EventRecord> &Trace) {
   TrmsProfilerOptions Opts;
   Opts.KeepActivationLog = true;
   TrmsProfiler Profiler(Opts);
-  replayTrace(Trace, Profiler);
+  walkTrace(Trace, Profiler);
   return Profiler.database().log();
 }
 
@@ -296,6 +299,59 @@ TEST(ContextAdapter, PreservesAggregateTotals) {
   // ...while the context view has strictly more profile keys.
   EXPECT_GT(Inner.database().mergedByRoutine().size(),
             Plain.database().mergedByRoutine().size());
+}
+
+Event word(EventKind K, ThreadId Tid, uint64_t Arg, bool Follow = false) {
+  return {static_cast<uint32_t>(K) | (Follow ? Event::FollowBit : 0u), Tid,
+          Arg};
+}
+Event follow(uint64_t Arg) { return {0, 0, Arg}; }
+
+TEST(ContextAdapter, RewritesHandBuiltBatches) {
+  // The inner tool must see exactly the callbacks that a per-event
+  // adapter (one rewriting callback per decoded record) gave it on the
+  // same words. The expected entries were captured from that adapter.
+  using K = EventKind;
+  std::vector<std::vector<Event>> Batches = {
+      {word(K::ThreadStart, 1, 0), word(K::Call, 1, 5), word(K::Call, 1, 6),
+       word(K::Read, 1, 100, true), follow(3),
+       // A Return on an empty stack is dropped with its follow-on word.
+       word(K::Return, 2, 9, true), follow(4),
+       // A Call whose Return comes in the next batch.
+       word(K::Call, 1, 7),
+       // A record whose follow-on word is cut off is not an event.
+       word(K::Write, 1, 200, true)},
+      {word(K::Return, 1, 7, true), follow(12), word(K::BasicBlock, 1, 3),
+       word(K::SyncAcquire, 1, 4, true), follow(1),
+       word(K::Alloc, 1, 64, true), follow(16), word(K::ThreadCreate, 1, 2),
+       // A ThreadEnd under two open frames: a Return for each comes first.
+       word(K::ThreadEnd, 1, 0), word(K::ThreadStart, 2, 1),
+       word(K::Call, 2, 5), word(K::Return, 2, 5), word(K::Return, 2, 5),
+       // A cut-off Call opens no frame...
+       word(K::Call, 2, 8, true)},
+      // ...so the Return that follows meets an empty stack.
+      {word(K::Return, 2, 8), word(K::Free, 2, 64), word(K::ThreadEnd, 2, 0),
+       word(K::ThreadJoin, 0, 2)},
+  };
+  RecordingTool Inner;
+  ContextAdapter Adapter(Inner);
+  Adapter.onStart(nullptr);
+  for (const std::vector<Event> &Batch : Batches)
+    Adapter.handleBatch(Batch.data(), Batch.size());
+  Adapter.onFinish();
+
+  const std::vector<RecordingTool::Entry> Expected = {
+      {'S', 1, 0, 0},  {'C', 1, 0, 0}, {'C', 1, 1, 0},    {'r', 1, 100, 3},
+      {'C', 1, 2, 0},  {'R', 1, 2, 0}, {'B', 1, 3, 0},    {'a', 1, 4, 1},
+      {'m', 1, 64, 16}, {'c', 1, 2, 0}, {'R', 1, 1, 0},   {'R', 1, 0, 0},
+      {'E', 1, 0, 0},  {'S', 2, 1, 0}, {'C', 2, 0, 0},    {'R', 2, 0, 0},
+      {'f', 2, 64, 0}, {'E', 2, 0, 0}, {'j', 0, 2, 0},
+  };
+  EXPECT_EQ(Inner.Entries, Expected);
+  ASSERT_EQ(Adapter.contextCount(), 3u);
+  EXPECT_EQ(Adapter.contextSymbols().routineName(0), "#5");
+  EXPECT_EQ(Adapter.contextSymbols().routineName(1), "#5 > #6");
+  EXPECT_EQ(Adapter.contextSymbols().routineName(2), "#5 > #6 > #7");
 }
 
 TEST(ContextAdapter, RecursionProducesPerDepthContexts) {

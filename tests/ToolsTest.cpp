@@ -7,7 +7,7 @@
 // The memcheck/callgrind/helgrind analogues, exercised end-to-end by
 // running guest programs with the defects (or their absence) the tools
 // exist to detect, and the batch walk every tool is driven through
-// (Tool::handleBatch) against the per-event reference.
+// (ToolImpl::handleBatch) against the records decodeEvent yields.
 //
 //===----------------------------------------------------------------------===//
 
@@ -15,6 +15,8 @@
 #include "tools/HelgrindTool.h"
 #include "tools/MemcheckTool.h"
 #include "tools/NulTool.h"
+
+#include "TestUtil.h"
 
 #include "instr/Dispatcher.h"
 #include "vm/Compiler.h"
@@ -616,69 +618,47 @@ TEST(Registry, RendersReportsForEveryTool) {
 }
 
 //===----------------------------------------------------------------------===//
-// The batch walk (Tool::handleBatch)
+// The batch walk (ToolImpl::handleBatch)
 //===----------------------------------------------------------------------===//
 
-/// Records every callback with its arguments. Its handleBatch is the
-/// default walk, which calls each callback virtually.
-class RecordingTool : public Tool {
-public:
-  using Entry = std::tuple<char, uint64_t, uint64_t, uint64_t>;
-  std::vector<Entry> Entries;
-
-  std::string name() const override { return "recording"; }
-  void onThreadStart(ThreadId Tid, ThreadId Parent) override {
-    note('S', Tid, Parent);
+/// The callback the decoded record \p E must reach a tool as, in
+/// RecordingTool's notation.
+RecordingTool::Entry expectedEntry(const EventRecord &E) {
+  switch (E.Kind) {
+  case EventKind::ThreadStart:
+    return {'S', E.Tid, static_cast<ThreadId>(E.Arg0), 0};
+  case EventKind::ThreadEnd:
+    return {'E', E.Tid, 0, 0};
+  case EventKind::Call:
+    return {'C', E.Tid, static_cast<RoutineId>(E.Arg0), 0};
+  case EventKind::Return:
+    return {'R', E.Tid, static_cast<RoutineId>(E.Arg0), 0};
+  case EventKind::BasicBlock:
+    return {'B', E.Tid, E.Arg1, 0};
+  case EventKind::Read:
+    return {'r', E.Tid, E.Arg0, E.Arg1};
+  case EventKind::Write:
+    return {'w', E.Tid, E.Arg0, E.Arg1};
+  case EventKind::KernelRead:
+    return {'k', E.Tid, E.Arg0, E.Arg1};
+  case EventKind::KernelWrite:
+    return {'K', E.Tid, E.Arg0, E.Arg1};
+  case EventKind::SyncAcquire:
+    return {'a', E.Tid, static_cast<SyncId>(E.Arg0), E.Arg1 != 0};
+  case EventKind::SyncRelease:
+    return {'l', E.Tid, static_cast<SyncId>(E.Arg0), E.Arg1 != 0};
+  case EventKind::ThreadCreate:
+    return {'c', E.Tid, static_cast<ThreadId>(E.Arg0), 0};
+  case EventKind::ThreadJoin:
+    return {'j', E.Tid, static_cast<ThreadId>(E.Arg0), 0};
+  case EventKind::Alloc:
+    return {'m', E.Tid, E.Arg0, E.Arg1};
+  case EventKind::Free:
+    return {'f', E.Tid, E.Arg0, 0};
   }
-  void onThreadEnd(ThreadId Tid) override { note('E', Tid); }
-  void onCall(ThreadId Tid, RoutineId Rtn) override { note('C', Tid, Rtn); }
-  void onReturn(ThreadId Tid, RoutineId Rtn) override { note('R', Tid, Rtn); }
-  void onBasicBlock(ThreadId Tid, uint64_t Count) override {
-    note('B', Tid, Count);
-  }
-  void onRead(ThreadId Tid, Addr A, uint64_t Cells) override {
-    note('r', Tid, A, Cells);
-  }
-  void onWrite(ThreadId Tid, Addr A, uint64_t Cells) override {
-    note('w', Tid, A, Cells);
-  }
-  void onKernelRead(ThreadId Tid, Addr A, uint64_t Cells) override {
-    note('k', Tid, A, Cells);
-  }
-  void onKernelWrite(ThreadId Tid, Addr A, uint64_t Cells) override {
-    note('K', Tid, A, Cells);
-  }
-  void onSyncAcquire(ThreadId Tid, SyncId Id, bool IsLock) override {
-    note('a', Tid, Id, IsLock);
-  }
-  void onSyncRelease(ThreadId Tid, SyncId Id, bool IsLock) override {
-    note('l', Tid, Id, IsLock);
-  }
-  void onThreadCreate(ThreadId Tid, ThreadId Child) override {
-    note('c', Tid, Child);
-  }
-  void onThreadJoin(ThreadId Tid, ThreadId Child) override {
-    note('j', Tid, Child);
-  }
-  void onAlloc(ThreadId Tid, Addr A, uint64_t Cells) override {
-    note('m', Tid, A, Cells);
-  }
-  void onFree(ThreadId Tid, Addr A) override { note('f', Tid, A); }
-
-private:
-  void note(char Kind, uint64_t A, uint64_t B = 0, uint64_t C = 0) {
-    Entries.emplace_back(Kind, A, B, C);
-  }
-};
-
-/// The same tool walked as its own `final` type, as TrmsProfilerT and
-/// NulTool are: every callback is called directly.
-class FinalRecordingTool final : public RecordingTool {
-public:
-  void handleBatch(const Event *Words, size_t Count) override {
-    walkBatch(*this, Words, Count);
-  }
-};
+  ADD_FAILURE() << "unknown event kind";
+  return {};
+}
 
 /// A random packed word sequence: main words of every kind, with and
 /// without a follow-on, over the full thread id range, and sometimes a
@@ -704,28 +684,26 @@ std::vector<Event> randomWords(std::mt19937_64 &Rng) {
   return Words;
 }
 
-TEST(ToolWalk, MatchesPerEventDeliveryOnRandomWords) {
-  // The walk must give every tool exactly the callbacks that decoding
-  // the words (EventStreamView) and calling handleEvent on each record
-  // gives it — through the default walk, through a final override, and
-  // for NulTool's event count.
+TEST(ToolWalk, MatchesDecodedRecordsOnRandomWords) {
+  // The walk must give a tool exactly one callback for each record
+  // decodeEvent yields, with that record's arguments — for
+  // RecordingTool, and for NulTool's event count.
   std::mt19937_64 Rng(20261017);
   for (int Round = 0; Round != 2000; ++Round) {
     std::vector<Event> Words = randomWords(Rng);
-    RecordingTool Reference;
-    EventStreamView View(Words);
-    size_t Records = 0;
-    for (EventRecord E; View.next(E); ++Records)
-      Reference.handleEvent(E);
+    std::vector<RecordingTool::Entry> Expected;
+    EventRecord E;
+    for (size_t Pos = 0, Used;
+         (Used = decodeEvent(Words.data() + Pos, Words.size() - Pos, E)) != 0;
+         Pos += Used)
+      Expected.push_back(expectedEntry(E));
 
-    RecordingTool Default;
-    FinalRecordingTool Final;
+    RecordingTool Recording;
     NulTool Nul;
-    for (Tool *T : std::initializer_list<Tool *>{&Default, &Final, &Nul})
+    for (Tool *T : std::initializer_list<Tool *>{&Recording, &Nul})
       T->handleBatch(Words.data(), Words.size());
-    ASSERT_EQ(Default.Entries, Reference.Entries) << "round " << Round;
-    ASSERT_EQ(Final.Entries, Reference.Entries) << "round " << Round;
-    ASSERT_EQ(Nul.eventsSeen(), Records) << "round " << Round;
+    ASSERT_EQ(Recording.Entries, Expected) << "round " << Round;
+    ASSERT_EQ(Nul.eventsSeen(), Expected.size()) << "round " << Round;
   }
 }
 
@@ -749,17 +727,15 @@ TEST(ToolWalk, EncodedRecordsRoundTripThroughTheWalk) {
       EventRecord::threadEnd(0),
   };
   std::vector<Event> Words = encodeEventStream(Records);
-  RecordingTool Reference, Default;
-  FinalRecordingTool Final;
+  std::vector<RecordingTool::Entry> Expected;
   for (const EventRecord &E : Records)
-    Reference.handleEvent(E);
-  Default.handleBatch(Words.data(), Words.size());
-  Final.handleBatch(Words.data(), Words.size());
-  EXPECT_EQ(Default.Entries, Reference.Entries);
-  EXPECT_EQ(Final.Entries, Reference.Entries);
-  ASSERT_EQ(Reference.Entries.size(), Records.size());
-  EXPECT_EQ(Reference.Entries[2], RecordingTool::Entry('B', 0, 41, 0));
-  EXPECT_EQ(Reference.Entries[5],
+    Expected.push_back(expectedEntry(E));
+  RecordingTool Recording;
+  Recording.handleBatch(Words.data(), Words.size());
+  EXPECT_EQ(Recording.Entries, Expected);
+  ASSERT_EQ(Recording.Entries.size(), Records.size());
+  EXPECT_EQ(Recording.Entries[2], RecordingTool::Entry('B', 0, 41, 0));
+  EXPECT_EQ(Recording.Entries[5],
             RecordingTool::Entry('w', MaxThreadId, 300, 1));
 }
 

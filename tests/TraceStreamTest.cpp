@@ -32,6 +32,7 @@
 //===----------------------------------------------------------------------===//
 
 #include "PinnedThreads.h"
+#include "TestUtil.h"
 
 #include "core/TrmsProfiler.h"
 #include "tools/NulTool.h"
@@ -103,11 +104,11 @@ void writeStream(const std::string &Path, const std::vector<EventRecord> &Events
 
 /// Drains every chunk of \p Reader from the start into one vector.
 std::vector<EventRecord> readAll(TraceStreamReader &Reader) {
-  std::vector<EventRecord> All, Chunk;
+  std::vector<Event> All, Chunk;
   Reader.seek(0);
   while (Reader.nextChunk(Chunk))
     All.insert(All.end(), Chunk.begin(), Chunk.end());
-  return All;
+  return decodeEventStream(All);
 }
 
 //===----------------------------------------------------------------------===//
@@ -144,24 +145,26 @@ TEST(TraceStream, ChunksDecodeIndependently) {
   ASSERT_TRUE(Reader.open(Path)) << Reader.error();
   ASSERT_GT(Reader.chunkCount(), 4u);
 
-  std::vector<std::vector<EventRecord>> InOrder(Reader.chunkCount());
+  std::vector<std::vector<Event>> InOrder(Reader.chunkCount());
   uint64_t IndexedEvents = 0;
   for (size_t I = 0; I != Reader.chunkCount(); ++I) {
     ASSERT_TRUE(Reader.readChunk(I, InOrder[I])) << Reader.error();
-    EXPECT_EQ(InOrder[I].size(), Reader.chunkEvents(I));
+    EXPECT_EQ(packedEventCount(InOrder[I]), Reader.chunkEvents(I));
     IndexedEvents += Reader.chunkEvents(I);
   }
   EXPECT_EQ(IndexedEvents, Events.size());
 
-  std::vector<EventRecord> Chunk;
+  std::vector<Event> Chunk;
   for (size_t I = Reader.chunkCount(); I-- != 0;) {
     ASSERT_TRUE(Reader.readChunk(I, Chunk)) << Reader.error();
-    EXPECT_EQ(Chunk, InOrder[I]) << "chunk " << I;
+    EXPECT_TRUE(Chunk == InOrder[I]) << "chunk " << I;
   }
 
   std::vector<EventRecord> All;
-  for (const auto &C : InOrder)
-    All.insert(All.end(), C.begin(), C.end());
+  for (const auto &C : InOrder) {
+    std::vector<EventRecord> Records = decodeEventStream(C);
+    All.insert(All.end(), Records.begin(), Records.end());
+  }
   EXPECT_EQ(All, Events);
   std::remove(Path.c_str());
 }
@@ -183,9 +186,12 @@ TEST(TraceStream, SeekResumesMidStream) {
   for (size_t I = 0; I != Mid; ++I)
     Skipped += Reader.chunkEvents(I);
   Reader.seek(Mid);
-  std::vector<EventRecord> Tail, Chunk;
-  while (Reader.nextChunk(Chunk))
-    Tail.insert(Tail.end(), Chunk.begin(), Chunk.end());
+  std::vector<EventRecord> Tail;
+  std::vector<Event> Chunk;
+  while (Reader.nextChunk(Chunk)) {
+    std::vector<EventRecord> Records = decodeEventStream(Chunk);
+    Tail.insert(Tail.end(), Records.begin(), Records.end());
+  }
   ASSERT_TRUE(Reader.error().empty()) << Reader.error();
   ASSERT_EQ(Tail.size(), Events.size() - Skipped);
   for (size_t I = 0; I != Tail.size(); ++I)
@@ -203,7 +209,7 @@ TEST(TraceStream, EmptyStreamIsValid) {
   EXPECT_EQ(Reader.chunkCount(), 0u);
   EXPECT_EQ(Reader.eventCount(), 0u);
   EXPECT_EQ(Reader.routines(), namesOf(Routines));
-  std::vector<EventRecord> Chunk;
+  std::vector<Event> Chunk;
   EXPECT_FALSE(Reader.nextChunk(Chunk));
   EXPECT_TRUE(Reader.error().empty()) << Reader.error();
   std::remove(Path.c_str());
@@ -230,29 +236,38 @@ TEST(TraceStream, WriterRefusesSparseRoutineTable) {
 //===----------------------------------------------------------------------===//
 
 TEST(TraceStream, SinkObservesExactlyTheRecordedStream) {
-  // The RecordSink contract: a sink sees the same compacted stream the
-  // in-memory recorder accumulates, batch for batch. Recording into a
-  // stream file and reading it back must therefore reproduce the
-  // Recorded vector exactly.
+  // The RecordSink contract: the stream writer, as the dispatcher's
+  // sink, is handed the compacted stream batch by batch. Reading the
+  // file back must reproduce exactly the words it was handed.
   std::vector<EventRecord> Raw = makeTrace(4000, 10);
   std::string Path = tempPath("isprof_stream_sink.strm");
 
+  /// Hands every batch to the writer and keeps a copy.
+  struct TeeSink : EventDispatcher::RecordSink {
+    explicit TeeSink(TraceStreamWriter &Writer) : Writer(Writer) {}
+    void recordBatch(const Event *Words, size_t Count) override {
+      Writer.recordBatch(Words, Count);
+      Copy.recordBatch(Words, Count);
+    }
+    TraceStreamWriter &Writer;
+    WordSink Copy;
+  };
   TraceStreamWriter Writer;
   ASSERT_TRUE(Writer.open(Path, {}));
+  TeeSink Tee(Writer);
   EventDispatcher Dispatcher;
-  Dispatcher.enableRecording();
-  Dispatcher.setRecordSink(&Writer);
+  Dispatcher.setRecordSink(&Tee);
   Dispatcher.start(nullptr);
   for (const EventRecord &E : Raw)
     Dispatcher.enqueue(E);
   Dispatcher.finish();
   ASSERT_TRUE(Writer.close()) << Writer.error();
-  EXPECT_EQ(Writer.eventsWritten(),
-            packedEventCount(Dispatcher.recordedEvents()));
+  EXPECT_LT(packedEventCount(Tee.Copy.Words), Raw.size()); // compacted
+  EXPECT_EQ(Writer.eventsWritten(), packedEventCount(Tee.Copy.Words));
 
   TraceStreamReader Reader;
   ASSERT_TRUE(Reader.open(Path)) << Reader.error();
-  EXPECT_EQ(readAll(Reader), Dispatcher.decodedRecordedEvents());
+  EXPECT_EQ(readAll(Reader), decodeEventStream(Tee.Copy.Words));
   EXPECT_TRUE(Reader.error().empty()) << Reader.error();
   std::remove(Path.c_str());
 }
@@ -260,14 +275,22 @@ TEST(TraceStream, SinkObservesExactlyTheRecordedStream) {
 TEST(TraceStream, StreamedReplayMatchesInMemoryProfile) {
   // Profile equivalence end to end: replaying a stream file through
   // replayTraceStream, which hands each decoded chunk to the tool as one
-  // batch, gives every tool the report batched in-memory replay of the
-  // identical event sequence gives. The in-memory dispatcher merges
-  // access runs that the stream delivers unmerged, and 192-byte chunks
-  // cut many of those runs at a chunk boundary.
+  // batch, gives every tool the report that enqueuing the identical
+  // event sequence into a dispatcher gives. The enqueuing dispatcher
+  // merges access runs that the stream delivers unmerged, and 192-byte
+  // chunks cut many of those runs at a chunk boundary.
   TraceStreamOptions SmallChunks;
   SmallChunks.ChunkBytes = 192;
   for (uint64_t Seed : {11u, 12u}) {
     std::vector<EventRecord> Events = makeTrace(5000, Seed);
+    auto Enqueue = [&Events](Tool &T) {
+      EventDispatcher Dispatcher;
+      Dispatcher.addTool(&T);
+      Dispatcher.start(nullptr);
+      for (const EventRecord &E : Events)
+        Dispatcher.enqueue(E);
+      Dispatcher.finish();
+    };
     std::string Path = tempPath("isprof_stream_profile.strm");
     writeStream(Path, Events, {}, SmallChunks);
 
@@ -277,7 +300,7 @@ TEST(TraceStream, StreamedReplayMatchesInMemoryProfile) {
       for (const std::string &Name : allToolNames()) {
         std::unique_ptr<Tool> InMemory = makeTool(Name);
         std::unique_ptr<Tool> Streamed = makeTool(Name);
-        replayTraceBatched(Events, *InMemory);
+        Enqueue(*InMemory);
         TraceStreamReader Reader;
         ASSERT_TRUE(Reader.open(Path)) << Reader.error();
         ASSERT_GT(Reader.chunkCount(), 100u);
@@ -291,7 +314,7 @@ TEST(TraceStream, StreamedReplayMatchesInMemoryProfile) {
       TrmsProfilerOptions ProfOpts;
       ProfOpts.KeepActivationLog = true;
       TrmsProfiler InMemory(ProfOpts);
-      replayTraceBatched(Events, InMemory);
+      Enqueue(InMemory);
 
       TraceStreamReader Reader;
       ASSERT_TRUE(Reader.open(Path)) << Reader.error();
@@ -525,7 +548,7 @@ std::string probeStream(const std::string &Bytes, const char *Name) {
     Diag = Reader.error();
     EXPECT_FALSE(Diag.empty()) << "rejection must carry a diagnostic";
   } else {
-    std::vector<EventRecord> Chunk;
+    std::vector<Event> Chunk;
     for (size_t I = 0; I != Reader.chunkCount() && Diag.empty(); ++I)
       if (!Reader.readChunk(I, Chunk))
         Diag = Reader.error();
@@ -734,7 +757,7 @@ TEST(TraceStreamHardening, NestingIsCheckedAcrossChunksReadInOrder) {
   {
     TraceStreamReader Reader;
     ASSERT_TRUE(Reader.open(Path)) << Reader.error();
-    std::vector<EventRecord> Chunk;
+    std::vector<Event> Chunk;
     ASSERT_TRUE(Reader.readChunk(1, Chunk)) << Reader.error();
     EXPECT_TRUE(Reader.readChunk(3, Chunk)) << Reader.error();
     for (size_t I = 0; I != 3; ++I)
@@ -811,13 +834,13 @@ TEST(TraceStreamHardening, CorruptChunkUnderPipelinedReplayIsReported) {
   ASSERT_TRUE(Reader.open(Path)) << Reader.error();
   size_t BadChunk = Reader.chunkCount();
   uint64_t EventsBefore = 0;
-  std::vector<EventRecord> Chunk;
+  std::vector<Event> Chunk;
   for (size_t I = 0; I != Reader.chunkCount(); ++I) {
     if (!Reader.readChunk(I, Chunk)) {
       BadChunk = I;
       break;
     }
-    EventsBefore += Chunk.size();
+    EventsBefore += packedEventCount(Chunk);
   }
   ASSERT_GT(BadChunk, 0u);
   ASSERT_LT(BadChunk + 1, Reader.chunkCount());
@@ -1006,9 +1029,9 @@ TEST(TraceStreamHardening, ExtremeFieldValuesRoundTrip) {
   ASSERT_TRUE(Reader.open(Path)) << Reader.error();
   EXPECT_EQ(Reader.routines(), namesOf(Routines));
   ASSERT_EQ(Reader.chunkCount(), 1u);
-  std::vector<EventRecord> Chunk;
+  std::vector<Event> Chunk;
   ASSERT_TRUE(Reader.readChunk(0, Chunk)) << Reader.error();
-  EXPECT_EQ(Chunk, (std::vector<EventRecord>{E, E2}));
+  EXPECT_EQ(decodeEventStream(Chunk), (std::vector<EventRecord>{E, E2}));
   std::remove(Path.c_str());
 }
 
@@ -1109,7 +1132,7 @@ TEST(TraceStreamHardening, BitFlipFuzzNeverCrashes) {
       if (Reader.open(MutPath)) {
         EXPECT_FALSE(isMetadataByte(Bytes, HeaderEnd, Pos))
             << "metadata byte " << Pos << " bit " << Bit << " accepted";
-        std::vector<EventRecord> Chunk;
+        std::vector<Event> Chunk;
         while (Reader.nextChunk(Chunk)) {
         }
       }

@@ -14,6 +14,8 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "TestUtil.h"
+
 #include "instr/Dispatcher.h"
 #include "vm/Compiler.h"
 #include "vm/Diag.h"
@@ -31,8 +33,8 @@ struct RunCapture {
   RunResult Result;
 };
 
-/// Compiles \p Source (optimized when \p Optimize), runs it with event
-/// recording on, and returns the recorded words and the result.
+/// Compiles \p Source (optimized when \p Optimize), runs it with a record
+/// sink attached, and returns the recorded words and the result.
 RunCapture runGuest(const std::string &Source, bool Optimize = false,
                     uint64_t SliceLength = 150) {
   RunCapture Out;
@@ -45,11 +47,12 @@ RunCapture runGuest(const std::string &Source, bool Optimize = false,
     optimizeProgram(*Prog);
   MachineOptions Opts;
   Opts.SliceLength = SliceLength;
+  WordSink Sink;
   EventDispatcher Dispatcher;
-  Dispatcher.enableRecording();
+  Dispatcher.setRecordSink(&Sink);
   Machine M(*Prog, &Dispatcher, Opts);
   Out.Result = M.run();
-  Out.Words = Dispatcher.recordedEvents();
+  Out.Words = std::move(Sink.Words);
   return Out;
 }
 
@@ -63,8 +66,7 @@ uint64_t hashRecords(const std::vector<Event> &Words) {
       Hash *= 0x100000001b3ULL;
     }
   };
-  EventStreamView V(Words);
-  for (EventRecord E; V.next(E);) {
+  for (const EventRecord &E : decodeEventStream(Words)) {
     Mix(static_cast<uint8_t>(E.Kind), 1);
     Mix(E.Tid, 4);
     Mix(E.Arg0, 8);

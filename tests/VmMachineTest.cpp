@@ -6,6 +6,7 @@
 
 #include "vm/Machine.h"
 
+#include "TestUtil.h"
 #include "instr/Dispatcher.h"
 #include "tools/NulTool.h"
 #include "vm/Compiler.h"
@@ -421,13 +422,14 @@ TEST(Machine, EventStreamIsWellFormed) {
   DiagnosticEngine Diags;
   auto Prog = compileProgram(Source, Diags);
   ASSERT_TRUE(Prog.has_value());
+  WordSink Sink;
   EventDispatcher Dispatcher;
-  Dispatcher.enableRecording();
+  Dispatcher.setRecordSink(&Sink);
   Machine M(*Prog, &Dispatcher);
   RunResult R = M.run();
   ASSERT_TRUE(R.Ok) << R.Error;
 
-  const std::vector<EventRecord> Events = Dispatcher.decodedRecordedEvents();
+  const std::vector<EventRecord> Events = decodeEventStream(Sink.Words);
   ASSERT_FALSE(Events.empty());
   // Call/return balance per thread; memory ops happen inside
   // activations (except spawn-argument publication).
