@@ -66,7 +66,6 @@ Measurement isp::measureWorkload(const WorkloadInfo &Workload,
       Out.EventsEmitted = ToolPtr ? Dispatcher.enqueuedEvents() : 0;
       Out.EventsDelivered = ToolPtr ? Dispatcher.deliveredEvents() : 0;
       Out.AccessMerges = ToolPtr ? Dispatcher.accessMerges() : 0;
-      Out.BbFolds = ToolPtr ? Dispatcher.bbFolds() : 0;
       Out.FlushesCapacity =
           ToolPtr ? Dispatcher.flushCount(EventDispatcher::FlushCause::Capacity)
                   : 0;

@@ -49,12 +49,11 @@ struct Measurement {
   uint64_t EventsEmitted = 0;
   uint64_t EventsDelivered = 0;
   /// Pipeline observability breakdown of the kept run (all 0 for
-  /// native). EventsEmitted == EventsDelivered + AccessMerges + BbFolds,
+  /// native). EventsEmitted == EventsDelivered + AccessMerges,
   /// and the suppression tallies split the quiet-mark wins from the
   /// WindowInterrupted aborts — the same counters the obs registry
   /// aggregates, surfaced per-measurement here.
   uint64_t AccessMerges = 0;
-  uint64_t BbFolds = 0;
   uint64_t FlushesCapacity = 0;
   uint64_t FlushesExplicit = 0;
   uint64_t FlushesFinish = 0;

@@ -298,11 +298,14 @@ struct ToolSet {
   std::vector<Tool *> Fronts;
 
   /// Creates every requested tool; returns false on an unknown name.
-  /// With \p Contexts set, each tool is wrapped in a ContextAdapter so
-  /// profiles are keyed by full call paths.
+  /// "native" names no tool, so it adds none. With \p Contexts set, each
+  /// tool is wrapped in a ContextAdapter so profiles are keyed by full
+  /// call paths.
   bool create(const std::string &Csv, bool Contexts) {
     for (const std::string &Name : splitList(Csv)) {
       std::unique_ptr<Tool> T = makeTool(Name);
+      if (!T && knownToolName(Name))
+        continue;
       if (!T) {
         std::fprintf(stderr, "isprof: unknown tool '%s'; known tools:",
                      Name.c_str());
@@ -632,7 +635,21 @@ bool profileStream(const std::string &Path, ProfileDatabase &DbOut,
   return true;
 }
 
+/// collect and diff profile streams with a bare aprof-trms, so they
+/// refuse `--contexts` rather than ignore it. Returns false after the
+/// diagnostic.
+bool refuseContexts(const OptionParser &Options, const char *Command) {
+  if (!Options.getFlag("contexts"))
+    return true;
+  std::fprintf(stderr,
+               "isprof %s: --contexts applies to run, workload and replay\n",
+               Command);
+  return false;
+}
+
 int commandDiff(OptionParser &Options) {
+  if (!refuseContexts(Options, "diff"))
+    return 2;
   if (Options.positional().size() < 3) {
     std::fprintf(stderr,
                  "isprof diff: need a baseline and a candidate stream\n");
@@ -724,6 +741,8 @@ int collectDiff(OptionParser &Options, const collect::CollectorOptions &Opts) {
 }
 
 int commandCollect(OptionParser &Options) {
+  if (!refuseContexts(Options, "collect"))
+    return 2;
   collect::CollectorOptions Opts;
   unsigned WatchMs = 0, TopN = 10;
   if (!parseCollectOptions(Options, &Opts, &WatchMs, &TopN))

@@ -27,6 +27,7 @@
 #include <cstdio>
 #include <memory>
 #include <unordered_map>
+#include <utility>
 
 using namespace isp;
 
@@ -43,17 +44,19 @@ public:
     Dispatcher.enqueue(EventRecord::threadStart(0, 0));
   }
   ~Instrumentation() {
-    Dispatcher.enqueue(EventRecord::threadEnd(0));
+    Dispatcher.enqueue(EventRecord::threadEnd(0, std::exchange(Blocks, 0)));
     Dispatcher.finish();
   }
 
   RoutineId routine(const std::string &Name) { return Symbols.intern(Name); }
   const SymbolTable &symbols() const { return Symbols; }
 
-  void call(RoutineId Rtn) { Dispatcher.enqueue(EventRecord::call(0, Rtn)); }
+  void call(RoutineId Rtn) {
+    Dispatcher.enqueue(EventRecord::call(0, Rtn, std::exchange(Blocks, 0)));
+  }
   void ret(RoutineId Rtn) {
     block(); // at least one block per activation
-    Dispatcher.enqueue(EventRecord::ret(0, Rtn, 0));
+    Dispatcher.enqueue(EventRecord::ret(0, Rtn, std::exchange(Blocks, 0)));
   }
   void read(const void *P) {
     Dispatcher.enqueue(EventRecord::read(0, addressOf(P)));
@@ -61,7 +64,9 @@ public:
   void write(const void *P) {
     Dispatcher.enqueue(EventRecord::write(0, addressOf(P)));
   }
-  void block() { Dispatcher.enqueue(EventRecord::basicBlock(0)); }
+  /// Blocks have no event of their own: the thread's count rides on
+  /// its next call, return or thread end, as the VM's does.
+  void block() { ++Blocks; }
 
 private:
   /// Host pointers are interned into a compact cell address space (raw
@@ -74,6 +79,8 @@ private:
   }
 
   EventDispatcher Dispatcher;
+  /// Blocks the (one) instrumented thread ran since its last boundary.
+  uint64_t Blocks = 0;
   SymbolTable Symbols;
   std::unordered_map<const void *, Addr> AddressMap;
   Addr NextAddress = 1;

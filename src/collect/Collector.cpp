@@ -48,8 +48,8 @@ struct ForwardedCalls {
 
   /// Tracks the Calls and Returns of a decoded chunk and drops, in
   /// place, the words of every Return that closes no forwarded Call: the
-  /// frames a skipped chunk opened. Returns the number of Returns
-  /// dropped.
+  /// frames a skipped chunk opened. A dropped Return's block count goes
+  /// with it (see ingestOne). Returns the number of Returns dropped.
   size_t forward(std::vector<Event> &Words) {
     Event *W = Words.data();
     const size_t N = Words.size();
@@ -151,15 +151,21 @@ bool Collector::ingestOne(const std::string &Path, unsigned ThreadBudget) {
     // frames whose Returns land in decoded chunks. The per-thread
     // stacks of Forwarded track only the calls actually forwarded; a
     // Return that does not match the forwarded top must close a frame
-    // opened in a skipped chunk (traces are well-nested per thread, and
-    // no frame opened in a skipped chunk can close inside a filtered
-    // activation, since its Call would have to nest within it — it
-    // would enclose the activation instead). Dropping such Returns
-    // keeps the profiler's stack exactly the forwarded calls, so the
-    // mismatched-nesting assert can never fire and filtered records
-    // stay exact: cost is a within-activation basic-block delta and rms
-    // counts only accesses inside the activation window, which is
-    // always fully decoded.
+    // opened in a skipped chunk. Dropping such Returns keeps the
+    // profiler's stack exactly the forwarded calls, so the
+    // mismatched-nesting assert can never fire.
+    //
+    // A dropped Return takes its block count (trace/Event.h) with it,
+    // and filtered records stay exact. Cost is a difference of the
+    // thread's block counter taken inside one activation, and rms counts
+    // only accesses inside the activation window, which is always fully
+    // decoded. The lost count is the thread's own, and no filtered
+    // activation of that thread is open when it is lost: the frame the
+    // Return closes was opened in a skipped chunk, so while no filtered
+    // activation was in flight; traces are well-nested per thread, so
+    // a filtered activation of the thread opened after it closes before
+    // it. Every filtered activation of the thread thus lies wholly
+    // before or wholly after the lost count.
     std::vector<ShardActivityMask> SuffixTargets;
     if (UseFilter) {
       size_t N = Reader.chunkCount();

@@ -56,6 +56,7 @@ void ContextAdapter::handleBatch(const Event *Words, size_t Count) {
     if (static_cast<size_t>(End - W) < Len)
       break; // the record's follow-on word is cut off
     W += Len;
+    bool FollowOn = Len == 2;
     switch (M.kind()) {
     case EventKind::Call: {
       std::vector<uint32_t> &Stack = Stacks[M.Tid];
@@ -74,23 +75,31 @@ void ContextAdapter::handleBatch(const Event *Words, size_t Count) {
     }
     case EventKind::ThreadEnd: {
       // Unwind in sync with the inner tool's own unwinding, keeping the
-      // Return routine ids consistent.
+      // Return routine ids consistent. The first Return takes the
+      // ThreadEnd's blocks (its follow-on word), so they still reach
+      // the innermost frame.
       auto It = Stacks.find(M.Tid);
       if (It != Stacks.end()) {
         for (auto Frame = It->second.rbegin(); Frame != It->second.rend();
-             ++Frame)
-          Rewritten.push_back({static_cast<uint32_t>(EventKind::Return),
+             ++Frame) {
+          Rewritten.push_back({static_cast<uint32_t>(EventKind::Return) |
+                                   (FollowOn ? Event::FollowBit : 0),
                                M.Tid, Nodes[*Frame].ContextId});
+          if (FollowOn)
+            Rewritten.push_back(W[-1]);
+          FollowOn = false;
+        }
         Stacks.erase(It);
       }
-      Rewritten.push_back(M);
+      Rewritten.push_back(
+          {FollowOn ? M.Meta : M.Meta & ~Event::FollowBit, M.Tid, M.Arg});
       break;
     }
     default:
       Rewritten.push_back(M);
       break;
     }
-    if (Len == 2)
+    if (FollowOn)
       Rewritten.push_back(W[-1]); // the follow-on word, unchanged
   }
   Inner.handleBatch(Rewritten.data(), Rewritten.size());

@@ -52,10 +52,12 @@ public:
   /// Copies the batch into a reused buffer, rewriting it on the way,
   /// and hands the copy to the inner tool:
   ///  - a Call's or Return's routine id becomes its context id;
-  ///  - a Return that meets an empty context stack is dropped;
+  ///  - a Return that meets an empty context stack is dropped, with the
+  ///    blocks it carries: no frame is open to charge them to;
   ///  - a ThreadEnd is preceded by a Return for each frame still open on
   ///    its thread, innermost first, so the inner tool's own unwinding
-  ///    sees context ids;
+  ///    sees context ids; the first of them takes the ThreadEnd's
+  ///    blocks, so the innermost frame still gets them;
   ///  - every other word, follow-on words included, is copied unchanged.
   /// A record whose follow-on word is cut off ends the copy, as it ends
   /// the walk.

@@ -244,9 +244,9 @@ static const char *flushCauseName(EventDispatcher::FlushCause Cause) {
 }
 
 void EventDispatcher::flushImpl(FlushCause Cause) {
-  // Run bookkeeping holds indices into Pending; invalidate it whether or
+  // The merge target is an index into Pending; invalidate it whether or
   // not anything is delivered.
-  resetCompaction();
+  HaveLastMain = false;
   if (PendingWords == 0)
     return;
   ISP_STATS(obs::Registry::get()
@@ -315,7 +315,6 @@ void EventDispatcher::publishStats() const {
   R.counter("dispatcher.enqueued_events").add(EnqueuedEvents);
   R.counter("dispatcher.delivered_events").add(DeliveredEvents);
   R.counter("dispatcher.access_merges").add(AccessMerges);
-  R.counter("dispatcher.bb_folds").add(BbFolds);
   R.counter("dispatcher.flushes.capacity")
       .add(flushCount(FlushCause::Capacity));
   R.counter("dispatcher.flushes.explicit")

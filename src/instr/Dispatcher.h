@@ -13,35 +13,20 @@
 ///
 /// The hot path is enqueue(): events accumulate in a pending batch of
 /// packed 16-byte stream words (trace/Event.h) that is delivered to the
-/// tools in one handleBatch call per flush, and the dense access/cost
-/// stream is *compacted* on the way in. Compaction merges a new event
-/// into a buffered one in two cases:
+/// tools in one handleBatch call per flush, and the dense access stream
+/// is *compacted* on the way in. Compaction has one rule: a Read or
+/// Write whose cells directly continue the *last* buffered event (same
+/// kind, same thread, consecutive addresses) extends it into one
+/// multi-cell event. Only the literally-last event is a merge target,
+/// so a merge never crosses another event: any intervening event — in
+/// particular every counter-bump kind — breaks adjacency by itself, and
+/// the merged event is observationally identical to the run of
+/// single-cell events it replaces for every tool.
 ///
-///  - a Read or Write whose cells directly continue the *last* buffered
-///    event (same kind, same thread, consecutive addresses) extends it
-///    into one multi-cell event. Only the literally-last event is a
-///    merge target, so a merge never crosses another event: any
-///    intervening event — in particular every counter-bump kind —
-///    breaks adjacency by itself, and the merged event is
-///    observationally identical to the run of single-cell events it
-///    replaces for every tool.
-///  - a BasicBlock folds into the thread's still-open basic-block event
-///    even across interleaved reads and writes, the thread's own or
-///    another thread's (cost events carry only a count, and no tool
-///    orders accesses against block costs between two calls). The open
-///    block is closed by Call and Return — the points where cost
-///    attribution changes — and by every barrier. A count folded past
-///    another thread's accesses can remove a change of thread, where
-///    the profilers bump their counter (Figure 11), but no event is
-///    stamped at that bump, so later stamps shift without reordering.
-///
-/// Everything else — thread lifecycle, kernel ops, sync — is a
-/// compaction barrier: it closes the open basic-block run (and, by
-/// sitting between them in the buffer, breaks access adjacency), but it
-/// does *not* force delivery. Batches are delivered only when the
+/// No event forces delivery. Batches are delivered only when the
 /// fixed-size buffer fills, keeping flush frequency independent of the
 /// scheduler's switch rate; in-batch order preserves the exact event
-/// sequence, so tools observe barriers at the right position either
+/// sequence, so tools observe every event at the right position either
 /// way.
 ///
 /// In the packed form a logical event occupies one or two words (the
@@ -184,58 +169,39 @@ public:
   /// Tool::onFinish.
   void finish();
 
-  /// Queues one event for batched delivery, compacting adjacent access
-  /// runs and basic-block counts (see the file comment for the exact
-  /// rules). The buffer is a fixed array of packed words so the append
-  /// is branch-cheap and inlines into the interpreter loop.
+  /// Queues one event for batched delivery, merging it into the last
+  /// buffered access when it continues it (see the file comment). The
+  /// buffer is a fixed array of packed words so the append is
+  /// branch-cheap and inlines into the interpreter loop.
   void enqueue(const EventRecord &E) {
     ++EnqueuedEvents;
-    switch (E.Kind) {
-    case EventKind::Read:
-    case EventKind::Write:
-      if (HaveLastMain) {
-        Event &M = Pending[LastMain];
-        if (M.kind() == E.Kind && M.Tid == E.Tid) {
-          bool Follow = M.hasFollow();
-          uint64_t Cells = Follow ? Pending[LastMain + 1].Arg : 1;
-          if (M.Arg + Cells == E.Arg0) {
-            // Only the cell count grows (growing 1 -> 2 cells
-            // materializes the follow-on word right behind the main
-            // word).
-            if (Follow) {
-              Pending[LastMain + 1].Arg = Cells + E.Arg1;
-            } else {
-              M.Meta |= Event::FollowBit;
-              Pending[PendingWords++] = {0, 0, Cells + E.Arg1};
-            }
-            ++AccessMerges;
-            if (ISP_UNLIKELY(PendingWords + Event::MaxWordsPerRecord >
-                             BatchWords))
-              flushImpl(FlushCause::Capacity);
-            return;
+    if ((E.Kind == EventKind::Read || E.Kind == EventKind::Write) &&
+        HaveLastMain) {
+      Event &M = Pending[LastMain];
+      if (M.kind() == E.Kind && M.Tid == E.Tid) {
+        bool Follow = M.hasFollow();
+        uint64_t Cells = Follow ? Pending[LastMain + 1].Arg : 1;
+        if (M.Arg + Cells == E.Arg0) {
+          // Only the cell count grows (growing 1 -> 2 cells
+          // materializes the follow-on word right behind the main
+          // word).
+          if (Follow) {
+            Pending[LastMain + 1].Arg = Cells + E.Arg1;
+          } else {
+            M.Meta |= Event::FollowBit;
+            Pending[PendingWords++] = {0, 0, Cells + E.Arg1};
           }
+          ++AccessMerges;
+          if (ISP_UNLIKELY(PendingWords + Event::MaxWordsPerRecord >
+                           BatchWords))
+            flushImpl(FlushCause::Capacity);
+          return;
         }
       }
-      break;
-    case EventKind::BasicBlock:
-      if (BbRun.Active && BbRun.Tid == E.Tid) {
-        Pending[BbRun.Index].Arg += E.Arg1;
-        ++BbFolds;
-        return;
-      }
-      break;
-    default:
-      // Calls/returns (cost attribution boundaries) and the rare
-      // thread/kernel/sync kinds: close the open basic-block event.
-      // Their presence in the buffer breaks access adjacency by itself.
-      BbRun.Active = false;
-      break;
     }
     size_t N = encodeEvent(E, &Pending[PendingWords]);
     LastMain = static_cast<uint32_t>(PendingWords);
     HaveLastMain = true;
-    if (E.Kind == EventKind::BasicBlock)
-      BbRun = {true, E.Tid, LastMain};
     PendingWords += N;
     ++PendingRecords;
     if (ISP_UNLIKELY(PendingWords + Event::MaxWordsPerRecord > BatchWords))
@@ -267,13 +233,16 @@ public:
   /// harnesses report.
   uint64_t deliveredEvents() const { return DeliveredEvents; }
 
-  /// Compaction breakdown. The exact identity
-  ///   enqueuedEvents() == deliveredEvents() + accessMerges() + bbFolds()
+  /// Accesses merged into a buffered one. The exact identity
+  ///   enqueuedEvents() == deliveredEvents() + accessMerges()
   /// holds whenever the pending batch is empty (always after finish());
   /// every enqueue either merges into a buffered event or is eventually
   /// delivered. ObsTest asserts this.
   uint64_t accessMerges() const { return AccessMerges; }
-  uint64_t bbFolds() const { return BbFolds; }
+  /// Always 0: nothing folds any more. Kept only because perfbench/
+  /// still calls it; it goes with the benchmark change that drops the
+  /// instr.bb_folds metric.
+  uint64_t bbFolds() const { return 0; }
 
   /// Number of non-empty batch deliveries attributed to \p Cause.
   uint64_t flushCount(FlushCause Cause) const {
@@ -284,13 +253,6 @@ public:
   }
 
 private:
-  /// The thread's still-open basic-block event sitting in the batch.
-  struct BbRunState {
-    bool Active = false;
-    ThreadId Tid = 0;
-    uint32_t Index = 0;
-  };
-
   /// Per-tool observability: cached name (Tool::name() is virtual),
   /// events consumed, callback wall-time, and a timeline lane.
   /// Populated by start(); parallel to Tools.
@@ -324,11 +286,6 @@ private:
     uint64_t NextSeq = 0;
     obs::LaneId Lane = 0;
   };
-
-  void resetCompaction() {
-    BbRun.Active = false;
-    HaveLastMain = false;
-  }
 
   void flushImpl(FlushCause Cause);
   /// Serial delivery of one batch to every consumer, on this thread.
@@ -371,7 +328,6 @@ private:
   uint32_t LastMain = 0;
   bool HaveLastMain = false;
   RecordSink *Sink = nullptr;
-  BbRunState BbRun;
   uint64_t EnqueuedEvents = 0;
   uint64_t DeliveredEvents = 0;
   /// Compaction and flush-cause tallies. Plain (non-atomic) members like
@@ -379,7 +335,6 @@ private:
   /// already do comparable work per event, and folding them into the
   /// atomic registry happens once per run in publishStats().
   uint64_t AccessMerges = 0;
-  uint64_t BbFolds = 0;
   uint64_t Flushes[NumFlushCauses] = {0, 0, 0};
   std::vector<ToolObsState> ToolObs;
   obs::LaneId DispatcherLane = 0;

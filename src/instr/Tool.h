@@ -18,6 +18,9 @@
 /// words and calls the tool's per-event callbacks through the tool's own
 /// type: the callbacks are not virtual, so the walk can inline them.
 /// Tool itself declares only what the dispatcher and the driver call.
+/// onBasicBlock has no record of its own: the walk calls it with the
+/// block count a Call, Return or ThreadEnd carries, just before that
+/// boundary's own callback.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -137,7 +140,9 @@ void ToolImpl<DerivedT>::handleBatch(const Event *Words, size_t Count) {
 /// The one walk over packed words. It steps over main/follow-on pairs,
 /// reads the second argument from a follow-on word, and stops at a
 /// record whose follow-on word is cut off by the end of the batch —
-/// exactly the records decodeEvent yields.
+/// exactly the records decodeEvent yields. A Call, Return or ThreadEnd
+/// that carries blocks (trace/Event.h) reaches onBasicBlock first, so
+/// the blocks are charged to the frames open before the boundary.
 template <typename DerivedT>
 template <typename ToolT>
 void ToolImpl<DerivedT>::walk(ToolT &T, const Event *Words, size_t Count) {
@@ -159,17 +164,19 @@ void ToolImpl<DerivedT>::walk(ToolT &T, const Event *Words, size_t Count) {
       T.onThreadStart(Tid, static_cast<ThreadId>(M.Arg));
       continue;
     case EventKind::ThreadEnd:
+      if (Second != 0)
+        T.onBasicBlock(Tid, Second);
       T.onThreadEnd(Tid);
       continue;
     case EventKind::Call:
+      if (Second != 0)
+        T.onBasicBlock(Tid, Second);
       T.onCall(Tid, static_cast<RoutineId>(M.Arg));
       continue;
     case EventKind::Return:
+      if (Second != 0)
+        T.onBasicBlock(Tid, Second);
       T.onReturn(Tid, static_cast<RoutineId>(M.Arg));
-      continue;
-    case EventKind::BasicBlock:
-      // The main word carries a block's count (see trace/Event.h).
-      T.onBasicBlock(Tid, M.Arg);
       continue;
     case EventKind::Read:
       T.onRead(Tid, M.Arg, Second);

@@ -35,7 +35,6 @@ public:
   void onThreadEnd(ThreadId) { ++Events; }
   void onCall(ThreadId, RoutineId) { ++Events; }
   void onReturn(ThreadId, RoutineId) { ++Events; }
-  void onBasicBlock(ThreadId, uint64_t) { ++Events; }
   void onRead(ThreadId, Addr, uint64_t) { ++Events; }
   void onWrite(ThreadId, Addr, uint64_t) { ++Events; }
   void onKernelRead(ThreadId, Addr, uint64_t) { ++Events; }

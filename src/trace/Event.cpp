@@ -20,8 +20,6 @@ const char *isp::eventKindName(EventKind Kind) {
     return "Call";
   case EventKind::Return:
     return "Return";
-  case EventKind::BasicBlock:
-    return "BasicBlock";
   case EventKind::Read:
     return "Read";
   case EventKind::Write:

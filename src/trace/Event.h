@@ -29,22 +29,26 @@
 /// which interleaves per-thread traces, keeps an ordering key of its
 /// own.
 ///
+/// Basic blocks, the paper's cost metric, have no record of their own.
+/// Every consumer needs a thread's block count only where cost
+/// attribution changes, so each Call, Return and ThreadEnd carries in
+/// Arg1 the blocks its thread ran since the thread's previous Call,
+/// Return or ThreadEnd (0 when none). A consumer charges those blocks
+/// just before the boundary takes effect (instr/Tool.h).
+///
 /// Packed word layout:
 ///
 ///      Meta : u32   bits 0..5  event kind
 ///                   bit  7     a follow-on word follows
 ///      Tid  : u32   thread id
-///      Arg  : u64   primary argument (Arg0; for BasicBlock the block
-///                   count, since its Arg0 is always zero — keeping the
-///                   count in the main word lets block-count folding
-///                   stay a single in-place add)
+///      Arg  : u64   Arg0
 ///
 /// The second argument rides in an optional follow-on word (Arg = Arg1,
 /// Meta and Tid zero) emitted only when Arg1 differs from the kind's
 /// default (1 cell for memory accesses, 0 otherwise). Single-cell reads
-/// and writes — the dominant events — and basic blocks stay one word.
-/// A record is thus one or two words, and a walk over a word run steps
-/// over main/follow-on pairs.
+/// and writes — the dominant events — stay one word, and so does a
+/// boundary that carries no blocks. A record is thus one or two words,
+/// and a walk over a word run steps over main/follow-on pairs.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -85,11 +89,10 @@ using SyncId = uint32_t;
 /// The kinds of events a trace can contain.
 enum class EventKind : uint8_t {
   ThreadStart,  ///< A thread begins execution. Arg0 = parent thread id.
-  ThreadEnd,    ///< A thread finishes.
-  Call,         ///< Routine activation. Arg0 = RoutineId.
+  ThreadEnd,    ///< A thread finishes. Arg1 = blocks (see file comment).
+  Call,         ///< Routine activation. Arg0 = RoutineId, Arg1 = blocks.
   Return,       ///< Topmost activation completes. Arg0 = RoutineId,
-                ///< Arg1 = basic blocks executed since the call (cost).
-  BasicBlock,   ///< One basic-block entry (the cost metric). Arg1 = count.
+                ///< Arg1 = blocks.
   Read,         ///< Memory read. Arg0 = Addr, Arg1 = cell count.
   Write,        ///< Memory write. Arg0 = Addr, Arg1 = cell count.
   KernelRead,   ///< The OS reads guest memory on the thread's behalf
@@ -138,17 +141,16 @@ struct EventRecord {
   static EventRecord threadStart(ThreadId Tid, ThreadId Parent) {
     return {EventKind::ThreadStart, Tid, Parent, 0};
   }
-  static EventRecord threadEnd(ThreadId Tid) {
-    return {EventKind::ThreadEnd, Tid, 0, 0};
+  /// The three boundaries take \p Blocks, the blocks the thread ran
+  /// since its previous boundary (see the file comment).
+  static EventRecord threadEnd(ThreadId Tid, uint64_t Blocks = 0) {
+    return {EventKind::ThreadEnd, Tid, 0, Blocks};
   }
-  static EventRecord call(ThreadId Tid, RoutineId Rtn) {
-    return {EventKind::Call, Tid, Rtn, 0};
+  static EventRecord call(ThreadId Tid, RoutineId Rtn, uint64_t Blocks = 0) {
+    return {EventKind::Call, Tid, Rtn, Blocks};
   }
-  static EventRecord ret(ThreadId Tid, RoutineId Rtn, uint64_t Cost) {
-    return {EventKind::Return, Tid, Rtn, Cost};
-  }
-  static EventRecord basicBlock(ThreadId Tid, uint64_t Count = 1) {
-    return {EventKind::BasicBlock, Tid, 0, Count};
+  static EventRecord ret(ThreadId Tid, RoutineId Rtn, uint64_t Blocks) {
+    return {EventKind::Return, Tid, Rtn, Blocks};
   }
   static EventRecord read(ThreadId Tid, Addr A, uint64_t Cells = 1) {
     return {EventKind::Read, Tid, A, Cells};
@@ -225,15 +227,12 @@ constexpr uint64_t eventSecondaryDefault(EventKind K) {
 /// words, and returns the number of words written. The main word comes
 /// first.
 inline size_t encodeEvent(const EventRecord &E, Event *Out) {
-  bool BlockKind = E.Kind == EventKind::BasicBlock;
-  uint64_t Primary = BlockKind ? E.Arg1 : E.Arg0;
-  uint64_t Secondary = BlockKind ? E.Arg0 : E.Arg1;
-  bool Follow = Secondary != eventSecondaryDefault(E.Kind);
+  bool Follow = E.Arg1 != eventSecondaryDefault(E.Kind);
   Out[0] = {static_cast<uint32_t>(E.Kind) | (Follow ? Event::FollowBit : 0),
-            E.Tid, Primary};
+            E.Tid, E.Arg0};
   if (!Follow)
     return 1;
-  Out[1] = {0, 0, Secondary};
+  Out[1] = {0, 0, E.Arg1};
   return 2;
 }
 
@@ -244,17 +243,10 @@ inline size_t decodeEvent(const Event *W, size_t Avail, EventRecord &Out) {
   if (Avail == 0 || (W[0].hasFollow() && Avail == 1))
     return 0;
   const EventKind K = W[0].kind();
-  uint64_t Primary = W[0].Arg;
-  uint64_t Secondary = W[0].hasFollow() ? W[1].Arg : eventSecondaryDefault(K);
   Out.Kind = K;
   Out.Tid = W[0].Tid;
-  if (K == EventKind::BasicBlock) {
-    Out.Arg0 = Secondary;
-    Out.Arg1 = Primary;
-  } else {
-    Out.Arg0 = Primary;
-    Out.Arg1 = Secondary;
-  }
+  Out.Arg0 = W[0].Arg;
+  Out.Arg1 = W[0].hasFollow() ? W[1].Arg : eventSecondaryDefault(K);
   return W[0].hasFollow() ? 2 : 1;
 }
 

@@ -11,6 +11,7 @@
 #include <algorithm>
 #include <cassert>
 #include <map>
+#include <utility>
 
 using namespace isp;
 
@@ -19,6 +20,8 @@ namespace {
 /// Per-thread generation state.
 struct ThreadState {
   std::vector<RoutineId> CallStack;
+  /// Blocks drawn since the thread's last boundary, which carries them.
+  uint64_t Blocks = 0;
   bool Started = false;
   bool Finished = false;
 };
@@ -73,14 +76,16 @@ isp::generateSyntheticTrace(const SyntheticTraceOptions &Opts) {
         RoutineId Rtn =
             static_cast<RoutineId>(R.nextBelow(Opts.NumRoutines));
         TS.CallStack.push_back(Rtn);
-        Trace.push_back(EventRecord::call(Tid, Rtn));
+        Trace.push_back(
+            EventRecord::call(Tid, Rtn, std::exchange(TS.Blocks, 0)));
       }
     } else if (Dice < ReturnEdge) {
       // Keep the root activation alive until the final unwind.
       if (TS.CallStack.size() > 1) {
         RoutineId Rtn = TS.CallStack.back();
         TS.CallStack.pop_back();
-        Trace.push_back(EventRecord::ret(Tid, Rtn, 0));
+        Trace.push_back(
+            EventRecord::ret(Tid, Rtn, std::exchange(TS.Blocks, 0)));
       }
     } else if (Dice < WriteEdge) {
       Trace.push_back(EventRecord::write(Tid, pickAddress(Tid)));
@@ -89,7 +94,7 @@ isp::generateSyntheticTrace(const SyntheticTraceOptions &Opts) {
     } else if (Dice < KwEdge) {
       Trace.push_back(EventRecord::kernelWrite(Tid, pickAddress(Tid)));
     } else if (Dice < BbEdge) {
-      Trace.push_back(EventRecord::basicBlock(Tid));
+      ++TS.Blocks;
     } else {
       Trace.push_back(EventRecord::read(Tid, pickAddress(Tid)));
     }
@@ -101,7 +106,8 @@ isp::generateSyntheticTrace(const SyntheticTraceOptions &Opts) {
     while (!TS.CallStack.empty()) {
       RoutineId Rtn = TS.CallStack.back();
       TS.CallStack.pop_back();
-      Trace.push_back(EventRecord::ret(Tid, Rtn, 0));
+      Trace.push_back(
+          EventRecord::ret(Tid, Rtn, std::exchange(TS.Blocks, 0)));
     }
     TS.Finished = true;
     Trace.push_back(EventRecord::threadEnd(Tid));

@@ -32,7 +32,9 @@ struct SyntheticTraceOptions {
   /// Number of addresses private to each thread.
   unsigned PrivateAddresses = 32;
   /// Total number of operations to generate across all threads (memory
-  /// accesses, calls, returns, kernel ops, basic blocks).
+  /// accesses, calls, returns, kernel ops, basic blocks). A basic block
+  /// adds to its thread's count, which rides on the thread's next Call,
+  /// Return or ThreadEnd (trace/Event.h).
   uint64_t NumOperations = 10000;
   unsigned MaxCallDepth = 12;
   /// Operation mix (remaining probability mass goes to plain reads).

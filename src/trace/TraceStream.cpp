@@ -16,7 +16,7 @@
 
 using namespace isp;
 
-static const char StreamMagic[8] = {'I', 'S', 'P', 'S', 'T', 'M', '0', '5'};
+static const char StreamMagic[8] = {'I', 'S', 'P', 'S', 'T', 'M', '0', '6'};
 static const char TrailerMagic[8] = {'I', 'S', 'P', 'S', 'T', 'M', 'I', 'X'};
 
 static constexpr size_t MagicBytes = sizeof(StreamMagic);

@@ -10,7 +10,7 @@
 /// run never materializes the whole event vector and replaying one never
 /// loads more than a single chunk. This is isprof's one trace format.
 ///
-/// Stream layout (magic "ISPSTM05"):
+/// Stream layout (magic "ISPSTM06"):
 ///
 ///   header  : magic | varint routine count
 ///             | routine names in id order (varint length, name bytes):
@@ -28,8 +28,10 @@
 ///               4 x varint written-shard mask words)
 ///   trailer : u64 footer offset | u64 checksum | magic "ISPSTMIX"
 ///
-/// Events carry no time (trace/Event.h): a stream is the serialized
-/// trace, so its order is the order of execution.
+/// Events carry no time, and basic blocks have no record of their own
+/// (trace/Event.h): a stream is the serialized trace, so its order is
+/// the order of execution, and a Call's, Return's or ThreadEnd's Arg1
+/// is the block count its thread ran since its previous boundary.
 ///
 /// The footer index is written last (the writer knows chunk offsets only
 /// after the fact) and found through the fixed-size trailer, so a reader

@@ -13,6 +13,7 @@
 #include "vm/Compiler.h"
 
 #include <cassert>
+#include <utility>
 
 using namespace isp;
 
@@ -164,7 +165,8 @@ ISP_ALWAYS_INLINE bool Machine::pushFrame(ThreadCtx &T, const Function *Fn,
   F.SavedSp = T.Sp;
   T.Sp = FrameBase + Fn->NumLocals;
   if (TraceActive)
-    Events->enqueue(EventRecord::call(T.Id, Fn->Id));
+    Events->enqueue(
+        EventRecord::call(T.Id, Fn->Id, std::exchange(T.Blocks, 0)));
   T.Frames.push_back(F);
   return true;
 }
@@ -172,7 +174,7 @@ ISP_ALWAYS_INLINE bool Machine::pushFrame(ThreadCtx &T, const Function *Fn,
 void Machine::finishThread(ThreadCtx &T, int64_t Result) {
   T.State = ThreadStateKind::Finished;
   T.Result = Result;
-  emitEvent(EventRecord::threadEnd(T.Id));
+  emitEvent(EventRecord::threadEnd(T.Id, std::exchange(T.Blocks, 0)));
   if (T.Id == 0) {
     MainReturned = true;
     MainResult = Result;
@@ -449,8 +451,7 @@ Lbl_Nop:
 
 Lbl_BasicBlock:
   ++Stats.BasicBlocks;
-  if (TraceActive)
-    Events->enqueue(EventRecord::basicBlock(T.Id));
+  ++T.Blocks;
   ISP_NEXT
 
 Lbl_PushConst:
@@ -664,7 +665,8 @@ Lbl_Return: {
   int64_t Result = popValue(T.Operands);
   Frame Completed = T.Frames.back();
   if (TraceActive)
-    Events->enqueue(EventRecord::ret(T.Id, Completed.Fn->Id, 0));
+    Events->enqueue(EventRecord::ret(T.Id, Completed.Fn->Id,
+                                     std::exchange(T.Blocks, 0)));
   T.Frames.pop_back();
   T.Sp = Completed.SavedSp;
   T.Operands.resize(Completed.OperandBase);

@@ -9,8 +9,9 @@
 /// with multiple guest threads under a *serializing* fair round-robin
 /// scheduler (the same execution model Valgrind imposes on traced
 /// multithreaded programs, Section 5), emitting the full event stream —
-/// calls/returns, basic blocks, every guest-memory access, kernel-
-/// mediated I/O, synchronization, thread lifecycle — to an
+/// calls/returns carrying the thread's basic-block counts, every
+/// guest-memory access, kernel-mediated I/O, synchronization, thread
+/// lifecycle — to an
 /// EventDispatcher. With no dispatcher attached the VM is the "native"
 /// baseline the overhead benchmarks compare against.
 ///
@@ -115,6 +116,10 @@ private:
     std::vector<int64_t> StackMemory;
     Addr StackBase = 0;
     Addr Sp = 0;
+    /// Blocks run since the thread's last Call, Return or ThreadEnd;
+    /// the next one carries them to the tools (trace/Event.h) and
+    /// zeroes this.
+    uint64_t Blocks = 0;
     /// Deferred start: the entry function, whose frame is pushed when
     /// the scheduler first runs the thread (arguments are pre-written
     /// into the entry frame cells by the spawning thread).

@@ -578,17 +578,6 @@ QuietMarker::Result QuietMarker::run() {
 
 } // namespace
 
-OptimizerStats isp::optimizeFunction(Function &F) {
-  OptimizerStats Stats = FunctionOptimizer(F).runPeephole();
-  // No whole-program context here: conservative quiet pass (window
-  // shapes only, no immutable-array or points-to facts).
-  QuietPassContext Ctx;
-  QuietMarker::Result R = QuietMarker(F, Ctx, /*Mutate=*/true).run();
-  Stats.QuietAccessesMarked += R.Marked;
-  Stats.QuietIndirectMarked += R.IndirectMarked;
-  return Stats;
-}
-
 OptimizerStats isp::optimizeProgram(Program &Prog) {
   OptimizerStats Total;
   for (Function &F : Prog.Functions) {

@@ -85,9 +85,6 @@ struct OptimizerStats {
   unsigned RangeQuietMarked = 0;
 };
 
-/// Optimizes one function in place.
-OptimizerStats optimizeFunction(Function &F);
-
 /// Optimizes every function of \p Prog in place; returns summed stats.
 OptimizerStats optimizeProgram(Program &Prog);
 

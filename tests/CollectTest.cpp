@@ -427,22 +427,19 @@ std::string writePhasedStream(const std::string &Name, unsigned WorkCalls,
   emit(EventKind::ThreadStart, 0);
   emit(EventKind::Call, 0); // root
   emit(EventKind::Call, 1); // setup: 3 distinct reads, 2 basic blocks
-  emit(EventKind::BasicBlock, 0, 1);
   emit(EventKind::Read, 100, 1);
   emit(EventKind::Read, 101, 1);
   emit(EventKind::Read, 102, 1);
-  emit(EventKind::BasicBlock, 0, 1);
-  emit(EventKind::Return, 1);
+  emit(EventKind::Return, 1, /*Blocks=*/2);
   *SetupRms = 3;
   *SetupCost = 2;
   for (unsigned I = 0; I != WorkCalls; ++I) {
     emit(EventKind::Call, 2);
     for (int A = 0; A != 40; ++A) {
-      emit(EventKind::BasicBlock, 0, 1);
       emit(EventKind::Read, 200 + (A % 16), 1);
       emit(EventKind::Write, 300 + (A % 8), 1);
     }
-    emit(EventKind::Return, 2);
+    emit(EventKind::Return, 2, /*Blocks=*/40);
   }
   emit(EventKind::Return, 0);
   emit(EventKind::ThreadEnd, 0);
@@ -511,18 +508,16 @@ std::string writeInducedWriteStream(const std::string &Name) {
     for (unsigned I = 0; I != Calls; ++I) {
       emit(EventKind::Call, 2);
       for (int A = 0; A != 40; ++A) {
-        emit(EventKind::BasicBlock, 0, 1);
         emit(EventKind::Read, 150000 + (A % 16), 1);  // shard key 37
         emit(EventKind::Write, 160000 + (A % 8), 1);  // shard key 56
       }
-      emit(EventKind::Return, 2);
+      emit(EventKind::Return, 2, /*Blocks=*/40);
     }
   };
   auto probeActivation = [&] {
     emit(EventKind::Call, 1);
-    emit(EventKind::BasicBlock, 0, 1);
     emit(EventKind::Read, X, 1);
-    emit(EventKind::Return, 1);
+    emit(EventKind::Return, 1, /*Blocks=*/1);
   };
 
   emit(EventKind::ThreadStart, 0);
@@ -566,6 +561,80 @@ TEST(Collector, WrittenMasksKeepInducedInputExactUnderFiltering) {
       << "masks must not degrade to decoding everything";
   ASSERT_EQ(Filtered.routineCount(), 1u);
   EXPECT_EQ(Filtered.rollups().at(ProbeKey), Truth);
+
+  std::remove(Path.c_str());
+}
+
+TEST(Collector, DroppedReturnTakesItsBlocksAndKeepsRowsExact) {
+  // Routine 2 ("outer") opens in a chunk that filtered ingest skips, and
+  // its Return, carrying blocks, sits between two "probe" activations,
+  // so the chunk that holds it is decoded and the collector drops the
+  // Return with its count. The probe rows must equal the unfiltered
+  // ingest's.
+  std::vector<std::pair<RoutineId, std::string>> Routines = {
+      {0, "root"}, {1, "probe"}, {2, "outer"}, {3, "noise"}};
+  std::string Path = tempStream("dropped_return");
+  TraceStreamWriter Writer;
+  TraceStreamOptions Opts;
+  Opts.ChunkBytes = 1024;
+  ASSERT_TRUE(Writer.open(Path, Routines, Opts)) << Writer.error();
+  auto emit = [&](EventKind K, uint64_t Arg0, uint64_t Arg1 = 0) {
+    Writer.append({K, 0, Arg0, Arg1});
+  };
+  auto probeActivation = [&](uint64_t BlocksBefore) {
+    emit(EventKind::Call, 1, BlocksBefore);
+    emit(EventKind::Read, 10, 1);
+    emit(EventKind::Read, 11, 1);
+    emit(EventKind::Return, 1, /*Blocks=*/6);
+  };
+  auto noise = [&] { // several chunks with no probe Call and no write
+    for (unsigned I = 0; I != 200; ++I) {
+      emit(EventKind::Call, 3, /*Blocks=*/1);
+      emit(EventKind::Read, 150000 + I % 16, 1);
+      emit(EventKind::Return, 3, /*Blocks=*/2);
+    }
+  };
+  emit(EventKind::ThreadStart, 0);
+  emit(EventKind::Call, 0);
+  probeActivation(0);
+  noise();
+  emit(EventKind::Call, 2, /*Blocks=*/3);
+  noise();
+  probeActivation(5);
+  emit(EventKind::Return, 2, /*Blocks=*/1000);
+  probeActivation(7);
+  emit(EventKind::Return, 0, /*Blocks=*/4);
+  emit(EventKind::ThreadEnd, 0);
+  ASSERT_TRUE(Writer.close()) << Writer.error();
+  {
+    // Only outer's Call sets routine bit 2; its chunk has no probe Call.
+    TraceStreamReader Reader;
+    ASSERT_TRUE(Reader.open(Path)) << Reader.error();
+    unsigned OuterChunks = 0;
+    for (size_t C = 0; C != Reader.chunkCount(); ++C)
+      if ((Reader.chunkRoutineMask(C) >> 2) & 1) {
+        EXPECT_EQ((Reader.chunkRoutineMask(C) >> 1) & 1, 0u);
+        ++OuterChunks;
+      }
+    EXPECT_EQ(OuterChunks, 1u);
+  }
+
+  FleetStore Full;
+  Collector CF(CollectorOptions{}, Full);
+  ASSERT_EQ(CF.ingestFiles({Path}), 1u);
+  FleetStore::Key ProbeKey{Full.rollups().begin()->first.Program, "probe"};
+  ASSERT_TRUE(Full.rollups().count(ProbeKey));
+  EXPECT_EQ(Full.rollups().at(ProbeKey).Activations, 3u);
+  EXPECT_EQ(Full.rollups().at(ProbeKey).SumCost, 18u);
+
+  FleetStore Filtered;
+  CollectorOptions FilterOpts;
+  FilterOpts.RoutineFilter = {"probe"};
+  Collector C(FilterOpts, Filtered);
+  ASSERT_EQ(C.ingestFiles({Path}), 1u);
+  EXPECT_GT(C.totals().ChunksSkipped, 0u);
+  ASSERT_EQ(Filtered.routineCount(), 1u);
+  EXPECT_EQ(Filtered.rollups().at(ProbeKey), Full.rollups().at(ProbeKey));
 
   std::remove(Path.c_str());
 }

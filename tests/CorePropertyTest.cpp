@@ -99,8 +99,8 @@ TEST_P(TrmsPropertyTest, BatchedDeliveryMatchesNaiveOracle) {
     Opts.CounterLimit = Limit;
     Opts.KeepActivationLog = true;
     TrmsProfiler Batched(Opts);
-    // The live delivery path: compaction merges adjacent accesses and
-    // folds block counts before the batches reach the profiler.
+    // The live delivery path: compaction merges adjacent accesses
+    // before the batches reach the profiler.
     EventDispatcher Dispatcher;
     Dispatcher.addTool(&Batched);
     Dispatcher.start(nullptr);

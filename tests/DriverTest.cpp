@@ -421,6 +421,43 @@ TEST(Driver, ContextsApplyToWorkloadAndReplay) {
   std::remove(Path.c_str());
 }
 
+TEST(Driver, ContextsRefusedByCollectAndDiff) {
+  // collect and diff profile streams with a bare aprof-trms, so they
+  // refuse --contexts instead of ignoring it.
+  std::string Path = ::testing::TempDir() + "isprof_driver_ctxrefuse.strm";
+  CommandResult Record = runDriver("run " + guest("phased.mini") +
+                                   " --record=" + Path);
+  ASSERT_EQ(Record.ExitCode, 0) << Record.Output;
+  for (const std::string &Args :
+       {"collect " + Path + " --contexts",
+        "collect --diff " + Path + " " + Path + " --contexts",
+        "diff " + Path + " " + Path + " --contexts"}) {
+    CommandResult R = runDriver(Args);
+    EXPECT_EQ(R.ExitCode, 2) << Args << ": " << R.Output;
+    EXPECT_NE(R.Output.find("--contexts applies to run, workload and replay"),
+              std::string::npos)
+        << Args << ": " << R.Output;
+  }
+  // Without the flag both still run.
+  EXPECT_EQ(runDriver("collect " + Path).ExitCode, 0);
+  EXPECT_EQ(runDriver("diff " + Path + " " + Path).ExitCode, 0);
+  std::remove(Path.c_str());
+}
+
+TEST(Driver, NativeToolNameRunsWithoutTools) {
+  // "native" names no tool: the run attaches none, as with --tools=.
+  const std::string Args = "workload kdtree --threads=2 --size=16 --tools=";
+  CommandResult Native = runDriver(Args + "native");
+  CommandResult Empty = runDriver(Args);
+  ASSERT_EQ(Native.ExitCode, 0) << Native.Output;
+  ASSERT_EQ(Empty.ExitCode, 0) << Empty.Output;
+  EXPECT_EQ(Native.Output, Empty.Output);
+  CommandResult Bogus = runDriver(Args + "bogus");
+  EXPECT_EQ(Bogus.ExitCode, 2);
+  EXPECT_NE(Bogus.Output.find("unknown tool 'bogus'"), std::string::npos)
+      << Bogus.Output;
+}
+
 TEST(Driver, StreamingFlagsRejectBadValues) {
   std::string StreamPath = ::testing::TempDir() + "isprof_chunk_bytes.strm";
   std::string Args = "run " + guest("quickstart.mini") +
@@ -437,7 +474,7 @@ TEST(Driver, StreamingFlagsRejectBadValues) {
   std::string BadPath = ::testing::TempDir() + "isprof_bad_stream.strm";
   {
     std::ofstream Bad(BadPath, std::ios::binary);
-    Bad << "ISPSTM05 this is not a valid stream tail";
+    Bad << "ISPSTM06 this is not a valid stream tail";
   }
   CommandResult R = runDriver("replay " + BadPath + " --tools=aprof-trms");
   EXPECT_NE(R.ExitCode, 0);

@@ -393,8 +393,7 @@ TEST(Pipeline, CompactionIdentityHoldsAfterFinish) {
   for (const EventRecord &E : Events)
     D.enqueue(E);
   D.finish();
-  EXPECT_EQ(D.enqueuedEvents(),
-            D.deliveredEvents() + D.accessMerges() + D.bbFolds());
+  EXPECT_EQ(D.enqueuedEvents(), D.deliveredEvents() + D.accessMerges());
   EXPECT_EQ(D.enqueuedEvents(), Events.size());
   EXPECT_EQ(A.eventsSeen(), D.deliveredEvents());
 }

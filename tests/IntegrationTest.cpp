@@ -321,7 +321,7 @@ TEST(ContextAdapter, RewritesHandBuiltBatches) {
        word(K::Call, 1, 7),
        // A record whose follow-on word is cut off is not an event.
        word(K::Write, 1, 200, true)},
-      {word(K::Return, 1, 7, true), follow(12), word(K::BasicBlock, 1, 3),
+      {word(K::Return, 1, 7, true), follow(12),
        word(K::SyncAcquire, 1, 4, true), follow(1),
        word(K::Alloc, 1, 64, true), follow(16), word(K::ThreadCreate, 1, 2),
        // A ThreadEnd under two open frames: a Return for each comes first.
@@ -342,7 +342,7 @@ TEST(ContextAdapter, RewritesHandBuiltBatches) {
 
   const std::vector<RecordingTool::Entry> Expected = {
       {'S', 1, 0, 0},  {'C', 1, 0, 0}, {'C', 1, 1, 0},    {'r', 1, 100, 3},
-      {'C', 1, 2, 0},  {'R', 1, 2, 0}, {'B', 1, 3, 0},    {'a', 1, 4, 1},
+      {'C', 1, 2, 0},  {'B', 1, 12, 0}, {'R', 1, 2, 0},   {'a', 1, 4, 1},
       {'m', 1, 64, 16}, {'c', 1, 2, 0}, {'R', 1, 1, 0},   {'R', 1, 0, 0},
       {'E', 1, 0, 0},  {'S', 2, 1, 0}, {'C', 2, 0, 0},    {'R', 2, 0, 0},
       {'f', 2, 64, 0}, {'E', 2, 0, 0}, {'j', 0, 2, 0},
@@ -352,6 +352,57 @@ TEST(ContextAdapter, RewritesHandBuiltBatches) {
   EXPECT_EQ(Adapter.contextSymbols().routineName(0), "#5");
   EXPECT_EQ(Adapter.contextSymbols().routineName(1), "#5 > #6");
   EXPECT_EQ(Adapter.contextSymbols().routineName(2), "#5 > #6 > #7");
+}
+
+/// Keeps every word an adapter hands its inner tool.
+class WordTool final : public Tool {
+public:
+  std::string name() const override { return "words"; }
+  ToolAffinity threadAffinity() const override {
+    return ToolAffinity::AnyWorker;
+  }
+  void handleBatch(const Event *Batch, size_t Count) override {
+    Words.insert(Words.end(), Batch, Batch + Count);
+  }
+  std::vector<Event> Words;
+};
+
+TEST(ContextAdapter, MovesBlockCountsWithTheirFrames) {
+  using K = EventKind;
+  const std::vector<Event> Batch = {
+      word(K::ThreadStart, 1, 0), word(K::Call, 1, 5),
+      word(K::Call, 1, 6, true), follow(2),
+      // A ThreadEnd with blocks under two open frames: the first
+      // synthesized Return, the innermost frame's, carries them.
+      word(K::ThreadEnd, 1, 0, true), follow(9),
+      // A Return with blocks on an empty stack is dropped with them...
+      word(K::Return, 2, 8, true), follow(4),
+      // ...and a ThreadEnd with no frame open keeps its blocks.
+      word(K::ThreadEnd, 2, 0, true), follow(3)};
+  WordTool Inner;
+  ContextAdapter Adapter(Inner);
+  Adapter.onStart(nullptr);
+  Adapter.handleBatch(Batch.data(), Batch.size());
+  Adapter.onFinish();
+
+  // Context ids: 0 is "#5", 1 is "#5 > #6".
+  const std::vector<Event> Expected = {
+      word(K::ThreadStart, 1, 0), word(K::Call, 1, 0),
+      word(K::Call, 1, 1, true), follow(2),
+      word(K::Return, 1, 1, true), follow(9), word(K::Return, 1, 0),
+      word(K::ThreadEnd, 1, 0),
+      word(K::ThreadEnd, 2, 0, true), follow(3)};
+  EXPECT_EQ(Inner.Words, Expected);
+
+  // Through the walk, the innermost frame's blocks come just before its
+  // Return.
+  RecordingTool Recording;
+  Recording.handleBatch(Inner.Words.data(), Inner.Words.size());
+  const std::vector<RecordingTool::Entry> Callbacks = {
+      {'S', 1, 0, 0}, {'C', 1, 0, 0}, {'B', 1, 2, 0}, {'C', 1, 1, 0},
+      {'B', 1, 9, 0}, {'R', 1, 1, 0}, {'R', 1, 0, 0}, {'E', 1, 0, 0},
+      {'B', 2, 3, 0}, {'E', 2, 0, 0}};
+  EXPECT_EQ(Recording.Entries, Callbacks);
 }
 
 TEST(ContextAdapter, RecursionProducesPerDepthContexts) {

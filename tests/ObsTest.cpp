@@ -7,8 +7,8 @@
 // Covers the obs registry (counter/gauge/histogram semantics, the
 // disabled-mode no-allocation guarantee, exporter golden output), the
 // trace_event timeline, the dispatcher's flush-cause and compaction
-// accounting (including the enqueued == delivered + merges + folds
-// identity), and the machine's quiet-access suppression tallies.
+// accounting (including the enqueued == delivered + merges identity),
+// and the machine's quiet-access suppression tallies.
 //
 // Ordering matters: the registry is a process-wide singleton, so the
 // disabled-mode test and the exporter golden test run first, before any
@@ -240,15 +240,14 @@ TEST(ObsDispatcher, FlushCausesAndCompactionIdentity) {
   D.flush();
   EXPECT_EQ(D.flushCount(EventDispatcher::FlushCause::Explicit), 1u);
 
-  // Three adjacent reads merge into the first; two basic blocks on the
-  // same thread fold into one.
+  // Three adjacent reads merge into the first; two Calls carrying
+  // blocks do not merge.
   D.enqueue(EventRecord::read(1, 5000));
   D.enqueue(EventRecord::read(1, 5001));
   D.enqueue(EventRecord::read(1, 5002));
-  D.enqueue(EventRecord::basicBlock(1, 10));
-  D.enqueue(EventRecord::basicBlock(1, 20));
+  D.enqueue(EventRecord::call(1, 0, 10));
+  D.enqueue(EventRecord::call(1, 0, 20));
   EXPECT_EQ(D.accessMerges(), 2u);
-  EXPECT_EQ(D.bbFolds(), 1u);
 
   D.finish();
   EXPECT_EQ(D.flushCount(EventDispatcher::FlushCause::Finish), 1u);
@@ -256,11 +255,10 @@ TEST(ObsDispatcher, FlushCausesAndCompactionIdentity) {
 
   // The exact compaction identity: every enqueued event either merged
   // into a buffered one or was delivered.
-  EXPECT_EQ(D.enqueuedEvents(),
-            D.deliveredEvents() + D.accessMerges() + D.bbFolds());
+  EXPECT_EQ(D.enqueuedEvents(), D.deliveredEvents() + D.accessMerges());
   EXPECT_EQ(D.enqueuedEvents(), Reads + 5);
-  EXPECT_EQ(D.deliveredEvents(), Reads + 2);
-  EXPECT_EQ(Tool.eventsSeen(), Reads + 2);
+  EXPECT_EQ(D.deliveredEvents(), Reads + 3);
+  EXPECT_EQ(Tool.eventsSeen(), Reads + 3);
 }
 
 TEST(ObsDispatcher, LiveRunIdentityWithStatsOn) {
@@ -283,8 +281,7 @@ TEST(ObsDispatcher, LiveRunIdentityWithStatsOn) {
     })",
                               &D);
   ASSERT_TRUE(R.Ok) << R.Error;
-  EXPECT_EQ(D.enqueuedEvents(),
-            D.deliveredEvents() + D.accessMerges() + D.bbFolds());
+  EXPECT_EQ(D.enqueuedEvents(), D.deliveredEvents() + D.accessMerges());
 
   // finish() folded the tallies into the registry under the documented
   // names, including the per-tool delivery counter.
@@ -292,7 +289,7 @@ TEST(ObsDispatcher, LiveRunIdentityWithStatsOn) {
   EXPECT_EQ(C.at("dispatcher.enqueued_events"), D.enqueuedEvents());
   EXPECT_EQ(C.at("dispatcher.delivered_events"), D.deliveredEvents());
   EXPECT_EQ(C.at("dispatcher.access_merges"), D.accessMerges());
-  EXPECT_EQ(C.at("dispatcher.bb_folds"), D.bbFolds());
+  EXPECT_EQ(C.count("dispatcher.bb_folds"), 0u);
   EXPECT_EQ(C.at("tool.nulgrind.events_delivered"), D.deliveredEvents());
   EXPECT_EQ(C.at("dispatcher.flushes.capacity") +
                 C.at("dispatcher.flushes.explicit") +

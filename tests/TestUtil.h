@@ -19,15 +19,20 @@
 #include "instr/Dispatcher.h"
 #include "trace/Event.h"
 
+#include <map>
 #include <set>
 #include <string>
 #include <thread>
 #include <tuple>
+#include <utility>
 #include <vector>
 
 namespace isp {
 
-/// Builds totally ordered traces.
+/// Builds totally ordered traces. bb() adds to its thread's block count,
+/// which the thread's next call(), ret() or end() carries, as the VM
+/// does (trace/Event.h); a count with no later boundary is not in the
+/// trace.
 class TraceBuilder {
 public:
   TraceBuilder &start(ThreadId Tid, ThreadId Parent = 0) {
@@ -35,15 +40,15 @@ public:
     return *this;
   }
   TraceBuilder &end(ThreadId Tid) {
-    Events.push_back(EventRecord::threadEnd(Tid));
+    Events.push_back(EventRecord::threadEnd(Tid, takeBlocks(Tid)));
     return *this;
   }
   TraceBuilder &call(ThreadId Tid, RoutineId Rtn) {
-    Events.push_back(EventRecord::call(Tid, Rtn));
+    Events.push_back(EventRecord::call(Tid, Rtn, takeBlocks(Tid)));
     return *this;
   }
   TraceBuilder &ret(ThreadId Tid, RoutineId Rtn) {
-    Events.push_back(EventRecord::ret(Tid, Rtn, 0));
+    Events.push_back(EventRecord::ret(Tid, Rtn, takeBlocks(Tid)));
     return *this;
   }
   TraceBuilder &read(ThreadId Tid, Addr A, uint64_t Cells = 1) {
@@ -63,14 +68,17 @@ public:
     return *this;
   }
   TraceBuilder &bb(ThreadId Tid, uint64_t Count = 1) {
-    Events.push_back(EventRecord::basicBlock(Tid, Count));
+    Blocks[Tid] += Count;
     return *this;
   }
 
   const std::vector<EventRecord> &events() const { return Events; }
 
 private:
+  uint64_t takeBlocks(ThreadId Tid) { return std::exchange(Blocks[Tid], 0); }
+
   std::vector<EventRecord> Events;
+  std::map<ThreadId, uint64_t> Blocks;
 };
 
 /// Encodes \p Events into packed words and hands them to \p T as one

@@ -11,7 +11,11 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "core/NaiveProfiler.h"
+#include "core/RmsProfiler.h"
+#include "core/TrmsProfiler.h"
 #include "tools/CallgrindTool.h"
+#include "tools/CctTool.h"
 #include "tools/HelgrindTool.h"
 #include "tools/MemcheckTool.h"
 #include "tools/NulTool.h"
@@ -24,6 +28,7 @@
 
 #include <gtest/gtest.h>
 
+#include <map>
 #include <random>
 #include <tuple>
 
@@ -621,57 +626,77 @@ TEST(Registry, RendersReportsForEveryTool) {
 // The batch walk (ToolImpl::handleBatch)
 //===----------------------------------------------------------------------===//
 
-/// The callback the decoded record \p E must reach a tool as, in
-/// RecordingTool's notation.
-RecordingTool::Entry expectedEntry(const EventRecord &E) {
+bool isBoundary(EventKind K) {
+  return K == EventKind::Call || K == EventKind::Return ||
+         K == EventKind::ThreadEnd;
+}
+
+/// Appends the callbacks the decoded record \p E must reach a tool as,
+/// in RecordingTool's notation: a boundary's blocks first, if any.
+void appendExpected(const EventRecord &E,
+                    std::vector<RecordingTool::Entry> &Out) {
+  if (isBoundary(E.Kind) && E.Arg1 != 0)
+    Out.push_back({'B', E.Tid, E.Arg1, 0});
   switch (E.Kind) {
   case EventKind::ThreadStart:
-    return {'S', E.Tid, static_cast<ThreadId>(E.Arg0), 0};
+    Out.push_back({'S', E.Tid, static_cast<ThreadId>(E.Arg0), 0});
+    return;
   case EventKind::ThreadEnd:
-    return {'E', E.Tid, 0, 0};
+    Out.push_back({'E', E.Tid, 0, 0});
+    return;
   case EventKind::Call:
-    return {'C', E.Tid, static_cast<RoutineId>(E.Arg0), 0};
+    Out.push_back({'C', E.Tid, static_cast<RoutineId>(E.Arg0), 0});
+    return;
   case EventKind::Return:
-    return {'R', E.Tid, static_cast<RoutineId>(E.Arg0), 0};
-  case EventKind::BasicBlock:
-    return {'B', E.Tid, E.Arg1, 0};
+    Out.push_back({'R', E.Tid, static_cast<RoutineId>(E.Arg0), 0});
+    return;
   case EventKind::Read:
-    return {'r', E.Tid, E.Arg0, E.Arg1};
+    Out.push_back({'r', E.Tid, E.Arg0, E.Arg1});
+    return;
   case EventKind::Write:
-    return {'w', E.Tid, E.Arg0, E.Arg1};
+    Out.push_back({'w', E.Tid, E.Arg0, E.Arg1});
+    return;
   case EventKind::KernelRead:
-    return {'k', E.Tid, E.Arg0, E.Arg1};
+    Out.push_back({'k', E.Tid, E.Arg0, E.Arg1});
+    return;
   case EventKind::KernelWrite:
-    return {'K', E.Tid, E.Arg0, E.Arg1};
+    Out.push_back({'K', E.Tid, E.Arg0, E.Arg1});
+    return;
   case EventKind::SyncAcquire:
-    return {'a', E.Tid, static_cast<SyncId>(E.Arg0), E.Arg1 != 0};
+    Out.push_back({'a', E.Tid, static_cast<SyncId>(E.Arg0), E.Arg1 != 0});
+    return;
   case EventKind::SyncRelease:
-    return {'l', E.Tid, static_cast<SyncId>(E.Arg0), E.Arg1 != 0};
+    Out.push_back({'l', E.Tid, static_cast<SyncId>(E.Arg0), E.Arg1 != 0});
+    return;
   case EventKind::ThreadCreate:
-    return {'c', E.Tid, static_cast<ThreadId>(E.Arg0), 0};
+    Out.push_back({'c', E.Tid, static_cast<ThreadId>(E.Arg0), 0});
+    return;
   case EventKind::ThreadJoin:
-    return {'j', E.Tid, static_cast<ThreadId>(E.Arg0), 0};
+    Out.push_back({'j', E.Tid, static_cast<ThreadId>(E.Arg0), 0});
+    return;
   case EventKind::Alloc:
-    return {'m', E.Tid, E.Arg0, E.Arg1};
+    Out.push_back({'m', E.Tid, E.Arg0, E.Arg1});
+    return;
   case EventKind::Free:
-    return {'f', E.Tid, E.Arg0, 0};
+    Out.push_back({'f', E.Tid, E.Arg0, 0});
+    return;
   }
   ADD_FAILURE() << "unknown event kind";
-  return {};
 }
 
 /// A random packed word sequence: main words of every kind, with and
-/// without a follow-on, over the full thread id range, and sometimes a
-/// main word whose follow-on is cut off by the end.
+/// without a follow-on (for a boundary, a random block count), over the
+/// full thread id range, and sometimes a main word whose follow-on is
+/// cut off by the end.
 std::vector<Event> randomWords(std::mt19937_64 &Rng) {
   std::vector<Event> Words;
   size_t N = 1 + Rng() % 64;
   const unsigned Kinds = static_cast<unsigned>(EventKind::Free) + 1;
   for (size_t I = 0; I != N; ++I) {
-    bool Follow = Rng() % 3 == 0;
+    const auto K = static_cast<EventKind>(Rng() % Kinds);
+    bool Follow = Rng() % (isBoundary(K) ? 2 : 3) == 0;
     Event W;
-    W.Meta = static_cast<uint32_t>(Rng() % Kinds) |
-             (Follow ? Event::FollowBit : 0);
+    W.Meta = static_cast<uint32_t>(K) | (Follow ? Event::FollowBit : 0);
     W.Tid = static_cast<ThreadId>(Rng() % 2 ? Rng() % 4 : Rng());
     W.Arg = Rng() % 4 ? Rng() % 4096 : Rng();
     Words.push_back(W);
@@ -685,36 +710,38 @@ std::vector<Event> randomWords(std::mt19937_64 &Rng) {
 }
 
 TEST(ToolWalk, MatchesDecodedRecordsOnRandomWords) {
-  // The walk must give a tool exactly one callback for each record
-  // decodeEvent yields, with that record's arguments — for
-  // RecordingTool, and for NulTool's event count.
+  // The walk must give a tool the callbacks of each record decodeEvent
+  // yields, with that record's arguments — a boundary's nonzero block
+  // count as an onBasicBlock just before the boundary's own callback —
+  // for RecordingTool, and one event per record for NulTool's count.
   std::mt19937_64 Rng(20261017);
   for (int Round = 0; Round != 2000; ++Round) {
     std::vector<Event> Words = randomWords(Rng);
     std::vector<RecordingTool::Entry> Expected;
+    size_t Records = 0;
     EventRecord E;
     for (size_t Pos = 0, Used;
          (Used = decodeEvent(Words.data() + Pos, Words.size() - Pos, E)) != 0;
-         Pos += Used)
-      Expected.push_back(expectedEntry(E));
+         Pos += Used, ++Records)
+      appendExpected(E, Expected);
 
     RecordingTool Recording;
     NulTool Nul;
     for (Tool *T : std::initializer_list<Tool *>{&Recording, &Nul})
       T->handleBatch(Words.data(), Words.size());
     ASSERT_EQ(Recording.Entries, Expected) << "round " << Round;
-    ASSERT_EQ(Nul.eventsSeen(), Expected.size()) << "round " << Round;
+    ASSERT_EQ(Nul.eventsSeen(), Records) << "round " << Round;
   }
 }
 
 TEST(ToolWalk, EncodedRecordsRoundTripThroughTheWalk) {
   // Records the encoder produces — follow-ons for non-default second
-  // arguments, BasicBlock counts in the main word, the largest thread
-  // id — reach the callbacks unchanged.
+  // arguments, block counts on boundaries, the largest thread id —
+  // reach the callbacks unchanged.
   std::vector<EventRecord> Records = {
       EventRecord::threadStart(0, 0),
       EventRecord::call(0, 7),
-      EventRecord::basicBlock(0, 41),
+      EventRecord::call(0, 8, 41),
       EventRecord::read(0, 100),
       EventRecord::read(0, 200, 9),
       EventRecord::write(MaxThreadId, 300),
@@ -723,20 +750,111 @@ TEST(ToolWalk, EncodedRecordsRoundTripThroughTheWalk) {
       EventRecord::syncRelease(3, 5, false),
       EventRecord::alloc(1, 64, 16),
       EventRecord::free(1, 64),
-      EventRecord::ret(0, 7, 12),
-      EventRecord::threadEnd(0),
+      EventRecord::ret(0, 8, 12),
+      EventRecord::threadEnd(0, 3),
   };
   std::vector<Event> Words = encodeEventStream(Records);
   std::vector<RecordingTool::Entry> Expected;
   for (const EventRecord &E : Records)
-    Expected.push_back(expectedEntry(E));
+    appendExpected(E, Expected);
   RecordingTool Recording;
   Recording.handleBatch(Words.data(), Words.size());
   EXPECT_EQ(Recording.Entries, Expected);
-  ASSERT_EQ(Recording.Entries.size(), Records.size());
+  ASSERT_EQ(Recording.Entries.size(), Records.size() + 3);
   EXPECT_EQ(Recording.Entries[2], RecordingTool::Entry('B', 0, 41, 0));
-  EXPECT_EQ(Recording.Entries[5],
+  EXPECT_EQ(Recording.Entries[3], RecordingTool::Entry('C', 0, 8, 0));
+  EXPECT_EQ(Recording.Entries[6],
             RecordingTool::Entry('w', MaxThreadId, 300, 1));
+  EXPECT_EQ(Recording.Entries[12], RecordingTool::Entry('B', 0, 12, 0));
+  EXPECT_EQ(Recording.Entries[14], RecordingTool::Entry('B', 0, 3, 0));
+}
+
+/// Appends a record of kind \p K whose second argument, \p Blocks for
+/// a boundary, is 0 unless a follow-on word carries it.
+void pushRecord(std::vector<Event> &Words, EventKind K, ThreadId Tid,
+                uint64_t Arg, uint64_t Blocks = 0) {
+  Words.push_back({static_cast<uint32_t>(K) |
+                       (Blocks != 0 ? Event::FollowBit : 0u),
+                   Tid, Arg});
+  if (Blocks != 0)
+    Words.push_back({0, 0, Blocks});
+}
+
+TEST(ToolWalk, BoundaryBlockCountsChargeTheOpenFrames) {
+  // Thread 1 runs main (routine 0), which calls f (1) and then g (2);
+  // the thread ends with main and g still open. Thread 2 runs w (3).
+  // Block counts ride on the boundaries: main runs 3 blocks before f
+  // and 2 before g, f runs 4, g runs 5 up to the ThreadEnd; blocks
+  // thread 2 runs before w's Call belong to no frame, and w runs 7.
+  // Fed the same trace with block records, the walk before block counts
+  // moved onto the boundaries gave these same values.
+  using K = EventKind;
+  std::vector<Event> Words;
+  pushRecord(Words, K::ThreadStart, 1, 0);
+  pushRecord(Words, K::Call, 1, 0);
+  pushRecord(Words, K::ThreadStart, 2, 1);
+  pushRecord(Words, K::Call, 2, 3, 1);
+  pushRecord(Words, K::Call, 1, 1, 3);
+  Words.push_back({static_cast<uint32_t>(K::Read), 1, 100});
+  pushRecord(Words, K::Return, 1, 1, 4);
+  pushRecord(Words, K::Return, 2, 3, 7);
+  pushRecord(Words, K::Call, 1, 2, 2);
+  Words.push_back({static_cast<uint32_t>(K::Read), 1, 101});
+  // Under two open frames: the 5 blocks go to g, the innermost.
+  pushRecord(Words, K::ThreadEnd, 1, 0, 5);
+  pushRecord(Words, K::ThreadEnd, 2, 0);
+
+  auto feed = [&](Tool &T) {
+    T.onStart(nullptr);
+    T.handleBatch(Words.data(), Words.size());
+    T.onFinish();
+  };
+  // Activation costs, in completion order: f, w, g, main.
+  const std::vector<std::pair<RoutineId, uint64_t>> Costs = {
+      {1, 4}, {3, 7}, {2, 5}, {0, 14}};
+  auto costsOf = [](const ProfileDatabase &Db) {
+    std::vector<std::pair<RoutineId, uint64_t>> Out;
+    for (const ActivationRecord &R : Db.log())
+      Out.push_back({R.Rtn, R.Cost});
+    return Out;
+  };
+  TrmsProfilerOptions TrmsOpts;
+  TrmsOpts.KeepActivationLog = true;
+  TrmsProfiler Trms(TrmsOpts);
+  RmsProfilerOptions RmsOpts;
+  RmsOpts.KeepActivationLog = true;
+  RmsProfiler Rms(RmsOpts);
+  NaiveProfilerOptions NaiveOpts;
+  NaiveOpts.KeepActivationLog = true;
+  NaiveTrmsProfiler Naive(NaiveOpts);
+  feed(Trms);
+  feed(Rms);
+  feed(Naive);
+  EXPECT_EQ(costsOf(Trms.database()), Costs);
+  EXPECT_EQ(costsOf(Rms.database()), Costs);
+  EXPECT_EQ(costsOf(Naive.database()), Costs);
+
+  CallgrindTool Callgrind;
+  feed(Callgrind);
+  const auto &Routine = Callgrind.routineCosts();
+  // {exclusive, inclusive} blocks per routine.
+  const std::map<RoutineId, std::pair<uint64_t, uint64_t>> Blocks = {
+      {0, {5, 14}}, {1, {4, 4}}, {2, {5, 5}}, {3, {7, 7}}};
+  ASSERT_EQ(Routine.size(), Blocks.size());
+  for (const auto &[Rtn, Expect] : Blocks) {
+    ASSERT_TRUE(Routine.count(Rtn)) << "routine " << Rtn;
+    EXPECT_EQ(Routine.at(Rtn).ExclusiveBlocks, Expect.first) << Rtn;
+    EXPECT_EQ(Routine.at(Rtn).InclusiveBlocks, Expect.second) << Rtn;
+  }
+
+  CctTool Cct;
+  feed(Cct);
+  std::map<std::string, uint64_t> NodeBlocks;
+  for (CctTool::NodeIndex I = 1; I != Cct.nodes().size(); ++I)
+    NodeBlocks[Cct.contextPath(I, nullptr)] = Cct.nodes()[I].ExclusiveBlocks;
+  const std::map<std::string, uint64_t> ExpectedNodes = {
+      {"#0", 5}, {"#0 > #1", 4}, {"#0 > #2", 5}, {"#3", 7}};
+  EXPECT_EQ(NodeBlocks, ExpectedNodes);
 }
 
 } // namespace

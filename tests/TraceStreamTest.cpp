@@ -282,7 +282,7 @@ TEST(TraceStream, StreamedReplayMatchesInMemoryProfile) {
   TraceStreamOptions SmallChunks;
   SmallChunks.ChunkBytes = 192;
   for (uint64_t Seed : {11u, 12u}) {
-    std::vector<EventRecord> Events = makeTrace(5000, Seed);
+    std::vector<EventRecord> Events = makeTrace(6000, Seed);
     auto Enqueue = [&Events](Tool &T) {
       EventDispatcher Dispatcher;
       Dispatcher.addTool(&T);
@@ -390,7 +390,7 @@ TEST(TraceStreamGolden, FileBytesMatchPinnedHashes) {
   // benchmark metric, so the writer's output is pinned byte for byte,
   // twice: the body hash covers the routine table and the chunks, so it
   // proves no event byte moved; the file hash covers everything, magic
-  // and trailer included. Both were taken from the ISPSTM05 writer. The
+  // and trailer included. Both were taken from the ISPSTM06 writer. The
   // trace ends with events that need the rare encodings: the largest
   // thread id, large and decreasing addresses (long zigzag deltas).
   std::vector<EventRecord> Events = makeTrace(20000, 23);
@@ -409,13 +409,13 @@ TEST(TraceStreamGolden, FileBytesMatchPinnedHashes) {
     uint64_t FileHash;
   };
   const Case Cases[] = {
-      {false, size_t(1) << 16, 0x008234c54e6ce480ULL, 0xf33ab3088f8acb20ULL},
-      {false, 256, 0xd226fbd41008eb6cULL, 0xed9ec73b091ce194ULL},
+      {false, size_t(1) << 16, 0xea5caa4ae46135f7ULL, 0xe6019e7c88fa7e29ULL},
+      {false, 256, 0x0687af59030014c7ULL, 0xf23d2000114d7381ULL},
       // Through a sink the stream is the dispatcher's compacted one, so
       // these also pin where 4,096-word batches stop access runs from
       // merging (taken from the serial writer at that batch size).
-      {true, size_t(1) << 16, 0x0b43a2ea378cbd29ULL, 0x5b581e63d9cd1318ULL},
-      {true, 256, 0x7f5f379390538593ULL, 0x917ea470215b98e1ULL},
+      {true, size_t(1) << 16, 0x98cce8bade63d2caULL, 0x161e69af96631f48ULL},
+      {true, 256, 0xed3938dfc787ec00ULL, 0x342a9fe59d066b6dULL},
   };
   std::string Path = tempPath("isprof_stream_golden.strm");
   // The sink writes on the producer thread with one hardware thread and
@@ -494,7 +494,7 @@ struct StreamBuilder {
 
   /// \p RoutineTable defaults to an empty table (a zero count).
   explicit StreamBuilder(const std::string &RoutineTable = std::string(1, '\0'))
-      : Bytes("ISPSTM05" + RoutineTable) {}
+      : Bytes("ISPSTM06" + RoutineTable) {}
   /// Appends a chunk; \p Events is what the footer index will claim.
   void addChunk(const std::string &Payload, uint64_t Events) {
     Index.push_back({Bytes.size(), Events});
@@ -1076,7 +1076,7 @@ TEST(TraceStreamHardening, CorruptFooterIndexFuzz) {
   // changed checksum field mismatches trivially, and a changed footer
   // offset moves the bytes read as the footer, which the structural
   // checks or the hash refuse.
-  std::vector<EventRecord> Events = makeTrace(600, 16);
+  std::vector<EventRecord> Events = makeTrace(720, 16);
   TraceStreamOptions Opts;
   Opts.ChunkBytes = 256;
   std::string Path = tempPath("isprof_stream_footersrc.strm");
@@ -1202,8 +1202,8 @@ TEST(TraceStreamV2, UnknownVersionsRejected) {
   std::string Path = tempPath("isprof_stream_version.strm");
   writeStream(Path, Events, {});
   std::string Bytes = readFile(Path);
-  ASSERT_EQ(Bytes.substr(0, 8), "ISPSTM05");
-  for (char Version : {'1', '2', '3', '4', '6'}) {
+  ASSERT_EQ(Bytes.substr(0, 8), "ISPSTM06");
+  for (char Version : {'1', '2', '3', '4', '5', '7'}) {
     Bytes[7] = Version;
     writeFile(Path, Bytes);
     TraceStreamReader Reader;

@@ -184,16 +184,19 @@ static_assert(Event::MaxWordsPerRecord == 2,
               "a record is at most main + follow-on");
 
 TEST(PackedEvent, SingleCellAccessIsOneWord) {
-  // The dominant events — single-cell accesses and fresh basic blocks —
-  // must stay one 16-byte word, with the full thread id inline.
+  // The dominant events — single-cell accesses — and boundaries that
+  // carry no blocks must stay one 16-byte word, with the full thread id
+  // inline; a block count rides in the ordinary follow-on word.
   Event Words[Event::MaxWordsPerRecord];
   EXPECT_EQ(encodeEvent(EventRecord::read(MaxThreadId, 0x1234), Words), 1u);
   EXPECT_EQ(Words[0].kind(), EventKind::Read);
   EXPECT_EQ(Words[0].Tid, MaxThreadId);
   EXPECT_EQ(Words[0].Arg, 0x1234u);
   EXPECT_FALSE(Words[0].hasFollow());
-  EXPECT_EQ(encodeEvent(EventRecord::basicBlock(7), Words), 1u);
-  EXPECT_EQ(Words[0].Arg, 1u) << "block count rides in the main word";
+  EXPECT_EQ(encodeEvent(EventRecord::call(7, 3), Words), 1u);
+  EXPECT_EQ(encodeEvent(EventRecord::call(7, 3, 5), Words), 2u);
+  EXPECT_EQ(Words[0].Arg, 3u);
+  EXPECT_EQ(Words[1].Arg, 5u) << "block count rides in the follow-on word";
 }
 
 TEST(PackedEvent, FollowOnWordFuzz) {
@@ -212,7 +215,8 @@ TEST(PackedEvent, FollowOnWordFuzz) {
       E = EventRecord::write(Tid, Rng() % 1000000, 1); // default: one word
       break;
     case 2:
-      E = EventRecord::basicBlock(Tid, 1 + Rng() % 100);
+      E = EventRecord::call(Tid, static_cast<RoutineId>(Rng() % 100),
+                            Rng() % 3);
       break;
     case 3:
       E = EventRecord::ret(Tid, static_cast<RoutineId>(Rng() % 100),

@@ -132,7 +132,7 @@ const char *StraightLineHeavySource = R"(
 
 TEST(InterpreterLoop, StraightLineGuest) {
   expectPinned(runGuest(StraightLineHeavySource),
-               {0x4ab1beed759a347bULL, 7817, 403, 3002, 1603, 0, 0, 0, true, -93,
+               {0xe8c00aa2faa70fdeULL, 7817, 403, 3002, 1603, 0, 0, 0, true, -93,
                 "", ""});
 }
 
@@ -140,7 +140,7 @@ TEST(InterpreterLoop, QuietMarkedGuest) {
   // The optimizer's quiet marks suppress statically redundant events
   // (no event word).
   expectPinned(runGuest(StraightLineHeavySource, /*Optimize=*/true),
-               {0x0787d83860b3b97fULL, 7817, 403, 3002, 1603, 1598, 0, 2, true,
+               {0x1570a24f096e6e89ULL, 7817, 403, 3002, 1603, 1598, 0, 2, true,
                 -93, "", ""});
 }
 
@@ -169,10 +169,10 @@ TEST(InterpreterLoop, MultiThreadedGuestAtShortAndLongSlices) {
   // Short slices maximize thread switches (WindowInterrupted churn and
   // mid-window budget exhaustion); the default exercises long runs.
   expectPinned(runGuest(Source, /*Optimize=*/true, /*SliceLength=*/7),
-               {0xa0dd8ebaa43d39aeULL, 3566, 135, 1637, 516, 98, 0, 778, true,
+               {0x2118f6cfe08ed2baULL, 3566, 135, 1637, 516, 98, 0, 778, true,
                 691, "", ""});
   expectPinned(runGuest(Source, /*Optimize=*/true, /*SliceLength=*/150),
-               {0x14c9c856925990efULL, 3566, 135, 1637, 516, 789, 0, 87, true,
+               {0xe21abd0ad556a19cULL, 3566, 135, 1637, 516, 789, 0, 87, true,
                 691, "", ""});
 }
 
@@ -186,7 +186,7 @@ TEST(InterpreterLoop, LongRunSpansManyBatches) {
   RunCapture C = runGuest(Source);
   EXPECT_GT(C.Words.size(), 8 * EventDispatcher::BatchWords)
       << "the run must span many batches";
-  expectPinned(C, {0x343316f2cbfa509cULL, 234017, 12003, 90002, 48003, 0, 0, 0,
+  expectPinned(C, {0xdb3e51b2a760d4feULL, 234017, 12003, 90002, 48003, 0, 0, 0,
                    true, 59, "", ""});
 }
 
@@ -212,7 +212,7 @@ TEST(InterpreterLoop, IndirectAndBuiltinGuest) {
       return n + v + buf[3];
     })";
   expectPinned(runGuest(Source, /*Optimize=*/true),
-               {0xda0ff1c1dfdc0785ULL, 239, 16, 96, 30, 49, 0, 0, true, 63, "",
+               {0x0f78bcc1c1b9b26aULL, 239, 16, 96, 30, 49, 0, 0, true, 63, "",
                 ""});
 }
 
@@ -230,7 +230,7 @@ TEST(InterpreterLoop, DivideByZeroFailsWithDiagnostic) {
       return acc;
     })";
   expectPinned(runGuest(Source),
-               {0x53223ae0af851233ULL, 70, 5, 15, 8, 0, 0, 0, false, 0, "",
+               {0x104bcd5cae6dbd34ULL, 70, 5, 15, 8, 0, 0, 0, false, 0, "",
                 "division by zero"});
 }
 
@@ -248,7 +248,7 @@ TEST(InterpreterLoop, InvalidIndirectAddressFailsWithDiagnostic) {
       return acc;
     })";
   expectPinned(runGuest(Source),
-               {0x55f0855b27591342ULL, 34, 3, 10, 4, 0, 0, 0, false, 0, "",
+               {0x8bf7dda37c4bd0aaULL, 34, 3, 10, 4, 0, 0, 0, false, 0, "",
                 "invalid memory access at address 67"});
 }
 

@@ -474,6 +474,73 @@ TEST(Machine, EventStreamIsWellFormed) {
   EXPECT_EQ(Writes, R.Stats.MemWrites);
 }
 
+TEST(Machine, BoundariesCarryTheThreadsBlockCounts) {
+  // The VM emits no block record: each Call, Return and ThreadEnd
+  // carries the blocks its thread ran since the thread's previous
+  // boundary. A thread's entry Call is its first boundary, so it carries
+  // none; the caller's blocks before each call of leaf ride on that
+  // Call; leaf has no control flow, so its Return carries its one
+  // block; a ThreadEnd follows its thread's last Return, so it carries
+  // none. Together the counts are every block the run executed.
+  const char *Source = R"(
+    fn leaf(n) { return n + 1; }
+    fn worker(n) {
+      var s = 0;
+      var i = 0;
+      while (i < n) { s = s + leaf(i); i = i + 1; }
+      return s;
+    }
+    fn main() {
+      var t = spawn worker(4);
+      return worker(3) + join(t);
+    })";
+  DiagnosticEngine Diags;
+  auto Prog = compileProgram(Source, Diags);
+  ASSERT_TRUE(Prog.has_value());
+  const RoutineId Leaf = Prog->Symbols.lookup("leaf");
+  WordSink Sink;
+  EventDispatcher Dispatcher;
+  Dispatcher.setRecordSink(&Sink);
+  Machine M(*Prog, &Dispatcher);
+  RunResult R = M.run();
+  ASSERT_TRUE(R.Ok) << R.Error;
+
+  uint64_t Total = 0;
+  unsigned LeafCalls = 0, LeafReturns = 0, ThreadEnds = 0;
+  std::set<ThreadId> Entered;
+  for (const EventRecord &E : decodeEventStream(Sink.Words)) {
+    switch (E.Kind) {
+    case EventKind::Call:
+      Total += E.Arg1;
+      if (Entered.insert(E.Tid).second) {
+        EXPECT_EQ(E.Arg1, 0u) << "entry call of thread " << E.Tid;
+      } else if (E.Arg0 == Leaf) {
+        ++LeafCalls;
+        EXPECT_GT(E.Arg1, 0u);
+      }
+      break;
+    case EventKind::Return:
+      Total += E.Arg1;
+      if (E.Arg0 == Leaf) {
+        ++LeafReturns;
+        EXPECT_EQ(E.Arg1, 1u);
+      }
+      break;
+    case EventKind::ThreadEnd:
+      Total += E.Arg1;
+      ++ThreadEnds;
+      EXPECT_EQ(E.Arg1, 0u);
+      break;
+    default:
+      break;
+    }
+  }
+  EXPECT_EQ(LeafCalls, 7u);
+  EXPECT_EQ(LeafReturns, 7u);
+  EXPECT_EQ(ThreadEnds, 2u);
+  EXPECT_EQ(Total, R.Stats.BasicBlocks);
+}
+
 TEST(Machine, NativeRunMatchesInstrumentedRun) {
   const char *Source = R"(
     fn main() {
