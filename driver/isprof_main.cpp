@@ -56,6 +56,7 @@
 #include <memory>
 #include <set>
 #include <sstream>
+#include <string>
 #include <thread>
 
 #include <sys/resource.h>
@@ -915,9 +916,11 @@ int main(int Argc, char **Argv) {
   Options.addOption("stats-interval", "",
                     "with --stats=json --stats-out=PATH: append a live "
                     "JSONL snapshot to PATH.live every N milliseconds");
-  Options.addOption("stream-chunk-bytes", "65536",
+  Options.addOption("stream-chunk-bytes",
+                    std::to_string(TraceStreamOptions().ChunkBytes),
                     "(--record) target chunk payload size in "
-                    "bytes (power of two in [1024, 1048576])");
+                    "bytes (power of two in [1024, 1048576]); a chunk "
+                    "is the unit filtered collect skips");
   Options.addOption("spool", "",
                     "(collect) also ingest every stream file in this "
                     "directory");

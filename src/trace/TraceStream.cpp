@@ -8,6 +8,7 @@
 
 #include "instr/Tool.h"
 #include "support/Compiler.h"
+#include "support/Crc32c.h"
 
 #include <algorithm>
 #include <cstring>
@@ -16,7 +17,7 @@
 
 using namespace isp;
 
-static const char StreamMagic[8] = {'I', 'S', 'P', 'S', 'T', 'M', '0', '6'};
+static const char StreamMagic[8] = {'I', 'S', 'P', 'S', 'T', 'M', '0', '7'};
 static const char TrailerMagic[8] = {'I', 'S', 'P', 'S', 'T', 'M', 'I', 'X'};
 
 static constexpr size_t MagicBytes = sizeof(StreamMagic);
@@ -31,10 +32,19 @@ namespace {
 
 /// Longest LEB128 encoding of a uint64.
 constexpr size_t MaxVarintBytes = 10;
-/// Longest encoded event: the kind byte and three varints.
+/// Longest encoded event: the head byte and three varints.
 constexpr size_t MaxEncodedEventBytes = 1 + 3 * MaxVarintBytes;
-/// Shortest encoded event: the kind byte and three one-byte varints.
-constexpr size_t MinEncodedEventBytes = 4;
+/// Shortest encoded event: a head byte alone. A record of two packed
+/// words needs its Arg1 varint too, so decoded words stay within 16
+/// bytes per payload byte.
+constexpr size_t MinEncodedEventBytes = 1;
+
+/// The record head byte (see TraceStream.h): the kind and four flags.
+constexpr unsigned HeadKindMask = 0x0f;
+constexpr unsigned HeadTidBit = 0x10;
+constexpr unsigned HeadArg1Bit = 0x20;
+constexpr unsigned HeadSlotShift = 6;
+constexpr unsigned HeadSameArg0Bit = 0x80;
 
 /// Unsigned LEB128 append.
 void writeVarint(std::string &Out, uint64_t V) {
@@ -94,11 +104,14 @@ ISP_ALWAYS_INLINE bool readVarintUnchecked(const unsigned char *Bytes,
   return true;
 }
 
-uint64_t zigzag(int64_t V) {
-  return (static_cast<uint64_t>(V) << 1) ^ static_cast<uint64_t>(V >> 63);
+/// Zigzag code of the wrapping difference \p A - \p B, so small steps
+/// either way take small varints; unzigzag gives back the difference.
+ISP_ALWAYS_INLINE uint64_t zigzagDelta(uint64_t A, uint64_t B) {
+  uint64_t D = A - B;
+  return (D << 1) ^ (0 - (D >> 63));
 }
-int64_t unzigzag(uint64_t V) {
-  return static_cast<int64_t>(V >> 1) ^ -static_cast<int64_t>(V & 1);
+ISP_ALWAYS_INLINE uint64_t unzigzag(uint64_t V) {
+  return (V >> 1) ^ (0 - (V & 1));
 }
 
 /// The 64-bit FNV-1a hash of no bytes.
@@ -167,14 +180,11 @@ bool TraceStreamWriter::open(
   Error.clear();
   Chunks.clear();
   ChunkEvents = 0;
-  std::memset(LastArg0, 0, sizeof(LastArg0));
-  EventsWritten = 0;
+  Open = ChunkState();
+  EventsSealed = 0;
   BytesWritten = 0;
   PeakBufferedBytes = 0;
   Failed = false;
-  ChunkRoutineMask = 0;
-  ChunkShardMask = {};
-  ChunkWrittenMask = {};
   // The header records names only: a routine's id is its position.
   std::string Header(StreamMagic, MagicBytes);
   writeVarint(Header, Routines.size());
@@ -233,70 +243,99 @@ static ISP_ALWAYS_INLINE void noteShardRange(ShardActivityMask &Mask, Addr A,
   }
 }
 
-ISP_ALWAYS_INLINE void TraceStreamWriter::noteActivity(EventKind Kind,
-                                                       uint64_t Arg0,
-                                                       uint64_t Arg1) {
-  switch (Kind) {
+ISP_ALWAYS_INLINE unsigned char *
+TraceStreamWriter::put(ChunkState &S, unsigned char *P,
+                       const EventRecord &E) {
+  switch (E.Kind) {
   case EventKind::Call:
-    ChunkRoutineMask |= uint64_t(1) << (Arg0 & 63);
-    return;
+    S.RoutineMask |= uint64_t(1) << (E.Arg0 & 63);
+    break;
   case EventKind::Read:
   case EventKind::KernelRead:
-    noteShardRange(ChunkShardMask, Arg0, Arg1);
-    return;
+    noteShardRange(S.ShardMask, E.Arg0, E.Arg1);
+    break;
   case EventKind::Write:
   case EventKind::KernelWrite:
-    noteShardRange(ChunkShardMask, Arg0, Arg1);
-    noteShardRange(ChunkWrittenMask, Arg0, Arg1);
-    return;
+    noteShardRange(S.ShardMask, E.Arg0, E.Arg1);
+    noteShardRange(S.WrittenMask, E.Arg0, E.Arg1);
+    break;
   case EventKind::Alloc:
     // Allocation defines memory (shadow state changes) without a Read
     // or Write event; a filtered-ingest consumer must treat it as a
     // mutation, so it contributes to the written mask. It stays out of
     // the access-shard mask, whose consumers route only memory-access
     // events.
-    noteShardRange(ChunkWrittenMask, Arg0, Arg1);
-    return;
+    noteShardRange(S.WrittenMask, E.Arg0, E.Arg1);
+    break;
   default:
-    return;
+    break;
   }
+  // Arg0 goes against the kind's closer slot (slot 0 on a tie), and the
+  // slot used takes the new value.
+  unsigned K = static_cast<unsigned>(E.Kind);
+  uint64_t *Slots = S.Arg0Slots[K & HeadKindMask];
+  uint64_t Delta0 = zigzagDelta(E.Arg0, Slots[0]);
+  uint64_t Delta1 = zigzagDelta(E.Arg0, Slots[1]);
+  unsigned Slot = Delta1 < Delta0;
+  uint64_t Delta = Slot ? Delta1 : Delta0;
+  Slots[Slot] = E.Arg0;
+  bool NewTid = E.Tid != S.PrevTid;
+  bool HasArg1 = E.Arg1 != eventSecondaryDefault(E.Kind);
+  S.PrevTid = E.Tid;
+  *P++ = static_cast<unsigned char>(
+      K | (NewTid ? HeadTidBit : 0) | (HasArg1 ? HeadArg1Bit : 0) |
+      Slot << HeadSlotShift | (Delta == 0 ? HeadSameArg0Bit : 0));
+  if (NewTid)
+    P = putVarint(P, E.Tid);
+  if (Delta != 0)
+    P = putVarint(P, Delta);
+  if (HasArg1)
+    P = putVarint(P, E.Arg1);
+  return P;
 }
 
-ISP_ALWAYS_INLINE void TraceStreamWriter::put(const EventRecord &E) {
-  if (Failed || !File)
-    return;
-  noteActivity(E.Kind, E.Arg0, E.Arg1);
-  // The buffer always has room for one more worst-case record: it seals
-  // as soon as the events reach ChunkBytes.
-  uint8_t K = static_cast<uint8_t>(E.Kind);
-  uint64_t &PrevArg0 = LastArg0[K & Event::KindMask];
-  unsigned char *P = Buffer.get() + Used;
-  *P++ = K;
-  P = putVarint(P, E.Tid);
-  P = putVarint(P, zigzag(static_cast<int64_t>(E.Arg0) -
-                          static_cast<int64_t>(PrevArg0)));
-  P = putVarint(P, E.Arg1);
-  PrevArg0 = E.Arg0;
-  Used = static_cast<size_t>(P - Buffer.get());
-  ++ChunkEvents;
-  ++EventsWritten;
-  if (bufferedBytes() >= Options.ChunkBytes)
-    sealChunk();
+void TraceStreamWriter::append(const EventRecord &E) {
+  Event Words[Event::MaxWordsPerRecord];
+  recordBatch(Words, encodeEvent(E, Words));
 }
-
-void TraceStreamWriter::append(const EventRecord &E) { put(E); }
 
 void TraceStreamWriter::recordBatch(const Event *Words, size_t Count) {
+  if (Failed || !File)
+    return;
   // Every flushed batch decodes standalone; decode and put() inline into
-  // one loop.
+  // one loop. The loop works on a local copy of the open chunk's state,
+  // which the byte stores into Buffer cannot alias, so the state stays
+  // in registers and on this thread's stack; it goes back before a chunk
+  // seals and when the batch ends.
+  ChunkState S = Open;
+  unsigned char *const Begin = Buffer.get();
+  unsigned char *P = Begin + Used;
+  // The buffer always has room for one more worst-case record: it seals
+  // as soon as the events reach ChunkBytes.
+  unsigned char *const SealAt = Begin + ChunkHeadRoom + Options.ChunkBytes;
+  uint64_t Records = ChunkEvents;
   EventRecord E;
-  for (size_t Pos = 0; Pos != Count;) {
-    size_t N = decodeEvent(Words + Pos, Count - Pos, E);
+  for (size_t Pos = 0, N; Pos != Count; Pos += N) {
+    N = decodeEvent(Words + Pos, Count - Pos, E);
     if (N == 0)
-      return;
-    put(E);
-    Pos += N;
+      break;
+    P = put(S, P, E);
+    ++Records;
+    if (P >= SealAt) {
+      Open = S;
+      Used = static_cast<size_t>(P - Begin);
+      ChunkEvents = Records;
+      sealChunk();
+      if (Failed)
+        return;
+      S = Open;
+      P = Begin + Used;
+      Records = 0;
+    }
   }
+  Open = S;
+  Used = static_cast<size_t>(P - Begin);
+  ChunkEvents = Records;
 }
 
 void TraceStreamWriter::sealChunk() {
@@ -305,9 +344,9 @@ void TraceStreamWriter::sealChunk() {
   ChunkMeta Meta;
   Meta.Offset = BytesWritten;
   Meta.Events = ChunkEvents;
-  Meta.RoutineMask = ChunkRoutineMask;
-  Meta.ShardMask = ChunkShardMask;
-  Meta.WrittenMask = ChunkWrittenMask;
+  Meta.RoutineMask = Open.RoutineMask;
+  Meta.ShardMask = Open.ShardMask;
+  Meta.WrittenMask = Open.WrittenMask;
   // Payload = varint event count + the buffered encoded events; the
   // chunk is the u32 payload length followed by the payload. Both
   // prefixes go into the head room right in front of the events.
@@ -320,16 +359,15 @@ void TraceStreamWriter::sealChunk() {
   for (int I = 0; I != 4; ++I)
     Chunk[I] = static_cast<unsigned char>(PayloadLen >> (8 * I));
   std::memcpy(Chunk + 4, Count, CountBytes);
-  writeRaw(Chunk, 4 + CountBytes + EventBytes);
+  Meta.Crc = crc32c(Chunk + 4, PayloadLen);
+  writeRaw(Chunk, 4 + PayloadLen);
   Chunks.push_back(Meta);
   Used = ChunkHeadRoom;
+  EventsSealed += ChunkEvents;
   ChunkEvents = 0;
-  ChunkRoutineMask = 0;
-  ChunkShardMask = {};
-  ChunkWrittenMask = {};
-  // Reset the delta state: each chunk decodes independently, which is
+  // Reset the record state: each chunk decodes independently, which is
   // what makes chunk-level seek possible.
-  std::memset(LastArg0, 0, sizeof(LastArg0));
+  Open = ChunkState();
 }
 
 bool TraceStreamWriter::close() {
@@ -342,6 +380,7 @@ bool TraceStreamWriter::close() {
   for (const ChunkMeta &Meta : Chunks) {
     writeVarint(Footer, Meta.Offset);
     writeVarint(Footer, Meta.Events);
+    writeVarint(Footer, Meta.Crc);
     writeVarint(Footer, Meta.RoutineMask);
     for (uint64_t Word : Meta.ShardMask)
       writeVarint(Footer, Word);
@@ -433,8 +472,9 @@ bool TraceStreamReader::open(const std::string &Path) {
       FooterOffset > FileSize - TrailerBytes)
     return fail("corrupt footer offset");
 
-  // Footer index: chunk count, then (offset, events, masks) per chunk. Counts are clamped to what the footer bytes can encode
-  // before anything is reserved.
+  // Footer index: chunk count, then (offset, events, CRC, masks) per
+  // chunk. Counts are clamped to what the footer bytes can encode before
+  // anything is reserved.
   size_t FooterLen = static_cast<size_t>(FileSize - TrailerBytes - FooterOffset);
   std::string Footer(FooterLen, '\0');
   if (std::fseek(File, static_cast<long>(FooterOffset), SEEK_SET) != 0 ||
@@ -444,9 +484,9 @@ bool TraceStreamReader::open(const std::string &Path) {
   uint64_t ChunkCount = 0;
   if (!readVarint(Footer, Pos, ChunkCount))
     return fail("corrupt footer: bad chunk count");
-  // Each index entry is at least eleven one-byte varints: offset,
-  // events, the routine mask and eight mask words.
-  constexpr size_t MinEntryBytes = 11;
+  // Each index entry is at least twelve one-byte varints: offset,
+  // events, the payload CRC, the routine mask and eight mask words.
+  constexpr size_t MinEntryBytes = 12;
   if (ChunkCount > (Footer.size() - Pos) / MinEntryBytes)
     return fail("corrupt footer: chunk count exceeds index bytes");
   Chunks.reserve(ChunkCount);
@@ -454,7 +494,8 @@ bool TraceStreamReader::open(const std::string &Path) {
   for (uint64_t I = 0; I != ChunkCount; ++I) {
     ChunkMeta Meta;
     if (!readVarint(Footer, Pos, Meta.Offset) ||
-        !readVarint(Footer, Pos, Meta.Events))
+        !readVarint(Footer, Pos, Meta.Events) ||
+        !readVarint(Footer, Pos, Meta.Crc))
       return fail("corrupt footer: truncated index entry");
     bool MasksOk = readVarint(Footer, Pos, Meta.RoutineMask);
     for (uint64_t &Word : Meta.ShardMask)
@@ -537,14 +578,18 @@ bool TraceStreamReader::readChunk(size_t I, std::vector<Event> &Out) {
       std::fread(LenBytes, 1, 4, File) != 4)
     return Corrupt("truncated chunk: missing length prefix");
   uint32_t PayloadLen = decodeU32(LenBytes);
-  // A chunk must end before the footer index begins; a length that
-  // runs past it (or past EOF) is rejected before any read.
-  if (PayloadLen == 0 ||
-      static_cast<uint64_t>(PayloadLen) > FooterOffset - (Meta.Offset + 4))
+  // Chunks lie back to back, so a chunk's payload must end exactly where
+  // the next chunk (or, for the last, the footer index) begins; any
+  // other length is rejected before any read.
+  uint64_t End =
+      I + 1 != Chunks.size() ? Chunks[I + 1].Offset : FooterOffset;
+  if (PayloadLen == 0 || PayloadLen != End - (Meta.Offset + 4))
     return Corrupt("corrupt chunk: payload length out of bounds");
   Payload.resize(PayloadLen);
   if (std::fread(Payload.data(), 1, PayloadLen, File) != PayloadLen)
     return Corrupt("truncated chunk: payload cut short");
+  if (crc32c(Payload.data(), PayloadLen) != Meta.Crc)
+    return Corrupt("corrupt chunk: checksum mismatch");
 
   size_t Pos = 0;
   uint64_t EventCount = 0;
@@ -563,8 +608,9 @@ bool TraceStreamReader::readChunk(size_t I, std::vector<Event> &Out) {
     Nesting.clear();
   bool CheckNesting = I == 0 || I == NestingNext;
   NestingNext = CheckNesting ? I + 1 : NoNestingPass;
-  // Per-chunk delta state: every chunk decodes from a clean slate.
-  uint64_t LastArg0[Event::KindMask + 1] = {};
+  // Per-chunk record state: every chunk decodes from a clean slate.
+  uint64_t Tid = 0;
+  uint64_t Arg0Slots[HeadKindMask + 1][2] = {};
   // Words are encoded straight into Out. Out keeps the size the last
   // call left it as scratch: growing value-initializes only the new
   // tail, and it is trimmed to the decoded words at the end.
@@ -574,38 +620,40 @@ bool TraceStreamReader::readChunk(size_t I, std::vector<Event> &Out) {
   for (uint64_t N = 0; N != EventCount; ++N) {
     if (Pos >= Size)
       return Corrupt("corrupt chunk: truncated event");
-    uint8_t KindByte = Bytes[Pos++];
-    if (KindByte > static_cast<uint8_t>(EventKind::Free))
+    unsigned Head = Bytes[Pos++];
+    unsigned Kind = Head & HeadKindMask;
+    if (Kind > static_cast<unsigned>(EventKind::Free))
       return Corrupt("corrupt chunk: invalid event kind");
-    uint64_t Tid = 0, Arg0Delta = 0, Arg1 = 0;
+    EventKind K = static_cast<EventKind>(Kind);
+    uint64_t NewTid = Tid, Delta = 0, Arg1 = eventSecondaryDefault(K);
     // While three worst-case varints still fit the payload, one bounds
     // check covers them all; the last few records take the checked path.
-    bool VarintsOk =
-        Size - Pos >= 3 * MaxVarintBytes
-            ? readVarintUnchecked(Bytes, Pos, Tid) &&
-                  readVarintUnchecked(Bytes, Pos, Arg0Delta) &&
-                  readVarintUnchecked(Bytes, Pos, Arg1)
-            : readVarint(Payload, Pos, Tid) &&
-                  readVarint(Payload, Pos, Arg0Delta) &&
-                  readVarint(Payload, Pos, Arg1);
+    bool HasTid = Head & HeadTidBit, HasDelta = !(Head & HeadSameArg0Bit),
+         HasArg1 = Head & HeadArg1Bit;
+    bool VarintsOk;
+    if (Size - Pos >= 3 * MaxVarintBytes)
+      VarintsOk = (!HasTid || readVarintUnchecked(Bytes, Pos, NewTid)) &&
+                  (!HasDelta || readVarintUnchecked(Bytes, Pos, Delta)) &&
+                  (!HasArg1 || readVarintUnchecked(Bytes, Pos, Arg1));
+    else
+      VarintsOk = (!HasTid || readVarint(Payload, Pos, NewTid)) &&
+                  (!HasDelta || readVarint(Payload, Pos, Delta)) &&
+                  (!HasArg1 || readVarint(Payload, Pos, Arg1));
     if (!VarintsOk)
       return Corrupt("corrupt chunk: bad event varint");
-    if (Tid > MaxThreadId)
+    if (NewTid > MaxThreadId)
       return Corrupt("corrupt chunk: thread id out of range");
-    uint64_t &Arg0 = LastArg0[KindByte];
-    Arg0 = static_cast<uint64_t>(static_cast<int64_t>(Arg0) +
-                                 unzigzag(Arg0Delta));
-    if (!eventAddressesInRange(static_cast<EventKind>(KindByte), Arg0, Arg1))
+    Tid = NewTid;
+    uint64_t &Arg0 = Arg0Slots[Kind][(Head >> HeadSlotShift) & 1];
+    Arg0 += unzigzag(Delta);
+    if (!eventAddressesInRange(K, Arg0, Arg1))
       return Corrupt("corrupt chunk: address out of range");
-    if (ISP_UNLIKELY(CheckNesting && CallStacks::movesStacks(
-                                         static_cast<EventKind>(KindByte))) &&
-        !Nesting.noteEvent(static_cast<EventKind>(KindByte),
-                           static_cast<ThreadId>(Tid), Arg0))
+    if (ISP_UNLIKELY(CheckNesting && CallStacks::movesStacks(K)) &&
+        !Nesting.noteEvent(K, static_cast<ThreadId>(Tid), Arg0))
       return Corrupt("corrupt chunk: mismatched return");
     if (Out.size() - Words < Event::MaxWordsPerRecord)
       Out.resize(Words + Event::MaxWordsPerRecord + (EventCount - N - 1));
-    EventRecord E{static_cast<EventKind>(KindByte),
-                  static_cast<ThreadId>(Tid), Arg0, Arg1};
+    EventRecord E{K, static_cast<ThreadId>(Tid), Arg0, Arg1};
     Words += encodeEvent(E, Out.data() + Words);
   }
   if (Pos != Size)

@@ -5,28 +5,50 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// Bounded-memory trace recording and replay: a delta/varint event codec
-/// layered on an incremental, chunked file writer, so recording a long
-/// run never materializes the whole event vector and replaying one never
-/// loads more than a single chunk. This is isprof's one trace format.
+/// Bounded-memory trace recording and replay: a flag/delta/varint event
+/// codec layered on an incremental, chunked file writer, so recording a
+/// long run never materializes the whole event vector and replaying one
+/// never loads more than a single chunk. This is isprof's one trace
+/// format.
 ///
-/// Stream layout (magic "ISPSTM06"):
+/// Stream layout (magic "ISPSTM07"):
 ///
 ///   header  : magic | varint routine count
 ///             | routine names in id order (varint length, name bytes):
 ///               a routine's id is its position, and no name repeats
 ///   chunk*  : u32 payload length | payload
-///   payload : varint event count | events, each a kind byte and three
-///             varints (tid, zigzag Arg0 delta against the chunk's last
-///             event of the same kind, Arg1), with the delta state RESET
-///             at each chunk start, so every chunk decodes independently
-///             — the property that makes chunk-level seek possible
+///   payload : varint event count | records
+///   record  : head byte | [varint tid] | [varint zigzag Arg0 delta]
+///             | [varint Arg1]
 ///   footer  : varint chunk count
 ///             | per chunk (varint file offset, varint event count,
-///               varint routine-activity mask,
+///               varint payload CRC-32C, varint routine-activity mask,
 ///               4 x varint shard-activity mask words,
 ///               4 x varint written-shard mask words)
 ///   trailer : u64 footer offset | u64 checksum | magic "ISPSTMIX"
+///
+/// A record's head byte holds the kind and four flags, and only the
+/// varints the flags call for follow it:
+///
+///   bits 0..3  event kind (0..13; 14 and 15 are invalid)
+///   bit  4     a tid varint follows; otherwise the tid is the previous
+///              record's in the chunk (0 for the chunk's first record)
+///   bit  5     an Arg1 varint follows; otherwise Arg1 is the kind's
+///              default (eventSecondaryDefault, the packed word's rule)
+///   bit  6     slot 1 of the kind predicts Arg0; otherwise slot 0 does
+///   bit  7     Arg0 equals that slot's value, and no delta varint follows
+///
+/// Each kind keeps two Arg0 predictor slots. The writer takes the zigzag
+/// delta of Arg0 against both, uses the smaller (slot 0 on a tie) and
+/// stores Arg0 into the slot it used; the reader mirrors it. Two slots
+/// follow a kind whose Arg0 alternates between two distant regions, as a
+/// loop's reads alternate between a heap node and a stack slot. The
+/// previous tid and the slots are reset at each chunk start, so every
+/// chunk decodes independently — the property that makes chunk-level
+/// seek possible. A reader also accepts the non-canonical forms a writer
+/// never emits (a tid varint that repeats the previous tid, an Arg1
+/// varint that holds the default, a zero delta without bit 7): each
+/// decodes to the record it names.
 ///
 /// Events carry no time, and basic blocks have no record of their own
 /// (trace/Event.h): a stream is the serialized trace, so its order is
@@ -38,13 +60,19 @@
 /// can seek to any chunk — and a truncated file is detected immediately
 /// rather than half-replayed.
 ///
-/// The checksum is a 64-bit FNV-1a over the header, the footer index and
-/// the footer offset: every byte open() trusts without decoding a chunk.
-/// open() verifies it after the structural checks pass, so metadata that
-/// parses but was altered — a cleared mask bit, a renamed routine — is
-/// "corrupt stream metadata: checksum mismatch". Chunk payloads are not
-/// hashed; the reader's structural checks are their only guard. The
-/// checksum detects damage, not forgery: anyone can recompute it.
+/// Two checksums guard the bytes. The trailer's is a 64-bit FNV-1a over
+/// the header, the footer index and the footer offset: every byte open()
+/// trusts without decoding a chunk. open() verifies it after the
+/// structural checks pass, so metadata that parses but was altered — a
+/// cleared mask bit, a renamed routine, a payload CRC — is "corrupt
+/// stream metadata: checksum mismatch". Each footer entry carries the
+/// CRC-32C of its chunk's payload (support/Crc32c.h), which readChunk()
+/// verifies before decoding anything: "corrupt chunk: checksum
+/// mismatch". A chunk's length prefix must reach exactly the next chunk
+/// (the footer, for the last one), so with the two checksums every
+/// single-bit flip anywhere in a file is refused. A chunk that filtered
+/// collect skips is neither decoded nor checked. The checksums detect
+/// damage, not forgery: anyone can recompute them.
 ///
 /// The activity masks are per-chunk Bloom-style summaries: the routine
 /// mask sets bit `RoutineId & 63` for every Call in the chunk, and the
@@ -106,17 +134,28 @@ using ShardActivityMask = std::array<uint64_t, 4>;
 struct TraceStreamOptions {
   /// Target chunk payload size. A chunk is sealed when its encoded
   /// payload reaches this many bytes, so writer memory is bounded by
-  /// roughly one chunk regardless of trace length. The default keeps
-  /// chunks comfortably cache-resident while amortizing per-chunk
-  /// overhead (header, footer entry, one fwrite) over ~10k events.
-  size_t ChunkBytes = size_t(1) << 16;
+  /// roughly one chunk regardless of trace length. The default, 32 KiB,
+  /// amortizes per-chunk overhead (length prefix, footer entry, one
+  /// fwrite) over ~14,000 records of a kdtree run while keeping the
+  /// chunk, the unit filtered collect skips, small enough that a
+  /// filtered pass does not decode many events it then drops.
+  size_t ChunkBytes = size_t(1) << 15;
 };
 
 /// Incremental trace writer: events stream to disk chunk by chunk as
 /// they arrive. Implements EventDispatcher::RecordSink so it can be
 /// plugged directly into the dispatcher as a recording sink that
 /// consumes flushed batches (see EventDispatcher::setRecordSink).
-class TraceStreamWriter : public EventDispatcher::RecordSink {
+///
+/// The writer is aligned to a cache line, and so padded to whole lines,
+/// because it runs on the record sink's worker when delivery is
+/// pipelined while the producer writes its EventDispatcher's counters
+/// for every event, and the two are often neighbours (one stack frame).
+/// A writer that wrote its per-record state in place and shared a line
+/// with the dispatcher ran its record stage 2-3x slower in some runs;
+/// aligned, it did not. recordBatch() also keeps that state in a local
+/// copy and writes the writer only once per batch and per sealed chunk.
+class alignas(64) TraceStreamWriter : public EventDispatcher::RecordSink {
 public:
   TraceStreamWriter() = default;
   ~TraceStreamWriter() override;
@@ -147,7 +186,7 @@ public:
   bool isOpen() const { return File != nullptr; }
   const std::string &error() const { return Error; }
 
-  uint64_t eventsWritten() const { return EventsWritten; }
+  uint64_t eventsWritten() const { return EventsSealed + ChunkEvents; }
   uint64_t chunksWritten() const { return Chunks.size(); }
   uint64_t bytesWritten() const { return BytesWritten; }
   /// Bytes currently buffered for the open chunk, and the high-water
@@ -163,6 +202,20 @@ private:
   struct ChunkMeta {
     uint64_t Offset = 0;
     uint64_t Events = 0;
+    uint32_t Crc = 0;
+    uint64_t RoutineMask = 0;
+    ShardActivityMask ShardMask = {};
+    ShardActivityMask WrittenMask = {};
+  };
+
+  /// What the open chunk's records have set so far; reset when the chunk
+  /// is sealed, so every chunk decodes standalone.
+  struct ChunkState {
+    /// The previous record's thread, and two Arg0 predictor slots per
+    /// kind value a head byte can hold.
+    ThreadId PrevTid = 0;
+    uint64_t Arg0Slots[16][2] = {};
+    /// Activity masks (see the file comment).
     uint64_t RoutineMask = 0;
     ShardActivityMask ShardMask = {};
     ShardActivityMask WrittenMask = {};
@@ -173,12 +226,11 @@ private:
   /// one write.
   static constexpr size_t ChunkHeadRoom = 4 + 10;
 
-  /// Encodes one record into the open chunk: the single encoder behind
-  /// append and recordBatch, defined (and inlined into both) in
-  /// TraceStream.cpp.
-  inline void put(const EventRecord &E);
-  /// Folds one record into the open chunk's activity masks.
-  inline void noteActivity(EventKind Kind, uint64_t Arg0, uint64_t Arg1);
+  /// Encodes \p E at \p P, which has room for a worst-case record, and
+  /// folds it into \p S; returns the byte past the record. Defined (and
+  /// inlined into recordBatch) in TraceStream.cpp.
+  static inline unsigned char *put(ChunkState &S, unsigned char *P,
+                                   const EventRecord &E);
   void sealChunk();
   void writeRaw(const void *Data, size_t Size);
 
@@ -192,14 +244,9 @@ private:
   std::string Error;
   std::vector<ChunkMeta> Chunks;
   uint64_t ChunkEvents = 0;
-  /// Activity accumulated for the open chunk.
-  uint64_t ChunkRoutineMask = 0;
-  ShardActivityMask ChunkShardMask = {};
-  ShardActivityMask ChunkWrittenMask = {};
-  /// Per-chunk delta state (reset when a chunk is sealed), one Arg0
-  /// predictor per encodable kind value.
-  uint64_t LastArg0[Event::KindMask + 1] = {};
-  uint64_t EventsWritten = 0;
+  ChunkState Open;
+  /// Events in the sealed chunks.
+  uint64_t EventsSealed = 0;
   uint64_t BytesWritten = 0;
   uint64_t PeakBufferedBytes = 0;
   /// FNV-1a state over the bytes the trailer checksum covers.
@@ -212,10 +259,11 @@ private:
 /// reuse buffer, so replay memory is one chunk regardless of trace
 /// length. Chunk-level random access (seek) goes through the index.
 ///
-/// Every malformed input — truncated chunk, corrupt footer, overlong
-/// varint, chunk length past EOF, an access past the guest address
-/// space (MaxGuestAddress), a thread id past MaxThreadId, a repeated
-/// routine name — is rejected with a diagnostic in error();
+/// Every malformed input — truncated chunk, corrupt footer, a payload
+/// whose CRC-32C disagrees with the index, overlong varint, chunk length
+/// past EOF, an access past the guest address space (MaxGuestAddress),
+/// a thread id past MaxThreadId, a repeated routine name — is rejected
+/// with a diagnostic in error();
 /// no input crashes the reader or a consumer's shadow memory, or makes
 /// the reader allocate beyond what the actual payload bytes can back.
 ///
@@ -258,10 +306,11 @@ public:
     return Chunks[I].WrittenMask;
   }
 
-  /// Decodes chunk \p I into packed stream words, replacing \p Out's
-  /// contents (its storage is reused across calls). Each chunk's word
-  /// run decodes standalone. Returns false, with \p Out empty and a
-  /// diagnostic in error(), on any malformed chunk.
+  /// Verifies chunk \p I's payload CRC and decodes the chunk into packed
+  /// stream words, replacing \p Out's contents (its storage is reused
+  /// across calls). Each chunk's word run decodes standalone. Returns
+  /// false, with \p Out empty and a diagnostic in error(), on any
+  /// malformed chunk.
   bool readChunk(size_t I, std::vector<Event> &Out);
 
   /// Sequential cursor: decodes the next unread chunk into \p Out.
@@ -275,6 +324,7 @@ private:
   struct ChunkMeta {
     uint64_t Offset = 0;
     uint64_t Events = 0;
+    uint64_t Crc = 0;
     uint64_t RoutineMask = 0;
     ShardActivityMask ShardMask = {};
     ShardActivityMask WrittenMask = {};

@@ -303,7 +303,7 @@ TEST(Collector, OutOfRangeAddressIsReportedAndLeavesTheRollupUntouched) {
     std::vector<EventRecord> Events = generateSyntheticTrace(Gen);
     TraceStreamWriter Writer;
     TraceStreamOptions Opts;
-    Opts.ChunkBytes = 4096;
+    Opts.ChunkBytes = 1024;
     ASSERT_TRUE(Writer.open(Bad, syntheticRoutines(), Opts))
         << Writer.error();
     for (size_t I = 0; I != Events.size(); ++I) {
@@ -358,7 +358,7 @@ TEST(Collector, MismatchedReturnIsReportedAndLeavesTheRollupUntouched) {
     std::vector<EventRecord> Events = generateSyntheticTrace(Gen);
     TraceStreamWriter Writer;
     TraceStreamOptions Opts;
-    Opts.ChunkBytes = 4096;
+    Opts.ChunkBytes = 1024;
     ASSERT_TRUE(Writer.open(Bad, syntheticRoutines(), Opts))
         << Writer.error();
     for (size_t I = 0; I != Events.size(); ++I) {

@@ -474,7 +474,7 @@ TEST(Driver, StreamingFlagsRejectBadValues) {
   std::string BadPath = ::testing::TempDir() + "isprof_bad_stream.strm";
   {
     std::ofstream Bad(BadPath, std::ios::binary);
-    Bad << "ISPSTM06 this is not a valid stream tail";
+    Bad << "ISPSTM07 this is not a valid stream tail";
   }
   CommandResult R = runDriver("replay " + BadPath + " --tools=aprof-trms");
   EXPECT_NE(R.ExitCode, 0);
@@ -482,7 +482,8 @@ TEST(Driver, StreamingFlagsRejectBadValues) {
 }
 
 TEST(Driver, ReplayStreamErrorNamesChunk) {
-  // A decode failure mid-stream names the failing chunk.
+  // A damaged chunk mid-stream is named: its payload no longer matches
+  // the CRC-32C its footer entry holds.
   std::vector<isp::EventRecord> Events;
   Events.push_back(isp::EventRecord::threadStart(0, 0));
   Events.push_back(isp::EventRecord::call(0, 1));
@@ -502,8 +503,8 @@ TEST(Driver, ReplayStreamErrorNamesChunk) {
     Writer.append(E);
   ASSERT_TRUE(Writer.close()) << Writer.error();
 
-  // Clobber the first event kind byte of chunk 1 (header = magic +
-  // routine table; chunks are u32 length + count varint + payload).
+  // Flip every bit of one byte of chunk 1's payload (header = magic +
+  // routine table; chunks are a u32 length and the payload).
   std::string Bytes;
   {
     std::ifstream In(Path, std::ios::binary);
@@ -517,9 +518,9 @@ TEST(Driver, ReplayStreamErrorNamesChunk) {
     Len0 |= static_cast<uint32_t>(
                 static_cast<unsigned char>(Bytes[Header + I]))
             << (8 * I);
-  size_t Chunk1KindByte = Header + 4 + Len0 + 4 + 1;
-  ASSERT_LT(Chunk1KindByte, Bytes.size());
-  Bytes[Chunk1KindByte] = static_cast<char>(0xff);
+  size_t Chunk1Byte = Header + 4 + Len0 + 4 + 1;
+  ASSERT_LT(Chunk1Byte, Bytes.size());
+  Bytes[Chunk1Byte] = static_cast<char>(Bytes[Chunk1Byte] ^ 0xff);
   {
     std::ofstream Out(Path, std::ios::binary | std::ios::trunc);
     Out.write(Bytes.data(), static_cast<std::streamsize>(Bytes.size()));
@@ -527,8 +528,8 @@ TEST(Driver, ReplayStreamErrorNamesChunk) {
 
   CommandResult R = runDriver("replay " + Path + " --tools=aprof-trms");
   EXPECT_NE(R.ExitCode, 0);
-  EXPECT_NE(R.Output.find("chunk 1:"), std::string::npos) << R.Output;
-  EXPECT_NE(R.Output.find("invalid event kind"), std::string::npos)
+  EXPECT_NE(R.Output.find("chunk 1: corrupt chunk: checksum mismatch"),
+            std::string::npos)
       << R.Output;
   std::remove(Path.c_str());
 }
@@ -549,7 +550,7 @@ TEST(Driver, OutOfRangeAddressEndsInDiagnostic) {
 
   std::string Path = ::testing::TempDir() + "isprof_driver_range.strm";
   isp::TraceStreamOptions Opts;
-  Opts.ChunkBytes = 256;
+  Opts.ChunkBytes = 64;
   isp::TraceStreamWriter Writer;
   ASSERT_TRUE(Writer.open(Path, {{0, "main"}, {1, "work"}}, Opts))
       << Writer.error();
@@ -934,13 +935,14 @@ TEST(Driver, TamperedStreamMetadataEndsInDiagnostic) {
   appendVarint(Footer, Chunks);
   unsigned Cleared = 0;
   for (uint64_t C = 0; C != Chunks; ++C) {
-    // Offset, events, routine mask, 4 shard and 4 written mask words.
-    uint64_t Fields[11];
+    // Offset, events, payload CRC, routine mask, 4 shard and 4 written
+    // mask words.
+    uint64_t Fields[12];
     for (uint64_t &F : Fields)
       F = readVarint(Bytes, Pos);
-    if ((Fields[2] >> WorkId) & 1) {
-      Fields[2] &= ~(uint64_t(1) << WorkId);
-      std::fill(Fields + 7, Fields + 11, 0);
+    if ((Fields[3] >> WorkId) & 1) {
+      Fields[3] &= ~(uint64_t(1) << WorkId);
+      std::fill(Fields + 8, Fields + 12, 0);
       ++Cleared;
     }
     for (uint64_t F : Fields)
@@ -977,6 +979,69 @@ TEST(Driver, TamperedStreamMetadataEndsInDiagnostic) {
     }
   for (const std::string &P : {Path, Unmasked, Moved})
     std::remove(P.c_str());
+}
+
+TEST(Driver, PayloadBitFlipsEndInChecksumDiagnostic) {
+  // 300 single-bit flips at pseudo-random chunk payload bytes of a
+  // kdtree stream, one file each: every replay exits 1 naming the chunk
+  // and its failed payload CRC-32C, where an unchecked payload could
+  // decode to a different profile and exit 0.
+  std::string Path = ::testing::TempDir() + "isprof_flip.strm";
+  ASSERT_EQ(runDriver("workload kdtree --threads=4 --size=128 --seed=91 "
+                      "--tools= --record=" +
+                      Path)
+                .ExitCode,
+            0);
+  std::string Bytes;
+  {
+    std::ifstream In(Path, std::ios::binary);
+    std::ostringstream Buffer;
+    Buffer << In.rdbuf();
+    Bytes = Buffer.str();
+  }
+  isp::TraceStreamReader Reader;
+  ASSERT_TRUE(Reader.open(Path)) << Reader.error();
+  ASSERT_GT(Reader.chunkCount(), 2u);
+  // The routine table ends where chunk 0 begins; each chunk is a u32
+  // length and the payload, back to back.
+  size_t Pos = 8;
+  for (uint64_t Count = readVarint(Bytes, Pos); Count != 0; --Count) {
+    uint64_t Len = readVarint(Bytes, Pos);
+    Pos += Len;
+  }
+  struct Payload {
+    size_t Chunk, Begin, End;
+  };
+  std::vector<Payload> Payloads;
+  for (size_t C = 0; C != Reader.chunkCount(); ++C) {
+    uint32_t Len = 0;
+    for (int I = 0; I != 4; ++I)
+      Len |= uint32_t(static_cast<unsigned char>(Bytes[Pos + I])) << (8 * I);
+    Payloads.push_back({C, Pos + 4, Pos + 4 + Len});
+    Pos += 4 + Len;
+  }
+
+  std::string Flipped = Path + ".flipped";
+  uint64_t State = 91;
+  for (int Flip = 0; Flip != 300; ++Flip) {
+    State = State * 6364136223846793005ULL + 1442695040888963407ULL;
+    const Payload &P = Payloads[(State >> 33) % Payloads.size()];
+    size_t At = P.Begin + (State >> 12) % (P.End - P.Begin);
+    std::string Mutated = Bytes;
+    Mutated[At] = static_cast<char>(Mutated[At] ^ (1 << (State >> 60) % 8));
+    {
+      std::ofstream Out(Flipped, std::ios::binary | std::ios::trunc);
+      Out << Mutated;
+    }
+    CommandResult R = runDriver("replay " + Flipped + " --tools=aprof-trms");
+    EXPECT_EQ(R.ExitCode, 1) << "byte " << At << ": " << R.Output;
+    EXPECT_NE(R.Output.find("chunk " + std::to_string(P.Chunk) +
+                            ": corrupt chunk: checksum mismatch"),
+              std::string::npos)
+        << "byte " << At << ": " << R.Output;
+  }
+  std::remove(Path.c_str());
+  std::remove(Flipped.c_str());
 }
 
 TEST(Driver, CollectRejectsBadInvocations) {

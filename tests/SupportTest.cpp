@@ -5,6 +5,7 @@
 //===----------------------------------------------------------------------===//
 
 #include "support/CommandLine.h"
+#include "support/Crc32c.h"
 #include "support/Csv.h"
 #include "support/CurveFit.h"
 #include "support/Format.h"
@@ -15,6 +16,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <vector>
 
 using namespace isp;
 
@@ -97,6 +99,39 @@ TEST(Random, RoughlyUniform) {
     EXPECT_GT(Count, Samples / 10 - Samples / 50);
     EXPECT_LT(Count, Samples / 10 + Samples / 50);
   }
+}
+
+//===----------------------------------------------------------------------===//
+// Crc32c
+//===----------------------------------------------------------------------===//
+
+TEST(Crc32c, StandardCheckValueOnBothPaths) {
+  // CRC-32C("123456789") = 0xE3069283, the catalogued check value; the
+  // CRC of no bytes is 0.
+  const char Check[] = "123456789";
+  EXPECT_EQ(crc32cTable(Check, 9), 0xE3069283u);
+  EXPECT_EQ(crc32c(Check, 9), 0xE3069283u);
+  EXPECT_EQ(crc32c(Check, 0), 0u);
+  if (!crc32cHardwareAvailable())
+    GTEST_SKIP() << "no SSE4.2 crc32 on this CPU; the table path was checked";
+  EXPECT_EQ(crc32cHardware(Check, 9), 0xE3069283u);
+  EXPECT_EQ(crc32cHardware(Check, 0), 0u);
+}
+
+TEST(Crc32c, PathsAgreeAtEveryLengthAndAlignment) {
+  // The hardware path takes eight bytes at a time and the rest one by
+  // one, so lengths 0..40 at offsets 0..7 cover every split.
+  if (!crc32cHardwareAvailable())
+    GTEST_SKIP() << "no SSE4.2 crc32 on this CPU";
+  Rng R(5);
+  std::vector<unsigned char> Bytes(48);
+  for (unsigned char &B : Bytes)
+    B = static_cast<unsigned char>(R.next());
+  for (size_t Offset = 0; Offset != 8; ++Offset)
+    for (size_t Len = 0; Len + Offset <= 40; ++Len)
+      EXPECT_EQ(crc32cHardware(Bytes.data() + Offset, Len),
+                crc32cTable(Bytes.data() + Offset, Len))
+          << "offset " << Offset << ", length " << Len;
 }
 
 //===----------------------------------------------------------------------===//

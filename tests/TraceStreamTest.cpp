@@ -18,16 +18,20 @@
 //    how many events stream through;
 //  - the file bytes match pinned hashes, and the writer refuses a
 //    routine table whose ids are not their positions;
+//  - a record is its head byte and only the varints its flags call for,
+//    and each flag decodes as TraceStream.h says on both the fast and
+//    the bounds-checked decode path;
 //  - adversarial inputs — truncated chunks, corrupt footer index or
-//    routine table (a repeated name among them), overlong varints, invalid kinds, thread ids and guest
-//    addresses inside a chunk (on both the fast and the bounds-checked
-//    decode path), chunk lengths past EOF, and a Return that breaks call
-//    nesting in a stream read in order — are rejected with a diagnostic,
-//    never crash, never allocate beyond what the actual payload bytes
-//    can back;
+//    routine table (a repeated name among them), overlong varints,
+//    invalid kinds, thread ids and guest addresses inside a chunk (on
+//    both decode paths), chunk lengths past EOF, and a Return that
+//    breaks call nesting in a stream read in order — are rejected with
+//    a diagnostic, never crash, never allocate beyond what the actual
+//    payload bytes can back;
 //  - any change to the metadata the checksum covers (header, footer
-//    index, footer offset) is rejected at open(), and stream versions
-//    other than the current one are refused by name.
+//    index, footer offset) is rejected at open(), any single-bit flip in
+//    a chunk fails its payload CRC or its length check, and stream
+//    versions other than the current one are refused by name.
 //
 //===----------------------------------------------------------------------===//
 
@@ -35,6 +39,7 @@
 #include "TestUtil.h"
 
 #include "core/TrmsProfiler.h"
+#include "support/Crc32c.h"
 #include "tools/NulTool.h"
 #include "tools/ToolRegistry.h"
 #include "trace/Synthetic.h"
@@ -231,6 +236,57 @@ TEST(TraceStream, WriterRefusesSparseRoutineTable) {
   EXPECT_FALSE(Writer.close());
 }
 
+/// Payload bytes of the one chunk that \p Events make in a stream with
+/// an empty routine table: the u32 length prefix right after the 9-byte
+/// header (the magic and a zero routine count).
+uint32_t payloadBytes(const std::vector<EventRecord> &Events) {
+  std::string Path = tempPath("isprof_stream_sizes.strm");
+  writeStream(Path, Events, {});
+  TraceStreamReader Reader;
+  EXPECT_TRUE(Reader.open(Path)) << Reader.error();
+  EXPECT_EQ(Reader.chunkCount(), 1u);
+  std::string Bytes = readFile(Path);
+  std::remove(Path.c_str());
+  uint32_t Len = 0;
+  for (int I = 0; I != 4; ++I)
+    Len |= uint32_t(static_cast<unsigned char>(Bytes[9 + I])) << (8 * I);
+  return Len;
+}
+
+TEST(TraceStream, RecordBytesFollowTheHeadFlags) {
+  // A record is its head byte and only the varints its flags call for.
+  // Single-cell Reads by one thread alternating between addresses 0 and
+  // 2^26: the first equals slot 0's start value (one byte), the second
+  // moves slot 0 by 2^26 (a four-byte zigzag delta), the third finds
+  // address 0 in slot 1, and from then on every Read equals one of the
+  // two slots, so it is its head byte alone. Each payload starts with a
+  // one-byte event count.
+  const Addr Far = Addr(1) << 26;
+  auto Alternating = [&](size_t N) {
+    std::vector<EventRecord> Events;
+    for (size_t I = 0; I != N; ++I)
+      Events.push_back(EventRecord::read(0, I % 2 ? Far : 0));
+    return Events;
+  };
+  const uint32_t FirstTwo = 1 + (1 + 4);
+  EXPECT_EQ(payloadBytes(Alternating(2)), 1 + FirstTwo);
+  EXPECT_EQ(payloadBytes(Alternating(100)), 1 + FirstTwo + 98);
+
+  // A tid change adds exactly its varint: thread 300 takes two bytes,
+  // and the records after it keep its tid for free.
+  std::vector<EventRecord> Switched = Alternating(100);
+  for (size_t I = 50; I != 100; ++I)
+    Switched[I].Tid = 300;
+  EXPECT_EQ(payloadBytes(Switched), payloadBytes(Alternating(100)) + 2);
+
+  // A Call carrying blocks adds exactly one Arg1 varint (1,000 blocks,
+  // two bytes); a Call carrying none has the default Arg1 of 0.
+  std::vector<EventRecord> Plain = Alternating(100), Blocks = Plain;
+  Plain.push_back(EventRecord::call(0, 3));
+  Blocks.push_back(EventRecord::call(0, 3, 1000));
+  EXPECT_EQ(payloadBytes(Blocks), payloadBytes(Plain) + 2);
+}
+
 //===----------------------------------------------------------------------===//
 // Dispatcher integration: sink identity, bounded writer memory
 //===----------------------------------------------------------------------===//
@@ -277,10 +333,10 @@ TEST(TraceStream, StreamedReplayMatchesInMemoryProfile) {
   // replayTraceStream, which hands each decoded chunk to the tool as one
   // batch, gives every tool the report that enqueuing the identical
   // event sequence into a dispatcher gives. The enqueuing dispatcher
-  // merges access runs that the stream delivers unmerged, and 192-byte
+  // merges access runs that the stream delivers unmerged, and 96-byte
   // chunks cut many of those runs at a chunk boundary.
   TraceStreamOptions SmallChunks;
-  SmallChunks.ChunkBytes = 192;
+  SmallChunks.ChunkBytes = 96;
   for (uint64_t Seed : {11u, 12u}) {
     std::vector<EventRecord> Events = makeTrace(6000, Seed);
     auto Enqueue = [&Events](Tool &T) {
@@ -390,7 +446,8 @@ TEST(TraceStreamGolden, FileBytesMatchPinnedHashes) {
   // benchmark metric, so the writer's output is pinned byte for byte,
   // twice: the body hash covers the routine table and the chunks, so it
   // proves no event byte moved; the file hash covers everything, magic
-  // and trailer included. Both were taken from the ISPSTM06 writer. The
+  // and trailer included. Both were taken from the ISPSTM07 writer, at
+  // the default chunk size and at 256 bytes (over 100 chunks). The
   // trace ends with events that need the rare encodings: the largest
   // thread id, large and decreasing addresses (long zigzag deltas).
   std::vector<EventRecord> Events = makeTrace(20000, 23);
@@ -409,13 +466,15 @@ TEST(TraceStreamGolden, FileBytesMatchPinnedHashes) {
     uint64_t FileHash;
   };
   const Case Cases[] = {
-      {false, size_t(1) << 16, 0xea5caa4ae46135f7ULL, 0xe6019e7c88fa7e29ULL},
-      {false, 256, 0x0687af59030014c7ULL, 0xf23d2000114d7381ULL},
+      {false, TraceStreamOptions().ChunkBytes, 0x8e09b8c9aeb84396ULL,
+       0x9310cbc75dbab726ULL},
+      {false, 256, 0x139a7a319586f2d7ULL, 0x4ebb934012747fbcULL},
       // Through a sink the stream is the dispatcher's compacted one, so
       // these also pin where 4,096-word batches stop access runs from
       // merging (taken from the serial writer at that batch size).
-      {true, size_t(1) << 16, 0x98cce8bade63d2caULL, 0x161e69af96631f48ULL},
-      {true, 256, 0xed3938dfc787ec00ULL, 0x342a9fe59d066b6dULL},
+      {true, TraceStreamOptions().ChunkBytes, 0xca36883cc23d4e62ULL,
+       0xe2de746e6da7505fULL},
+      {true, 256, 0x28143f6ebb65447eULL, 0xbfbc7cd7a74e4078ULL},
   };
   std::string Path = tempPath("isprof_stream_golden.strm");
   // The sink writes on the producer thread with one hardware thread and
@@ -480,24 +539,27 @@ void appendU64(std::string &Out, uint64_t V) {
 }
 
 /// Hand-builds stream files around arbitrary routine tables, chunk
-/// payloads and footers, with a valid checksum, so single fields can be
-/// made hostile in isolation and still reach the check they target.
+/// payloads and footers, with valid checksums (each payload's CRC-32C
+/// and the metadata checksum), so single fields can be made hostile in
+/// isolation and still reach the check they target.
 struct StreamBuilder {
   std::string Bytes;
   struct IndexEntry {
     uint64_t Offset, Events;
+    uint32_t Crc;
   };
   std::vector<IndexEntry> Index;
   /// Footer entries carry all-ones routine, shard and written masks;
-  /// without, each entry stops after its event count.
+  /// without, each entry stops after its payload CRC.
   bool WithMasks = true;
 
   /// \p RoutineTable defaults to an empty table (a zero count).
   explicit StreamBuilder(const std::string &RoutineTable = std::string(1, '\0'))
-      : Bytes("ISPSTM06" + RoutineTable) {}
+      : Bytes("ISPSTM07" + RoutineTable) {}
   /// Appends a chunk; \p Events is what the footer index will claim.
   void addChunk(const std::string &Payload, uint64_t Events) {
-    Index.push_back({Bytes.size(), Events});
+    Index.push_back(
+        {Bytes.size(), Events, crc32c(Payload.data(), Payload.size())});
     appendU32(Bytes, static_cast<uint32_t>(Payload.size()));
     Bytes += Payload;
   }
@@ -508,6 +570,7 @@ struct StreamBuilder {
     for (const IndexEntry &E : Index) {
       appendVarint(Footer, E.Offset);
       appendVarint(Footer, E.Events);
+      appendVarint(Footer, E.Crc);
       for (int Word = 0; WithMasks && Word != 9; ++Word)
         appendVarint(Footer, ~uint64_t(0));
     }
@@ -527,13 +590,21 @@ struct StreamBuilder {
   }
 };
 
-/// One well-formed encoded event for hand-built payloads.
-void appendEvent(std::string &Out, uint64_t Tid = 0, uint64_t Arg0Zigzag = 0,
-                 uint64_t Arg1 = 0) {
-  Out.push_back(0); // smallest valid kind
-  appendVarint(Out, Tid);
-  appendVarint(Out, Arg0Zigzag);
-  appendVarint(Out, Arg1);
+/// Record head-byte flags (TraceStream.h): a tid varint follows, an
+/// Arg1 varint follows, slot 1 predicts Arg0, Arg0 equals the slot.
+constexpr char TidFlag = 0x10;
+constexpr char Arg1Flag = 0x20;
+constexpr char SlotFlag = 0x40;
+constexpr char SameFlag = static_cast<char>(0x80);
+
+/// One well-formed encoded event for hand-built payloads: ThreadStart(0,
+/// 0) spelled out in four bytes, with a tid, a zero delta and an Arg1
+/// varint that the writer would leave out.
+void appendEvent(std::string &Out) {
+  Out.push_back(TidFlag | Arg1Flag); // kind 0, tid and Arg1 follow
+  appendVarint(Out, 0);              // tid
+  appendVarint(Out, 0);              // Arg0 delta
+  appendVarint(Out, 0);              // Arg1
 }
 
 /// Opens the stream in \p Bytes and, if the index parses, tries to read
@@ -560,9 +631,9 @@ std::string probeStream(const std::string &Bytes, const char *Name) {
 /// Probes one encoded event in both of the reader's decode paths and
 /// expects \p Diagnostic ("" for accepted) from each: once as the payload's
 /// last event, where the varints go through the bounds-checked decoder,
-/// and once followed by 36 bytes of valid events, where a worst-case
-/// record (31 bytes) still fits and one bounds check covers all three
-/// varints.
+/// and once followed by 36 bytes of valid events (nine four-byte
+/// appendEvent records), where a worst-case record (31 bytes) still fits
+/// and one bounds check covers its varints.
 void expectOnBothDecodePaths(const std::string &Hostile,
                                const std::string &Diagnostic,
                                unsigned HostileEvents = 1) {
@@ -579,61 +650,125 @@ void expectOnBothDecodePaths(const std::string &Hostile,
   }
 }
 
+/// Eleven continuation bytes and a terminator: a varint longer than
+/// any uint64 can need.
+std::string overlongVarint() {
+  return std::string(11, static_cast<char>(0x81)) + std::string(1, '\0');
+}
+
 TEST(TraceStreamHardening, RejectsOverlongVarintInsideChunk) {
-  // An Arg0-delta varint with eleven continuation bytes: more than any
-  // uint64 can need. The chunk framing is valid, so only the in-chunk
-  // varint decoder can catch it.
-  std::string Overlong;
-  Overlong.push_back(0);     // kind
-  appendVarint(Overlong, 0); // tid
-  for (int I = 0; I != 11; ++I)
-    Overlong.push_back(static_cast<char>(0x81));
-  Overlong.push_back(0x00);  // the overlong Arg0 delta
-  appendVarint(Overlong, 0); // arg1
-  expectOnBothDecodePaths(Overlong, "corrupt chunk: bad event varint");
+  // Each of a record's three varints, eleven bytes long. The chunk
+  // framing is valid, so only the in-chunk varint decoder can catch it.
+  // The head byte's flags decide which varints are read: an overlong
+  // tid behind bit 4, an Arg0 delta with bit 7 clear, an Arg1 behind
+  // bit 5.
+  const std::string Bad = "corrupt chunk: bad event varint";
+  expectOnBothDecodePaths(std::string(1, TidFlag | SameFlag) + overlongVarint(),
+                          Bad);
+  expectOnBothDecodePaths(std::string(1, '\0') + overlongVarint(), Bad);
+  expectOnBothDecodePaths(
+      std::string(1, Arg1Flag | SameFlag) + overlongVarint(), Bad);
 
   // Ten bytes with payload past bit 63 — the wrap-silently classic.
-  std::string Wrap;
-  Wrap.push_back(0);
-  appendVarint(Wrap, 0);
+  std::string Wrap(1, '\0');
   for (int I = 0; I != 9; ++I)
     Wrap.push_back(static_cast<char>(0x80));
   Wrap.push_back(0x02); // bit 64
-  appendVarint(Wrap, 0);
-  expectOnBothDecodePaths(Wrap, "corrupt chunk: bad event varint");
+  expectOnBothDecodePaths(Wrap, Bad);
 
   // The largest value ten bytes may hold is accepted on both paths.
-  std::string Max;
-  Max.push_back(0);
-  appendVarint(Max, 0);
+  std::string Max(1, '\0');
   appendVarint(Max, ~uint64_t(0));
-  appendVarint(Max, 0);
   expectOnBothDecodePaths(Max, "");
 }
 
+TEST(TraceStreamHardening, SameArg0BitReadsNoDelta) {
+  // Bit 7 says Arg0 equals its slot, so the bytes after the head byte
+  // are the next record. Twelve one-byte Reads at the slot's address 0
+  // (head 0x84): read as a delta, the eleven heads after the first would
+  // be an overlong varint.
+  std::string Reads(12, static_cast<char>(SameFlag | char(EventKind::Read)));
+  expectOnBothDecodePaths(Reads, "", 12);
+  // The same bytes with bit 7 cleared on the first are that varint.
+  Reads[0] = static_cast<char>(EventKind::Read);
+  expectOnBothDecodePaths(Reads, "corrupt chunk: bad event varint", 1);
+}
+
+TEST(TraceStreamHardening, HeadFlagsDecodeToTheRecordsTheyName) {
+  // A hand-built chunk that uses every flag, and the non-canonical forms
+  // a writer never emits but a reader accepts: a tid varint that repeats
+  // the previous tid, an Arg1 varint that holds the default, and a zero
+  // delta without bit 7. On the fast path (nine appendEvent records
+  // follow) and the bounds-checked one (nothing follows).
+  const char Read = static_cast<char>(EventKind::Read);
+  const char Write = static_cast<char>(EventKind::Write);
+  const char Call = static_cast<char>(EventKind::Call);
+  std::string Records;
+  std::vector<EventRecord> Expected;
+  auto Add = [&](std::string Bytes, EventRecord E) {
+    Records += Bytes;
+    Expected.push_back(E);
+  };
+  // Thread 7 reads 100 through slot 0, then 5000 through slot 1.
+  Add({TidFlag | Read, 7, char(0xc8), 1}, EventRecord::read(7, 100));
+  Add({SlotFlag | Read, char(0x90), 0x4e}, EventRecord::read(7, 5000));
+  Add({SameFlag | Read}, EventRecord::read(7, 100));
+  Add({SameFlag | SlotFlag | Read}, EventRecord::read(7, 5000));
+  Add({SlotFlag | Read, 15}, EventRecord::read(7, 4992)); // delta -8
+  Add({TidFlag | Arg1Flag | Read, 7, 0, 1}, EventRecord::read(7, 100));
+  // Writes keep their own slots; Arg1 4 is four cells.
+  Add({Arg1Flag | SameFlag | Write, 4}, EventRecord::write(7, 0, 4));
+  // A tid change, then a Call carrying 9 blocks.
+  Add({TidFlag | SameFlag | Call, 2}, EventRecord::call(2, 0));
+  Add({Arg1Flag | Call, 6, 9}, EventRecord::call(2, 3, 9));
+  for (unsigned Trailing : {0u, 9u}) {
+    std::string Payload;
+    appendVarint(Payload, Expected.size() + Trailing);
+    Payload += Records;
+    std::vector<EventRecord> Want = Expected;
+    for (unsigned I = 0; I != Trailing; ++I) {
+      appendEvent(Payload);
+      Want.push_back(EventRecord::threadStart(0, 0));
+    }
+    StreamBuilder B;
+    B.addChunk(Payload, Want.size());
+    std::string Path = tempPath("isprof_stream_flags.strm");
+    writeFile(Path, B.finish());
+    TraceStreamReader Reader;
+    ASSERT_TRUE(Reader.open(Path)) << Reader.error();
+    std::vector<Event> Chunk;
+    ASSERT_TRUE(Reader.readChunk(0, Chunk)) << Reader.error();
+    EXPECT_EQ(decodeEventStream(Chunk), Want) << Trailing << " after";
+    std::remove(Path.c_str());
+  }
+}
+
 TEST(TraceStreamHardening, RejectsInvalidKindAndThreadId) {
-  // One past the last event kind.
-  std::string BadKind;
-  BadKind.push_back(static_cast<char>(EventKind::Free) + 1);
-  for (int I = 0; I != 3; ++I)
-    appendVarint(BadKind, 0);
-  expectOnBothDecodePaths(BadKind, "corrupt chunk: invalid event kind");
+  // The head byte's kind field holds 0..15 and there are 14 kinds: 14
+  // and 15 are refused under every combination of the four flags, each
+  // followed by the varints its flags call for.
+  for (char Kind : {char(14), char(15)})
+    for (int Flags = 0; Flags != 16; ++Flags) {
+      std::string BadKind(1, static_cast<char>(Kind | Flags << 4));
+      if (BadKind[0] & TidFlag)
+        appendVarint(BadKind, 0);
+      if (!(BadKind[0] & SameFlag))
+        appendVarint(BadKind, 0);
+      if (BadKind[0] & Arg1Flag)
+        appendVarint(BadKind, 0);
+      SCOPED_TRACE("head byte " + std::to_string(uint8_t(BadKind[0])));
+      expectOnBothDecodePaths(BadKind, "corrupt chunk: invalid event kind");
+    }
 
   // Thread ids one past MaxThreadId (which tools size per-thread tables
   // by) and one past UINT32_MAX: valid varints, invalid ids.
   for (uint64_t Tid : {uint64_t(MaxThreadId) + 1, uint64_t(UINT32_MAX) + 1}) {
-    std::string BigTid;
-    BigTid.push_back(0);
+    std::string BigTid(1, TidFlag | SameFlag);
     appendVarint(BigTid, Tid);
-    for (int I = 0; I != 2; ++I)
-      appendVarint(BigTid, 0);
     expectOnBothDecodePaths(BigTid, "corrupt chunk: thread id out of range");
   }
-  std::string MaxTid;
-  MaxTid.push_back(0);
+  std::string MaxTid(1, TidFlag | SameFlag);
   appendVarint(MaxTid, MaxThreadId);
-  for (int I = 0; I != 2; ++I)
-    appendVarint(MaxTid, 0);
   expectOnBothDecodePaths(MaxTid, "");
 }
 
@@ -644,11 +779,11 @@ uint64_t zigzagFromZero(uint64_t V) {
 }
 
 /// One encoded event of \p Kind with the given arguments, the first
-/// event of its kind in the chunk (Arg0 deltas start from zero).
+/// event of its kind in the chunk (Arg0 deltas start from zero), with
+/// all three varints spelled out.
 std::string encodedEvent(EventKind Kind, uint64_t Arg0, uint64_t Arg1,
                          uint64_t Tid = 0) {
-  std::string Out;
-  Out.push_back(static_cast<char>(Kind));
+  std::string Out(1, static_cast<char>(Kind) | TidFlag | Arg1Flag);
   appendVarint(Out, Tid);
   appendVarint(Out, zigzagFromZero(Arg0));
   appendVarint(Out, Arg1);
@@ -959,15 +1094,20 @@ TEST(TraceStreamHardening, AlteredMetadataFailsTheChecksum) {
   std::remove(Path.c_str());
   ASSERT_EQ(probeStream(Bytes, "isprof_stream_altered.strm"), "");
   // Header: magic, count 2, length 4, "main", length 4, "work"; the
-  // footer starts with count 1, offset 19, 5 events, routine mask 2.
+  // footer starts with count 1, offset 19, 5 events, the payload CRC
+  // varint and routine mask 2.
   ASSERT_EQ(Bytes.substr(8, 11), std::string("\x02\x04main\x04work", 11));
   uint64_t Footer = footerOffsetOf(Bytes);
-  ASSERT_EQ(Bytes.substr(Footer, 4), std::string("\x01\x13\x05\x02", 4));
+  ASSERT_EQ(Bytes.substr(Footer, 3), std::string("\x01\x13\x05", 3));
+  size_t MaskAt = Footer + 3;
+  while (Bytes[MaskAt++] & 0x80) {
+  }
+  ASSERT_EQ(Bytes[MaskAt], 2);
 
   std::string Renamed = Bytes, Swapped = Bytes, Unmasked = Bytes;
   Renamed[15] = 'W';
   Swapped.replace(9, 10, std::string("\x04work\x04main", 10));
-  Unmasked[Footer + 3] = 0;
+  Unmasked[MaskAt] = 0;
   for (const std::string &Altered : {Renamed, Swapped, Unmasked})
     EXPECT_EQ(probeStream(Altered, "isprof_stream_altered.strm"),
               "corrupt stream metadata: checksum mismatch");
@@ -1078,7 +1218,7 @@ TEST(TraceStreamHardening, CorruptFooterIndexFuzz) {
   // checks or the hash refuse.
   std::vector<EventRecord> Events = makeTrace(720, 16);
   TraceStreamOptions Opts;
-  Opts.ChunkBytes = 256;
+  Opts.ChunkBytes = 128;
   std::string Path = tempPath("isprof_stream_footersrc.strm");
   writeStream(Path, Events, {{0, "main"}, {1, "worker"}}, Opts);
   TraceStreamReader Source;
@@ -1106,39 +1246,56 @@ TEST(TraceStreamHardening, CorruptFooterIndexFuzz) {
   std::remove(MutPath.c_str());
 }
 
-TEST(TraceStreamHardening, BitFlipFuzzNeverCrashes) {
-  // Whole-file bit flips. A flip in the header, footer or trailer is
-  // refused at open(), by the structural checks or the checksum (see
-  // CorruptFooterIndexFuzz for why the hash always changes). Nothing
-  // hashes chunk payloads, so a flip there may be accepted; the
-  // contract is no crash, no unbounded allocation.
+TEST(TraceStreamHardening, BitFlipFuzzNeverAccepted) {
+  // Every single-bit flip anywhere in the file is refused. A flip in the
+  // header, footer or trailer fails open(), by the structural checks or
+  // the metadata checksum (see CorruptFooterIndexFuzz for why the hash
+  // always changes). A flip in a chunk's u32 length prefix makes the
+  // length miss the next chunk's offset. A flip in a payload fails the
+  // payload's CRC-32C: a CRC-32 detects every single-bit error, and
+  // every burst of at most 32 bits, within the bytes it covers, because
+  // the error polynomial x^i (or a burst of degree < 32 times x^i) is
+  // never a multiple of its degree-32 generator.
   std::vector<EventRecord> Events = makeTrace(300, 17);
   TraceStreamOptions Opts;
-  Opts.ChunkBytes = 512;
+  Opts.ChunkBytes = 256;
   std::string Path = tempPath("isprof_stream_flipsrc.strm");
   writeStream(Path, Events, {{0, "main"}}, Opts);
+  TraceStreamReader Source;
+  ASSERT_TRUE(Source.open(Path)) << Source.error();
+  ASSERT_GT(Source.chunkCount(), 2u);
   std::string Bytes = readFile(Path);
   std::remove(Path.c_str());
   size_t HeaderEnd = 8 + 1 + (1 + 4);
   ASSERT_EQ(Bytes.substr(HeaderEnd - 4, 4), "main");
+  // The u32 length prefix of each chunk starts at a chunk offset; the
+  // chunks fill [HeaderEnd, footer offset) back to back.
+  std::vector<bool> LengthByte(Bytes.size(), false);
+  for (uint64_t Chunk = 0, At = HeaderEnd; Chunk != Source.chunkCount();
+       ++Chunk) {
+    uint32_t Len = 0;
+    for (int I = 0; I != 4; ++I) {
+      LengthByte[At + I] = true;
+      Len |= uint32_t(static_cast<unsigned char>(Bytes[At + I])) << (8 * I);
+    }
+    At += 4 + Len;
+  }
 
-  std::string MutPath = tempPath("isprof_stream_flip.strm");
-  for (size_t Pos = 0; Pos < Bytes.size(); Pos += 3) {
-    for (int Bit : {0, 3, 7}) {
+  for (size_t Pos = 0; Pos != Bytes.size(); ++Pos) {
+    for (int Bit = 0; Bit != 8; ++Bit) {
       std::string Mutated = Bytes;
       Mutated[Pos] = static_cast<char>(Mutated[Pos] ^ (1 << Bit));
-      writeFile(MutPath, Mutated);
-      TraceStreamReader Reader;
-      if (Reader.open(MutPath)) {
-        EXPECT_FALSE(isMetadataByte(Bytes, HeaderEnd, Pos))
-            << "metadata byte " << Pos << " bit " << Bit << " accepted";
-        std::vector<Event> Chunk;
-        while (Reader.nextChunk(Chunk)) {
-        }
-      }
+      std::string Diag = probeStream(Mutated, "isprof_stream_flip.strm");
+      SCOPED_TRACE("byte " + std::to_string(Pos) + " bit " +
+                   std::to_string(Bit));
+      if (isMetadataByte(Bytes, HeaderEnd, Pos))
+        EXPECT_FALSE(Diag.empty());
+      else if (LengthByte[Pos])
+        EXPECT_EQ(Diag, "corrupt chunk: payload length out of bounds");
+      else
+        EXPECT_EQ(Diag, "corrupt chunk: checksum mismatch");
     }
   }
-  std::remove(MutPath.c_str());
 }
 
 //===----------------------------------------------------------------------===//
@@ -1202,8 +1359,8 @@ TEST(TraceStreamV2, UnknownVersionsRejected) {
   std::string Path = tempPath("isprof_stream_version.strm");
   writeStream(Path, Events, {});
   std::string Bytes = readFile(Path);
-  ASSERT_EQ(Bytes.substr(0, 8), "ISPSTM06");
-  for (char Version : {'1', '2', '3', '4', '5', '7'}) {
+  ASSERT_EQ(Bytes.substr(0, 8), "ISPSTM07");
+  for (char Version : {'1', '2', '3', '4', '5', '6', '8'}) {
     Bytes[7] = Version;
     writeFile(Path, Bytes);
     TraceStreamReader Reader;
