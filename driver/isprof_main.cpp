@@ -52,6 +52,7 @@
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <functional>
 #include <limits>
 #include <memory>
 #include <set>
@@ -75,8 +76,10 @@ int usage() {
       "                        input-sensitive profiles (regressions)\n"
       "  replay <run.strm>     run analysis tools over a recorded stream\n"
       "  collect <stream...>   ingest many recorded streams concurrently\n"
-      "                        into a fleet-level rollup; --diff A B\n"
-      "                        compares two stream sets' rms curves\n"
+      "                        (one thread per stream, up to the host's\n"
+      "                        hardware threads) into a fleet-level\n"
+      "                        rollup; --diff A B compares two stream\n"
+      "                        sets' rms curves\n"
       "  check <prog.mini>     compile only; print diagnostics\n"
       "  disasm <prog.mini>    print the compiled bytecode\n"
       "  workload <name>       run a registered benchmark workload\n"
@@ -117,7 +120,6 @@ int usage() {
       "  --spool=DIR     also ingest every stream file found in DIR\n"
       "  --watch=MS      with --spool: poll DIR every MS milliseconds for\n"
       "                  new streams until DIR/collector.stop appears\n"
-      "  --ingest-workers=N     concurrent ingestion threads (0 = auto)\n"
       "  --routine=a,b   restrict the rollup to these routines; chunks\n"
       "                  their activity masks provably exclude are\n"
       "                  skipped without decoding\n"
@@ -132,14 +134,22 @@ int usage() {
   return 2;
 }
 
-bool readFile(const std::string &Path, std::string &Out) {
+/// Reads and compiles the guest source at \p Path. Prints why it could
+/// not be read, or the compiler's diagnostics, and returns nothing on
+/// failure; callers then exit 1.
+std::optional<Program> compileSourceFile(const std::string &Path) {
   std::ifstream Stream(Path, std::ios::binary);
-  if (!Stream)
-    return false;
-  std::ostringstream Buffer;
-  Buffer << Stream.rdbuf();
-  Out = Buffer.str();
-  return true;
+  if (!Stream) {
+    std::fprintf(stderr, "isprof: cannot read %s\n", Path.c_str());
+    return std::nullopt;
+  }
+  std::ostringstream Source;
+  Source << Stream.rdbuf();
+  DiagnosticEngine Diags;
+  std::optional<Program> Prog = compileProgram(Source.str(), Diags);
+  if (!Prog)
+    std::fputs(Diags.render().c_str(), stderr);
+  return Prog;
 }
 
 /// Prints the diagnostic for a malformed --\p Name value and returns
@@ -391,12 +401,38 @@ int runStaticChecks(const Program &Prog, const OptionParser &Options) {
   return 0;
 }
 
-/// The --growth-check static degrees, or nothing when the flag is off.
-std::optional<std::map<RoutineId, unsigned>>
-staticGrowthForReports(const Program &Prog, const OptionParser &Options) {
-  if (!Options.getFlag("growth-check"))
-    return std::nullopt;
-  return analysis::estimateGrowth(Prog);
+/// The tail `run` and `workload` share: runs \p Prog under the --tools
+/// set, streaming its events to --record when set, and hands the result
+/// to \p Summarize, which prints the guest's output and summary line
+/// and returns an exit code. Unless that is nonzero, then prints the
+/// stream banner, the --html report and every tool's report (with the
+/// --growth-check columns).
+int runUnderTools(const OptionParser &Options, const Program &Prog,
+                  const std::function<int(const RunResult &)> &Summarize) {
+  ToolSet Tools;
+  if (!Tools.create(Options.getString("tools"), Options.getFlag("contexts")))
+    return 2;
+  MachineOptions MachineOpts;
+  if (!parseMachineOptions(Options, &MachineOpts))
+    return 2;
+  EventDispatcher Dispatcher;
+  Tools.attach(Dispatcher);
+  StreamRecording Recording;
+  if (int Code = Recording.start(Options, Prog, Dispatcher))
+    return Code;
+  Machine M(Prog, &Dispatcher, MachineOpts);
+  if (int Code = Summarize(M.run()))
+    return Code;
+  if (int Code = Recording.finish())
+    return Code;
+  std::string HtmlPath = Options.getString("html");
+  if (!HtmlPath.empty() && !Tools.writeHtml(HtmlPath, &Prog.Symbols))
+    return 1;
+  std::optional<std::map<RoutineId, unsigned>> Growth;
+  if (Options.getFlag("growth-check"))
+    Growth = analysis::estimateGrowth(Prog);
+  Tools.printReports(&Prog.Symbols, Growth ? &*Growth : nullptr);
+  return 0;
 }
 
 int commandRun(OptionParser &Options) {
@@ -404,18 +440,9 @@ int commandRun(OptionParser &Options) {
     std::fprintf(stderr, "isprof run: missing program file\n");
     return 2;
   }
-  std::string Source;
-  if (!readFile(Options.positional()[1], Source)) {
-    std::fprintf(stderr, "isprof: cannot read %s\n",
-                 Options.positional()[1].c_str());
+  std::optional<Program> Prog = compileSourceFile(Options.positional()[1]);
+  if (!Prog)
     return 1;
-  }
-  DiagnosticEngine Diags;
-  std::optional<Program> Prog = compileProgram(Source, Diags);
-  if (!Prog) {
-    std::fputs(Diags.render().c_str(), stderr);
-    return 1;
-  }
   if (Options.getFlag("optimize")) {
     OptimizerStats Opt = optimizeProgram(*Prog);
     std::printf("[optimizer: %u constant(s) folded, %u branch(es) "
@@ -427,45 +454,22 @@ int commandRun(OptionParser &Options) {
   if (int Code = runStaticChecks(*Prog, Options))
     return Code;
 
-  ToolSet Tools;
-  if (!Tools.create(Options.getString("tools"), Options.getFlag("contexts")))
-    return 2;
-
-  MachineOptions MachineOpts;
-  if (!parseMachineOptions(Options, &MachineOpts))
-    return 2;
-
-  EventDispatcher Dispatcher;
-  Tools.attach(Dispatcher);
-  StreamRecording Recording;
-  if (int Code = Recording.start(Options, *Prog, Dispatcher))
-    return Code;
-
-  Machine M(*Prog, &Dispatcher, MachineOpts);
-  RunResult Result = M.run();
-  if (!Result.Output.empty())
-    std::printf("%s", Result.Output.c_str());
-  if (!Result.Ok) {
-    std::fprintf(stderr, "isprof: guest failed: %s\n",
-                 Result.Error.c_str());
-    return 1;
-  }
-  std::printf("[exit %lld; %s instructions, %s basic blocks, %u "
-              "threads]\n\n",
-              static_cast<long long>(Result.ExitCode),
-              formatWithCommas(Result.Stats.Instructions).c_str(),
-              formatWithCommas(Result.Stats.BasicBlocks).c_str(),
-              static_cast<unsigned>(Result.Stats.ThreadsSpawned));
-  if (int Code = Recording.finish())
-    return Code;
-
-  std::string HtmlPath = Options.getString("html");
-  if (!HtmlPath.empty() && !Tools.writeHtml(HtmlPath, &Prog->Symbols))
-    return 1;
-  std::optional<std::map<RoutineId, unsigned>> Growth =
-      staticGrowthForReports(*Prog, Options);
-  Tools.printReports(&Prog->Symbols, Growth ? &*Growth : nullptr);
-  return 0;
+  return runUnderTools(Options, *Prog, [](const RunResult &Result) {
+    if (!Result.Output.empty())
+      std::printf("%s", Result.Output.c_str());
+    if (!Result.Ok) {
+      std::fprintf(stderr, "isprof: guest failed: %s\n",
+                   Result.Error.c_str());
+      return 1;
+    }
+    std::printf("[exit %lld; %s instructions, %s basic blocks, %u "
+                "threads]\n\n",
+                static_cast<long long>(Result.ExitCode),
+                formatWithCommas(Result.Stats.Instructions).c_str(),
+                formatWithCommas(Result.Stats.BasicBlocks).c_str(),
+                static_cast<unsigned>(Result.Stats.ThreadsSpawned));
+    return 0;
+  });
 }
 
 int commandReplay(OptionParser &Options) {
@@ -482,30 +486,15 @@ int commandReplay(OptionParser &Options) {
   if (!openStream(Path, Reader, Symbols))
     return 1;
 
-  // Bounded-memory replay: decode one chunk at a time and publish it to
-  // the tools as one batch; with pipelined delivery the tools consume
-  // chunk k on a worker while chunk k+1 is decoded here.
-  EventDispatcher Dispatcher;
-  Tools.attach(Dispatcher);
-  Dispatcher.start(&Symbols);
-  std::vector<Event> Chunk;
-  uint64_t Replayed = 0;
-  size_t ErrorChunk = 0;
-  while (true) {
-    ErrorChunk = Reader.cursor();
-    if (!Reader.nextChunk(Chunk))
-      break;
-    Replayed += Reader.chunkEvents(ErrorChunk);
-    Dispatcher.publishChunk(Chunk, Reader.chunkEvents(ErrorChunk));
-  }
-  bool ReadOk = Reader.error().empty();
-  Dispatcher.finish();
-  if (!ReadOk) {
-    reportStreamError(Path, ErrorChunk, Reader.error());
+  // Bounded-memory replay: the tools consume chunk k on workers while
+  // chunk k+1 is decoded here.
+  if (!replayTraceStream(Reader, Tools.Fronts, &Symbols)) {
+    reportStreamError(Path, Reader.cursor() - 1, Reader.error());
     return 1;
   }
   std::printf("[replayed %s events from %zu chunk(s)]\n\n",
-              formatWithCommas(Replayed).c_str(), Reader.chunkCount());
+              formatWithCommas(Reader.eventCount()).c_str(),
+              Reader.chunkCount());
   Tools.printReports(&Symbols);
   return 0;
 }
@@ -515,18 +504,9 @@ int commandCheckOrDisasm(OptionParser &Options, bool Disassemble) {
     std::fprintf(stderr, "isprof: missing program file\n");
     return 2;
   }
-  std::string Source;
-  if (!readFile(Options.positional()[1], Source)) {
-    std::fprintf(stderr, "isprof: cannot read %s\n",
-                 Options.positional()[1].c_str());
+  std::optional<Program> Prog = compileSourceFile(Options.positional()[1]);
+  if (!Prog)
     return 1;
-  }
-  DiagnosticEngine Diags;
-  std::optional<Program> Prog = compileProgram(Source, Diags);
-  if (!Prog) {
-    std::fputs(Diags.render().c_str(), stderr);
-    return 1;
-  }
   if (Options.getFlag("optimize"))
     optimizeProgram(*Prog);
   if (int Code = runStaticChecks(*Prog, Options))
@@ -587,37 +567,18 @@ int commandWorkload(OptionParser &Options) {
   // nothing left to do here.
   if (int Code = runStaticChecks(*Prog, Options))
     return Code;
-  ToolSet Tools;
-  if (!Tools.create(Options.getString("tools"), Options.getFlag("contexts")))
-    return 2;
-  EventDispatcher Dispatcher;
-  Tools.attach(Dispatcher);
-  StreamRecording Recording;
-  if (int Code = Recording.start(Options, *Prog, Dispatcher))
-    return Code;
-  MachineOptions MachineOpts;
-  if (!parseMachineOptions(Options, &MachineOpts))
-    return 2;
-  Machine M(*Prog, &Dispatcher, MachineOpts);
-  RunResult Result = M.run();
-  if (!Result.Ok) {
-    std::fprintf(stderr, "isprof: workload failed: %s\n",
-                 Result.Error.c_str());
-    return 1;
-  }
-  std::printf("%s[%s: %s instructions, %u threads]\n\n",
-              Result.Output.c_str(), W->Name.c_str(),
-              formatWithCommas(Result.Stats.Instructions).c_str(),
-              static_cast<unsigned>(Result.Stats.ThreadsSpawned));
-  if (int Code = Recording.finish())
-    return Code;
-  std::string HtmlPath = Options.getString("html");
-  if (!HtmlPath.empty() && !Tools.writeHtml(HtmlPath, &Prog->Symbols))
-    return 1;
-  std::optional<std::map<RoutineId, unsigned>> Growth =
-      staticGrowthForReports(*Prog, Options);
-  Tools.printReports(&Prog->Symbols, Growth ? &*Growth : nullptr);
-  return 0;
+  return runUnderTools(Options, *Prog, [W](const RunResult &Result) {
+    if (!Result.Ok) {
+      std::fprintf(stderr, "isprof: workload failed: %s\n",
+                   Result.Error.c_str());
+      return 1;
+    }
+    std::printf("%s[%s: %s instructions, %u threads]\n\n",
+                Result.Output.c_str(), W->Name.c_str(),
+                formatWithCommas(Result.Stats.Instructions).c_str(),
+                static_cast<unsigned>(Result.Stats.ThreadsSpawned));
+    return 0;
+  });
 }
 
 /// Replays the stream at \p Path under aprof-trms; returns false after
@@ -699,13 +660,9 @@ void reportIngestErrors(const collect::Collector &C, size_t From) {
 bool parseCollectOptions(const OptionParser &Options,
                          collect::CollectorOptions *Opts, unsigned *WatchMs,
                          unsigned *TopN) {
-  constexpr unsigned MaxWorkers = collect::CollectorOptions::MaxWorkers;
   Opts->RoutineFilter = splitList(Options.getString("routine"));
   Opts->ProgramLabel = Options.getString("program");
-  return parseIntOption(Options, "ingest-workers", 0, MaxWorkers,
-                        formatString("a worker count in [0, %u]", MaxWorkers),
-                        &Opts->Workers) &&
-         parseIntOption(Options, "watch", 0, MaxUnsigned,
+  return parseIntOption(Options, "watch", 0, MaxUnsigned,
                         "a non-negative millisecond count", WatchMs) &&
          parseIntOption(Options, "top", 1, MaxUnsigned, "a row count >= 1",
                         TopN);
@@ -807,18 +764,9 @@ int commandCollect(OptionParser &Options) {
   if (GrowthSource.empty()) {
     std::printf("%s", Store.renderRollup(TopN).c_str());
   } else {
-    std::string Source;
-    if (!readFile(GrowthSource, Source)) {
-      std::fprintf(stderr, "isprof: cannot read %s\n",
-                   GrowthSource.c_str());
+    std::optional<Program> Prog = compileSourceFile(GrowthSource);
+    if (!Prog)
       return 1;
-    }
-    DiagnosticEngine Diags;
-    std::optional<Program> Prog = compileProgram(Source, Diags);
-    if (!Prog) {
-      std::fputs(Diags.render().c_str(), stderr);
-      return 1;
-    }
     std::map<RoutineId, unsigned> ById = analysis::estimateGrowth(*Prog);
     // The fleet store keys routines by name, so re-key (max-merging
     // any duplicate names to stay an upper bound).
@@ -927,8 +875,6 @@ int main(int Argc, char **Argv) {
   Options.addOption("watch", "0",
                     "(collect, with --spool) poll the spool every N "
                     "milliseconds until <spool>/collector.stop appears");
-  Options.addOption("ingest-workers", "0",
-                    "(collect) concurrent ingestion threads (0 = auto)");
   Options.addOption("routine", "",
                     "(collect) comma-separated routine filter; provably "
                     "excluded chunks are skipped via activity masks");

@@ -1494,20 +1494,3 @@ std::map<RoutineId, unsigned> isp::analysis::estimateGrowth(
   }
   return Result;
 }
-
-const char *isp::analysis::growthClassName(unsigned Degree) {
-  switch (Degree) {
-  case 0:
-    return "O(1)";
-  case 1:
-    return "O(n)";
-  case 2:
-    return "O(n^2)";
-  default:
-    return "O(n^3+)";
-  }
-}
-
-bool isp::analysis::growthAgrees(unsigned Degree, double Alpha) {
-  return Alpha <= static_cast<double>(Degree) + 0.5;
-}

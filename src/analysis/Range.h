@@ -195,14 +195,6 @@ BoundsReport runBoundsLint(const Program &Prog);
 /// cap). Keyed by Function::Id, i.e. the profiler's RoutineId.
 std::map<RoutineId, unsigned> estimateGrowth(const Program &Prog);
 
-/// "O(1)" / "O(n)" / "O(n^2)" / "O(n^3+)" for a static degree.
-const char *growthClassName(unsigned Degree);
-
-/// The agreement rule reports use: a measured log-log alpha agrees with
-/// a static degree when alpha <= degree + 0.5 (the static degree is an
-/// upper bound on polynomial growth in the routine's input size).
-bool growthAgrees(unsigned Degree, double Alpha);
-
 } // namespace analysis
 } // namespace isp
 

@@ -53,8 +53,9 @@
 namespace isp::collect {
 
 struct CollectorOptions {
-  /// Concurrent ingestion threads. 0 auto-sizes to
-  /// min(streams, hardware_concurrency), capped at MaxWorkers.
+  /// Concurrent ingestion threads. 0, which `isprof collect` always
+  /// uses, sizes the pool to min(streams, hardware_concurrency), capped
+  /// at MaxWorkers; tests set it to force serial or concurrent ingest.
   unsigned Workers = 0;
   static constexpr unsigned MaxWorkers = 64;
   /// Restrict the rollup to these routine names (and skip provably

@@ -176,26 +176,6 @@ std::vector<RankedRollup> rankByGrowth(const FleetStore &Store) {
 
 } // namespace
 
-namespace {
-
-/// Growth-class label for a static loop-nest degree; matches
-/// analysis::growthClassName (duplicated so isp_collect stays
-/// independent of the analysis library).
-const char *staticGrowthClass(unsigned Degree) {
-  switch (Degree) {
-  case 0:
-    return "O(1)";
-  case 1:
-    return "O(n)";
-  case 2:
-    return "O(n^2)";
-  default:
-    return "O(n^3+)";
-  }
-}
-
-} // namespace
-
 std::string FleetStore::renderRollup(unsigned TopN) const {
   return renderRollupImpl(TopN, nullptr);
 }
@@ -248,24 +228,11 @@ std::string FleetStore::renderRollupImpl(
         formatWithCommas(AtMax.percentile(0.99))};
     if (StaticGrowth != nullptr) {
       auto It = StaticGrowth->find(Row.K->Routine);
-      if (It == StaticGrowth->end()) {
-        Cells.push_back("-");
-        Cells.push_back("-");
-      } else {
-        Cells.push_back(staticGrowthClass(It->second));
-        if (!Row.AlphaValid) {
-          Cells.push_back("-");
-        } else if (Row.Alpha <= static_cast<double>(It->second) + 0.5) {
-          Cells.push_back("yes");
-        } else {
-          Cells.push_back("NO");
-          Contradictions += formatString(
-              "warning: static-vs-dynamic growth contradiction: %s "
-              "measured alpha %.2f exceeds static %s\n",
-              Row.K->Routine.c_str(), Row.Alpha,
-              staticGrowthClass(It->second));
-        }
-      }
+      appendStaticGrowthCells(
+          Cells, Contradictions, Row.K->Routine,
+          It == StaticGrowth->end() ? std::nullopt
+                                    : std::optional<unsigned>(It->second),
+          Row.AlphaValid ? std::optional<double>(Row.Alpha) : std::nullopt);
     }
     Table.addRow(Cells);
   }

@@ -59,11 +59,6 @@ public:
   void onKernelWrite(ThreadId Tid, Addr A, uint64_t Cells);
 
   std::string name() const override { return "aprof-trms-naive"; }
-  /// Co-scheduled with the other profilers (shared global-shadow
-  /// discipline; see TrmsProfiler::threadAffinity).
-  ToolAffinity threadAffinity() const override {
-    return ToolAffinity::CoScheduled;
-  }
   uint64_t memoryFootprintBytes() const override;
 
   const ProfileDatabase &database() const { return Database; }

@@ -100,22 +100,6 @@ std::string isp::renderRoutineReport(RoutineId Rtn,
 
 namespace {
 
-/// Growth-class label for a static loop-nest degree; matches
-/// analysis::growthClassName (duplicated so isp_core stays independent
-/// of the analysis library).
-const char *staticGrowthClass(unsigned Degree) {
-  switch (Degree) {
-  case 0:
-    return "O(1)";
-  case 1:
-    return "O(n)";
-  case 2:
-    return "O(n^2)";
-  default:
-    return "O(n^3+)";
-  }
-}
-
 std::string renderRunSummaryImpl(
     const ProfileDatabase &Database, const SymbolTable *Symbols,
     const std::map<RoutineId, unsigned> *StaticGrowth, size_t MaxRoutines) {
@@ -155,30 +139,17 @@ std::string renderRunSummaryImpl(
         formatWithCommas(Profile->inducedExternal()),
         growthModelName(Fit.best().Model)};
     if (StaticGrowth != nullptr) {
+      // The static degree is an upper bound on polynomial growth in the
+      // routine's input size: a measured exponent meaningfully above it
+      // contradicts the analysis (or flags a routine whose cost is
+      // driven by something other than its loop structure).
       auto It = StaticGrowth->find(Rtn);
-      if (It == StaticGrowth->end()) {
-        Row.push_back("-");
-        Row.push_back("-");
-      } else {
-        Row.push_back(staticGrowthClass(It->second));
-        // The static degree is an upper bound on polynomial growth in
-        // the routine's input size: a measured exponent meaningfully
-        // above it contradicts the analysis (or flags a routine whose
-        // cost is driven by something other than its loop structure).
-        if (!Fit.PowerLawValid) {
-          Row.push_back("-");
-        } else if (Fit.PowerLawAlpha <=
-                   static_cast<double>(It->second) + 0.5) {
-          Row.push_back("yes");
-        } else {
-          Row.push_back("NO");
-          Contradictions += formatString(
-              "warning: static-vs-dynamic growth contradiction: %s "
-              "measured alpha %.2f exceeds static %s\n",
-              Name.c_str(), Fit.PowerLawAlpha,
-              staticGrowthClass(It->second));
-        }
-      }
+      appendStaticGrowthCells(
+          Row, Contradictions, Name,
+          It == StaticGrowth->end() ? std::nullopt
+                                    : std::optional<unsigned>(It->second),
+          Fit.PowerLawValid ? std::optional<double>(Fit.PowerLawAlpha)
+                            : std::nullopt);
     }
     Table.addRow(Row);
   }

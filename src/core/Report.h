@@ -61,8 +61,8 @@ std::string renderRunSummary(const ProfileDatabase &Database,
 /// "static" column (the analysis's predicted growth class, a loop-nest
 /// degree per routine id) and an "agree" column comparing it with the
 /// measured log-log alpha (agreement when alpha <= degree + 0.5, the
-/// rule analysis::growthAgrees implements). Contradictions append a
-/// warning line per routine.
+/// rule staticGrowthAgrees in support/CurveFit.h implements).
+/// Contradictions append a warning line per routine.
 std::string renderRunSummary(const ProfileDatabase &Database,
                              const SymbolTable *Symbols,
                              const std::map<RoutineId, unsigned> &StaticGrowth,

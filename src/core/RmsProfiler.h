@@ -54,12 +54,6 @@ public:
   // touch the thread-local timestamps, and there is no global shadow.
 
   std::string name() const override { return "aprof-rms"; }
-  /// Entirely per-thread state, but the profiler family shares the
-  /// renumbering/counter discipline of the trms profiler, so it declares
-  /// the same co-scheduling: all profilers ride one serialized worker.
-  ToolAffinity threadAffinity() const override {
-    return ToolAffinity::CoScheduled;
-  }
   uint64_t memoryFootprintBytes() const override;
 
   const ProfileDatabase &database() const { return Database; }

@@ -77,13 +77,6 @@ public:
   void onKernelWrite(ThreadId Tid, Addr A, uint64_t Cells);
 
   std::string name() const override { return "aprof-trms"; }
-  /// The profiler keeps per-thread shadows but shares the global wts
-  /// shadow and timestamp counter across guest threads, so the profiler
-  /// family must stay on one serialized consumer: co-scheduled on a
-  /// single worker (or the dispatch thread under serial fallback).
-  ToolAffinity threadAffinity() const override {
-    return ToolAffinity::CoScheduled;
-  }
   uint64_t memoryFootprintBytes() const override;
 
   const ProfileDatabase &database() const { return Database; }

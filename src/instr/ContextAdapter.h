@@ -37,11 +37,6 @@ public:
   std::string name() const override {
     return Inner.name() + "+contexts";
   }
-  /// The adapter's context tree lives wherever the inner tool runs, so
-  /// it inherits the inner tool's affinity.
-  ToolAffinity threadAffinity() const override {
-    return Inner.threadAffinity();
-  }
   uint64_t memoryFootprintBytes() const override;
   ProfileDatabase *profileDatabase() override {
     return Inner.profileDatabase();

@@ -9,6 +9,7 @@
 #include "obs/Obs.h"
 
 #include <atomic>
+#include <cassert>
 
 using namespace isp;
 
@@ -57,47 +58,28 @@ void EventDispatcher::start(const SymbolTable *Symbols) {
 }
 
 void EventDispatcher::startPipeline() {
-  // Partition the registered tools by affinity. CoScheduled tools must
-  // share one worker; AnyWorker tools spread round-robin.
-  std::vector<size_t> CoScheduled, Spreadable;
-  for (size_t I = 0; I != Tools.size(); ++I) {
-    switch (Tools[I]->threadAffinity()) {
-    case ToolAffinity::CoScheduled:
-      CoScheduled.push_back(I);
-      break;
-    case ToolAffinity::AnyWorker:
-      Spreadable.push_back(I);
-      break;
-    }
-  }
-  // Schedulable units: the whole CoScheduled group is one unit, and so
-  // is the record sink.
-  size_t Units = Spreadable.size() + (CoScheduled.empty() ? 0 : 1) +
-                 (Sink ? 1 : 0);
+  // Every tool is one unit and the record sink is one more. Tools, then
+  // the sink, go round-robin over the lanes: one per worker, or the
+  // producer's alone when delivery is serial.
+  size_t Units = Tools.size() + (Sink ? 1 : 0);
   unsigned N = workersFor(ThreadBudget, Units);
   WorkerCountUsed = N;
-  if (N == 0)
-    return; // serial delivery
-
-  Workers.clear();
-  for (unsigned I = 0; I != N; ++I) {
-    auto W = std::make_unique<WorkerState>();
-    if (obs::tracingEnabled())
-      W->Lane =
-          obs::TraceLog::get().allocLane("worker " + std::to_string(I));
-    Workers.push_back(std::move(W));
-  }
-  // The CoScheduled group shares worker 0; AnyWorker tools and then the
-  // sink round-robin over the rest (wrapping back through 0 when the
-  // pool is small).
-  for (size_t I : CoScheduled)
-    Workers[0]->ToolIdx.push_back(I);
-  size_t Next = CoScheduled.empty() ? 0 : 1;
-  for (size_t I : Spreadable)
-    Workers[Next++ % N]->ToolIdx.push_back(I);
+  Lanes.clear();
+  for (unsigned I = 0; I != std::max(N, 1u); ++I)
+    Lanes.push_back(std::make_unique<Lane>());
+  for (size_t I = 0; I != Tools.size(); ++I)
+    Lanes[I % Lanes.size()]->ToolIdx.push_back(I);
   if (Sink)
-    Workers[Next % N]->FeedsSink = true;
+    Lanes[Tools.size() % Lanes.size()]->FeedsSink = true;
+  if (N == 0) {
+    Lanes[0]->TraceLane = DispatcherLane;
+    return; // serial delivery
+  }
 
+  if (obs::tracingEnabled())
+    for (unsigned I = 0; I != N; ++I)
+      Lanes[I]->TraceLane =
+          obs::TraceLog::get().allocLane("worker " + std::to_string(I));
   Spare.reserve(RingSlots);
   SlotsInUse = 0;
   PublishedSeq = 0;
@@ -108,32 +90,54 @@ void EventDispatcher::startPipeline() {
   BackpressureWaitNs = 0;
   MaxQueueDepth = 0;
   PipelineActive = true;
-  for (auto &W : Workers)
-    W->Thread = std::thread([this, WPtr = W.get()] { workerLoop(*WPtr); });
+  for (auto &L : Lanes)
+    L->Thread = std::thread([this, LPtr = L.get()] { workerLoop(*LPtr); });
 }
 
-void EventDispatcher::deliverTo(const std::vector<size_t> &Idx,
-                                const Event *Words, size_t Count,
-                                size_t Records) {
-  bool Observe = obs::statsEnabled() || obs::tracingEnabled();
-  if (ISP_UNLIKELY(Observe) && ToolObs.size() == Tools.size()) {
-    for (size_t I : Idx) {
-      uint64_t Start = obs::nowNs();
-      Tools[I]->handleBatch(Words, Count);
-      uint64_t End = obs::nowNs();
-      ToolObs[I].Events += Records;
-      ToolObs[I].CallbackNs += End - Start;
-      if (obs::tracingEnabled())
-        obs::TraceLog::get().completeSpan(ToolObs[I].Lane, "handleBatch",
-                                          "tool", Start, End);
-    }
-  } else {
-    for (size_t I : Idx)
-      Tools[I]->handleBatch(Words, Count);
+static const char *flushCauseName(EventDispatcher::FlushCause Cause) {
+  switch (Cause) {
+  case EventDispatcher::FlushCause::Capacity:
+    return "flush:capacity";
+  case EventDispatcher::FlushCause::Explicit:
+    return "flush:explicit";
+  case EventDispatcher::FlushCause::Finish:
+    return "flush:finish";
   }
+  return "flush";
 }
 
-void EventDispatcher::workerLoop(WorkerState &W) {
+void EventDispatcher::deliverOn(const Lane &L, const Event *Words,
+                                size_t Count, size_t Records,
+                                FlushCause Cause) {
+  // The observed path times each tool's callback (and records timeline
+  // spans); the default path is the plain loop.
+  bool Observe = obs::statsEnabled() || obs::tracingEnabled();
+  if (ISP_LIKELY(!Observe) || ToolObs.size() != Tools.size()) {
+    for (size_t I : L.ToolIdx)
+      Tools[I]->handleBatch(Words, Count);
+    if (L.FeedsSink)
+      Sink->recordBatch(Words, Count);
+    return;
+  }
+  uint64_t LaneStart = obs::nowNs();
+  for (size_t I : L.ToolIdx) {
+    uint64_t Start = obs::nowNs();
+    Tools[I]->handleBatch(Words, Count);
+    uint64_t End = obs::nowNs();
+    ToolObs[I].Events += Records;
+    ToolObs[I].CallbackNs += End - Start;
+    if (obs::tracingEnabled())
+      obs::TraceLog::get().completeSpan(ToolObs[I].Lane, "handleBatch",
+                                        "tool", Start, End);
+  }
+  if (L.FeedsSink)
+    Sink->recordBatch(Words, Count);
+  if (obs::tracingEnabled())
+    obs::TraceLog::get().completeSpan(L.TraceLane, flushCauseName(Cause),
+                                      "dispatcher", LaneStart, obs::nowNs());
+}
+
+void EventDispatcher::workerLoop(Lane &W) {
   for (;;) {
     BatchSlot *Slot = nullptr;
     {
@@ -149,13 +153,8 @@ void EventDispatcher::workerLoop(WorkerState &W) {
     }
     // Deliver outside the lock: the slot is immutable until every
     // worker (this one included) has marked it consumed.
-    uint64_t SpanStart = obs::tracingEnabled() ? obs::nowNs() : 0;
-    deliverTo(W.ToolIdx, Slot->Words.data(), Slot->Count, Slot->Records);
-    if (W.FeedsSink)
-      Sink->recordBatch(Slot->Words.data(), Slot->Count);
-    if (obs::tracingEnabled())
-      obs::TraceLog::get().completeSpan(W.Lane, "batch", "worker", SpanStart,
-                                        obs::nowNs());
+    deliverOn(W, Slot->Words.data(), Slot->Count, Slot->Records,
+              Slot->Cause);
     {
       std::lock_guard<std::mutex> Lock(ParMutex);
       ++W.NextSeq;
@@ -171,7 +170,6 @@ void EventDispatcher::workerLoop(WorkerState &W) {
 void EventDispatcher::handOff(std::vector<Event> &Buffer, size_t Count,
                               size_t Records, FlushCause Cause,
                               size_t Slots) {
-  ++Flushes[static_cast<size_t>(Cause)];
   bool WakeWorkers;
   {
     std::unique_lock<std::mutex> Lock(ParMutex);
@@ -198,10 +196,11 @@ void EventDispatcher::handOff(std::vector<Event> &Buffer, size_t Count,
     }
     Slot.Count = Count;
     Slot.Records = Records;
-    Slot.Remaining = static_cast<unsigned>(Workers.size());
+    Slot.Cause = Cause;
+    Slot.Remaining = static_cast<unsigned>(Lanes.size());
     ++PublishedSeq;
     uint64_t MinSeq = PublishedSeq;
-    for (const auto &W : Workers)
+    for (const auto &W : Lanes)
       MinSeq = std::min(MinSeq, W->NextSeq);
     MaxQueueDepth = std::max(MaxQueueDepth, PublishedSeq - MinSeq);
     // Signal only parked workers: a worker that is busy (or runnable)
@@ -211,7 +210,6 @@ void EventDispatcher::handOff(std::vector<Event> &Buffer, size_t Count,
   }
   if (WakeWorkers)
     WorkReady.notify_all();
-  DeliveredEvents += Records;
 }
 
 void EventDispatcher::joinWorkers() {
@@ -220,27 +218,15 @@ void EventDispatcher::joinWorkers() {
     ShuttingDown = true;
   }
   WorkReady.notify_all();
-  for (auto &W : Workers)
+  for (auto &W : Lanes)
     if (W->Thread.joinable())
       W->Thread.join();
   PipelineActive = false;
   ShuttingDown = false;
-  Workers.clear();
+  Lanes.clear();
   for (BatchSlot &Slot : Ring)
     Slot = BatchSlot();
   Spare.clear();
-}
-
-static const char *flushCauseName(EventDispatcher::FlushCause Cause) {
-  switch (Cause) {
-  case EventDispatcher::FlushCause::Capacity:
-    return "flush:capacity";
-  case EventDispatcher::FlushCause::Explicit:
-    return "flush:explicit";
-  case EventDispatcher::FlushCause::Finish:
-    return "flush:finish";
-  }
-  return "flush";
 }
 
 void EventDispatcher::flushImpl(FlushCause Cause) {
@@ -252,49 +238,26 @@ void EventDispatcher::flushImpl(FlushCause Cause) {
   ISP_STATS(obs::Registry::get()
                 .histogram("dispatcher.batch_fill")
                 .record(PendingWords));
-  if (PipelineActive) {
-    handOff(Pending, PendingWords, PendingRecords, Cause, RingSlots);
-    // The handoff left a drained buffer here, or none when every buffer
-    // was in flight; after the final flush, start() sizes it if the
-    // dispatcher runs again.
-    if (Cause != FlushCause::Finish && Pending.size() < BatchWords)
-      Pending.resize(BatchWords);
-  } else {
-    deliverSerial(Pending.data(), PendingWords, PendingRecords, Cause);
-  }
+  publish(Pending, PendingWords, PendingRecords, Cause, RingSlots);
+  // A handoff leaves a drained buffer here, or none when every buffer
+  // was in flight; after the final flush, start() sizes it if the
+  // dispatcher runs again.
+  if (Cause != FlushCause::Finish && Pending.size() < BatchWords)
+    Pending.resize(BatchWords);
   PendingWords = 0;
   PendingRecords = 0;
 }
 
-void EventDispatcher::deliverSerial(const Event *Words, size_t Count,
-                                    size_t Records, FlushCause Cause) {
+void EventDispatcher::publish(std::vector<Event> &Buffer, size_t Count,
+                              size_t Records, FlushCause Cause,
+                              size_t Slots) {
+  assert(!Lanes.empty() && "start() places the consumers on lanes");
   ++Flushes[static_cast<size_t>(Cause)];
-  if (ISP_UNLIKELY(Sink != nullptr))
-    Sink->recordBatch(Words, Count);
-  // The observed path times each tool's callback (and records timeline
-  // spans); the default path is the plain loop.
-  bool Observe = obs::statsEnabled() || obs::tracingEnabled();
-  if (ISP_UNLIKELY(Observe) && ToolObs.size() == Tools.size()) {
-    uint64_t FlushStart = obs::nowNs();
-    for (size_t I = 0; I != Tools.size(); ++I) {
-      uint64_t Start = obs::nowNs();
-      Tools[I]->handleBatch(Words, Count);
-      uint64_t End = obs::nowNs();
-      ToolObs[I].Events += Records;
-      ToolObs[I].CallbackNs += End - Start;
-      if (obs::tracingEnabled())
-        obs::TraceLog::get().completeSpan(ToolObs[I].Lane, "handleBatch",
-                                          "tool", Start, End);
-    }
-    if (obs::tracingEnabled())
-      obs::TraceLog::get().completeSpan(DispatcherLane,
-                                        flushCauseName(Cause), "dispatcher",
-                                        FlushStart, obs::nowNs());
-  } else {
-    for (Tool *T : Tools)
-      T->handleBatch(Words, Count);
-  }
   DeliveredEvents += Records;
+  if (PipelineActive)
+    handOff(Buffer, Count, Records, Cause, Slots);
+  else
+    deliverOn(*Lanes[0], Buffer.data(), Count, Records, Cause);
 }
 
 void EventDispatcher::publishChunk(std::vector<Event> &Words,
@@ -303,11 +266,7 @@ void EventDispatcher::publishChunk(std::vector<Event> &Words,
   EnqueuedEvents += Records;
   if (Words.empty())
     return;
-  if (PipelineActive)
-    handOff(Words, Words.size(), Records, FlushCause::Explicit,
-            ChunkSlots);
-  else
-    deliverSerial(Words.data(), Words.size(), Records, FlushCause::Explicit);
+  publish(Words, Words.size(), Records, FlushCause::Explicit, ChunkSlots);
 }
 
 void EventDispatcher::publishStats() const {

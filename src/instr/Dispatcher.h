@@ -41,14 +41,20 @@
 /// VM, or a stream decoder — fills the next batch. This is the default
 /// whenever the dispatcher's thread budget (hardwareThreads(), unless a
 /// collector hands it a share) is at least two and a tool or a record
-/// sink is attached: workersFor() gives one worker per schedulable unit,
-/// up to budget - 1. Tools declare where they may run via
-/// Tool::threadAffinity(): the CoScheduled group is one unit (worker 0),
-/// every AnyWorker tool is a unit, and the record sink is one more unit.
-/// Each consumer therefore sees every batch in publication order on one
-/// fixed thread, preserving Tool.h's no-reentrancy guarantee, and
-/// observes exactly the batch sequence serial delivery would give it:
-/// profiles and recorded streams are identical either way.
+/// sink is attached: workersFor() gives one worker per unit, up to
+/// budget - 1. Every attached tool is one unit and the record sink is
+/// one more; nothing is declared per tool, because every tool's
+/// analysis state is its own (Tool.h). Tools, then the sink, are placed
+/// round-robin over the workers. Each consumer therefore sees every
+/// batch in publication order on one fixed thread, preserving Tool.h's
+/// no-reentrancy guarantee, and observes exactly the batch sequence
+/// serial delivery would give it: profiles and recorded streams are
+/// identical either way.
+///
+/// A *lane* is the set of consumers one thread feeds: a worker's tools
+/// and perhaps the sink, or, when delivery is serial, every consumer on
+/// the producer. One routine (deliverOn) delivers every batch on its
+/// lane, whichever thread runs it.
 ///
 /// Flushed batches enter a fixed ring of RingSlots slots by buffer move —
 /// the filled Pending buffer moves into a free slot and the most
@@ -111,9 +117,9 @@ public:
 
   /// Consumer of recorded batches, for sinks that stream the compacted
   /// event stream somewhere (e.g. TraceStreamWriter writing chunked
-  /// trace files). Batches arrive in delivery order, on the producer
-  /// thread when delivery is serial and on one fixed worker when it is
-  /// pipelined, as packed word runs that decode standalone (fresh
+  /// trace files). Batches arrive in delivery order on one fixed lane
+  /// (the producer thread when delivery is serial, one worker when it
+  /// is pipelined), as packed word runs that decode standalone (fresh
   /// decoder per batch) — so a sink observes a byte-identical stream
   /// either way. A sink's state is only safe to read once finish() has
   /// returned.
@@ -136,9 +142,9 @@ public:
   /// Test seam: dispatchers constructed afterwards see \p N hardware
   /// threads (1 forces serial delivery); 0 unpins.
   static void pinHardwareThreads(unsigned N);
-  /// The engage rule: workers for \p Units schedulable consumers within
-  /// \p Budget hardware threads (one stays with the producer); 0 means
-  /// serial delivery.
+  /// The engage rule: workers for \p Units consumers (attached tools
+  /// plus the record sink) within \p Budget hardware threads (one stays
+  /// with the producer); 0 means serial delivery.
   static unsigned workersFor(unsigned Budget, size_t Units) {
     if (Budget < 2 || Units == 0)
       return 0;
@@ -272,29 +278,45 @@ private:
     std::vector<Event> Words;
     size_t Count = 0;
     size_t Records = 0;
+    FlushCause Cause = FlushCause::Capacity;
     unsigned Remaining = 0;
   };
 
-  /// A worker thread and its fixed consumers: indices into Tools, and
-  /// whether it also feeds the record sink.
-  struct WorkerState {
+  /// The consumers one thread feeds: indices into Tools, and whether it
+  /// also feeds the record sink. Under pipelined delivery each lane is a
+  /// worker with its own thread; under serial delivery the one lane is
+  /// the producer's, and Thread and NextSeq go unused.
+  struct Lane {
+    Lane() = default;
+    /// A worker holds its lane's address.
+    Lane(const Lane &) = delete;
+    Lane &operator=(const Lane &) = delete;
+
     std::thread Thread;
     std::vector<size_t> ToolIdx;
     bool FeedsSink = false;
     /// Next batch sequence number this worker will consume. Guarded by
     /// ParMutex.
     uint64_t NextSeq = 0;
-    obs::LaneId Lane = 0;
+    obs::LaneId TraceLane = 0;
   };
 
   void flushImpl(FlushCause Cause);
-  /// Serial delivery of one batch to every consumer, on this thread.
-  void deliverSerial(const Event *Words, size_t Count, size_t Records,
-                     FlushCause Cause);
+  /// Counts one batch of \p Count words and \p Records events, then
+  /// delivers it: on the producer's lane when delivery is serial, by
+  /// handOff() otherwise.
+  void publish(std::vector<Event> &Buffer, size_t Count, size_t Records,
+               FlushCause Cause, size_t Slots);
+  /// The one delivery routine: feeds the batch to \p L's tools and sink,
+  /// with per-tool observability when enabled. Each tool index is only
+  /// ever touched by the one thread that owns its lane, so the ToolObs
+  /// tallies stay single-writer.
+  void deliverOn(const Lane &L, const Event *Words, size_t Count,
+                 size_t Records, FlushCause Cause);
 
-  /// Partitions the consumers by affinity, sizes the worker pool with
+  /// Places the consumers on lanes, sizing the worker pool with
   /// workersFor(), and spawns the workers. Leaves PipelineActive false
-  /// (serial delivery) when the rule gives no worker.
+  /// (serial delivery, one lane) when the rule gives no worker.
   void startPipeline();
   /// Pipelined delivery of one batch: swaps \p Buffer into the next of
   /// the first \p Slots ring slots (blocking while that slot is in
@@ -303,13 +325,7 @@ private:
                FlushCause Cause, size_t Slots);
   /// Signals shutdown, drains every worker queue, joins the threads.
   void joinWorkers();
-  void workerLoop(WorkerState &W);
-  /// Delivers the batch to the tools in \p Idx, with per-tool
-  /// observability when enabled. Each index is only ever touched by the
-  /// one thread that owns the tool, so the ToolObs tallies stay
-  /// single-writer.
-  void deliverTo(const std::vector<size_t> &Idx, const Event *Words,
-                 size_t Count, size_t Records);
+  void workerLoop(Lane &W);
 
   /// Folds the dispatcher's plain counters (and the per-tool tallies)
   /// into the process-wide obs registry. Called by finish() when stats
@@ -338,13 +354,15 @@ private:
   uint64_t Flushes[NumFlushCauses] = {0, 0, 0};
   std::vector<ToolObsState> ToolObs;
   obs::LaneId DispatcherLane = 0;
+  /// One per worker under pipelined delivery; the producer's one lane
+  /// under serial delivery. Set by start().
+  std::vector<std::unique_ptr<Lane>> Lanes;
 
   //===--- Pipeline state (untouched by serial delivery) -----------------===//
 
   unsigned ThreadBudget;
   bool PipelineActive = false;
   unsigned WorkerCountUsed = 0;
-  std::vector<std::unique_ptr<WorkerState>> Workers;
   BatchSlot Ring[RingSlots];
   /// Drained buffers, most recent last. The producer takes its next
   /// buffer from here, so buffers are allocated only as deep as the

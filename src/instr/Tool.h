@@ -37,33 +37,17 @@ namespace isp {
 
 class SymbolTable;
 
-/// Where a tool's batches may run when the dispatcher pipelines delivery
-/// (see Dispatcher.h). Whatever the delivery, the no-reentrancy
-/// guarantee holds: every tool consumes its batches in publication order
-/// on exactly one thread, so no callback is ever reentered and no tool
-/// needs internal locking.
-enum class ToolAffinity : uint8_t {
-  /// The tool may run on a dispatcher worker thread, but all
-  /// CoScheduled tools must share the *same* worker. Declared by the
-  /// input-sensitive profilers: each keeps per-thread shadows but shares
-  /// a global wts shadow and timestamp counter across guest threads, so
-  /// the whole profiler family is kept on one serialized consumer.
-  CoScheduled,
-  /// The tool may run on any single fixed worker thread. Correct for
-  /// tools whose entire analysis state is instance-private and touched
-  /// only from its own calls.
-  AnyWorker,
-};
-
 /// What the dispatcher and the driver call on an analysis tool.
 /// Analyses derive from ToolImpl, which supplies handleBatch.
+///
+/// No reentrancy: whatever the delivery (Dispatcher.h), a tool consumes
+/// its batches in publication order on exactly one thread, so no
+/// callback is ever reentered and no tool needs internal locking. A
+/// tool's analysis state must be its own: the dispatcher may run any
+/// two tools on different threads.
 class Tool {
 public:
   virtual ~Tool();
-
-  /// Declares where this tool's batches may run under pipelined
-  /// delivery. Every tool declares it; there is no default.
-  virtual ToolAffinity threadAffinity() const = 0;
 
   /// Called once before the first batch, with the symbol table of the
   /// program under analysis (may be null for anonymous traces).

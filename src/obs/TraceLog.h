@@ -12,10 +12,11 @@
 /// the function on top of its stack — plus dedicated lanes for the
 /// dispatcher (flush spans, tagged with their cause) and for each
 /// registered tool (per-flush callback spans). Under pipelined
-/// delivery each dispatcher worker gets its own lane ("worker N") whose
-/// spans cover one batch-slot consumption; tool callback spans are then
-/// emitted from the worker that owns the tool (the recorder itself is
-/// mutex-protected, so lanes interleave safely).
+/// delivery each dispatcher worker gets its own lane ("worker N") in
+/// place of the dispatcher's, with the same spans: one per batch it
+/// consumes, tagged with the batch's flush cause. Tool callback spans
+/// are then emitted from the worker that owns the tool (the recorder
+/// itself is mutex-protected, so lanes interleave safely).
 ///
 /// Recording is gated on one global bool like stats collection; span
 /// granularity is scheduler slices and batch flushes (hundreds of

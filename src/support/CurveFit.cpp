@@ -7,6 +7,7 @@
 #include "support/CurveFit.h"
 
 #include "support/Compiler.h"
+#include "support/Format.h"
 
 #include <cassert>
 #include <algorithm>
@@ -173,4 +174,46 @@ std::string isp::formatFit(const ModelFit &Fit) {
                 growthModelName(Fit.Model), Fit.Intercept, Fit.Slope,
                 Fit.NormalizedRmse);
   return Buffer;
+}
+
+const char *isp::staticGrowthClassName(unsigned Degree) {
+  switch (Degree) {
+  case 0:
+    return "O(1)";
+  case 1:
+    return "O(n)";
+  case 2:
+    return "O(n^2)";
+  default:
+    return "O(n^3+)";
+  }
+}
+
+bool isp::staticGrowthAgrees(unsigned Degree, double Alpha) {
+  return Alpha <= static_cast<double>(Degree) + 0.5;
+}
+
+void isp::appendStaticGrowthCells(std::vector<std::string> &Cells,
+                                  std::string &Warnings,
+                                  const std::string &Name,
+                                  std::optional<unsigned> Degree,
+                                  std::optional<double> Alpha) {
+  if (!Degree) {
+    Cells.push_back("-");
+    Cells.push_back("-");
+    return;
+  }
+  Cells.push_back(staticGrowthClassName(*Degree));
+  if (!Alpha) {
+    Cells.push_back("-");
+  } else if (staticGrowthAgrees(*Degree, *Alpha)) {
+    Cells.push_back("yes");
+  } else {
+    Cells.push_back("NO");
+    Warnings += formatString("warning: static-vs-dynamic growth "
+                             "contradiction: %s measured alpha %.2f exceeds "
+                             "static %s\n",
+                             Name.c_str(), *Alpha,
+                             staticGrowthClassName(*Degree));
+  }
 }

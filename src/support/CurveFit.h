@@ -18,6 +18,7 @@
 #ifndef ISPROF_SUPPORT_CURVEFIT_H
 #define ISPROF_SUPPORT_CURVEFIT_H
 
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -85,6 +86,25 @@ FitResult fitCurve(const std::vector<FitPoint> &Points,
 
 /// Formats a fit as e.g. "O(n): cost = 3.1 + 2.0*n (rmse 0.02)".
 std::string formatFit(const ModelFit &Fit);
+
+/// "O(1)" / "O(n)" / "O(n^2)" / "O(n^3+)" for a static loop-nest degree
+/// (analysis::estimateGrowth).
+const char *staticGrowthClassName(unsigned Degree);
+
+/// The agreement rule of the --growth-check and --growth-source
+/// columns: a measured log-log alpha agrees with a static degree when
+/// alpha <= degree + 0.5 (the static degree is an upper bound on
+/// polynomial growth in the routine's input size).
+bool staticGrowthAgrees(unsigned Degree, double Alpha);
+
+/// Appends the "static" and "agree" cells of routine \p Name to \p Cells:
+/// "-" for each when the analysis has no \p Degree, and "-" for agree
+/// when there is no valid measured \p Alpha. A disagreement is "NO" and
+/// adds one contradiction warning line to \p Warnings.
+void appendStaticGrowthCells(std::vector<std::string> &Cells,
+                             std::string &Warnings, const std::string &Name,
+                             std::optional<unsigned> Degree,
+                             std::optional<double> Alpha);
 
 } // namespace isp
 

@@ -33,11 +33,6 @@ public:
   };
 
   std::string name() const override { return "callgrind"; }
-  /// Per-routine cost tallies are instance-private; safe on any fixed
-  /// worker.
-  ToolAffinity threadAffinity() const override {
-    return ToolAffinity::AnyWorker;
-  }
   uint64_t memoryFootprintBytes() const override;
 
   void onCall(ThreadId Tid, RoutineId Rtn);

@@ -48,11 +48,6 @@ public:
   CctTool();
 
   std::string name() const override { return "cct"; }
-  /// The calling-context tree is instance-private; safe on any fixed
-  /// worker.
-  ToolAffinity threadAffinity() const override {
-    return ToolAffinity::AnyWorker;
-  }
   uint64_t memoryFootprintBytes() const override;
 
   void onCall(ThreadId Tid, RoutineId Rtn);

@@ -38,11 +38,6 @@ namespace isp {
 class DrdTool : public ToolImpl<DrdTool> {
 public:
   std::string name() const override { return "drd"; }
-  /// Vector-clock state and race reports are instance-private; safe on
-  /// any fixed worker.
-  ToolAffinity threadAffinity() const override {
-    return ToolAffinity::AnyWorker;
-  }
   uint64_t memoryFootprintBytes() const override;
 
   void onRead(ThreadId Tid, Addr A, uint64_t Cells);

@@ -46,11 +46,6 @@ struct RaceReport {
 class HelgrindTool : public ToolImpl<HelgrindTool> {
 public:
   std::string name() const override { return "helgrind"; }
-  /// Lockset state and race reports are instance-private; safe on any
-  /// fixed worker.
-  ToolAffinity threadAffinity() const override {
-    return ToolAffinity::AnyWorker;
-  }
   uint64_t memoryFootprintBytes() const override;
 
   void onThreadStart(ThreadId Tid, ThreadId Parent);

@@ -48,12 +48,6 @@ const char *memErrorKindName(MemError::Kind Kind);
 class MemcheckTool : public ToolImpl<MemcheckTool> {
 public:
   std::string name() const override { return "memcheck"; }
-  /// All analysis state (addressability/definedness shadows, the
-  /// allocation map, the error log) is instance-private and touched
-  /// only from callbacks, so any fixed worker may drive this tool.
-  ToolAffinity threadAffinity() const override {
-    return ToolAffinity::AnyWorker;
-  }
   uint64_t memoryFootprintBytes() const override;
 
   void onRead(ThreadId Tid, Addr A, uint64_t Cells);

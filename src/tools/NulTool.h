@@ -24,10 +24,6 @@ namespace isp {
 class NulTool final : public ToolImpl<NulTool> {
 public:
   std::string name() const override { return "nulgrind"; }
-  /// One private counter; safe on any fixed worker.
-  ToolAffinity threadAffinity() const override {
-    return ToolAffinity::AnyWorker;
-  }
 
   uint64_t eventsSeen() const { return Events; }
 

@@ -687,8 +687,15 @@ bool isp::isTraceStreamFile(const std::string &Path) {
 
 bool isp::replayTraceStream(TraceStreamReader &Reader, Tool &T,
                             const SymbolTable *Symbols) {
+  return replayTraceStream(Reader, std::vector<Tool *>{&T}, Symbols);
+}
+
+bool isp::replayTraceStream(TraceStreamReader &Reader,
+                            const std::vector<Tool *> &Tools,
+                            const SymbolTable *Symbols) {
   EventDispatcher Dispatcher;
-  Dispatcher.addTool(&T);
+  for (Tool *T : Tools)
+    Dispatcher.addTool(T);
   Dispatcher.start(Symbols);
   std::vector<Event> Chunk;
   Reader.seek(0);

@@ -354,14 +354,19 @@ private:
 /// a diagnostic instead of silently dropping out of the scan.
 bool isTraceStreamFile(const std::string &Path);
 
-/// Replays \p Reader's full stream into \p T: the calling thread
-/// decodes one chunk at a time and publishes each as one batch
-/// (EventDispatcher::publishChunk), so \p T consumes chunk k on a worker
-/// while chunk k+1 is decoded whenever delivery is pipelined. A chunk
-/// decodes standalone and already holds the compacted stream the live
-/// tools saw, so nothing is re-enqueued. Returns false on a read error
-/// (Reader.error() explains); the tool still sees onFinish so partial
-/// results are well-formed.
+/// Replays \p Reader's full stream into every tool in \p Tools: the
+/// calling thread decodes one chunk at a time and publishes each as one
+/// batch (EventDispatcher::publishChunk), so the tools consume chunk k on
+/// workers while chunk k+1 is decoded whenever delivery is pipelined. A
+/// chunk decodes standalone and already holds the compacted stream the
+/// live tools saw, so nothing is re-enqueued. Returns false on a read
+/// error (Reader.error() explains, and the failing chunk is
+/// Reader.cursor() - 1); the tools still see onFinish so partial results
+/// are well-formed.
+bool replayTraceStream(TraceStreamReader &Reader,
+                       const std::vector<Tool *> &Tools,
+                       const SymbolTable *Symbols = nullptr);
+/// The same replay into the one tool \p T.
 bool replayTraceStream(TraceStreamReader &Reader, Tool &T,
                        const SymbolTable *Symbols = nullptr);
 

@@ -243,9 +243,18 @@ inline constexpr Addr GlobalBase = 16;
 /// Base address of the heap region.
 inline constexpr Addr HeapBase = Addr(1) << 22;
 /// Base address of the per-thread stack regions; thread t's stack starts
-/// at StackRegionBase + t * StackRegionStride.
+/// at StackRegionBase + t * StackRegionStride, and a thread's stack is
+/// its whole region of StackRegionStride cells.
 inline constexpr Addr StackRegionBase = Addr(1) << 24;
 inline constexpr Addr StackRegionStride = Addr(1) << 17;
+/// Stack regions that fit in the guest address space (MaxGuestAddress):
+/// a guest can create threads 0 to MaxGuestThreads - 1, and a spawn that
+/// would create thread MaxGuestThreads fails.
+inline constexpr ThreadId MaxGuestThreads = static_cast<ThreadId>(
+    (MaxGuestAddress + 1 - StackRegionBase) / StackRegionStride);
+static_assert(StackRegionBase + MaxGuestThreads * StackRegionStride ==
+                  MaxGuestAddress + 1,
+              "the last stack region must end at the guest address space");
 
 } // namespace isp
 

@@ -20,10 +20,7 @@ using namespace isp;
 Machine::Machine(const Program &Prog, EventDispatcher *Events,
                  MachineOptions Opts)
     : Prog(Prog), Events(Events), Options(Opts), Device(Opts.Seed),
-      GuestRng(Opts.Seed) {
-  assert(Options.StackCells <= StackRegionStride &&
-         "stack size exceeds the per-thread address stride");
-}
+      GuestRng(Opts.Seed) {}
 
 void Machine::runtimeError(const std::string &Message) {
   if (!Failed) {
@@ -43,7 +40,7 @@ bool Machine::decodeAddress(Addr A, int64_t *&Cell) {
   if (A >= StackRegionBase) {
     uint64_t Index = (A - StackRegionBase) / StackRegionStride;
     uint64_t Offset = (A - StackRegionBase) % StackRegionStride;
-    if (Index < ThreadList.size() && Offset < Options.StackCells) {
+    if (Index < ThreadList.size()) {
       ThreadCtx &Owner = ThreadList[Index];
       if (Offset >= Owner.StackMemory.size())
         Owner.StackMemory.resize(Offset + 1, 0);
@@ -73,7 +70,7 @@ bool Machine::decodeAddress(Addr A, int64_t *&Cell) {
 ISP_ALWAYS_INLINE bool Machine::memRead(ThreadCtx &T, Addr A, int64_t &Value,
                                         bool Emit) {
   uint64_t Offset = A - T.StackBase;
-  if (ISP_LIKELY(Offset < Options.StackCells)) {
+  if (ISP_LIKELY(Offset < StackRegionStride)) {
     if (ISP_UNLIKELY(Offset >= T.StackMemory.size()))
       T.StackMemory.resize(Offset + 1, 0);
     Value = T.StackMemory[Offset];
@@ -92,7 +89,7 @@ ISP_ALWAYS_INLINE bool Machine::memRead(ThreadCtx &T, Addr A, int64_t &Value,
 ISP_ALWAYS_INLINE bool Machine::memWrite(ThreadCtx &T, Addr A, int64_t Value,
                                          bool Emit) {
   uint64_t Offset = A - T.StackBase;
-  if (ISP_LIKELY(Offset < Options.StackCells)) {
+  if (ISP_LIKELY(Offset < StackRegionStride)) {
     if (ISP_UNLIKELY(Offset >= T.StackMemory.size()))
       T.StackMemory.resize(Offset + 1, 0);
     T.StackMemory[Offset] = Value;
@@ -145,7 +142,7 @@ ISP_ALWAYS_INLINE bool Machine::pushFrame(ThreadCtx &T, const Function *Fn,
                                           const int64_t *Args,
                                           size_t NumArgs) {
   Addr FrameBase = T.Sp;
-  if (FrameBase + Fn->NumLocals >= T.StackBase + Options.StackCells) {
+  if (FrameBase + Fn->NumLocals >= T.StackBase + StackRegionStride) {
     runtimeError(formatString("guest stack overflow in thread %u calling "
                               "'%s'",
                               T.Id, Fn->Name.c_str()));
@@ -525,7 +522,7 @@ Lbl_AllocaArray: {
     return !Failed;
   }
   Addr Base = T.Sp;
-  if (Base + static_cast<Addr>(N) >= T.StackBase + Options.StackCells) {
+  if (Base + static_cast<Addr>(N) >= T.StackBase + StackRegionStride) {
     runtimeError(formatString("guest stack overflow (local array of "
                               "%lld cells) in thread %u",
                               static_cast<long long>(N), T.Id));
@@ -645,6 +642,13 @@ Lbl_Spawn: {
   ArgScratch.resize(NumArgs);
   for (size_t J = NumArgs; J > 0; --J)
     ArgScratch[J - 1] = popValue(T.Operands);
+  if (ThreadList.size() == MaxGuestThreads) {
+    runtimeError(formatString("thread limit: at most %u guest threads fit "
+                              "in the address space (one stack region "
+                              "each)",
+                              MaxGuestThreads));
+    return !Failed;
+  }
   ThreadCtx &Child = newThread(T.Id, &Callee);
   // The parent writes the arguments into the child's (future) entry
   // frame, like code publishing an argument block before calling

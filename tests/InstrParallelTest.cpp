@@ -8,12 +8,12 @@
 // more hardware threads — promises three things, and these tests hold
 // it to them: (1) every consumer observes exactly the batch sequence
 // serial delivery would give it, so reports, profiles and recorded
-// streams are byte-identical; (2) each consumer — every tool, whatever
-// affinity it declares, and the record sink — runs on exactly one
-// worker thread, never the producer's; (3) finish() is a real join:
-// after it returns, every event has been consumed and the compaction
-// identity holds. Tests pin the hardware thread count (PinnedThreads.h)
-// so both deliveries run on any host.
+// streams are byte-identical; (2) each consumer — every tool and the
+// record sink — runs on exactly one worker thread, never the
+// producer's; (3) finish() is a real join: after it returns, every
+// event has been consumed and the compaction identity holds. Tests pin
+// the hardware thread count (PinnedThreads.h) so both deliveries run on
+// any host.
 //
 //===----------------------------------------------------------------------===//
 
@@ -94,13 +94,10 @@ std::vector<std::string> reportsForRun(const std::vector<EventRecord> &Events,
   return Reports;
 }
 
-/// An AnyWorker tool that naps every 256 reads — slow enough for the
-/// producer to lap the batch ring and hit backpressure.
+/// A tool that naps every 256 reads — slow enough for the producer to
+/// lap the batch ring and hit backpressure.
 class SlowTool final : public ToolImpl<SlowTool> {
 public:
-  ToolAffinity threadAffinity() const override {
-    return ToolAffinity::AnyWorker;
-  }
   std::string name() const override { return "slow"; }
   void onRead(ThreadId, Addr, uint64_t) {
     if (++Reads % 256 == 0)
@@ -124,24 +121,34 @@ public:
 };
 
 //===----------------------------------------------------------------------===//
-// Affinity declarations and the engage rule
+// Units and the engage rule
 //===----------------------------------------------------------------------===//
 
-TEST(Pipeline, RegistryToolsDeclareExpectedAffinities) {
-  // The profiler family shares global shadow state across instances, so
-  // it must stay co-scheduled on one worker.
-  for (const char *Name : {"aprof-trms", "aprof-rms", "aprof-trms-naive"}) {
-    std::unique_ptr<Tool> T = makeTool(Name);
-    ASSERT_NE(T, nullptr) << Name;
-    EXPECT_EQ(T->threadAffinity(), ToolAffinity::CoScheduled) << Name;
+TEST(Pipeline, EveryToolIsItsOwnUnit) {
+  // Each profiler owns its shadows, counter and database, so nothing
+  // ties the three to one thread: with four hardware threads they take
+  // three workers, and still report exactly what serial delivery gives.
+  const std::vector<std::string> Profilers = {"aprof-rms", "aprof-trms",
+                                              "aprof-trms-naive"};
+  std::vector<EventRecord> Events = makeTrace(8000, 43);
+  std::vector<std::string> Serial = reportsForRun(Events, Profilers, 1);
+
+  PinnedThreads Pin(4);
+  std::vector<std::unique_ptr<Tool>> Tools;
+  EventDispatcher D;
+  for (const std::string &Name : Profilers) {
+    Tools.push_back(makeTool(Name));
+    ASSERT_NE(Tools.back(), nullptr) << Name;
+    D.addTool(Tools.back().get());
   }
-  // Instance-private tools may take any fixed worker.
-  for (const char *Name :
-       {"nulgrind", "memcheck", "callgrind", "helgrind", "drd", "cct"}) {
-    std::unique_ptr<Tool> T = makeTool(Name);
-    ASSERT_NE(T, nullptr) << Name;
-    EXPECT_EQ(T->threadAffinity(), ToolAffinity::AnyWorker) << Name;
-  }
+  D.start(nullptr);
+  EXPECT_EQ(D.workersUsed(), 3u);
+  for (const EventRecord &E : Events)
+    D.enqueue(E);
+  D.finish();
+  for (size_t I = 0; I != Profilers.size(); ++I)
+    EXPECT_EQ(renderToolReport(*Tools[I], nullptr), Serial[I])
+        << Profilers[I];
 }
 
 TEST(Pipeline, EngageRuleNeedsASecondThreadAndAWorkerConsumer) {
@@ -324,24 +331,31 @@ TEST(Pipeline, PublishedChunksArriveExactlyAsDecoded) {
 // Thread placement
 //===----------------------------------------------------------------------===//
 
-TEST(Pipeline, AnyWorkerToolRunsOnOneWorkerThread) {
+TEST(Pipeline, EachToolRunsOnItsOwnWorkerThread) {
   PinnedThreads Pin(4);
-  RecordingTool Spread;
+  RecordingTool First, Second;
   EventDispatcher D;
-  D.addTool(&Spread);
+  D.addTool(&First);
+  D.addTool(&Second);
   D.start(nullptr);
   ASSERT_TRUE(D.pipelineActive());
+  EXPECT_EQ(D.workersUsed(), 2u);
   for (const EventRecord &E : makeTrace(4000, 35))
     D.enqueue(E);
   D.finish();
-  // One fixed consumer thread, and never the producer thread.
-  ASSERT_EQ(Spread.Threads.size(), 1u);
-  EXPECT_NE(*Spread.Threads.begin(), std::this_thread::get_id());
+  // One fixed consumer thread per tool, never the producer thread, and
+  // never the other tool's.
+  ASSERT_EQ(First.Threads.size(), 1u);
+  ASSERT_EQ(Second.Threads.size(), 1u);
+  EXPECT_NE(*First.Threads.begin(), std::this_thread::get_id());
+  EXPECT_NE(*Second.Threads.begin(), std::this_thread::get_id());
+  EXPECT_NE(*First.Threads.begin(), *Second.Threads.begin());
+  EXPECT_EQ(First.Entries, Second.Entries);
 }
 
 TEST(Pipeline, WorkerCountClampsToEligibleConsumers) {
-  // One spreadable tool can use at most one worker, however many
-  // hardware threads there are.
+  // One tool can use at most one worker, however many hardware threads
+  // there are.
   PinnedThreads Pin(64);
   NulTool T;
   EventDispatcher D;

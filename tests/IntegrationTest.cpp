@@ -358,9 +358,6 @@ TEST(ContextAdapter, RewritesHandBuiltBatches) {
 class WordTool final : public Tool {
 public:
   std::string name() const override { return "words"; }
-  ToolAffinity threadAffinity() const override {
-    return ToolAffinity::AnyWorker;
-  }
   void handleBatch(const Event *Batch, size_t Count) override {
     Words.insert(Words.end(), Batch, Batch + Count);
   }

@@ -194,6 +194,32 @@ TEST(CurveFit, DegenerateInputs) {
   EXPECT_EQ(Fit.best().Model, GrowthModel::Constant);
 }
 
+TEST(CurveFit, StaticGrowthClassAndAgreement) {
+  EXPECT_STREQ(staticGrowthClassName(0), "O(1)");
+  EXPECT_STREQ(staticGrowthClassName(1), "O(n)");
+  EXPECT_STREQ(staticGrowthClassName(2), "O(n^2)");
+  EXPECT_STREQ(staticGrowthClassName(3), "O(n^3+)");
+  EXPECT_TRUE(staticGrowthAgrees(1, 1.3));
+  EXPECT_TRUE(staticGrowthAgrees(1, 1.5));
+  EXPECT_TRUE(staticGrowthAgrees(2, 1.1)); // static is an upper bound
+  EXPECT_FALSE(staticGrowthAgrees(1, 2.2));
+}
+
+TEST(CurveFit, StaticGrowthCellsAndWarning) {
+  std::vector<std::string> Cells;
+  std::string Warnings;
+  appendStaticGrowthCells(Cells, Warnings, "a", std::nullopt, 2.0);
+  appendStaticGrowthCells(Cells, Warnings, "b", 1u, std::nullopt);
+  appendStaticGrowthCells(Cells, Warnings, "c", 2u, 1.9);
+  EXPECT_EQ(Warnings, "");
+  appendStaticGrowthCells(Cells, Warnings, "d", 1u, 2.25);
+  EXPECT_EQ(Cells, (std::vector<std::string>{"-", "-", "O(n)", "-",
+                                             "O(n^2)", "yes", "O(n)",
+                                             "NO"}));
+  EXPECT_EQ(Warnings, "warning: static-vs-dynamic growth contradiction: d "
+                      "measured alpha 2.25 exceeds static O(n)\n");
+}
+
 //===----------------------------------------------------------------------===//
 // Format / Table / Csv
 //===----------------------------------------------------------------------===//

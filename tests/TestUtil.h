@@ -110,11 +110,7 @@ public:
   /// A callback: a letter for its kind, then its arguments in order.
   using Entry = std::tuple<char, uint64_t, uint64_t, uint64_t>;
 
-  explicit RecordingTool(ToolAffinity Affinity = ToolAffinity::AnyWorker)
-      : Affinity(Affinity) {}
-
   std::string name() const override { return "recording"; }
-  ToolAffinity threadAffinity() const override { return Affinity; }
 
   void onThreadStart(ThreadId Tid, ThreadId Parent) {
     note('S', Tid, Parent);
@@ -156,8 +152,6 @@ private:
     Entries.emplace_back(Kind, A, B, C);
     Threads.insert(std::this_thread::get_id());
   }
-
-  ToolAffinity Affinity;
 };
 
 /// Keeps every word a dispatcher delivers, in order. Read Words (or

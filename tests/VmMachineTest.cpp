@@ -7,7 +7,9 @@
 #include "vm/Machine.h"
 
 #include "TestUtil.h"
+#include "core/TrmsProfiler.h"
 #include "instr/Dispatcher.h"
+#include "support/Format.h"
 #include "tools/NulTool.h"
 #include "vm/Compiler.h"
 #include "vm/Diag.h"
@@ -722,6 +724,58 @@ TEST(MachineEdge, SpawnStormCompletes) {
                     Opts);
   ASSERT_TRUE(R.Ok) << R.Error;
   EXPECT_EQ(R.Stats.ThreadsSpawned, 121u); // main + 120 workers
+}
+
+TEST(MachineEdge, SpawnPastTheLastStackRegionFails) {
+  // Thread t's stack is region t above StackRegionBase, and only
+  // MaxGuestThreads regions fit below the guest address limit. A guest
+  // that spawns and joins one thread at a time has at most two threads
+  // alive, yet its spawn number MaxGuestThreads would create thread id
+  // MaxGuestThreads: that spawn ends the run in a diagnostic, with or
+  // without a tool, and one spawn fewer still runs.
+  auto Guest = [](unsigned Spawns) {
+    return formatString(R"(
+      fn tiny(x) { return x + 1; }
+      fn main() {
+        var total = 0;
+        for (var i = 0; i < %u; i = i + 1) {
+          var t = spawn tiny(i);
+          total = total + join(t);
+        }
+        print(total);
+        return 0;
+      })",
+                        Spawns);
+  };
+  enum class Consumer { None, Nul, Trms };
+  auto RunUnder = [](const std::string &Source, Consumer C) {
+    DiagnosticEngine Diags;
+    std::optional<Program> Prog = compileProgram(Source, Diags);
+    EXPECT_TRUE(Prog.has_value()) << Diags.render();
+    NulTool Nul;
+    TrmsProfiler Trms;
+    EventDispatcher D;
+    if (C == Consumer::Nul)
+      D.addTool(&Nul);
+    if (C == Consumer::Trms)
+      D.addTool(&Trms);
+    Machine M(*Prog, C == Consumer::None ? nullptr : &D);
+    return M.run();
+  };
+  const std::string Limit = std::to_string(MaxGuestThreads);
+  for (Consumer C : {Consumer::None, Consumer::Nul, Consumer::Trms}) {
+    SCOPED_TRACE(static_cast<int>(C));
+    RunResult Short = RunUnder(Guest(MaxGuestThreads - 1), C);
+    ASSERT_TRUE(Short.Ok) << Short.Error;
+    EXPECT_EQ(Short.Stats.ThreadsSpawned, MaxGuestThreads);
+    RunResult Over = RunUnder(Guest(MaxGuestThreads), C);
+    EXPECT_FALSE(Over.Ok);
+    EXPECT_NE(Over.Error.find("thread limit: at most " + Limit +
+                              " guest threads"),
+              std::string::npos)
+        << Over.Error;
+    EXPECT_EQ(Over.Stats.ThreadsSpawned, MaxGuestThreads);
+  }
 }
 
 TEST(MachineEdge, ThreadIdBuiltin) {
