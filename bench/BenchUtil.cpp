@@ -12,6 +12,7 @@
 
 #include <chrono>
 #include <cstdio>
+#include <ctime>
 #include <sys/stat.h>
 
 using namespace isp;
@@ -29,11 +30,18 @@ std::unique_ptr<Tool> isp::makeEvaluatedTool(const std::string &Name) {
   return T;
 }
 
+/// CPU seconds this process has used, over all its threads.
+static double processCpuSeconds() {
+  timespec Ts;
+  ::clock_gettime(CLOCK_PROCESS_CPUTIME_ID, &Ts);
+  return static_cast<double>(Ts.tv_sec) + 1e-9 * static_cast<double>(Ts.tv_nsec);
+}
+
 Measurement isp::measureWorkload(const WorkloadInfo &Workload,
                                  const WorkloadParams &Params,
                                  const std::string &ToolName,
-                                 unsigned Repeats,
-                                 MachineOptions MachineOpts) {
+                                 unsigned Repeats, MachineOptions MachineOpts,
+                                 unsigned ThreadBudget) {
   Measurement Out;
   std::string Error;
   std::optional<Program> Prog = compileWorkload(Workload, Params, &Error);
@@ -45,14 +53,16 @@ Measurement isp::measureWorkload(const WorkloadInfo &Workload,
   Out.Seconds = 1e100;
   for (unsigned Rep = 0; Rep == 0 || Rep < Repeats; ++Rep) {
     std::unique_ptr<Tool> ToolPtr = makeEvaluatedTool(ToolName);
-    EventDispatcher Dispatcher;
+    EventDispatcher Dispatcher(ThreadBudget);
     if (ToolPtr)
       Dispatcher.addTool(ToolPtr.get());
     Machine M(*Prog, ToolPtr ? &Dispatcher : nullptr, MachineOpts);
 
+    double CpuStart = processCpuSeconds();
     auto Start = std::chrono::steady_clock::now();
     RunResult R = M.run();
     auto End = std::chrono::steady_clock::now();
+    double CpuSeconds = processCpuSeconds() - CpuStart;
     if (!R.Ok) {
       Out.Error = R.Error;
       return Out;
@@ -60,6 +70,7 @@ Measurement isp::measureWorkload(const WorkloadInfo &Workload,
     double Seconds = std::chrono::duration<double>(End - Start).count();
     if (Seconds < Out.Seconds) {
       Out.Seconds = Seconds;
+      Out.CpuSeconds = CpuSeconds;
       Out.Stats = R.Stats;
       Out.GuestBytes = R.Stats.GuestMemoryBytes;
       Out.ToolBytes = ToolPtr ? ToolPtr->memoryFootprintBytes() : 0;

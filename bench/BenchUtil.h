@@ -17,6 +17,7 @@
 #define ISPROF_BENCH_BENCHUTIL_H
 
 #include "core/ProfileData.h"
+#include "instr/Dispatcher.h"
 #include "instr/Tool.h"
 #include "vm/Machine.h"
 #include "workloads/Workload.h"
@@ -39,6 +40,8 @@ struct Measurement {
   bool Ok = false;
   std::string Error;
   double Seconds = 0;
+  /// Process CPU time of the kept run, every worker thread included.
+  double CpuSeconds = 0;
   /// Analysis-state footprint (0 for native/nulgrind).
   uint64_t ToolBytes = 0;
   /// Guest program footprint (globals + heap + touched stacks).
@@ -64,13 +67,15 @@ struct Measurement {
 };
 
 /// Compiles and runs \p Workload at \p Params under \p ToolName,
-/// measuring wall-clock time and footprints. \p Repeats re-runs and
-/// keeps the fastest time (variance control on a shared machine).
-Measurement measureWorkload(const WorkloadInfo &Workload,
-                            const WorkloadParams &Params,
-                            const std::string &ToolName,
-                            unsigned Repeats = 1,
-                            MachineOptions MachineOpts = MachineOptions());
+/// measuring wall-clock and process CPU time and footprints. \p Repeats
+/// re-runs and keeps the fastest time (variance control on a shared
+/// machine). \p ThreadBudget goes to the EventDispatcher: 1 delivers
+/// serially, on the VM's thread, as the paper's inline tools run.
+Measurement
+measureWorkload(const WorkloadInfo &Workload, const WorkloadParams &Params,
+                const std::string &ToolName, unsigned Repeats = 1,
+                MachineOptions MachineOpts = MachineOptions(),
+                unsigned ThreadBudget = EventDispatcher::hardwareThreads());
 
 /// Hands \p Words to \p T as one batch, bracketed by onStart/onFinish:
 /// the profiler microbenchmarks time a tool's walk on a trace encoded

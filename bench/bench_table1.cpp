@@ -13,6 +13,13 @@
 // overheads ((guest + tool) / guest). A geometric-mean summary row
 // closes each half, as in the paper.
 //
+// Every cell is measured under both deliveries: serial, where the tool
+// runs on the VM's thread as the paper's Valgrind tools run inline on
+// the serialized guest, and pipelined, the default on a multi-core
+// host, where it runs on a worker. The shape checks use serial; the
+// pipelined table is the product's number. table1.csv carries both,
+// with each run's process CPU seconds beside its wall time.
+//
 // Expected shape (the paper's findings, which hold here):
 //   nulgrind < callgrind < memcheck ~ aprof-rms < aprof-trms < helgrind
 // for time, and modest (single-digit) space factors with aprof-trms
@@ -24,6 +31,7 @@
 
 #include "BenchUtil.h"
 
+#include "instr/Dispatcher.h"
 #include "support/CommandLine.h"
 #include "support/Csv.h"
 #include "support/Format.h"
@@ -53,12 +61,25 @@ int main(int Argc, char **Argv) {
                            Params.Threads,
                            static_cast<unsigned long long>(Params.Size)));
 
+  /// A delivery and the dispatcher thread budget that selects it.
+  struct Delivery {
+    const char *Name;
+    unsigned ThreadBudget;
+    TextTable TimeTable;
+    std::map<std::string, std::vector<double>> SlowdownSamples;
+  };
+  Delivery Deliveries[] = {
+      {"serial", 1, {}, {}},
+      {"pipelined", EventDispatcher::hardwareThreads(), {}, {}}};
+  if (EventDispatcher::hardwareThreads() < 2)
+    std::printf("note: one hardware thread, so pipelined runs deliver "
+                "serially too\n");
+
   std::vector<std::string> Benchmarks = workloadsInSuite("omp2012");
   CsvWriter Csv;
-  Csv.addRow({"benchmark", "tool", "seconds", "slowdown", "guest_bytes",
-              "tool_bytes", "space_overhead"});
+  Csv.addRow({"benchmark", "delivery", "tool", "seconds", "cpu_seconds",
+              "slowdown", "guest_bytes", "tool_bytes", "space_overhead"});
 
-  TextTable TimeTable;
   TextTable SpaceTable;
   std::vector<std::string> TimeHeader = {"benchmark", "native(s)"};
   std::vector<std::string> SpaceHeader = {"benchmark", "native"};
@@ -68,84 +89,101 @@ int main(int Argc, char **Argv) {
     TimeHeader.push_back(ToolName);
     SpaceHeader.push_back(ToolName);
   }
-  TimeTable.setHeader(TimeHeader);
+  for (Delivery &D : Deliveries)
+    D.TimeTable.setHeader(TimeHeader);
   SpaceTable.setHeader(SpaceHeader);
 
-  std::map<std::string, std::vector<double>> SlowdownSamples;
   std::map<std::string, std::vector<double>> SpaceSamples;
 
   for (const std::string &Benchmark : Benchmarks) {
     const WorkloadInfo *W = findWorkload(Benchmark);
-    std::vector<std::string> TimeRow = {Benchmark};
-    std::vector<std::string> SpaceRow = {Benchmark};
-    double NativeSeconds = 0;
-    uint64_t GuestBytes = 0;
+    for (Delivery &D : Deliveries) {
+      // Space does not depend on delivery; it is taken from serial runs.
+      bool TakeSpace = &D == &Deliveries[0];
+      std::vector<std::string> TimeRow = {Benchmark};
+      std::vector<std::string> SpaceRow = {Benchmark};
+      double NativeSeconds = 0;
+      uint64_t GuestBytes = 0;
 
-    for (const std::string &ToolName : EvaluatedToolNames) {
-      Measurement M = measureWorkload(*W, Params, ToolName, Repeats);
-      if (!M.Ok) {
-        std::fprintf(stderr, "%s under %s failed: %s\n", Benchmark.c_str(),
-                     ToolName.c_str(), M.Error.c_str());
-        return 1;
+      for (const std::string &ToolName : EvaluatedToolNames) {
+        Measurement M = measureWorkload(*W, Params, ToolName, Repeats,
+                                        MachineOptions(), D.ThreadBudget);
+        if (!M.Ok) {
+          std::fprintf(stderr, "%s under %s (%s) failed: %s\n",
+                       Benchmark.c_str(), ToolName.c_str(), D.Name,
+                       M.Error.c_str());
+          return 1;
+        }
+        if (ToolName == "native") {
+          NativeSeconds = M.Seconds;
+          GuestBytes = M.GuestBytes;
+          TimeRow.push_back(formatString("%.3f", NativeSeconds));
+          SpaceRow.push_back(formatBytes(GuestBytes));
+          Csv.addRow({Benchmark, D.Name, ToolName,
+                      formatString("%.6f", M.Seconds),
+                      formatString("%.6f", M.CpuSeconds), "1.0",
+                      std::to_string(M.GuestBytes), "0", "1.0"});
+          continue;
+        }
+        double Slowdown =
+            NativeSeconds > 0 ? M.Seconds / NativeSeconds : 0.0;
+        double SpaceOverhead =
+            GuestBytes > 0
+                ? static_cast<double>(M.GuestBytes + M.ToolBytes) /
+                      static_cast<double>(GuestBytes)
+                : 0.0;
+        TimeRow.push_back(formatString("%.1f", Slowdown));
+        SpaceRow.push_back(formatString("%.1f", SpaceOverhead));
+        D.SlowdownSamples[ToolName].push_back(Slowdown);
+        if (TakeSpace)
+          SpaceSamples[ToolName].push_back(SpaceOverhead);
+        Csv.addRow({Benchmark, D.Name, ToolName,
+                    formatString("%.6f", M.Seconds),
+                    formatString("%.6f", M.CpuSeconds),
+                    formatString("%.3f", Slowdown),
+                    std::to_string(M.GuestBytes),
+                    std::to_string(M.ToolBytes),
+                    formatString("%.3f", SpaceOverhead)});
       }
-      if (ToolName == "native") {
-        NativeSeconds = M.Seconds;
-        GuestBytes = M.GuestBytes;
-        TimeRow.push_back(formatString("%.3f", NativeSeconds));
-        SpaceRow.push_back(formatBytes(GuestBytes));
-        Csv.addRow({Benchmark, ToolName, formatString("%.6f", M.Seconds),
-                    "1.0", std::to_string(M.GuestBytes), "0", "1.0"});
-        continue;
-      }
-      double Slowdown =
-          NativeSeconds > 0 ? M.Seconds / NativeSeconds : 0.0;
-      double SpaceOverhead =
-          GuestBytes > 0
-              ? static_cast<double>(M.GuestBytes + M.ToolBytes) /
-                    static_cast<double>(GuestBytes)
-              : 0.0;
-      TimeRow.push_back(formatString("%.1f", Slowdown));
-      SpaceRow.push_back(formatString("%.1f", SpaceOverhead));
-      SlowdownSamples[ToolName].push_back(Slowdown);
-      SpaceSamples[ToolName].push_back(SpaceOverhead);
-      Csv.addRow({Benchmark, ToolName, formatString("%.6f", M.Seconds),
-                  formatString("%.3f", Slowdown),
-                  std::to_string(M.GuestBytes),
-                  std::to_string(M.ToolBytes),
-                  formatString("%.3f", SpaceOverhead)});
+      D.TimeTable.addRow(TimeRow);
+      if (TakeSpace)
+        SpaceTable.addRow(SpaceRow);
     }
-    TimeTable.addRow(TimeRow);
-    SpaceTable.addRow(SpaceRow);
   }
 
-  std::vector<std::string> TimeMeanRow = {"geometric mean", ""};
   std::vector<std::string> SpaceMeanRow = {"geometric mean", ""};
-  for (const std::string &ToolName : EvaluatedToolNames) {
-    if (ToolName == "native")
-      continue;
-    TimeMeanRow.push_back(
-        formatString("%.1f", geometricMean(SlowdownSamples[ToolName])));
-    SpaceMeanRow.push_back(
-        formatString("%.1f", geometricMean(SpaceSamples[ToolName])));
-  }
-  TimeTable.addSeparator();
-  TimeTable.addRow(TimeMeanRow);
+  for (const std::string &ToolName : EvaluatedToolNames)
+    if (ToolName != "native")
+      SpaceMeanRow.push_back(
+          formatString("%.1f", geometricMean(SpaceSamples[ToolName])));
   SpaceTable.addSeparator();
   SpaceTable.addRow(SpaceMeanRow);
 
-  std::printf("\nTime: slowdown vs native\n%s", TimeTable.render().c_str());
+  for (Delivery &D : Deliveries) {
+    std::vector<std::string> TimeMeanRow = {"geometric mean", ""};
+    for (const std::string &ToolName : EvaluatedToolNames)
+      if (ToolName != "native")
+        TimeMeanRow.push_back(formatString(
+            "%.1f", geometricMean(D.SlowdownSamples[ToolName])));
+    D.TimeTable.addSeparator();
+    D.TimeTable.addRow(TimeMeanRow);
+    std::printf("\nTime, %s delivery: slowdown vs native\n%s", D.Name,
+                D.TimeTable.render().c_str());
+  }
   std::printf("\nSpace: overhead vs native guest footprint\n%s",
               SpaceTable.render().c_str());
 
-  double TrmsMean = geometricMean(SlowdownSamples["aprof-trms"]);
-  double RmsMean = geometricMean(SlowdownSamples["aprof-rms"]);
-  double HelMean = geometricMean(SlowdownSamples["helgrind"]);
   std::printf("\nShape checks (paper: aprof-trms ~38%% over aprof-rms; "
               "helgrind slowest):\n");
-  std::printf("  aprof-trms / aprof-rms time ratio: %.2f\n",
-              RmsMean > 0 ? TrmsMean / RmsMean : 0.0);
-  std::printf("  helgrind / aprof-trms time ratio:  %.2f\n",
-              TrmsMean > 0 ? HelMean / TrmsMean : 0.0);
+  for (Delivery &D : Deliveries) {
+    double TrmsMean = geometricMean(D.SlowdownSamples["aprof-trms"]);
+    double RmsMean = geometricMean(D.SlowdownSamples["aprof-rms"]);
+    double HelMean = geometricMean(D.SlowdownSamples["helgrind"]);
+    std::printf("  %-9s aprof-trms / aprof-rms time ratio: %.2f\n", D.Name,
+                RmsMean > 0 ? TrmsMean / RmsMean : 0.0);
+    std::printf("  %-9s helgrind / aprof-trms time ratio:  %.2f\n", D.Name,
+                TrmsMean > 0 ? HelMean / TrmsMean : 0.0);
+  }
 
   std::string CsvPath = benchOutputPath("table1.csv");
   if (Csv.writeToFile(CsvPath))

@@ -80,7 +80,6 @@ void EventDispatcher::startPipeline() {
     for (unsigned I = 0; I != N; ++I)
       Lanes[I]->TraceLane =
           obs::TraceLog::get().allocLane("worker " + std::to_string(I));
-  Spare.reserve(RingSlots);
   SlotsInUse = 0;
   PublishedSeq = 0;
   ShuttingDown = false;
@@ -89,6 +88,7 @@ void EventDispatcher::startPipeline() {
   BackpressureBlocks = 0;
   BackpressureWaitNs = 0;
   MaxQueueDepth = 0;
+  MaxBuffers = 0;
   PipelineActive = true;
   for (auto &L : Lanes)
     L->Thread = std::thread([this, LPtr = L.get()] { workerLoop(*LPtr); });
@@ -137,6 +137,23 @@ void EventDispatcher::deliverOn(const Lane &L, const Event *Words,
                                       "dispatcher", LaneStart, obs::nowNs());
 }
 
+void EventDispatcher::demoteBatch(const Event *Words, size_t Count) {
+#if defined(__x86_64__) || defined(__i386__)
+  // One CLDEMOTE (NP 0F 1C /0, a hint NOP where unsupported) per 64-byte
+  // line, each at an address inside the buffer.
+  uintptr_t Begin = reinterpret_cast<uintptr_t>(Words);
+  uintptr_t End = Begin + Count * sizeof(Event);
+  for (uintptr_t Line = Begin & ~uintptr_t(63); Line < End; Line += 64)
+    asm volatile("cldemote %0"
+                 :
+                 : "m"(*reinterpret_cast<const char *>(
+                     std::max(Line, Begin))));
+#else
+  (void)Words;
+  (void)Count;
+#endif
+}
+
 void EventDispatcher::workerLoop(Lane &W) {
   for (;;) {
     BatchSlot *Slot = nullptr;
@@ -155,6 +172,8 @@ void EventDispatcher::workerLoop(Lane &W) {
     // worker (this one included) has marked it consumed.
     deliverOn(W, Slot->Words.data(), Slot->Count, Slot->Records,
               Slot->Cause);
+    if (Slot->Live)
+      demoteBatch(Slot->Words.data(), Slot->Count);
     {
       std::lock_guard<std::mutex> Lock(ParMutex);
       ++W.NextSeq;
@@ -168,13 +187,12 @@ void EventDispatcher::workerLoop(Lane &W) {
 }
 
 void EventDispatcher::handOff(std::vector<Event> &Buffer, size_t Count,
-                              size_t Records, FlushCause Cause,
-                              size_t Slots) {
+                              size_t Records, FlushCause Cause, bool Live) {
   bool WakeWorkers;
   {
     std::unique_lock<std::mutex> Lock(ParMutex);
     if (SlotsInUse == 0)
-      SlotsInUse = Slots;
+      SlotsInUse = Live ? RingSlots : ChunkSlots;
     BatchSlot &Slot = Ring[PublishedSeq % SlotsInUse];
     if (Slot.Remaining != 0) {
       // Backpressure: block until the slowest worker frees this slot.
@@ -186,23 +204,28 @@ void EventDispatcher::handOff(std::vector<Event> &Buffer, size_t Count,
       BackpressureWaitNs += obs::nowNs() - WaitStart;
     }
     // The filled buffer moves into the slot; the producer continues in
-    // the most recently drained buffer (still warm in cache), and only
-    // allocates when every buffer is in flight.
+    // the oldest drained buffer (see Spare), and only allocates when
+    // every buffer is in flight.
     Slot.Words = std::move(Buffer);
     Buffer.clear();
     if (!Spare.empty()) {
-      Buffer = std::move(Spare.back());
-      Spare.pop_back();
+      Buffer = std::move(Spare.front());
+      Spare.pop_front();
     }
     Slot.Count = Count;
     Slot.Records = Records;
     Slot.Cause = Cause;
+    Slot.Live = Live;
     Slot.Remaining = static_cast<unsigned>(Lanes.size());
     ++PublishedSeq;
     uint64_t MinSeq = PublishedSeq;
     for (const auto &W : Lanes)
       MinSeq = std::min(MinSeq, W->NextSeq);
-    MaxQueueDepth = std::max(MaxQueueDepth, PublishedSeq - MinSeq);
+    // Buffers never leave the rotation before the join, so the ones in
+    // flight, the spares and the producer's own are all it has made.
+    uint64_t Depth = PublishedSeq - MinSeq;
+    MaxQueueDepth = std::max(MaxQueueDepth, Depth);
+    MaxBuffers = std::max<uint64_t>(MaxBuffers, Depth + Spare.size() + 1);
     // Signal only parked workers: a worker that is busy (or runnable)
     // re-checks PublishedSeq under the lock before it ever waits, so
     // skipping the notify can't lose a wakeup.
@@ -238,7 +261,7 @@ void EventDispatcher::flushImpl(FlushCause Cause) {
   ISP_STATS(obs::Registry::get()
                 .histogram("dispatcher.batch_fill")
                 .record(PendingWords));
-  publish(Pending, PendingWords, PendingRecords, Cause, RingSlots);
+  publish(Pending, PendingWords, PendingRecords, Cause, /*Live=*/true);
   // A handoff leaves a drained buffer here, or none when every buffer
   // was in flight; after the final flush, start() sizes it if the
   // dispatcher runs again.
@@ -249,13 +272,12 @@ void EventDispatcher::flushImpl(FlushCause Cause) {
 }
 
 void EventDispatcher::publish(std::vector<Event> &Buffer, size_t Count,
-                              size_t Records, FlushCause Cause,
-                              size_t Slots) {
+                              size_t Records, FlushCause Cause, bool Live) {
   assert(!Lanes.empty() && "start() places the consumers on lanes");
   ++Flushes[static_cast<size_t>(Cause)];
   DeliveredEvents += Records;
   if (PipelineActive)
-    handOff(Buffer, Count, Records, Cause, Slots);
+    handOff(Buffer, Count, Records, Cause, Live);
   else
     deliverOn(*Lanes[0], Buffer.data(), Count, Records, Cause);
 }
@@ -266,7 +288,8 @@ void EventDispatcher::publishChunk(std::vector<Event> &Words,
   EnqueuedEvents += Records;
   if (Words.empty())
     return;
-  publish(Words, Words.size(), Records, FlushCause::Explicit, ChunkSlots);
+  publish(Words, Words.size(), Records, FlushCause::Explicit,
+          /*Live=*/false);
 }
 
 void EventDispatcher::publishStats() const {
@@ -286,6 +309,7 @@ void EventDispatcher::publishStats() const {
     R.counter("dispatcher.parallel.backpressure_wait_ns")
         .add(BackpressureWaitNs);
     R.gauge("dispatcher.parallel.max_queue_depth").noteMax(MaxQueueDepth);
+    R.gauge("dispatcher.parallel.buffers").noteMax(MaxBuffers);
   }
   for (size_t I = 0; I != ToolObs.size(); ++I) {
     const ToolObsState &S = ToolObs[I];

@@ -109,15 +109,17 @@ private:
   uint64_t Reads = 0;
 };
 
-/// A record sink that keeps every batch it is handed and the threads it
-/// ran on.
+/// A record sink that keeps every batch it is handed, the threads it
+/// ran on and the distinct buffers the batches arrived in.
 class CapturingSink : public WordSink {
 public:
   void recordBatch(const Event *Batch, size_t Count) override {
     WordSink::recordBatch(Batch, Count);
     Threads.insert(std::this_thread::get_id());
+    Buffers.insert(Batch);
   }
   std::set<std::thread::id> Threads;
+  std::set<const Event *> Buffers;
 };
 
 //===----------------------------------------------------------------------===//
@@ -368,8 +370,12 @@ TEST(Pipeline, WorkerCountClampsToEligibleConsumers) {
 
 TEST(Pipeline, RecordSinkIsOneMoreWorkerConsumer) {
   // The sink alone engages the pipeline, consumes on one worker, and
-  // sees exactly the words serial delivery hands it.
-  std::vector<EventRecord> Events = makeTrace(12000, 38);
+  // sees exactly the words serial delivery hands it. The trace fills
+  // enough batches to lap the ring three times over, and however the
+  // fast sink and the producer interleave, the batches come in at most
+  // RingSlots + 1 buffers: in-flight memory stays bounded.
+  constexpr size_t MaxBuffers = EventDispatcher::RingSlots + 1;
+  std::vector<EventRecord> Events = makeTrace(150000, 38);
   auto Capture = [&](unsigned Hw, CapturingSink &Sink) {
     PinnedThreads Pin(Hw);
     EventDispatcher D;
@@ -380,6 +386,9 @@ TEST(Pipeline, RecordSinkIsOneMoreWorkerConsumer) {
       D.enqueue(E);
     D.finish();
     EXPECT_EQ(packedEventCount(Sink.Words), D.deliveredEvents());
+    EXPECT_GE(D.flushCount(EventDispatcher::FlushCause::Capacity),
+              3 * MaxBuffers);
+    EXPECT_LE(D.batchBuffers(), MaxBuffers);
   };
   CapturingSink Serial, Pipelined;
   Capture(1, Serial);
@@ -389,6 +398,23 @@ TEST(Pipeline, RecordSinkIsOneMoreWorkerConsumer) {
     ASSERT_TRUE(Pipelined.Words[I] == Serial.Words[I]) << "word " << I;
   ASSERT_EQ(Pipelined.Threads.size(), 1u);
   EXPECT_NE(*Pipelined.Threads.begin(), std::this_thread::get_id());
+  EXPECT_EQ(Serial.Buffers.size(), 1u);
+  EXPECT_LE(Pipelined.Buffers.size(), MaxBuffers);
+}
+
+TEST(Pipeline, DemotedBatchKeepsItsBytes) {
+  // The demotion is a cache hint: it runs (as a NOP where the CPU lacks
+  // it) over whole batches, partial lines at either end, and nothing,
+  // and leaves every byte as it was.
+  std::vector<Event> Words(EventDispatcher::BatchWords + 3);
+  for (size_t I = 0; I != Words.size(); ++I)
+    Words[I] = {static_cast<uint32_t>(I * 7), static_cast<ThreadId>(I % 5),
+                I * 0x9E3779B97F4A7C15ull};
+  const std::vector<Event> Before = Words;
+  EventDispatcher::demoteBatch(Words.data(), Words.size());
+  EventDispatcher::demoteBatch(Words.data() + 1, 5);
+  EventDispatcher::demoteBatch(Words.data() + 3, 0);
+  EXPECT_TRUE(Words == Before);
 }
 
 //===----------------------------------------------------------------------===//
