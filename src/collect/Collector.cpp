@@ -116,9 +116,12 @@ bool Collector::ingestOne(const std::string &Path, unsigned ThreadBudget) {
         }
       }
 
-    TrmsProfilerOptions ProfOpts;
-    ProfOpts.KeepActivationLog = true;
-    TrmsProfiler Profiler(ProfOpts);
+    // Each completed activation folds into this stream's rollups on the
+    // lane where it completes (a dispatcher worker when the ingest
+    // pipelines), so the profiler keeps no record per activation.
+    StreamRollup Stream;
+    TrmsProfiler Profiler;
+    Profiler.profileDatabase()->setActivationSink(&Stream);
     // Each decoded chunk is published as one batch: a chunk decodes
     // standalone and already holds the compacted stream. Filtered ingest
     // first drops, in place, the words of Returns that close skipped
@@ -211,8 +214,8 @@ bool Collector::ingestOne(const std::string &Path, unsigned ThreadBudget) {
     }
     Ok = Reader.error().empty();
     // The run finishes even on error so the dispatcher joins its worker
-    // and the profiler drains cleanly; the partial database is simply
-    // never merged.
+    // and the profiler drains cleanly; the partial rollups are simply
+    // never merged. The join also makes the worker's folds visible here.
     Dispatcher.finish();
 
     if (Ok) {
@@ -222,8 +225,8 @@ bool Collector::ingestOne(const std::string &Path, unsigned ThreadBudget) {
           Opts.ProgramLabel.empty() ? fileLabel(Path) : Opts.ProgramLabel;
       std::lock_guard<std::mutex> Lock(Mutex);
       uint64_t MergeStart = obs::nowNs();
-      Store.mergeDatabase(Label, Profiler.database(), Symbols,
-                          Only.empty() ? nullptr : &Only);
+      Store.mergeStream(Label, Stream, Symbols,
+                        Only.empty() ? nullptr : &Only);
       Totals.MergeNs += obs::nowNs() - MergeStart;
       Totals.Streams += 1;
       Totals.ChunksRead += LocalRead;

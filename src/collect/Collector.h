@@ -7,8 +7,10 @@
 /// \file
 /// The collector's ingestion engine: many recorded ISPSTM streams —
 /// named explicitly or discovered in a spool directory — are replayed
-/// concurrently, each through its own aprof-trms profiler, and the
-/// per-stream results are folded into a shared FleetStore. Each ingest
+/// concurrently, each through its own aprof-trms profiler. The profiler
+/// hands each completed activation to the stream's StreamRollup, which
+/// folds it by routine id as it completes; once the ingest has joined,
+/// the rollups merge into a shared FleetStore by routine name. Each ingest
 /// pipelines its stream (decode on the ingest thread, profile on a
 /// dispatcher worker) while 2 x ingest workers <= hardware threads. A
 /// corrupt stream is reported (file + failing chunk, the stream

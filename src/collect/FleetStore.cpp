@@ -92,28 +92,29 @@ FitResult RoutineRollup::growth() const {
   return fitCurve(Points);
 }
 
-void FleetStore::mergeDatabase(const std::string &Program,
-                               const ProfileDatabase &Db,
-                               const SymbolTable &Symbols,
-                               const std::set<std::string> *Only) {
-  // Resolve each routine's rollup once, not once per activation: the
-  // log holds many activations of few routines. Rollup pointers are
-  // stable (std::map nodes), and two ids naming one routine share one.
-  std::map<RoutineId, RoutineRollup *> ById;
-  for (const ActivationRecord &R : Db.log()) {
-    auto [It, New] = ById.try_emplace(R.Rtn, nullptr);
-    if (New) {
-      std::string Name = Symbols.routineName(R.Rtn);
-      if (!Only || Only->count(Name))
-        It->second = &Rollups[Key{Program, std::move(Name)}];
-    }
-    if (It->second)
-      It->second->addActivation(R);
+void StreamRollup::addActivation(const ActivationRecord &R) {
+  if (!Last || R.Rtn != LastRtn) {
+    Last = &ById[R.Rtn]; // std::map nodes stay put
+    LastRtn = R.Rtn;
   }
+  Last->addActivation(R);
+}
+
+void FleetStore::mergeStream(const std::string &Program,
+                             const StreamRollup &Stream,
+                             const SymbolTable &Symbols,
+                             const std::set<std::string> *Only) {
+  // Two ids may share a name (an id past the routine table prints as
+  // routine#<id>); their rollup still counts the stream once.
   std::set<RoutineRollup *> Touched;
-  for (const auto &[Rtn, Rollup] : ById)
-    if (Rollup)
-      Touched.insert(Rollup);
+  for (const auto &[Rtn, Rollup] : Stream.byRoutine()) {
+    std::string Name = Symbols.routineName(Rtn);
+    if (Only && !Only->count(Name))
+      continue;
+    RoutineRollup &Into = Rollups[Key{Program, std::move(Name)}];
+    Into.merge(Rollup);
+    Touched.insert(&Into);
+  }
   for (RoutineRollup *Rollup : Touched)
     Rollup->Streams += 1;
 }

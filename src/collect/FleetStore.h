@@ -13,10 +13,14 @@
 /// (count/sum/min/max plus power-of-two buckets) from which p50/p90/p99
 /// are answered deterministically.
 ///
-/// Every aggregate is a commutative, associative fold (bucket-wise sums,
-/// min/max), so merging N streams concurrently in any order yields a
-/// store exactly equal to merging the N per-stream results serially —
-/// the rollup identity the collector's tests assert.
+/// Each stream is first folded on its own, activation by activation, into
+/// a StreamRollup keyed by routine id; the store then merges that by
+/// routine name. Every aggregate is a commutative, associative fold
+/// (bucket-wise sums, min/max), so this equals folding the stream's
+/// activations into the store one by one, and merging N streams
+/// concurrently in any order yields a store exactly equal to merging the
+/// N per-stream results serially — the rollup identities the collector's
+/// tests assert.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -95,6 +99,28 @@ struct RoutineRollup {
   bool operator==(const RoutineRollup &Other) const = default;
 };
 
+/// One stream's rollups by routine id, folded as its activations
+/// complete. The collector sets one as its profiler's ActivationSink, so
+/// an ingest holds O(routines x distinct rms values), never a record per
+/// activation.
+class StreamRollup final : public ActivationSink {
+public:
+  StreamRollup() = default;
+  StreamRollup(const StreamRollup &) = delete;
+  StreamRollup &operator=(const StreamRollup &) = delete;
+
+  void addActivation(const ActivationRecord &R) override;
+
+  const std::map<RoutineId, RoutineRollup> &byRoutine() const { return ById; }
+
+private:
+  std::map<RoutineId, RoutineRollup> ById;
+  /// The rollup of the last activation's routine: a stream's activations
+  /// come in long runs of one routine.
+  RoutineId LastRtn = 0;
+  RoutineRollup *Last = nullptr;
+};
+
 /// The fleet-level store: (program, routine) -> rollup.
 class FleetStore {
 public:
@@ -104,14 +130,13 @@ public:
     auto operator<=>(const Key &Other) const = default;
   };
 
-  /// Folds one replayed stream's database into the store under program
-  /// label \p Program. Requires the profiler to have run with
-  /// KeepActivationLog: the per-rms distributions need activation-level
-  /// records, not just per-routine sums. \p Only, when non-null,
-  /// restricts the fold to the named routines.
-  void mergeDatabase(const std::string &Program, const ProfileDatabase &Db,
-                     const SymbolTable &Symbols,
-                     const std::set<std::string> *Only = nullptr);
+  /// Merges one stream's rollups into the store under program label
+  /// \p Program, each under the name \p Symbols gives its id, and counts
+  /// the stream once in every rollup it adds to. \p Only, when non-null,
+  /// restricts the merge to the named routines.
+  void mergeStream(const std::string &Program, const StreamRollup &Stream,
+                   const SymbolTable &Symbols,
+                   const std::set<std::string> *Only = nullptr);
   /// Whole-store merge (the serial side of the rollup-identity test).
   void merge(const FleetStore &Other);
 

@@ -36,8 +36,14 @@ void RoutineProfile::merge(const RoutineProfile &Other) {
 }
 
 void ProfileDatabase::recordActivation(const ActivationRecord &R) {
-  Profiles[{R.Tid, R.Rtn}].addActivation(R);
   ++TotalActivations;
+  if (Sink) {
+    // RoutineProfile::addActivation checks this on the aggregating path.
+    assert(R.Trms >= R.Rms && "Inequality 1 (trms >= rms) violated");
+    Sink->addActivation(R);
+    return;
+  }
+  Profiles[{R.Tid, R.Rtn}].addActivation(R);
   if (KeepLog)
     Log.push_back(R);
 }

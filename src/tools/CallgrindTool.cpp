@@ -19,15 +19,16 @@ void CallgrindTool::onCall(ThreadId Tid, RoutineId Rtn) {
   ThreadState &TS = Threads[Tid];
   RoutineId Caller = TS.Stack.empty() ? Rtn : TS.Stack.back().Rtn;
   ++Edges[{Caller, Rtn}];
-  ++Costs[Rtn].Calls;
+  RoutineCost &Cost = Costs[Rtn];
+  ++Cost.Calls;
 
-  if (TS.OnStackCount.size() <= Rtn)
-    TS.OnStackCount.resize(Rtn + 1, 0);
   StackEntry Entry;
   Entry.Rtn = Rtn;
   Entry.BlocksAtEntry = TS.Blocks;
-  Entry.CountsInclusive = TS.OnStackCount[Rtn] == 0;
-  ++TS.OnStackCount[Rtn];
+  Entry.Cost = &Cost;
+  Entry.OnStack = &TS.OnStackCount[Rtn];
+  Entry.CountsInclusive = *Entry.OnStack == 0;
+  ++*Entry.OnStack;
   TS.Stack.push_back(Entry);
 }
 
@@ -35,9 +36,9 @@ void CallgrindTool::popEntry(ThreadState &TS) {
   assert(!TS.Stack.empty());
   StackEntry Entry = TS.Stack.back();
   TS.Stack.pop_back();
-  --TS.OnStackCount[Entry.Rtn];
+  --*Entry.OnStack;
   if (Entry.CountsInclusive)
-    Costs[Entry.Rtn].InclusiveBlocks += TS.Blocks - Entry.BlocksAtEntry;
+    Entry.Cost->InclusiveBlocks += TS.Blocks - Entry.BlocksAtEntry;
 }
 
 void CallgrindTool::onReturn(ThreadId Tid, RoutineId Rtn) {
@@ -51,7 +52,7 @@ void CallgrindTool::onBasicBlock(ThreadId Tid, uint64_t Count) {
   ThreadState &TS = Threads[Tid];
   TS.Blocks += Count;
   if (!TS.Stack.empty())
-    Costs[TS.Stack.back().Rtn].ExclusiveBlocks += Count;
+    TS.Stack.back().Cost->ExclusiveBlocks += Count;
 }
 
 void CallgrindTool::unwind(ThreadState &TS) {
@@ -71,7 +72,9 @@ uint64_t CallgrindTool::memoryFootprintBytes() const {
                    Edges.size() * (sizeof(uint64_t) * 3 + 48);
   for (const auto &[Tid, TS] : Threads)
     Total += TS.Stack.capacity() * sizeof(StackEntry) +
-             TS.OnStackCount.capacity() * sizeof(uint32_t);
+             TS.OnStackCount.size() * (sizeof(RoutineId) + sizeof(uint32_t) +
+                                       16) +
+             TS.OnStackCount.bucket_count() * sizeof(void *);
   return Total;
 }
 

@@ -20,6 +20,7 @@
 
 #include <map>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 namespace isp {
@@ -59,6 +60,10 @@ private:
   struct StackEntry {
     RoutineId Rtn = 0;
     uint64_t BlocksAtEntry = 0;
+    /// The routine's totals (a Costs node) and its count of open
+    /// activations on this thread (an OnStackCount node): both stay put.
+    RoutineCost *Cost = nullptr;
+    uint32_t *OnStack = nullptr;
     /// Recursion guard: only the outermost activation of a routine adds
     /// to its inclusive count.
     bool CountsInclusive = false;
@@ -66,7 +71,9 @@ private:
 
   struct ThreadState {
     std::vector<StackEntry> Stack;
-    std::vector<uint32_t> OnStackCount; // indexed by RoutineId
+    /// Keyed by routine id, never indexed by it: a stream's Calls may
+    /// name any 32-bit id.
+    std::unordered_map<RoutineId, uint32_t> OnStackCount;
     uint64_t Blocks = 0;
   };
 

@@ -6,7 +6,9 @@
 //
 // Covers the fleet store's mergeable cost distributions, the rollup
 // identity (concurrent multi-stream ingestion equals merging per-stream
-// results serially, property-tested over synthetic traces), differential
+// results serially, property-tested over synthetic traces), the fold
+// identity (folding activations as they complete equals folding a logged
+// replay's activations, unfiltered, filtered and concurrent), differential
 // views (diff of a store against itself is empty; genuine growth changes
 // are flagged), corrupt-stream isolation (including a Return that breaks
 // call nesting), routine-filtered chunk skipping on the activity masks,
@@ -20,15 +22,22 @@
 #include "collect/Collector.h"
 #include "collect/FleetStore.h"
 
+#include "core/TrmsProfiler.h"
+#include "instr/Dispatcher.h"
 #include "instr/SymbolTable.h"
 #include "trace/Synthetic.h"
 #include "trace/TraceStream.h"
+#include "vm/Machine.h"
+#include "workloads/Runner.h"
+#include "workloads/Workload.h"
 
 #include <gtest/gtest.h>
 
 #include <cstdio>
 #include <filesystem>
+#include <optional>
 #include <random>
+#include <set>
 
 #include <unistd.h>
 
@@ -164,6 +173,166 @@ TEST(FleetStore, ConcurrentIngestEqualsSerialPerStreamMerge) {
 }
 
 //===----------------------------------------------------------------------===//
+// The fold equals the log: folding each activation into its stream's
+// rollups as it completes gives the store that folding a logged replay's
+// activations, in order, gives.
+//===----------------------------------------------------------------------===//
+
+/// Records a 4-thread kdtree run as a stream; returns its path.
+std::string writeWorkloadStream(const std::string &Name) {
+  const WorkloadInfo *Info = findWorkload("kdtree");
+  WorkloadParams Params;
+  Params.Threads = 4;
+  Params.Size = 48;
+  std::string Error = "no workload kdtree";
+  std::optional<Program> Prog;
+  if (Info)
+    Prog = compileWorkload(*Info, Params, &Error);
+  EXPECT_TRUE(Prog) << Error;
+  if (!Prog)
+    return {};
+  std::string Path = tempStream(Name);
+  TraceStreamWriter Writer;
+  TraceStreamOptions Opts;
+  Opts.ChunkBytes = 4096;
+  EXPECT_TRUE(Writer.open(Path, Prog->Symbols.entries(), Opts))
+      << Writer.error();
+  EventDispatcher Dispatcher;
+  Dispatcher.setRecordSink(&Writer);
+  Machine M(*Prog, &Dispatcher);
+  RunResult Run = M.run();
+  EXPECT_TRUE(Run.Ok) << Run.Error;
+  EXPECT_TRUE(Writer.close()) << Writer.error();
+  return Path;
+}
+
+/// The rollups that folding each stream's logged aprof-trms replay
+/// yields: every logged activation, in order, through
+/// RoutineRollup::addActivation under (file stem, routine name), and
+/// each rollup a stream adds to counting that stream once. A non-empty
+/// \p Only keeps the routines it names.
+std::map<FleetStore::Key, RoutineRollup>
+foldLoggedReplays(const std::vector<std::string> &Paths,
+                  const std::set<std::string> &Only = {}) {
+  std::map<FleetStore::Key, RoutineRollup> Rollups;
+  for (const std::string &Path : Paths) {
+    TraceStreamReader Reader;
+    EXPECT_TRUE(Reader.open(Path)) << Reader.error();
+    SymbolTable Symbols;
+    for (const std::string &Name : Reader.routines())
+      Symbols.intern(Name);
+    TrmsProfilerOptions ProfOpts;
+    ProfOpts.KeepActivationLog = true;
+    TrmsProfiler Profiler(ProfOpts);
+    EXPECT_TRUE(replayTraceStream(Reader, Profiler, &Symbols))
+        << Reader.error();
+    EXPECT_GT(Profiler.database().log().size(), 0u) << Path;
+    std::string Program = std::filesystem::path(Path).stem().string();
+    std::set<RoutineRollup *> Touched;
+    for (const ActivationRecord &R : Profiler.database().log()) {
+      std::string Name = Symbols.routineName(R.Rtn);
+      if (!Only.empty() && !Only.count(Name))
+        continue;
+      RoutineRollup &Into = Rollups[{Program, Name}];
+      Into.addActivation(R);
+      Touched.insert(&Into);
+    }
+    for (RoutineRollup *Rollup : Touched)
+      Rollup->Streams += 1;
+  }
+  return Rollups;
+}
+
+TEST(FleetStore, FoldedIngestEqualsFoldedActivationLog) {
+  const std::string Synthetic =
+      writeSyntheticStream("fold_synthetic", 17, 6000);
+  const std::string Workload = writeWorkloadStream("fold_kdtree");
+  // Serial and pipelined ingest: the fold runs on the ingest thread or
+  // on the dispatcher's worker.
+  for (unsigned Hw : {1u, 4u}) {
+    PinnedThreads Pin(Hw);
+    for (const std::string &Path : {Synthetic, Workload}) {
+      FleetStore Store;
+      CollectorOptions Opts;
+      Opts.Workers = 1;
+      Collector C(Opts, Store);
+      ASSERT_EQ(C.ingestFiles({Path}), 1u);
+      EXPECT_GT(Store.routineCount(), 1u);
+      EXPECT_EQ(Store.rollups(), foldLoggedReplays({Path}))
+          << Path << ", " << Hw << " threads";
+    }
+
+    // Filtered: the filter applies by name at the merge. These filters
+    // skip no chunk, so the profiler sees the whole stream, as the
+    // logged replay does.
+    for (const auto &[Path, Filter] :
+         {std::pair<std::string, std::vector<std::string>>{
+              Synthetic, {"r1", "r3"}},
+          {Workload, {"tree_insert", "tree_count_range"}}}) {
+      FleetStore Store;
+      CollectorOptions Opts;
+      Opts.Workers = 1;
+      Opts.RoutineFilter = Filter;
+      Collector C(Opts, Store);
+      ASSERT_EQ(C.ingestFiles({Path}), 1u);
+      ASSERT_EQ(C.totals().ChunksSkipped, 0u) << Path;
+      EXPECT_EQ(Store.routineCount(), Filter.size()) << Path;
+      EXPECT_EQ(Store.rollups(),
+                foldLoggedReplays({Path}, {Filter.begin(), Filter.end()}))
+          << Path << ", " << Hw << " threads";
+    }
+
+    // Two streams ingested concurrently into one store.
+    FleetStore Store;
+    CollectorOptions Opts;
+    Opts.Workers = 2;
+    Collector C(Opts, Store);
+    ASSERT_EQ(C.ingestFiles({Synthetic, Workload}), 2u);
+    EXPECT_EQ(Store.programCount(), 2u);
+    EXPECT_EQ(Store.rollups(), foldLoggedReplays({Synthetic, Workload}))
+        << Hw << " threads";
+  }
+  std::remove(Synthetic.c_str());
+  std::remove(Workload.c_str());
+}
+
+TEST(FleetStore, MergeStreamCountsEachRollupOnce) {
+  // Routine 9 lies past the two-entry table, and entry 1 is spelled as
+  // its fallback name, so ids 1 and 9 share one rollup: the stream
+  // counts there once. Only keeps the merge to the routines it names.
+  SymbolTable Syms;
+  Syms.intern("main");
+  Syms.intern("routine#9");
+  StreamRollup Stream;
+  for (RoutineId Rtn : {0u, 1u, 9u, 9u}) {
+    ActivationRecord R;
+    R.Rtn = Rtn;
+    R.Rms = 1;
+    R.Trms = 2;
+    R.Cost = 3;
+    Stream.addActivation(R);
+  }
+  ASSERT_EQ(Stream.byRoutine().size(), 3u);
+  EXPECT_EQ(Stream.byRoutine().at(9).Activations, 2u);
+
+  FleetStore Store;
+  Store.mergeStream("p", Stream, Syms);
+  Store.mergeStream("p", Stream, Syms);
+  ASSERT_EQ(Store.routineCount(), 2u);
+  const RoutineRollup &Shared = Store.rollups().at({"p", "routine#9"});
+  EXPECT_EQ(Shared.Activations, 6u);
+  EXPECT_EQ(Shared.Streams, 2u);
+  EXPECT_EQ(Shared.SumTrms, 12u);
+  EXPECT_EQ(Store.rollups().at({"p", "main"}).Streams, 2u);
+
+  FleetStore Only;
+  std::set<std::string> Main = {"main"};
+  Only.mergeStream("p", Stream, Syms, &Main);
+  ASSERT_EQ(Only.routineCount(), 1u);
+  EXPECT_EQ(Only.rollups().at({"p", "main"}).Activations, 1u);
+}
+
+//===----------------------------------------------------------------------===//
 // Differential views
 //===----------------------------------------------------------------------===//
 
@@ -191,9 +360,8 @@ TEST(FleetDiff, FlagsCostGrowthAndMissingRoutines) {
   uint64_t Hot = Syms.intern("hot");
   uint64_t Gone = Syms.intern("gone");
 
-  auto makeDb = [&](uint64_t CostScale, bool WithGone) {
-    ProfileDatabase Db;
-    Db.setKeepLog(true);
+  auto makeStore = [&](uint64_t CostScale, bool WithGone) {
+    StreamRollup Stream;
     for (uint64_t Rms : {4u, 8u, 16u}) {
       ActivationRecord R;
       R.Tid = 0;
@@ -201,7 +369,7 @@ TEST(FleetDiff, FlagsCostGrowthAndMissingRoutines) {
       R.Rms = Rms;
       R.Trms = Rms;
       R.Cost = Rms * CostScale;
-      Db.recordActivation(R);
+      Stream.addActivation(R);
     }
     if (WithGone) {
       ActivationRecord R;
@@ -210,16 +378,15 @@ TEST(FleetDiff, FlagsCostGrowthAndMissingRoutines) {
       R.Rms = 2;
       R.Trms = 2;
       R.Cost = 10;
-      Db.recordActivation(R);
+      Stream.addActivation(R);
     }
-    return Db;
+    FleetStore Store;
+    Store.mergeStream("prog", Stream, Syms);
+    return Store;
   };
 
-  FleetStore Base, Cand;
-  ProfileDatabase BaseDb = makeDb(10, /*WithGone=*/true);
-  ProfileDatabase CandDb = makeDb(30, /*WithGone=*/false);
-  Base.mergeDatabase("prog", BaseDb, Syms);
-  Cand.mergeDatabase("prog", CandDb, Syms);
+  FleetStore Base = makeStore(10, /*WithGone=*/true);
+  FleetStore Cand = makeStore(30, /*WithGone=*/false);
 
   std::vector<FleetRoutineDelta> Deltas = diffFleetStores(Base, Cand);
   ASSERT_EQ(Deltas.size(), 2u);
@@ -707,8 +874,7 @@ TEST(Collector, PipelinedIngestEqualsSerial) {
 TEST(FleetStore, RenderRollupAndCurveNameTheRoutines) {
   SymbolTable Syms;
   uint64_t F = Syms.intern("fib");
-  ProfileDatabase Db;
-  Db.setKeepLog(true);
+  StreamRollup Stream;
   for (uint64_t Rms : {2u, 4u, 8u}) {
     ActivationRecord R;
     R.Tid = 0;
@@ -716,10 +882,10 @@ TEST(FleetStore, RenderRollupAndCurveNameTheRoutines) {
     R.Rms = Rms;
     R.Trms = Rms;
     R.Cost = Rms * Rms;
-    Db.recordActivation(R);
+    Stream.addActivation(R);
   }
   FleetStore Store;
-  Store.mergeDatabase("demo", Db, Syms);
+  Store.mergeStream("demo", Stream, Syms);
 
   std::string Rollup = Store.renderRollup(5);
   EXPECT_NE(Rollup.find("fleet rollup: 1 routine(s)"), std::string::npos);

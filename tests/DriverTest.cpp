@@ -10,6 +10,7 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "tools/ToolRegistry.h"
 #include "trace/TraceStream.h"
 
 #include <gtest/gtest.h>
@@ -656,6 +657,46 @@ TEST(Driver, HugeThreadIdEndsInDiagnostic) {
     EXPECT_NE(R.Output.find(Expected), std::string::npos)
         << Args << ": " << R.Output;
   }
+  std::remove(Path.c_str());
+}
+
+TEST(Driver, RoutineIdPastTheTableReplaysUnderEveryTool) {
+  // A well-nested stream whose Call names routine 4,294,967,295, past
+  // its one-entry routine table. The reader does not bound routine ids
+  // (anonymous traces call ids outside the table), so no tool may size a
+  // table by one: replay under every registry tool, and collect, exit 0
+  // and print the id as routine#<id>.
+  const isp::RoutineId Rtn = 4294967295u;
+  const std::string Name = "routine#4294967295";
+  std::string Path = ::testing::TempDir() + "isprof_driver_bigrtn.strm";
+  writeStream(Path,
+              {isp::EventRecord::threadStart(0, 0),
+               isp::EventRecord::call(0, Rtn, 1), isp::EventRecord::read(0, 100),
+               isp::EventRecord::ret(0, Rtn, 2), isp::EventRecord::threadEnd(0)},
+              {{0, "work"}});
+  for (const std::string &Tool : isp::allToolNames()) {
+    CommandResult R = runDriver("replay " + Path + " --tools=" + Tool);
+    EXPECT_EQ(R.ExitCode, 0) << Tool << ": " << R.Output;
+    if (Tool != "callgrind")
+      continue;
+    // routine, calls, excl(BB), incl(BB): one call of two blocks.
+    std::istringstream Rows(R.Output);
+    std::string Line;
+    bool Found = false;
+    while (std::getline(Rows, Line)) {
+      std::istringstream Fields(Line);
+      std::string Routine, Calls;
+      Fields >> Routine >> Calls;
+      if (Routine == Name) {
+        Found = true;
+        EXPECT_EQ(Calls, "1") << Line;
+      }
+    }
+    EXPECT_TRUE(Found) << R.Output;
+  }
+  CommandResult R = runDriver("collect " + Path);
+  EXPECT_EQ(R.ExitCode, 0) << R.Output;
+  EXPECT_NE(R.Output.find(Name), std::string::npos) << R.Output;
   std::remove(Path.c_str());
 }
 
