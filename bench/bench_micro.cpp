@@ -108,6 +108,35 @@ static void BM_RmsProfilerReplay(benchmark::State &State) {
 }
 BENCHMARK(BM_RmsProfilerReplay)->Arg(1)->Arg(4)->Arg(16);
 
+/// One activation folded into a routine's cost curves, which already
+/// hold State.range(0) distinct input sizes: ProfileDatabase's
+/// per-activation aggregation in steady state (kdtree's
+/// tree_count_range has about 150 sizes at benchmark size).
+static void BM_RoutineProfileAdd(benchmark::State &State) {
+  const uint64_t Sizes = static_cast<uint64_t>(State.range(0));
+  RoutineProfile Profile;
+  ActivationRecord Fill;
+  for (uint64_t S = 0; S != Sizes; ++S) {
+    Fill.Rms = Fill.Trms = S;
+    Profile.addActivation(Fill);
+  }
+  Rng R(3);
+  std::vector<ActivationRecord> Records(4096);
+  for (ActivationRecord &A : Records) {
+    A.Rms = R.nextBelow(Sizes);
+    A.Trms = A.Rms + R.nextBelow(Sizes - A.Rms);
+    A.Cost = R.nextBelow(1 << 16);
+  }
+  size_t I = 0;
+  for (auto _ : State) {
+    Profile.addActivation(Records[I]);
+    I = (I + 1) & (Records.size() - 1);
+  }
+  benchmark::DoNotOptimize(Profile.totalCost());
+  State.SetItemsProcessed(State.iterations());
+}
+BENCHMARK(BM_RoutineProfileAdd)->Arg(150)->Arg(100000);
+
 static void BM_NaiveProfilerReplay(benchmark::State &State) {
   replayBenchmark<NaiveTrmsProfiler>(State, mixFor(State.range(0)));
 }

@@ -44,6 +44,7 @@ void RmsProfiler::onThreadEnd(ThreadId Tid) {
   // The rms shadow is entirely thread-private; release it when the
   // thread dies, keeping the high-water mark for space reports.
   PeakFootprintBytes = std::max(PeakFootprintBytes, currentFootprintBytes());
+  EndedTs.add(TS.Ts);
   CachedState = nullptr;
   Threads[Tid].reset();
 }
@@ -146,20 +147,16 @@ void RmsProfiler::onFinish() {
       popFrame(Tid, *TS);
   }
   if (ISP_UNLIKELY(obs::statsEnabled())) {
-    // Aggregate across the per-thread timestamp shadows.
-    uint64_t Chunks = 0, Hits = 0, Misses = 0;
-    for (const std::unique_ptr<ThreadState> &TS : Threads) {
-      if (!TS)
-        continue;
-      Chunks += TS->Ts.chunksAllocated();
-      Hits += TS->Ts.cacheHits();
-      Misses += TS->Ts.cacheMisses();
-    }
-    obs::Registry &R = obs::Registry::get();
-    R.counter("shadow.ts.chunks_allocated").add(Chunks);
-    R.counter("shadow.ts.cache_hits").add(Hits);
-    R.counter("shadow.ts.cache_misses").add(Misses);
-    R.gauge("profiler.peak_footprint_bytes").noteMax(memoryFootprintBytes());
+    // Aggregate across the per-thread timestamp shadows, those of ended
+    // threads included (folded in by onThreadEnd).
+    ShadowTallies TsTallies = EndedTs;
+    for (const std::unique_ptr<ThreadState> &TS : Threads)
+      if (TS)
+        TsTallies.add(TS->Ts);
+    TsTallies.publish("shadow.ts");
+    obs::Registry::get()
+        .gauge("profiler.peak_footprint_bytes")
+        .noteMax(memoryFootprintBytes());
   }
 }
 
@@ -176,8 +173,7 @@ uint64_t RmsProfiler::currentFootprintBytes() const {
     Total += TS->Stack.capacity() * sizeof(Frame);
   }
   for (const auto &[Key, Profile] : Database.threadRoutineProfiles())
-    Total += Profile.distinctRmsValues() * (sizeof(CostStats) + 48) +
-             sizeof(RoutineProfile);
+    Total += Profile.footprintBytes();
   return Total;
 }
 

@@ -95,6 +95,8 @@ private:
   ProfileDatabase Database;
   /// Peak footprint: thread shadows are freed when their thread ends.
   uint64_t PeakFootprintBytes = 0;
+  /// ts-shadow tallies of threads that already ended.
+  ShadowTallies EndedTs;
 };
 
 /// The batch walk is instantiated in RmsProfiler.cpp, beside the callbacks.

@@ -99,8 +99,7 @@ void TrmsProfilerT<ShadowT>::onThreadEnd(ThreadId Tid) {
   // spawn thousands of short-lived workers. Peak usage is kept for the
   // space-overhead reports.
   PeakFootprintBytes = std::max(PeakFootprintBytes, currentFootprintBytes());
-  EndedTsCacheHits += TS.Ts.cacheHits();
-  EndedTsCacheMisses += TS.Ts.cacheMisses();
+  EndedTs.add(TS.Ts);
   CurrentState = nullptr;
   Threads[Tid].reset();
 }
@@ -181,9 +180,12 @@ void TrmsProfilerT<ShadowT>::onRead(ThreadId Tid, Addr A, uint64_t Cells) {
   // invariant across a multi-cell access (nothing below pushes or pops
   // frames, so the reference stays valid), and the range walk resolves
   // each shadow chunk once per 512-cell span instead of once per cell.
+  // The per-cell body is forced into the range walk's loop: left to
+  // itself, GCC at -O2 calls it out of line once per read cell.
   Frame &Top = TS.Stack.back();
   const uint64_t CountNow = Count;
-  TS.Ts.forRange(A, Cells, [&](Addr Address, uint64_t &TsCell) {
+  TS.Ts.forRange(A, Cells, [&](Addr Address,
+                               uint64_t &TsCell) ISP_ALWAYS_INLINE_LAMBDA {
     // Redundancy suppression: a cell this thread already accessed at the
     // current counter value changes no state. Every wts is at most the
     // counter and so is the top frame's ts, so with ts == count neither
@@ -292,20 +294,17 @@ template <typename ShadowT> void TrmsProfilerT<ShadowT>::onFinish() {
   if (ISP_UNLIKELY(obs::statsEnabled())) {
     obs::Registry &R = obs::Registry::get();
     R.counter("profiler.renumbering_epochs").add(Renumberings);
-    R.counter("shadow.wts.chunks_allocated").add(Wts.chunksAllocated());
-    R.counter("shadow.wts.cache_hits").add(Wts.cacheHits());
-    R.counter("shadow.wts.cache_misses").add(Wts.cacheMisses());
+    ShadowTallies WtsTallies;
+    WtsTallies.add(Wts);
+    WtsTallies.publish("shadow.wts");
     // The per-thread ts shadows interleave globals, heap and stack
     // chunks just like the wts; their tallies include threads that
     // already ended (folded in by onThreadEnd).
-    uint64_t TsHits = EndedTsCacheHits, TsMisses = EndedTsCacheMisses;
+    ShadowTallies TsTallies = EndedTs;
     for (const std::unique_ptr<ThreadState> &TS : Threads)
-      if (TS) {
-        TsHits += TS->Ts.cacheHits();
-        TsMisses += TS->Ts.cacheMisses();
-      }
-    R.counter("shadow.ts.cache_hits").add(TsHits);
-    R.counter("shadow.ts.cache_misses").add(TsMisses);
+      if (TS)
+        TsTallies.add(TS->Ts);
+    TsTallies.publish("shadow.ts");
     R.gauge("profiler.peak_footprint_bytes").noteMax(memoryFootprintBytes());
   }
 }
@@ -324,12 +323,8 @@ uint64_t TrmsProfilerT<ShadowT>::currentFootprintBytes() const {
     Total += TS->Ts.totalBytes();
     Total += TS->Stack.capacity() * sizeof(Frame);
   }
-  // Profile maps: rough per-node accounting (two std::map nodes per
-  // distinct input-size value plus the activation aggregates).
   for (const auto &[Key, Profile] : Database.threadRoutineProfiles())
-    Total += (Profile.distinctTrmsValues() + Profile.distinctRmsValues()) *
-                 (sizeof(CostStats) + 48) +
-             sizeof(RoutineProfile);
+    Total += Profile.footprintBytes();
   return Total;
 }
 

@@ -154,9 +154,8 @@ private:
   /// a thread ends (its timestamps can never be consulted again), so
   /// space reporting tracks the high-water mark.
   uint64_t PeakFootprintBytes = 0;
-  /// ts-shadow cache tallies of threads that already ended.
-  uint64_t EndedTsCacheHits = 0;
-  uint64_t EndedTsCacheMisses = 0;
+  /// ts-shadow tallies of threads that already ended.
+  ShadowTallies EndedTs;
 };
 
 using TrmsProfiler = TrmsProfilerT<ThreeLevelShadow<uint64_t>>;

@@ -24,10 +24,11 @@
 ///    last-chunk cache missed ~45% of lookups; with 16 slots kdtree and
 ///    dbserver miss under 3%. The hash matters: indexing by the low key
 ///    bits puts the globals chunk (key 0) and every stack chunk
-///    (key 2^15 + 256 t) in one slot;
-///  - range primitives forRange/forRangeIfPresent/fillRange that resolve
-///    each chunk once per 512-cell span instead of once per cell, which
-///    is how the profilers process multi-cell Read/Write events.
+///    (key 2^15 + 256 t) in one slot. A hit is always inlined into the
+///    caller; the radix walk behind a miss is cold and out of line;
+///  - range primitives forRange/fillRange that resolve each chunk once
+///    per 512-cell span instead of once per cell, which is how the
+///    profilers process multi-cell Read/Write events.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -35,12 +36,14 @@
 #define ISPROF_SHADOW_SHADOWMEMORY_H
 
 #include "obs/Obs.h"
+#include "support/Compiler.h"
 #include "trace/Event.h"
 
 #include <algorithm>
 #include <cassert>
 #include <cstring>
 #include <memory>
+#include <string>
 #include <unordered_map>
 #include <vector>
 
@@ -72,22 +75,14 @@ public:
   ThreeLevelShadow() : Primary(L1Entries) {}
 
   /// Returns the value at \p A without allocating (T{} if untouched).
-  T get(Addr A) const {
+  ISP_ALWAYS_INLINE T get(Addr A) const {
     assert(A <= MaxAddress && "guest address out of shadowable range");
-    CacheEntry &E = cacheEntry(chunkKey(A));
-    if (E.Key == chunkKey(A)) {
+    const CacheEntry &E = cacheEntry(chunkKey(A));
+    if (ISP_LIKELY(E.Key == chunkKey(A))) {
       ISP_STATS(++CacheHits);
       return E.C->Cells[offset(A)];
     }
-    ISP_STATS(++CacheMisses);
-    const Secondary *S = Primary[l1Index(A)].get();
-    if (!S)
-      return T{};
-    Chunk *C = S->Chunks[l2Index(A)].get();
-    if (!C)
-      return T{};
-    E = {chunkKey(A), C};
-    return C->Cells[offset(A)];
+    return getMiss(A);
   }
 
   /// Stores \p Value at \p A, materializing the chunk if needed.
@@ -103,7 +98,7 @@ public:
   /// \p A, materializing chunks as needed. Each chunk on the span is
   /// resolved exactly once — the multi-cell event fast path.
   template <typename Callback>
-  void forRange(Addr A, uint64_t Cells, Callback Fn) {
+  ISP_ALWAYS_INLINE void forRange(Addr A, uint64_t Cells, Callback Fn) {
     assert(Cells == 0 || A + Cells - 1 <= MaxAddress);
     while (Cells != 0) {
       size_t Off = offset(A);
@@ -119,7 +114,7 @@ public:
 
   /// Stores \p Value into each of the \p Cells cells starting at \p A,
   /// resolving each chunk on the span once.
-  void fillRange(Addr A, uint64_t Cells, T Value) {
+  ISP_ALWAYS_INLINE void fillRange(Addr A, uint64_t Cells, T Value) {
     assert(Cells == 0 || A + Cells - 1 <= MaxAddress);
     while (Cells != 0) {
       size_t Off = offset(A);
@@ -213,33 +208,24 @@ private:
   }
   CacheEntry &cacheEntry(Addr Key) const { return Cache[slotOf(Key)]; }
 
-  /// Radix walk with chunk materialization; refreshes the cache.
-  Chunk *materialize(Addr A) {
-    std::unique_ptr<Secondary> &S = Primary[l1Index(A)];
-    if (!S) {
-      S = std::make_unique<Secondary>();
-      BytesAllocated += sizeof(Secondary);
-    }
-    std::unique_ptr<Chunk> &C = S->Chunks[l2Index(A)];
-    if (!C) {
-      C = std::make_unique<Chunk>();
-      BytesAllocated += sizeof(Chunk);
-      ++ChunksAllocated;
-    }
-    cacheEntry(chunkKey(A)) = {chunkKey(A), C.get()};
-    return C.get();
-  }
-
   /// Cache-aware chunk resolution for cell() and the range primitives.
-  Chunk *resolveChunk(Addr A) {
-    CacheEntry &E = cacheEntry(chunkKey(A));
-    if (E.Key == chunkKey(A)) {
+  /// Only the cache hit is inlined; a miss goes to the cold materialize.
+  ISP_ALWAYS_INLINE Chunk *resolveChunk(Addr A) {
+    const CacheEntry &E = cacheEntry(chunkKey(A));
+    if (ISP_LIKELY(E.Key == chunkKey(A))) {
       ISP_STATS(++CacheHits);
       return E.C;
     }
-    ISP_STATS(++CacheMisses);
     return materialize(A);
   }
+
+  /// get()'s chunk-cache miss: counts it, then walks the radix levels
+  /// without allocating and refreshes the cache if the chunk exists.
+  ISP_COLD T getMiss(Addr A) const;
+  /// resolveChunk()'s chunk-cache miss: counts it, then walks the radix
+  /// levels, materializing the secondary table and chunk as needed, and
+  /// refreshes the cache.
+  ISP_COLD Chunk *materialize(Addr A);
 
   std::vector<std::unique_ptr<Secondary>> Primary;
   uint64_t BytesAllocated = 0;
@@ -250,6 +236,60 @@ private:
   /// The chunk cache. Mutable so the read-only get() path can also
   /// profit from locality.
   mutable CacheEntry Cache[size_t(1) << CacheSlotBits];
+};
+
+template <typename T> T ThreeLevelShadow<T>::getMiss(Addr A) const {
+  ISP_STATS(++CacheMisses);
+  const Secondary *S = Primary[l1Index(A)].get();
+  if (!S)
+    return T{};
+  Chunk *C = S->Chunks[l2Index(A)].get();
+  if (!C)
+    return T{};
+  cacheEntry(chunkKey(A)) = {chunkKey(A), C};
+  return C->Cells[offset(A)];
+}
+
+template <typename T>
+typename ThreeLevelShadow<T>::Chunk *ThreeLevelShadow<T>::materialize(Addr A) {
+  ISP_STATS(++CacheMisses);
+  std::unique_ptr<Secondary> &S = Primary[l1Index(A)];
+  if (!S) {
+    S = std::make_unique<Secondary>();
+    BytesAllocated += sizeof(Secondary);
+  }
+  std::unique_ptr<Chunk> &C = S->Chunks[l2Index(A)];
+  if (!C) {
+    C = std::make_unique<Chunk>();
+    BytesAllocated += sizeof(Chunk);
+    ++ChunksAllocated;
+  }
+  cacheEntry(chunkKey(A)) = {chunkKey(A), C.get()};
+  return C.get();
+}
+
+/// Chunk and chunk-cache tallies summed over shadows: a profiler folds
+/// each ended thread's ts shadow in before releasing it, and adds the
+/// live ones when it publishes.
+struct ShadowTallies {
+  uint64_t ChunksAllocated = 0;
+  uint64_t CacheHits = 0;
+  uint64_t CacheMisses = 0;
+
+  template <typename ShadowT> void add(const ShadowT &S) {
+    ChunksAllocated += S.chunksAllocated();
+    CacheHits += S.cacheHits();
+    CacheMisses += S.cacheMisses();
+  }
+
+  /// Adds the three to the stats registry as \p Prefix followed by
+  /// `.chunks_allocated`, `.cache_hits` and `.cache_misses`.
+  void publish(const std::string &Prefix) const {
+    obs::Registry &R = obs::Registry::get();
+    R.counter(Prefix + ".chunks_allocated").add(ChunksAllocated);
+    R.counter(Prefix + ".cache_hits").add(CacheHits);
+    R.counter(Prefix + ".cache_misses").add(CacheMisses);
+  }
 };
 
 /// Hash-map shadow memory: the no-structure baseline for the ablation

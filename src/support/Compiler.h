@@ -53,10 +53,21 @@ namespace isp {
 /// Forces inlining of small helpers that sit on a per-instruction or
 /// per-access path; -O2 alone leaves them out of line once they grow an
 /// error branch or two.
+///
+/// ISP_ALWAYS_INLINE_LAMBDA does the same for a lambda's call operator;
+/// it goes after the parameter list, where `inline` may not appear.
+///
+/// ISP_COLD marks the rare path split off such a helper (a cache miss,
+/// an allocation): kept out of line and out of the hot code's layout, so
+/// the inlined fast path stays a compare and a load.
 #if defined(__GNUC__) || defined(__clang__)
 #define ISP_ALWAYS_INLINE inline __attribute__((always_inline))
+#define ISP_ALWAYS_INLINE_LAMBDA __attribute__((always_inline))
+#define ISP_COLD __attribute__((cold, noinline))
 #else
 #define ISP_ALWAYS_INLINE inline
+#define ISP_ALWAYS_INLINE_LAMBDA
+#define ISP_COLD
 #endif
 
 #endif // ISPROF_SUPPORT_COMPILER_H

@@ -19,11 +19,16 @@
 //  P6. Delivery transparency: the profiler fed through batched delivery
 //      (compaction, the packed-word walk, its redundancy skip) matches
 //      the per-event oracle, also under a tiny counter limit.
+//  P7. Curve-index transparency: RoutineProfile, which reaches a cell
+//      through its curve indexes, folds random activations into the same
+//      curves and totals as a plain std::map fold, across rehashes,
+//      copies, moves and merges.
 //
 //===----------------------------------------------------------------------===//
 
 #include "core/NaiveProfiler.h"
 #include "core/TrmsProfiler.h"
+#include "support/Random.h"
 #include "trace/Synthetic.h"
 
 #include "TestUtil.h"
@@ -185,5 +190,215 @@ INSTANTIATE_TEST_SUITE_P(
       return "seed" + std::to_string(std::get<0>(Info.param)) + "_shape" +
              std::to_string(std::get<1>(Info.param));
     });
+
+} // namespace
+
+//===----------------------------------------------------------------------===//
+// P7. Curve-index transparency
+//===----------------------------------------------------------------------===//
+
+namespace {
+
+using Curve = std::map<uint64_t, CostStats>;
+
+/// The reference fold: every activation walks both maps, as
+/// RoutineProfile did before its curve indexes.
+struct TreeFold {
+  Curve ByTrms, ByRms;
+  uint64_t Activations = 0, SumRms = 0, SumTrms = 0;
+  uint64_t InducedThread = 0, InducedExternal = 0, TotalCost = 0;
+
+  void add(const ActivationRecord &R) {
+    ByTrms[R.Trms].add(R.Cost);
+    ByRms[R.Rms].add(R.Cost);
+    ++Activations;
+    SumRms += R.Rms;
+    SumTrms += R.Trms;
+    InducedThread += R.InducedThread;
+    InducedExternal += R.InducedExternal;
+    TotalCost += R.Cost;
+  }
+
+  void merge(const TreeFold &Other) {
+    for (const auto &[Size, Stats] : Other.ByTrms)
+      ByTrms[Size].merge(Stats);
+    for (const auto &[Size, Stats] : Other.ByRms)
+      ByRms[Size].merge(Stats);
+    Activations += Other.Activations;
+    SumRms += Other.SumRms;
+    SumTrms += Other.SumTrms;
+    InducedThread += Other.InducedThread;
+    InducedExternal += Other.InducedExternal;
+    TotalCost += Other.TotalCost;
+  }
+};
+
+/// An activation whose rms is drawn from [Base, Base + Sizes) and whose
+/// trms exceeds it by 0..2.
+ActivationRecord randomActivation(Rng &R, uint64_t Base, uint64_t Sizes) {
+  ActivationRecord A;
+  A.Rms = Base + R.nextBelow(Sizes);
+  A.Trms = A.Rms + R.nextBelow(3);
+  A.Cost = R.nextBelow(1 << 20);
+  A.InducedThread = R.nextBelow(4);
+  A.InducedExternal = R.nextBelow(2);
+  return A;
+}
+
+/// Folds \p N random activations into both \p P and \p F.
+void foldBoth(RoutineProfile &P, TreeFold &F, uint64_t Seed, uint64_t N,
+              uint64_t Base, uint64_t Sizes) {
+  Rng R(Seed);
+  for (uint64_t I = 0; I != N; ++I) {
+    ActivationRecord A = randomActivation(R, Base, Sizes);
+    P.addActivation(A);
+    F.add(A);
+  }
+}
+
+::testing::AssertionResult sameCurve(const Curve &Got, const Curve &Want) {
+  if (Got.size() != Want.size())
+    return ::testing::AssertionFailure()
+           << Got.size() << " sizes, expected " << Want.size();
+  for (auto G = Got.begin(), W = Want.begin(); G != Got.end(); ++G, ++W) {
+    const CostStats &A = G->second, &B = W->second;
+    if (G->first != W->first || A.Count != B.Count ||
+        A.MinCost != B.MinCost || A.MaxCost != B.MaxCost ||
+        A.SumCost != B.SumCost)
+      return ::testing::AssertionFailure()
+             << "size " << G->first << " (expected " << W->first
+             << "): count " << A.Count << "/" << B.Count << ", min "
+             << A.MinCost << "/" << B.MinCost << ", max " << A.MaxCost
+             << "/" << B.MaxCost << ", sum " << A.SumCost << "/"
+             << B.SumCost;
+  }
+  return ::testing::AssertionSuccess();
+}
+
+void expectSameFold(const RoutineProfile &P, const TreeFold &F) {
+  EXPECT_TRUE(sameCurve(P.costByTrms(), F.ByTrms)) << "trms curve";
+  EXPECT_TRUE(sameCurve(P.costByRms(), F.ByRms)) << "rms curve";
+  EXPECT_EQ(P.activations(), F.Activations);
+  EXPECT_EQ(P.sumRms(), F.SumRms);
+  EXPECT_EQ(P.sumTrms(), F.SumTrms);
+  EXPECT_EQ(P.inducedThread(), F.InducedThread);
+  EXPECT_EQ(P.inducedExternal(), F.InducedExternal);
+  EXPECT_EQ(P.totalCost(), F.TotalCost);
+}
+
+TEST(CurveIndex, FoldEqualsTreeFoldOnAKdtreeShapedCurve) {
+  // About 150 distinct sizes over 30,000 activations: the shape of
+  // kdtree's tree_count_range at benchmark size.
+  RoutineProfile P;
+  TreeFold F;
+  foldBoth(P, F, 1, 30000, 0, 150);
+  EXPECT_GE(P.distinctRmsValues(), 145u);
+  expectSameFold(P, F);
+}
+
+TEST(CurveIndex, FoldEqualsTreeFoldThroughEveryRehash) {
+  // 100,000 distinct sizes in one profile, each first met in random
+  // order, so each index grows from 16 slots through every doubling;
+  // the trms sizes are spread wide to vary the hashed bits. A second
+  // pass then lands on rms sizes that are all in the index, and adds
+  // small trms sizes to the wide ones.
+  std::vector<uint64_t> Sizes(100000);
+  for (uint64_t I = 0; I != Sizes.size(); ++I)
+    Sizes[I] = I;
+  Rng R(2);
+  for (size_t I = Sizes.size() - 1; I > 0; --I)
+    std::swap(Sizes[I], Sizes[R.nextBelow(I + 1)]);
+  RoutineProfile P;
+  TreeFold F;
+  for (uint64_t Size : Sizes) {
+    ActivationRecord A;
+    A.Rms = Size;
+    A.Trms = Size * 1000003;
+    A.Cost = R.nextBelow(1000);
+    P.addActivation(A);
+    F.add(A);
+  }
+  EXPECT_EQ(P.distinctRmsValues(), 100000u);
+  EXPECT_EQ(P.distinctTrmsValues(), 100000u);
+  foldBoth(P, F, 3, 50000, 0, 100000);
+  expectSameFold(P, F);
+}
+
+TEST(CurveIndex, CopiesAndMovesFoldIntoTheirOwnCurves) {
+  // Each copy folds on after the copy; an index entry that still
+  // pointed into another profile's map would add to that map instead.
+  RoutineProfile Original;
+  TreeFold OriginalF;
+  foldBoth(Original, OriginalF, 10, 3000, 0, 200);
+
+  RoutineProfile Copied(Original);
+  TreeFold CopiedF = OriginalF;
+
+  // Copy assignment over a profile with other sizes of its own: the map
+  // may reuse those nodes for the copied sizes.
+  RoutineProfile Assigned;
+  TreeFold AssignedF;
+  foldBoth(Assigned, AssignedF, 11, 2000, 500, 300);
+  Assigned = Original;
+  AssignedF = OriginalF;
+
+  // Moves keep their index: fold into the source first so it is full.
+  RoutineProfile Source(Original);
+  TreeFold SourceF = OriginalF;
+  foldBoth(Source, SourceF, 12, 1000, 0, 400);
+  RoutineProfile Moved(std::move(Source));
+  TreeFold MovedF = SourceF;
+
+  RoutineProfile Source2(Original);
+  TreeFold Source2F = OriginalF;
+  foldBoth(Source2, Source2F, 13, 1000, 100, 400);
+  RoutineProfile MoveAssigned;
+  TreeFold MoveAssignedF;
+  foldBoth(MoveAssigned, MoveAssignedF, 14, 500, 0, 50);
+  MoveAssigned = std::move(Source2);
+  MoveAssignedF = Source2F;
+
+  foldBoth(Original, OriginalF, 20, 2000, 0, 600);
+  foldBoth(Copied, CopiedF, 21, 2000, 0, 600);
+  foldBoth(Assigned, AssignedF, 22, 2000, 0, 600);
+  foldBoth(Moved, MovedF, 23, 2000, 0, 600);
+  foldBoth(MoveAssigned, MoveAssignedF, 24, 2000, 0, 600);
+  {
+    SCOPED_TRACE("original");
+    expectSameFold(Original, OriginalF);
+  }
+  {
+    SCOPED_TRACE("copy-constructed");
+    expectSameFold(Copied, CopiedF);
+  }
+  {
+    SCOPED_TRACE("copy-assigned");
+    expectSameFold(Assigned, AssignedF);
+  }
+  {
+    SCOPED_TRACE("move-constructed");
+    expectSameFold(Moved, MovedF);
+  }
+  {
+    SCOPED_TRACE("move-assigned");
+    expectSameFold(MoveAssigned, MoveAssignedF);
+  }
+}
+
+TEST(CurveIndex, SizesAddedByMergeAreFoundOnFirstTouch) {
+  // merge() adds to the maps directly; the activations after it land
+  // on sizes the index has not seen but the map already holds.
+  RoutineProfile P, Q;
+  TreeFold PF, QF;
+  foldBoth(P, PF, 30, 1000, 0, 100);
+  foldBoth(Q, QF, 31, 1000, 50, 150);
+  P.merge(Q);
+  PF.merge(QF);
+  foldBoth(P, PF, 32, 3000, 0, 250);
+  expectSameFold(P, PF);
+  // The merged-from profile is untouched and still folds on its own.
+  foldBoth(Q, QF, 33, 1000, 0, 250);
+  expectSameFold(Q, QF);
+}
 
 } // namespace

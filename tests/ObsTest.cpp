@@ -25,6 +25,7 @@
 #include "analysis/Range.h"
 #include "analysis/Verifier.h"
 #include "collect/Collector.h"
+#include "core/RmsProfiler.h"
 #include "core/TrmsProfiler.h"
 #include "instr/Dispatcher.h"
 #include "support/Format.h"
@@ -300,14 +301,11 @@ TEST(ObsDispatcher, LiveRunIdentityWithStatsOn) {
 }
 
 TEST(ObsShadow, WtsAndTsChunkCachesPublishTallies) {
-  // Both shadow caches report hits and misses; the ts tallies include
-  // the workers, whose shadows are released when they end.
-  obs::setStatsEnabled(true);
-  obs::Registry::get().reset();
-  TrmsProfiler Profiler;
-  EventDispatcher D;
-  D.addTool(&Profiler);
-  RunResult R = compileAndRun(R"(
+  // Both shadow caches report chunks, hits and misses, under aprof-trms
+  // and aprof-rms alike. Every thread here ends before the run does, so
+  // the ts tallies are those folded in as each thread's shadow is
+  // released.
+  const char *Source = R"(
     var table[64];
     fn work(n) {
       var local[16];
@@ -321,20 +319,46 @@ TEST(ObsShadow, WtsAndTsChunkCachesPublishTallies) {
       var a = spawn work(300);
       var b = spawn work(300);
       return join(a) + join(b) + work(100);
-    })",
-                              &D);
-  obs::setStatsEnabled(false);
-  ASSERT_TRUE(R.Ok) << R.Error;
-  std::map<std::string, uint64_t> C = obs::Registry::get().counterValues();
-  for (const char *Shadow : {"shadow.wts", "shadow.ts"}) {
-    std::string Hits = std::string(Shadow) + ".cache_hits";
-    std::string Misses = std::string(Shadow) + ".cache_misses";
-    ASSERT_TRUE(C.count(Hits) && C.count(Misses)) << Shadow;
-    EXPECT_GT(C.at(Misses), 0u) << Shadow;
+    })";
+  auto countersUnder = [&](Tool &T) {
+    obs::setStatsEnabled(true);
+    obs::Registry::get().reset();
+    EventDispatcher D;
+    D.addTool(&T);
+    RunResult R = compileAndRun(Source, &D);
+    obs::setStatsEnabled(false);
+    EXPECT_TRUE(R.Ok) << R.Error;
+    return obs::Registry::get().counterValues();
+  };
+  TrmsProfiler Trms;
+  RmsProfiler Rms;
+  std::map<std::string, uint64_t> TrmsCounters = countersUnder(Trms);
+  std::map<std::string, uint64_t> RmsCounters = countersUnder(Rms);
+
+  auto checkShadow = [](std::map<std::string, uint64_t> &C,
+                        const std::string &Shadow) {
+    SCOPED_TRACE(Shadow);
+    // A tally that was never published reads 0.
+    uint64_t Chunks = C[Shadow + ".chunks_allocated"];
+    uint64_t Hits = C[Shadow + ".cache_hits"];
+    uint64_t Misses = C[Shadow + ".cache_misses"];
+    // Every chunk is materialized on a cache miss.
+    EXPECT_GT(Chunks, 0u);
+    EXPECT_GE(Misses, Chunks);
     // Globals and three threads' stacks are a handful of chunks, so
     // the cache serves nearly every lookup.
-    EXPECT_GT(C.at(Hits), 20 * C.at(Misses)) << Shadow;
-  }
+    EXPECT_GT(Hits, 20 * Misses);
+  };
+  checkShadow(TrmsCounters, "shadow.wts");
+  checkShadow(TrmsCounters, "shadow.ts");
+  checkShadow(RmsCounters, "shadow.ts");
+  // aprof-rms keeps no wts shadow (reset() keeps the names aprof-trms
+  // interned, so the tally may be present, at 0).
+  EXPECT_EQ(RmsCounters["shadow.wts.cache_hits"], 0u);
+  // The two profilers stamp their ts shadows on the same accesses.
+  for (const char *Tally : {"shadow.ts.chunks_allocated",
+                            "shadow.ts.cache_hits", "shadow.ts.cache_misses"})
+    EXPECT_EQ(RmsCounters[Tally], TrmsCounters[Tally]) << Tally;
 }
 
 //===----------------------------------------------------------------------===//
