@@ -10,7 +10,6 @@
 #include "analysis/Verifier.h"
 #include "obs/Obs.h"
 
-#include <algorithm>
 #include <cassert>
 #include <set>
 #include <unordered_map>
@@ -41,7 +40,6 @@ private:
     CopyEdges.emplace_back();
     LoadsFrom.emplace_back();
     StoresTo.emplace_back();
-    Imprecise.push_back(false);
     return Id;
   }
   uint32_t keyedNode(NodeKind K, uint64_t A, uint64_t B = 0) {
@@ -99,9 +97,6 @@ private:
   std::vector<std::set<uint32_t>> CopyEdges; ///< pts(to) >= pts(from)
   std::vector<std::set<uint32_t>> LoadsFrom; ///< pts(dst) >= pts(*node)
   std::vector<std::set<uint32_t>> StoresTo;  ///< pts(*node) >= pts(src)
-  /// Node may hold a derived (non-base) address — pointer arithmetic
-  /// results and everything they flow into (see SiteFacts docs).
-  std::vector<bool> Imprecise;
   /// Base-operand node of every indirect access site.
   std::map<std::pair<size_t, size_t>, std::pair<uint32_t, bool>> SiteBases;
 };
@@ -212,10 +207,8 @@ void Andersen::generateFunction(size_t FnIdx) {
           Stack.push_back(NoNode);
         } else {
           // Pointer arithmetic: the result may address either operand's
-          // objects (field-insensitive, so offsets are ignored) but is
-          // no longer an exact object base.
+          // objects (field-insensitive, so offsets are ignored).
           uint32_t T = makeNode();
-          Imprecise[T] = true;
           addCopy(Lhs, T);
           addCopy(Rhs, T);
           Stack.push_back(T);
@@ -340,11 +333,6 @@ void Andersen::solve() {
       bool Changed = false;
       for (uint32_t Obj : Pts[N])
         Changed |= Pts[To].insert(Obj).second;
-      // Imprecision (derived-address taint) rides the same edges.
-      if (Imprecise[N] && !Imprecise[To]) {
-        Imprecise[To] = true;
-        Changed = true;
-      }
       if (Changed)
         enqueue(To);
     }
@@ -377,23 +365,6 @@ PointsToResult Andersen::run() {
       Facts.Objects.assign(Pts[BaseInfo.first].begin(),
                            Pts[BaseInfo.first].end());
     Facts.BaseKnown = !Facts.Objects.empty();
-    if (Facts.BaseKnown && !Imprecise[BaseInfo.first]) {
-      Facts.PreciseBoundedBase = true;
-      Facts.MinCells = ~uint64_t(0);
-      for (uint32_t Obj : Facts.Objects) {
-        const AbstractObject &O = Result.Objects[Obj];
-        // Frame arrays are excluded: their storage can dangle into a
-        // later activation's locals. Heap blocks are never reused and
-        // global storage is immortal.
-        if (O.K == AbstractObject::Kind::AllocaSite || O.Cells == 0) {
-          Facts.PreciseBoundedBase = false;
-          break;
-        }
-        Facts.MinCells = std::min(Facts.MinCells, O.Cells);
-      }
-      if (!Facts.PreciseBoundedBase)
-        Facts.MinCells = 0;
-    }
     if (BaseInfo.second && !Facts.BaseKnown)
       Result.HasWildStore = true;
     Result.Sites.emplace(Site, std::move(Facts));

@@ -58,17 +58,6 @@ struct SiteFacts {
   bool BaseKnown = false;
   bool IsStore = false;
   std::vector<uint32_t> Objects; ///< ids into PointsToResult::Objects
-  /// True when the base is, on every path, the *exact* base address of
-  /// a heap or global-array object of known extent (no pointer
-  /// arithmetic, no frame arrays — frame storage can dangle and be
-  /// reused, heap blocks are never reused and global storage is
-  /// immortal). With a constant index below MinCells, the accessed cell
-  /// is then provably inside object storage — disjoint from named
-  /// global cells and from every frame's local slots. The optimizer's
-  /// quiet-indirect pass keys its cache-invalidation refinement on this
-  /// (Optimizer.cpp).
-  bool PreciseBoundedBase = false;
-  uint64_t MinCells = 0; ///< smallest extent among Objects (when bounded)
 };
 
 struct PointsToResult {

@@ -23,38 +23,32 @@
 /// identical results.
 ///
 /// The quiet-access pass additionally suppresses *events* (never the
-/// accesses themselves) that are no-ops for every tool: within one
-/// straight-line window — broken by jump targets, unconditional jumps,
-/// calls, builtins, spawns, and returns — a repeated read of an address
-/// already read or written, or a repeated write of an address already
-/// written, finds every per-address tool state (access timestamps,
+/// accesses themselves): within one straight-line window — broken by
+/// jump targets, unconditional jumps, calls, builtins, spawns, and
+/// returns — a repeated read of a local slot or named global cell
+/// already read or written, or a repeated write of one already written.
+/// Such an event finds every per-address tool state (access timestamps,
 /// write timestamps, definedness, locksets) already current, because
 /// tool counters only advance at events the window-breaking
-/// instructions (or the scheduler) produce. Windows span BasicBlock
-/// markers and conditional fall-through edges: block costs accumulate
-/// without a counter bump, and code after an untaken branch still
-/// postdominates the window's earlier accesses in execution order. The
-/// VM honors quiet marks only while no scheduler switch has interrupted
-/// the window (Machine::WindowInterrupted), covering the one
-/// interruption the static pass cannot see. Profiles are bit-identical
-/// with or without the pass (tested); stream-level statistics (event
-/// counts) legitimately drop.
+/// instructions (or the scheduler) produce. It is still not a no-op for
+/// every tool: helgrind reports every racy access, so a quiet re-read of
+/// a racy cell drops that re-read's race report (DESIGN.md,
+/// "Event-pipeline fast path"). Windows span BasicBlock markers and
+/// conditional fall-through edges: block costs accumulate without a
+/// counter bump, and code after an untaken branch still postdominates
+/// the window's earlier accesses in execution order. The VM honors
+/// quiet marks only while no scheduler switch has interrupted the
+/// window (Machine::WindowInterrupted), covering the one interruption
+/// the static pass cannot see. aprof profiles are bit-identical with or
+/// without the pass (tested); stream-level statistics (event counts)
+/// legitimately drop.
 ///
-/// Since the analysis layer landed, the pass covers *indirect* accesses
-/// too: a window-local symbolic value numbering assigns each operand a
-/// value number such that equal numbers imply equal runtime values
-/// (straight-line code executes each instruction at most once per
-/// window entry, so value numbers are genuine must-alias facts). A
-/// LoadIndirect whose address value number was already touched — or a
-/// StoreIndirect whose address was already written — in the same window
-/// is marked quiet exactly like a direct access. Value numbers for
-/// loaded cells are cached and must be dropped when an intervening
-/// StoreIndirect may clobber the cell; the pass keeps them when the
-/// store is provably confined to object storage, using either a
-/// window-local shape fact (the base is this window's own alloc/alloca
-/// result, or an immutable global array base) or the Andersen points-to
-/// facts from src/analysis (PreciseBoundedBase). See DESIGN.md "Static
-/// analysis" for the soundness argument.
+/// Indirect accesses get marks from one source only: the
+/// interprocedural covered-read certificate (analysis/Range.h), which
+/// marks variable-index re-reads of never-escaping frame arrays —
+/// stack cells that memcheck does not check and that no other thread
+/// can reach. optimizeProgram runs the points-to, escape and range
+/// analyses for it alone.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -72,16 +66,12 @@ struct OptimizerStats {
   unsigned InstructionsRemoved = 0;
   /// Accesses whose instrumentation events are provably redundant
   /// within their straight-line window (the access still executes).
-  /// Counts direct and indirect marks; the next field is the indirect
-  /// subset.
+  /// Counts direct and certificate marks; the next field is the
+  /// certificate subset.
   unsigned QuietAccessesMarked = 0;
-  /// LoadIndirect/StoreIndirect instructions marked quiet (subset of
-  /// QuietAccessesMarked) — the alias-analysis-driven extension.
-  unsigned QuietIndirectMarked = 0;
   /// Variable-index LoadIndirect sites marked quiet by the
-  /// interprocedural covered-read certificate (Range.h) — a subset of
-  /// QuietIndirectMarked that the window-local value numbering cannot
-  /// see (the proof spans loops and the whole program).
+  /// interprocedural covered-read certificate (Range.h): the only
+  /// indirect marks (a subset of QuietAccessesMarked).
   unsigned RangeQuietMarked = 0;
 };
 

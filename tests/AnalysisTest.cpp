@@ -354,7 +354,7 @@ TEST(VerifierTest, RenderNamesFunctionAndPc) {
 
 // --- Points-to. ---
 
-TEST(PointsToTest, GlobalArrayConstIndexIsPreciseBounded) {
+TEST(PointsToTest, GlobalArrayConstIndexPointsToTheArray) {
   Program Prog = compile(R"(
     var a[8];
     fn main() {
@@ -373,8 +373,6 @@ TEST(PointsToTest, GlobalArrayConstIndexIsPreciseBounded) {
     const SiteFacts *Facts = PT.siteFacts(Fn, Pc);
     ASSERT_NE(Facts, nullptr);
     EXPECT_TRUE(Facts->BaseKnown);
-    EXPECT_TRUE(Facts->PreciseBoundedBase);
-    EXPECT_EQ(Facts->MinCells, 8u);
     ASSERT_EQ(Facts->Objects.size(), 1u);
     EXPECT_EQ(PT.Objects[Facts->Objects[0]].K,
               AbstractObject::Kind::GlobalArray);
@@ -386,9 +384,8 @@ TEST(PointsToTest, GlobalArrayConstIndexIsPreciseBounded) {
   EXPECT_GT(PT.TotalFacts, 0u);
 }
 
-TEST(PointsToTest, PointerArithmeticTaintsPrecision) {
-  // p = a + 1 still points into a's storage (provenance tracked) but is
-  // no longer the exact base: PreciseBoundedBase must be off.
+TEST(PointsToTest, PointerArithmeticKeepsProvenance) {
+  // p = a + 1 still points into a's storage: provenance is tracked.
   Program Prog = compile(R"(
     var a[8];
     fn main() {
@@ -398,14 +395,19 @@ TEST(PointsToTest, PointerArithmeticTaintsPrecision) {
   PointsToResult PT = computePointsTo(Prog);
   size_t Fn = Prog.EntryIndex;
   const Function &F = Prog.Functions[Fn];
+  unsigned Checked = 0;
   for (size_t Pc = 0; Pc != F.Code.size(); ++Pc) {
     if (F.Code[Pc].Opcode != Op::LoadIndirect)
       continue;
     const SiteFacts *Facts = PT.siteFacts(Fn, Pc);
     ASSERT_NE(Facts, nullptr);
     EXPECT_TRUE(Facts->BaseKnown);
-    EXPECT_FALSE(Facts->PreciseBoundedBase);
+    ASSERT_EQ(Facts->Objects.size(), 1u);
+    EXPECT_EQ(PT.Objects[Facts->Objects[0]].K,
+              AbstractObject::Kind::GlobalArray);
+    ++Checked;
   }
+  EXPECT_EQ(Checked, 1u);
 }
 
 TEST(PointsToTest, PointerFlowsThroughCallsAndGlobals) {

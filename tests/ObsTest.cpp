@@ -422,15 +422,14 @@ TEST(ObsQuiet, SuppressionVsWindowAbortTallies) {
 TEST(ObsAnalysis, PassCountersAndTimersRegister) {
   // Every analysis pass folds its findings and wall time into the
   // registry: the CFG/verifier pair, points-to, the lint, and the
-  // quiet-marking phase (with its indirect-mark count).
+  // quiet-marking phase (with its mark count).
   obs::setStatsEnabled(true);
   obs::Registry &Reg = obs::Registry::get();
   uint64_t Blocks0 = Reg.counter("analysis.cfg_blocks").value();
   uint64_t Facts0 = Reg.counter("analysis.points_to_facts").value();
   uint64_t Warn0 = Reg.counter("analysis.lint_warnings").value();
   uint64_t Fail0 = Reg.counter("analysis.verifier_failures").value();
-  uint64_t Indirect0 =
-      Reg.counter("analysis.quiet_indirect_marked").value();
+  uint64_t Marked0 = Reg.counter("optimizer.quiet_accesses_marked").value();
 
   DiagnosticEngine Diags;
   std::optional<Program> Prog = compileProgram(R"(
@@ -457,8 +456,7 @@ TEST(ObsAnalysis, PassCountersAndTimersRegister) {
   EXPECT_GT(Reg.counter("analysis.points_to_facts").value(), Facts0);
   EXPECT_GT(Reg.counter("analysis.lint_warnings").value(), Warn0);
   EXPECT_EQ(Reg.counter("analysis.verifier_failures").value(), Fail0);
-  EXPECT_GT(Reg.counter("analysis.quiet_indirect_marked").value(),
-            Indirect0);
+  EXPECT_GT(Reg.counter("optimizer.quiet_accesses_marked").value(), Marked0);
   // Pass timers accumulated real time.
   EXPECT_GT(Reg.counter("analysis.verify_ns").value(), 0u);
   EXPECT_GT(Reg.counter("analysis.points_to_ns").value(), 0u);
